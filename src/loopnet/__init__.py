@@ -39,6 +39,7 @@ from .metrics import (
     format_distance,
     inner_only_distance,
     inner_only_distances,
+    instance_distances,
     outer_only_distance,
 )
 from .transforms import (
@@ -90,6 +91,7 @@ __all__ = [
     "format_distance",
     "inner_only_distance",
     "inner_only_distances",
+    "instance_distances",
     "lift_path",
     "neighbors",
     "outer_only_distance",

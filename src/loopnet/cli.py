@@ -24,7 +24,7 @@ from .graph_core import (
     to_dot,
 )
 from .metrics import (
-    bfs,
+    INF,
     diameter_circulant,
     diameter_ggpg,
     distance_dump_rows,
@@ -179,12 +179,13 @@ def cmd_diameter(args) -> int:
                    "n": g.n,
                    "num_vertices": g.num_vertices,
                    "num_edges": g.num_edges,
-                   "diameter": diam}
+                   "diameter": "inf" if diam == INF else diam}
         if g.family == "circulant":
             payload["gens"] = list(g.gens)
         else:
             payload["chords"] = list(g.chords)
-        _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True,
+                                         allow_nan=False) + "\n")
     elif args.format == "csv":
         lines = [f"# {head}", "family,n,gens,source,vertex,dist"]
         for row in distance_dump_rows(g):
@@ -281,7 +282,7 @@ def cmd_verify(args) -> int:
     findings_payload = {"header": _header_meta(flags, seed), "findings": findings}
     if args.out:
         with open(_sibling(args.out, "findings", ".json"), "w") as fh:
-            json.dump(findings_payload, fh, indent=2, sort_keys=True)
+            json.dump(findings_payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     if findings:
         print(f"findings: {len(findings)} (see "
@@ -428,6 +429,10 @@ def main(argv=None) -> int:
             args.seed = _default_seed()
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("--jobs must be >= 1")
+        if getattr(args, "sample_size", 1) < 1:
+            raise ValueError("--sample-size must be >= 1")
+        if getattr(args, "sample_cap", 0) < 0:
+            raise ValueError("--sample-cap must be >= 0")
         return args.func(args)
     except (FamilyParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

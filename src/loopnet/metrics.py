@@ -1,5 +1,14 @@
 """Exact distances, eccentricities, diameters, and restricted distances.
 
+Two routes compute the same distances.  The fast route is
+instance_distances: one level-synchronous BFS kernel that walks vertex ids
+by offset arithmetic, with no neighbors() call, and gives a
+verify_instance row every vector it needs in one pass -- the circulant from
+0, the GGPG graph from u_0 and from v_0 (with BFS parents), and the
+chord-only ring.  The oracle route is bfs over a graph's neighbors(), with
+the diameter helpers on top of it; tests and --paranoid check the kernel
+against it element by element.
+
 Diameters use symmetry shortcuts by default: a circulant looks the same
 from every vertex (rotation i -> i+1 is an automorphism), so one BFS from 0
 suffices; the same rotation on a GGPG graph has exactly two vertex orbits,
@@ -146,3 +155,106 @@ def distance_dump_rows(g, sources=None):
         for v in g.vertices():
             yield (g.family, g.n, gens_txt, g.vertex_label(src),
                    g.vertex_label(v), format_distance(vec[v]))
+
+
+# --- the one-pass instance kernel ---
+
+def _ring_offsets(n: int, steps, head: tuple = ()) -> list[tuple]:
+    """Per-vertex neighbour offsets of the ring Z_n with steps +-s.
+
+    Row i lists w - i for the neighbours w of i in ascending order of w,
+    after the offsets in head: the ascending list offs of every s and n - s,
+    rotated at k = bisect_left(offs, n - i) into offs[k:] + offs[:k], where
+    offs[k:] wrap past n - 1 and so are shifted by -n.  k changes only at
+    the points n - o, so the rows are a few shared tuples repeated over runs
+    of vertices.
+    """
+    offs = sorted({*steps, *(n - s for s in steps)})
+    wrapped = [o - n for o in offs]
+    cuts = [0, *(n - o for o in reversed(offs)), n]
+    rows = []
+    for k, lo, hi in zip(range(len(offs), -1, -1), cuts, cuts[1:]):
+        rows += [(*head, *wrapped[k:], *offs[:k])] * (hi - lo)
+    return rows
+
+
+def _ggpg_offsets(n: int, chords) -> list[tuple]:
+    """Per-vertex neighbour offsets of the GGPG graph, in the ascending order
+    GgpgGraph.neighbors gives: u_i -> (u_{i-1}, u_{i+1}, v_i), with the wrap
+    at u_0 and u_{n-1}; v_i -> (u_i, then the inner chord steps)."""
+    outer = [(1, n - 1, n)] + [(-1, 1, n)] * (n - 2) + [(1 - n, -1, n)]
+    return outer + _ring_offsets(n, chords, head=(-n,))
+
+
+def _level_bfs(offsets: list, src: int) -> tuple[list, list]:
+    """Distances and BFS parents from src; w is a neighbour of v iff
+    w - v is in offsets[v].
+
+    Levels are scanned in discovery order and each row in its given order,
+    so with ascending rows the parents are those of a FIFO BFS over the
+    sorted neighbors() lists.  Unreachable vertices keep INF and parent None.
+    """
+    dist = [INF] * len(offsets)
+    parent = [None] * len(offsets)
+    dist[src] = 0
+    frontier = [src]
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        push = nxt.append
+        for v in frontier:
+            for w in offsets[v]:
+                w += v
+                if dist[w] is INF:
+                    dist[w] = level
+                    parent[w] = v
+                    push(w)
+        frontier = nxt
+    return dist, parent
+
+
+def tree_path(parent: list, dst: int) -> list[int]:
+    """The BFS-tree path from the source to dst, as a vertex id list."""
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+@dataclass(frozen=True)
+class InstanceDistances:
+    """Every distance one C_n(1, chords) / GGPG pair row needs.
+
+    circ[i] = d_c(0, i); from_u0[x] and from_v0[x] = d_p(u_0, x) and
+    d_p(v_0, x) over GGPG ids x; chord_only[i] is the chord-subgraph
+    distance from 0 (INF when unreachable).  parent_u0 / parent_v0 are the
+    BFS trees of the two GGPG runs, for tree_path.
+    """
+
+    circ: list
+    from_u0: list
+    from_v0: list
+    chord_only: list
+    parent_u0: list
+    parent_v0: list
+
+
+def instance_distances(g: CirculantGraph) -> InstanceDistances:
+    """One pass of the level kernel over C_n(1, chords), its GGPG expansion
+    from u_0 and v_0, and its chord-only ring."""
+    if g.gens[0] != 1:
+        raise ValueError(f"instance distances need generator 1 in S, got {g.label()}")
+    n, chords = g.n, g.gens[1:]
+    ggpg = _ggpg_offsets(n, chords)
+    from_u0, parent_u0 = _level_bfs(ggpg, 0)
+    from_v0, parent_v0 = _level_bfs(ggpg, n)
+    return InstanceDistances(
+        circ=_level_bfs(_ring_offsets(n, g.gens), 0)[0],
+        from_u0=from_u0,
+        from_v0=from_v0,
+        chord_only=_level_bfs(_ring_offsets(n, chords), 0)[0],
+        parent_u0=parent_u0,
+        parent_v0=parent_v0,
+    )

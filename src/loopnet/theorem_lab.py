@@ -10,6 +10,13 @@ Four statements get machine-checked on concrete (n, chords) instances:
   * the gap-2 sufficient conditions (checked as the negation of the
     characterization's conditions, which is the form the argument uses).
 
+verify_instance takes every distance a row needs from one
+metrics.instance_distances pass (the offset-arithmetic kernel) and reads
+the gap-1 witness path from that pass's BFS tree.  check_thm41 to
+check_thm44 recompute their statement from list BFS alone: they are the
+independent oracle, and --paranoid (paranoid=True) cross-checks the kernel
+against list BFS and all-source diameters on every instance.
+
 Failures are tiered.  The first two are proved facts, so a violation means
 the implementation is broken: sweeps abort with the witness.  The latter
 two and the gap==2 conjecture are findings: recorded in the report row,
@@ -20,18 +27,22 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import le
 
 from .graph_core import CirculantGraph, GgpgGraph, build_circulant, max_generator
 from .metrics import (
-    INF,
     bfs,
+    diameter_circulant,
+    diameter_ggpg,
     format_distance,
     inner_only_distances,
+    instance_distances,
     outer_only_distance,
+    tree_path,
 )
 from .transforms import VertexCorrespondence, expand
 
@@ -159,6 +170,14 @@ def extremal_vertices(g: CirculantGraph) -> list[int]:
     return [i for i, d in enumerate(vec) if d == top]
 
 
+def _sandwich_holds(n, dc0, du, dv) -> bool:
+    """The orbit sandwich as whole-vector comparisons: dc0 <= d_p <= dc0 + 2
+    for d_p each side half of the u0 and v0 vectors."""
+    hi = [d + 2 for d in dc0]
+    return all(all(map(le, dc0, side)) and all(map(le, side, hi))
+               for vec in (du, dv) for side in (vec[:n], vec[n:]))
+
+
 def _sandwich_from_vectors(n, dc0, du, dv, corr) -> SandwichResult:
     # one rotation orbit per side pair: d_p(x_i, y_j) = d_p(x_0, y_{j-i})
     for delta in range(n):
@@ -215,19 +234,17 @@ def check_thm42(gc: CirculantGraph, gp: GgpgGraph) -> GapResult:
     return GapResult(gap in (1, 2), gap, d_circ, d_ggpg)
 
 
-def _gap1_conditions(gc: CirculantGraph, dc0, vdc):
+def _gap1_conditions(gc: CirculantGraph, D: int, vdc, inner) -> tuple[bool, bool]:
     """The two exact-length restricted-path conditions over V_Dc.
 
     A ring-only path of length exactly D from 0 to i exists iff
     min(i, n-i) = D: the two arcs are the only vertex-distinct ring walks,
     and both are at least d_c(0,i) = D long.  Likewise a chord-only path of
-    length exactly D exists iff the chord-subgraph distance equals D.
+    length exactly D exists iff the chord-subgraph distance (inner) equals D.
     """
-    D = max(dc0)
-    inner = inner_only_distances(gc)
     cond_outer = all(outer_only_distance(gc, i) == D for i in vdc)
     cond_inner = all(inner[i] == D for i in vdc)
-    return D, inner, cond_outer, cond_inner
+    return cond_outer, cond_inner
 
 
 def check_thm43(gc: CirculantGraph, gp: GgpgGraph) -> Gap1Characterization:
@@ -235,7 +252,8 @@ def check_thm43(gc: CirculantGraph, gp: GgpgGraph) -> Gap1Characterization:
     _check_pairing(gc, gp)
     dc0 = bfs(gc, 0).dist
     vdc = [i for i, d in enumerate(dc0) if d == max(dc0)]
-    _, _, cond_outer, cond_inner = _gap1_conditions(gc, dc0, vdc)
+    cond_outer, cond_inner = _gap1_conditions(gc, max(dc0), vdc,
+                                              inner_only_distances(gc))
     predicted = cond_outer and cond_inner
     gap = check_thm42(gc, gp).gap
     return Gap1Characterization(predicted, gap, predicted == (gap == 1),
@@ -255,7 +273,8 @@ def check_thm44(gc: CirculantGraph, gp: GgpgGraph) -> Gap2Conditions:
     _check_pairing(gc, gp)
     dc0 = bfs(gc, 0).dist
     vdc = [i for i, d in enumerate(dc0) if d == max(dc0)]
-    _, _, cond_outer, cond_inner = _gap1_conditions(gc, dc0, vdc)
+    cond_outer, cond_inner = _gap1_conditions(gc, max(dc0), vdc,
+                                              inner_only_distances(gc))
     fires = not (cond_outer and cond_inner)
     gap = check_thm42(gc, gp).gap
     n = gc.n
@@ -266,55 +285,52 @@ def check_thm44(gc: CirculantGraph, gp: GgpgGraph) -> Gap2Conditions:
     return Gap2Conditions(fires, gap, (not fires) or gap == 2, tuple(notes))
 
 
-def _bfs_path(g, src: int, dst: int):
-    """One shortest path as a vertex id list, or None if unreachable."""
-    parent = {src: None}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == dst:
-            break
-        for w in g.neighbors(u):
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    if dst not in parent:
-        return None
-    path = [dst]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist) -> None:
+    """Paranoid tier: the kernel's vectors against list BFS over neighbors()."""
+    oracle = (("circulant from 0", dist.circ, bfs(gc, 0).dist),
+              ("ggpg from u0", dist.from_u0, bfs(gp, gp.outer(0)).dist),
+              ("ggpg from v0", dist.from_v0, bfs(gp, gp.inner(0)).dist),
+              ("chord-only from 0", dist.chord_only, inner_only_distances(gc)))
+    for what, fast, slow in oracle:
+        if tuple(fast) != slow:
+            v = next(v for v, (a, b) in enumerate(zip(fast, slow)) if a != b)
+            raise RuntimeError(
+                f"kernel mismatch on {gc.label()} {what}: vertex {v} "
+                f"kernel {fast[v]}, list BFS {slow[v]}")
 
 
 def verify_instance(n: int, chords, *, thm41_mode: str = "orbit",
                     paranoid: bool = False) -> VerificationReport:
     """Build C_n(1, chords) and its GGPG partner, run every check, and
     return the report row.  Never raises on findings; see enforce_proven
-    for the abort tier."""
+    for the abort tier.
+
+    Every distance comes from one instance_distances pass; under paranoid
+    the pass is cross-checked against list BFS and all-source diameters."""
     chords = tuple(chords)
     gc = build_circulant(n, (1,) + chords)
     gp, corr = expand(gc)
 
-    dc0 = bfs(gc, 0).dist
-    du = bfs(gp, corr.outer(0)).dist
-    dv = bfs(gp, corr.inner(0)).dist
+    dist = instance_distances(gc)
+    dc0, du, dv = dist.circ, dist.from_u0, dist.from_v0
     d_circ = max(dc0)
     d_ggpg = max(max(du), max(dv))
     if paranoid:
+        _cross_check(gc, gp, dist)
         # recompute both diameters from every source
-        from .metrics import diameter_circulant, diameter_ggpg
         diameter_circulant(gc, paranoid=True)
         diameter_ggpg(gp, paranoid=True)
     gap = d_ggpg - d_circ
 
     vdc = [i for i, d in enumerate(dc0) if d == d_circ]
-    D, inner, cond_outer, cond_inner = _gap1_conditions(gc, dc0, vdc)
+    cond_outer, cond_inner = _gap1_conditions(gc, d_circ, vdc, dist.chord_only)
 
-    if thm41_mode == "orbit":
-        t41 = _sandwich_from_vectors(n, dc0, du, dv, corr)
-    else:
+    if thm41_mode != "orbit":
         t41 = check_thm41(gc, gp, corr, mode=thm41_mode)
+    elif _sandwich_holds(n, dc0, du, dv):
+        t41 = SandwichResult(True)
+    else:
+        t41 = _sandwich_from_vectors(n, dc0, du, dv, corr)
     t42_ok = gap in (1, 2)
 
     predicted = cond_outer and cond_inner
@@ -338,8 +354,8 @@ def verify_instance(n: int, chords, *, thm41_mode: str = "orbit",
             "extremal": [
                 {"i": i,
                  "outer_only": outer_only_distance(gc, i),
-                 "inner_only": format_distance(inner[i]),
-                 "diameter": D}
+                 "inner_only": format_distance(dist.chord_only[i]),
+                 "diameter": d_circ}
                 for i in vdc
             ],
         }
@@ -351,11 +367,10 @@ def verify_instance(n: int, chords, *, thm41_mode: str = "orbit",
         anomalies.append("conj45: gap=1 instance")
         # witness: a GGPG path realizing the larger diameter
         if max(du) == d_ggpg:
-            src, vec = corr.outer(0), du
+            vec, parent = du, dist.parent_u0
         else:
-            src, vec = corr.inner(0), dv
-        far = vec.index(d_ggpg)
-        path = _bfs_path(gp, src, far)
+            vec, parent = dv, dist.parent_v0
+        path = tree_path(parent, vec.index(d_ggpg))
         witnesses["conj45"] = {
             "d_circ": d_circ,
             "d_ggpg": d_ggpg,
@@ -407,13 +422,32 @@ def chord_sets(n: int, m: int):
     return itertools.combinations(range(2, max_generator(n) + 1), m - 1)
 
 
+def _unrank_chord_set(rank: int, n: int, m: int) -> tuple[int, ...]:
+    """The chord set at position rank of chord_sets(n, m), without listing
+    the ones before it (combinatorial number system, lexicographic order)."""
+    pool = max_generator(n) - 1
+    out = []
+    x = 0  # index of the next candidate chord, 2 + x
+    for left in range(m - 1, 0, -1):
+        # chord sets whose next chord is 2 + x: choose the rest above it
+        while rank >= (count := math.comb(pool - x - 1, left - 1)):
+            rank -= count
+            x += 1
+        out.append(2 + x)
+        x += 1
+    return tuple(out)
+
+
 def plan_sweep(n_range, m_set, *, sample_cap: int = 100_000,
                sample_size: int = 1000, seed: int = 0) -> list[tuple[int, tuple]]:
     """Deterministic instance list: n ascending, chord sets lexicographic.
 
     A (n, m) cell is exhaustive while its chord-set count stays within
     sample_cap; beyond that it degrades to a uniform sample of sample_size
-    sets drawn with the given seed (recorded in output headers).
+    sets (the whole cell if it holds fewer) drawn with the given seed
+    (recorded in output headers).  Sampling draws positions in the cell and
+    unranks only those, so a cell is never listed whole; random.sample picks
+    the same positions from range(total) as it would from the listed cell.
     """
     m_set = sorted(set(m_set))
     if not m_set or m_set[0] < 2:
@@ -424,11 +458,13 @@ def plan_sweep(n_range, m_set, *, sample_cap: int = 100_000,
             raise ValueError(f"ring length must be >= 5, got {n}")
         per_n = []
         for m in m_set:
-            combos = list(chord_sets(n, m))
-            if len(combos) > sample_cap:
+            total = math.comb(max_generator(n) - 1, m - 1)
+            if total > sample_cap:
                 rng = random.Random(f"{seed}:{n}:{m}")
-                combos = rng.sample(combos, sample_size)
-            per_n.extend(combos)
+                ranks = rng.sample(range(total), min(sample_size, total))
+                per_n.extend(_unrank_chord_set(r, n, m) for r in ranks)
+            else:
+                per_n.extend(chord_sets(n, m))
         per_n.sort()
         instances.extend((n, c) for c in per_n)
     return instances
@@ -486,7 +522,7 @@ def write_report_csv(reports, fh, header: str) -> None:
 
 def write_report_json(reports, fh, header_meta: dict) -> None:
     payload = {"header": header_meta, "reports": [r.json_record() for r in reports]}
-    json.dump(payload, fh, indent=2, sort_keys=True)
+    json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
     fh.write("\n")
 
 

@@ -26,28 +26,39 @@ INNER = "inner"
 class VertexCorrespondence:
     """Explicit bijection between circulant vertices and spoke classes.
 
-    pairs[i] = (outer id, inner id) of class w_i.  Checkers should go
-    through this object instead of hardcoding the u_i <-> i encoding.
+    Class w_i holds outer id i and inner id n + i; the map is computed from
+    n, so the object is O(1) in memory however large the ring.  Checkers
+    should go through this object instead of hardcoding the u_i <-> i
+    encoding.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    n: int
 
     @classmethod
     def for_ring(cls, n: int) -> "VertexCorrespondence":
-        return cls(tuple((i, n + i) for i in range(n)))
+        return cls(n)
 
     @property
-    def n(self) -> int:
-        return len(self.pairs)
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(outer id, inner id) of every class, in class order."""
+        n = self.n
+        return tuple((i, n + i) for i in range(n))
+
+    def _check_class(self, i: int) -> None:
+        if not 0 <= i < self.n:
+            raise IndexError(f"class {i} out of range for n = {self.n}")
 
     def outer(self, i: int) -> int:
-        return self.pairs[i][0]
+        self._check_class(i)
+        return i
 
     def inner(self, i: int) -> int:
-        return self.pairs[i][1]
+        self._check_class(i)
+        return self.n + i
 
     def members(self, i: int) -> tuple[int, int]:
-        return self.pairs[i]
+        self._check_class(i)
+        return (i, self.n + i)
 
     def to_class(self, ggpg_vertex: int) -> int:
         """Class index of a GGPG vertex id."""

@@ -95,6 +95,39 @@ def test_parameter_errors_exit_2(args):
     assert r.stderr != ""
 
 
+def strict_json(text):
+    """json.loads rejecting the non-standard NaN/Infinity literals it
+    otherwise accepts."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_diameter_json_disconnected_is_valid_json():
+    r = run_cli("diameter", "--n", "10", "--gens", "2,4", "--format", "json")
+    assert r.returncode == 0, r.stderr
+    assert strict_json(r.stdout)["diameter"] == "inf"
+
+
+def test_sample_size_above_cell_clamps_to_whole_cell():
+    r = run_cli("sweep", "--n", "20..22", "--m", "3", "--sample-cap", "10",
+                "--sample-size", "50")
+    whole = run_cli("sweep", "--n", "20..22", "--m", "3")
+    assert r.returncode == 0, r.stderr
+    # same rows; only the header's flag list differs
+    assert r.stdout.splitlines()[1:] == whole.stdout.splitlines()[1:]
+
+
+@pytest.mark.parametrize("flag,value", [("--sample-size", "0"),
+                                        ("--sample-size", "-3"),
+                                        ("--sample-cap", "-1")])
+def test_out_of_range_sample_flags_are_named(flag, value):
+    for cmd in ("sweep", "verify"):
+        r = run_cli(cmd, "--n", "20..22", "--m", "3", flag, value)
+        assert r.returncode == 2
+        assert flag in r.stderr and "Traceback" not in r.stderr
+
+
 def test_export_dot_round_trip():
     r = run_cli("export", "--family", "ggpg", "--n", "9", "--chords", "2")
     assert r.returncode == 0
@@ -192,6 +225,20 @@ def test_sweep_jobs_do_not_change_bytes(tmp_path):
     assert a.read_text() == b.read_text()
     # header records the semantic flags, not the job count
     assert "--jobs" not in a.read_text().splitlines()[0]
+
+
+def test_sweep_json_witnesses_do_not_depend_on_jobs(tmp_path):
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}.json"
+        r = run_cli("sweep", "--n", "5..30", "--m", "2,3", "--format", "json",
+                    "--out", str(out), "--jobs", jobs)
+        assert r.returncode == 0, r.stderr
+        outs.append((out.read_bytes(),
+                     (tmp_path / f"j{jobs}.counterexamples.json").read_bytes()))
+    assert outs[0] == outs[1]
+    cx = strict_json(outs[0][1].decode())["reports"]
+    assert cx and all(rec["witnesses"]["conj45"]["ggpg_diametral_path"] for rec in cx)
 
 
 def test_sweep_stdout_mode():

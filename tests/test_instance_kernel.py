@@ -1,0 +1,154 @@
+"""The one-pass instance kernel against its oracles: list BFS over
+neighbors(), the chord-only BFS, networkx, and a sorted-neighbour FIFO
+path search for the conj45 witness."""
+
+from collections import deque
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loopnet import (
+    INF,
+    bfs,
+    build_circulant,
+    expand,
+    inner_only_distances,
+    verify_instance,
+)
+from loopnet import graph_core, metrics, theorem_lab
+from loopnet.graph_core import max_generator
+from loopnet.metrics import _ggpg_offsets, _ring_offsets, instance_distances
+from loopnet.theorem_lab import plan_sweep
+
+
+def fifo_parents(g, src, stop=None):
+    """BFS parents by FIFO search over the sorted neighbors() lists."""
+    parent = {src: None}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if u == stop:
+            break
+        for w in g.neighbors(u):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
+def fifo_path(g, src, dst):
+    """One shortest path by FIFO BFS over the sorted neighbors() lists."""
+    parent = fifo_parents(g, src, stop=dst)
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def reference_witness(n, chords):
+    """The conj45 witness as a FIFO search over neighbors() finds it."""
+    g = build_circulant(n, (1,) + tuple(chords))
+    h, _ = expand(g)
+    du, dv = bfs(h, h.outer(0)).dist, bfs(h, h.inner(0)).dist
+    d = max(max(du), max(dv))
+    src, vec = (h.outer(0), du) if max(du) == d else (h.inner(0), dv)
+    return [h.vertex_label(v) for v in fifo_path(h, src, vec.index(d))]
+
+
+def nx_distances(g, src):
+    graph = nx.Graph()
+    graph.add_nodes_from(g.vertices())
+    graph.add_edges_from(g.edges())
+    found = nx.single_source_shortest_path_length(graph, src)
+    return tuple(found.get(v, INF) for v in g.vertices())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_kernel_vectors_match_list_bfs_and_networkx(data):
+    n = data.draw(st.integers(5, 2000), label="n")
+    hi = max_generator(n)
+    k = data.draw(st.integers(1, min(3, hi - 1)), label="chords")
+    chords = sorted(data.draw(st.lists(st.integers(2, hi), min_size=k,
+                                       max_size=k, unique=True), label="set"))
+    g = build_circulant(n, [1] + chords)
+    h, _ = expand(g)
+    dist = instance_distances(g)
+    chord_ring = build_circulant(n, chords)
+    expected = (
+        (dist.circ, bfs(g, 0).dist, nx_distances(g, 0)),
+        (dist.from_u0, bfs(h, h.outer(0)).dist, nx_distances(h, h.outer(0))),
+        (dist.from_v0, bfs(h, h.inner(0)).dist, nx_distances(h, h.inner(0))),
+        (dist.chord_only, inner_only_distances(g), nx_distances(chord_ring, 0)),
+    )
+    for fast, listed, oracle in expected:
+        assert tuple(fast) == listed == oracle
+
+
+@pytest.mark.parametrize("n,chords", [(9, (2,)), (12, (5,)), (17, (2, 5, 8)),
+                                      (30, (4, 10, 11)), (31, (15,))])
+def test_offset_rows_give_sorted_neighbors_and_fifo_parents(n, chords):
+    g = build_circulant(n, (1,) + chords)
+    h, _ = expand(g)
+    rows = _ggpg_offsets(n, chords)
+    assert [[v + d for d in rows[v]] for v in h.vertices()] == \
+        [h.neighbors(v) for v in h.vertices()]
+    dist = instance_distances(g)
+    for src, parent in ((h.outer(0), dist.parent_u0), (h.inner(0), dist.parent_v0)):
+        tree = fifo_parents(h, src)
+        assert parent == [tree[v] for v in h.vertices()]
+    rows = _ring_offsets(n, g.gens)
+    assert [sorted(v + d for d in rows[v]) for v in g.vertices()] == \
+        [g.neighbors(v) for v in g.vertices()]
+
+
+def test_conj45_witness_matches_fifo_reference_on_grid():
+    checked = 0
+    for n, chords in plan_sweep(range(5, 41), [2, 3]):
+        r = verify_instance(n, chords)
+        if r.gap == 1:
+            assert r.witnesses["conj45"]["ggpg_diametral_path"] == \
+                reference_witness(n, chords), (n, chords)
+            checked += 1
+    assert checked > 50
+
+
+@pytest.mark.parametrize("k", [50, 251, 500])
+def test_conj45_witness_matches_fifo_reference_large(k):
+    # the gap-1 family C_{4k}(1, 2k-1), with diametral paths of about k steps
+    n, chords = 4 * k, (2 * k - 1,)
+    r = verify_instance(n, chords)
+    assert r.gap == 1
+    path = r.witnesses["conj45"]["ggpg_diametral_path"]
+    assert len(path) - 1 == r.d_ggpg
+    assert path == reference_witness(n, chords)
+
+
+def test_verify_instance_makes_no_neighbors_or_bfs_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("list BFS called on the fast path")
+
+    monkeypatch.setattr(graph_core.CirculantGraph, "neighbors", forbidden)
+    monkeypatch.setattr(graph_core.GgpgGraph, "neighbors", forbidden)
+    monkeypatch.setattr(theorem_lab, "bfs", forbidden)
+    monkeypatch.setattr(theorem_lab, "inner_only_distances", forbidden)
+    r = verify_instance(12, (5,))
+    assert r.gap == 1 and r.witnesses["conj45"]["ggpg_diametral_path"]
+    assert verify_instance(20, (4, 8)).thm41_ok
+
+
+def test_paranoid_cross_check_catches_a_wrong_kernel_vector(monkeypatch):
+    real = metrics.instance_distances
+
+    def doctored(g):
+        dist = real(g)
+        dist.chord_only[3] = 99
+        return dist
+
+    monkeypatch.setattr(theorem_lab, "instance_distances", doctored)
+    verify_instance(12, (5,))  # the fast path trusts the kernel
+    with pytest.raises(RuntimeError, match="chord-only from 0: vertex 3"):
+        verify_instance(12, (5,), paranoid=True)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import io
+import random
+import time
 
 import pytest
 
@@ -19,6 +21,8 @@ from loopnet import (
 )
 from loopnet.theorem_lab import (
     REPORT_COLUMNS,
+    _sandwich_from_vectors,
+    _sandwich_holds,
     chord_sets,
     enforce_proven,
     gap_distribution,
@@ -162,6 +166,64 @@ def test_plan_sweep_sampling_reproducible():
     assert a != c
     universe = set(chord_sets(30, 3))
     assert all(ch in universe for _, ch in a)
+
+
+def listed_plan(n_range, m_set, *, sample_cap, sample_size, seed):
+    """The planner as it was: list each cell whole, then sample the list."""
+    instances = []
+    for n in n_range:
+        per_n = []
+        for m in sorted(set(m_set)):
+            combos = list(chord_sets(n, m))
+            if len(combos) > sample_cap:
+                rng = random.Random(f"{seed}:{n}:{m}")
+                combos = rng.sample(combos, sample_size)
+            per_n.extend(combos)
+        per_n.sort()
+        instances.extend((n, c) for c in per_n)
+    return instances
+
+
+@pytest.mark.parametrize("n_range,m_set,cap,size,seed", [
+    (range(30, 34), [3], 3, 4, 1),
+    (range(20, 26), [2, 3, 4], 50, 7, 0),
+    (range(40, 43), [4, 5], 100, 30, 9),   # 30 sits above random.sample's small-pool cut
+    (range(60, 61), [5], 1000, 200, 3),
+])
+def test_plan_sweep_sampling_matches_listed_cells(n_range, m_set, cap, size, seed):
+    kw = dict(sample_cap=cap, sample_size=size, seed=seed)
+    assert plan_sweep(n_range, m_set, **kw) == listed_plan(n_range, m_set, **kw)
+
+
+def test_plan_sweep_samples_huge_cells_without_listing_them():
+    # the cell holds C(498, 4), about 2.5 G chord sets
+    start = time.perf_counter()
+    plan = plan_sweep(range(1000, 1001), [5], sample_size=5)
+    assert time.perf_counter() - start < 5
+    assert len(plan) == 5
+    assert all(len(c) == 4 and list(c) == sorted(set(c)) and 2 <= c[0] and c[-1] <= 499
+               for _, c in plan)
+
+
+def test_plan_sweep_sample_larger_than_cell_takes_it_whole():
+    whole = plan_sweep(range(20, 23), [3])
+    assert plan_sweep(range(20, 23), [3], sample_cap=10, sample_size=50) == whole
+
+
+def test_sandwich_vector_check_agrees_with_ordered_loop():
+    n = 12
+    g, h, corr = pair(n, [1, 5])
+    from loopnet import bfs
+
+    dc0 = list(bfs(g, 0).dist)
+    du, dv = list(bfs(h, 0).dist), list(bfs(h, n).dist)
+    assert _sandwich_holds(n, dc0, du, dv)
+    assert _sandwich_from_vectors(n, dc0, du, dv, corr).ok
+    for vec, y, bad in ((du, 3, 0), (dv, n + 7, 9)):
+        saved, vec[y] = vec[y], bad
+        assert not _sandwich_holds(n, dc0, du, dv)
+        assert not _sandwich_from_vectors(n, dc0, du, dv, corr).ok
+        vec[y] = saved
 
 
 def test_plan_sweep_rejects_bad_parameters():

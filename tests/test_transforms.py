@@ -1,5 +1,7 @@
 """Spoke contraction, expansion, and path lifting/projection."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +71,21 @@ def test_correspondence_maps():
     assert corr.members(4) == (4, 13)
     assert corr.to_class(4) == 4
     assert corr.to_class(13) == 4
+    assert corr.pairs == tuple((i, 9 + i) for i in range(9))
+    for bad in (-1, 9):
+        with pytest.raises(IndexError):
+            corr.outer(bad)
+        with pytest.raises(IndexError):
+            corr.members(bad)
+    with pytest.raises(IndexError):
+        corr.to_class(18)
+
+
+def test_correspondence_is_constant_size():
+    # the map is arithmetic on n: no per-vertex table however large the ring
+    big = VertexCorrespondence.for_ring(10**9)
+    assert [f.name for f in dataclasses.fields(big)] == ["n"]
+    assert big.members(10**9 - 1) == (10**9 - 1, 2 * 10**9 - 1)
 
 
 def test_project_collapses_spokes():
