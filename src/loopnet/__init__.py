@@ -15,7 +15,6 @@ from .graph_core import (
     GgpgGraph,
     build_circulant,
     build_ggpg,
-    neighbors,
     to_dot,
 )
 from .path_algebra import (
@@ -32,14 +31,15 @@ from .path_algebra import (
 from .metrics import (
     INF,
     DistanceVector,
+    InstanceSummary,
     bfs,
     diameter_circulant,
     diameter_ggpg,
     eccentricity,
     format_distance,
-    inner_only_distance,
     inner_only_distances,
     instance_distances,
+    level_set_summary,
     outer_only_distance,
 )
 from .transforms import (
@@ -68,6 +68,7 @@ __all__ = [
     "GeneratorSequence",
     "GgpgGraph",
     "INF",
+    "InstanceSummary",
     "PathRep",
     "Realization",
     "TheoremViolation",
@@ -89,11 +90,10 @@ __all__ = [
     "expand",
     "extremal_vertices",
     "format_distance",
-    "inner_only_distance",
     "inner_only_distances",
     "instance_distances",
+    "level_set_summary",
     "lift_path",
-    "neighbors",
     "outer_only_distance",
     "project_path",
     "realize",

@@ -228,11 +228,6 @@ def build_ggpg(n: int, chords) -> GgpgGraph:
     return GgpgGraph(n, GeneratorSequence(chords))
 
 
-def neighbors(g, v: int) -> list[int]:
-    """Sorted adjacency of v in either family."""
-    return g.neighbors(v)
-
-
 def to_dot(g) -> str:
     """Byte-stable DOT text: node lines, then edge lines, each block sorted.
 

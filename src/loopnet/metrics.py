@@ -1,13 +1,25 @@
 """Exact distances, eccentricities, diameters, and restricted distances.
 
-Two routes compute the same distances.  The fast route is
-instance_distances: one level-synchronous BFS kernel that walks vertex ids
-by offset arithmetic, with no neighbors() call, and gives a
-verify_instance row every vector it needs in one pass -- the circulant from
-0, the GGPG graph from u_0 and from v_0 (with BFS parents), and the
-chord-only ring.  The oracle route is bfs over a graph's neighbors(), with
-the diameter helpers on top of it; tests and --paranoid check the kernel
-against it element by element.
+Three routes compute the same facts.
+
+  * The level-set route, level_set_summary: every BFS level is an n-bit
+    int and a step +-s is a rotation, so the circulant from 0, the GGPG
+    graph from u_0 and v_0, and the chord-only ring advance a whole level
+    per handful of big-int operations.  It returns only an InstanceSummary
+    (the diameters, V_Dc, the two restricted-path conditions and the
+    sandwich verdict), and only for instances whose circulant has at most
+    LEVEL_CAP levels: its cost grows with the level count, the list
+    kernel's with n.
+  * The list route, instance_distances: one level-synchronous BFS kernel
+    that walks vertex ids by offset arithmetic, with no neighbors() call,
+    and returns every distance vector a verify_instance row needs -- the
+    circulant from 0, the GGPG graph from u_0 and from v_0 (with BFS
+    parents, for witness paths), and the chord-only ring.  Its summary()
+    is the same InstanceSummary.
+  * The oracle route, bfs over a graph's neighbors(), with the diameter
+    helpers on top of it; tests and --paranoid check the list kernel
+    against it element by element, and the two summaries against each
+    other.
 
 Diameters use symmetry shortcuts by default: a circulant looks the same
 from every vertex (rotation i -> i+1 is an automorphism), so one BFS from 0
@@ -26,6 +38,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import le
 
 from .graph_core import CirculantGraph, GgpgGraph
 
@@ -135,12 +148,6 @@ def inner_only_distances(g: CirculantGraph) -> tuple:
     return tuple(_bfs_levels(chord_neighbors, n, 0))
 
 
-def inner_only_distance(g: CirculantGraph, i: int):
-    """Chord-only distance from 0 to i, or INF if unreachable."""
-    g.check_vertex(i)
-    return inner_only_distances(g)[i]
-
-
 def distance_dump_rows(g, sources=None):
     """Rows for the distance dump CSV: family,n,gens,source,vertex,dist."""
     if sources is None:
@@ -224,6 +231,39 @@ def tree_path(parent: list, dst: int) -> list[int]:
 
 
 @dataclass(frozen=True)
+class InstanceSummary:
+    """The facts behind a verify_instance row's verdicts, from either route.
+
+    d_circ = D(C_n(1, chords)) = ecc(0); ecc_u0 / ecc_v0 are the GGPG
+    eccentricities of u_0 and v_0; v_dc lists the vertices at distance
+    d_circ from 0, ascending.  cond_outer: min(i, n - i) = d_circ for every
+    i in v_dc; cond_inner: every i in v_dc has chord-only distance d_circ.
+    sandwich_ok: d_c(0, i) <= d_p(x, y_i) <= d_c(0, i) + 2 for x in
+    {u_0, v_0} and y_i in {u_i, v_i}, every i.
+    """
+
+    d_circ: int
+    ecc_u0: int
+    ecc_v0: int
+    v_dc: tuple
+    cond_outer: bool
+    cond_inner: bool
+    sandwich_ok: bool
+
+    @property
+    def d_ggpg(self) -> int:
+        return max(self.ecc_u0, self.ecc_v0)
+
+
+def _sandwich_holds(n, dc0, du, dv) -> bool:
+    """The orbit sandwich as whole-vector comparisons: dc0 <= d_p <= dc0 + 2
+    for d_p each side half of the u0 and v0 vectors."""
+    hi = [d + 2 for d in dc0]
+    return all(all(map(le, dc0, side)) and all(map(le, side, hi))
+               for vec in (du, dv) for side in (vec[:n], vec[n:]))
+
+
+@dataclass(frozen=True)
 class InstanceDistances:
     """Every distance one C_n(1, chords) / GGPG pair row needs.
 
@@ -239,6 +279,21 @@ class InstanceDistances:
     chord_only: list
     parent_u0: list
     parent_v0: list
+
+    def summary(self) -> InstanceSummary:
+        """The list route's InstanceSummary, read off the whole vectors."""
+        dc0, n = self.circ, len(self.circ)
+        d = max(dc0)
+        vdc = tuple(i for i, di in enumerate(dc0) if di == d)
+        return InstanceSummary(
+            d_circ=d,
+            ecc_u0=max(self.from_u0),
+            ecc_v0=max(self.from_v0),
+            v_dc=vdc,
+            cond_outer=all(min(i, n - i) == d for i in vdc),
+            cond_inner=all(self.chord_only[i] == d for i in vdc),
+            sandwich_ok=_sandwich_holds(n, dc0, self.from_u0, self.from_v0),
+        )
 
 
 def instance_distances(g: CirculantGraph) -> InstanceDistances:
@@ -257,4 +312,142 @@ def instance_distances(g: CirculantGraph) -> InstanceDistances:
         chord_only=_level_bfs(_ring_offsets(n, chords), 0)[0],
         parent_u0=parent_u0,
         parent_v0=parent_v0,
+    )
+
+
+# --- the level-set route ---
+
+# Largest circulant eccentricity level_set_summary takes on; rows with more
+# levels go to the list kernel.  A level costs a few shifts of whole n-bit
+# ints, the list kernel a fixed cost per vertex, so the crossover grows with
+# n.  Measured on C_n(1, s) rows (Python 3.11, one core of a shared 2-core
+# x86 machine), level sets over the list kernel's summary took 0.56x at 202
+# levels, 0.79x at 334 and 1.12x at 500 for n = 2 000, and 0.51x at 549,
+# 0.92x at 1 269 and 1.38x at 2 509 for n = 100 000; below n = 2 000 even
+# C_n(1, 2), with about n / 4 levels, took 0.73x-0.89x for n = 60 to 1 000.
+# So 200 levels keeps the level-set route on the winning side at every n,
+# while the bare probe that rejects a row over the cap costs about 10 ms at
+# n = 100 000 (C_100000(1, 49999), 25 000 levels).
+LEVEL_CAP = 200
+
+
+def _spread(x: int, n: int, steps) -> int:
+    """The vertices one step +-s (s in steps) away from the set x, plus bits
+    at n and above that the caller masks off.  x | x << n holds two copies
+    of the ring, so both rotations by s are plain right shifts of it."""
+    y = x | (x << n)
+    out = 0
+    for s in steps:
+        out |= (y >> s) | (y >> (n - s))
+    return out
+
+
+def _bit_positions(x: int) -> tuple:
+    """Ascending positions of the set bits of x."""
+    bits = bin(x)[:1:-1]  # bit i at index i
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return tuple(out)
+
+
+class _GgpgSearch:
+    """Level-set BFS on the GGPG graph: the frontier and the unreached set
+    of each side as n-bit ints, one level per step()."""
+
+    def __init__(self, n: int, chords, mask: int, inner: bool):
+        self.n, self.chords = n, chords
+        self.outer, self.inner = (0, 1) if inner else (1, 0)
+        self.unreached_outer = mask ^ self.outer
+        self.unreached_inner = mask ^ self.inner
+        self.ecc = None  # set once a step finds nothing new
+
+    def step(self, level: int) -> None:
+        if self.ecc is not None:
+            return
+        n, fo, fi = self.n, self.outer, self.inner
+        fo, fi = ((_spread(fo, n, (1,)) | fi) & self.unreached_outer,
+                  (fo | _spread(fi, n, self.chords)) & self.unreached_inner)
+        if fo | fi:
+            self.outer, self.inner = fo, fi
+            self.unreached_outer ^= fo
+            self.unreached_inner ^= fi
+        else:
+            self.ecc = level - 1
+
+
+def _sandwiched(searches, unreached: int, unreached_2: int) -> bool:
+    """The sandwich at level L, as ball containments on every (source,
+    side): P(L) <= C(L) (d_p >= d_c) and C(L - 2) <= P(L) (d_p <= d_c + 2),
+    given the circulant vertices farther than L and than L - 2 from 0."""
+    every = any_ = searches[0].unreached_outer
+    for s in searches:
+        for side in (s.unreached_outer, s.unreached_inner):
+            every &= side
+            any_ |= side
+    return unreached & every == unreached and any_ & unreached_2 == any_
+
+
+def _within_cap(n: int, gens, mask: int) -> bool:
+    """Whether the circulant BFS from 0 ends within LEVEL_CAP levels: a bare
+    level-set run, so that a row over the cap costs little before the list
+    kernel takes it."""
+    frontier, unreached = 1, mask ^ 1
+    for _ in range(LEVEL_CAP):
+        if not unreached:
+            break
+        frontier = _spread(frontier, n, gens) & unreached
+        unreached ^= frontier
+    return not unreached
+
+
+def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
+    """The InstanceSummary of C_n(1, chords) from level sets, or None when
+    the circulant's eccentricity exceeds LEVEL_CAP.
+
+    Each BFS level is an n-bit int and a step +-s a rotation of it.  The
+    circulant from 0, the GGPG graph from u_0 and from v_0, and the
+    chord-only ring from 0 (up to level d_circ) advance in lockstep; the
+    sandwich is checked as ball containments at every level, for which the
+    circulant's unreached sets of the last two levels are kept.  State stays
+    O(n) bits: no level is stored beyond that window.
+    """
+    if g.gens[0] != 1:
+        raise ValueError(f"level sets need generator 1 in S, got {g.label()}")
+    n, gens, chords = g.n, g.gens, g.gens[1:]
+    mask = (1 << n) - 1
+    if not _within_cap(n, gens, mask):
+        return None
+    circ, circ_unreached = 1, mask ^ 1
+    window = (mask, mask)  # circulant unreached at levels L - 1 and L - 2
+    chord, chord_unreached = 1, mask ^ 1
+    searches = (_GgpgSearch(n, chords, mask, inner=False),
+                _GgpgSearch(n, chords, mask, inner=True))
+    ok = True
+    level = d_circ = 0
+    while True:
+        ok = ok and _sandwiched(searches, circ_unreached, window[1])
+        if not circ_unreached and all(s.ecc is not None for s in searches):
+            break
+        level += 1
+        window = (circ_unreached, window[0])
+        if circ_unreached:
+            circ = _spread(circ, n, gens) & circ_unreached
+            circ_unreached ^= circ
+            chord = _spread(chord, n, chords) & chord_unreached
+            chord_unreached ^= chord
+            d_circ = level
+        for s in searches:
+            s.step(level)
+    d_bits = (1 << d_circ) | (1 << (n - d_circ))
+    return InstanceSummary(
+        d_circ=d_circ,
+        ecc_u0=searches[0].ecc,
+        ecc_v0=searches[1].ecc,
+        v_dc=_bit_positions(circ),
+        cond_outer=circ & d_bits == circ,
+        cond_inner=circ & chord == circ,
+        sandwich_ok=ok,
     )

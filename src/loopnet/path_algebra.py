@@ -118,11 +118,6 @@ def endpoint(rep: PathRep, g: CirculantGraph, origin: int = 0) -> int:
     return (origin + total) % g.n
 
 
-def translate_pair(x: int, y: int, n: int) -> int:
-    """Shift a pair (x, y) to origin form: the target of 0 is (y - x) mod n."""
-    return (y - x) % n
-
-
 def realize(rep: PathRep, g: CirculantGraph, origin: int = 0) -> Realization:
     """Spell the rep out canonically: ring steps first, then chords by
     ascending generator.

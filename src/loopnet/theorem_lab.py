@@ -10,12 +10,19 @@ Four statements get machine-checked on concrete (n, chords) instances:
   * the gap-2 sufficient conditions (checked as the negation of the
     characterization's conditions, which is the form the argument uses).
 
-verify_instance takes every distance a row needs from one
-metrics.instance_distances pass (the offset-arithmetic kernel) and reads
-the gap-1 witness path from that pass's BFS tree.  check_thm41 to
-check_thm44 recompute their statement from list BFS alone: they are the
-independent oracle, and --paranoid (paranoid=True) cross-checks the kernel
-against list BFS and all-source diameters on every instance.
+verify_instance takes its verdicts from one metrics.InstanceSummary: the
+diameters, V_Dc, the two restricted-path conditions and the sandwich
+verdict.  Two routes produce it.  metrics.level_set_summary (n-bit level
+sets) serves every instance whose circulant has at most metrics.LEVEL_CAP
+levels; metrics.instance_distances (the offset-arithmetic list kernel)
+serves the rest, and also every row that needs a witness -- gap-1 rows,
+whose diametral path is read from the kernel's BFS tree, thm43
+inconsistencies, and sandwich failures -- so a row's bytes never depend on
+the route.  check_thm41 to check_thm44 recompute their statement from list
+BFS alone: they are the independent oracle.  --paranoid (paranoid=True)
+runs both routes and raises unless their summaries agree, and cross-checks
+the list kernel against list BFS and all-source diameters on every
+instance.
 
 Failures are tiered.  The first two are proved facts, so a violation means
 the implementation is broken: sweeps abort with the witness.  The latter
@@ -28,10 +35,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from operator import le
 
 from .graph_core import CirculantGraph, GgpgGraph, build_circulant, max_generator
 from .metrics import (
@@ -41,6 +47,7 @@ from .metrics import (
     format_distance,
     inner_only_distances,
     instance_distances,
+    level_set_summary,
     outer_only_distance,
     tree_path,
 )
@@ -170,14 +177,6 @@ def extremal_vertices(g: CirculantGraph) -> list[int]:
     return [i for i, d in enumerate(vec) if d == top]
 
 
-def _sandwich_holds(n, dc0, du, dv) -> bool:
-    """The orbit sandwich as whole-vector comparisons: dc0 <= d_p <= dc0 + 2
-    for d_p each side half of the u0 and v0 vectors."""
-    hi = [d + 2 for d in dc0]
-    return all(all(map(le, dc0, side)) and all(map(le, side, hi))
-               for vec in (du, dv) for side in (vec[:n], vec[n:]))
-
-
 def _sandwich_from_vectors(n, dc0, du, dv, corr) -> SandwichResult:
     # one rotation orbit per side pair: d_p(x_i, y_j) = d_p(x_0, y_{j-i})
     for delta in range(n):
@@ -299,38 +298,56 @@ def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist) -> None:
                 f"kernel {fast[v]}, list BFS {slow[v]}")
 
 
+def _needs_list_route(facts) -> bool:
+    """Whether a row needs the distance vectors for a witness: a gap-1 row
+    (the conj45 path comes from BFS parents), a row whose conditions both
+    hold (a thm43 inconsistency unless gap = 1, which lists chord-only
+    distances), or a broken sandwich."""
+    return (facts.d_ggpg - facts.d_circ == 1 or not facts.sandwich_ok
+            or (facts.cond_outer and facts.cond_inner))
+
+
 def verify_instance(n: int, chords, *, thm41_mode: str = "orbit",
                     paranoid: bool = False) -> VerificationReport:
     """Build C_n(1, chords) and its GGPG partner, run every check, and
     return the report row.  Never raises on findings; see enforce_proven
     for the abort tier.
 
-    Every distance comes from one instance_distances pass; under paranoid
-    the pass is cross-checked against list BFS and all-source diameters."""
+    The verdicts come from one metrics.InstanceSummary: the level-set
+    route's when the circulant has at most LEVEL_CAP levels, else the list
+    kernel's.  Rows that need a witness, and every row under paranoid, also
+    run the list kernel; paranoid then requires the two summaries to agree
+    and cross-checks the kernel against list BFS and all-source diameters."""
     chords = tuple(chords)
     gc = build_circulant(n, (1,) + chords)
     gp, corr = expand(gc)
 
-    dist = instance_distances(gc)
-    dc0, du, dv = dist.circ, dist.from_u0, dist.from_v0
-    d_circ = max(dc0)
-    d_ggpg = max(max(du), max(dv))
-    if paranoid:
-        _cross_check(gc, gp, dist)
-        # recompute both diameters from every source
-        diameter_circulant(gc, paranoid=True)
-        diameter_ggpg(gp, paranoid=True)
+    facts = level_set_summary(gc)
+    dist = None
+    if facts is None or paranoid or _needs_list_route(facts):
+        dist = instance_distances(gc)
+        listed = dist.summary()
+        if paranoid:
+            _cross_check(gc, gp, dist)
+            if facts is not None and facts != listed:
+                raise RuntimeError(
+                    f"route mismatch on {gc.label()}: level sets {facts}, "
+                    f"list kernel {listed}")
+            # recompute both diameters from every source
+            diameter_circulant(gc, paranoid=True)
+            diameter_ggpg(gp, paranoid=True)
+        facts = listed
+    d_circ, d_ggpg = facts.d_circ, facts.d_ggpg
     gap = d_ggpg - d_circ
-
-    vdc = [i for i, d in enumerate(dc0) if d == d_circ]
-    cond_outer, cond_inner = _gap1_conditions(gc, d_circ, vdc, dist.chord_only)
+    vdc = facts.v_dc
+    cond_outer, cond_inner = facts.cond_outer, facts.cond_inner
 
     if thm41_mode != "orbit":
         t41 = check_thm41(gc, gp, corr, mode=thm41_mode)
-    elif _sandwich_holds(n, dc0, du, dv):
+    elif facts.sandwich_ok:
         t41 = SandwichResult(True)
     else:
-        t41 = _sandwich_from_vectors(n, dc0, du, dv, corr)
+        t41 = _sandwich_from_vectors(n, dist.circ, dist.from_u0, dist.from_v0, corr)
     t42_ok = gap in (1, 2)
 
     predicted = cond_outer and cond_inner
@@ -366,10 +383,10 @@ def verify_instance(n: int, chords, *, thm41_mode: str = "orbit",
     if gap == 1:
         anomalies.append("conj45: gap=1 instance")
         # witness: a GGPG path realizing the larger diameter
-        if max(du) == d_ggpg:
-            vec, parent = du, dist.parent_u0
+        if facts.ecc_u0 == d_ggpg:
+            vec, parent = dist.from_u0, dist.parent_u0
         else:
-            vec, parent = dv, dist.parent_v0
+            vec, parent = dist.from_v0, dist.parent_v0
         path = tree_path(parent, vec.index(d_ggpg))
         witnesses["conj45"] = {
             "d_circ": d_circ,
@@ -479,12 +496,17 @@ def run_instances(instances, *, thm41_mode: str = "orbit", paranoid: bool = Fals
                   jobs: int = 1):
     """Yield one report per instance, in input order regardless of jobs."""
     items = [(n, chords, thm41_mode, paranoid) for n, chords in instances]
-    if jobs <= 1:
+    # the pool forks all its workers at the first submit, so never ask for
+    # more than there are items or cores
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         for item in items:
             yield _sweep_worker(item)
         return
-    chunk = max(1, len(items) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    from concurrent.futures import ProcessPoolExecutor  # costs ~20 ms to import
+
+    chunk = max(1, len(items) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_sweep_worker, items, chunksize=chunk)
 
 

@@ -11,7 +11,6 @@ from loopnet import (
     GeneratorSequence,
     build_circulant,
     build_ggpg,
-    neighbors,
     to_dot,
 )
 from loopnet.graph_core import max_generator
@@ -81,7 +80,7 @@ def test_generator_sequence_is_canonical():
 
 def test_circulant_neighbors_symmetric_and_correct():
     g = build_circulant(9, [1, 2])
-    assert neighbors(g, 0) == [1, 2, 7, 8]
+    assert g.neighbors(0) == [1, 2, 7, 8]
     for v in g.vertices():
         for w in g.neighbors(v):
             assert v in g.neighbors(w)

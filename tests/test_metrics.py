@@ -20,7 +20,6 @@ from loopnet import (
     diameter_ggpg,
     eccentricity,
     format_distance,
-    inner_only_distance,
     inner_only_distances,
     outer_only_distance,
 )
@@ -126,7 +125,6 @@ def test_inner_only_distances_single_chord():
         best = min(k for k in range(12) if (5 * k) % 12 == i or (-5 * k) % 12 == i)
         expect.append(best)
     assert list(got) == expect
-    assert inner_only_distance(g, 3) == got[3]
 
 
 def test_inner_only_unreachable_is_inf():

@@ -16,7 +16,6 @@ from loopnet import (
     shortest_rep,
     shortest_rep_table,
 )
-from loopnet.path_algebra import translate_pair
 
 # frozen worked example: ten chord/ring steps in C17(1,2,5,8)
 G17 = build_circulant(17, [1, 2, 5, 8])
@@ -104,12 +103,6 @@ def test_realize_detects_revisits():
     r = realize(PathRep(2, (-1,)), g)
     assert list(r.vertices) == [0, 1, 2, 0]
     assert not r.is_path
-
-
-def test_translate_pair_reduces_to_origin():
-    assert translate_pair(3, 14, 17) == 11
-    assert translate_pair(14, 3, 17) == 6
-    assert translate_pair(5, 5, 17) == 0
 
 
 def test_table_matches_single_queries():

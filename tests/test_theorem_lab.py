@@ -19,10 +19,10 @@ from loopnet import (
     sweep_conjecture,
     verify_instance,
 )
+from loopnet.metrics import _sandwich_holds
 from loopnet.theorem_lab import (
     REPORT_COLUMNS,
     _sandwich_from_vectors,
-    _sandwich_holds,
     chord_sets,
     enforce_proven,
     gap_distribution,
