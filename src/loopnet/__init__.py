@@ -57,7 +57,6 @@ from .theorem_lab import (
     check_thm43,
     check_thm44,
     extremal_vertices,
-    sweep_conjecture,
     verify_instance,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "render_rep",
     "shortest_rep",
     "shortest_rep_table",
-    "sweep_conjecture",
     "to_dot",
     "verify_instance",
 ]

@@ -1,6 +1,9 @@
 """Command line front end: diameter queries, instance verification,
 conjecture sweeps, and DOT export.
 
+verify and sweep share one runner, _run_checked, which writes no report
+byte until every row has passed theorem_lab.enforce_proven.
+
 Exit codes: 0 clean, 2 parameter error, 3 proved-statement violation
 (witness on stderr), 4 findings present (inconsistencies or gap=1 rows
 under verify).  Output files start with a header line recording the tool
@@ -30,7 +33,6 @@ from .metrics import (
     distance_dump_rows,
 )
 from .theorem_lab import (
-    REPORT_COLUMNS,
     TheoremViolation,
     enforce_proven,
     gap_distribution,
@@ -114,6 +116,12 @@ def _header_meta(flags: str, seed: int) -> dict:
     return {"tool": "loopnet", "version": __version__, "flags": flags, "seed": seed}
 
 
+def _flags(args, spec: str) -> str:
+    """The header's semantic flag string for this subcommand."""
+    return (f"{args.command} {spec} --format {args.format}"
+            + (" --paranoid" if args.paranoid else ""))
+
+
 def _write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -142,15 +150,14 @@ def _build_graph(args):
     return build_ggpg(_single_n(args.n), _parse_int_list(args.chords, "--chords"))
 
 
-def _spec_flags(g, args, cmd: str, fmt: str) -> str:
+def _spec_flags(g, args) -> str:
     if g.family == "circulant":
         vals = ",".join(str(s) for s in g.gens)
         spec = f"--family circulant --n {g.n} --gens {vals}"
     else:
         vals = ",".join(str(s) for s in g.chords)
         spec = f"--family ggpg --n {g.n} --chords {vals}"
-    tail = " --paranoid" if getattr(args, "paranoid", False) else ""
-    return f"{cmd} {spec} --format {fmt}{tail}"
+    return _flags(args, spec)
 
 
 # --- subcommands ---
@@ -158,7 +165,7 @@ def _spec_flags(g, args, cmd: str, fmt: str) -> str:
 def cmd_diameter(args) -> int:
     g = _build_graph(args)
     seed = args.seed
-    flags = _spec_flags(g, args, "diameter", args.format)
+    flags = _spec_flags(g, args)
     head = _header(flags, seed)
     if g.family == "circulant":
         diam = diameter_circulant(g, paranoid=args.paranoid)
@@ -200,7 +207,7 @@ def cmd_export(args) -> int:
     if args.format != "dot":
         raise ValueError(f"export emits DOT only, got --format {args.format}")
     g = _build_graph(args)
-    flags = _spec_flags(g, args, "export", "dot")
+    flags = _spec_flags(g, args)
     text = f"// {_header(flags, args.seed)}\n" + to_dot(g)
     _write_text(args.out, text)
     return EXIT_OK
@@ -216,6 +223,21 @@ def _parse_theorems(text: str) -> list[str]:
                 f"{sorted(_THEOREM_TAGS)}, got {part!r}")
         tags.append(part)
     return sorted(set(tags))
+
+
+def _grid_plan(args):
+    """The --n/--m grid's instance list plus its spec for the header."""
+    n_range = _parse_n_range(args.n)
+    m_set = _parse_int_list(args.m, "--m")
+    if m_set[0] < 2:
+        raise ValueError(
+            "--m counts generators including the ring step; the chordless "
+            "m=1 family has no spoke expansion (see verify --preset "
+            "beenker-vanlint for the single-chord family)")
+    instances = plan_sweep(n_range, m_set, sample_cap=args.sample_cap,
+                           sample_size=args.sample_size, seed=args.seed)
+    spec = f"--n {_n_text(n_range)} --m {','.join(map(str, m_set))}"
+    return instances, spec
 
 
 def _verify_plan(args):
@@ -241,32 +263,35 @@ def _verify_plan(args):
         return instances, spec
     if args.n is None or args.m is None:
         raise ValueError("verify needs --gens, --preset, or both --n and --m")
-    n_range = _parse_n_range(args.n)
-    m_set = _parse_int_list(args.m, "--m")
-    if m_set[0] < 2:
-        raise ValueError(
-            "--m counts generators including the ring step; the chordless "
-            "m=1 family has no spoke expansion (see --preset beenker-vanlint "
-            "for the single-chord family)")
-    instances = plan_sweep(n_range, m_set, sample_cap=args.sample_cap,
-                           sample_size=args.sample_size, seed=args.seed)
-    spec = f"--n {_n_text(n_range)} --m {','.join(map(str, m_set))}"
-    return instances, spec
+    return _grid_plan(args)
+
+
+def _write_reports(reports, path, fmt: str, flags: str, seed: int) -> None:
+    if fmt == "csv":
+        write, head = write_report_csv, _header(flags, seed)
+    else:
+        write, head = write_report_json, _header_meta(flags, seed)
+    if path is None:
+        write(reports, sys.stdout, head)
+    else:
+        with open(path, "w") as fh:
+            write(reports, fh, head)
+
+
+def _run_checked(instances, args, flags: str) -> list:
+    """Report rows for every instance, written to --out (or stdout) only
+    once every row has passed enforce_proven."""
+    reports = [enforce_proven(r) for r in
+               run_instances(instances, paranoid=args.paranoid, jobs=args.jobs)]
+    _write_reports(reports, args.out, args.format, flags, args.seed)
+    return reports
 
 
 def cmd_verify(args) -> int:
     theorems = _parse_theorems(args.theorems)
     instances, spec = _verify_plan(args)
-    flags = (f"verify {spec} --theorems {','.join(theorems)} "
-             f"--format {args.format}" + (" --paranoid" if args.paranoid else ""))
-    seed = args.seed
-    mode = "allpairs" if args.paranoid else "orbit"
-
-    reports = []
-    for report in run_instances(instances, thm41_mode=mode,
-                                paranoid=args.paranoid, jobs=args.jobs):
-        enforce_proven(report)
-        reports.append(report)
+    flags = _flags(args, f"{spec} --theorems {','.join(theorems)}")
+    reports = _run_checked(instances, args, flags)
 
     wanted = {_THEOREM_TAGS[t] for t in theorems}
     findings = []
@@ -277,13 +302,11 @@ def cmd_verify(args) -> int:
                 findings.append({"n": r.n, "gens": list(r.gens),
                                  "anomaly": note,
                                  "witness": r.witnesses.get(tag)})
-
-    _emit_report(reports, args.out, args.format, flags, seed)
-    findings_payload = {"header": _header_meta(flags, seed), "findings": findings}
     if args.out:
-        with open(_sibling(args.out, "findings", ".json"), "w") as fh:
-            json.dump(findings_payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        payload = {"header": _header_meta(flags, args.seed), "findings": findings}
+        _write_text(_sibling(args.out, "findings", ".json"),
+                    json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+                    + "\n")
     if findings:
         print(f"findings: {len(findings)} (see "
               f"{'findings file' if args.out else 'report anomalies column'})",
@@ -292,60 +315,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _emit_report(reports, out, fmt, flags, seed) -> None:
-    if fmt == "csv":
-        if out is None:
-            write_report_csv(reports, sys.stdout, _header(flags, seed))
-        else:
-            with open(out, "w") as fh:
-                write_report_csv(reports, fh, _header(flags, seed))
-    elif fmt == "json":
-        if out is None:
-            write_report_json(reports, sys.stdout, _header_meta(flags, seed))
-        else:
-            with open(out, "w") as fh:
-                write_report_json(reports, fh, _header_meta(flags, seed))
-    else:
-        raise ValueError(f"reports come as csv or json, got --format {fmt}")
-
-
 def cmd_sweep(args) -> int:
     if args.n is None or args.m is None:
         raise ValueError("sweep needs both --n and --m")
-    n_range = _parse_n_range(args.n)
-    m_set = _parse_int_list(args.m, "--m")
-    if m_set[0] < 2:
-        raise ValueError(
-            "--m counts generators including the ring step; m=1 has no "
-            "chords to sweep (see verify --preset beenker-vanlint)")
-    seed = args.seed
-    instances = plan_sweep(n_range, m_set, sample_cap=args.sample_cap,
-                           sample_size=args.sample_size, seed=seed)
-    flags = (f"sweep --n {_n_text(n_range)} --m {','.join(map(str, m_set))} "
-             f"--sample-cap {args.sample_cap} --sample-size {args.sample_size} "
-             f"--format {args.format}" + (" --paranoid" if args.paranoid else ""))
-    mode = "allpairs" if args.paranoid else "orbit"
-
-    reports = []
-    for report in run_instances(instances, thm41_mode=mode,
-                                paranoid=args.paranoid, jobs=args.jobs):
-        enforce_proven(report)
-        reports.append(report)
+    instances, spec = _grid_plan(args)
+    flags = _flags(args, f"{spec} --sample-cap {args.sample_cap} "
+                         f"--sample-size {args.sample_size}")
+    reports = _run_checked(instances, args, flags)
 
     counterexamples = [r for r in reports if r.gap == 1]
-    _emit_report(reports, args.out, args.format, flags, seed)
     dist = gap_distribution(reports)
     dist_text = " ".join(f"{g}:{c}" for g, c in dist.items()) or "none"
-
     if args.out:
         cx_path = args.counterexamples_out or _sibling(args.out, "counterexamples")
-        cx_flags = flags + " [counterexamples]"
-        if args.format == "csv":
-            with open(cx_path, "w") as fh:
-                write_report_csv(counterexamples, fh, _header(cx_flags, seed))
-        else:
-            with open(cx_path, "w") as fh:
-                write_report_json(counterexamples, fh, _header_meta(cx_flags, seed))
+        _write_reports(counterexamples, cx_path, args.format,
+                       flags + " [counterexamples]", args.seed)
         print(f"rows {len(reports)}")
         print(f"gap distribution {dist_text}")
         print(f"counterexamples {len(counterexamples)} -> {cx_path}")

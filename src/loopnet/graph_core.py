@@ -174,11 +174,6 @@ class GgpgGraph:
         self.check_vertex(v)
         return v < self.n
 
-    def ring_index(self, v: int) -> int:
-        """The i of u_i or v_i."""
-        self.check_vertex(v)
-        return v if v < self.n else v - self.n
-
     def check_vertex(self, v: int) -> None:
         if not 0 <= v < 2 * self.n:
             raise IndexError(f"vertex {v} out of range for 2n = {2 * self.n}")
@@ -220,12 +215,12 @@ class GgpgGraph:
 
 def build_circulant(n: int, gens) -> CirculantGraph:
     """Build C_n(gens); rejects n < 5 and unsorted/duplicate/out-of-range steps."""
-    return CirculantGraph(n, GeneratorSequence(gens))
+    return CirculantGraph(n, gens)
 
 
 def build_ggpg(n: int, chords) -> GgpgGraph:
     """Build the GGPG graph on ring length n with the given inner chords."""
-    return GgpgGraph(n, GeneratorSequence(chords))
+    return GgpgGraph(n, chords)
 
 
 def to_dot(g) -> str:

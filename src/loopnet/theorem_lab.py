@@ -20,14 +20,15 @@ whose diametral path is read from the kernel's BFS tree, thm43
 inconsistencies, and sandwich failures -- so a row's bytes never depend on
 the route.  check_thm41 to check_thm44 recompute their statement from list
 BFS alone: they are the independent oracle.  --paranoid (paranoid=True)
-runs both routes and raises unless their summaries agree, and cross-checks
-the list kernel against list BFS and all-source diameters on every
-instance.
+runs both routes and raises unless their summaries agree, cross-checks
+the list kernel against list BFS and all-source diameters, and takes the
+4.1 verdict from check_thm41 over all pairs, on every instance.
 
 Failures are tiered.  The first two are proved facts, so a violation means
-the implementation is broken: sweeps abort with the witness.  The latter
-two and the gap==2 conjecture are findings: recorded in the report row,
-never silently dropped, never asserted.
+the implementation is broken: enforce_proven raises with the witness, and
+the CLI applies it to every row before it writes one.  The latter two and
+the gap==2 conjecture are findings: recorded in the report row, never
+silently dropped, never asserted.
 """
 
 from __future__ import annotations
@@ -307,8 +308,7 @@ def _needs_list_route(facts) -> bool:
             or (facts.cond_outer and facts.cond_inner))
 
 
-def verify_instance(n: int, chords, *, thm41_mode: str = "orbit",
-                    paranoid: bool = False) -> VerificationReport:
+def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationReport:
     """Build C_n(1, chords) and its GGPG partner, run every check, and
     return the report row.  Never raises on findings; see enforce_proven
     for the abort tier.
@@ -316,8 +316,9 @@ def verify_instance(n: int, chords, *, thm41_mode: str = "orbit",
     The verdicts come from one metrics.InstanceSummary: the level-set
     route's when the circulant has at most LEVEL_CAP levels, else the list
     kernel's.  Rows that need a witness, and every row under paranoid, also
-    run the list kernel; paranoid then requires the two summaries to agree
-    and cross-checks the kernel against list BFS and all-source diameters."""
+    run the list kernel; paranoid then requires the two summaries to agree,
+    cross-checks the kernel against list BFS and all-source diameters, and
+    checks the sandwich with check_thm41 over all pairs."""
     chords = tuple(chords)
     gc = build_circulant(n, (1,) + chords)
     gp, corr = expand(gc)
@@ -342,8 +343,8 @@ def verify_instance(n: int, chords, *, thm41_mode: str = "orbit",
     vdc = facts.v_dc
     cond_outer, cond_inner = facts.cond_outer, facts.cond_inner
 
-    if thm41_mode != "orbit":
-        t41 = check_thm41(gc, gp, corr, mode=thm41_mode)
+    if paranoid:
+        t41 = check_thm41(gc, gp, corr, mode="allpairs")
     elif facts.sandwich_ok:
         t41 = SandwichResult(True)
     else:
@@ -488,14 +489,13 @@ def plan_sweep(n_range, m_set, *, sample_cap: int = 100_000,
 
 
 def _sweep_worker(item):
-    n, chords, thm41_mode, paranoid = item
-    return verify_instance(n, chords, thm41_mode=thm41_mode, paranoid=paranoid)
+    n, chords, paranoid = item
+    return verify_instance(n, chords, paranoid=paranoid)
 
 
-def run_instances(instances, *, thm41_mode: str = "orbit", paranoid: bool = False,
-                  jobs: int = 1):
+def run_instances(instances, *, paranoid: bool = False, jobs: int = 1):
     """Yield one report per instance, in input order regardless of jobs."""
-    items = [(n, chords, thm41_mode, paranoid) for n, chords in instances]
+    items = [(n, chords, paranoid) for n, chords in instances]
     # the pool forks all its workers at the first submit, so never ask for
     # more than there are items or cores
     workers = min(jobs, len(items), os.cpu_count() or 1)
@@ -508,25 +508,6 @@ def run_instances(instances, *, thm41_mode: str = "orbit", paranoid: bool = Fals
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_sweep_worker, items, chunksize=chunk)
-
-
-def sweep_conjecture(n_range, m_set, *, seed: int = 0, sample_cap: int = 100_000,
-                     sample_size: int = 1000, jobs: int = 1,
-                     thm41_mode: str = "orbit", paranoid: bool = False,
-                     enforce: bool = True):
-    """Stream VerificationReport rows over the planned instance grid.
-
-    Proved-statement violations abort (TheoremViolation) when enforce is
-    set; characterization inconsistencies and gap=1 rows flow through as
-    findings in the rows themselves.
-    """
-    instances = plan_sweep(n_range, m_set, sample_cap=sample_cap,
-                           sample_size=sample_size, seed=seed)
-    for report in run_instances(instances, thm41_mode=thm41_mode,
-                                paranoid=paranoid, jobs=jobs):
-        if enforce:
-            enforce_proven(report)
-        yield report
 
 
 # --- report serialization ---

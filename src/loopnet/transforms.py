@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import CirculantGraph, GgpgGraph, GeneratorSequence, build_circulant, build_ggpg
+from .graph_core import CirculantGraph, GgpgGraph, build_circulant, build_ggpg
 from .path_algebra import PathRep, realize
 
 OUTER = "outer"
@@ -95,7 +95,7 @@ def expand(g: CirculantGraph) -> tuple[GgpgGraph, VertexCorrespondence]:
     if len(g.gens) < 2:
         raise ValueError(
             f"expansion needs at least one chord >= 2, got {g.label()}")
-    return build_ggpg(g.n, GeneratorSequence(g.gens[1:])), VertexCorrespondence.for_ring(g.n)
+    return build_ggpg(g.n, g.gens[1:]), VertexCorrespondence.for_ring(g.n)
 
 
 def _check_ggpg_walk(p, h: GgpgGraph) -> None:

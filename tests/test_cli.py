@@ -1,6 +1,8 @@
-"""End-to-end CLI behavior through subprocesses: formats, exit codes,
-headers, and byte-level determinism."""
+"""End-to-end CLI behavior through subprocesses (in-process where a test
+patches the library): formats, exit codes, headers, and byte-level
+determinism."""
 
+import dataclasses
 import json
 import os
 import re
@@ -9,7 +11,7 @@ import sys
 
 import pytest
 
-from loopnet import build_circulant
+from loopnet import build_circulant, cli, theorem_lab
 
 
 def run_cli(*args, env_extra=None):
@@ -195,6 +197,24 @@ def test_verify_json_format():
 def test_verify_selecting_conj45_flags_gap1_rows():
     r = run_cli("verify", "--n", "12", "--gens", "1,5", "--theorems", "4.5")
     assert r.returncode == 4
+
+
+@pytest.mark.parametrize("argv", [("verify", "--n", "9", "--gens", "1,2"),
+                                  ("sweep", "--n", "9", "--m", "2")])
+def test_proved_violation_exits_3_before_writing(argv, tmp_path, monkeypatch,
+                                                 capsys):
+    real = theorem_lab.verify_instance
+
+    def broken(n, chords, **kwargs):
+        return dataclasses.replace(real(n, chords), thm41_ok=False)
+
+    monkeypatch.setattr(theorem_lab, "verify_instance", broken)
+    assert cli.main([*argv, "--out", str(tmp_path / "report.csv")]) == 3
+    captured = capsys.readouterr()
+    assert "theorem violation" in captured.err
+    assert captured.out == ""
+    # no report, findings or counterexamples file
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_deterministic_and_counterexamples(tmp_path):

@@ -16,9 +16,9 @@ from loopnet import (
     check_thm44,
     expand,
     extremal_vertices,
-    sweep_conjecture,
     verify_instance,
 )
+from loopnet import theorem_lab
 from loopnet.metrics import _sandwich_holds
 from loopnet.theorem_lab import (
     REPORT_COLUMNS,
@@ -240,13 +240,23 @@ def test_run_instances_parallel_order_matches_serial():
     serial = list(run_instances(inst, jobs=1))
     parallel = list(run_instances(inst, jobs=2))
     assert serial == parallel
+    assert [(r.n, r.gens) for r in serial] == [(n, (1,) + c) for n, c in inst]
+    assert all(r.thm41_ok and r.thm42_ok for r in serial)
 
 
-def test_sweep_conjecture_streams_reports():
-    rows = list(sweep_conjecture(range(5, 10), [2]))
-    assert [(r.n, r.gens) for r in rows] == \
-        [(n, (1,) + c) for n, c in plan_sweep(range(5, 10), [2])]
-    assert all(r.thm41_ok and r.thm42_ok for r in rows)
+def test_paranoid_selects_the_allpairs_sandwich(monkeypatch):
+    modes = []
+    real = theorem_lab.check_thm41
+
+    def recording(gc, gp, corr, mode="orbit"):
+        modes.append(mode)
+        return real(gc, gp, corr, mode=mode)
+
+    monkeypatch.setattr(theorem_lab, "check_thm41", recording)
+    plain = verify_instance(12, (5,))
+    assert modes == []
+    assert verify_instance(12, (5,), paranoid=True) == plain
+    assert modes == ["allpairs"]
 
 
 def test_csv_writer_layout():
