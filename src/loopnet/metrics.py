@@ -3,13 +3,14 @@
 Three routes compute the same facts.
 
   * The level-set route, level_set_summary: every BFS level is an n-bit
-    int and a step +-s is a rotation, so the circulant from 0, the GGPG
-    graph from u_0 and v_0, and the chord-only ring advance a whole level
-    per handful of big-int operations.  It returns only an InstanceSummary
-    (the diameters, V_Dc, the two restricted-path conditions and the
-    sandwich verdict), and only for instances whose circulant has at most
-    LEVEL_CAP levels: its cost grows with the level count, the list
-    kernel's with n.
+    int and a step +-s is a rotation, so one loop advances the circulant
+    from 0, the GGPG graph from u_0 and v_0, and the chord-only ring a whole
+    level per handful of big-int operations.  It returns only an
+    InstanceSummary (the diameters, V_Dc, the two restricted-path
+    conditions and the sandwich verdict), and only for instances whose
+    circulant has at most LEVEL_CAP levels (probed only when n // 2 >
+    LEVEL_CAP): its cost grows with the level count, the list kernel's
+    with n.
   * The list route, instance_distances: one level-synchronous BFS kernel
     that walks vertex ids by offset arithmetic, with no neighbors() call,
     and returns every distance vector a verify_instance row needs -- the
@@ -88,10 +89,24 @@ def eccentricity(g, src: int):
     return bfs(g, src).eccentricity()
 
 
+def all_source_distances(g) -> list[tuple]:
+    """The distance vector from every vertex, by list BFS (the all-pairs oracle)."""
+    return [bfs(g, v).dist for v in g.vertices()]
+
+
 def all_source_diameter(g):
     """Brute force: max eccentricity over every vertex.  The oracle the
     symmetry shortcuts are checked against."""
-    return max(eccentricity(g, v) for v in g.vertices())
+    return max(map(max, all_source_distances(g)))
+
+
+def check_shortcut(g, shortcut: str, d, dists) -> None:
+    """Raise unless d equals the largest entry of g's all-source vectors dists."""
+    full = max(map(max, dists))
+    if full != d:
+        raise RuntimeError(
+            f"symmetry shortcut mismatch on {g.label()}: "
+            f"{shortcut} = {d}, all-source diameter = {full}")
 
 
 def diameter_circulant(g: CirculantGraph, paranoid: bool = False) -> int:
@@ -100,11 +115,7 @@ def diameter_circulant(g: CirculantGraph, paranoid: bool = False) -> int:
         raise TypeError(f"single-source shortcut needs a circulant, got {g.label()}")
     d = eccentricity(g, 0)
     if paranoid:
-        full = all_source_diameter(g)
-        if full != d:
-            raise RuntimeError(
-                f"symmetry shortcut mismatch on {g.label()}: "
-                f"ecc(0) = {d}, all-source diameter = {full}")
+        check_shortcut(g, "ecc(0)", d, all_source_distances(g))
     return d
 
 
@@ -114,11 +125,7 @@ def diameter_ggpg(g: GgpgGraph, paranoid: bool = False) -> int:
         raise TypeError(f"two-source shortcut needs a GGPG graph, got {g.label()}")
     d = max(eccentricity(g, g.outer(0)), eccentricity(g, g.inner(0)))
     if paranoid:
-        full = all_source_diameter(g)
-        if full != d:
-            raise RuntimeError(
-                f"symmetry shortcut mismatch on {g.label()}: "
-                f"two-source = {d}, all-source diameter = {full}")
+        check_shortcut(g, "two-source", d, all_source_distances(g))
     return d
 
 
@@ -320,26 +327,21 @@ def instance_distances(g: CirculantGraph) -> InstanceDistances:
 # Largest circulant eccentricity level_set_summary takes on; rows with more
 # levels go to the list kernel.  A level costs a few shifts of whole n-bit
 # ints, the list kernel a fixed cost per vertex, so the crossover grows with
-# n.  Measured on C_n(1, s) rows (Python 3.11, one core of a shared 2-core
-# x86 machine), level sets over the list kernel's summary took 0.56x at 202
-# levels, 0.79x at 334 and 1.12x at 500 for n = 2 000, and 0.51x at 549,
-# 0.92x at 1 269 and 1.38x at 2 509 for n = 100 000; below n = 2 000 even
-# C_n(1, 2), with about n / 4 levels, took 0.73x-0.89x for n = 60 to 1 000.
-# So 200 levels keeps the level-set route on the winning side at every n,
-# while the bare probe that rejects a row over the cap costs about 10 ms at
-# n = 100 000 (C_100000(1, 49999), 25 000 levels).
+# n.  Measured on C_n(1, s) rows (Python 3.11, a shared 2-core x86 machine,
+# min of 25 runs at n = 2 000 and of 5 at n = 100 000, two runs), level
+# sets over the list kernel's summary took 0.31x-0.33x at 202 levels,
+# 0.40x-0.46x at 334 and 0.65x-0.68x at 500 (the most C_2000(1, s) has) for
+# n = 2 000, and 0.28x at 549, 0.45x-0.46x at 853, 0.88x-0.93x at 1 269 and
+# 1.61x-1.71x at 2 509 for n = 100 000.  So 200 levels is on the winning
+# side at every n; the bare probe that rejects a row over the cap costs
+# about 5 ms at n = 100 000 (C_100000(1, 49999), 25 000 levels).
 LEVEL_CAP = 200
 
 
-def _spread(x: int, n: int, steps) -> int:
-    """The vertices one step +-s (s in steps) away from the set x, plus bits
-    at n and above that the caller masks off.  x | x << n holds two copies
-    of the ring, so both rotations by s are plain right shifts of it."""
-    y = x | (x << n)
-    out = 0
-    for s in steps:
-        out |= (y >> s) | (y >> (n - s))
-    return out
+def _shift_pairs(n: int, steps) -> tuple:
+    """(s, n - s) for every step s: the right shifts of x | x << n that
+    rotate the n-bit set x by -s and +s (bits n and up masked off later)."""
+    return tuple((s, n - s) for s in steps)
 
 
 def _bit_positions(x: int) -> tuple:
@@ -353,52 +355,18 @@ def _bit_positions(x: int) -> tuple:
     return tuple(out)
 
 
-class _GgpgSearch:
-    """Level-set BFS on the GGPG graph: the frontier and the unreached set
-    of each side as n-bit ints, one level per step()."""
-
-    def __init__(self, n: int, chords, mask: int, inner: bool):
-        self.n, self.chords = n, chords
-        self.outer, self.inner = (0, 1) if inner else (1, 0)
-        self.unreached_outer = mask ^ self.outer
-        self.unreached_inner = mask ^ self.inner
-        self.ecc = None  # set once a step finds nothing new
-
-    def step(self, level: int) -> None:
-        if self.ecc is not None:
-            return
-        n, fo, fi = self.n, self.outer, self.inner
-        fo, fi = ((_spread(fo, n, (1,)) | fi) & self.unreached_outer,
-                  (fo | _spread(fi, n, self.chords)) & self.unreached_inner)
-        if fo | fi:
-            self.outer, self.inner = fo, fi
-            self.unreached_outer ^= fo
-            self.unreached_inner ^= fi
-        else:
-            self.ecc = level - 1
-
-
-def _sandwiched(searches, unreached: int, unreached_2: int) -> bool:
-    """The sandwich at level L, as ball containments on every (source,
-    side): P(L) <= C(L) (d_p >= d_c) and C(L - 2) <= P(L) (d_p <= d_c + 2),
-    given the circulant vertices farther than L and than L - 2 from 0."""
-    every = any_ = searches[0].unreached_outer
-    for s in searches:
-        for side in (s.unreached_outer, s.unreached_inner):
-            every &= side
-            any_ |= side
-    return unreached & every == unreached and any_ & unreached_2 == any_
-
-
 def _within_cap(n: int, gens, mask: int) -> bool:
-    """Whether the circulant BFS from 0 ends within LEVEL_CAP levels: a bare
-    level-set run, so that a row over the cap costs little before the list
-    kernel takes it."""
+    """Whether the circulant BFS from 0 ends within LEVEL_CAP levels, by a
+    bare level-set run that costs little on a row bound for the list kernel."""
+    pairs = _shift_pairs(n, gens)
     frontier, unreached = 1, mask ^ 1
     for _ in range(LEVEL_CAP):
         if not unreached:
             break
-        frontier = _spread(frontier, n, gens) & unreached
+        y, frontier = frontier | frontier << n, 0
+        for s, t in pairs:
+            frontier |= y >> s | y >> t
+        frontier &= unreached
         unreached ^= frontier
     return not unreached
 
@@ -407,45 +375,74 @@ def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
     """The InstanceSummary of C_n(1, chords) from level sets, or None when
     the circulant's eccentricity exceeds LEVEL_CAP.
 
-    Each BFS level is an n-bit int and a step +-s a rotation of it.  The
-    circulant from 0, the GGPG graph from u_0 and from v_0, and the
-    chord-only ring from 0 (up to level d_circ) advance in lockstep; the
-    sandwich is checked as ball containments at every level, for which the
-    circulant's unreached sets of the last two levels are kept.  State stays
-    O(n) bits: no level is stored beyond that window.
+    One loop advances, a level per pass, the circulant from 0, the
+    chord-only ring from 0 (up to level d_circ) and the GGPG graph from u_0
+    and from v_0 (a frontier and an unreached set per side), all n-bit ints.
+    At every level L it checks the sandwich as ball containments on every
+    (source, side): P(L) <= C(L) (d_p >= d_c) and C(L - 2) <= P(L)
+    (d_p <= d_c + 2), keeping the circulant's unreached sets of the last
+    two levels, so state stays O(n) bits.  Generator 1 bounds the
+    eccentricity by n // 2, so the cap probe runs only if n // 2 > LEVEL_CAP.
     """
     if g.gens[0] != 1:
         raise ValueError(f"level sets need generator 1 in S, got {g.label()}")
-    n, gens, chords = g.n, g.gens, g.gens[1:]
+    n = g.n
     mask = (1 << n) - 1
-    if not _within_cap(n, gens, mask):
+    if n // 2 > LEVEL_CAP and not _within_cap(n, g.gens, mask):
         return None
-    circ, circ_unreached = 1, mask ^ 1
-    window = (mask, mask)  # circulant unreached at levels L - 1 and L - 2
-    chord, chord_unreached = 1, mask ^ 1
-    searches = (_GgpgSearch(n, chords, mask, inner=False),
-                _GgpgSearch(n, chords, mask, inner=True))
+    gens, chords, t1 = _shift_pairs(n, g.gens), _shift_pairs(n, g.gens[1:]), n - 1
+    circ, cu = 1, mask ^ 1            # circulant frontier and unreached set
+    cu1 = cu2 = mask                  # cu one and two levels back
+    chord, chu = 1, mask ^ 1          # chord-only ring
+    ao, ai, auo, aui = 1, 0, mask ^ 1, mask   # GGPG from u_0: outer, inner
+    bo, bi, buo, bui = 0, 1, mask, mask ^ 1   # GGPG from v_0
     ok = True
-    level = d_circ = 0
+    level = d_circ = ecc_u0 = ecc_v0 = 0
     while True:
-        ok = ok and _sandwiched(searches, circ_unreached, window[1])
-        if not circ_unreached and all(s.ecc is not None for s in searches):
+        rest = auo | aui | buo | bui
+        if ok:
+            ok = cu & auo & aui & buo & bui == cu and rest | cu2 == cu2
+        if not (cu or rest):
             break
         level += 1
-        window = (circ_unreached, window[0])
-        if circ_unreached:
-            circ = _spread(circ, n, gens) & circ_unreached
-            circ_unreached ^= circ
-            chord = _spread(chord, n, chords) & chord_unreached
-            chord_unreached ^= chord
+        cu2, cu1 = cu1, cu
+        if cu:
+            y, circ = circ | circ << n, 0
+            for s, t in gens:
+                circ |= y >> s | y >> t
+            circ &= cu
+            cu ^= circ
+            y, chord = chord | chord << n, 0
+            for s, t in chords:
+                chord |= y >> s | y >> t
+            chord &= chu
+            chu ^= chord
             d_circ = level
-        for s in searches:
-            s.step(level)
+        if auo | aui:
+            y, x = ai | ai << n, ao
+            for s, t in chords:
+                x |= y >> s | y >> t
+            y = ao | ao << n
+            ao = (y >> 1 | y >> t1 | ai) & auo
+            ai = x & aui
+            auo ^= ao
+            aui ^= ai
+            ecc_u0 = level
+        if buo | bui:
+            y, x = bi | bi << n, bo
+            for s, t in chords:
+                x |= y >> s | y >> t
+            y = bo | bo << n
+            bo = (y >> 1 | y >> t1 | bi) & buo
+            bi = x & bui
+            buo ^= bo
+            bui ^= bi
+            ecc_v0 = level
     d_bits = (1 << d_circ) | (1 << (n - d_circ))
     return InstanceSummary(
         d_circ=d_circ,
-        ecc_u0=searches[0].ecc,
-        ecc_v0=searches[1].ecc,
+        ecc_u0=ecc_u0,
+        ecc_v0=ecc_v0,
         v_dc=_bit_positions(circ),
         cond_outer=circ & d_bits == circ,
         cond_inner=circ & chord == circ,

@@ -21,8 +21,8 @@ inconsistencies, and sandwich failures -- so a row's bytes never depend on
 the route.  check_thm41 to check_thm44 recompute their statement from list
 BFS alone: they are the independent oracle.  --paranoid (paranoid=True)
 runs both routes and raises unless their summaries agree, cross-checks
-the list kernel against list BFS and all-source diameters, and takes the
-4.1 verdict from check_thm41 over all pairs, on every instance.
+the list kernel against list BFS, and takes the 4.1 verdict and both
+diameter shortcuts from check_thm41 over all pairs, on every instance.
 
 Failures are tiered.  The first two are proved facts, so a violation means
 the implementation is broken: enforce_proven raises with the witness, and
@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 from .graph_core import CirculantGraph, GgpgGraph, build_circulant, max_generator
 from .metrics import (
+    all_source_distances,
     bfs,
-    diameter_circulant,
-    diameter_ggpg,
+    check_shortcut,
     format_distance,
     inner_only_distances,
     instance_distances,
@@ -198,7 +198,8 @@ def check_thm41(gc: CirculantGraph, gp: GgpgGraph, corr: VertexCorrespondence,
     mode="orbit" checks one representative pair per rotation orbit, which
     covers all pairs because rotating both endpoints preserves both
     distances.  mode="allpairs" takes no symmetry for granted and runs
-    every source on both graphs literally.
+    every source on both graphs literally; it also checks both diameter
+    shortcuts against those vectors (RuntimeError, as under paranoid).
     """
     _check_pairing(gc, gp)
     n = gc.n
@@ -209,8 +210,10 @@ def check_thm41(gc: CirculantGraph, gp: GgpgGraph, corr: VertexCorrespondence,
         return _sandwich_from_vectors(n, dc0, du, dv, corr)
     if mode != "allpairs":
         raise ValueError(f"unknown mode {mode!r}")
-    dc_all = [bfs(gc, i).dist for i in range(n)]
-    dp_all = [bfs(gp, x).dist for x in gp.vertices()]
+    dc_all, dp_all = all_source_distances(gc), all_source_distances(gp)
+    u0, v0 = corr.members(0)
+    check_shortcut(gc, "ecc(0)", max(dc_all[0]), dc_all)
+    check_shortcut(gp, "two-source", max(dp_all[u0] + dp_all[v0]), dp_all)
     for i in range(n):
         for j in range(n):
             d = dc_all[i][j]
@@ -316,16 +319,19 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     The verdicts come from one metrics.InstanceSummary: the level-set
     route's when the circulant has at most LEVEL_CAP levels, else the list
     kernel's.  Rows that need a witness, and every row under paranoid, also
-    run the list kernel; paranoid then requires the two summaries to agree,
-    cross-checks the kernel against list BFS and all-source diameters, and
-    checks the sandwich with check_thm41 over all pairs."""
+    build the GGPG graph and run the list kernel; paranoid then requires
+    the two summaries to agree, cross-checks the kernel against list BFS,
+    and checks the sandwich and both diameter shortcuts with check_thm41
+    over all pairs."""
     chords = tuple(chords)
     gc = build_circulant(n, (1,) + chords)
-    gp, corr = expand(gc)
+    if not chords:
+        expand(gc)  # raises: a GGPG partner needs a chord
 
     facts = level_set_summary(gc)
     dist = None
     if facts is None or paranoid or _needs_list_route(facts):
+        gp, corr = expand(gc)
         dist = instance_distances(gc)
         listed = dist.summary()
         if paranoid:
@@ -334,9 +340,6 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
                 raise RuntimeError(
                     f"route mismatch on {gc.label()}: level sets {facts}, "
                     f"list kernel {listed}")
-            # recompute both diameters from every source
-            diameter_circulant(gc, paranoid=True)
-            diameter_ggpg(gp, paranoid=True)
         facts = listed
     d_circ, d_ggpg = facts.d_circ, facts.d_ggpg
     gap = d_ggpg - d_circ

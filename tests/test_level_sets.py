@@ -1,5 +1,7 @@
 """The level-set route against the list route and the statement oracles,
-on both sides of LEVEL_CAP; plus the bounded, lazily imported worker pool."""
+on both sides of LEVEL_CAP; what a level-set row skips (the cap probe, the
+GGPG graph) and what a paranoid row runs once; plus the bounded, lazily
+imported worker pool."""
 
 import dataclasses
 import os
@@ -16,6 +18,8 @@ from loopnet import (
     check_thm42,
     check_thm43,
     check_thm44,
+    diameter_circulant,
+    diameter_ggpg,
     expand,
     extremal_vertices,
     verify_instance,
@@ -23,7 +27,7 @@ from loopnet import (
 from loopnet import metrics, theorem_lab
 from loopnet.graph_core import max_generator
 from loopnet.metrics import LEVEL_CAP, instance_distances, level_set_summary
-from loopnet.theorem_lab import plan_sweep, run_instances
+from loopnet.theorem_lab import _needs_list_route, plan_sweep, run_instances
 
 
 @settings(max_examples=25, deadline=None)
@@ -58,15 +62,94 @@ def test_level_set_summary_on_the_grid():
 
 def test_level_set_summary_spots_a_broken_sandwich(monkeypatch):
     g = build_circulant(20, (1, 4, 8))
-    assert level_set_summary(g).sandwich_ok
-    real = metrics._spread
+    honest = level_set_summary(g)
+    assert honest.sandwich_ok
+    real = metrics._shift_pairs
 
-    def lagging(x, n, steps):
-        # chord steps lead nowhere: d_p on the GGPG graph grows past d_c + 2
-        return 0 if tuple(steps) == (4, 8) else real(x, n, steps)
+    def lagging(n, steps):
+        # chord steps lead nowhere on the GGPG graph: d_p grows past d_c + 2,
+        # so C(L - 2) <= P(L) fails while the circulant keeps its chords
+        return () if tuple(steps) == (4, 8) else real(n, steps)
 
-    monkeypatch.setattr(metrics, "_spread", lagging)
-    assert not level_set_summary(g).sandwich_ok
+    monkeypatch.setattr(metrics, "_shift_pairs", lagging)
+    broken = level_set_summary(g)
+    assert broken.d_circ == honest.d_circ
+    assert broken.d_ggpg > broken.d_circ + 2
+    assert not broken.sandwich_ok
+
+
+def test_level_set_summary_spots_a_sandwich_broken_from_below(monkeypatch):
+    g = build_circulant(20, (1, 4, 8))
+    real = metrics._shift_pairs
+
+    def ring_only(n, steps):
+        # the circulant loses its chords: d_c grows past d_p on the GGPG
+        # graph, so P(L) <= C(L) fails while d_p <= d_c + 2 still holds
+        return real(n, (1,)) if tuple(steps) == (1, 4, 8) else real(n, steps)
+
+    monkeypatch.setattr(metrics, "_shift_pairs", ring_only)
+    broken = level_set_summary(g)
+    assert broken.d_circ == 10
+    assert broken.d_ggpg < broken.d_circ
+    assert not broken.sandwich_ok
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called where it cannot change the answer")
+
+
+def test_cap_probe_runs_only_when_it_can_fail(monkeypatch):
+    # generator 1 bounds d_circ by n // 2, so the probe is needed only
+    # above n // 2 = LEVEL_CAP
+    grid = plan_sweep(range(5, 61), [2, 3]) + [(2 * LEVEL_CAP + 1, (3,))]
+    want = [verify_instance(n, c) for n, c in grid]
+    wide = (2 * LEVEL_CAP + 2, (3,))
+    want_wide = verify_instance(*wide)
+    monkeypatch.setattr(metrics, "_within_cap", refuse)
+    assert [verify_instance(n, c) for n, c in grid] == want
+    with pytest.raises(AssertionError, match="cannot change"):
+        verify_instance(*wide)
+    monkeypatch.undo()
+    assert verify_instance(*wide) == want_wide
+
+
+def test_level_set_rows_build_no_ggpg_graph(monkeypatch):
+    from loopnet import graph_core, transforms
+
+    want = verify_instance(20, (4, 8))
+    assert not _needs_list_route(level_set_summary(build_circulant(20, (1, 4, 8))))
+    for mod, name in ((theorem_lab, "expand"), (transforms, "build_ggpg"),
+                      (graph_core, "build_ggpg")):
+        monkeypatch.setattr(mod, name, refuse)
+    assert verify_instance(20, (4, 8)) == want
+    for n, chords in ((12, (5,)), (20, (4, 8))):  # a gap-1 row; paranoid
+        with pytest.raises(AssertionError, match="cannot change"):
+            verify_instance(n, chords, paranoid=n == 20)
+
+
+def test_no_chord_keeps_the_expansion_error():
+    with pytest.raises(ValueError) as err:
+        verify_instance(12, ())
+    assert str(err.value) == "expansion needs at least one chord >= 2, got C12(1)"
+
+
+def test_paranoid_runs_each_all_source_bfs_once(monkeypatch):
+    calls = []
+    real = metrics.bfs
+
+    def counting(g, src):
+        calls.append((g.family, src))
+        return real(g, src)
+
+    for mod in (metrics, theorem_lab):
+        monkeypatch.setattr(mod, "bfs", counting)
+    n = 30
+    row = verify_instance(n, (4,), paranoid=True)
+    assert row == verify_instance(n, (4,))
+    assert len(calls) <= 3 * n + 6
+    # every source of both graphs, each at least once
+    assert {s for f, s in calls if f == "circulant"} == set(range(n))
+    assert {s for f, s in calls if f == "ggpg"} == set(range(2 * n))
 
 
 def list_route_row(monkeypatch, n, chords):
@@ -109,6 +192,26 @@ def test_paranoid_compares_the_two_summaries(monkeypatch):
     assert verify_instance(20, (4, 8)).extremal_set == (1,)  # trusted when not paranoid
     with pytest.raises(RuntimeError, match="route mismatch on C20"):
         verify_instance(20, (4, 8), paranoid=True)
+
+
+def test_paranoid_keeps_the_shortcut_mismatch_error(monkeypatch):
+    real = metrics.all_source_distances
+
+    def skewed(g):
+        rows = real(g)
+        rows[-1] = tuple(d + 1 for d in rows[-1])  # one source sees farther
+        return rows
+
+    for mod in (metrics, theorem_lab):
+        monkeypatch.setattr(mod, "all_source_distances", skewed)
+    g = build_circulant(12, (1, 5))
+    h, corr = expand(g)
+    for call, shortcut in ((lambda: diameter_circulant(g, paranoid=True), "ecc"),
+                           (lambda: diameter_ggpg(h, paranoid=True), "two-source"),
+                           (lambda: check_thm41(g, h, corr, mode="allpairs"), "ecc"),
+                           (lambda: verify_instance(12, (5,), paranoid=True), "ecc")):
+        with pytest.raises(RuntimeError, match=f"symmetry shortcut mismatch .*{shortcut}"):
+            call()
 
 
 class RecordingPool:
