@@ -1,26 +1,44 @@
 """Exact distances, eccentricities, diameters, and restricted distances.
 
-Three routes compute the same facts.
+The spoke identity ties every GGPG distance from u_0 and v_0 to the
+circulant.  With ring(i) = min(i, n - i) and chord(i) the chord-only
+distance from 0 (INF where no chord walk reaches), for every i:
+
+    d_p(u_0, v_i) = d_p(v_0, u_i) = d_c(0, i) + 1,
+    d_p(u_0, u_i) = min(ring(i), d_c(0, i) + 2),
+    d_p(v_0, v_i) = min(chord(i), d_c(0, i) + 2).
+
+Proof.  (<=) Reorder a shortest circulant walk into a block of ring steps
+and a block of chord steps, in either order: it lifts to a walk along the
+outer ring and one along the inner ring joined by a spoke, with a second
+spoke when both ends lie on one side; a walk of one kind of step may stay
+on its ring.  (>=) A GGPG walk with k spokes projects to a circulant walk
+of length len - k; a walk that changes sides has k >= 1, one that leaves
+a ring and comes back has k >= 2, and one with k = 0 stays on its ring.
+Since ring(i), chord(i) >= d_c(0, i), rotation gives every pair sandwich
+(4.1), the gap lies in {1, 2} (4.2), and gap = 1 exactly when every i in
+V_Dc has ring(i) <= D + 1 and chord(i) <= D + 1 (D the circulant's
+diameter).
+
+Three routes compute the same facts; the first two apply the identity.
 
   * The level-set route, level_set_summary: every BFS level is an n-bit
     int and a step +-s is a rotation, so one loop advances the circulant
-    from 0, the GGPG graph from u_0 and v_0, and the chord-only ring a whole
-    level per handful of big-int operations.  It returns only an
-    InstanceSummary (the diameters, V_Dc, the two restricted-path
-    conditions and the sandwich verdict), and only for instances whose
-    circulant has at most LEVEL_CAP levels (probed only when n // 2 >
-    LEVEL_CAP): its cost grows with the level count, the list kernel's
-    with n.
+    from 0 and the chord-only ring a whole level per handful of big-int
+    operations.  It returns only an InstanceSummary (the diameters, V_Dc
+    and the two restricted-path conditions), and only for instances whose
+    circulant has at most LEVEL_CAP levels: its cost grows with the level
+    count, the list kernel's with n.
   * The list route, instance_distances: one level-synchronous BFS kernel
     that walks vertex ids by offset arithmetic, with no neighbors() call,
-    and returns every distance vector a verify_instance row needs -- the
-    circulant from 0, the GGPG graph from u_0 and from v_0 (with BFS
-    parents, for witness paths), and the chord-only ring.  Its summary()
-    is the same InstanceSummary.
+    and returns the circulant and chord-only vectors from 0, from which the
+    identity gives both GGPG vectors (ggpg_vectors).  Its summary() is the
+    same InstanceSummary.  ggpg_tree runs the same kernel over the GGPG
+    graph, with BFS parents, for witness paths.
   * The oracle route, bfs over a graph's neighbors(), with the diameter
-    helpers on top of it; tests and --paranoid check the list kernel
-    against it element by element, and the two summaries against each
-    other.
+    helpers on top of it.  It never uses the identity: tests and --paranoid
+    check the list kernel and the identity's vectors against it element by
+    element, and the two summaries against each other.
 
 Diameters use symmetry shortcuts by default: a circulant looks the same
 from every vertex (rotation i -> i+1 is an automorphism), so one BFS from 0
@@ -39,7 +57,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from operator import le
 
 from .graph_core import CirculantGraph, GgpgGraph
 
@@ -242,11 +259,10 @@ class InstanceSummary:
     """The facts behind a verify_instance row's verdicts, from either route.
 
     d_circ = D(C_n(1, chords)) = ecc(0); ecc_u0 / ecc_v0 are the GGPG
-    eccentricities of u_0 and v_0; v_dc lists the vertices at distance
-    d_circ from 0, ascending.  cond_outer: min(i, n - i) = d_circ for every
-    i in v_dc; cond_inner: every i in v_dc has chord-only distance d_circ.
-    sandwich_ok: d_c(0, i) <= d_p(x, y_i) <= d_c(0, i) + 2 for x in
-    {u_0, v_0} and y_i in {u_i, v_i}, every i.
+    eccentricities of u_0 and v_0, read by the spoke identity (_spoke_ecc);
+    v_dc lists the vertices at distance d_circ from 0, ascending.
+    cond_outer: min(i, n - i) = d_circ for every i in v_dc; cond_inner:
+    every i in v_dc has chord-only distance d_circ.
     """
 
     d_circ: int
@@ -255,71 +271,80 @@ class InstanceSummary:
     v_dc: tuple
     cond_outer: bool
     cond_inner: bool
-    sandwich_ok: bool
 
     @property
     def d_ggpg(self) -> int:
         return max(self.ecc_u0, self.ecc_v0)
 
 
-def _sandwich_holds(n, dc0, du, dv) -> bool:
-    """The orbit sandwich as whole-vector comparisons: dc0 <= d_p <= dc0 + 2
-    for d_p each side half of the u0 and v0 vectors."""
-    hi = [d + 2 for d in dc0]
-    return all(all(map(le, dc0, side)) and all(map(le, side, hi))
-               for vec in (du, dv) for side in (vec[:n], vec[n:]))
+def _spoke_ecc(d: int, far) -> int:
+    """ecc(u_0) (or ecc(v_0)) by the spoke identity: d + 2 if some i in V_Dc
+    has ring-only (chord-only) distance above d + 1 (far), else d + 1.
+
+    By the identity, d_p(u_0, v_i) = d_c(0, i) + 1 and d_p(u_0, u_i) =
+    min(ring(i), d_c(0, i) + 2), which for i outside V_Dc are at most d + 1
+    and for i in V_Dc are d + 1 and min(ring(i), d + 2) >= d.  Likewise for
+    v_0 with chord(i).
+    """
+    return d + 2 if far else d + 1
 
 
 @dataclass(frozen=True)
 class InstanceDistances:
-    """Every distance one C_n(1, chords) / GGPG pair row needs.
+    """The distances one C_n(1, chords) / GGPG pair row needs.
 
-    circ[i] = d_c(0, i); from_u0[x] and from_v0[x] = d_p(u_0, x) and
-    d_p(v_0, x) over GGPG ids x; chord_only[i] is the chord-subgraph
-    distance from 0 (INF when unreachable).  parent_u0 / parent_v0 are the
-    BFS trees of the two GGPG runs, for tree_path.
+    circ[i] = d_c(0, i); chord_only[i] is the chord-subgraph distance from
+    0 (INF when unreachable).  Every GGPG distance from u_0 and v_0 follows
+    from these two by the spoke identity (ggpg_vectors).
     """
 
     circ: list
-    from_u0: list
-    from_v0: list
     chord_only: list
-    parent_u0: list
-    parent_v0: list
+
+    def ggpg_vectors(self) -> tuple[list, list]:
+        """d_p(u_0, x) and d_p(v_0, x) over GGPG ids x, by the spoke identity:
+        d_p(u_0, v_i) = d_p(v_0, u_i) = d_c(0, i) + 1, d_p(u_0, u_i) =
+        min(ring(i), d_c(0, i) + 2), d_p(v_0, v_i) = min(chord(i), d_c(0, i) + 2)."""
+        n = len(self.circ)
+        spoke = [d + 1 for d in self.circ]
+        ring = [min(i, n - i, d + 2) for i, d in enumerate(self.circ)]
+        chord = [min(c, d + 2) for c, d in zip(self.chord_only, self.circ)]
+        return ring + spoke, spoke + chord
 
     def summary(self) -> InstanceSummary:
-        """The list route's InstanceSummary, read off the whole vectors."""
+        """The list route's InstanceSummary, read off the two vectors."""
         dc0, n = self.circ, len(self.circ)
         d = max(dc0)
         vdc = tuple(i for i, di in enumerate(dc0) if di == d)
+        ring = [min(i, n - i) for i in vdc]
+        chord = [self.chord_only[i] for i in vdc]
         return InstanceSummary(
             d_circ=d,
-            ecc_u0=max(self.from_u0),
-            ecc_v0=max(self.from_v0),
+            ecc_u0=_spoke_ecc(d, max(ring) > d + 1),
+            ecc_v0=_spoke_ecc(d, max(chord) > d + 1),
             v_dc=vdc,
-            cond_outer=all(min(i, n - i) == d for i in vdc),
-            cond_inner=all(self.chord_only[i] == d for i in vdc),
-            sandwich_ok=_sandwich_holds(n, dc0, self.from_u0, self.from_v0),
+            cond_outer=all(r == d for r in ring),
+            cond_inner=all(c == d for c in chord),
         )
 
 
 def instance_distances(g: CirculantGraph) -> InstanceDistances:
-    """One pass of the level kernel over C_n(1, chords), its GGPG expansion
-    from u_0 and v_0, and its chord-only ring."""
+    """One pass of the level kernel over C_n(1, chords) and its chord-only
+    ring, both from 0."""
     if g.gens[0] != 1:
         raise ValueError(f"instance distances need generator 1 in S, got {g.label()}")
-    n, chords = g.n, g.gens[1:]
-    ggpg = _ggpg_offsets(n, chords)
-    from_u0, parent_u0 = _level_bfs(ggpg, 0)
-    from_v0, parent_v0 = _level_bfs(ggpg, n)
+    n = g.n
     return InstanceDistances(
         circ=_level_bfs(_ring_offsets(n, g.gens), 0)[0],
-        from_u0=from_u0,
-        from_v0=from_v0,
-        chord_only=_level_bfs(_ring_offsets(n, chords), 0)[0],
-        parent_u0=parent_u0,
-        parent_v0=parent_v0,
+        chord_only=_level_bfs(_ring_offsets(n, g.gens[1:]), 0)[0],
     )
+
+
+def ggpg_tree(g: CirculantGraph, src: int) -> tuple[list, list]:
+    """Distances and BFS parents from GGPG id src (u_0 = 0, v_0 = n) over the
+    GGPG expansion of g = C_n(1, chords), for tree_path: the parents a FIFO
+    BFS over the sorted GgpgGraph.neighbors() lists gives."""
+    return _level_bfs(_ggpg_offsets(g.n, g.gens[1:]), src)
 
 
 # --- the level-set route ---
@@ -333,8 +358,9 @@ def instance_distances(g: CirculantGraph) -> InstanceDistances:
 # 0.40x-0.46x at 334 and 0.65x-0.68x at 500 (the most C_2000(1, s) has) for
 # n = 2 000, and 0.28x at 549, 0.45x-0.46x at 853, 0.88x-0.93x at 1 269 and
 # 1.61x-1.71x at 2 509 for n = 100 000.  So 200 levels is on the winning
-# side at every n; the bare probe that rejects a row over the cap costs
-# about 5 ms at n = 100 000 (C_100000(1, 49999), 25 000 levels).
+# side at every n.  Those figures predate the loop's two-search form (the
+# GGPG searches then ran in it too); a row over the cap costs the loop
+# LEVEL_CAP levels before it gives up.
 LEVEL_CAP = 200
 
 
@@ -355,96 +381,49 @@ def _bit_positions(x: int) -> tuple:
     return tuple(out)
 
 
-def _within_cap(n: int, gens, mask: int) -> bool:
-    """Whether the circulant BFS from 0 ends within LEVEL_CAP levels, by a
-    bare level-set run that costs little on a row bound for the list kernel."""
-    pairs = _shift_pairs(n, gens)
-    frontier, unreached = 1, mask ^ 1
-    for _ in range(LEVEL_CAP):
-        if not unreached:
-            break
-        y, frontier = frontier | frontier << n, 0
-        for s, t in pairs:
-            frontier |= y >> s | y >> t
-        frontier &= unreached
-        unreached ^= frontier
-    return not unreached
-
-
 def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
-    """The InstanceSummary of C_n(1, chords) from level sets, or None when
-    the circulant's eccentricity exceeds LEVEL_CAP.
+    """The InstanceSummary of C_n(1, chords) from level sets, or None as soon
+    as the circulant needs more than LEVEL_CAP levels.
 
-    One loop advances, a level per pass, the circulant from 0, the
-    chord-only ring from 0 (up to level d_circ) and the GGPG graph from u_0
-    and from v_0 (a frontier and an unreached set per side), all n-bit ints.
-    At every level L it checks the sandwich as ball containments on every
-    (source, side): P(L) <= C(L) (d_p >= d_c) and C(L - 2) <= P(L)
-    (d_p <= d_c + 2), keeping the circulant's unreached sets of the last
-    two levels, so state stays O(n) bits.  Generator 1 bounds the
-    eccentricity by n // 2, so the cap probe runs only if n // 2 > LEVEL_CAP.
+    One loop advances two n-bit level sets a level per pass: the circulant
+    from 0 and the chord-only ring from 0, which runs one level further, to
+    d_circ + 1.  Then V_Dc is the circulant's last level, and the GGPG
+    eccentricities follow by the spoke identity (_spoke_ecc): some i in
+    V_Dc lies more than d_circ + 1 ring steps from 0, or outside the chord
+    ring's ball of radius d_circ + 1.
     """
     if g.gens[0] != 1:
         raise ValueError(f"level sets need generator 1 in S, got {g.label()}")
     n = g.n
     mask = (1 << n) - 1
-    if n // 2 > LEVEL_CAP and not _within_cap(n, g.gens, mask):
-        return None
-    gens, chords, t1 = _shift_pairs(n, g.gens), _shift_pairs(n, g.gens[1:]), n - 1
+    gens, chords = _shift_pairs(n, g.gens), _shift_pairs(n, g.gens[1:])
     circ, cu = 1, mask ^ 1            # circulant frontier and unreached set
-    cu1 = cu2 = mask                  # cu one and two levels back
     chord, chu = 1, mask ^ 1          # chord-only ring
-    ao, ai, auo, aui = 1, 0, mask ^ 1, mask   # GGPG from u_0: outer, inner
-    bo, bi, buo, bui = 0, 1, mask, mask ^ 1   # GGPG from v_0
-    ok = True
-    level = d_circ = ecc_u0 = ecc_v0 = 0
+    d = 0
     while True:
-        rest = auo | aui | buo | bui
-        if ok:
-            ok = cu & auo & aui & buo & bui == cu and rest | cu2 == cu2
-        if not (cu or rest):
+        y, chord = chord | chord << n, 0
+        for s, t in chords:
+            chord |= y >> s | y >> t
+        chord &= chu
+        chu ^= chord
+        if not cu:
             break
-        level += 1
-        cu2, cu1 = cu1, cu
-        if cu:
-            y, circ = circ | circ << n, 0
-            for s, t in gens:
-                circ |= y >> s | y >> t
-            circ &= cu
-            cu ^= circ
-            y, chord = chord | chord << n, 0
-            for s, t in chords:
-                chord |= y >> s | y >> t
-            chord &= chu
-            chu ^= chord
-            d_circ = level
-        if auo | aui:
-            y, x = ai | ai << n, ao
-            for s, t in chords:
-                x |= y >> s | y >> t
-            y = ao | ao << n
-            ao = (y >> 1 | y >> t1 | ai) & auo
-            ai = x & aui
-            auo ^= ao
-            aui ^= ai
-            ecc_u0 = level
-        if buo | bui:
-            y, x = bi | bi << n, bo
-            for s, t in chords:
-                x |= y >> s | y >> t
-            y = bo | bo << n
-            bo = (y >> 1 | y >> t1 | bi) & buo
-            bi = x & bui
-            buo ^= bo
-            bui ^= bi
-            ecc_v0 = level
-    d_bits = (1 << d_circ) | (1 << (n - d_circ))
+        if d == LEVEL_CAP:
+            return None
+        d += 1
+        y, circ = circ | circ << n, 0
+        for s, t in gens:
+            circ |= y >> s | y >> t
+        circ &= cu
+        cu ^= circ
+    # circ = V_Dc; chord and chu: the chord ring's level d + 1 and the rest
+    ring_near = (1 << (d + 2)) - 1 | mask >> (n - d - 1) << (n - d - 1)
+    d_bits = (1 << d) | (1 << (n - d))
     return InstanceSummary(
-        d_circ=d_circ,
-        ecc_u0=ecc_u0,
-        ecc_v0=ecc_v0,
+        d_circ=d,
+        ecc_u0=_spoke_ecc(d, circ & ~ring_near),
+        ecc_v0=_spoke_ecc(d, circ & chu),
         v_dc=_bit_positions(circ),
         cond_outer=circ & d_bits == circ,
-        cond_inner=circ & chord == circ,
-        sandwich_ok=ok,
+        cond_inner=not circ & (chord | chu),
     )

@@ -11,18 +11,22 @@ Four statements get machine-checked on concrete (n, chords) instances:
     characterization's conditions, which is the form the argument uses).
 
 verify_instance takes its verdicts from one metrics.InstanceSummary: the
-diameters, V_Dc, the two restricted-path conditions and the sandwich
-verdict.  Two routes produce it.  metrics.level_set_summary (n-bit level
-sets) serves every instance whose circulant has at most metrics.LEVEL_CAP
-levels; metrics.instance_distances (the offset-arithmetic list kernel)
-serves the rest, and also every row that needs a witness -- gap-1 rows,
-whose diametral path is read from the kernel's BFS tree, thm43
-inconsistencies, and sandwich failures -- so a row's bytes never depend on
-the route.  check_thm41 to check_thm44 recompute their statement from list
-BFS alone: they are the independent oracle.  --paranoid (paranoid=True)
-runs both routes and raises unless their summaries agree, cross-checks
-the list kernel against list BFS, and takes the 4.1 verdict and both
-diameter shortcuts from check_thm41 over all pairs, on every instance.
+diameters, V_Dc and the two restricted-path conditions.  Two routes
+produce it.  metrics.level_set_summary (n-bit level sets) serves every
+instance whose circulant has at most metrics.LEVEL_CAP levels;
+metrics.instance_distances (the offset-arithmetic list kernel) serves the
+rest, and also every gap-1 row, whose thm43 witness lists chord-only
+distances, so a row's bytes never depend on the route.  Both routes read
+the GGPG side off the circulant and chord-only searches by the spoke
+identity (see metrics), so on this path the thm41 and thm42 columns follow
+from that identity, not from an independent search; a gap-1 row runs one
+GGPG search, with BFS parents, for its diametral path.  What checks them
+independently: check_thm41 to check_thm44, which recompute their statement
+from list BFS alone, and --paranoid (paranoid=True), which runs both
+routes and raises unless their summaries agree, cross-checks the list
+kernel and the identity's GGPG vectors against list BFS, and takes the 4.1
+verdict and both diameter shortcuts from check_thm41 over all pairs, on
+every instance.
 
 Failures are tiered.  The first two are proved facts, so a violation means
 the implementation is broken: enforce_proven raises with the witness, and
@@ -46,6 +50,7 @@ from .metrics import (
     bfs,
     check_shortcut,
     format_distance,
+    ggpg_tree,
     inner_only_distances,
     instance_distances,
     level_set_summary,
@@ -288,27 +293,36 @@ def check_thm44(gc: CirculantGraph, gp: GgpgGraph) -> Gap2Conditions:
     return Gap2Conditions(fires, gap, (not fires) or gap == 2, tuple(notes))
 
 
-def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist) -> None:
-    """Paranoid tier: the kernel's vectors against list BFS over neighbors()."""
+def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts) -> None:
+    """Paranoid tier: the kernel's vectors, and the GGPG vectors and
+    eccentricities the spoke identity derives from them, against list BFS
+    over neighbors()."""
+    du, dv = dist.ggpg_vectors()
+    slow_u, slow_v = bfs(gp, gp.outer(0)).dist, bfs(gp, gp.inner(0)).dist
     oracle = (("circulant from 0", dist.circ, bfs(gc, 0).dist),
-              ("ggpg from u0", dist.from_u0, bfs(gp, gp.outer(0)).dist),
-              ("ggpg from v0", dist.from_v0, bfs(gp, gp.inner(0)).dist),
-              ("chord-only from 0", dist.chord_only, inner_only_distances(gc)))
+              ("chord-only from 0", dist.chord_only, inner_only_distances(gc)),
+              ("ggpg from u0", du, slow_u),
+              ("ggpg from v0", dv, slow_v))
     for what, fast, slow in oracle:
         if tuple(fast) != slow:
             v = next(v for v, (a, b) in enumerate(zip(fast, slow)) if a != b)
             raise RuntimeError(
                 f"kernel mismatch on {gc.label()} {what}: vertex {v} "
                 f"kernel {fast[v]}, list BFS {slow[v]}")
+    ecc = (max(slow_u), max(slow_v))
+    if (facts.ecc_u0, facts.ecc_v0) != ecc:
+        raise RuntimeError(
+            f"kernel mismatch on {gc.label()} ggpg eccentricities of (u0, v0): "
+            f"summary {(facts.ecc_u0, facts.ecc_v0)}, list BFS {ecc}")
 
 
 def _needs_list_route(facts) -> bool:
-    """Whether a row needs the distance vectors for a witness: a gap-1 row
-    (the conj45 path comes from BFS parents), a row whose conditions both
-    hold (a thm43 inconsistency unless gap = 1, which lists chord-only
-    distances), or a broken sandwich."""
-    return (facts.d_ggpg - facts.d_circ == 1 or not facts.sandwich_ok
-            or (facts.cond_outer and facts.cond_inner))
+    """Whether a row needs the distance vectors: a gap-1 row, whose conj45
+    witness needs the GGPG graph and whose thm43 witness, if any, lists
+    chord-only distances.  No other row has a thm43 witness: both
+    conditions give ring(i) = chord(i) = d_circ on V_Dc, so gap 1 by the
+    spoke identity."""
+    return facts.d_ggpg - facts.d_circ == 1
 
 
 def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationReport:
@@ -318,40 +332,40 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
 
     The verdicts come from one metrics.InstanceSummary: the level-set
     route's when the circulant has at most LEVEL_CAP levels, else the list
-    kernel's.  Rows that need a witness, and every row under paranoid, also
-    build the GGPG graph and run the list kernel; paranoid then requires
-    the two summaries to agree, cross-checks the kernel against list BFS,
-    and checks the sandwich and both diameter shortcuts with check_thm41
-    over all pairs."""
+    kernel's.  Both read the GGPG diameter off the circulant by the spoke
+    identity, so 4.1 and 4.2 hold on this path by that identity, not by an
+    independent search.  Rows that need a witness, and every row under
+    paranoid, also run the list kernel; a gap-1 row runs one GGPG search,
+    with parents, for its diametral path.  Paranoid requires the two
+    summaries to agree, cross-checks the kernel and the identity against
+    list BFS, and checks the sandwich and both diameter shortcuts with
+    check_thm41 over all pairs."""
     chords = tuple(chords)
     gc = build_circulant(n, (1,) + chords)
     if not chords:
         expand(gc)  # raises: a GGPG partner needs a chord
 
-    facts = level_set_summary(gc)
+    level = facts = level_set_summary(gc)
     dist = None
-    if facts is None or paranoid or _needs_list_route(facts):
-        gp, corr = expand(gc)
+    if level is None or paranoid or _needs_list_route(level):
         dist = instance_distances(gc)
-        listed = dist.summary()
-        if paranoid:
-            _cross_check(gc, gp, dist)
-            if facts is not None and facts != listed:
-                raise RuntimeError(
-                    f"route mismatch on {gc.label()}: level sets {facts}, "
-                    f"list kernel {listed}")
-        facts = listed
+        facts = dist.summary()
     d_circ, d_ggpg = facts.d_circ, facts.d_ggpg
     gap = d_ggpg - d_circ
     vdc = facts.v_dc
     cond_outer, cond_inner = facts.cond_outer, facts.cond_inner
+    if paranoid or gap == 1:
+        gp, corr = expand(gc)
 
     if paranoid:
+        _cross_check(gc, gp, dist, facts)
+        if level is not None and level != facts:
+            raise RuntimeError(
+                f"route mismatch on {gc.label()}: level sets {level}, "
+                f"list kernel {facts}")
         t41 = check_thm41(gc, gp, corr, mode="allpairs")
-    elif facts.sandwich_ok:
-        t41 = SandwichResult(True)
     else:
-        t41 = _sandwich_from_vectors(n, dist.circ, dist.from_u0, dist.from_v0, corr)
+        t41 = SandwichResult(True)  # by the spoke identity
     t42_ok = gap in (1, 2)
 
     predicted = cond_outer and cond_inner
@@ -386,11 +400,10 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
                               "gap": gap}
     if gap == 1:
         anomalies.append("conj45: gap=1 instance")
-        # witness: a GGPG path realizing the larger diameter
-        if facts.ecc_u0 == d_ggpg:
-            vec, parent = dist.from_u0, dist.parent_u0
-        else:
-            vec, parent = dist.from_v0, dist.parent_v0
+        # witness: a GGPG path realizing the larger diameter, searched from
+        # the source the identity names as attaining it
+        src = gp.outer(0) if facts.ecc_u0 == d_ggpg else gp.inner(0)
+        vec, parent = ggpg_tree(gc, src)
         path = tree_path(parent, vec.index(d_ggpg))
         witnesses["conj45"] = {
             "d_circ": d_circ,

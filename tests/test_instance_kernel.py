@@ -1,6 +1,7 @@
-"""The one-pass instance kernel against its oracles: list BFS over
-neighbors(), the chord-only BFS, networkx, and a sorted-neighbour FIFO
-path search for the conj45 witness."""
+"""The one-pass instance kernel, and the GGPG vectors the spoke identity
+derives from it, against their oracles: list BFS over neighbors(), the
+chord-only BFS, networkx, and a sorted-neighbour FIFO path search for the
+conj45 witness."""
 
 from collections import deque
 
@@ -19,7 +20,7 @@ from loopnet import (
 )
 from loopnet import graph_core, metrics, theorem_lab
 from loopnet.graph_core import max_generator
-from loopnet.metrics import _ggpg_offsets, _ring_offsets, instance_distances
+from loopnet.metrics import _ggpg_offsets, _ring_offsets, ggpg_tree, instance_distances
 from loopnet.theorem_lab import plan_sweep
 
 
@@ -77,11 +78,12 @@ def test_kernel_vectors_match_list_bfs_and_networkx(data):
     g = build_circulant(n, [1] + chords)
     h, _ = expand(g)
     dist = instance_distances(g)
+    from_u0, from_v0 = dist.ggpg_vectors()  # by the spoke identity
     chord_ring = build_circulant(n, chords)
     expected = (
         (dist.circ, bfs(g, 0).dist, nx_distances(g, 0)),
-        (dist.from_u0, bfs(h, h.outer(0)).dist, nx_distances(h, h.outer(0))),
-        (dist.from_v0, bfs(h, h.inner(0)).dist, nx_distances(h, h.inner(0))),
+        (from_u0, bfs(h, h.outer(0)).dist, nx_distances(h, h.outer(0))),
+        (from_v0, bfs(h, h.inner(0)).dist, nx_distances(h, h.inner(0))),
         (dist.chord_only, inner_only_distances(g), nx_distances(chord_ring, 0)),
     )
     for fast, listed, oracle in expected:
@@ -96,10 +98,9 @@ def test_offset_rows_give_sorted_neighbors_and_fifo_parents(n, chords):
     rows = _ggpg_offsets(n, chords)
     assert [[v + d for d in rows[v]] for v in h.vertices()] == \
         [h.neighbors(v) for v in h.vertices()]
-    dist = instance_distances(g)
-    for src, parent in ((h.outer(0), dist.parent_u0), (h.inner(0), dist.parent_v0)):
+    for src in (h.outer(0), h.inner(0)):
         tree = fifo_parents(h, src)
-        assert parent == [tree[v] for v in h.vertices()]
+        assert ggpg_tree(g, src)[1] == [tree[v] for v in h.vertices()]
     rows = _ring_offsets(n, g.gens)
     assert [sorted(v + d for d in rows[v]) for v in g.vertices()] == \
         [g.neighbors(v) for v in g.vertices()]
@@ -138,6 +139,29 @@ def test_verify_instance_makes_no_neighbors_or_bfs_call(monkeypatch):
     r = verify_instance(12, (5,))
     assert r.gap == 1 and r.witnesses["conj45"]["ggpg_diametral_path"]
     assert verify_instance(20, (4, 8)).thm41_ok
+
+
+@pytest.mark.parametrize("n,chords,paranoid,searches", [
+    (12, (5,), False, 1),      # gap 1, level sets
+    (12, (5,), True, 1),       # paranoid: the oracles use list BFS instead
+    (804, (401,), False, 1),   # gap 1, over the cap
+    (20, (4, 8), False, 0),    # gap 2, level sets
+    (20, (4, 8), True, 0),
+    (1000, (2,), False, 0),    # gap 2, over the cap
+])
+def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, searches):
+    sizes = []
+    real = metrics._level_bfs
+
+    def counting(offsets, src):
+        sizes.append(len(offsets))
+        return real(offsets, src)
+
+    monkeypatch.setattr(metrics, "_level_bfs", counting)
+    r = verify_instance(n, chords, paranoid=paranoid)
+    assert (r.gap == 1) == (searches == 1)
+    assert sizes.count(2 * n) == searches
+    assert set(sizes) <= {n, 2 * n}
 
 
 def test_paranoid_cross_check_catches_a_wrong_kernel_vector(monkeypatch):

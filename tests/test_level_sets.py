@@ -1,18 +1,22 @@
 """The level-set route against the list route and the statement oracles,
-on both sides of LEVEL_CAP; what a level-set row skips (the cap probe, the
-GGPG graph) and what a paranoid row runs once; plus the bounded, lazily
-imported worker pool."""
+on both sides of LEVEL_CAP; what a level-set row skips (a second
+circulant search, the GGPG graph), what a paranoid row runs once and what
+it catches; the exact gap-1 rule; plus the bounded, lazily imported worker
+pool."""
 
+import csv
 import dataclasses
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopnet import (
+    bfs,
     build_circulant,
     check_thm41,
     check_thm42,
@@ -22,12 +26,21 @@ from loopnet import (
     diameter_ggpg,
     expand,
     extremal_vertices,
+    inner_only_distances,
     verify_instance,
 )
 from loopnet import metrics, theorem_lab
 from loopnet.graph_core import max_generator
 from loopnet.metrics import LEVEL_CAP, instance_distances, level_set_summary
 from loopnet.theorem_lab import _needs_list_route, plan_sweep, run_instances
+
+SHIPPED_GRID = Path(__file__).resolve().parent.parent / "artifacts" / "sweep_5_60_m23.csv"
+
+
+def shipped_rows():
+    """The data rows of the shipped n 5..60, m 2,3 sweep, as csv cells."""
+    with open(SHIPPED_GRID, newline="") as fh:
+        return [row for row in csv.reader(fh) if not row[0].startswith("#")][1:]
 
 
 @settings(max_examples=25, deadline=None)
@@ -51,7 +64,10 @@ def test_level_set_summary_matches_list_route_and_oracles(data):
     assert list(listed.v_dc) == extremal_vertices(g)
     assert (listed.cond_outer, listed.cond_inner) == (t43.cond_outer, t43.cond_inner)
     assert t44.any_condition_fires == (not (listed.cond_outer and listed.cond_inner))
-    assert listed.sandwich_ok == check_thm41(g, h, corr).ok
+    # the spoke identity's eccentricities, and the sandwich that follows from it
+    assert (listed.ecc_u0, listed.ecc_v0) == (max(bfs(h, h.outer(0)).dist),
+                                              max(bfs(h, h.inner(0)).dist))
+    assert check_thm41(g, h, corr).ok
 
 
 def test_level_set_summary_on_the_grid():
@@ -60,57 +76,91 @@ def test_level_set_summary_on_the_grid():
         assert level_set_summary(g) == instance_distances(g).summary(), (n, chords)
 
 
-def test_level_set_summary_spots_a_broken_sandwich(monkeypatch):
+def test_paranoid_catches_a_doctored_spoke_identity(monkeypatch):
+    want = verify_instance(20, (4, 8))
+    real = metrics.InstanceDistances.ggpg_vectors
+
+    def off_by_one(self):
+        du, dv = real(self)
+        du[7] += 1
+        return du, dv
+
+    monkeypatch.setattr(metrics.InstanceDistances, "ggpg_vectors", off_by_one)
+    assert verify_instance(20, (4, 8)) == want  # the vectors feed only the oracle
+    with pytest.raises(RuntimeError, match="kernel mismatch on C20.* ggpg from u0: vertex 7"):
+        verify_instance(20, (4, 8), paranoid=True)
+
+
+def test_paranoid_catches_a_wrong_eccentricity_rule(monkeypatch):
+    # both routes share the rule, so only the list-BFS eccentricities disagree
+    monkeypatch.setattr(metrics, "_spoke_ecc", lambda d, far: d + 1)
+    assert verify_instance(20, (4, 8)).gap == 1  # trusted when not paranoid
+    with pytest.raises(RuntimeError, match=r"C20.* ggpg eccentricities of \(u0, v0\): "
+                                           r"summary \(4, 4\), list BFS \(5, 5\)"):
+        verify_instance(20, (4, 8), paranoid=True)
+
+
+def test_paranoid_catches_a_circulant_that_loses_its_chords(monkeypatch):
     g = build_circulant(20, (1, 4, 8))
-    honest = level_set_summary(g)
-    assert honest.sandwich_ok
-    real = metrics._shift_pairs
-
-    def lagging(n, steps):
-        # chord steps lead nowhere on the GGPG graph: d_p grows past d_c + 2,
-        # so C(L - 2) <= P(L) fails while the circulant keeps its chords
-        return () if tuple(steps) == (4, 8) else real(n, steps)
-
-    monkeypatch.setattr(metrics, "_shift_pairs", lagging)
-    broken = level_set_summary(g)
-    assert broken.d_circ == honest.d_circ
-    assert broken.d_ggpg > broken.d_circ + 2
-    assert not broken.sandwich_ok
-
-
-def test_level_set_summary_spots_a_sandwich_broken_from_below(monkeypatch):
-    g = build_circulant(20, (1, 4, 8))
+    want = verify_instance(20, (4, 8))
     real = metrics._shift_pairs
 
     def ring_only(n, steps):
-        # the circulant loses its chords: d_c grows past d_p on the GGPG
-        # graph, so P(L) <= C(L) fails while d_p <= d_c + 2 still holds
         return real(n, (1,)) if tuple(steps) == (1, 4, 8) else real(n, steps)
 
     monkeypatch.setattr(metrics, "_shift_pairs", ring_only)
     broken = level_set_summary(g)
-    assert broken.d_circ == 10
-    assert broken.d_ggpg < broken.d_circ
-    assert not broken.sandwich_ok
+    assert broken.d_circ == 10 != want.d_circ
+    assert verify_instance(20, (4, 8)) != want  # trusted when not paranoid
+    with pytest.raises(RuntimeError, match="route mismatch on C20"):
+        verify_instance(20, (4, 8), paranoid=True)
 
 
 def refuse(*args, **kwargs):
     raise AssertionError("called where it cannot change the answer")
 
 
-def test_cap_probe_runs_only_when_it_can_fail(monkeypatch):
-    # generator 1 bounds d_circ by n // 2, so the probe is needed only
-    # above n // 2 = LEVEL_CAP
-    grid = plan_sweep(range(5, 61), [2, 3]) + [(2 * LEVEL_CAP + 1, (3,))]
-    want = [verify_instance(n, c) for n, c in grid]
-    wide = (2 * LEVEL_CAP + 2, (3,))
-    want_wide = verify_instance(*wide)
-    monkeypatch.setattr(metrics, "_within_cap", refuse)
-    assert [verify_instance(n, c) for n, c in grid] == want
-    with pytest.raises(AssertionError, match="cannot change"):
-        verify_instance(*wide)
-    monkeypatch.undo()
-    assert verify_instance(*wide) == want_wide
+def test_the_level_loop_is_its_own_cap_probe(monkeypatch):
+    # one circulant search per row: the loop gives up past LEVEL_CAP levels
+    # by itself (C401(1,3) and C402(1,3) sit on both sides of n // 2 = LEVEL_CAP)
+    grid = plan_sweep(range(5, 61), [2, 3])
+    wide = [(2 * LEVEL_CAP + 1, (3,)), (2 * LEVEL_CAP + 2, (3,))]
+    want = [list_route_row(monkeypatch, n, c) for n, c in wide]
+    searches = []
+    real = metrics._shift_pairs
+
+    def counting(n, steps):
+        if steps and steps[0] == 1:
+            searches.append(n)
+        return real(n, steps)
+
+    monkeypatch.setattr(metrics, "_shift_pairs", counting)
+    assert [verify_instance(n, c).csv_cells() for n, c in grid] == shipped_rows()
+    assert [verify_instance(n, c) for n, c in wide] == want
+    assert searches == [n for n, _ in grid + wide]
+
+
+def test_exact_gap1_rule_on_the_grid():
+    # by the spoke identity, gap = 1 iff every i in V_Dc has ring(i) <= D + 1
+    # and chord(i) <= D + 1; the paper's rule asks for = D on both, so it
+    # implies gap 1 but misses the gap-1 rows the shipped sweep marks
+    # thm43-inconsistent
+    inconsistent = {(int(r[0]), r[1]) for r in shipped_rows() if r[11] == "false"}
+    missed = set()
+    for n, chords in plan_sweep(range(5, 61), [2, 3]):
+        g = build_circulant(n, (1,) + chords)
+        gap = check_thm42(g, expand(g)[0]).gap
+        dc0, chord = bfs(g, 0).dist, inner_only_distances(g)
+        d = max(dc0)
+        vdc = [i for i in g.vertices() if dc0[i] == d]
+        ring = [min(i, n - i) for i in vdc]
+        assert (gap == 1) == (max(ring) <= d + 1 and max(chord[i] for i in vdc) <= d + 1)
+        paper = all(r == d for r in ring) and all(chord[i] == d for i in vdc)
+        assert gap == 1 or not paper
+        if paper != (gap == 1):
+            missed.add((n, "-".join(map(str, g.gens))))
+    assert len(missed) == len(inconsistent) == 70
+    assert missed == inconsistent
 
 
 def test_level_set_rows_build_no_ggpg_graph(monkeypatch):
@@ -171,10 +221,12 @@ def test_cap_sides_on_the_gap1_family(monkeypatch, k, over):
     assert row == list_route_row(monkeypatch, n, chords)
 
 
-@pytest.mark.parametrize("n,chords", [(12, (5,)), (40, (8, 19)), (7, (2,)), (20, (4, 8))])
+@pytest.mark.parametrize("n,chords", [(12, (5,)), (40, (8, 19)), (7, (2,)), (20, (4, 8)),
+                                      (9, (2,)), (5, (2,)), (7, (3,))])
 def test_few_level_rows_equal_the_list_route(monkeypatch, n, chords):
-    # gap-1 rows (level-set verdicts, list witness), a thm43 inconsistency
-    # and a plain gap-2 row
+    # gap-1 rows (level-set verdicts, list witness), thm43 inconsistencies
+    # (C5(1,2), C7(1,2), C7(1,3)), a plain gap-2 row and a V_Dc tie
+    # (C9(1,2): V_Dc = {3, 4, 5, 6})
     g = build_circulant(n, (1,) + chords)
     assert level_set_summary(g) is not None
     row = verify_instance(n, chords)
