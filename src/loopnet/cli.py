@@ -4,12 +4,13 @@ conjecture sweeps, and DOT export.
 verify and sweep share one runner, _run_checked, which writes no report
 byte until every row has passed theorem_lab.enforce_proven.
 
-Exit codes: 0 clean, 2 parameter error, 3 proved-statement violation
-(witness on stderr), 4 findings present (inconsistencies or gap=1 rows
-under verify).  Output files start with a header line recording the tool
-version, the semantic flag set, and the seed -- never a timestamp, so a
-rerun with the same flags is byte-identical.  --out and --jobs are I/O
-plumbing and stay out of the header; determinism is independent of both.
+Exit codes: 0 clean, 2 parameter error or unwritable output path, 3
+proved-statement violation (witness on stderr), 4 findings present
+(inconsistencies or gap=1 rows under verify).  Output files start with a
+header line recording the tool version, the semantic flag set, and the
+seed -- never a timestamp, so a rerun with the same flags is
+byte-identical.  --out and --jobs are I/O plumbing and stay out of the
+header; determinism is independent of both.
 """
 
 from __future__ import annotations
@@ -418,7 +419,7 @@ def main(argv=None) -> int:
         if getattr(args, "sample_cap", 0) < 0:
             raise ValueError("--sample-cap must be >= 0")
         return args.func(args)
-    except (FamilyParameterError, ValueError) as exc:
+    except (FamilyParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except TheoremViolation as exc:

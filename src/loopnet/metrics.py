@@ -20,21 +20,26 @@ Since ring(i), chord(i) >= d_c(0, i), rotation gives every pair sandwich
 V_Dc has ring(i) <= D + 1 and chord(i) <= D + 1 (D the circulant's
 diameter).
 
+So every verdict fact of a row depends only on D, V_Dc and the class of
+chord(i) on V_Dc: = D, = D + 1 or > D + 1.  _summarize is that rule, the
+one place that turns those sets into an InstanceSummary.
+
 Three routes compute the same facts; the first two apply the identity.
 
   * The level-set route, level_set_summary: every BFS level is an n-bit
     int and a step +-s is a rotation, so one loop advances the circulant
     from 0 and the chord-only ring a whole level per handful of big-int
-    operations.  It returns only an InstanceSummary (the diameters, V_Dc
-    and the two restricted-path conditions), and only for instances whose
-    circulant has at most LEVEL_CAP levels: its cost grows with the level
-    count, the list kernel's with n.
+    operations.  It returns only an InstanceSummary (the diameters, V_Dc,
+    the two restricted-path conditions and the V_Dc vertices at chord-only
+    distance D + 1), and only for instances whose circulant has at most
+    LEVEL_CAP levels: its cost grows with the level count, the list
+    kernel's with n.
   * The list route, instance_distances: one level-synchronous BFS kernel
     that walks vertex ids by offset arithmetic, with no neighbors() call,
     and returns the circulant and chord-only vectors from 0, from which the
-    identity gives both GGPG vectors (ggpg_vectors).  Its summary() is the
-    same InstanceSummary.  ggpg_tree runs the same kernel over the GGPG
-    graph, with BFS parents, for witness paths.
+    identity gives both GGPG vectors (ggpg_vectors).  Its summary() reads
+    the same sets off the vectors for _summarize.  ggpg_tree runs the same
+    kernel over the GGPG graph, with BFS parents, for witness paths.
   * The oracle route, bfs over a graph's neighbors(), with the diameter
     helpers on top of it.  It never uses the identity: tests and --paranoid
     check the list kernel and the identity's vectors against it element by
@@ -256,13 +261,15 @@ def tree_path(parent: list, dst: int) -> list[int]:
 
 @dataclass(frozen=True)
 class InstanceSummary:
-    """The facts behind a verify_instance row's verdicts, from either route.
+    """The facts behind a verify_instance row's verdicts, from either route
+    (both build it with _summarize).
 
     d_circ = D(C_n(1, chords)) = ecc(0); ecc_u0 / ecc_v0 are the GGPG
-    eccentricities of u_0 and v_0, read by the spoke identity (_spoke_ecc);
-    v_dc lists the vertices at distance d_circ from 0, ascending.
-    cond_outer: min(i, n - i) = d_circ for every i in v_dc; cond_inner:
-    every i in v_dc has chord-only distance d_circ.
+    eccentricities of u_0 and v_0, read by the spoke identity; v_dc lists
+    the vertices at distance d_circ from 0, ascending.  cond_outer:
+    min(i, n - i) = d_circ for every i in v_dc; cond_inner: every i in v_dc
+    has chord-only distance d_circ.  near: the n-bit set of the i in v_dc
+    whose chord-only distance is d_circ + 1.
     """
 
     d_circ: int
@@ -271,22 +278,36 @@ class InstanceSummary:
     v_dc: tuple
     cond_outer: bool
     cond_inner: bool
+    near: int
 
     @property
     def d_ggpg(self) -> int:
         return max(self.ecc_u0, self.ecc_v0)
 
 
-def _spoke_ecc(d: int, far) -> int:
-    """ecc(u_0) (or ecc(v_0)) by the spoke identity: d + 2 if some i in V_Dc
-    has ring-only (chord-only) distance above d + 1 (far), else d + 1.
+def _summarize(n: int, d: int, vdc: int, near: int, far: int) -> InstanceSummary:
+    """The one verdict rule: the InstanceSummary of a row whose circulant has
+    diameter d, from n-bit sets of V_Dc and of the vertices whose chord-only
+    distance is d + 1 (near) or above it (far); only their V_Dc bits count.
 
-    By the identity, d_p(u_0, v_i) = d_c(0, i) + 1 and d_p(u_0, u_i) =
+    By the spoke identity, d_p(u_0, v_i) = d_c(0, i) + 1 and d_p(u_0, u_i) =
     min(ring(i), d_c(0, i) + 2), which for i outside V_Dc are at most d + 1
-    and for i in V_Dc are d + 1 and min(ring(i), d + 2) >= d.  Likewise for
-    v_0 with chord(i).
+    and for i in V_Dc are d + 1 and min(ring(i), d + 2) >= d.  So ecc(u_0)
+    is d + 2 if some i in V_Dc has ring(i) > d + 1, else d + 1; likewise
+    ecc(v_0) with chord(i).  Both conditions ask for ring(i) = chord(i) = d
+    on V_Dc, where both are at least d.
     """
-    return d + 2 if far else d + 1
+    ring_near = (1 << (d + 2)) - 1 | ((1 << (d + 1)) - 1) << (n - d - 1)
+    d_bits = (1 << d) | (1 << (n - d))
+    return InstanceSummary(
+        d_circ=d,
+        ecc_u0=d + 2 if vdc & ~ring_near else d + 1,
+        ecc_v0=d + 2 if vdc & far else d + 1,
+        v_dc=_bit_positions(vdc),
+        cond_outer=vdc & d_bits == vdc,
+        cond_inner=not vdc & (near | far),
+        near=vdc & near,
+    )
 
 
 @dataclass(frozen=True)
@@ -312,20 +333,14 @@ class InstanceDistances:
         return ring + spoke, spoke + chord
 
     def summary(self) -> InstanceSummary:
-        """The list route's InstanceSummary, read off the two vectors."""
-        dc0, n = self.circ, len(self.circ)
-        d = max(dc0)
-        vdc = tuple(i for i, di in enumerate(dc0) if di == d)
-        ring = [min(i, n - i) for i in vdc]
-        chord = [self.chord_only[i] for i in vdc]
-        return InstanceSummary(
-            d_circ=d,
-            ecc_u0=_spoke_ecc(d, max(ring) > d + 1),
-            ecc_v0=_spoke_ecc(d, max(chord) > d + 1),
-            v_dc=vdc,
-            cond_outer=all(r == d for r in ring),
-            cond_inner=all(c == d for c in chord),
-        )
+        """The list route's InstanceSummary: V_Dc and its vertices with
+        chord-only distance d + 1 and above, as sets for _summarize."""
+        d, chord = max(self.circ), self.chord_only
+        vdc = [i for i, di in enumerate(self.circ) if di == d]
+        sets = (vdc, [i for i in vdc if chord[i] == d + 1],
+                [i for i in vdc if chord[i] > d + 1])
+        return _summarize(len(self.circ), d,
+                          *(sum(1 << i for i in part) for part in sets))
 
 
 def instance_distances(g: CirculantGraph) -> InstanceDistances:
@@ -352,15 +367,14 @@ def ggpg_tree(g: CirculantGraph, src: int) -> tuple[list, list]:
 # Largest circulant eccentricity level_set_summary takes on; rows with more
 # levels go to the list kernel.  A level costs a few shifts of whole n-bit
 # ints, the list kernel a fixed cost per vertex, so the crossover grows with
-# n.  Measured on C_n(1, s) rows (Python 3.11, a shared 2-core x86 machine,
-# min of 25 runs at n = 2 000 and of 5 at n = 100 000, two runs), level
-# sets over the list kernel's summary took 0.31x-0.33x at 202 levels,
-# 0.40x-0.46x at 334 and 0.65x-0.68x at 500 (the most C_2000(1, s) has) for
-# n = 2 000, and 0.28x at 549, 0.45x-0.46x at 853, 0.88x-0.93x at 1 269 and
-# 1.61x-1.71x at 2 509 for n = 100 000.  So 200 levels is on the winning
-# side at every n.  Those figures predate the loop's two-search form (the
-# GGPG searches then ran in it too); a row over the cap costs the loop
-# LEVEL_CAP levels before it gives up.
+# n.  Level sets over the list kernel's summary on C_n(1, s) rows and one
+# C_n(1, s, t) row (Python 3.11.7, a shared 2-core x86 machine, min of 25
+# runs at n = 2 000 and of 7 at n = 100 000, alternated, two runs) took
+# 0.18x at 100 levels, 0.32x-0.48x at 200-334 and 0.85x-0.92x at 500 (the
+# most C_2000(1, s) has) for n = 2 000, and 0.14x at 129, 0.18x-0.23x at
+# 244, 0.55x-0.60x at 549, 0.78x-0.94x at 853 and 1.38x-1.41x at 1 269 for
+# n = 100 000.  So 200 levels is on the winning side at every n; a row over
+# the cap costs the loop LEVEL_CAP levels before it gives up.
 LEVEL_CAP = 200
 
 
@@ -387,10 +401,8 @@ def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
 
     One loop advances two n-bit level sets a level per pass: the circulant
     from 0 and the chord-only ring from 0, which runs one level further, to
-    d_circ + 1.  Then V_Dc is the circulant's last level, and the GGPG
-    eccentricities follow by the spoke identity (_spoke_ecc): some i in
-    V_Dc lies more than d_circ + 1 ring steps from 0, or outside the chord
-    ring's ball of radius d_circ + 1.
+    d_circ + 1.  Then V_Dc is the circulant's last level, and the chord
+    ring's level d_circ + 1 and unreached set are _summarize's near and far.
     """
     if g.gens[0] != 1:
         raise ValueError(f"level sets need generator 1 in S, got {g.label()}")
@@ -417,13 +429,4 @@ def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
         circ &= cu
         cu ^= circ
     # circ = V_Dc; chord and chu: the chord ring's level d + 1 and the rest
-    ring_near = (1 << (d + 2)) - 1 | mask >> (n - d - 1) << (n - d - 1)
-    d_bits = (1 << d) | (1 << (n - d))
-    return InstanceSummary(
-        d_circ=d,
-        ecc_u0=_spoke_ecc(d, circ & ~ring_near),
-        ecc_v0=_spoke_ecc(d, circ & chu),
-        v_dc=_bit_positions(circ),
-        cond_outer=circ & d_bits == circ,
-        cond_inner=not circ & (chord | chu),
-    )
+    return _summarize(n, d, circ, chord, chu)

@@ -13,14 +13,14 @@ Four statements get machine-checked on concrete (n, chords) instances:
 verify_instance takes its verdicts from one metrics.InstanceSummary: the
 diameters, V_Dc and the two restricted-path conditions.  Two routes
 produce it.  metrics.level_set_summary (n-bit level sets) serves every
-instance whose circulant has at most metrics.LEVEL_CAP levels;
-metrics.instance_distances (the offset-arithmetic list kernel) serves the
-rest, and also every gap-1 row, whose thm43 witness lists chord-only
-distances, so a row's bytes never depend on the route.  Both routes read
-the GGPG side off the circulant and chord-only searches by the spoke
-identity (see metrics), so on this path the thm41 and thm42 columns follow
-from that identity, not from an independent search; a gap-1 row runs one
-GGPG search, with BFS parents, for its diametral path.  What checks them
+instance whose circulant has at most metrics.LEVEL_CAP levels, the thm43
+witnesses of gap-1 rows included; metrics.instance_distances (the
+offset-arithmetic list kernel) serves the rest.  Both routes read the GGPG
+side off the circulant and chord-only searches by the spoke identity
+through one rule (metrics._summarize), so a row's bytes never depend on
+the route, and on this path the thm41 and thm42 columns follow from that
+identity, not from an independent search; a gap-1 row runs one GGPG
+search, with BFS parents, for its diametral path.  What checks them
 independently: check_thm41 to check_thm44, which recompute their statement
 from list BFS alone, and --paranoid (paranoid=True), which runs both
 routes and raises unless their summaries agree, cross-checks the list
@@ -316,15 +316,6 @@ def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts) -> None:
             f"summary {(facts.ecc_u0, facts.ecc_v0)}, list BFS {ecc}")
 
 
-def _needs_list_route(facts) -> bool:
-    """Whether a row needs the distance vectors: a gap-1 row, whose conj45
-    witness needs the GGPG graph and whose thm43 witness, if any, lists
-    chord-only distances.  No other row has a thm43 witness: both
-    conditions give ring(i) = chord(i) = d_circ on V_Dc, so gap 1 by the
-    spoke identity."""
-    return facts.d_ggpg - facts.d_circ == 1
-
-
 def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationReport:
     """Build C_n(1, chords) and its GGPG partner, run every check, and
     return the report row.  Never raises on findings; see enforce_proven
@@ -334,12 +325,12 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     route's when the circulant has at most LEVEL_CAP levels, else the list
     kernel's.  Both read the GGPG diameter off the circulant by the spoke
     identity, so 4.1 and 4.2 hold on this path by that identity, not by an
-    independent search.  Rows that need a witness, and every row under
-    paranoid, also run the list kernel; a gap-1 row runs one GGPG search,
-    with parents, for its diametral path.  Paranoid requires the two
-    summaries to agree, cross-checks the kernel and the identity against
-    list BFS, and checks the sandwich and both diameter shortcuts with
-    check_thm41 over all pairs."""
+    independent search.  Every row under paranoid also runs the list
+    kernel; a gap-1 row runs one GGPG search, with parents, for its
+    diametral path.  Paranoid requires the two summaries to agree,
+    cross-checks the kernel and the identity against list BFS, and checks
+    the sandwich and both diameter shortcuts with check_thm41 over all
+    pairs."""
     chords = tuple(chords)
     gc = build_circulant(n, (1,) + chords)
     if not chords:
@@ -347,7 +338,7 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
 
     level = facts = level_set_summary(gc)
     dist = None
-    if level is None or paranoid or _needs_list_route(level):
+    if level is None or paranoid:
         dist = instance_distances(gc)
         facts = dist.summary()
     d_circ, d_ggpg = facts.d_circ, facts.d_ggpg
@@ -383,13 +374,16 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     if not t43_ok:
         anomalies.append(
             f"thm43: predicted_gap_is_1={str(predicted).lower()} but gap={gap}")
+        # only a gap-1 row has a thm43 witness (both conditions give gap 1
+        # by the spoke identity), and by the exact gap-1 rule each i in V_Dc
+        # then has chord(i) = d_circ, or d_circ + 1 where facts.near says so
         witnesses["thm43"] = {
             "predicted_gap_is_1": predicted,
             "gap": gap,
             "extremal": [
                 {"i": i,
                  "outer_only": outer_only_distance(gc, i),
-                 "inner_only": format_distance(dist.chord_only[i]),
+                 "inner_only": format_distance(d_circ + (facts.near >> i & 1)),
                  "diameter": d_circ}
                 for i in vdc
             ],

@@ -97,6 +97,22 @@ def test_parameter_errors_exit_2(args):
     assert r.stderr != ""
 
 
+@pytest.mark.parametrize("args", [
+    ("verify", "--n", "7", "--gens", "1,2", "--out", "{bad}"),
+    ("sweep", "--n", "5..8", "--m", "2", "--out", "{bad}"),
+    ("sweep", "--n", "5..8", "--m", "2", "--out", "{ok}",
+     "--counterexamples-out", "{bad}"),
+    ("diameter", "--n", "7", "--gens", "1,2", "--out", "{bad}"),
+    ("export", "--n", "7", "--gens", "1,2", "--out", "{bad}"),
+])
+def test_unwritable_output_path_exits_2(tmp_path, args):
+    bad = str(tmp_path / "missing" / "x.csv")
+    r = run_cli(*(a.format(bad=bad, ok=tmp_path / "ok.csv") for a in args))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and bad in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def strict_json(text):
     """json.loads rejecting the non-standard NaN/Infinity literals it
     otherwise accepts."""

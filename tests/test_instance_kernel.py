@@ -20,7 +20,13 @@ from loopnet import (
 )
 from loopnet import graph_core, metrics, theorem_lab
 from loopnet.graph_core import max_generator
-from loopnet.metrics import _ggpg_offsets, _ring_offsets, ggpg_tree, instance_distances
+from loopnet.metrics import (
+    _ggpg_offsets,
+    _ring_offsets,
+    ggpg_tree,
+    instance_distances,
+    level_set_summary,
+)
 from loopnet.theorem_lab import plan_sweep
 
 
@@ -148,8 +154,12 @@ def test_verify_instance_makes_no_neighbors_or_bfs_call(monkeypatch):
     (20, (4, 8), False, 0),    # gap 2, level sets
     (20, (4, 8), True, 0),
     (1000, (2,), False, 0),    # gap 2, over the cap
+    (7, (3,), False, 1),       # gap 1, thm43-inconsistent: level sets give its witness
 ])
 def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, searches):
+    # the list kernel (two n-vertex searches) runs only over the cap or
+    # under paranoid; the GGPG search (2n vertices) only on a gap-1 row
+    over = level_set_summary(build_circulant(n, (1,) + chords)) is None
     sizes = []
     real = metrics._level_bfs
 
@@ -160,8 +170,7 @@ def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, se
     monkeypatch.setattr(metrics, "_level_bfs", counting)
     r = verify_instance(n, chords, paranoid=paranoid)
     assert (r.gap == 1) == (searches == 1)
-    assert sizes.count(2 * n) == searches
-    assert set(sizes) <= {n, 2 * n}
+    assert sizes == [n, n] * (over or paranoid) + [2 * n] * searches
 
 
 def test_paranoid_cross_check_catches_a_wrong_kernel_vector(monkeypatch):

@@ -27,12 +27,18 @@ from loopnet import (
     expand,
     extremal_vertices,
     inner_only_distances,
+    outer_only_distance,
     verify_instance,
 )
 from loopnet import metrics, theorem_lab
 from loopnet.graph_core import max_generator
-from loopnet.metrics import LEVEL_CAP, instance_distances, level_set_summary
-from loopnet.theorem_lab import _needs_list_route, plan_sweep, run_instances
+from loopnet.metrics import (
+    LEVEL_CAP,
+    format_distance,
+    instance_distances,
+    level_set_summary,
+)
+from loopnet.theorem_lab import plan_sweep, run_instances
 
 SHIPPED_GRID = Path(__file__).resolve().parent.parent / "artifacts" / "sweep_5_60_m23.csv"
 
@@ -64,6 +70,10 @@ def test_level_set_summary_matches_list_route_and_oracles(data):
     assert list(listed.v_dc) == extremal_vertices(g)
     assert (listed.cond_outer, listed.cond_inner) == (t43.cond_outer, t43.cond_inner)
     assert t44.any_condition_fires == (not (listed.cond_outer and listed.cond_inner))
+    chord = inner_only_distances(g)
+    near = sum(1 << i for i in listed.v_dc if chord[i] == listed.d_circ + 1)
+    for facts in filter(None, (fast, listed)):
+        assert facts.near == near
     # the spoke identity's eccentricities, and the sandwich that follows from it
     assert (listed.ecc_u0, listed.ecc_v0) == (max(bfs(h, h.outer(0)).dist),
                                               max(bfs(h, h.inner(0)).dist))
@@ -93,7 +103,13 @@ def test_paranoid_catches_a_doctored_spoke_identity(monkeypatch):
 
 def test_paranoid_catches_a_wrong_eccentricity_rule(monkeypatch):
     # both routes share the rule, so only the list-BFS eccentricities disagree
-    monkeypatch.setattr(metrics, "_spoke_ecc", lambda d, far: d + 1)
+    real = metrics._summarize
+
+    def never_far(n, d, vdc, near, far):
+        facts = real(n, d, vdc, near, far)
+        return dataclasses.replace(facts, ecc_u0=d + 1, ecc_v0=d + 1)
+
+    monkeypatch.setattr(metrics, "_summarize", never_far)
     assert verify_instance(20, (4, 8)).gap == 1  # trusted when not paranoid
     with pytest.raises(RuntimeError, match=r"C20.* ggpg eccentricities of \(u0, v0\): "
                                            r"summary \(4, 4\), list BFS \(5, 5\)"):
@@ -163,11 +179,27 @@ def test_exact_gap1_rule_on_the_grid():
     assert missed == inconsistent
 
 
+def test_thm43_witnesses_on_the_grid_match_the_oracles():
+    # level sets give every witness within the cap: chord(i) is D or D + 1
+    # on V_Dc of a gap-1 row, and the summary's near set tells which
+    seen = 0
+    for n, chords in plan_sweep(range(5, 61), [2, 3]):
+        row = verify_instance(n, chords)
+        if "thm43" in row.witnesses:
+            g = build_circulant(n, (1,) + chords)
+            chord = inner_only_distances(g)
+            assert row.witnesses["thm43"]["extremal"] == [
+                {"i": i, "outer_only": outer_only_distance(g, i),
+                 "inner_only": format_distance(chord[i]), "diameter": row.d_circ}
+                for i in row.extremal_set], (n, chords)
+            seen += 1
+    assert seen == 70
+
+
 def test_level_set_rows_build_no_ggpg_graph(monkeypatch):
     from loopnet import graph_core, transforms
 
     want = verify_instance(20, (4, 8))
-    assert not _needs_list_route(level_set_summary(build_circulant(20, (1, 4, 8))))
     for mod, name in ((theorem_lab, "expand"), (transforms, "build_ggpg"),
                       (graph_core, "build_ggpg")):
         monkeypatch.setattr(mod, name, refuse)
@@ -224,7 +256,7 @@ def test_cap_sides_on_the_gap1_family(monkeypatch, k, over):
 @pytest.mark.parametrize("n,chords", [(12, (5,)), (40, (8, 19)), (7, (2,)), (20, (4, 8)),
                                       (9, (2,)), (5, (2,)), (7, (3,))])
 def test_few_level_rows_equal_the_list_route(monkeypatch, n, chords):
-    # gap-1 rows (level-set verdicts, list witness), thm43 inconsistencies
+    # gap-1 rows (level-set verdicts and thm43 witness), thm43 inconsistencies
     # (C5(1,2), C7(1,2), C7(1,3)), a plain gap-2 row and a V_Dc tie
     # (C9(1,2): V_Dc = {3, 4, 5, 6})
     g = build_circulant(n, (1,) + chords)
