@@ -39,6 +39,7 @@ from .metrics import (
     format_distance,
     inner_only_distances,
     instance_distances,
+    lattice_summary,
     level_set_summary,
     outer_only_distance,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "format_distance",
     "inner_only_distances",
     "instance_distances",
+    "lattice_summary",
     "level_set_summary",
     "lift_path",
     "outer_only_distance",

@@ -2,7 +2,10 @@
 conjecture sweeps, and DOT export.
 
 verify and sweep share one runner, _run_checked, which writes no report
-byte until every row has passed theorem_lab.enforce_proven.
+byte until every row has passed theorem_lab.enforce_proven.  Both create
+an empty temporary sibling of every file they write before the first row
+runs, so an unwritable path fails at once, and move each into place only
+at the end: a run that exits 2 or 3 leaves none of its files behind.
 
 Exit codes: 0 clean, 2 parameter error or unwritable output path, 3
 proved-statement violation (witness on stderr), 4 findings present
@@ -16,6 +19,7 @@ header; determinism is independent of both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -279,12 +283,39 @@ def _write_reports(reports, path, fmt: str, flags: str, seed: int) -> None:
             write(reports, fh, head)
 
 
-def _run_checked(instances, args, flags: str) -> list:
-    """Report rows for every instance, written to --out (or stdout) only
-    once every row has passed enforce_proven."""
+@contextlib.contextmanager
+def _staged(paths):
+    """Map each output path to an empty temporary sibling, all created on
+    entry; on a normal exit move each into place, on an exception delete
+    them all."""
+    staged = {}
+    try:
+        for path in paths:
+            if not os.path.basename(path) or os.path.isdir(path):
+                raise IsADirectoryError(f"cannot write {path!r}: not a file path")
+            if path not in staged:
+                tmp = f"{path}.{os.getpid()}.tmp"
+                try:
+                    open(tmp, "x").close()
+                except OSError as exc:
+                    raise OSError(f"cannot write {path}: {exc.strerror}") from exc
+                staged[path] = tmp
+        yield staged
+    except BaseException:
+        for tmp in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
+    for path, tmp in staged.items():
+        os.replace(tmp, path)
+
+
+def _run_checked(instances, args, flags: str, out) -> list:
+    """Report rows for every instance, written to out (a path, or None for
+    stdout) only once every row has passed enforce_proven."""
     reports = [enforce_proven(r) for r in
                run_instances(instances, paranoid=args.paranoid, jobs=args.jobs)]
-    _write_reports(reports, args.out, args.format, flags, args.seed)
+    _write_reports(reports, out, args.format, flags, args.seed)
     return reports
 
 
@@ -292,22 +323,24 @@ def cmd_verify(args) -> int:
     theorems = _parse_theorems(args.theorems)
     instances, spec = _verify_plan(args)
     flags = _flags(args, f"{spec} --theorems {','.join(theorems)}")
-    reports = _run_checked(instances, args, flags)
+    found = args.out and _sibling(args.out, "findings", ".json")
+    with _staged([] if args.out is None else [args.out, found]) as staged:
+        reports = _run_checked(instances, args, flags, staged.get(args.out))
 
-    wanted = {_THEOREM_TAGS[t] for t in theorems}
-    findings = []
-    for r in reports:
-        for note in r.anomalies:
-            tag = note.split(":", 1)[0]
-            if tag in wanted:
-                findings.append({"n": r.n, "gens": list(r.gens),
-                                 "anomaly": note,
-                                 "witness": r.witnesses.get(tag)})
-    if args.out:
-        payload = {"header": _header_meta(flags, args.seed), "findings": findings}
-        _write_text(_sibling(args.out, "findings", ".json"),
-                    json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-                    + "\n")
+        wanted = {_THEOREM_TAGS[t] for t in theorems}
+        findings = []
+        for r in reports:
+            for note in r.anomalies:
+                tag = note.split(":", 1)[0]
+                if tag in wanted:
+                    findings.append({"n": r.n, "gens": list(r.gens),
+                                     "anomaly": note,
+                                     "witness": r.witnesses.get(tag)})
+        if args.out:
+            payload = {"header": _header_meta(flags, args.seed), "findings": findings}
+            _write_text(staged[found],
+                        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+                        + "\n")
     if findings:
         print(f"findings: {len(findings)} (see "
               f"{'findings file' if args.out else 'report anomalies column'})",
@@ -322,15 +355,18 @@ def cmd_sweep(args) -> int:
     instances, spec = _grid_plan(args)
     flags = _flags(args, f"{spec} --sample-cap {args.sample_cap} "
                          f"--sample-size {args.sample_size}")
-    reports = _run_checked(instances, args, flags)
+    cx_path = args.out and (args.counterexamples_out
+                            or _sibling(args.out, "counterexamples"))
+    with _staged([] if args.out is None else [args.out, cx_path]) as staged:
+        reports = _run_checked(instances, args, flags, staged.get(args.out))
+        counterexamples = [r for r in reports if r.gap == 1]
+        if args.out:
+            _write_reports(counterexamples, staged[cx_path], args.format,
+                           flags + " [counterexamples]", args.seed)
 
-    counterexamples = [r for r in reports if r.gap == 1]
     dist = gap_distribution(reports)
     dist_text = " ".join(f"{g}:{c}" for g, c in dist.items()) or "none"
     if args.out:
-        cx_path = args.counterexamples_out or _sibling(args.out, "counterexamples")
-        _write_reports(counterexamples, cx_path, args.format,
-                       flags + " [counterexamples]", args.seed)
         print(f"rows {len(reports)}")
         print(f"gap distribution {dist_text}")
         print(f"counterexamples {len(counterexamples)} -> {cx_path}")

@@ -24,26 +24,55 @@ So every verdict fact of a row depends only on D, V_Dc and the class of
 chord(i) on V_Dc: = D, = D + 1 or > D + 1.  _summarize is that rule, the
 one place that turns those sets into an InstanceSummary.
 
-Three routes compute the same facts; the first two apply the identity.
+Four routes compute the same facts; the first three apply the identity.
 
-  * The level-set route, level_set_summary: every BFS level is an n-bit
-    int and a step +-s is a rotation, so one loop advances the circulant
-    from 0 and the chord-only ring a whole level per handful of big-int
-    operations.  It returns only an InstanceSummary (the diameters, V_Dc,
-    the two restricted-path conditions and the V_Dc vertices at chord-only
-    distance D + 1), and only for instances whose circulant has at most
-    LEVEL_CAP levels: its cost grows with the level count, the list
-    kernel's with n.
+  * The lattice route, lattice_summary, serves double loops C_n(1, s), the
+    m = 2 rows, with no BFS (the plane-tessellation view of Yebra, Fiol,
+    Morillo and Alegre, and of Boesch and Wang).  d_c(0, x) is the least
+    |a| + |b| over the pairs with a + b s = x (mod n), so two pairs for one
+    x differ by a vector of the lattice L = {(a, b) : a + b s = 0 mod n}.
+    Gauss-reduce its basis (n, 0), (-s, 1) and take, of w1, w2 and
+    w1 +- w2, the vector w = (alpha, beta) with the least
+    max(|alpha|, |beta|); that was the max-norm shortest vector of L on
+    every n < 1 500 checked, at most sqrt(n) by Minkowski.
+    Dominance: if |alpha| <= |beta|, every x has a shortest pair with
+    |b| < |beta|, since subtracting +-w from a pair with |b| >= |beta|
+    lowers |b| by |beta| and raises |a| by at most |alpha|; otherwise,
+    likewise, one with |a| < |alpha|.  In the first case (the b-form)
+    d_c(0, x) = min over |b| < |beta| of |b| + ring(x - b s): the lower
+    envelope on Z_n of slope-1 tents centred at b s with height |b|.  In
+    the second (the a-form) let g = gcd(n, s), N = n / g and
+    t = (s / g)^-1 mod N: a pair for x has a = x (mod g), and for each
+    class r mod g the k with |r + g k| < |alpha| put a tent on Z_N at k t
+    with height |r + g k|; the point z of Z_N is x = r + g (z s / g mod N).
+    The envelope: sort the tents and relax each height to
+    min(h_j, h_i + gap) around the cycle, two laps each way, so each
+    centre holds the envelope's value; between neighbouring centres with
+    gap G it then peaks at (h_j + h_{j+1} + G) // 2, at one point, or two
+    when h_{j+1} + G - h_j is odd.  D is the largest peak and V_Dc every
+    point that reaches it, and chord(i) is INF unless g | i, else
+    min(k, N - k) for k = (i / g) t mod N.  O(sqrt(n) log n) operations
+    besides the n-bit sets _summarize reads.
+  * The level-set route, level_set_summary, serves the m >= 3 rows: every
+    BFS level is an n-bit int and a step +-s is a rotation, so one loop
+    advances the circulant from 0 and the chord-only ring a whole level
+    per handful of big-int operations.  It returns only an InstanceSummary
+    (the diameters, V_Dc, the two restricted-path conditions and the V_Dc
+    vertices at chord-only distance D + 1), and only for instances whose
+    circulant has at most LEVEL_CAP levels: its cost grows with the level
+    count, the list kernel's with n.
   * The list route, instance_distances: one level-synchronous BFS kernel
     that walks vertex ids by offset arithmetic, with no neighbors() call,
     and returns the circulant and chord-only vectors from 0, from which the
     identity gives both GGPG vectors (ggpg_vectors).  Its summary() reads
-    the same sets off the vectors for _summarize.  ggpg_tree runs the same
-    kernel over the GGPG graph, with BFS parents, for witness paths.
+    the same sets off the vectors for _summarize.  It serves the m >= 3
+    rows over the cap, and is the oracle both faster routes are checked
+    against under --paranoid.  ggpg_tree runs the same kernel over the
+    GGPG graph, with BFS parents, for witness paths.
   * The oracle route, bfs over a graph's neighbors(), with the diameter
     helpers on top of it.  It never uses the identity: tests and --paranoid
     check the list kernel and the identity's vectors against it element by
-    element, and the two summaries against each other.
+    element, and the fast route's summary against the list kernel's.
 
 Diameters use symmetry shortcuts by default: a circulant looks the same
 from every vertex (rotation i -> i+1 is an automorphism), so one BFS from 0
@@ -261,8 +290,8 @@ def tree_path(parent: list, dst: int) -> list[int]:
 
 @dataclass(frozen=True)
 class InstanceSummary:
-    """The facts behind a verify_instance row's verdicts, from either route
-    (both build it with _summarize).
+    """The facts behind a verify_instance row's verdicts, from any of the
+    lattice, level-set and list routes (all build it with _summarize).
 
     d_circ = D(C_n(1, chords)) = ecc(0); ecc_u0 / ecc_v0 are the GGPG
     eccentricities of u_0 and v_0, read by the spoke identity; v_dc lists
@@ -364,17 +393,19 @@ def ggpg_tree(g: CirculantGraph, src: int) -> tuple[list, list]:
 
 # --- the level-set route ---
 
-# Largest circulant eccentricity level_set_summary takes on; rows with more
-# levels go to the list kernel.  A level costs a few shifts of whole n-bit
-# ints, the list kernel a fixed cost per vertex, so the crossover grows with
-# n.  Level sets over the list kernel's summary on C_n(1, s) rows and one
-# C_n(1, s, t) row (Python 3.11.7, a shared 2-core x86 machine, min of 25
-# runs at n = 2 000 and of 7 at n = 100 000, alternated, two runs) took
-# 0.18x at 100 levels, 0.32x-0.48x at 200-334 and 0.85x-0.92x at 500 (the
-# most C_2000(1, s) has) for n = 2 000, and 0.14x at 129, 0.18x-0.23x at
-# 244, 0.55x-0.60x at 549, 0.78x-0.94x at 853 and 1.38x-1.41x at 1 269 for
-# n = 100 000.  So 200 levels is on the winning side at every n; a row over
-# the cap costs the loop LEVEL_CAP levels before it gives up.
+# Largest circulant eccentricity level_set_summary takes on; m >= 3 rows
+# with more levels go to the list kernel (m = 2 rows take the lattice
+# route at every n, so the cap governs only m >= 3 rows).  A level costs a
+# few shifts of whole n-bit ints, the list kernel a fixed cost per vertex,
+# so the crossover grows with n.  Level sets over the list kernel's summary
+# on C_n(1, s) rows and one C_n(1, s, t) row (Python 3.11.7, a shared
+# 2-core x86 machine, min of 25 runs at n = 2 000 and of 7 at n = 100 000,
+# alternated, two runs) took 0.18x at 100 levels, 0.32x-0.48x at 200-334
+# and 0.85x-0.92x at 500 (the most C_2000(1, s) has) for n = 2 000, and
+# 0.14x at 129, 0.18x-0.23x at 244, 0.55x-0.60x at 549, 0.78x-0.94x at 853
+# and 1.38x-1.41x at 1 269 for n = 100 000.  So 200 levels is on the
+# winning side at every n; a row over the cap costs the loop LEVEL_CAP
+# levels before it gives up.
 LEVEL_CAP = 200
 
 
@@ -430,3 +461,118 @@ def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
         cu ^= circ
     # circ = V_Dc; chord and chu: the chord ring's level d + 1 and the rest
     return _summarize(n, d, circ, chord, chu)
+
+
+# --- the lattice route ---
+
+def _envelope(m: int, keys: list, k: int) -> tuple[int, list]:
+    """The peak and the peak points of the lower envelope, on Z_m, of the
+    slope-1 tents given as keys centre * k + height (0 <= height < k).
+
+    After two relaxation laps each way every centre holds the envelope's
+    value there (tents with one centre need no merging: the zero gap
+    between them relaxes the higher to the lower).  Between neighbouring
+    centres with gap G and heights h, h' the envelope then peaks at
+    (h + h' + G) // 2, at one point, or two when h' + G - h is odd.
+    """
+    keys.sort()
+    cs = [key // k for key in keys]
+    hs = [key % k for key in keys]
+    gaps = [b - a for a, b in zip(cs, cs[1:])]
+    gaps.append(cs[0] + m - cs[-1])  # gaps[j]: from centre j to centre j + 1
+    t = len(cs)
+    # index j and j - t name the same centre, so each loop runs two laps
+    h, into = hs[-1], gaps[-1:] + gaps[:-1]
+    for j in range(-t, t):
+        h += into[j]
+        if h < hs[j]:
+            hs[j] = h
+        else:
+            h = hs[j]
+    h = hs[0]
+    for j in range(t - 1, -t - 1, -1):
+        h += gaps[j]
+        if h < hs[j]:
+            hs[j] = h
+        else:
+            h = hs[j]
+    nxt = hs[1:] + hs[:1]
+    tops = [a + b + gap for a, b, gap in zip(hs, nxt, gaps)]
+    top = max(tops) >> 1
+    points = []
+    for j, x in enumerate(tops):
+        if x >> 1 == top:
+            rise = nxt[j] + gaps[j] - hs[j]
+            x = cs[j] + (rise >> 1)
+            points.append(x % m)
+            if rise & 1:
+                points.append((x + 1) % m)
+    return top, points
+
+
+def lattice_summary(g: CirculantGraph) -> InstanceSummary:
+    """The InstanceSummary of the double loop C_n(1, s) by integer
+    arithmetic on its lattice, with no BFS: O(sqrt(n) log n) operations
+    besides the n-bit sets _summarize reads.
+
+    A short vector (alpha, beta) of L = {(a, b) : a + b s = 0 mod n} bounds
+    one coordinate of some shortest representation of every x, so d_c(0, x)
+    is the lower envelope of O(sqrt(n)) tents (see the module docstring).
+    """
+    if len(g.gens) != 2 or g.gens[0] != 1:
+        raise ValueError(f"the lattice route needs C_n(1, s), got {g.label()}")
+    n, s = g.n, g.gens[1]
+    # Gauss-reduce the basis (-s, 1), (n, 0) of L
+    a1, b1, a2, b2 = -s, 1, n, 0
+    n1 = s * s + 1
+    while True:
+        q = (2 * (a1 * a2 + b1 * b2) + n1) // (2 * n1)
+        a2 -= q * a1
+        b2 -= q * b1
+        n2 = a2 * a2 + b2 * b2
+        if n2 >= n1:
+            break
+        a1, b1, a2, b2, n1 = a2, b2, a1, b1, n2
+    # of w1, w2 and w1 +- w2, the least max(|alpha|, |beta|): at most sqrt(n)
+    alpha, beta = abs(a1), abs(b1)
+    for a, b in ((a2, b2), (a1 + a2, b1 + b2), (a1 - a2, b1 - b2)):
+        a, b = abs(a), abs(b)
+        if max(a, b) < max(alpha, beta):
+            alpha, beta = a, b
+    div = math.gcd(n, s)
+    cyc, step = n // div, s // div
+    inv = pow(step, -1, cyc)
+    if alpha <= beta:
+        # b-form: some shortest (a, b) has |b| < beta; a tent at b s, height |b|
+        keys = [b * s % n * beta + b for b in range(beta)]
+        keys += [-b * s % n * beta + b for b in range(1, beta)]
+        d, points = _envelope(n, keys, beta)
+    else:
+        # a-form: some shortest (a, b) has |a| < alpha.  For x = r mod div,
+        # a = r + div k; on Z_cyc, x sits at z = (x - r) / div * inv and
+        # min |b| is the distance from z to k inv
+        d, points = -1, []
+        for r in range(div):
+            keys = [k * inv % cyc * alpha + abs(r + div * k)
+                    for k in range(-((alpha + r - 1) // div),
+                                   (alpha - 1 - r) // div + 1)]
+            top, peaks = _envelope(cyc, keys, alpha)
+            if top >= d:
+                if top > d:
+                    d, points = top, []
+                points += [r + div * (z * step % cyc) for z in peaks]
+    # chord(x) is INF unless div | x, else min(k, cyc - k) for k = x / div * inv
+    vdc = near = far = 0
+    for x in points:
+        bit = 1 << x
+        vdc |= bit
+        if x % div:
+            far |= bit
+            continue
+        k = x // div * inv % cyc
+        chord = min(k, cyc - k)
+        if chord == d + 1:
+            near |= bit
+        elif chord > d + 1:
+            far |= bit
+    return _summarize(n, d, vdc, near, far)

@@ -11,19 +11,22 @@ Four statements get machine-checked on concrete (n, chords) instances:
     characterization's conditions, which is the form the argument uses).
 
 verify_instance takes its verdicts from one metrics.InstanceSummary: the
-diameters, V_Dc and the two restricted-path conditions.  Two routes
-produce it.  metrics.level_set_summary (n-bit level sets) serves every
-instance whose circulant has at most metrics.LEVEL_CAP levels, the thm43
-witnesses of gap-1 rows included; metrics.instance_distances (the
-offset-arithmetic list kernel) serves the rest.  Both routes read the GGPG
-side off the circulant and chord-only searches by the spoke identity
-through one rule (metrics._summarize), so a row's bytes never depend on
-the route, and on this path the thm41 and thm42 columns follow from that
-identity, not from an independent search; a gap-1 row runs one GGPG
-search, with BFS parents, for its diametral path.  What checks them
-independently: check_thm41 to check_thm44, which recompute their statement
-from list BFS alone, and --paranoid (paranoid=True), which runs both
-routes and raises unless their summaries agree, cross-checks the list
+diameters, V_Dc and the two restricted-path conditions.  Three routes
+produce it, chosen by the generator count m alone.  Every m = 2 row (a
+double loop C_n(1, s)) takes metrics.lattice_summary, integer arithmetic
+on a reduced lattice basis with no BFS, at every n.  An m >= 3 row takes
+metrics.level_set_summary (n-bit level sets) when its circulant has at
+most metrics.LEVEL_CAP levels, else metrics.instance_distances (the
+offset-arithmetic list kernel).  The thm43 witnesses of gap-1 rows come
+from the summary on every route.  All three read the GGPG side off the
+circulant by the spoke identity through one rule (metrics._summarize), so
+a row's bytes never depend on the route, and on this path the thm41 and
+thm42 columns follow from that identity, not from an independent search;
+a gap-1 row runs one GGPG search, with BFS parents, for its diametral
+path.  What checks them independently: check_thm41 to check_thm44, which
+recompute their statement from list BFS alone, and --paranoid
+(paranoid=True), which also runs the list kernel and raises unless its
+summary equals the lattice's or the level sets', cross-checks the list
 kernel and the identity's GGPG vectors against list BFS, and takes the 4.1
 verdict and both diameter shortcuts from check_thm41 over all pairs, on
 every instance.
@@ -53,6 +56,7 @@ from .metrics import (
     ggpg_tree,
     inner_only_distances,
     instance_distances,
+    lattice_summary,
     level_set_summary,
     outer_only_distance,
     tree_path,
@@ -321,24 +325,28 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     return the report row.  Never raises on findings; see enforce_proven
     for the abort tier.
 
-    The verdicts come from one metrics.InstanceSummary: the level-set
-    route's when the circulant has at most LEVEL_CAP levels, else the list
-    kernel's.  Both read the GGPG diameter off the circulant by the spoke
-    identity, so 4.1 and 4.2 hold on this path by that identity, not by an
+    The verdicts come from one metrics.InstanceSummary: the lattice
+    route's for a double loop (one chord), else the level-set route's when
+    the circulant has at most LEVEL_CAP levels, else the list kernel's.
+    Each reads the GGPG diameter off the circulant by the spoke identity,
+    so 4.1 and 4.2 hold on this path by that identity, not by an
     independent search.  Every row under paranoid also runs the list
     kernel; a gap-1 row runs one GGPG search, with parents, for its
-    diametral path.  Paranoid requires the two summaries to agree,
-    cross-checks the kernel and the identity against list BFS, and checks
-    the sandwich and both diameter shortcuts with check_thm41 over all
-    pairs."""
+    diametral path.  Paranoid requires the list kernel's summary to equal
+    the faster route's, cross-checks the kernel and the identity against
+    list BFS, and checks the sandwich and both diameter shortcuts with
+    check_thm41 over all pairs."""
     chords = tuple(chords)
     gc = build_circulant(n, (1,) + chords)
     if not chords:
         expand(gc)  # raises: a GGPG partner needs a chord
 
-    level = facts = level_set_summary(gc)
-    dist = None
-    if level is None or paranoid:
+    if len(chords) == 1:
+        route, fast = "lattice", lattice_summary(gc)
+    else:
+        route, fast = "level sets", level_set_summary(gc)
+    facts, dist = fast, None
+    if fast is None or paranoid:
         dist = instance_distances(gc)
         facts = dist.summary()
     d_circ, d_ggpg = facts.d_circ, facts.d_ggpg
@@ -350,9 +358,9 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
 
     if paranoid:
         _cross_check(gc, gp, dist, facts)
-        if level is not None and level != facts:
+        if fast is not None and fast != facts:
             raise RuntimeError(
-                f"route mismatch on {gc.label()}: level sets {level}, "
+                f"route mismatch on {gc.label()}: {route} {fast}, "
                 f"list kernel {facts}")
         t41 = check_thm41(gc, gp, corr, mode="allpairs")
     else:

@@ -113,6 +113,22 @@ def test_unwritable_output_path_exits_2(tmp_path, args):
     assert "Traceback" not in r.stderr
 
 
+def test_bad_output_path_fails_before_any_row(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row ran before every output path was checked")
+
+    bad = tmp_path / "missing" / "x.csv"
+    argv = ["sweep", "--n", "5..8", "--m", "2", "--out", str(tmp_path / "ok.csv")]
+    with monkeypatch.context() as m:
+        m.setattr(theorem_lab, "verify_instance", refuse)
+        assert cli.main([*argv, "--counterexamples-out", str(bad)]) == 2
+    assert f"cannot write {bad}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no ok.csv, no temporary file
+    assert cli.main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ok.counterexamples.csv", "ok.csv"]
+
+
 def strict_json(text):
     """json.loads rejecting the non-standard NaN/Infinity literals it
     otherwise accepts."""

@@ -148,18 +148,21 @@ def test_verify_instance_makes_no_neighbors_or_bfs_call(monkeypatch):
 
 
 @pytest.mark.parametrize("n,chords,paranoid,searches", [
-    (12, (5,), False, 1),      # gap 1, level sets
+    (12, (5,), False, 1),      # gap 1, lattice
     (12, (5,), True, 1),       # paranoid: the oracles use list BFS instead
-    (804, (401,), False, 1),   # gap 1, over the cap
+    (804, (401,), False, 1),   # gap 1, lattice at any n
     (20, (4, 8), False, 0),    # gap 2, level sets
     (20, (4, 8), True, 0),
-    (1000, (2,), False, 0),    # gap 2, over the cap
-    (7, (3,), False, 1),       # gap 1, thm43-inconsistent: level sets give its witness
+    (1000, (2,), False, 0),    # gap 2, lattice at any n
+    (7, (3,), False, 1),       # gap 1, thm43-inconsistent: the lattice gives its witness
+    (1202, (2, 3), False, 0),  # gap 2, over the cap
 ])
 def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, searches):
-    # the list kernel (two n-vertex searches) runs only over the cap or
-    # under paranoid; the GGPG search (2n vertices) only on a gap-1 row
-    over = level_set_summary(build_circulant(n, (1,) + chords)) is None
+    # the list kernel (two n-vertex searches) runs only on an m >= 3 row
+    # over the cap or under paranoid; the GGPG search (2n vertices) only on
+    # a gap-1 row
+    g = build_circulant(n, (1,) + chords)
+    over = len(chords) > 1 and level_set_summary(g) is None
     sizes = []
     real = metrics._level_bfs
 

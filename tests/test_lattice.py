@@ -1,0 +1,120 @@
+"""The lattice route for double loops C_n(1, s) against the list kernel and
+the BFS oracles: every small row, named rows of both envelope forms (with
+gcd(n, s) = 1 and > 1) at n near 10^5, random rows; what an m = 2 row
+skips; and what --paranoid still compares it with."""
+
+import dataclasses
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from loopnet import bfs, build_circulant, expand, inner_only_distances, verify_instance
+from loopnet import metrics, theorem_lab
+from loopnet.graph_core import max_generator
+from loopnet.metrics import _envelope, instance_distances, lattice_summary
+
+
+def test_lattice_summary_on_every_small_double_loop():
+    rows = 0
+    for n in range(5, 151):
+        for s in range(2, max_generator(n) + 1):
+            g = build_circulant(n, (1, s))
+            assert lattice_summary(g) == instance_distances(g).summary(), (n, s)
+            rows += 1
+    assert rows == 5402
+
+
+@pytest.mark.parametrize("n,s", [
+    (9, 2),            # a-form, gcd 1; V_Dc = {3, 4, 5, 6}
+    (100000, 2),       # a-form, gcd 2
+    (100000, 3),       # a-form, gcd 1
+    (100000, 4),       # a-form, gcd 4
+    (100000, 24999),   # b-form, gcd 1
+    (100000, 12500),   # b-form, gcd 12500
+    (100000, 49999),   # b-form, gcd 1; the ring-1e5 gap-1 row
+    (99990, 33330),    # b-form, gcd 33330: three chord classes
+    (99999, 3),        # a-form, gcd 3
+])
+def test_lattice_summary_on_named_rows(n, s):
+    g = build_circulant(n, (1, s))
+    fast = lattice_summary(g)
+    assert fast == instance_distances(g).summary()
+    if n == 9:
+        assert fast.v_dc == (3, 4, 5, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lattice_summary_matches_list_route_and_oracles(data):
+    n = data.draw(st.integers(5, 3000), label="n")
+    s = data.draw(st.integers(2, max_generator(n)), label="s")
+    g = build_circulant(n, (1, s))
+    fast = lattice_summary(g)
+    assert fast == instance_distances(g).summary()
+    dc0, chord = bfs(g, 0).dist, inner_only_distances(g)
+    d = max(dc0)
+    assert fast.d_circ == d
+    assert fast.v_dc == tuple(i for i in g.vertices() if dc0[i] == d)
+    assert fast.near == sum(1 << i for i in fast.v_dc if chord[i] == d + 1)
+    h, _ = expand(g)
+    assert (fast.ecc_u0, fast.ecc_v0) == (max(bfs(h, h.outer(0)).dist),
+                                          max(bfs(h, h.inner(0)).dist))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(2, 40),
+       tents=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 9)),
+                      min_size=1, max_size=8))
+@example(m=10, tents=[(0, 9), (7, 0), (8, 9)])  # the best path to 0 wraps
+def test_envelope_of_any_tents_matches_brute_force(m, tents):
+    # tents the lattice never builds too: ties, far-off wraps, high tents
+    tents = [(c % m, h) for c, h in tents]
+    value = [min(h + min((x - c) % m, (c - x) % m) for c, h in tents)
+             for x in range(m)]
+    top, points = _envelope(m, [c * 10 + h for c, h in tents], 10)
+    assert top == max(value)
+    assert sorted(set(points)) == [x for x in range(m) if value[x] == top]
+
+
+@pytest.mark.parametrize("gens", [(1, 4, 8), (1,), (2, 5)])
+def test_lattice_summary_takes_only_double_loops(gens):
+    with pytest.raises(ValueError, match="lattice route needs C_n"):
+        lattice_summary(build_circulant(20, gens))
+
+
+def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
+    rows = [(12, (5,)), (9, (2,)), (7, (3,)), (804, (401,)), (1000, (2,)),
+            (100000, (49999,)), (20, (4, 8))]
+    want = [verify_instance(n, c) for n, c in rows]
+    calls = {"lattice_summary": 0, "level_set_summary": 0, "instance_distances": 0}
+
+    def counted(name):
+        real = getattr(theorem_lab, name)
+
+        def wrapper(g):
+            calls[name] += 1
+            return real(g)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(theorem_lab, name, counted(name))
+    assert [verify_instance(n, c) for n, c in rows[:-1]] == want[:-1]
+    assert calls == {"lattice_summary": 6, "level_set_summary": 0,
+                     "instance_distances": 0}
+    assert verify_instance(*rows[-1]) == want[-1]  # m = 3: level sets
+    assert calls["level_set_summary"] == 1
+    assert verify_instance(12, (5,), paranoid=True) == want[0]
+    assert calls["instance_distances"] == 1  # the paranoid oracle
+
+
+def test_paranoid_compares_the_lattice_with_the_list_kernel(monkeypatch):
+    real = metrics.lattice_summary
+
+    def doctored(g):
+        return dataclasses.replace(real(g), v_dc=(1,))
+
+    monkeypatch.setattr(theorem_lab, "lattice_summary", doctored)
+    assert verify_instance(12, (5,)).extremal_set == (1,)  # trusted when not paranoid
+    with pytest.raises(RuntimeError, match="route mismatch on C12.*: lattice "):
+        verify_instance(12, (5,), paranoid=True)

@@ -137,10 +137,13 @@ def refuse(*args, **kwargs):
 
 
 def test_the_level_loop_is_its_own_cap_probe(monkeypatch):
-    # one circulant search per row: the loop gives up past LEVEL_CAP levels
-    # by itself (C401(1,3) and C402(1,3) sit on both sides of n // 2 = LEVEL_CAP)
+    # one circulant search per m >= 3 row: the loop gives up past LEVEL_CAP
+    # levels by itself (C1201(1,2,3) has LEVEL_CAP levels, C1202(1,2,3) one
+    # more); m = 2 rows take the lattice route, on both sides of n // 2 =
+    # LEVEL_CAP (C401(1,3) and C402(1,3)), and never enter the loop
     grid = plan_sweep(range(5, 61), [2, 3])
-    wide = [(2 * LEVEL_CAP + 1, (3,)), (2 * LEVEL_CAP + 2, (3,))]
+    wide = [(2 * LEVEL_CAP + 1, (3,)), (2 * LEVEL_CAP + 2, (3,)),
+            (6 * LEVEL_CAP + 1, (2, 3)), (6 * LEVEL_CAP + 2, (2, 3))]
     want = [list_route_row(monkeypatch, n, c) for n, c in wide]
     searches = []
     real = metrics._shift_pairs
@@ -153,7 +156,8 @@ def test_the_level_loop_is_its_own_cap_probe(monkeypatch):
     monkeypatch.setattr(metrics, "_shift_pairs", counting)
     assert [verify_instance(n, c).csv_cells() for n, c in grid] == shipped_rows()
     assert [verify_instance(n, c) for n, c in wide] == want
-    assert searches == [n for n, _ in grid + wide]
+    assert [r.d_circ for r in want[2:]] == [LEVEL_CAP, LEVEL_CAP + 1]
+    assert searches == [n for n, c in grid + wide if len(c) > 1]
 
 
 def test_exact_gap1_rule_on_the_grid():
@@ -238,6 +242,7 @@ def list_route_row(monkeypatch, n, chords):
     """The row as the list kernel alone gives it."""
     with monkeypatch.context() as m:
         m.setattr(theorem_lab, "level_set_summary", lambda g: None)
+        m.setattr(theorem_lab, "lattice_summary", lambda g: None)
         return verify_instance(n, chords)
 
 
