@@ -1,11 +1,15 @@
 """Command line front end: diameter queries, instance verification,
 conjecture sweeps, and DOT export.
 
-verify and sweep share one runner, _run_checked, which writes no report
-byte until every row has passed theorem_lab.enforce_proven.  Both create
-an empty temporary sibling of every file they write before the first row
-runs, so an unwritable path fails at once, and move each into place only
-at the end: a run that exits 2 or 3 leaves none of its files behind.
+verify and sweep share one runner, _run_checked, whose memory does not
+grow with the row count: the grid is planned one ring length at a time,
+and each row is streamed into a staged report once it has passed
+theorem_lab.enforce_proven, keeping only gap counts, gap-1 rows and
+findings.  Both create an empty temporary sibling of every file they
+write before the first row runs, so an unwritable path fails at once, and
+move each into place only at the end; a stdout report is staged in an
+anonymous temporary file and copied out after the last row.  A run that
+exits 2 or 3 leaves none of its files behind and prints no report byte.
 
 Exit codes: 0 clean, 2 parameter error or unwritable output path, 3
 proved-statement violation (witness on stderr), 4 findings present
@@ -22,7 +26,9 @@ import argparse
 import contextlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 from . import __version__
 from .graph_core import (
@@ -39,9 +45,8 @@ from .metrics import (
 )
 from .theorem_lab import (
     TheoremViolation,
+    _plan,
     enforce_proven,
-    gap_distribution,
-    plan_sweep,
     run_instances,
     write_report_csv,
     write_report_json,
@@ -231,7 +236,8 @@ def _parse_theorems(text: str) -> list[str]:
 
 
 def _grid_plan(args):
-    """The --n/--m grid's instance list plus its spec for the header."""
+    """The --n/--m grid's instances, planned lazily, plus its spec for the
+    header."""
     n_range = _parse_n_range(args.n)
     m_set = _parse_int_list(args.m, "--m")
     if m_set[0] < 2:
@@ -239,14 +245,15 @@ def _grid_plan(args):
             "--m counts generators including the ring step; the chordless "
             "m=1 family has no spoke expansion (see verify --preset "
             "beenker-vanlint for the single-chord family)")
-    instances = plan_sweep(n_range, m_set, sample_cap=args.sample_cap,
-                           sample_size=args.sample_size, seed=args.seed)
+    instances = _plan(n_range, m_set, sample_cap=args.sample_cap,
+                      sample_size=args.sample_size, seed=args.seed)
     spec = f"--n {_n_text(n_range)} --m {','.join(map(str, m_set))}"
     return instances, spec
 
 
 def _verify_plan(args):
-    """Instance list plus the canonical flag string for the header."""
+    """Instances (planned lazily for a grid) plus the canonical flag
+    string for the header."""
     if args.gens is not None:
         gens = _parse_int_list(args.gens, "--gens")
         if gens[0] != 1:
@@ -263,7 +270,7 @@ def _verify_plan(args):
         if args.preset != "beenker-vanlint":
             raise ValueError(f"unknown preset {args.preset!r}")
         n_range = _parse_n_range(args.n) if args.n else range(5, 41)
-        instances = plan_sweep(n_range, [2], seed=args.seed)
+        instances = _plan(n_range, [2], seed=args.seed)
         spec = f"--preset beenker-vanlint --n {_n_text(n_range)}"
         return instances, spec
     if args.n is None or args.m is None:
@@ -271,23 +278,19 @@ def _verify_plan(args):
     return _grid_plan(args)
 
 
-def _write_reports(reports, path, fmt: str, flags: str, seed: int) -> None:
+def _write_reports(reports, fh, fmt: str, flags: str, seed: int) -> None:
     if fmt == "csv":
-        write, head = write_report_csv, _header(flags, seed)
+        write_report_csv(reports, fh, _header(flags, seed))
     else:
-        write, head = write_report_json, _header_meta(flags, seed)
-    if path is None:
-        write(reports, sys.stdout, head)
-    else:
-        with open(path, "w") as fh:
-            write(reports, fh, head)
+        write_report_json(reports, fh, _header_meta(flags, seed))
 
 
 @contextlib.contextmanager
 def _staged(paths):
     """Map each output path to an empty temporary sibling, all created on
     entry; on a normal exit move each into place, on an exception delete
-    them all."""
+    them all.  The runner streams rows into a sibling as they pass, so a
+    file appears at its path only once it is whole."""
     staged = {}
     try:
         for path in paths:
@@ -310,32 +313,48 @@ def _staged(paths):
         os.replace(tmp, path)
 
 
-def _run_checked(instances, args, flags: str, out) -> list:
-    """Report rows for every instance, written to out (a path, or None for
-    stdout) only once every row has passed enforce_proven."""
-    reports = [enforce_proven(r) for r in
-               run_instances(instances, paranoid=args.paranoid, jobs=args.jobs)]
-    _write_reports(reports, out, args.format, flags, args.seed)
-    return reports
+def _run_checked(instances, args, flags: str, out, keep) -> tuple[dict, list]:
+    """Run every instance and stream each row, once it has passed
+    enforce_proven, into out: a staged path, or None for stdout, where the
+    report is staged in an anonymous temporary file and copied out only
+    after the last row has passed.  Returns the gap distribution and the
+    rows keep(row) selects; no other row stays in memory."""
+    gaps, kept = {}, []
+
+    def checked():
+        for r in run_instances(instances, paranoid=args.paranoid, jobs=args.jobs):
+            enforce_proven(r)
+            gaps[r.gap] = gaps.get(r.gap, 0) + 1
+            if keep(r):
+                kept.append(r)
+            yield r
+
+    if out is None:
+        with tempfile.TemporaryFile("w+") as fh:
+            _write_reports(checked(), fh, args.format, flags, args.seed)
+            fh.seek(0)
+            shutil.copyfileobj(fh, sys.stdout)
+    else:
+        with open(out, "w") as fh:
+            _write_reports(checked(), fh, args.format, flags, args.seed)
+    return dict(sorted(gaps.items())), kept
 
 
 def cmd_verify(args) -> int:
     theorems = _parse_theorems(args.theorems)
     instances, spec = _verify_plan(args)
     flags = _flags(args, f"{spec} --theorems {','.join(theorems)}")
+    wanted = {_THEOREM_TAGS[t] for t in theorems}
+
+    def notes(r):
+        return [note for note in r.anomalies if note.split(":", 1)[0] in wanted]
+
     found = args.out and _sibling(args.out, "findings", ".json")
     with _staged([] if args.out is None else [args.out, found]) as staged:
-        reports = _run_checked(instances, args, flags, staged.get(args.out))
-
-        wanted = {_THEOREM_TAGS[t] for t in theorems}
-        findings = []
-        for r in reports:
-            for note in r.anomalies:
-                tag = note.split(":", 1)[0]
-                if tag in wanted:
-                    findings.append({"n": r.n, "gens": list(r.gens),
-                                     "anomaly": note,
-                                     "witness": r.witnesses.get(tag)})
+        _, flagged = _run_checked(instances, args, flags, staged.get(args.out), notes)
+        findings = [{"n": r.n, "gens": list(r.gens), "anomaly": note,
+                     "witness": r.witnesses.get(note.split(":", 1)[0])}
+                    for r in flagged for note in notes(r)]
         if args.out:
             payload = {"header": _header_meta(flags, args.seed), "findings": findings}
             _write_text(staged[found],
@@ -358,16 +377,17 @@ def cmd_sweep(args) -> int:
     cx_path = args.out and (args.counterexamples_out
                             or _sibling(args.out, "counterexamples"))
     with _staged([] if args.out is None else [args.out, cx_path]) as staged:
-        reports = _run_checked(instances, args, flags, staged.get(args.out))
-        counterexamples = [r for r in reports if r.gap == 1]
+        dist, counterexamples = _run_checked(instances, args, flags,
+                                             staged.get(args.out),
+                                             lambda r: r.gap == 1)
         if args.out:
-            _write_reports(counterexamples, staged[cx_path], args.format,
-                           flags + " [counterexamples]", args.seed)
+            with open(staged[cx_path], "w") as fh:
+                _write_reports(counterexamples, fh, args.format,
+                               flags + " [counterexamples]", args.seed)
 
-    dist = gap_distribution(reports)
     dist_text = " ".join(f"{g}:{c}" for g, c in dist.items()) or "none"
     if args.out:
-        print(f"rows {len(reports)}")
+        print(f"rows {sum(dist.values())}")
         print(f"gap distribution {dist_text}")
         print(f"counterexamples {len(counterexamples)} -> {cx_path}")
     else:

@@ -46,11 +46,11 @@ Four routes compute the same facts; the first three apply the identity.
     class r mod g the k with |r + g k| < |alpha| put a tent on Z_N at k t
     with height |r + g k|; the point z of Z_N is x = r + g (z s / g mod N).
     The envelope: sort the tents and relax each height to
-    min(h_j, h_i + gap) around the cycle, two laps each way, so each
-    centre holds the envelope's value; between neighbouring centres with
-    gap G it then peaks at (h_j + h_{j+1} + G) // 2, at one point, or two
-    when h_{j+1} + G - h_j is odd.  D is the largest peak and V_Dc every
-    point that reaches it, and chord(i) is INF unless g | i, else
+    min(h_j, h_i + gap) around the cycle, one lap each way from the lowest
+    tent, so each centre holds the envelope's value; between neighbouring
+    centres with gap G it then peaks at (h_j + h_{j+1} + G) // 2, at one
+    point, or two when h_{j+1} + G - h_j is odd.  D is the largest peak and
+    V_Dc every point that reaches it, and chord(i) is INF unless g | i, else
     min(k, N - k) for k = (i / g) t mod N.  O(sqrt(n) log n) operations
     besides the n-bit sets _summarize reads.
   * The level-set route, level_set_summary, serves the m >= 3 rows: every
@@ -469,11 +469,13 @@ def _envelope(m: int, keys: list, k: int) -> tuple[int, list]:
     """The peak and the peak points of the lower envelope, on Z_m, of the
     slope-1 tents given as keys centre * k + height (0 <= height < k).
 
-    After two relaxation laps each way every centre holds the envelope's
-    value there (tents with one centre need no merging: the zero gap
-    between them relaxes the higher to the lower).  Between neighbouring
-    centres with gap G and heights h, h' the envelope then peaks at
-    (h + h' + G) // 2, at one point, or two when h' + G - h is odd.
+    After one relaxation lap each way from the lowest tent every centre
+    holds the envelope's value there: the lowest height is already final,
+    and a tent reached by passing it is no lower than one started from it
+    (tents with one centre need no merging: the zero gap between them
+    relaxes the higher to the lower).  Between neighbouring centres with
+    gap G and heights h, h' the envelope then peaks at (h + h' + G) // 2,
+    at one point, or two when h' + G - h is odd.
     """
     keys.sort()
     cs = [key // k for key in keys]
@@ -481,16 +483,18 @@ def _envelope(m: int, keys: list, k: int) -> tuple[int, list]:
     gaps = [b - a for a, b in zip(cs, cs[1:])]
     gaps.append(cs[0] + m - cs[-1])  # gaps[j]: from centre j to centre j + 1
     t = len(cs)
-    # index j and j - t name the same centre, so each loop runs two laps
-    h, into = hs[-1], gaps[-1:] + gaps[:-1]
-    for j in range(-t, t):
-        h += into[j]
+    low = hs.index(min(hs))
+    # index j and j - t name the same centre; each loop visits every other
+    # centre once, going forward, then backward, from the lowest
+    h = hs[low]
+    for j in range(low + 1 - t, low):
+        h += gaps[j - 1]
         if h < hs[j]:
             hs[j] = h
         else:
             h = hs[j]
-    h = hs[0]
-    for j in range(t - 1, -t - 1, -1):
+    h = hs[low]
+    for j in range(low - 1, low - t, -1):
         h += gaps[j]
         if h < hs[j]:
             hs[j] = h

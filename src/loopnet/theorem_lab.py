@@ -40,12 +40,14 @@ silently dropped, never asserted.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
+import operator
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .graph_core import CirculantGraph, GgpgGraph, build_circulant, max_generator
 from .metrics import (
@@ -474,6 +476,37 @@ def _unrank_chord_set(rank: int, n: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _plan(n_range, m_set, *, sample_cap: int = 100_000, sample_size: int = 1000,
+          seed: int = 0):
+    """plan_sweep's instances as an iterator that plans one ring length at
+    a time, so no more than one n's chord sets are held at once.  The
+    generator counts and ring lengths are checked here, before the first
+    instance is drawn."""
+    m_set = sorted(set(m_set))
+    if not m_set or m_set[0] < 2:
+        raise ValueError(f"generator counts must all be >= 2, got {m_set}")
+    bad = next((n for n in n_range if n < 5), None)
+    if bad is not None:
+        raise ValueError(f"ring length must be >= 5, got {bad}")
+    return itertools.chain.from_iterable(
+        _plan_ring(n, m_set, sample_cap, sample_size, seed) for n in n_range)
+
+
+def _plan_ring(n: int, m_set, sample_cap: int, sample_size: int, seed: int):
+    """One ring length's instances, every cell listed or sampled."""
+    per_n = []
+    for m in m_set:
+        total = math.comb(max_generator(n) - 1, m - 1)
+        if total > sample_cap:
+            rng = random.Random(f"{seed}:{n}:{m}")
+            ranks = rng.sample(range(total), min(sample_size, total))
+            per_n.extend(_unrank_chord_set(r, n, m) for r in ranks)
+        else:
+            per_n.extend(chord_sets(n, m))
+    per_n.sort()
+    return [(n, c) for c in per_n]
+
+
 def plan_sweep(n_range, m_set, *, sample_cap: int = 100_000,
                sample_size: int = 1000, seed: int = 0) -> list[tuple[int, tuple]]:
     """Deterministic instance list: n ascending, chord sets lexicographic.
@@ -485,53 +518,72 @@ def plan_sweep(n_range, m_set, *, sample_cap: int = 100_000,
     unranks only those, so a cell is never listed whole; random.sample picks
     the same positions from range(total) as it would from the listed cell.
     """
-    m_set = sorted(set(m_set))
-    if not m_set or m_set[0] < 2:
-        raise ValueError(f"generator counts must all be >= 2, got {m_set}")
-    instances = []
-    for n in n_range:
-        if n < 5:
-            raise ValueError(f"ring length must be >= 5, got {n}")
-        per_n = []
-        for m in m_set:
-            total = math.comb(max_generator(n) - 1, m - 1)
-            if total > sample_cap:
-                rng = random.Random(f"{seed}:{n}:{m}")
-                ranks = rng.sample(range(total), min(sample_size, total))
-                per_n.extend(_unrank_chord_set(r, n, m) for r in ranks)
-            else:
-                per_n.extend(chord_sets(n, m))
-        per_n.sort()
-        instances.extend((n, c) for c in per_n)
-    return instances
+    return list(_plan(n_range, m_set, sample_cap=sample_cap,
+                      sample_size=sample_size, seed=seed))
 
 
-def _sweep_worker(item):
-    n, chords, paranoid = item
-    return verify_instance(n, chords, paranoid=paranoid)
+_row_fields = operator.attrgetter(
+    *(f.name for f in fields(VerificationReport)))
+
+
+def _verify_block(n: int, chords: list, paranoid: bool) -> list[tuple]:
+    """A worker's share: one ring length's contiguous run of chord sets,
+    returned as plain field tuples, which pickle smaller and faster than
+    the reports."""
+    return [_row_fields(verify_instance(n, c, paranoid=paranoid)) for c in chords]
+
+
+def _blocks(instances, workers: int):
+    """(n, chord sets) blocks in input order: each ring length's run of
+    consecutive instances cut into at most workers contiguous blocks."""
+    for n, run in itertools.groupby(instances, key=operator.itemgetter(0)):
+        chords = [c for _, c in run]
+        size = -(-len(chords) // workers)
+        for i in range(0, len(chords), size):
+            yield n, chords[i:i + size]
 
 
 def run_instances(instances, *, paranoid: bool = False, jobs: int = 1):
-    """Yield one report per instance, in input order regardless of jobs."""
-    items = [(n, chords, paranoid) for n, chords in instances]
-    # the pool forks all its workers at the first submit, so never ask for
-    # more than there are items or cores
-    workers = min(jobs, len(items), os.cpu_count() or 1)
+    """Yield one report per instance, in input order regardless of jobs.
+
+    instances may be any iterable of (n, chords); it is drawn lazily.  With
+    more than one worker, each ring length's rows go out in at most
+    `workers` contiguous blocks, no more than 2 * workers blocks are in
+    flight, and rows come back as field tuples.  The pool forks all its
+    workers at the first submit, so it never gets more than there are
+    cores, jobs or rows (the rows counted up to that many).
+    """
+    instances = iter(instances)
+    head = list(itertools.islice(instances, min(jobs, os.cpu_count() or 1)))
+    instances = itertools.chain(head, instances)
+    workers = len(head)
     if workers <= 1:
-        for item in items:
-            yield _sweep_worker(item)
+        for n, chords in instances:
+            yield verify_instance(n, chords, paranoid=paranoid)
         return
     from concurrent.futures import ProcessPoolExecutor  # costs ~20 ms to import
 
-    chunk = max(1, len(items) // (workers * 8))
+    blocks = _blocks(instances, workers)
+    pending = collections.deque()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_sweep_worker, items, chunksize=chunk)
+        try:
+            while True:
+                for n, chords in itertools.islice(blocks, 2 * workers - len(pending)):
+                    pending.append(pool.submit(_verify_block, n, chords, paranoid))
+                if not pending:
+                    return
+                for row in pending.popleft().result():
+                    yield VerificationReport(*row)
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 # --- report serialization ---
 
 def write_report_csv(reports, fh, header: str) -> None:
-    """Header comment line, column names, then one row per instance."""
+    """Header comment line, column names, then one row per instance,
+    written as each report is drawn from the iterable."""
     import csv
 
     fh.write(f"# {header}\n")
@@ -542,13 +594,20 @@ def write_report_csv(reports, fh, header: str) -> None:
 
 
 def write_report_json(reports, fh, header_meta: dict) -> None:
-    payload = {"header": header_meta, "reports": [r.json_record() for r in reports]}
-    json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+    """{"header": header_meta, "reports": [...]} with indent 2 and sorted
+    keys, the bytes json.dump gives, written one record at a time as each
+    report is drawn from the iterable."""
+    enc = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+    # "reports" sorts last, so its one placeholder item splits the document
+    head, tail = enc.encode({"header": header_meta, "reports": [0]}).rsplit("0", 1)
+    records = (enc.encode(r.json_record()).replace("\n", "\n    ")
+               for r in reports)  # two levels deep; JSON strings hold no raw newline
+    first = next(records, None)
+    if first is None:
+        fh.write(enc.encode({"header": header_meta, "reports": []}))
+    else:
+        fh.write(head + first)
+        for rec in records:
+            fh.write(",\n    " + rec)
+        fh.write(tail)
     fh.write("\n")
-
-
-def gap_distribution(reports) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for r in reports:
-        out[r.gap] = out.get(r.gap, 0) + 1
-    return dict(sorted(out.items()))

@@ -2,7 +2,9 @@
 patches the library): formats, exit codes, headers, and byte-level
 determinism."""
 
+import csv
 import dataclasses
+import io
 import json
 import os
 import re
@@ -11,7 +13,8 @@ import sys
 
 import pytest
 
-from loopnet import build_circulant, cli, theorem_lab
+from loopnet import build_circulant, cli, theorem_lab, verify_instance
+from loopnet.theorem_lab import plan_sweep
 
 
 def run_cli(*args, env_extra=None):
@@ -249,6 +252,80 @@ def test_proved_violation_exits_3_before_writing(argv, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+def reference_report(fmt, head, reports):
+    """The report bytes as one in-memory document: the CSV rows, or a
+    single json.dumps of the whole payload, from verify_instance rows."""
+    if fmt == "json":
+        payload = {"header": head, "reports": [r.json_record() for r in reports]}
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    buf = io.StringIO()
+    buf.write(f"{head}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(theorem_lab.REPORT_COLUMNS)
+    writer.writerows(r.csv_cells() for r in reports)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv,instances", [
+    # gap-1 rows, so conj45 witnesses in JSON
+    (("sweep", "--n", "5..24", "--m", "2,3"),
+     plan_sweep(range(5, 25), [2, 3])),
+    # sampled m = 3 and m = 4 cells, with thm43 findings
+    (("verify", "--n", "60..61", "--m", "3,4", "--sample-cap", "100",
+      "--sample-size", "30", "--seed", "9", "--theorems", "4.3,4.5"),
+     plan_sweep(range(60, 62), [3, 4], sample_cap=100, sample_size=30, seed=9)),
+])
+def test_streamed_reports_equal_the_whole_document(fmt, argv, instances, tmp_path,
+                                                   capsys):
+    want = [verify_instance(n, c) for n, c in instances]
+    assert any(r.gap == 1 for r in want)
+    texts = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}.{fmt}"
+        code = cli.main([*argv, "--format", fmt, "--jobs", jobs, "--out", str(out)])
+        capsys.readouterr()
+        texts.append(out.read_text())
+        assert cli.main([*argv, "--format", fmt, "--jobs", jobs]) == code
+        stdout = capsys.readouterr().out
+        if argv[0] == "sweep":  # the summary follows the report
+            stdout = stdout[:stdout.index("# gap distribution")]
+        texts.append(stdout)
+    assert texts[1:] == texts[:-1]
+    head = (json.loads(texts[0])["header"] if fmt == "json"
+            else texts[0].splitlines()[0])
+    assert texts[0] == reference_report(fmt, head, want)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("argv", [("verify", "--n", "5..40", "--m", "2,3"),
+                                  ("sweep", "--n", "5..40", "--m", "2,3",
+                                   "--format", "json")])
+def test_late_violation_exits_3_with_no_report_byte(argv, jobs, tmp_path,
+                                                    monkeypatch, capsys):
+    real = theorem_lab.verify_instance
+    last = plan_sweep(range(5, 41), [2, 3])[-1]
+
+    def broken(n, chords, **kwargs):
+        r = real(n, chords, **kwargs)
+        return dataclasses.replace(r, thm42_ok=False) if (n, chords) == last else r
+
+    monkeypatch.setattr(theorem_lab, "verify_instance", broken)
+    for out in (["--out", str(tmp_path / "report.out")], []):
+        assert cli.main([*argv, "--jobs", jobs, *out]) == 3
+        captured = capsys.readouterr()
+        assert "theorem violation" in captured.err and "n=40" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_ring_length_exits_2_before_any_file(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep", "--n", "3..10", "--m", "2", "--out", str(out)]) == 2
+    assert "ring length must be >= 5, got 3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_deterministic_and_counterexamples(tmp_path):
     out = tmp_path / "sweep.csv"
     args = ("sweep", "--n", "5..14", "--m", "2", "--out", str(out))
@@ -266,6 +343,11 @@ def test_sweep_deterministic_and_counterexamples(tmp_path):
     assert any(l.startswith("12,1-5,") for l in cx_rows)
     for line in cx_rows:
         assert line.split(",")[5] == "1"  # gap column
+    gaps = [l.split(",")[5] for l in first.splitlines()[2:]]
+    assert r1.stdout.splitlines()[:2] == [
+        f"rows {len(gaps)}",
+        f"gap distribution 1:{gaps.count('1')} 2:{gaps.count('2')}"]
+    assert gaps.count("1") == len(cx_rows)
 
 
 def test_sweep_jobs_do_not_change_bytes(tmp_path):

@@ -1,9 +1,11 @@
 """The lattice route for double loops C_n(1, s) against the list kernel and
-the BFS oracles: every small row, named rows of both envelope forms (with
-gcd(n, s) = 1 and > 1) at n near 10^5, random rows; what an m = 2 row
-skips; and what --paranoid still compares it with."""
+the BFS oracles: every row with n <= 400, random rows with n < 2 * 10^5,
+named rows of both envelope forms (with gcd(n, s) = 1 and > 1) at n near
+10^5, random rows; what an m = 2 row skips; and what --paranoid still
+compares it with."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,12 +19,20 @@ from loopnet.metrics import _envelope, instance_distances, lattice_summary
 
 def test_lattice_summary_on_every_small_double_loop():
     rows = 0
-    for n in range(5, 151):
+    for n in range(5, 401):
         for s in range(2, max_generator(n) + 1):
             g = build_circulant(n, (1, s))
             assert lattice_summary(g) == instance_distances(g).summary(), (n, s)
             rows += 1
-    assert rows == 5402
+    assert rows == 39402
+
+
+def test_lattice_summary_on_random_large_double_loops():
+    rng = random.Random("lattice-large")
+    for _ in range(12):
+        n = rng.randrange(5, 200_000)
+        g = build_circulant(n, (1, rng.randrange(2, max_generator(n) + 1)))
+        assert lattice_summary(g) == instance_distances(g).summary(), g.label()
 
 
 @pytest.mark.parametrize("n,s", [

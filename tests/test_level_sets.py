@@ -2,8 +2,10 @@
 on both sides of LEVEL_CAP; what a level-set row skips (a second
 circulant search, the GGPG graph), what a paranoid row runs once and what
 it catches; the exact gap-1 rule; plus the bounded, lazily imported worker
-pool."""
+pool and how lazily it draws its input, in blocks per ring length."""
 
+import collections
+import concurrent.futures
 import csv
 import dataclasses
 import os
@@ -304,9 +306,18 @@ def test_paranoid_keeps_the_shortcut_mismatch_error(monkeypatch):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and every
+    (n, chord sets) block submitted, runs each block in-process at submit,
+    and tracks how many blocks are in flight (result not yet taken)."""
 
     made = []
+    blocks = []
+    in_flight = peak = 0
+
+    class Block(concurrent.futures.Future):
+        def result(self, timeout=None):
+            RecordingPool.in_flight -= 1
+            return super().result(timeout)
 
     def __init__(self, max_workers):
         self.made.append(max_workers)
@@ -317,8 +328,22 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        pool = RecordingPool
+        pool.blocks.append(args[:2])
+        pool.in_flight += 1
+        pool.peak = max(pool.peak, pool.in_flight)
+        future = pool.Block()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    RecordingPool.made, RecordingPool.blocks = [], []
+    RecordingPool.in_flight = RecordingPool.peak = 0
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
 
 
 @pytest.mark.parametrize("jobs,items,cpus,workers", [
@@ -327,16 +352,42 @@ class RecordingPool:
     (4, 9, None, None),     # unknown core count: one worker, no pool
     (2, 1, 8, None),        # one item: no pool
 ])
-def test_run_instances_bounds_the_pool(monkeypatch, jobs, items, cpus, workers):
-    import concurrent.futures
-
-    RecordingPool.made = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def test_run_instances_bounds_the_pool(recording_pool, monkeypatch, jobs, items,
+                                       cpus, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     inst = plan_sweep(range(5, 20), [2])[:items]
-    got = list(run_instances(inst, jobs=jobs))
-    assert RecordingPool.made == ([] if workers is None else [workers])
+    got = list(run_instances(iter(inst), jobs=jobs))
+    assert recording_pool.made == ([] if workers is None else [workers])
     assert got == [verify_instance(n, c) for n, c in inst]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_run_instances_pulls_its_input_lazily(recording_pool, monkeypatch, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    inst = plan_sweep(range(5, 40), [2, 3])
+    pulled = 0
+
+    def counting():
+        nonlocal pulled
+        for item in inst:
+            pulled += 1
+            yield item
+
+    ahead = []
+    for k, report in enumerate(run_instances(counting(), jobs=8), 1):
+        assert (report.n, report.gens[1:]) == inst[k - 1]
+        ahead.append(pulled - k)
+    # each ring length goes out in at most `workers` contiguous blocks
+    blocks = recording_pool.blocks
+    assert [(n, c) for n, b in blocks for c in b] == inst
+    assert max(collections.Counter(n for n, _ in blocks).values()) == workers
+    # at most 2 * workers blocks in flight; beyond them the runner holds
+    # only the rest of the ring length it is cutting and one row of the next
+    assert recording_pool.made == [workers]
+    assert recording_pool.peak == 2 * workers
+    biggest = max(len(b) for _, b in blocks)
+    assert max(ahead) <= (3 * workers - 1) * biggest + 1 < len(inst) // 4
+    assert pulled == len(inst)
 
 
 def test_import_leaves_the_process_pool_unloaded():

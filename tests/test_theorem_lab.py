@@ -24,7 +24,6 @@ from loopnet.theorem_lab import (
     _sandwich_from_vectors,
     chord_sets,
     enforce_proven,
-    gap_distribution,
     plan_sweep,
     run_instances,
     write_report_csv,
@@ -282,9 +281,3 @@ def test_json_writer_carries_witnesses():
     rec = data["reports"][0]
     assert rec["gap"] == 1 and rec["conj45"] is False
     assert "ggpg_diametral_path" in rec["witnesses"]["conj45"]
-
-
-def test_gap_distribution():
-    rows = [verify_instance(9, (2,)), verify_instance(12, (5,)),
-            verify_instance(12, (2,))]
-    assert gap_distribution(rows) == {1: 1, 2: 2}
