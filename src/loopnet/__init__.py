@@ -39,7 +39,7 @@ from .metrics import (
     format_distance,
     inner_only_distances,
     instance_distances,
-    lattice_summary,
+    lattice_distances,
     level_set_summary,
     outer_only_distance,
 )
@@ -92,7 +92,7 @@ __all__ = [
     "format_distance",
     "inner_only_distances",
     "instance_distances",
-    "lattice_summary",
+    "lattice_distances",
     "level_set_summary",
     "lift_path",
     "outer_only_distance",

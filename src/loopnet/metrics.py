@@ -26,7 +26,7 @@ one place that turns those sets into an InstanceSummary.
 
 Four routes compute the same facts; the first three apply the identity.
 
-  * The lattice route, lattice_summary, serves double loops C_n(1, s), the
+  * The lattice route, lattice_distances, serves double loops C_n(1, s), the
     m = 2 rows, with no BFS (the plane-tessellation view of Yebra, Fiol,
     Morillo and Alegre, and of Boesch and Wang).  d_c(0, x) is the least
     |a| + |b| over the pairs with a + b s = x (mod n), so two pairs for one
@@ -52,7 +52,9 @@ Four routes compute the same facts; the first three apply the identity.
     point, or two when h_{j+1} + G - h_j is odd.  D is the largest peak and
     V_Dc every point that reaches it, and chord(i) is INF unless g | i, else
     min(k, N - k) for k = (i / g) t mod N.  O(sqrt(n) log n) operations
-    besides the n-bit sets _summarize reads.
+    besides the n-bit sets _summarize reads.  The relaxed envelope also
+    gives d_c(0, x) at any one x in O(log n): bisect for the centres on
+    either side of x, and take the lower of their two tents.
   * The level-set route, level_set_summary, serves the m >= 3 rows: every
     BFS level is an n-bit int and a step +-s is a rotation, so one loop
     advances the circulant from 0 and the chord-only ring a whole level
@@ -67,12 +69,46 @@ Four routes compute the same facts; the first three apply the identity.
     identity gives both GGPG vectors (ggpg_vectors).  Its summary() reads
     the same sets off the vectors for _summarize.  It serves the m >= 3
     rows over the cap, and is the oracle both faster routes are checked
-    against under --paranoid.  ggpg_tree runs the same kernel over the
-    GGPG graph, with BFS parents, for witness paths.
+    against under --paranoid.
   * The oracle route, bfs over a graph's neighbors(), with the diameter
     helpers on top of it.  It never uses the identity: tests and --paranoid
     check the list kernel and the identity's vectors against it element by
     element, and the fast route's summary against the list kernel's.
+
+The gap-1 witness, diametral_path, is walked, not searched.  A gap-1 row
+ships the path that a FIFO BFS over the sorted neighbors() lists takes from
+u_0 to the least GGPG id at distance D + 1 = D(GGPG) (on such a row
+ecc(u_0) = D + 1, since d_p(u_0, v_i) = D + 1 on V_Dc).
+
+  * The target is u_t, t the least i >= D + 1 with d_c(0, i) >= D - 1.
+    With a chord s >= 2, D <= n / 2 - 1, so ring(D + 1) = D + 1, and
+    d_p(u_0, u_i) = min(ring(i), d_c(0, i) + 2) is D + 1 at i = D + 1 if
+    d_c(0, D + 1) >= D - 1.  Otherwise D is not in V_Dc (a ring step moves
+    d_c by at most 1), nor is n - D (V_Dc is symmetric), so V_Dc lies in
+    [D + 1, n - D - 1], and d_c climbs from at most D - 2 to D on the way
+    to its first point: it passes D - 1 at t, where ring(t) >= D + 1.  Every
+    u_i before t is nearer than D + 1, and every v_i is after u_t.
+  * The least geodesic.  A FIFO BFS orders each level by its parents'
+    order, then by neighbour rank.  So, by induction on the level, the tree
+    path to a vertex is its lexicographically least geodesic, compared by
+    neighbour rank: the tree parent is the first of its neighbours one
+    level up, whose own tree path is the least of theirs.  The greedy walk
+    from u_0 finds that path: at each vertex, take the first neighbour w in
+    ascending id with d_p(w, u_t) = r - 1, where r is the distance left.
+    By the identity and rotation, with delta = t - a mod n,
+    d_p(u_a, u_t) = min(ring(delta), d_c(0, delta) + 2) and
+    d_p(v_a, u_t) = d_c(0, delta) + 1.
+  * Ring runs.  A ring step changes the distance to u_t by at most 1, so on
+    a run of ring steps from u_a, d_p(u_{a+-k}, u_t) = r - k holds for every
+    k up to some K and fails beyond it.  At each vertex of the run, the
+    vertex the walk came from is the only ring neighbour ordered before the
+    next one, and it is not on a geodesic; the spoke is ordered after both.
+    So the walk follows the ring for exactly K steps, and one bisection
+    finds K.  Chord steps and spokes go one at a time.
+
+A walk thus reads O(path length + log n per ring run) circulant distances:
+from the lattice for a double loop, else from the list kernel's vector.
+The C_{4k}(1, 2k - 1) witness is a single run, u_0 ... u_{k+1}.
 
 Diameters use symmetry shortcuts by default: a circulant looks the same
 from every vertex (rotation i -> i+1 is an automorphism), so one BFS from 0
@@ -88,6 +124,8 @@ on the chord subgraph, with an explicit infinity for unreachable vertices
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -134,6 +172,25 @@ def bfs(g, src: int) -> DistanceVector:
     """Exact unweighted distances from src in either family."""
     g.check_vertex(src)
     return DistanceVector(src, tuple(_bfs_levels(g.neighbors, g.num_vertices, src)))
+
+
+def fifo_path(g, src: int, dst: int) -> list[int]:
+    """The path from src to dst in the tree of a FIFO BFS over g.neighbors():
+    the oracle the gap-1 witness walk (diametral_path) is checked against."""
+    g.check_vertex(dst)
+    parent = {src: None}
+    queue = deque([src])
+    while dst not in parent:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
 
 
 def eccentricity(g, src: int):
@@ -243,24 +300,10 @@ def _ring_offsets(n: int, steps, head: tuple = ()) -> list[tuple]:
     return rows
 
 
-def _ggpg_offsets(n: int, chords) -> list[tuple]:
-    """Per-vertex neighbour offsets of the GGPG graph, in the ascending order
-    GgpgGraph.neighbors gives: u_i -> (u_{i-1}, u_{i+1}, v_i), with the wrap
-    at u_0 and u_{n-1}; v_i -> (u_i, then the inner chord steps)."""
-    outer = [(1, n - 1, n)] + [(-1, 1, n)] * (n - 2) + [(1 - n, -1, n)]
-    return outer + _ring_offsets(n, chords, head=(-n,))
-
-
-def _level_bfs(offsets: list, src: int) -> tuple[list, list]:
-    """Distances and BFS parents from src; w is a neighbour of v iff
-    w - v is in offsets[v].
-
-    Levels are scanned in discovery order and each row in its given order,
-    so with ascending rows the parents are those of a FIFO BFS over the
-    sorted neighbors() lists.  Unreachable vertices keep INF and parent None.
-    """
+def _level_bfs(offsets: list, src: int) -> list:
+    """Distances from src; w is a neighbour of v iff w - v is in offsets[v].
+    Unreachable vertices keep INF."""
     dist = [INF] * len(offsets)
-    parent = [None] * len(offsets)
     dist[src] = 0
     frontier = [src]
     level = 0
@@ -273,19 +316,9 @@ def _level_bfs(offsets: list, src: int) -> tuple[list, list]:
                 w += v
                 if dist[w] is INF:
                     dist[w] = level
-                    parent[w] = v
                     push(w)
         frontier = nxt
-    return dist, parent
-
-
-def tree_path(parent: list, dst: int) -> list[int]:
-    """The BFS-tree path from the source to dst, as a vertex id list."""
-    path = [dst]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    return dist
 
 
 @dataclass(frozen=True)
@@ -379,16 +412,9 @@ def instance_distances(g: CirculantGraph) -> InstanceDistances:
         raise ValueError(f"instance distances need generator 1 in S, got {g.label()}")
     n = g.n
     return InstanceDistances(
-        circ=_level_bfs(_ring_offsets(n, g.gens), 0)[0],
-        chord_only=_level_bfs(_ring_offsets(n, g.gens[1:]), 0)[0],
+        circ=_level_bfs(_ring_offsets(n, g.gens), 0),
+        chord_only=_level_bfs(_ring_offsets(n, g.gens[1:]), 0),
     )
-
-
-def ggpg_tree(g: CirculantGraph, src: int) -> tuple[list, list]:
-    """Distances and BFS parents from GGPG id src (u_0 = 0, v_0 = n) over the
-    GGPG expansion of g = C_n(1, chords), for tree_path: the parents a FIFO
-    BFS over the sorted GgpgGraph.neighbors() lists gives."""
-    return _level_bfs(_ggpg_offsets(g.n, g.gens[1:]), src)
 
 
 # --- the level-set route ---
@@ -465,17 +491,16 @@ def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
 
 # --- the lattice route ---
 
-def _envelope(m: int, keys: list, k: int) -> tuple[int, list]:
-    """The peak and the peak points of the lower envelope, on Z_m, of the
-    slope-1 tents given as keys centre * k + height (0 <= height < k).
+def _relax(m: int, keys: list, k: int) -> tuple[list, list, list]:
+    """The lower envelope, on Z_m, of the slope-1 tents given as keys
+    centre * k + height (0 <= height < k): the sorted centres, the
+    envelope's value at each, and the gap from each centre to the next.
 
     After one relaxation lap each way from the lowest tent every centre
     holds the envelope's value there: the lowest height is already final,
     and a tent reached by passing it is no lower than one started from it
     (tents with one centre need no merging: the zero gap between them
-    relaxes the higher to the lower).  Between neighbouring centres with
-    gap G and heights h, h' the envelope then peaks at (h + h' + G) // 2,
-    at one point, or two when h' + G - h is odd.
+    relaxes the higher to the lower).
     """
     keys.sort()
     cs = [key // k for key in keys]
@@ -500,6 +525,13 @@ def _envelope(m: int, keys: list, k: int) -> tuple[int, list]:
             hs[j] = h
         else:
             h = hs[j]
+    return cs, hs, gaps
+
+
+def _peaks(m: int, cs: list, hs: list, gaps: list) -> tuple[int, list]:
+    """The peak and the peak points of a relaxed envelope (_relax): between
+    neighbouring centres with gap G and values h, h' it peaks at
+    (h + h' + G) // 2, at one point, or two when h' + G - h is odd."""
     nxt = hs[1:] + hs[:1]
     tops = [a + b + gap for a, b, gap in zip(hs, nxt, gaps)]
     top = max(tops) >> 1
@@ -514,10 +546,81 @@ def _envelope(m: int, keys: list, k: int) -> tuple[int, list]:
     return top, points
 
 
-def lattice_summary(g: CirculantGraph) -> InstanceSummary:
-    """The InstanceSummary of the double loop C_n(1, s) by integer
-    arithmetic on its lattice, with no BFS: O(sqrt(n) log n) operations
-    besides the n-bit sets _summarize reads.
+def _value_at(m: int, cs: list, hs: list, x: int) -> int:
+    """A relaxed envelope's value at x in Z_m: the lower of the tents of
+    the two neighbouring centres around x, since a farther tent reaches x
+    only past one of them, whose value already counts it."""
+    j = bisect.bisect_right(cs, x) - 1  # -1: x is before the first centre
+    k = j + 1 if j + 1 < len(cs) else 0
+    return min(hs[j] + (x - cs[j]) % m, hs[k] + (cs[k] - x) % m)
+
+
+@dataclass
+class LatticeDistances:
+    """The double loop C_n(1, s) on its reduced lattice (lattice_distances):
+    d_c(0, x) and chord(x) at any x in O(log n), and the InstanceSummary.
+
+    envelopes holds the relaxed tent envelopes (centres, values, gaps): in
+    the b-form one on Z_n, read at x itself; in the a-form one per residue
+    r mod div = gcd(n, s), on Z_cyc with cyc = n / div, read at
+    z = (x / div) * inv mod cyc for x = r mod div.
+    """
+
+    n: int
+    s: int
+    div: int
+    inv: int
+    b_form: bool
+    envelopes: list
+
+    def circ_at(self, x: int) -> int:
+        """d_c(0, x)."""
+        if self.b_form:
+            return _value_at(self.n, *self.envelopes[0][:2], x)
+        cyc = self.n // self.div
+        return _value_at(cyc, *self.envelopes[x % self.div][:2],
+                         x // self.div * self.inv % cyc)
+
+    def chord_at(self, x: int):
+        """chord(x): INF unless div | x, else min(k, cyc - k) for
+        k = (x / div) * inv mod cyc."""
+        if x % self.div:
+            return INF
+        cyc = self.n // self.div
+        k = x // self.div * self.inv % cyc
+        return min(k, cyc - k)
+
+    def summary(self) -> InstanceSummary:
+        """D as the largest envelope peak and V_Dc as every point reaching
+        it, with their chord classes, for _summarize."""
+        n, div = self.n, self.div
+        if self.b_form:
+            d, points = _peaks(n, *self.envelopes[0])
+        else:
+            cyc, step = n // div, self.s // div
+            d, points = -1, []
+            for r, env in enumerate(self.envelopes):
+                top, peaks = _peaks(cyc, *env)
+                if top >= d:
+                    if top > d:
+                        d, points = top, []
+                    points += [r + div * (z * step % cyc) for z in peaks]
+        vdc = near = far = 0
+        for x in points:
+            bit = 1 << x
+            vdc |= bit
+            chord = self.chord_at(x)
+            if chord == d + 1:
+                near |= bit
+            elif chord > d + 1:
+                far |= bit
+        return _summarize(n, d, vdc, near, far)
+
+
+def lattice_distances(g: CirculantGraph) -> LatticeDistances:
+    """The double loop C_n(1, s) by integer arithmetic on its lattice, with
+    no BFS: O(sqrt(n) log n) operations to reduce the basis and relax the
+    envelopes.
 
     A short vector (alpha, beta) of L = {(a, b) : a + b s = 0 mod n} bounds
     one coordinate of some shortest representation of every x, so d_c(0, x)
@@ -544,39 +647,63 @@ def lattice_summary(g: CirculantGraph) -> InstanceSummary:
         if max(a, b) < max(alpha, beta):
             alpha, beta = a, b
     div = math.gcd(n, s)
-    cyc, step = n // div, s // div
-    inv = pow(step, -1, cyc)
+    cyc = n // div
+    inv = pow(s // div, -1, cyc)
     if alpha <= beta:
         # b-form: some shortest (a, b) has |b| < beta; a tent at b s, height |b|
         keys = [b * s % n * beta + b for b in range(beta)]
         keys += [-b * s % n * beta + b for b in range(1, beta)]
-        d, points = _envelope(n, keys, beta)
+        envelopes = [_relax(n, keys, beta)]
     else:
         # a-form: some shortest (a, b) has |a| < alpha.  For x = r mod div,
         # a = r + div k; on Z_cyc, x sits at z = (x - r) / div * inv and
         # min |b| is the distance from z to k inv
-        d, points = -1, []
-        for r in range(div):
-            keys = [k * inv % cyc * alpha + abs(r + div * k)
-                    for k in range(-((alpha + r - 1) // div),
-                                   (alpha - 1 - r) // div + 1)]
-            top, peaks = _envelope(cyc, keys, alpha)
-            if top >= d:
-                if top > d:
-                    d, points = top, []
-                points += [r + div * (z * step % cyc) for z in peaks]
-    # chord(x) is INF unless div | x, else min(k, cyc - k) for k = x / div * inv
-    vdc = near = far = 0
-    for x in points:
-        bit = 1 << x
-        vdc |= bit
-        if x % div:
-            far |= bit
-            continue
-        k = x // div * inv % cyc
-        chord = min(k, cyc - k)
-        if chord == d + 1:
-            near |= bit
-        elif chord > d + 1:
-            far |= bit
-    return _summarize(n, d, vdc, near, far)
+        envelopes = [
+            _relax(cyc, [k * inv % cyc * alpha + abs(r + div * k)
+                         for k in range(-((alpha + r - 1) // div),
+                                        (alpha - 1 - r) // div + 1)], alpha)
+            for r in range(div)]
+    return LatticeDistances(n, s, div, inv, alpha <= beta, envelopes)
+
+
+# --- the gap-1 witness ---
+
+def diametral_path(n: int, chords, d: int, circ) -> list[int]:
+    """The conj45 witness of a gap-1 row of C_n(1, chords), as GGPG ids
+    (u_i = i, v_i = n + i): the path that a FIFO BFS from u_0 over the
+    sorted neighbors() lists takes to u_t, the least id at distance d + 1,
+    walked with no search (see the module docstring).  d is the
+    circulant's diameter and circ(x) gives d_c(0, x) for x in Z_n.
+    """
+    t = next(i for i in itertools.count(d + 1) if circ(i) >= d - 1)
+
+    def to_t(w):  # d_p(w, u_t) by the spoke identity, rotated to w's index 0
+        x = (t - w) % n
+        return min(x, n - x, circ(x) + 2) if w < n else circ(x) + 1
+
+    path, x, r = [0], 0, d + 1
+    while r:
+        if x < n:
+            nbrs = [*sorted(((x + 1) % n, (x - 1) % n)), n + x]
+        else:
+            i = x - n
+            nbrs = [i, *sorted({n + (i + sign * s) % n
+                                for s in chords for sign in (1, -1)})]
+        w = next(w for w in nbrs if to_t(w) == r - 1)
+        if x < n and w < n:
+            # a ring run: d_p(u_{x + k step}, u_t) = r - k holds for k up to
+            # its length and fails past it, so bisect for the length
+            lo, hi, step = 1, r, 1 if w == (x + 1) % n else -1
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if to_t((x + step * mid) % n) == r - mid:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            path += [(x + step * k) % n for k in range(1, lo + 1)]
+            r -= lo
+        else:
+            path.append(w)
+            r -= 1
+        x = path[-1]
+    return path

@@ -13,7 +13,7 @@ Four statements get machine-checked on concrete (n, chords) instances:
 verify_instance takes its verdicts from one metrics.InstanceSummary: the
 diameters, V_Dc and the two restricted-path conditions.  Three routes
 produce it, chosen by the generator count m alone.  Every m = 2 row (a
-double loop C_n(1, s)) takes metrics.lattice_summary, integer arithmetic
+double loop C_n(1, s)) takes metrics.lattice_distances, integer arithmetic
 on a reduced lattice basis with no BFS, at every n.  An m >= 3 row takes
 metrics.level_set_summary (n-bit level sets) when its circulant has at
 most metrics.LEVEL_CAP levels, else metrics.instance_distances (the
@@ -21,15 +21,17 @@ offset-arithmetic list kernel).  The thm43 witnesses of gap-1 rows come
 from the summary on every route.  All three read the GGPG side off the
 circulant by the spoke identity through one rule (metrics._summarize), so
 a row's bytes never depend on the route, and on this path the thm41 and
-thm42 columns follow from that identity, not from an independent search;
-a gap-1 row runs one GGPG search, with BFS parents, for its diametral
-path.  What checks them independently: check_thm41 to check_thm44, which
-recompute their statement from list BFS alone, and --paranoid
-(paranoid=True), which also runs the list kernel and raises unless its
-summary equals the lattice's or the level sets', cross-checks the list
-kernel and the identity's GGPG vectors against list BFS, and takes the 4.1
-verdict and both diameter shortcuts from check_thm41 over all pairs, on
-every instance.
+thm42 columns follow from that identity, not from an independent search.
+A gap-1 row's diametral path is walked by the identity, with no GGPG
+search (metrics.diametral_path): from the lattice for a double loop, else
+from the list kernel's vectors.  What checks them independently:
+check_thm41 to check_thm44, which recompute their statement from list BFS
+alone, and --paranoid (paranoid=True), which also runs the list kernel and
+raises unless its summary equals the lattice's or the level sets',
+cross-checks the list kernel and the identity's GGPG vectors against list
+BFS, compares a gap-1 row's walk with a FIFO search over neighbors(), and
+takes the 4.1 verdict and both diameter shortcuts from check_thm41 over
+all pairs, on every instance.
 
 Failures are tiered.  The first two are proved facts, so a violation means
 the implementation is broken: enforce_proven raises with the witness, and
@@ -54,14 +56,14 @@ from .metrics import (
     all_source_distances,
     bfs,
     check_shortcut,
+    diametral_path,
+    fifo_path,
     format_distance,
-    ggpg_tree,
     inner_only_distances,
     instance_distances,
-    lattice_summary,
+    lattice_distances,
     level_set_summary,
     outer_only_distance,
-    tree_path,
 )
 from .transforms import VertexCorrespondence, expand
 
@@ -299,10 +301,12 @@ def check_thm44(gc: CirculantGraph, gp: GgpgGraph) -> Gap2Conditions:
     return Gap2Conditions(fires, gap, (not fires) or gap == 2, tuple(notes))
 
 
-def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts) -> None:
+def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts, path) -> None:
     """Paranoid tier: the kernel's vectors, and the GGPG vectors and
     eccentricities the spoke identity derives from them, against list BFS
-    over neighbors()."""
+    over neighbors(); and a gap-1 row's witness walk (path, else None)
+    against a FIFO search over neighbors() from the source that list BFS
+    names as attaining the larger diameter."""
     du, dv = dist.ggpg_vectors()
     slow_u, slow_v = bfs(gp, gp.outer(0)).dist, bfs(gp, gp.inner(0)).dist
     oracle = (("circulant from 0", dist.circ, bfs(gc, 0).dist),
@@ -320,12 +324,20 @@ def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts) -> None:
         raise RuntimeError(
             f"kernel mismatch on {gc.label()} ggpg eccentricities of (u0, v0): "
             f"summary {(facts.ecc_u0, facts.ecc_v0)}, list BFS {ecc}")
+    if path is not None:
+        d = max(ecc)
+        src, vec = (gp.outer(0), slow_u) if ecc[0] == d else (gp.inner(0), slow_v)
+        want = fifo_path(gp, src, vec.index(d))
+        if path != want:
+            raise RuntimeError(
+                f"witness mismatch on {gc.label()}: walk "
+                f"{[gp.vertex_label(v) for v in path]}, FIFO search "
+                f"{[gp.vertex_label(v) for v in want]}")
 
 
 def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationReport:
-    """Build C_n(1, chords) and its GGPG partner, run every check, and
-    return the report row.  Never raises on findings; see enforce_proven
-    for the abort tier.
+    """Check C_n(1, chords) against its GGPG partner and return the report
+    row.  Never raises on findings; see enforce_proven for the abort tier.
 
     The verdicts come from one metrics.InstanceSummary: the lattice
     route's for a double loop (one chord), else the level-set route's when
@@ -333,18 +345,21 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     Each reads the GGPG diameter off the circulant by the spoke identity,
     so 4.1 and 4.2 hold on this path by that identity, not by an
     independent search.  Every row under paranoid also runs the list
-    kernel; a gap-1 row runs one GGPG search, with parents, for its
-    diametral path.  Paranoid requires the list kernel's summary to equal
-    the faster route's, cross-checks the kernel and the identity against
-    list BFS, and checks the sandwich and both diameter shortcuts with
-    check_thm41 over all pairs."""
+    kernel, and so does a gap-1 row with more than one chord, whose
+    diametral path is walked on the kernel's vectors; a double loop's is
+    walked on its lattice.  Paranoid requires the list kernel's summary to
+    equal the faster route's, cross-checks the kernel and the identity
+    against list BFS, requires the walked path to equal a FIFO search's
+    over neighbors(), and checks the sandwich and both diameter shortcuts
+    with check_thm41 over all pairs."""
     chords = tuple(chords)
     gc = build_circulant(n, (1,) + chords)
     if not chords:
         expand(gc)  # raises: a GGPG partner needs a chord
 
     if len(chords) == 1:
-        route, fast = "lattice", lattice_summary(gc)
+        route, lattice = "lattice", lattice_distances(gc)
+        fast = lattice.summary()
     else:
         route, fast = "level sets", level_set_summary(gc)
     facts, dist = fast, None
@@ -355,11 +370,21 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     gap = d_ggpg - d_circ
     vdc = facts.v_dc
     cond_outer, cond_inner = facts.cond_outer, facts.cond_inner
-    if paranoid or gap == 1:
-        gp, corr = expand(gc)
+    path = None
+    if gap == 1:
+        # the conj45 witness, walked on d_c(0, x): from the lattice for a
+        # double loop, else from the list kernel's vector
+        if len(chords) == 1:
+            circ = lattice.circ_at
+        else:
+            if dist is None:
+                dist = instance_distances(gc)
+            circ = dist.circ.__getitem__
+        path = diametral_path(n, chords, d_circ, circ)
 
     if paranoid:
-        _cross_check(gc, gp, dist, facts)
+        gp, corr = expand(gc)
+        _cross_check(gc, gp, dist, facts, path)
         if fast is not None and fast != facts:
             raise RuntimeError(
                 f"route mismatch on {gc.label()}: {route} {fast}, "
@@ -404,15 +429,10 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
                               "gap": gap}
     if gap == 1:
         anomalies.append("conj45: gap=1 instance")
-        # witness: a GGPG path realizing the larger diameter, searched from
-        # the source the identity names as attaining it
-        src = gp.outer(0) if facts.ecc_u0 == d_ggpg else gp.inner(0)
-        vec, parent = ggpg_tree(gc, src)
-        path = tree_path(parent, vec.index(d_ggpg))
         witnesses["conj45"] = {
             "d_circ": d_circ,
             "d_ggpg": d_ggpg,
-            "ggpg_diametral_path": [gp.vertex_label(v) for v in path],
+            "ggpg_diametral_path": [f"u{v}" if v < n else f"v{v - n}" for v in path],
         }
 
     return VerificationReport(
@@ -533,12 +553,23 @@ def _verify_block(n: int, chords: list, paranoid: bool) -> list[tuple]:
     return [_row_fields(verify_instance(n, c, paranoid=paranoid)) for c in chords]
 
 
+# Most rows a worker block holds.  A block is built whole in its worker,
+# pickled and unpickled whole in the parent, so the cap bounds memory: the
+# 49 998-row `sweep --n 100000 --m 2 --jobs 2` peaked at 130.6 MB with two
+# blocks of 24 999 rows and at 28.5 MB with blocks of 512, in 25.0 s and
+# 21.7 s (ru_maxrss from os.wait4, 2-core x86 machine, Python 3.11.7; same
+# report bytes).  The shipped grid's largest block (about 203 rows) is
+# under it.
+BLOCK_ROWS = 512
+
+
 def _blocks(instances, workers: int):
     """(n, chord sets) blocks in input order: each ring length's run of
-    consecutive instances cut into at most workers contiguous blocks."""
+    consecutive instances cut into workers contiguous blocks, or into more
+    where a block would exceed BLOCK_ROWS rows."""
     for n, run in itertools.groupby(instances, key=operator.itemgetter(0)):
         chords = [c for _, c in run]
-        size = -(-len(chords) // workers)
+        size = min(-(-len(chords) // workers), BLOCK_ROWS)
         for i in range(0, len(chords), size):
             yield n, chords[i:i + size]
 
@@ -547,9 +578,10 @@ def run_instances(instances, *, paranoid: bool = False, jobs: int = 1):
     """Yield one report per instance, in input order regardless of jobs.
 
     instances may be any iterable of (n, chords); it is drawn lazily.  With
-    more than one worker, each ring length's rows go out in at most
-    `workers` contiguous blocks, no more than 2 * workers blocks are in
-    flight, and rows come back as field tuples.  The pool forks all its
+    more than one worker, each ring length's rows go out in `workers`
+    contiguous blocks, or in more where a block would exceed BLOCK_ROWS
+    rows; no more than 2 * workers blocks are in flight, and rows come back
+    as field tuples.  The pool forks all its
     workers at the first submit, so it never gets more than there are
     cores, jobs or rows (the rows counted up to that many).
     """

@@ -399,3 +399,26 @@ def test_verify_paranoid_small_grid():
                 "--theorems", "4.1,4.2")
     assert r.returncode == 0, r.stderr
     assert "--paranoid" in r.stdout.splitlines()[0]
+
+
+def test_a_large_ring_length_goes_out_in_bounded_blocks(tmp_path, monkeypatch):
+    # n = 2100 holds 1 048 double loops: at --jobs 2 they go out in blocks
+    # of at most BLOCK_ROWS rows, with the bytes of --jobs 1
+    real, sizes = theorem_lab._blocks, []
+
+    def recording(instances, workers):
+        for n, chords in real(instances, workers):
+            sizes.append(len(chords))
+            yield n, chords
+
+    monkeypatch.setattr(theorem_lab, "_blocks", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}.csv"
+        assert cli.main(["sweep", "--n", "2100", "--m", "2", "--jobs", jobs,
+                         "--out", str(out)]) == 0
+        outs.append((out.read_bytes(),
+                     (tmp_path / f"j{jobs}.counterexamples.csv").read_bytes()))
+    assert theorem_lab.BLOCK_ROWS == 512 and sizes == [512, 512, 24]
+    assert outs[0] == outs[1]

@@ -1,7 +1,7 @@
 """The one-pass instance kernel, and the GGPG vectors the spoke identity
 derives from it, against their oracles: list BFS over neighbors(), the
-chord-only BFS, networkx, and a sorted-neighbour FIFO path search for the
-conj45 witness."""
+chord-only BFS, networkx; and the walked conj45 witness against a
+sorted-neighbour FIFO path search."""
 
 from collections import deque
 
@@ -20,13 +20,7 @@ from loopnet import (
 )
 from loopnet import graph_core, metrics, theorem_lab
 from loopnet.graph_core import max_generator
-from loopnet.metrics import (
-    _ggpg_offsets,
-    _ring_offsets,
-    ggpg_tree,
-    instance_distances,
-    level_set_summary,
-)
+from loopnet.metrics import _ring_offsets, instance_distances, level_set_summary
 from loopnet.theorem_lab import plan_sweep
 
 
@@ -99,14 +93,8 @@ def test_kernel_vectors_match_list_bfs_and_networkx(data):
 @pytest.mark.parametrize("n,chords", [(9, (2,)), (12, (5,)), (17, (2, 5, 8)),
                                       (30, (4, 10, 11)), (31, (15,))])
 def test_offset_rows_give_sorted_neighbors_and_fifo_parents(n, chords):
+    # the kernel's rows list every neighbour once, in ascending order
     g = build_circulant(n, (1,) + chords)
-    h, _ = expand(g)
-    rows = _ggpg_offsets(n, chords)
-    assert [[v + d for d in rows[v]] for v in h.vertices()] == \
-        [h.neighbors(v) for v in h.vertices()]
-    for src in (h.outer(0), h.inner(0)):
-        tree = fifo_parents(h, src)
-        assert ggpg_tree(g, src)[1] == [tree[v] for v in h.vertices()]
     rows = _ring_offsets(n, g.gens)
     assert [sorted(v + d for d in rows[v]) for v in g.vertices()] == \
         [g.neighbors(v) for v in g.vertices()]
@@ -121,6 +109,37 @@ def test_conj45_witness_matches_fifo_reference_on_grid():
                 reference_witness(n, chords), (n, chords)
             checked += 1
     assert checked > 50
+
+
+def test_conj45_witness_matches_fifo_reference_on_every_triple_loop():
+    # m = 3 rows walk the list kernel's vectors, whether level sets or the
+    # kernel decided the row
+    checked = 0
+    for n, chords in plan_sweep(range(5, 101), [3]):
+        r = verify_instance(n, chords)
+        if r.gap == 1:
+            assert r.witnesses["conj45"]["ggpg_diametral_path"] == \
+                reference_witness(n, chords), (n, chords)
+            checked += 1
+    assert checked == 298
+
+
+def test_walk_equals_fifo_path_on_every_row():
+    # the walk's target, the least GGPG id at distance d_circ + 1 from u0,
+    # is defined on gap-2 rows too, whose paths also take spokes and chords
+    shapes = set()
+    for n, chords in plan_sweep(range(5, 61), [2, 3]):
+        g = build_circulant(n, (1,) + chords)
+        h, _ = expand(g)
+        d = max(bfs(g, 0).dist)
+        want = fifo_path(h, h.outer(0), bfs(h, h.outer(0)).dist.index(d + 1))
+        if len(chords) == 1:
+            circ = metrics.lattice_distances(g).circ_at
+        else:
+            circ = instance_distances(g).circ.__getitem__
+        assert metrics.diametral_path(n, chords, d, circ) == want, (n, chords)
+        shapes.add("".join(dict.fromkeys("u" if v < n else "v" for v in want)))
+    assert shapes == {"u", "uv"}  # ring runs alone; runs, spokes and chord steps
 
 
 @pytest.mark.parametrize("k", [50, 251, 500])
@@ -147,7 +166,7 @@ def test_verify_instance_makes_no_neighbors_or_bfs_call(monkeypatch):
     assert verify_instance(20, (4, 8)).thm41_ok
 
 
-@pytest.mark.parametrize("n,chords,paranoid,searches", [
+@pytest.mark.parametrize("n,chords,paranoid,gap1", [
     (12, (5,), False, 1),      # gap 1, lattice
     (12, (5,), True, 1),       # paranoid: the oracles use list BFS instead
     (804, (401,), False, 1),   # gap 1, lattice at any n
@@ -156,24 +175,34 @@ def test_verify_instance_makes_no_neighbors_or_bfs_call(monkeypatch):
     (1000, (2,), False, 0),    # gap 2, lattice at any n
     (7, (3,), False, 1),       # gap 1, thm43-inconsistent: the lattice gives its witness
     (1202, (2, 3), False, 0),  # gap 2, over the cap
+    (9, (2, 4), False, 1),     # gap 1, level sets: the walk reads the kernel's vectors
+    (9, (2, 4), True, 1),
 ])
-def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, searches):
-    # the list kernel (two n-vertex searches) runs only on an m >= 3 row
-    # over the cap or under paranoid; the GGPG search (2n vertices) only on
-    # a gap-1 row
+def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, gap1):
+    # no row runs a 2n-vertex GGPG search: the witness is walked.  The list
+    # kernel (two n-vertex searches) runs on an m >= 3 row over the cap or
+    # with gap 1, and under paranoid, which also checks a gap-1 row's walk
+    # against a FIFO search over neighbors()
     g = build_circulant(n, (1,) + chords)
-    over = len(chords) > 1 and level_set_summary(g) is None
-    sizes = []
-    real = metrics._level_bfs
+    m3 = len(chords) > 1
+    over = m3 and level_set_summary(g) is None
+    sizes, oracle = [], []
+    real_bfs, real_fifo = metrics._level_bfs, metrics.fifo_path
 
     def counting(offsets, src):
         sizes.append(len(offsets))
-        return real(offsets, src)
+        return real_bfs(offsets, src)
+
+    def fifo(*args):
+        oracle.append(args)
+        return real_fifo(*args)
 
     monkeypatch.setattr(metrics, "_level_bfs", counting)
+    monkeypatch.setattr(theorem_lab, "fifo_path", fifo)
     r = verify_instance(n, chords, paranoid=paranoid)
-    assert (r.gap == 1) == (searches == 1)
-    assert sizes == [n, n] * (over or paranoid) + [2 * n] * searches
+    assert (r.gap == 1) == bool(gap1)
+    assert sizes == [n, n] * (over or paranoid or (m3 and gap1))
+    assert len(oracle) == (paranoid and gap1)
 
 
 def test_paranoid_cross_check_catches_a_wrong_kernel_vector(monkeypatch):
@@ -187,4 +216,17 @@ def test_paranoid_cross_check_catches_a_wrong_kernel_vector(monkeypatch):
     monkeypatch.setattr(theorem_lab, "instance_distances", doctored)
     verify_instance(12, (5,))  # the fast path trusts the kernel
     with pytest.raises(RuntimeError, match="chord-only from 0: vertex 3"):
+        verify_instance(12, (5,), paranoid=True)
+
+
+def test_paranoid_checks_the_witness_walk_against_a_fifo_search(monkeypatch):
+    real = metrics.diametral_path
+
+    def doctored(*args):
+        return real(*args)[:-1]
+
+    monkeypatch.setattr(theorem_lab, "diametral_path", doctored)
+    r = verify_instance(12, (5,))  # the fast path trusts the walk
+    assert len(r.witnesses["conj45"]["ggpg_diametral_path"]) == r.d_ggpg
+    with pytest.raises(RuntimeError, match=r"witness mismatch on C12\(1,5\): walk "):
         verify_instance(12, (5,), paranoid=True)

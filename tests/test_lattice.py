@@ -1,8 +1,9 @@
 """The lattice route for double loops C_n(1, s) against the list kernel and
-the BFS oracles: every row with n <= 400, random rows with n < 2 * 10^5,
-named rows of both envelope forms (with gcd(n, s) = 1 and > 1) at n near
-10^5, random rows; what an m = 2 row skips; and what --paranoid still
-compares it with."""
+the BFS oracles: every row with n <= 400 (and its walked conj45 witness
+against a FIFO search), random rows with n < 2 * 10^5, named rows of both
+envelope forms (with gcd(n, s) = 1 and > 1) at n near 10^5, random rows;
+its pointwise distances against the kernel's vectors; what an m = 2 row
+skips; and what --paranoid still compares it with."""
 
 import dataclasses
 import random
@@ -14,17 +15,35 @@ from hypothesis import strategies as st
 from loopnet import bfs, build_circulant, expand, inner_only_distances, verify_instance
 from loopnet import metrics, theorem_lab
 from loopnet.graph_core import max_generator
-from loopnet.metrics import _envelope, instance_distances, lattice_summary
+from loopnet.metrics import (
+    _peaks,
+    _relax,
+    _value_at,
+    instance_distances,
+    lattice_distances,
+)
+from test_instance_kernel import reference_witness
 
 
 def test_lattice_summary_on_every_small_double_loop():
-    rows = 0
+    rows = gap1 = 0
     for n in range(5, 401):
         for s in range(2, max_generator(n) + 1):
             g = build_circulant(n, (1, s))
-            assert lattice_summary(g) == instance_distances(g).summary(), (n, s)
+            lattice, dist = lattice_distances(g), instance_distances(g)
+            facts = lattice.summary()
+            assert facts == dist.summary(), (n, s)
+            if n <= 120:
+                assert [lattice.circ_at(x) for x in range(n)] == dist.circ, (n, s)
+                assert [lattice.chord_at(x) for x in range(n)] == dist.chord_only
+            if facts.d_ggpg == facts.d_circ + 1:
+                path = verify_instance(n, (s,)).witnesses["conj45"]["ggpg_diametral_path"]
+                assert path == reference_witness(n, (s,)), (n, s)
+                gap1 += 1
             rows += 1
     assert rows == 39402
+    # C_{4k}(1, 2k - 1) for 3 <= k <= 100, C5(1,2), C7(1,2) and C7(1,3)
+    assert gap1 == 101
 
 
 def test_lattice_summary_on_random_large_double_loops():
@@ -32,7 +51,11 @@ def test_lattice_summary_on_random_large_double_loops():
     for _ in range(12):
         n = rng.randrange(5, 200_000)
         g = build_circulant(n, (1, rng.randrange(2, max_generator(n) + 1)))
-        assert lattice_summary(g) == instance_distances(g).summary(), g.label()
+        lattice, dist = lattice_distances(g), instance_distances(g)
+        assert lattice.summary() == dist.summary(), g.label()
+        for x in rng.sample(range(n), 200):
+            assert lattice.circ_at(x) == dist.circ[x], (g.label(), x)
+            assert lattice.chord_at(x) == dist.chord_only[x], (g.label(), x)
 
 
 @pytest.mark.parametrize("n,s", [
@@ -48,7 +71,7 @@ def test_lattice_summary_on_random_large_double_loops():
 ])
 def test_lattice_summary_on_named_rows(n, s):
     g = build_circulant(n, (1, s))
-    fast = lattice_summary(g)
+    fast = lattice_distances(g).summary()
     assert fast == instance_distances(g).summary()
     if n == 9:
         assert fast.v_dc == (3, 4, 5, 6)
@@ -60,7 +83,7 @@ def test_lattice_summary_matches_list_route_and_oracles(data):
     n = data.draw(st.integers(5, 3000), label="n")
     s = data.draw(st.integers(2, max_generator(n)), label="s")
     g = build_circulant(n, (1, s))
-    fast = lattice_summary(g)
+    fast = lattice_distances(g).summary()
     assert fast == instance_distances(g).summary()
     dc0, chord = bfs(g, 0).dist, inner_only_distances(g)
     d = max(dc0)
@@ -82,22 +105,24 @@ def test_envelope_of_any_tents_matches_brute_force(m, tents):
     tents = [(c % m, h) for c, h in tents]
     value = [min(h + min((x - c) % m, (c - x) % m) for c, h in tents)
              for x in range(m)]
-    top, points = _envelope(m, [c * 10 + h for c, h in tents], 10)
+    cs, hs, gaps = _relax(m, [c * 10 + h for c, h in tents], 10)
+    top, points = _peaks(m, cs, hs, gaps)
     assert top == max(value)
     assert sorted(set(points)) == [x for x in range(m) if value[x] == top]
+    assert [_value_at(m, cs, hs, x) for x in range(m)] == value
 
 
 @pytest.mark.parametrize("gens", [(1, 4, 8), (1,), (2, 5)])
 def test_lattice_summary_takes_only_double_loops(gens):
     with pytest.raises(ValueError, match="lattice route needs C_n"):
-        lattice_summary(build_circulant(20, gens))
+        lattice_distances(build_circulant(20, gens))
 
 
 def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
     rows = [(12, (5,)), (9, (2,)), (7, (3,)), (804, (401,)), (1000, (2,)),
             (100000, (49999,)), (20, (4, 8))]
     want = [verify_instance(n, c) for n, c in rows]
-    calls = {"lattice_summary": 0, "level_set_summary": 0, "instance_distances": 0}
+    calls = {"lattice_distances": 0, "level_set_summary": 0, "instance_distances": 0}
 
     def counted(name):
         real = getattr(theorem_lab, name)
@@ -110,7 +135,7 @@ def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
     for name in calls:
         monkeypatch.setattr(theorem_lab, name, counted(name))
     assert [verify_instance(n, c) for n, c in rows[:-1]] == want[:-1]
-    assert calls == {"lattice_summary": 6, "level_set_summary": 0,
+    assert calls == {"lattice_distances": 6, "level_set_summary": 0,
                      "instance_distances": 0}
     assert verify_instance(*rows[-1]) == want[-1]  # m = 3: level sets
     assert calls["level_set_summary"] == 1
@@ -119,12 +144,12 @@ def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
 
 
 def test_paranoid_compares_the_lattice_with_the_list_kernel(monkeypatch):
-    real = metrics.lattice_summary
+    real = metrics.LatticeDistances.summary
 
-    def doctored(g):
-        return dataclasses.replace(real(g), v_dc=(1,))
+    def doctored(self):
+        return dataclasses.replace(real(self), v_dc=(1,))
 
-    monkeypatch.setattr(theorem_lab, "lattice_summary", doctored)
+    monkeypatch.setattr(metrics.LatticeDistances, "summary", doctored)
     assert verify_instance(12, (5,)).extremal_set == (1,)  # trusted when not paranoid
     with pytest.raises(RuntimeError, match="route mismatch on C12.*: lattice "):
         verify_instance(12, (5,), paranoid=True)

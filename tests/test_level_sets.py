@@ -205,14 +205,14 @@ def test_thm43_witnesses_on_the_grid_match_the_oracles():
 def test_level_set_rows_build_no_ggpg_graph(monkeypatch):
     from loopnet import graph_core, transforms
 
-    want = verify_instance(20, (4, 8))
+    rows = ((20, (4, 8)), (12, (5,)), (9, (2, 4)))  # gap 2; two walked gap-1 rows
+    want = [verify_instance(n, chords) for n, chords in rows]
     for mod, name in ((theorem_lab, "expand"), (transforms, "build_ggpg"),
                       (graph_core, "build_ggpg")):
         monkeypatch.setattr(mod, name, refuse)
-    assert verify_instance(20, (4, 8)) == want
-    for n, chords in ((12, (5,)), (20, (4, 8))):  # a gap-1 row; paranoid
-        with pytest.raises(AssertionError, match="cannot change"):
-            verify_instance(n, chords, paranoid=n == 20)
+    assert [verify_instance(n, chords) for n, chords in rows] == want
+    with pytest.raises(AssertionError, match="cannot change"):  # paranoid only
+        verify_instance(20, (4, 8), paranoid=True)
 
 
 def test_no_chord_keeps_the_expansion_error():
@@ -244,7 +244,7 @@ def list_route_row(monkeypatch, n, chords):
     """The row as the list kernel alone gives it."""
     with monkeypatch.context() as m:
         m.setattr(theorem_lab, "level_set_summary", lambda g: None)
-        m.setattr(theorem_lab, "lattice_summary", lambda g: None)
+        m.setattr(metrics.LatticeDistances, "summary", lambda self: None)
         return verify_instance(n, chords)
 
 
