@@ -3,13 +3,15 @@ conjecture sweeps, and DOT export.
 
 verify and sweep share one runner, _run_checked, whose memory does not
 grow with the row count: the grid is planned one ring length at a time,
-and each row is streamed into a staged report once it has passed
-theorem_lab.enforce_proven, keeping only gap counts, gap-1 rows and
-findings.  Both create an empty temporary sibling of every file they
-write before the first row runs, so an unwritable path fails at once, and
-move each into place only at the end; a stdout report is staged in an
-anonymous temporary file and copied out after the last row.  A run that
-exits 2 or 3 leaves none of its files behind and prints no report byte.
+and theorem_lab.run_instances verifies, checks (enforce_proven) and
+renders it in blocks of rows, in workers under --jobs.  This process only
+writes each block's text into a staged report, keeping gap counts and the
+gap-1 rows or findings.  Both create an empty temporary sibling of every
+file they write before the first row runs, so an unwritable path fails at
+once, and move each into place only at the end; a stdout report is staged
+in an anonymous temporary file and copied out after the last row.  A run
+that exits 2 or 3 leaves none of its files behind and prints no report
+byte.
 
 Exit codes: 0 clean, 2 parameter error or unwritable output path, 3
 proved-statement violation (witness on stderr), 4 findings present
@@ -23,6 +25,7 @@ header; determinism is independent of both.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import os
@@ -46,7 +49,7 @@ from .metrics import (
 from .theorem_lab import (
     TheoremViolation,
     _plan,
-    enforce_proven,
+    _write_document,
     run_instances,
     write_report_csv,
     write_report_json,
@@ -314,29 +317,25 @@ def _staged(paths):
 
 
 def _run_checked(instances, args, flags: str, out, keep) -> tuple[dict, list]:
-    """Run every instance and stream each row, once it has passed
-    enforce_proven, into out: a staged path, or None for stdout, where the
-    report is staged in an anonymous temporary file and copied out only
-    after the last row has passed.  Returns the gap distribution and the
-    rows keep(row) selects; no other row stays in memory."""
-    gaps, kept = {}, []
+    """Write every instance's report, block by block, into out: a staged
+    path, or None for stdout (staged in an anonymous temporary file, copied
+    out after the last row).  Returns the gap distribution and the rows
+    keep(row) selects among the rows with an anomaly, the only ones sent."""
+    gaps, kept = collections.Counter(), []
 
-    def checked():
-        for r in run_instances(instances, paranoid=args.paranoid, jobs=args.jobs):
-            enforce_proven(r)
-            gaps[r.gap] = gaps.get(r.gap, 0) + 1
-            if keep(r):
-                kept.append(r)
-            yield r
+    def texts():
+        for text, block_gaps, flagged in run_instances(
+                instances, paranoid=args.paranoid, jobs=args.jobs, fmt=args.format):
+            gaps.update(block_gaps)
+            kept.extend(filter(keep, flagged))
+            yield text
 
-    if out is None:
-        with tempfile.TemporaryFile("w+") as fh:
-            _write_reports(checked(), fh, args.format, flags, args.seed)
+    header = (_header if args.format == "csv" else _header_meta)(flags, args.seed)
+    with tempfile.TemporaryFile("w+") if out is None else open(out, "w") as fh:
+        _write_document(texts(), fh, args.format, header)
+        if out is None:
             fh.seek(0)
             shutil.copyfileobj(fh, sys.stdout)
-    else:
-        with open(out, "w") as fh:
-            _write_reports(checked(), fh, args.format, flags, args.seed)
     return dict(sorted(gaps.items())), kept
 
 

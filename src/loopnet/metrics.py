@@ -405,16 +405,18 @@ class InstanceDistances:
                           *(sum(1 << i for i in part) for part in sets))
 
 
+def circulant_distances(g: CirculantGraph) -> list:
+    """d_c(0, i) for every i: the level kernel over the circulant alone."""
+    return _level_bfs(_ring_offsets(g.n, g.gens), 0)
+
+
 def instance_distances(g: CirculantGraph) -> InstanceDistances:
     """One pass of the level kernel over C_n(1, chords) and its chord-only
     ring, both from 0."""
     if g.gens[0] != 1:
         raise ValueError(f"instance distances need generator 1 in S, got {g.label()}")
-    n = g.n
-    return InstanceDistances(
-        circ=_level_bfs(_ring_offsets(n, g.gens), 0),
-        chord_only=_level_bfs(_ring_offsets(n, g.gens[1:]), 0),
-    )
+    return InstanceDistances(circ=circulant_distances(g),
+                             chord_only=_level_bfs(_ring_offsets(g.n, g.gens[1:]), 0))
 
 
 # --- the level-set route ---

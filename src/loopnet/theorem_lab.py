@@ -24,7 +24,7 @@ a row's bytes never depend on the route, and on this path the thm41 and
 thm42 columns follow from that identity, not from an independent search.
 A gap-1 row's diametral path is walked by the identity, with no GGPG
 search (metrics.diametral_path): from the lattice for a double loop, else
-from the list kernel's vectors.  What checks them independently:
+from metrics.circulant_distances.  What checks them independently:
 check_thm41 to check_thm44, which recompute their statement from list BFS
 alone, and --paranoid (paranoid=True), which also runs the list kernel and
 raises unless its summary equals the lattice's or the level sets',
@@ -43,19 +43,20 @@ silently dropped, never asserted.
 from __future__ import annotations
 
 import collections
+import io
 import itertools
 import json
 import math
-import operator
 import os
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .graph_core import CirculantGraph, GgpgGraph, build_circulant, max_generator
 from .metrics import (
     all_source_distances,
     bfs,
     check_shortcut,
+    circulant_distances,
     diametral_path,
     fifo_path,
     format_distance,
@@ -134,22 +135,14 @@ class VerificationReport:
     witnesses: dict
 
     def csv_cells(self) -> list[str]:
-        flag = lambda b: "true" if b else "false"
+        flags = (self.cond_outer, self.cond_inner, self.thm41_ok, self.thm42_ok,
+                 self.thm43_ok, self.thm44_ok, self.conj45_holds)
         return [
             str(self.n),
-            "-".join(str(s) for s in self.gens),
-            str(self.chord_count),
-            str(self.d_circ),
-            str(self.d_ggpg),
-            str(self.gap),
-            "-".join(str(v) for v in self.extremal_set),
-            flag(self.cond_outer),
-            flag(self.cond_inner),
-            flag(self.thm41_ok),
-            flag(self.thm42_ok),
-            flag(self.thm43_ok),
-            flag(self.thm44_ok),
-            flag(self.conj45_holds),
+            "-".join(map(str, self.gens)),
+            *map(str, (self.chord_count, self.d_circ, self.d_ggpg, self.gap)),
+            "-".join(map(str, self.extremal_set)),
+            *["true" if b else "false" for b in flags],
             "; ".join(self.anomalies),
         ]
 
@@ -345,13 +338,13 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     Each reads the GGPG diameter off the circulant by the spoke identity,
     so 4.1 and 4.2 hold on this path by that identity, not by an
     independent search.  Every row under paranoid also runs the list
-    kernel, and so does a gap-1 row with more than one chord, whose
-    diametral path is walked on the kernel's vectors; a double loop's is
-    walked on its lattice.  Paranoid requires the list kernel's summary to
-    equal the faster route's, cross-checks the kernel and the identity
-    against list BFS, requires the walked path to equal a FIFO search's
-    over neighbors(), and checks the sandwich and both diameter shortcuts
-    with check_thm41 over all pairs."""
+    kernel.  A gap-1 row's diametral path is walked on its lattice (one
+    chord), else on the kernel's vectors or its circulant search alone.
+    Paranoid requires the list kernel's summary to equal the faster
+    route's, cross-checks the kernel and the identity against list BFS,
+    requires the walked path to equal a FIFO search's over neighbors(),
+    and checks the sandwich and both diameter shortcuts with check_thm41
+    over all pairs."""
     chords = tuple(chords)
     gc = build_circulant(n, (1,) + chords)
     if not chords:
@@ -373,13 +366,9 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     path = None
     if gap == 1:
         # the conj45 witness, walked on d_c(0, x): from the lattice for a
-        # double loop, else from the list kernel's vector
-        if len(chords) == 1:
-            circ = lattice.circ_at
-        else:
-            if dist is None:
-                dist = instance_distances(gc)
-            circ = dist.circ.__getitem__
+        # double loop, else from the circulant search (the list kernel's)
+        circ = (lattice.circ_at if len(chords) == 1 else
+                (dist.circ if dist else circulant_distances(gc)).__getitem__)
         path = diametral_path(n, chords, d_circ, circ)
 
     if paranoid:
@@ -542,70 +531,68 @@ def plan_sweep(n_range, m_set, *, sample_cap: int = 100_000,
                       sample_size=sample_size, seed=seed))
 
 
-_row_fields = operator.attrgetter(
-    *(f.name for f in fields(VerificationReport)))
-
-
-def _verify_block(n: int, chords: list, paranoid: bool) -> list[tuple]:
-    """A worker's share: one ring length's contiguous run of chord sets,
-    returned as plain field tuples, which pickle smaller and faster than
-    the reports."""
-    return [_row_fields(verify_instance(n, c, paranoid=paranoid)) for c in chords]
-
-
-# Most rows a worker block holds.  A block is built whole in its worker,
-# pickled and unpickled whole in the parent, so the cap bounds memory: the
-# 49 998-row `sweep --n 100000 --m 2 --jobs 2` peaked at 130.6 MB with two
-# blocks of 24 999 rows and at 28.5 MB with blocks of 512, in 25.0 s and
-# 21.7 s (ru_maxrss from os.wait4, 2-core x86 machine, Python 3.11.7; same
-# report bytes).  The shipped grid's largest block (about 203 rows) is
-# under it.
+# Most rows a block holds.  A block's rows are verified, checked and
+# rendered in one process, and its text and anomaly rows travel whole, so
+# the cap bounds memory: the 49 998-row `sweep --n 100000 --m 2` peaked at
+# 25.1 MB at --jobs 1 and 29.2 MB at --jobs 2 (ru_maxrss from os.wait4,
+# 2-core x86 machine, Python 3.11.7).  Few blocks mean few round trips: the
+# shipped 8 120-row grid goes out in 16.
 BLOCK_ROWS = 512
 
 
-def _blocks(instances, workers: int):
-    """(n, chord sets) blocks in input order: each ring length's run of
-    consecutive instances cut into workers contiguous blocks, or into more
-    where a block would exceed BLOCK_ROWS rows."""
-    for n, run in itertools.groupby(instances, key=operator.itemgetter(0)):
-        chords = [c for _, c in run]
-        size = min(-(-len(chords) // workers), BLOCK_ROWS)
-        for i in range(0, len(chords), size):
-            yield n, chords[i:i + size]
+def _blocks(instances, workers: int = 1):
+    """Contiguous blocks of instances in input order: each window of
+    workers * BLOCK_ROWS rows is cut into min(workers, rows) near-equal
+    blocks, so that a short run still gives every worker one."""
+    instances = iter(instances)
+    while window := list(itertools.islice(instances, workers * BLOCK_ROWS)):
+        k, rows = min(workers, len(window)), len(window)
+        yield from (window[i * rows // k:(i + 1) * rows // k] for i in range(k))
 
 
-def run_instances(instances, *, paranoid: bool = False, jobs: int = 1):
-    """Yield one report per instance, in input order regardless of jobs.
+def _verify_block(instances: list, paranoid: bool, fmt: str) -> tuple:
+    """One block, in a worker or in-process: verify each row, apply
+    enforce_proven (raising on the first violation) and render it in fmt.
+    Returns the text, the gap counts and the rows with an anomaly."""
+    gaps, flagged = collections.Counter(), []
 
-    instances may be any iterable of (n, chords); it is drawn lazily.  With
-    more than one worker, each ring length's rows go out in `workers`
-    contiguous blocks, or in more where a block would exceed BLOCK_ROWS
-    rows; no more than 2 * workers blocks are in flight, and rows come back
-    as field tuples.  The pool forks all its
-    workers at the first submit, so it never gets more than there are
-    cores, jobs or rows (the rows counted up to that many).
-    """
+    def checked():
+        for n, c in instances:
+            r = enforce_proven(verify_instance(n, c, paranoid=paranoid))
+            gaps[r.gap] += 1
+            if r.anomalies:
+                flagged.append(r)
+            yield r
+
+    return _render_rows(checked(), fmt), gaps, flagged
+
+
+def run_instances(instances, *, paranoid: bool = False, jobs: int = 1,
+                  fmt: str = "csv"):
+    """Yield each block's _verify_block triple in input order, whatever
+    jobs is; a violation raises for the first violating row in that order.
+    instances, any iterable of (n, chords), is drawn lazily.  One worker
+    runs the blocks in-process; else a pool of min(jobs, cores, rows)
+    workers, as many as the first window has blocks, has at most
+    2 * workers blocks in flight."""
     instances = iter(instances)
     head = list(itertools.islice(instances, min(jobs, os.cpu_count() or 1)))
-    instances = itertools.chain(head, instances)
     workers = len(head)
+    blocks = _blocks(itertools.chain(head, instances), workers)
     if workers <= 1:
-        for n, chords in instances:
-            yield verify_instance(n, chords, paranoid=paranoid)
+        yield from (_verify_block(block, paranoid, fmt) for block in blocks)
         return
     from concurrent.futures import ProcessPoolExecutor  # costs ~20 ms to import
 
-    blocks = _blocks(instances, workers)
     pending = collections.deque()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
             while True:
-                for n, chords in itertools.islice(blocks, 2 * workers - len(pending)):
-                    pending.append(pool.submit(_verify_block, n, chords, paranoid))
+                for block in itertools.islice(blocks, 2 * workers - len(pending)):
+                    pending.append(pool.submit(_verify_block, block, paranoid, fmt))
                 if not pending:
                     return
-                for row in pending.popleft().result():
-                    yield VerificationReport(*row)
+                yield pending.popleft().result()
         finally:
             for future in pending:
                 future.cancel()
@@ -613,33 +600,45 @@ def run_instances(instances, *, paranoid: bool = False, jobs: int = 1):
 
 # --- report serialization ---
 
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+
+
+def _render_rows(reports, fmt: str) -> str:
+    """Report rows as text: CSV lines, or JSON records two levels deep (a
+    JSON string holds no raw newline), each led by ",\n    "."""
+    if fmt == "csv":
+        import csv
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(r.csv_cells() for r in reports)
+        return buf.getvalue()
+    return "".join(",\n    " + _JSON.encode(r.json_record()).replace("\n", "\n    ")
+                   for r in reports)
+
+
+def _write_document(texts, fh, fmt: str, header) -> None:
+    """A report from its rows' text (_render_rows, in row order), with the
+    header and column names of CSV, or the bytes json.dump gives a JSON one."""
+    if fmt == "csv":
+        fh.write(f"# {header}\n{','.join(REPORT_COLUMNS)}\n")
+        fh.writelines(texts)
+        return
+    # "reports" sorts last, so the empty document ends in its list: "[]\n}"
+    empty = _JSON.encode({"header": header, "reports": []})
+    texts = iter(texts)
+    first = next(texts, "")  # the first record's lead-in takes no comma
+    fh.write(empty[:-3] + first[1:] if first else empty)
+    fh.writelines(texts)
+    fh.write("\n  ]\n}\n" if first else "\n")
+
+
 def write_report_csv(reports, fh, header: str) -> None:
     """Header comment line, column names, then one row per instance,
-    written as each report is drawn from the iterable."""
-    import csv
-
-    fh.write(f"# {header}\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for r in reports:
-        writer.writerow(r.csv_cells())
+    written BLOCK_ROWS rows at a time as the reports are drawn."""
+    _write_document((_render_rows(b, "csv") for b in _blocks(reports)), fh, "csv", header)
 
 
 def write_report_json(reports, fh, header_meta: dict) -> None:
     """{"header": header_meta, "reports": [...]} with indent 2 and sorted
-    keys, the bytes json.dump gives, written one record at a time as each
-    report is drawn from the iterable."""
-    enc = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
-    # "reports" sorts last, so its one placeholder item splits the document
-    head, tail = enc.encode({"header": header_meta, "reports": [0]}).rsplit("0", 1)
-    records = (enc.encode(r.json_record()).replace("\n", "\n    ")
-               for r in reports)  # two levels deep; JSON strings hold no raw newline
-    first = next(records, None)
-    if first is None:
-        fh.write(enc.encode({"header": header_meta, "reports": []}))
-    else:
-        fh.write(head + first)
-        for rec in records:
-            fh.write(",\n    " + rec)
-        fh.write(tail)
-    fh.write("\n")
+    keys, written one record at a time as each report is drawn."""
+    _write_document((_render_rows((r,), "json") for r in reports), fh, "json",
+                    header_meta)

@@ -266,8 +266,7 @@ def reference_report(fmt, head, reports):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("argv,instances", [
+STREAMED_RUNS = [
     # gap-1 rows, so conj45 witnesses in JSON
     (("sweep", "--n", "5..24", "--m", "2,3"),
      plan_sweep(range(5, 25), [2, 3])),
@@ -275,7 +274,11 @@ def reference_report(fmt, head, reports):
     (("verify", "--n", "60..61", "--m", "3,4", "--sample-cap", "100",
       "--sample-size", "30", "--seed", "9", "--theorems", "4.3,4.5"),
      plan_sweep(range(60, 62), [3, 4], sample_cap=100, sample_size=30, seed=9)),
-])
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv,instances", STREAMED_RUNS)
 def test_streamed_reports_equal_the_whole_document(fmt, argv, instances, tmp_path,
                                                    capsys):
     want = [verify_instance(n, c) for n, c in instances]
@@ -295,6 +298,55 @@ def test_streamed_reports_equal_the_whole_document(fmt, argv, instances, tmp_pat
     head = (json.loads(texts[0])["header"] if fmt == "json"
             else texts[0].splitlines()[0])
     assert texts[0] == reference_report(fmt, head, want)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv,instances", STREAMED_RUNS)
+def test_blocks_across_ring_lengths_give_the_same_bytes(fmt, argv, instances,
+                                                         tmp_path, monkeypatch,
+                                                         capsys):
+    # with 7-row blocks, some blocks span ring lengths and some ring
+    # lengths span several blocks; every file stays the default run's
+    want = [verify_instance(n, c) for n, c in instances]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    runs = []
+    for rows, jobs in ((theorem_lab.BLOCK_ROWS, "1"), (7, "1"), (7, "2")):
+        monkeypatch.setattr(theorem_lab, "BLOCK_ROWS", rows)
+        out = tmp_path / f"{rows}-j{jobs}" / f"report.{fmt}"
+        out.parent.mkdir()
+        code = cli.main([*argv, "--format", fmt, "--jobs", jobs, "--out", str(out)])
+        capsys.readouterr()
+        runs.append((code, {p.name: p.read_bytes() for p in out.parent.iterdir()}))
+    blocks = list(theorem_lab._blocks(instances))
+    assert any(b[0][0] != b[-1][0] for b in blocks)
+    assert any(a[-1][0] == b[0][0] == b[-1][0] for a, b in zip(blocks, blocks[1:]))
+    assert runs[1:] == runs[:-1] and len(runs[0][1]) == 2
+    text = runs[0][1][f"report.{fmt}"].decode()
+    head = json.loads(text)["header"] if fmt == "json" else text.splitlines()[0]
+    assert text == reference_report(fmt, head, want)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_violation_inside_a_block_exits_3_naming_its_row(jobs, tmp_path,
+                                                            monkeypatch, capsys):
+    monkeypatch.setattr(theorem_lab, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    inst = plan_sweep(range(5, 25), [2, 3])
+    first, later = inst[7 * 4 + 3], inst[7 * 9 + 5]  # mid-block rows
+    real = theorem_lab.verify_instance
+
+    def broken(n, chords, **kwargs):
+        r = real(n, chords, **kwargs)
+        return dataclasses.replace(r, thm41_ok=False) if (n, chords) in (first, later) else r
+
+    monkeypatch.setattr(theorem_lab, "verify_instance", broken)
+    n, chords = first
+    for out in (["--out", str(tmp_path / "report.csv")], []):
+        assert cli.main(["sweep", "--n", "5..24", "--m", "2,3", "--jobs", jobs, *out]) == 3
+        captured = capsys.readouterr()
+        assert f"violated on n={n} gens={(1,) + chords}:" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -402,14 +454,16 @@ def test_verify_paranoid_small_grid():
 
 
 def test_a_large_ring_length_goes_out_in_bounded_blocks(tmp_path, monkeypatch):
-    # n = 2100 holds 1 048 double loops: at --jobs 2 they go out in blocks
-    # of at most BLOCK_ROWS rows, with the bytes of --jobs 1
+    # n = 2100 holds 1 048 double loops: at --jobs 1 and 2 they go out in
+    # blocks of at most BLOCK_ROWS rows, with the same bytes; at --jobs 2 the
+    # last 24 rows are split between the workers.  The counterexamples file
+    # is written as one block of its rows
     real, sizes = theorem_lab._blocks, []
 
-    def recording(instances, workers):
-        for n, chords in real(instances, workers):
-            sizes.append(len(chords))
-            yield n, chords
+    def recording(instances, workers=1):
+        for block in real(instances, workers):
+            sizes.append(len(block))
+            yield block
 
     monkeypatch.setattr(theorem_lab, "_blocks", recording)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -420,5 +474,7 @@ def test_a_large_ring_length_goes_out_in_bounded_blocks(tmp_path, monkeypatch):
                          "--out", str(out)]) == 0
         outs.append((out.read_bytes(),
                      (tmp_path / f"j{jobs}.counterexamples.csv").read_bytes()))
-    assert theorem_lab.BLOCK_ROWS == 512 and sizes == [512, 512, 24]
+    cx = outs[0][1].count(b"\n") - 2  # below the header and column names
+    assert theorem_lab.BLOCK_ROWS == 512 and 0 < cx < 512
+    assert sizes == [512, 512, 24, cx, 512, 512, 12, 12, cx]
     assert outs[0] == outs[1]

@@ -175,14 +175,15 @@ def test_verify_instance_makes_no_neighbors_or_bfs_call(monkeypatch):
     (1000, (2,), False, 0),    # gap 2, lattice at any n
     (7, (3,), False, 1),       # gap 1, thm43-inconsistent: the lattice gives its witness
     (1202, (2, 3), False, 0),  # gap 2, over the cap
-    (9, (2, 4), False, 1),     # gap 1, level sets: the walk reads the kernel's vectors
+    (9, (2, 4), False, 1),     # gap 1, level sets: the walk reads the circulant search
     (9, (2, 4), True, 1),
 ])
 def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, gap1):
     # no row runs a 2n-vertex GGPG search: the witness is walked.  The list
-    # kernel (two n-vertex searches) runs on an m >= 3 row over the cap or
-    # with gap 1, and under paranoid, which also checks a gap-1 row's walk
-    # against a FIFO search over neighbors()
+    # kernel (two n-vertex searches) runs on an m >= 3 row over the cap and
+    # under paranoid, which also checks a gap-1 row's walk against a FIFO
+    # search over neighbors(); any other m >= 3 gap-1 row walks on the
+    # circulant search alone (one n-vertex search)
     g = build_circulant(n, (1,) + chords)
     m3 = len(chords) > 1
     over = m3 and level_set_summary(g) is None
@@ -201,7 +202,7 @@ def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, ga
     monkeypatch.setattr(theorem_lab, "fifo_path", fifo)
     r = verify_instance(n, chords, paranoid=paranoid)
     assert (r.gap == 1) == bool(gap1)
-    assert sizes == [n, n] * (over or paranoid or (m3 and gap1))
+    assert sizes == ([n, n] if over or paranoid else [n] * (m3 and gap1))
     assert len(oracle) == (paranoid and gap1)
 
 

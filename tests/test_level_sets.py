@@ -8,6 +8,7 @@ import collections
 import concurrent.futures
 import csv
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -307,7 +308,7 @@ def test_paranoid_keeps_the_shortcut_mismatch_error(monkeypatch):
 
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and every
-    (n, chord sets) block submitted, runs each block in-process at submit,
+    block of instances submitted, runs each block in-process at submit,
     and tracks how many blocks are in flight (result not yet taken)."""
 
     made = []
@@ -330,7 +331,7 @@ class RecordingPool:
 
     def submit(self, fn, *args):
         pool = RecordingPool
-        pool.blocks.append(args[:2])
+        pool.blocks.append(args[0])
         pool.in_flight += 1
         pool.peak = max(pool.peak, pool.in_flight)
         future = pool.Block()
@@ -346,6 +347,13 @@ def recording_pool(monkeypatch):
     return RecordingPool
 
 
+def csv_rows(reports) -> str:
+    """The CSV lines of these rows, as a report holds them."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(r.csv_cells() for r in reports)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("jobs,items,cpus,workers", [
     (100_000, 2, 8, 2),     # never more workers than items
     (3, 9, 2, 2),           # nor than cores
@@ -358,14 +366,36 @@ def test_run_instances_bounds_the_pool(recording_pool, monkeypatch, jobs, items,
     inst = plan_sweep(range(5, 20), [2])[:items]
     got = list(run_instances(iter(inst), jobs=jobs))
     assert recording_pool.made == ([] if workers is None else [workers])
-    assert got == [verify_instance(n, c) for n, c in inst]
+    want = [verify_instance(n, c) for n, c in inst]
+    # one block per worker: rendered rows, gap counts, anomaly rows
+    assert len(got) == (workers or 1)
+    assert "".join(text for text, _, _ in got) == csv_rows(want)
+    assert sum((gaps for _, gaps, _ in got), collections.Counter()) == \
+        collections.Counter(r.gap for r in want)
+    assert [r for _, _, flagged in got for r in flagged] == [r for r in want if r.anomalies]
+
+
+@pytest.mark.parametrize("jobs,items,sizes", [
+    (2, 100, [50, 50]),             # a short run still reaches every worker
+    (4, 9, [2, 2, 2, 3]),
+    (2, 1100, [512, 512, 38, 38]),  # a full window gives BLOCK_ROWS-row blocks
+])
+def test_every_worker_gets_a_block_of_a_short_run(recording_pool, monkeypatch, jobs,
+                                                  items, sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    inst = plan_sweep(range(5, 80), [2])[:items]
+    texts = [text for text, _, _ in run_instances(iter(inst), jobs=jobs)]
+    assert recording_pool.made == [jobs]
+    assert [len(b) for b in recording_pool.blocks] == sizes
+    assert "".join(texts) == csv_rows(verify_instance(n, c) for n, c in inst)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_run_instances_pulls_its_input_lazily(recording_pool, monkeypatch, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    monkeypatch.setattr(theorem_lab, "BLOCK_ROWS", 16)
     inst = plan_sweep(range(5, 40), [2, 3])
-    pulled = 0
+    pulled = done = 0
 
     def counting():
         nonlocal pulled
@@ -373,20 +403,26 @@ def test_run_instances_pulls_its_input_lazily(recording_pool, monkeypatch, worke
             pulled += 1
             yield item
 
-    ahead = []
-    for k, report in enumerate(run_instances(counting(), jobs=8), 1):
-        assert (report.n, report.gens[1:]) == inst[k - 1]
-        ahead.append(pulled - k)
-    # each ring length goes out in at most `workers` contiguous blocks
+    ahead, texts = [], []
+    for text, gaps, _ in run_instances(counting(), jobs=8):
+        done += sum(gaps.values())
+        ahead.append(pulled - done)
+        texts.append(text)
+    assert "".join(texts) == csv_rows(verify_instance(n, c) for n, c in inst)
+    # blocks are the input's contiguous runs of BLOCK_ROWS rows, some of
+    # them across ring lengths; the last window of under workers *
+    # BLOCK_ROWS rows is cut into workers near-equal blocks
     blocks = recording_pool.blocks
-    assert [(n, c) for n, b in blocks for c in b] == inst
-    assert max(collections.Counter(n for n, _ in blocks).values()) == workers
+    sizes = [len(b) for b in blocks]
+    assert [item for b in blocks for item in b] == inst
+    assert sizes[:-workers] == [16] * (len(blocks) - workers)
+    assert max(sizes[-workers:]) - min(sizes[-workers:]) <= 1 and max(sizes) == 16
+    assert any(b[0][0] != b[-1][0] for b in blocks)
     # at most 2 * workers blocks in flight; beyond them the runner holds
-    # only the rest of the ring length it is cutting and one row of the next
+    # only the unsent blocks of the window it is cutting
     assert recording_pool.made == [workers]
     assert recording_pool.peak == 2 * workers
-    biggest = max(len(b) for _, b in blocks)
-    assert max(ahead) <= (3 * workers - 1) * biggest + 1 < len(inst) // 4
+    assert max(ahead) <= (3 * workers - 2) * 16 < len(inst) // 4
     assert pulled == len(inst)
 
 
