@@ -291,21 +291,23 @@ def _write_reports(reports, fh, fmt: str, flags: str, seed: int) -> None:
 @contextlib.contextmanager
 def _staged(paths):
     """Map each output path to an empty temporary sibling, all created on
-    entry; on a normal exit move each into place, on an exception delete
-    them all.  The runner streams rows into a sibling as they pass, so a
-    file appears at its path only once it is whole."""
+    entry (two paths naming one file are refused); on a normal exit move
+    each into place, on an exception delete them all.  The runner streams
+    rows into a sibling as they pass, so a file appears at its path only
+    once it is whole."""
     staged = {}
     try:
         for path in paths:
             if not os.path.basename(path) or os.path.isdir(path):
                 raise IsADirectoryError(f"cannot write {path!r}: not a file path")
-            if path not in staged:
-                tmp = f"{path}.{os.getpid()}.tmp"
-                try:
-                    open(tmp, "x").close()
-                except OSError as exc:
-                    raise OSError(f"cannot write {path}: {exc.strerror}") from exc
-                staged[path] = tmp
+            if os.path.realpath(path) in map(os.path.realpath, staged):
+                raise ValueError(f"cannot write {path}: another output names the same file")
+            tmp = f"{path}.{os.getpid()}.tmp"
+            try:
+                open(tmp, "x").close()
+            except OSError as exc:
+                raise OSError(f"cannot write {path}: {exc.strerror}") from exc
+            staged[path] = tmp
         yield staged
     except BaseException:
         for tmp in staged.values():

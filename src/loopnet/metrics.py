@@ -22,7 +22,7 @@ diameter).
 
 So every verdict fact of a row depends only on D, V_Dc and the class of
 chord(i) on V_Dc: = D, = D + 1 or > D + 1.  _summarize is that rule, the
-one place that turns those sets into an InstanceSummary.
+one place that turns those facts, as sorted points, into an InstanceSummary.
 
 Four routes compute the same facts; the first three apply the identity.
 
@@ -51,23 +51,23 @@ Four routes compute the same facts; the first three apply the identity.
     centres with gap G it then peaks at (h_j + h_{j+1} + G) // 2, at one
     point, or two when h_{j+1} + G - h_j is odd.  D is the largest peak and
     V_Dc every point that reaches it, and chord(i) is INF unless g | i, else
-    min(k, N - k) for k = (i / g) t mod N.  O(sqrt(n) log n) operations
-    besides the n-bit sets _summarize reads.  The relaxed envelope also
+    min(k, N - k) for k = (i / g) t mod N.  O(sqrt(n) log n + |V_Dc|)
+    operations, with no n-bit set.  The relaxed envelope also
     gives d_c(0, x) at any one x in O(log n): bisect for the centres on
     either side of x, and take the lower of their two tents.
   * The level-set route, level_set_summary, serves the m >= 3 rows: every
     BFS level is an n-bit int and a step +-s is a rotation, so one loop
     advances the circulant from 0 and the chord-only ring a whole level
-    per handful of big-int operations.  It returns only an InstanceSummary
-    (the diameters, V_Dc, the two restricted-path conditions and the V_Dc
-    vertices at chord-only distance D + 1), and only for instances whose
-    circulant has at most LEVEL_CAP levels: its cost grows with the level
-    count, the list kernel's with n.
+    per handful of big-int operations (the only n-bit sets in loopnet).  It
+    returns only an InstanceSummary (the diameters, V_Dc, the two
+    restricted-path conditions and the V_Dc vertices at chord-only distance
+    D + 1), and only for instances whose circulant has at most LEVEL_CAP
+    levels: its cost grows with the level count, the list kernel's with n.
   * The list route, instance_distances: one level-synchronous BFS kernel
     that walks vertex ids by offset arithmetic, with no neighbors() call,
     and returns the circulant and chord-only vectors from 0, from which the
     identity gives both GGPG vectors (ggpg_vectors).  Its summary() reads
-    the same sets off the vectors for _summarize.  It serves the m >= 3
+    the same points off the vectors for _summarize.  It serves the m >= 3
     rows over the cap, and is the oracle both faster routes are checked
     against under --paranoid.
   * The oracle route, bfs over a graph's neighbors(), with the diameter
@@ -330,8 +330,8 @@ class InstanceSummary:
     eccentricities of u_0 and v_0, read by the spoke identity; v_dc lists
     the vertices at distance d_circ from 0, ascending.  cond_outer:
     min(i, n - i) = d_circ for every i in v_dc; cond_inner: every i in v_dc
-    has chord-only distance d_circ.  near: the n-bit set of the i in v_dc
-    whose chord-only distance is d_circ + 1.
+    has chord-only distance d_circ.  near lists the i in v_dc whose
+    chord-only distance is d_circ + 1, ascending.
     """
 
     d_circ: int
@@ -340,35 +340,35 @@ class InstanceSummary:
     v_dc: tuple
     cond_outer: bool
     cond_inner: bool
-    near: int
+    near: tuple
 
     @property
     def d_ggpg(self) -> int:
         return max(self.ecc_u0, self.ecc_v0)
 
 
-def _summarize(n: int, d: int, vdc: int, near: int, far: int) -> InstanceSummary:
+def _summarize(n: int, d: int, vdc, near, far) -> InstanceSummary:
     """The one verdict rule: the InstanceSummary of a row whose circulant has
-    diameter d, from n-bit sets of V_Dc and of the vertices whose chord-only
-    distance is d + 1 (near) or above it (far); only their V_Dc bits count.
+    diameter d, from the ascending points of V_Dc and of those V_Dc points
+    whose chord-only distance is d + 1 (near) or above it (far).
 
     By the spoke identity, d_p(u_0, v_i) = d_c(0, i) + 1 and d_p(u_0, u_i) =
     min(ring(i), d_c(0, i) + 2), which for i outside V_Dc are at most d + 1
     and for i in V_Dc are d + 1 and min(ring(i), d + 2) >= d.  So ecc(u_0)
-    is d + 2 if some i in V_Dc has ring(i) > d + 1, else d + 1; likewise
-    ecc(v_0) with chord(i).  Both conditions ask for ring(i) = chord(i) = d
-    on V_Dc, where both are at least d.
+    is d + 2 if some i in V_Dc has ring(i) > d + 1, that is d + 1 < i <
+    n - d - 1, else d + 1; likewise ecc(v_0) with chord(i).  Both conditions
+    ask for ring(i) = chord(i) = d on V_Dc, where both are at least d; as
+    V_Dc is symmetric, ring(i) = d on all of it iff it is {d, n - d}.
     """
-    ring_near = (1 << (d + 2)) - 1 | ((1 << (d + 1)) - 1) << (n - d - 1)
-    d_bits = (1 << d) | (1 << (n - d))
     return InstanceSummary(
         d_circ=d,
-        ecc_u0=d + 2 if vdc & ~ring_near else d + 1,
-        ecc_v0=d + 2 if vdc & far else d + 1,
-        v_dc=_bit_positions(vdc),
-        cond_outer=vdc & d_bits == vdc,
-        cond_inner=not vdc & (near | far),
-        near=vdc & near,
+        ecc_u0=d + 2 if bisect.bisect_right(vdc, d + 1)
+        < bisect.bisect_left(vdc, n - d - 1) else d + 1,
+        ecc_v0=d + 2 if far else d + 1,
+        v_dc=tuple(vdc),
+        cond_outer=vdc[0] == d and vdc[-1] == n - d and len(vdc) <= 2,
+        cond_inner=not (near or far),
+        near=tuple(near),
     )
 
 
@@ -396,13 +396,12 @@ class InstanceDistances:
 
     def summary(self) -> InstanceSummary:
         """The list route's InstanceSummary: V_Dc and its vertices with
-        chord-only distance d + 1 and above, as sets for _summarize."""
+        chord-only distance d + 1 and above, read off the vectors."""
         d, chord = max(self.circ), self.chord_only
         vdc = [i for i, di in enumerate(self.circ) if di == d]
-        sets = (vdc, [i for i in vdc if chord[i] == d + 1],
-                [i for i in vdc if chord[i] > d + 1])
-        return _summarize(len(self.circ), d,
-                          *(sum(1 << i for i in part) for part in sets))
+        return _summarize(len(self.circ), d, vdc,
+                          [i for i in vdc if chord[i] == d + 1],
+                          [i for i in vdc if chord[i] > d + 1])
 
 
 def circulant_distances(g: CirculantGraph) -> list:
@@ -460,8 +459,8 @@ def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
 
     One loop advances two n-bit level sets a level per pass: the circulant
     from 0 and the chord-only ring from 0, which runs one level further, to
-    d_circ + 1.  Then V_Dc is the circulant's last level, and the chord
-    ring's level d_circ + 1 and unreached set are _summarize's near and far.
+    d_circ + 1.  Then V_Dc is the circulant's last level, and _summarize's
+    near and far are its points on the chord ring's last level and beyond.
     """
     if g.gens[0] != 1:
         raise ValueError(f"level sets need generator 1 in S, got {g.label()}")
@@ -488,7 +487,8 @@ def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
         circ &= cu
         cu ^= circ
     # circ = V_Dc; chord and chu: the chord ring's level d + 1 and the rest
-    return _summarize(n, d, circ, chord, chu)
+    return _summarize(n, d, _bit_positions(circ), _bit_positions(circ & chord),
+                      _bit_positions(circ & chu))
 
 
 # --- the lattice route ---
@@ -607,16 +607,10 @@ class LatticeDistances:
                     if top > d:
                         d, points = top, []
                     points += [r + div * (z * step % cyc) for z in peaks]
-        vdc = near = far = 0
-        for x in points:
-            bit = 1 << x
-            vdc |= bit
-            chord = self.chord_at(x)
-            if chord == d + 1:
-                near |= bit
-            elif chord > d + 1:
-                far |= bit
-        return _summarize(n, d, vdc, near, far)
+        vdc = sorted(set(points))  # both segments ending at a centre may list it
+        chord = [self.chord_at(x) for x in vdc]
+        return _summarize(n, d, vdc, [x for x, c in zip(vdc, chord) if c == d + 1],
+                          [x for x, c in zip(vdc, chord) if c > d + 1])
 
 
 def lattice_distances(g: CirculantGraph) -> LatticeDistances:

@@ -42,6 +42,7 @@ silently dropped, never asserted.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import io
 import itertools
@@ -400,14 +401,14 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
             f"thm43: predicted_gap_is_1={str(predicted).lower()} but gap={gap}")
         # only a gap-1 row has a thm43 witness (both conditions give gap 1
         # by the spoke identity), and by the exact gap-1 rule each i in V_Dc
-        # then has chord(i) = d_circ, or d_circ + 1 where facts.near says so
+        # then has chord(i) = d_circ, or d_circ + 1 where i is in facts.near
         witnesses["thm43"] = {
             "predicted_gap_is_1": predicted,
             "gap": gap,
             "extremal": [
                 {"i": i,
                  "outer_only": outer_only_distance(gc, i),
-                 "inner_only": format_distance(d_circ + (facts.near >> i & 1)),
+                 "inner_only": format_distance(d_circ + (i in facts.near)),
                  "diameter": d_circ}
                 for i in vdc
             ],
@@ -474,14 +475,16 @@ def _unrank_chord_set(rank: int, n: int, m: int) -> tuple[int, ...]:
     the ones before it (combinatorial number system, lexicographic order)."""
     pool = max_generator(n) - 1
     out = []
-    x = 0  # index of the next candidate chord, 2 + x
+    x = 0  # least index the next chord, 2 + index, may take
     for left in range(m - 1, 0, -1):
-        # chord sets whose next chord is 2 + x: choose the rest above it
-        while rank >= (count := math.comb(pool - x - 1, left - 1)):
-            rank -= count
-            x += 1
-        out.append(2 + x)
-        x += 1
+        # hockey stick: total - comb(pool - y, left) sets have their next
+        # index in [x, y); it is the largest y where that is at most rank
+        total = math.comb(pool - x, left)
+        y = x - 1 + bisect.bisect_right(range(x, pool - left + 1), rank,
+                                        key=lambda y: total - math.comb(pool - y, left))
+        rank -= total - math.comb(pool - y, left)
+        out.append(2 + y)
+        x = y + 1
     return tuple(out)
 
 

@@ -132,6 +132,22 @@ def test_bad_output_path_fails_before_any_row(tmp_path, monkeypatch, capsys):
         "ok.counterexamples.csv", "ok.csv"]
 
 
+def test_outputs_naming_one_file_are_refused(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row ran before every output path was checked")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    with monkeypatch.context() as m:
+        m.setattr(theorem_lab, "verify_instance", refuse)
+        for other in ("x.csv", "sub/../x.csv", str(tmp_path / "x.csv")):
+            assert cli.main(["sweep", "--n", "5..9", "--m", "2", "--out", "x.csv",
+                             "--counterexamples-out", other]) == 2
+            assert f"cannot write {other}: another output names the same file" \
+                in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]  # no report, no temporary file
+
+
 def strict_json(text):
     """json.loads rejecting the non-standard NaN/Infinity literals it
     otherwise accepts."""

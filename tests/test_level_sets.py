@@ -74,7 +74,7 @@ def test_level_set_summary_matches_list_route_and_oracles(data):
     assert (listed.cond_outer, listed.cond_inner) == (t43.cond_outer, t43.cond_inner)
     assert t44.any_condition_fires == (not (listed.cond_outer and listed.cond_inner))
     chord = inner_only_distances(g)
-    near = sum(1 << i for i in listed.v_dc if chord[i] == listed.d_circ + 1)
+    near = tuple(i for i in listed.v_dc if chord[i] == listed.d_circ + 1)
     for facts in filter(None, (fast, listed)):
         assert facts.near == near
     # the spoke identity's eccentricities, and the sandwich that follows from it
@@ -214,6 +214,25 @@ def test_level_set_rows_build_no_ggpg_graph(monkeypatch):
     assert [verify_instance(n, chords) for n, chords in rows] == want
     with pytest.raises(AssertionError, match="cannot change"):  # paranoid only
         verify_instance(20, (4, 8), paranoid=True)
+
+
+def test_only_the_level_loop_reads_n_bit_sets(monkeypatch):
+    calls = []
+    real = metrics._bit_positions
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(metrics, "_bit_positions", counting)
+    # double loops on the lattice (two gap-1 rows, a gap-2 row, an a-form
+    # row with gcd 3) and an over-cap row on the list route
+    for n, chords in ((12, (5,)), (100000, (49999,)), (20, (4,)), (99999, (3,)),
+                      (1202, (2, 3))):
+        verify_instance(n, chords)
+    assert calls == []
+    verify_instance(20, (4, 8))
+    assert calls
 
 
 def test_no_chord_keeps_the_expansion_error():

@@ -204,6 +204,24 @@ def test_plan_sweep_samples_huge_cells_without_listing_them():
                for _, c in plan)
 
 
+def test_unranking_matches_chord_sets_rank_by_rank():
+    for n in range(5, 41):
+        for m in range(2, 6):
+            cell = list(chord_sets(n, m))
+            assert [theorem_lab._unrank_chord_set(r, n, m)
+                    for r in range(len(cell))] == cell, (n, m)
+
+
+def test_unranking_is_logarithmic_in_n():
+    # the first, middle and last of 499 998 and of C(499 998, 2) chord sets
+    start = time.perf_counter()
+    got = [[theorem_lab._unrank_chord_set(r, 10**6, m) for r in (0, total // 2, total - 1)]
+           for m, total in ((2, 499_998), (3, 124_998_750_003))]
+    assert time.perf_counter() - start < 0.05  # one index at a time: about 0.3 s on a 2-core x86 machine
+    assert got == [[(2,), (250_001,), (499_999,)],
+                   [(2, 3), (146_447, 456_574), (499_998, 499_999)]]
+
+
 def test_plan_sweep_sample_larger_than_cell_takes_it_whole():
     whole = plan_sweep(range(20, 23), [3])
     assert plan_sweep(range(20, 23), [3], sample_cap=10, sample_size=50) == whole
