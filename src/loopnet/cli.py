@@ -100,7 +100,9 @@ def _parse_n_range(text: str) -> range:
     return range(n, n + 1)
 
 
-def _single_n(text: str) -> int:
+def _single_n(text: str | None) -> int:
+    if text is None:
+        raise ValueError("this subcommand needs a single --n")
     r = _parse_n_range(text)
     if len(r) != 1:
         raise ValueError(f"this subcommand takes a single --n, got {text!r}")

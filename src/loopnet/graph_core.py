@@ -7,14 +7,15 @@ steps, and a spoke u_i v_i for every i.  Inner ids are offset by n so both
 families use contiguous integer vertex ids, which keeps BFS arrays and report
 columns trivial.
 
-Both graph types are immutable and value-comparable; adjacency is computed
-from (n, generators) on demand, so a graph costs O(1) memory no matter how
-large n gets.  Sweeps build a lot of graphs, that matters.
+Both graph types are immutable, value-comparable namedtuple subclasses,
+equal only within their family; adjacency is computed from (n, generators)
+on demand, so a graph costs O(1) memory no matter how large n gets.  Sweeps
+build a lot of graphs, that matters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 class FamilyParameterError(ValueError):
@@ -64,18 +65,44 @@ def _check_family(n: int, gens: GeneratorSequence, lowest: int, what: str) -> No
             f"{what} must be <= floor((n-1)/2) = {bound} for n = {n}, got {gens[-1]}")
 
 
-@dataclass(frozen=True)
-class CirculantGraph:
+class CheckedRecord:
+    """Mixin for the tuple-backed records whose __new__ converts and checks
+    its fields: _make, and so _replace, goes through __new__ as well."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class _Graph(CheckedRecord):
+    """Class-aware equality and hash for the two graph records: a graph
+    equals only a graph of its own family with equal fields, never a bare
+    tuple.  __ne__ is spelled out because tuple's own compares fields alone."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.family, *self))
+
+
+class CirculantGraph(_Graph, namedtuple("CirculantGraph", "n gens")):
     """C_n(S): vertices Z_n, edges i ~ i +- s (mod n) for each s in S."""
 
-    n: int
-    gens: GeneratorSequence
-
+    __slots__ = ()
     family = "circulant"
 
-    def __post_init__(self):
-        object.__setattr__(self, "gens", GeneratorSequence(self.gens))
-        _check_family(self.n, self.gens, 1, "generators")
+    def __new__(cls, n: int, gens):
+        gens = GeneratorSequence(gens)
+        _check_family(n, gens, 1, "generators")
+        return super().__new__(cls, n, gens)
 
     @property
     def m(self) -> int:
@@ -132,23 +159,21 @@ class CirculantGraph:
         return f"C{self.n}_" + "_".join(str(s) for s in self.gens)
 
 
-@dataclass(frozen=True)
-class GgpgGraph:
+class GgpgGraph(_Graph, namedtuple("GgpgGraph", "n chords")):
     """Outer n-cycle, inner chord ring, and spokes.
 
     Vertex ids: outer u_i is i, inner v_i is n + i.  With a single chord s
     the edge set coincides with the generalized Petersen graph GPG(n, s).
     """
 
-    n: int
-    chords: GeneratorSequence
-
+    __slots__ = ()
     family = "ggpg"
 
-    def __post_init__(self):
-        object.__setattr__(self, "chords", GeneratorSequence(self.chords))
+    def __new__(cls, n: int, chords):
+        chords = GeneratorSequence(chords)
         # chord 1 is rejected: the outer ring and spokes already carry step 1
-        _check_family(self.n, self.chords, 2, "chords")
+        _check_family(n, chords, 2, "chords")
+        return super().__new__(cls, n, chords)
 
     @property
     def num_vertices(self) -> int:

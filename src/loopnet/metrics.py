@@ -127,20 +127,18 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .graph_core import CirculantGraph, GgpgGraph
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class DistanceVector:
-    """Hop counts from one source; INF marks unreachable vertices."""
+class DistanceVector(namedtuple("DistanceVector", "source dist")):
+    """Hop counts from one source; INF marks unreachable vertices.  dv[v]
+    reads dist[v]: indexing reaches the distances, not the fields."""
 
-    source: int
-    dist: tuple
+    __slots__ = ()
 
     def __getitem__(self, v: int):
         return self.dist[v]
@@ -321,8 +319,8 @@ def _level_bfs(offsets: list, src: int) -> list:
     return dist
 
 
-@dataclass(frozen=True)
-class InstanceSummary:
+class InstanceSummary(namedtuple(
+        "InstanceSummary", "d_circ ecc_u0 ecc_v0 v_dc cond_outer cond_inner near")):
     """The facts behind a verify_instance row's verdicts, from any of the
     lattice, level-set and list routes (all build it with _summarize).
 
@@ -334,13 +332,7 @@ class InstanceSummary:
     chord-only distance is d_circ + 1, ascending.
     """
 
-    d_circ: int
-    ecc_u0: int
-    ecc_v0: int
-    v_dc: tuple
-    cond_outer: bool
-    cond_inner: bool
-    near: tuple
+    __slots__ = ()
 
     @property
     def d_ggpg(self) -> int:
@@ -372,8 +364,7 @@ def _summarize(n: int, d: int, vdc, near, far) -> InstanceSummary:
     )
 
 
-@dataclass(frozen=True)
-class InstanceDistances:
+class InstanceDistances(namedtuple("InstanceDistances", "circ chord_only")):
     """The distances one C_n(1, chords) / GGPG pair row needs.
 
     circ[i] = d_c(0, i); chord_only[i] is the chord-subgraph distance from
@@ -381,8 +372,7 @@ class InstanceDistances:
     from these two by the spoke identity (ggpg_vectors).
     """
 
-    circ: list
-    chord_only: list
+    __slots__ = ()
 
     def ggpg_vectors(self) -> tuple[list, list]:
         """d_p(u_0, x) and d_p(v_0, x) over GGPG ids x, by the spoke identity:
@@ -557,8 +547,7 @@ def _value_at(m: int, cs: list, hs: list, x: int) -> int:
     return min(hs[j] + (x - cs[j]) % m, hs[k] + (cs[k] - x) % m)
 
 
-@dataclass
-class LatticeDistances:
+class LatticeDistances(namedtuple("LatticeDistances", "n s div inv b_form envelopes")):
     """The double loop C_n(1, s) on its reduced lattice (lattice_distances):
     d_c(0, x) and chord(x) at any x in O(log n), and the InstanceSummary.
 
@@ -568,12 +557,7 @@ class LatticeDistances:
     z = (x / div) * inv mod cyc for x = r mod div.
     """
 
-    n: int
-    s: int
-    div: int
-    inv: int
-    b_form: bool
-    envelopes: list
+    __slots__ = ()
 
     def circ_at(self, x: int) -> int:
         """d_c(0, x)."""

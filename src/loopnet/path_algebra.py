@@ -14,40 +14,35 @@ generator 1 are rejected: the outer/chord split does not apply to them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .graph_core import CirculantGraph
+from .graph_core import CheckedRecord, CirculantGraph
 
 
-@dataclass(frozen=True)
-class PathRep:
+class PathRep(CheckedRecord, namedtuple("PathRep", "alpha lambdas")):
     """Net signed step counts (alpha, lambda_2, ..., lambda_m)."""
 
-    alpha: int
-    lambdas: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(int(x) for x in self.lambdas))
+    def __new__(cls, alpha: int, lambdas):
+        return super().__new__(cls, alpha, tuple(int(x) for x in lambdas))
 
     @property
     def length(self) -> int:
         return abs(self.alpha) + sum(abs(x) for x in self.lambdas)
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(CheckedRecord, namedtuple("Walk", "origin steps")):
     """An ordered list of (generator, direction) steps from an origin vertex.
 
     Steps are the single source of truth; the vertex sequence is derived by
     replay, so fixtures cannot drift out of sync with themselves.
     """
 
-    origin: int
-    steps: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "steps", tuple((int(s), int(d)) for s, d in self.steps))
+    def __new__(cls, origin: int, steps):
+        return super().__new__(cls, origin, tuple((int(s), int(d)) for s, d in steps))
 
     def replay(self, g: CirculantGraph) -> list[int]:
         """Vertex sequence obtained by applying the steps in g."""
@@ -61,17 +56,10 @@ class Walk:
         return seq
 
 
-@dataclass(frozen=True)
-class Realization:
-    """A representation spelled out as a vertex sequence.
-
-    is_path records whether the sequence is vertex-distinct; a canonical
-    realization of a non-shortest representation may revisit vertices and
-    is then only a walk.
-    """
-
-    vertices: tuple[int, ...]
-    is_path: bool
+# A representation spelled out as a vertex sequence.  is_path records
+# whether the sequence is vertex-distinct; a canonical realization of a
+# non-shortest representation may revisit vertices and is then only a walk.
+Realization = namedtuple("Realization", "vertices is_path")
 
 
 def _require_gen1(g: CirculantGraph) -> None:

@@ -50,7 +50,6 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass
 
 from .graph_core import CirculantGraph, GgpgGraph, build_circulant, max_generator
 from .metrics import (
@@ -81,59 +80,22 @@ REPORT_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SandwichResult:
-    """Outcome of the pairwise distance sandwich check."""
-
-    ok: bool
-    witness: tuple | None = None  # (i, j, x_label, y_label, d_c, d_p)
-
-
-@dataclass(frozen=True)
-class GapResult:
-    ok: bool
-    gap: int
-    d_circ: int
-    d_ggpg: int
+# the pairwise sandwich check's outcome; witness, on a violation, is
+# (i, j, x_label, y_label, d_c, d_p)
+SandwichResult = collections.namedtuple("SandwichResult", "ok witness", defaults=(None,))
+GapResult = collections.namedtuple("GapResult", "ok gap d_circ d_ggpg")
+Gap1Characterization = collections.namedtuple(
+    "Gap1Characterization", "predicted_gap_is_1 actual_gap consistent cond_outer cond_inner")
+Gap2Conditions = collections.namedtuple(
+    "Gap2Conditions", "any_condition_fires actual_gap consistent notes")
 
 
-@dataclass(frozen=True)
-class Gap1Characterization:
-    predicted_gap_is_1: bool
-    actual_gap: int
-    consistent: bool
-    cond_outer: bool
-    cond_inner: bool
-
-
-@dataclass(frozen=True)
-class Gap2Conditions:
-    any_condition_fires: bool
-    actual_gap: int
-    consistent: bool
-    notes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(collections.namedtuple("VerificationReport", (
+        "n gens chord_count d_circ d_ggpg gap extremal_set cond_outer cond_inner"
+        " thm41_ok thm42_ok thm43_ok thm44_ok conj45_holds anomalies witnesses"))):
     """One sweep row: both diameters, the conditions, and every verdict."""
 
-    n: int
-    gens: tuple[int, ...]
-    chord_count: int
-    d_circ: int
-    d_ggpg: int
-    gap: int
-    extremal_set: tuple[int, ...]
-    cond_outer: bool
-    cond_inner: bool
-    thm41_ok: bool
-    thm42_ok: bool
-    thm43_ok: bool
-    thm44_ok: bool
-    conj45_holds: bool
-    anomalies: tuple[str, ...]
-    witnesses: dict
+    __slots__ = ()
 
     def csv_cells(self) -> list[str]:
         flags = (self.cond_outer, self.cond_inner, self.thm41_ok, self.thm42_ok,

@@ -13,7 +13,7 @@ diameters never drift apart by more than 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graph_core import CirculantGraph, GgpgGraph, build_circulant, build_ggpg
 from .path_algebra import PathRep, realize
@@ -22,8 +22,7 @@ OUTER = "outer"
 INNER = "inner"
 
 
-@dataclass(frozen=True)
-class VertexCorrespondence:
+class VertexCorrespondence(namedtuple("VertexCorrespondence", "n")):
     """Explicit bijection between circulant vertices and spoke classes.
 
     Class w_i holds outer id i and inner id n + i; the map is computed from
@@ -32,7 +31,7 @@ class VertexCorrespondence:
     encoding.
     """
 
-    n: int
+    __slots__ = ()
 
     @classmethod
     def for_ring(cls, n: int) -> "VertexCorrespondence":

@@ -3,7 +3,6 @@ patches the library): formats, exit codes, headers, and byte-level
 determinism."""
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -77,6 +76,16 @@ def test_gens_canonicalization_warns():
     assert "label C9(1,2)" in r.stdout
 
 
+# a single-instance command given its generators or chords but no --n
+MISSING_N = [
+    ("verify", "--gens", "1,2"),
+    ("diameter", "--family", "circulant", "--gens", "1,2"),
+    ("diameter", "--family", "ggpg", "--chords", "2"),
+    ("export", "--family", "circulant", "--gens", "1,2"),
+    ("export", "--family", "ggpg", "--chords", "2"),
+]
+
+
 @pytest.mark.parametrize("args", [
     ("diameter", "--family", "circulant", "--n", "4", "--gens", "1"),
     ("diameter", "--family", "circulant", "--n", "9", "--gens", "1,5"),
@@ -93,11 +102,14 @@ def test_gens_canonicalization_warns():
     ("sweep", "--n", "5..9"),
     ("export", "--family", "circulant", "--n", "9", "--gens", "1,2",
      "--format", "csv"),
+    *MISSING_N,
 ])
 def test_parameter_errors_exit_2(args):
     r = run_cli(*args)
     assert r.returncode == 2, r.stderr
-    assert r.stderr != ""
+    assert r.stderr != "" and "Traceback" not in r.stderr
+    if args in MISSING_N:
+        assert "--n" in r.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -257,7 +269,7 @@ def test_proved_violation_exits_3_before_writing(argv, tmp_path, monkeypatch,
     real = theorem_lab.verify_instance
 
     def broken(n, chords, **kwargs):
-        return dataclasses.replace(real(n, chords), thm41_ok=False)
+        return real(n, chords)._replace(thm41_ok=False)
 
     monkeypatch.setattr(theorem_lab, "verify_instance", broken)
     assert cli.main([*argv, "--out", str(tmp_path / "report.csv")]) == 3
@@ -353,7 +365,7 @@ def test_a_violation_inside_a_block_exits_3_naming_its_row(jobs, tmp_path,
 
     def broken(n, chords, **kwargs):
         r = real(n, chords, **kwargs)
-        return dataclasses.replace(r, thm41_ok=False) if (n, chords) in (first, later) else r
+        return r._replace(thm41_ok=False) if (n, chords) in (first, later) else r
 
     monkeypatch.setattr(theorem_lab, "verify_instance", broken)
     n, chords = first
@@ -376,7 +388,7 @@ def test_late_violation_exits_3_with_no_report_byte(argv, jobs, tmp_path,
 
     def broken(n, chords, **kwargs):
         r = real(n, chords, **kwargs)
-        return dataclasses.replace(r, thm42_ok=False) if (n, chords) == last else r
+        return r._replace(thm42_ok=False) if (n, chords) == last else r
 
     monkeypatch.setattr(theorem_lab, "verify_instance", broken)
     for out in (["--out", str(tmp_path / "report.out")], []):

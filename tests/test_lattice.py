@@ -5,7 +5,6 @@ envelope forms (with gcd(n, s) = 1 and > 1) at n near 10^5, random rows;
 its pointwise distances against the kernel's vectors; what an m = 2 row
 skips; and what --paranoid still compares it with."""
 
-import dataclasses
 import random
 
 import pytest
@@ -147,7 +146,7 @@ def test_paranoid_compares_the_lattice_with_the_list_kernel(monkeypatch):
     real = metrics.LatticeDistances.summary
 
     def doctored(self):
-        return dataclasses.replace(real(self), v_dc=(1,))
+        return real(self)._replace(v_dc=(1,))
 
     monkeypatch.setattr(metrics.LatticeDistances, "summary", doctored)
     assert verify_instance(12, (5,)).extremal_set == (1,)  # trusted when not paranoid

@@ -7,7 +7,6 @@ pool and how lazily it draws its input, in blocks per ring length."""
 import collections
 import concurrent.futures
 import csv
-import dataclasses
 import io
 import os
 import subprocess
@@ -110,7 +109,7 @@ def test_paranoid_catches_a_wrong_eccentricity_rule(monkeypatch):
 
     def never_far(n, d, vdc, near, far):
         facts = real(n, d, vdc, near, far)
-        return dataclasses.replace(facts, ecc_u0=d + 1, ecc_v0=d + 1)
+        return facts._replace(ecc_u0=d + 1, ecc_v0=d + 1)
 
     monkeypatch.setattr(metrics, "_summarize", never_far)
     assert verify_instance(20, (4, 8)).gap == 1  # trusted when not paranoid
@@ -297,7 +296,7 @@ def test_paranoid_compares_the_two_summaries(monkeypatch):
     real = metrics.level_set_summary
 
     def doctored(g):
-        return dataclasses.replace(real(g), v_dc=(1,))
+        return real(g)._replace(v_dc=(1,))
 
     monkeypatch.setattr(theorem_lab, "level_set_summary", doctored)
     assert verify_instance(20, (4, 8)).extremal_set == (1,)  # trusted when not paranoid

@@ -1,7 +1,6 @@
 """Statement checks, report rows, sweep planning, and serialization."""
 
 import collections
-import dataclasses
 import io
 import random
 import time
@@ -126,9 +125,9 @@ def test_enforce_proven_raises_on_doctored_reports():
     r = verify_instance(9, (2,))
     assert enforce_proven(r) is r
     with pytest.raises(TheoremViolation):
-        enforce_proven(dataclasses.replace(r, thm41_ok=False))
+        enforce_proven(r._replace(thm41_ok=False))
     with pytest.raises(TheoremViolation):
-        enforce_proven(dataclasses.replace(r, thm42_ok=False, gap=0))
+        enforce_proven(r._replace(thm42_ok=False, gap=0))
     # findings never abort
     enforce_proven(verify_instance(5, (2,)))
 

@@ -1,7 +1,5 @@
 """Spoke contraction, expansion, and path lifting/projection."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,7 +82,7 @@ def test_correspondence_maps():
 def test_correspondence_is_constant_size():
     # the map is arithmetic on n: no per-vertex table however large the ring
     big = VertexCorrespondence.for_ring(10**9)
-    assert [f.name for f in dataclasses.fields(big)] == ["n"]
+    assert big._fields == ("n",)
     assert big.members(10**9 - 1) == (10**9 - 1, 2 * 10**9 - 1)
 
 
