@@ -17,11 +17,11 @@ from loopnet import (
 h = build_ggpg(14, [3, 4, 6])
 print(f"start: {h.label()}   vertices={h.num_vertices} edges={h.num_edges}")
 
-g, corr = contract_spokes(h)
+g = contract_spokes(h)
 print(f"contract spokes -> {g.label()}   "
       f"vertices={g.num_vertices} edges={g.num_edges}")
 
-h2, _ = expand(g)
+h2 = expand(g)
 print(f"expand back     -> {h2.label()}   round trip identical: {h2 == h}")
 
 print(f"\ndiameters: D({g.label()}) = {diameter_circulant(g)},  "
@@ -37,8 +37,7 @@ for sides in [("outer", "outer"), ("outer", "inner"),
               ("inner", "outer"), ("inner", "inner")]:
     p = lift_path(rep, g, endpoints=sides)
     labels = " -> ".join(h.vertex_label(v) for v in p)
-    spokes = sum(1 for a, b in zip(p, p[1:])
-                 if corr.to_class(a) == corr.to_class(b))
+    spokes = sum(1 for a, b in zip(p, p[1:]) if a % g.n == b % g.n)
     print(f"  lift {sides[0]:>5}->{sides[1]:<5} ({len(p)-1} edges, "
           f"{spokes} spoke{'s' if spokes != 1 else ''}): {labels}")
 

@@ -30,7 +30,6 @@ from .path_algebra import (
 )
 from .metrics import (
     INF,
-    DistanceVector,
     InstanceSummary,
     bfs,
     diameter_circulant,
@@ -44,7 +43,6 @@ from .metrics import (
     outer_only_distance,
 )
 from .transforms import (
-    VertexCorrespondence,
     contract_spokes,
     expand,
     lift_path,
@@ -63,7 +61,6 @@ from .theorem_lab import (
 
 __all__ = [
     "CirculantGraph",
-    "DistanceVector",
     "FamilyParameterError",
     "GeneratorSequence",
     "GgpgGraph",
@@ -74,7 +71,6 @@ __all__ = [
     "TheoremViolation",
     "VerificationReport",
     "Walk",
-    "VertexCorrespondence",
     "bfs",
     "build_circulant",
     "build_ggpg",

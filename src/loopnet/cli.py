@@ -259,6 +259,10 @@ def _grid_plan(args):
 def _verify_plan(args):
     """Instances (planned lazily for a grid) plus the canonical flag
     string for the header."""
+    given = [flag for flag, value in (("--gens", args.gens), ("--preset", args.preset),
+                                      ("--m", args.m)) if value is not None]
+    if len(given) > 1:
+        raise ValueError(f"{' and '.join(given)} each choose the instances; give one")
     if args.gens is not None:
         gens = _parse_int_list(args.gens, "--gens")
         if gens[0] != 1:
@@ -374,6 +378,9 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     if args.n is None or args.m is None:
         raise ValueError("sweep needs both --n and --m")
+    if args.counterexamples_out and not args.out:
+        raise ValueError("--counterexamples-out needs --out (without it the "
+                         "gap-1 rows go to stdout)")
     instances, spec = _grid_plan(args)
     flags = _flags(args, f"{spec} --sample-cap {args.sample_cap} "
                          f"--sample-size {args.sample_size}")

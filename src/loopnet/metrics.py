@@ -134,19 +134,6 @@ from .graph_core import CirculantGraph, GgpgGraph
 INF = math.inf
 
 
-class DistanceVector(namedtuple("DistanceVector", "source dist")):
-    """Hop counts from one source; INF marks unreachable vertices.  dv[v]
-    reads dist[v]: indexing reaches the distances, not the fields."""
-
-    __slots__ = ()
-
-    def __getitem__(self, v: int):
-        return self.dist[v]
-
-    def eccentricity(self):
-        return max(self.dist)
-
-
 def format_distance(d) -> str:
     """Serialize a hop count; infinity becomes the literal string inf."""
     return "inf" if d == INF else str(int(d))
@@ -166,10 +153,11 @@ def _bfs_levels(neighbor_fn, num_vertices: int, src: int) -> list:
     return dist
 
 
-def bfs(g, src: int) -> DistanceVector:
-    """Exact unweighted distances from src in either family."""
+def bfs(g, src: int) -> tuple:
+    """Exact unweighted distances from src in either family, indexed by
+    vertex id; INF marks unreachable vertices."""
     g.check_vertex(src)
-    return DistanceVector(src, tuple(_bfs_levels(g.neighbors, g.num_vertices, src)))
+    return tuple(_bfs_levels(g.neighbors, g.num_vertices, src))
 
 
 def fifo_path(g, src: int, dst: int) -> list[int]:
@@ -192,12 +180,12 @@ def fifo_path(g, src: int, dst: int) -> list[int]:
 
 
 def eccentricity(g, src: int):
-    return bfs(g, src).eccentricity()
+    return max(bfs(g, src))
 
 
 def all_source_distances(g) -> list[tuple]:
     """The distance vector from every vertex, by list BFS (the all-pairs oracle)."""
-    return [bfs(g, v).dist for v in g.vertices()]
+    return [bfs(g, v) for v in g.vertices()]
 
 
 def all_source_diameter(g):

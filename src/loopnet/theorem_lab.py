@@ -66,7 +66,7 @@ from .metrics import (
     level_set_summary,
     outer_only_distance,
 )
-from .transforms import VertexCorrespondence, expand
+from .transforms import expand
 
 
 class TheoremViolation(RuntimeError):
@@ -132,37 +132,28 @@ class VerificationReport(collections.namedtuple("VerificationReport", (
         return rec
 
 
-def _check_pairing(gc: CirculantGraph, gp: GgpgGraph) -> None:
-    if gc.gens[0] != 1:
-        raise ValueError(f"{gc.label()} lacks generator 1; no paired GGPG graph")
-    if gp.n != gc.n or tuple(gp.chords) != tuple(gc.gens[1:]):
-        raise ValueError(
-            f"mismatched graphs: {gc.label()} does not contract-expand to {gp.label()}")
-
-
 def extremal_vertices(g: CirculantGraph) -> list[int]:
     """All vertices at exactly diameter distance from 0 (the set V_Dc)."""
-    vec = bfs(g, 0).dist
+    vec = bfs(g, 0)
     top = max(vec)
     return [i for i, d in enumerate(vec) if d == top]
 
 
-def _sandwich_from_vectors(n, dc0, du, dv, corr) -> SandwichResult:
+def _sandwich_from_vectors(n, dc0, du, dv) -> SandwichResult:
     # one rotation orbit per side pair: d_p(x_i, y_j) = d_p(x_0, y_{j-i})
     for delta in range(n):
         d = dc0[delta]
         for x_label, vec in (("u0", du), ("v0", dv)):
-            for y, y_label in ((corr.outer(delta), f"u{delta}"),
-                               (corr.inner(delta), f"v{delta}")):
+            for y, y_label in ((delta, f"u{delta}"), (n + delta, f"v{delta}")):
                 dp = vec[y]
                 if not d <= dp <= d + 2:
                     return SandwichResult(False, (0, delta, x_label, y_label, d, dp))
     return SandwichResult(True)
 
 
-def check_thm41(gc: CirculantGraph, gp: GgpgGraph, corr: VertexCorrespondence,
-                mode: str = "orbit") -> SandwichResult:
-    """Pairwise sandwich d_c(i,j) <= d_p(x_i,y_j) <= d_c(i,j) + 2.
+def check_thm41(gc: CirculantGraph, mode: str = "orbit") -> SandwichResult:
+    """Pairwise sandwich d_c(i,j) <= d_p(x_i,y_j) <= d_c(i,j) + 2 between
+    gc and its expansion (u_i = i, v_i = n + i).
 
     mode="orbit" checks one representative pair per rotation orbit, which
     covers all pairs because rotating both endpoints preserves both
@@ -170,24 +161,20 @@ def check_thm41(gc: CirculantGraph, gp: GgpgGraph, corr: VertexCorrespondence,
     every source on both graphs literally; it also checks both diameter
     shortcuts against those vectors (RuntimeError, as under paranoid).
     """
-    _check_pairing(gc, gp)
+    gp = expand(gc)
     n = gc.n
     if mode == "orbit":
-        dc0 = bfs(gc, 0).dist
-        du = bfs(gp, corr.outer(0)).dist
-        dv = bfs(gp, corr.inner(0)).dist
-        return _sandwich_from_vectors(n, dc0, du, dv, corr)
+        return _sandwich_from_vectors(n, bfs(gc, 0), bfs(gp, 0), bfs(gp, n))
     if mode != "allpairs":
         raise ValueError(f"unknown mode {mode!r}")
     dc_all, dp_all = all_source_distances(gc), all_source_distances(gp)
-    u0, v0 = corr.members(0)
     check_shortcut(gc, "ecc(0)", max(dc_all[0]), dc_all)
-    check_shortcut(gp, "two-source", max(dp_all[u0] + dp_all[v0]), dp_all)
+    check_shortcut(gp, "two-source", max(dp_all[0] + dp_all[n]), dp_all)
     for i in range(n):
         for j in range(n):
             d = dc_all[i][j]
-            for x in corr.members(i):
-                for y in corr.members(j):
+            for x in (i, n + i):
+                for y in (j, n + j):
                     dp = dp_all[x][y]
                     if not d <= dp <= d + 2:
                         return SandwichResult(
@@ -196,43 +183,47 @@ def check_thm41(gc: CirculantGraph, gp: GgpgGraph, corr: VertexCorrespondence,
     return SandwichResult(True)
 
 
-def check_thm42(gc: CirculantGraph, gp: GgpgGraph) -> GapResult:
-    """Diameter gap must land in {1, 2}."""
-    _check_pairing(gc, gp)
-    corr = VertexCorrespondence.for_ring(gc.n)
-    d_circ = max(bfs(gc, 0).dist)
-    d_ggpg = max(max(bfs(gp, corr.outer(0)).dist), max(bfs(gp, corr.inner(0)).dist))
-    gap = d_ggpg - d_circ
-    return GapResult(gap in (1, 2), gap, d_circ, d_ggpg)
+def _list_bfs(gc: CirculantGraph) -> tuple[tuple, int]:
+    """d_c(0, .) and the GGPG diameter max(ecc(u_0), ecc(v_0)) by list BFS
+    over neighbors(): the circulant search, then u_0's and v_0's."""
+    gp = expand(gc)
+    dc0 = bfs(gc, 0)
+    return dc0, max(max(bfs(gp, gp.outer(0))), max(bfs(gp, gp.inner(0))))
 
 
-def _gap1_conditions(gc: CirculantGraph, D: int, vdc, inner) -> tuple[bool, bool]:
-    """The two exact-length restricted-path conditions over V_Dc.
+def check_thm42(gc: CirculantGraph) -> GapResult:
+    """Diameter gap between gc and its expansion must land in {1, 2}."""
+    dc0, d_ggpg = _list_bfs(gc)
+    gap = d_ggpg - max(dc0)
+    return GapResult(gap in (1, 2), gap, max(dc0), d_ggpg)
+
+
+def _gap1_facts(gc: CirculantGraph) -> tuple[list, bool, bool, int]:
+    """V_Dc, the two exact-length restricted-path conditions over it, and
+    the gap, from one _list_bfs: what 4.3 and 4.4 both test.
 
     A ring-only path of length exactly D from 0 to i exists iff
     min(i, n-i) = D: the two arcs are the only vertex-distinct ring walks,
     and both are at least d_c(0,i) = D long.  Likewise a chord-only path of
-    length exactly D exists iff the chord-subgraph distance (inner) equals D.
+    length exactly D exists iff the chord-subgraph distance equals D.
     """
-    cond_outer = all(outer_only_distance(gc, i) == D for i in vdc)
-    cond_inner = all(inner[i] == D for i in vdc)
-    return cond_outer, cond_inner
+    dc0, d_ggpg = _list_bfs(gc)
+    d = max(dc0)
+    vdc = [i for i, di in enumerate(dc0) if di == d]
+    inner = inner_only_distances(gc)
+    return (vdc, all(outer_only_distance(gc, i) == d for i in vdc),
+            all(inner[i] == d for i in vdc), d_ggpg - d)
 
 
-def check_thm43(gc: CirculantGraph, gp: GgpgGraph) -> Gap1Characterization:
+def check_thm43(gc: CirculantGraph) -> Gap1Characterization:
     """Does the gap-1 characterization agree with the actual gap?"""
-    _check_pairing(gc, gp)
-    dc0 = bfs(gc, 0).dist
-    vdc = [i for i, d in enumerate(dc0) if d == max(dc0)]
-    cond_outer, cond_inner = _gap1_conditions(gc, max(dc0), vdc,
-                                              inner_only_distances(gc))
+    _, cond_outer, cond_inner, gap = _gap1_facts(gc)
     predicted = cond_outer and cond_inner
-    gap = check_thm42(gc, gp).gap
     return Gap1Characterization(predicted, gap, predicted == (gap == 1),
                                 cond_outer, cond_inner)
 
 
-def check_thm44(gc: CirculantGraph, gp: GgpgGraph) -> Gap2Conditions:
+def check_thm44(gc: CirculantGraph) -> Gap2Conditions:
     """Gap-2 sufficient conditions, as the argument actually uses them.
 
     Fires when some extremal vertex misses either restricted-path equality,
@@ -242,13 +233,8 @@ def check_thm44(gc: CirculantGraph, gp: GgpgGraph) -> Gap2Conditions:
     under both plausible readings (largest chord, smallest chord) and
     reported in the notes, asserted under neither.
     """
-    _check_pairing(gc, gp)
-    dc0 = bfs(gc, 0).dist
-    vdc = [i for i, d in enumerate(dc0) if d == max(dc0)]
-    cond_outer, cond_inner = _gap1_conditions(gc, max(dc0), vdc,
-                                              inner_only_distances(gc))
+    vdc, cond_outer, cond_inner, gap = _gap1_facts(gc)
     fires = not (cond_outer and cond_inner)
-    gap = check_thm42(gc, gp).gap
     n = gc.n
     notes = []
     for tag, s in (("s=max_chord", gc.gens[-1]), ("s=min_chord", gc.gens[1])):
@@ -264,8 +250,8 @@ def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts, path) -> None:
     against a FIFO search over neighbors() from the source that list BFS
     names as attaining the larger diameter."""
     du, dv = dist.ggpg_vectors()
-    slow_u, slow_v = bfs(gp, gp.outer(0)).dist, bfs(gp, gp.inner(0)).dist
-    oracle = (("circulant from 0", dist.circ, bfs(gc, 0).dist),
+    slow_u, slow_v = bfs(gp, gp.outer(0)), bfs(gp, gp.inner(0))
+    oracle = (("circulant from 0", dist.circ, bfs(gc, 0)),
               ("chord-only from 0", dist.chord_only, inner_only_distances(gc)),
               ("ggpg from u0", du, slow_u),
               ("ggpg from v0", dv, slow_v))
@@ -335,13 +321,12 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
         path = diametral_path(n, chords, d_circ, circ)
 
     if paranoid:
-        gp, corr = expand(gc)
-        _cross_check(gc, gp, dist, facts, path)
+        _cross_check(gc, expand(gc), dist, facts, path)
         if fast is not None and fast != facts:
             raise RuntimeError(
                 f"route mismatch on {gc.label()}: {route} {fast}, "
                 f"list kernel {facts}")
-        t41 = check_thm41(gc, gp, corr, mode="allpairs")
+        t41 = check_thm41(gc, mode="allpairs")
     else:
         t41 = SandwichResult(True)  # by the spoke identity
     t42_ok = gap in (1, 2)

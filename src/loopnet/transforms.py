@@ -13,8 +13,6 @@ diameters never drift apart by more than 2.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .graph_core import CirculantGraph, GgpgGraph, build_circulant, build_ggpg
 from .path_algebra import PathRep, realize
 
@@ -22,70 +20,23 @@ OUTER = "outer"
 INNER = "inner"
 
 
-class VertexCorrespondence(namedtuple("VertexCorrespondence", "n")):
-    """Explicit bijection between circulant vertices and spoke classes.
-
-    Class w_i holds outer id i and inner id n + i; the map is computed from
-    n, so the object is O(1) in memory however large the ring.  Checkers
-    should go through this object instead of hardcoding the u_i <-> i
-    encoding.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def for_ring(cls, n: int) -> "VertexCorrespondence":
-        return cls(n)
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """(outer id, inner id) of every class, in class order."""
-        n = self.n
-        return tuple((i, n + i) for i in range(n))
-
-    def _check_class(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(f"class {i} out of range for n = {self.n}")
-
-    def outer(self, i: int) -> int:
-        self._check_class(i)
-        return i
-
-    def inner(self, i: int) -> int:
-        self._check_class(i)
-        return self.n + i
-
-    def members(self, i: int) -> tuple[int, int]:
-        self._check_class(i)
-        return (i, self.n + i)
-
-    def to_class(self, ggpg_vertex: int) -> int:
-        """Class index of a GGPG vertex id."""
-        n = self.n
-        if not 0 <= ggpg_vertex < 2 * n:
-            raise IndexError(f"vertex {ggpg_vertex} out of range for 2n = {2 * n}")
-        return ggpg_vertex if ggpg_vertex < n else ggpg_vertex - n
-
-
-def contract_spokes(g: GgpgGraph) -> tuple[CirculantGraph, VertexCorrespondence]:
-    """Merge each u_i, v_i pair into w_i and rebuild the quotient circulant.
+def contract_spokes(g: GgpgGraph) -> CirculantGraph:
+    """Merge each u_i, v_i pair into w_i (the class v % n of a GGPG id v)
+    and rebuild the quotient circulant.
 
     Offsets are derived from the actual edge list rather than assumed, and
     parallel edges collapse silently because the offset set is a set.
     """
     n = g.n
-    corr = VertexCorrespondence.for_ring(n)
     offsets = set()
     for a, b in g.edges():
-        i, j = corr.to_class(a), corr.to_class(b)
-        if i == j:
-            continue  # a spoke, vanishes under contraction
-        d = (j - i) % n
-        offsets.add(min(d, n - d))
-    return build_circulant(n, sorted(offsets)), corr
+        d = (b - a) % n
+        if d:  # a spoke (d = 0) vanishes under contraction
+            offsets.add(min(d, n - d))
+    return build_circulant(n, sorted(offsets))
 
 
-def expand(g: CirculantGraph) -> tuple[GgpgGraph, VertexCorrespondence]:
+def expand(g: CirculantGraph) -> GgpgGraph:
     """Inverse construction: ring edges split into outer cycle plus spokes,
     chords move to the inner ring (so v_i v_{i+1} is never an edge)."""
     if g.gens[0] != 1:
@@ -94,7 +45,7 @@ def expand(g: CirculantGraph) -> tuple[GgpgGraph, VertexCorrespondence]:
     if len(g.gens) < 2:
         raise ValueError(
             f"expansion needs at least one chord >= 2, got {g.label()}")
-    return build_ggpg(g.n, g.gens[1:]), VertexCorrespondence.for_ring(g.n)
+    return build_ggpg(g.n, g.gens[1:])
 
 
 def _check_ggpg_walk(p, h: GgpgGraph) -> None:
@@ -116,10 +67,9 @@ def project_path(p, h: GgpgGraph) -> list[int]:
     input length minus the number of spokes traversed.
     """
     _check_ggpg_walk(p, h)
-    corr = VertexCorrespondence.for_ring(h.n)
     out = []
     for v in p:
-        c = corr.to_class(v)
+        c = v % h.n
         if not out or out[-1] != c:
             out.append(c)
     return out
@@ -148,7 +98,7 @@ def lift_path(rep: PathRep, g: CirculantGraph,
     """
     start_side = _side_of(endpoints[0])
     end_side = _side_of(endpoints[1])
-    _, corr = expand(g)
+    h = expand(g)
     n = g.n
     if not realize(rep, g).is_path:
         raise ValueError(
@@ -166,52 +116,52 @@ def lift_path(rep: PathRep, g: CirculantGraph,
         v, step = start, 1 if count > 0 else -1
         for _ in range(abs(count)):
             v = (v + step) % n
-            seq.append(corr.outer(v))
+            seq.append(h.outer(v))
         return v
 
     def ride_inner(start: int, moves) -> int:
         v = start
         for off in moves:
             v = (v + off) % n
-            seq.append(corr.inner(v))
+            seq.append(h.inner(v))
         return v
 
     if not a and not chord_moves:
         # zero rep: at most the spoke joining the two requested sides
-        first = corr.outer(0) if start_side == OUTER else corr.inner(0)
-        last = corr.outer(0) if end_side == OUTER else corr.inner(0)
+        first = h.outer(0) if start_side == OUTER else h.inner(0)
+        last = h.outer(0) if end_side == OUTER else h.inner(0)
         return [first] if first == last else [first, last]
 
     if a and chord_moves and (start_side, end_side) == (INNER, OUTER):
         # chords first in mirrored (descending-generator) order, then the
         # ring: one boundary spoke instead of the three that ring-first
         # traversal would need here
-        seq.append(corr.inner(0))
+        seq.append(h.inner(0))
         mid = ride_inner(0, list(reversed(chord_moves)))
-        seq.append(corr.outer(mid))
+        seq.append(h.outer(mid))
         ride_outer(mid, a)
         return seq
 
     if chord_moves and not a:
         # pure chord rep: the whole traversal lives on the inner ring
         if start_side == OUTER:
-            seq.append(corr.outer(0))
-        seq.append(corr.inner(0))
+            seq.append(h.outer(0))
+        seq.append(h.inner(0))
         last = ride_inner(0, chord_moves)
         if end_side == OUTER:
-            seq.append(corr.outer(last))
+            seq.append(h.outer(last))
         return seq
 
     # ring steps first, then any chords, with the boundary spoke between
     if start_side == INNER:
-        seq.append(corr.inner(0))
-    seq.append(corr.outer(0))
+        seq.append(h.inner(0))
+    seq.append(h.outer(0))
     turn = ride_outer(0, a)
     if chord_moves:
-        seq.append(corr.inner(turn))
+        seq.append(h.inner(turn))
         last = ride_inner(turn, chord_moves)
         if end_side == OUTER:
-            seq.append(corr.outer(last))
+            seq.append(h.outer(last))
     elif end_side == INNER:
-        seq.append(corr.inner(turn))
+        seq.append(h.inner(turn))
     return seq

@@ -85,6 +85,17 @@ MISSING_N = [
     ("export", "--family", "ggpg", "--chords", "2"),
 ]
 
+# options that would each be dropped without a word: the flags named
+CONFLICTS = {
+    ("verify", "--n", "7", "--m", "2", "--gens", "1,2"): ("--gens", "--m"),
+    ("verify", "--n", "5", "--gens", "1,2", "--preset", "beenker-vanlint"):
+        ("--gens", "--preset"),
+    ("verify", "--preset", "beenker-vanlint", "--m", "3", "--n", "5..6"):
+        ("--preset", "--m"),
+    ("sweep", "--n", "5..8", "--m", "2", "--counterexamples-out", "X.csv"):
+        ("--counterexamples-out", "--out"),
+}
+
 
 @pytest.mark.parametrize("args", [
     ("diameter", "--family", "circulant", "--n", "4", "--gens", "1"),
@@ -103,6 +114,7 @@ MISSING_N = [
     ("export", "--family", "circulant", "--n", "9", "--gens", "1,2",
      "--format", "csv"),
     *MISSING_N,
+    *CONFLICTS,
 ])
 def test_parameter_errors_exit_2(args):
     r = run_cli(*args)
@@ -110,6 +122,8 @@ def test_parameter_errors_exit_2(args):
     assert r.stderr != "" and "Traceback" not in r.stderr
     if args in MISSING_N:
         assert "--n" in r.stderr
+    for flag in CONFLICTS.get(args, ()):
+        assert flag in r.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -52,8 +52,8 @@ def fifo_path(g, src, dst):
 def reference_witness(n, chords):
     """The conj45 witness as a FIFO search over neighbors() finds it."""
     g = build_circulant(n, (1,) + tuple(chords))
-    h, _ = expand(g)
-    du, dv = bfs(h, h.outer(0)).dist, bfs(h, h.inner(0)).dist
+    h = expand(g)
+    du, dv = bfs(h, h.outer(0)), bfs(h, h.inner(0))
     d = max(max(du), max(dv))
     src, vec = (h.outer(0), du) if max(du) == d else (h.inner(0), dv)
     return [h.vertex_label(v) for v in fifo_path(h, src, vec.index(d))]
@@ -76,14 +76,14 @@ def test_kernel_vectors_match_list_bfs_and_networkx(data):
     chords = sorted(data.draw(st.lists(st.integers(2, hi), min_size=k,
                                        max_size=k, unique=True), label="set"))
     g = build_circulant(n, [1] + chords)
-    h, _ = expand(g)
+    h = expand(g)
     dist = instance_distances(g)
     from_u0, from_v0 = dist.ggpg_vectors()  # by the spoke identity
     chord_ring = build_circulant(n, chords)
     expected = (
-        (dist.circ, bfs(g, 0).dist, nx_distances(g, 0)),
-        (from_u0, bfs(h, h.outer(0)).dist, nx_distances(h, h.outer(0))),
-        (from_v0, bfs(h, h.inner(0)).dist, nx_distances(h, h.inner(0))),
+        (dist.circ, bfs(g, 0), nx_distances(g, 0)),
+        (from_u0, bfs(h, h.outer(0)), nx_distances(h, h.outer(0))),
+        (from_v0, bfs(h, h.inner(0)), nx_distances(h, h.inner(0))),
         (dist.chord_only, inner_only_distances(g), nx_distances(chord_ring, 0)),
     )
     for fast, listed, oracle in expected:
@@ -130,9 +130,9 @@ def test_walk_equals_fifo_path_on_every_row():
     shapes = set()
     for n, chords in plan_sweep(range(5, 61), [2, 3]):
         g = build_circulant(n, (1,) + chords)
-        h, _ = expand(g)
-        d = max(bfs(g, 0).dist)
-        want = fifo_path(h, h.outer(0), bfs(h, h.outer(0)).dist.index(d + 1))
+        h = expand(g)
+        d = max(bfs(g, 0))
+        want = fifo_path(h, h.outer(0), bfs(h, h.outer(0)).index(d + 1))
         if len(chords) == 1:
             circ = metrics.lattice_distances(g).circ_at
         else:

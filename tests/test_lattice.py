@@ -84,14 +84,14 @@ def test_lattice_summary_matches_list_route_and_oracles(data):
     g = build_circulant(n, (1, s))
     fast = lattice_distances(g).summary()
     assert fast == instance_distances(g).summary()
-    dc0, chord = bfs(g, 0).dist, inner_only_distances(g)
+    dc0, chord = bfs(g, 0), inner_only_distances(g)
     d = max(dc0)
     assert fast.d_circ == d
     assert fast.v_dc == tuple(i for i in g.vertices() if dc0[i] == d)
     assert fast.near == tuple(i for i in fast.v_dc if chord[i] == d + 1)
-    h, _ = expand(g)
-    assert (fast.ecc_u0, fast.ecc_v0) == (max(bfs(h, h.outer(0)).dist),
-                                          max(bfs(h, h.inner(0)).dist))
+    h = expand(g)
+    assert (fast.ecc_u0, fast.ecc_v0) == (max(bfs(h, h.outer(0))),
+                                          max(bfs(h, h.inner(0))))
 
 
 @settings(max_examples=300, deadline=None)

@@ -60,14 +60,14 @@ def test_level_set_summary_matches_list_route_and_oracles(data):
     chords = sorted(data.draw(st.lists(st.integers(2, hi), min_size=k,
                                        max_size=k, unique=True), label="set"))
     g = build_circulant(n, [1] + chords)
-    h, corr = expand(g)
+    h = expand(g)
     listed = instance_distances(g).summary()
     fast = level_set_summary(g)
     if listed.d_circ > LEVEL_CAP:
         assert fast is None
     else:
         assert fast == listed
-    t42, t43, t44 = check_thm42(g, h), check_thm43(g, h), check_thm44(g, h)
+    t42, t43, t44 = check_thm42(g), check_thm43(g), check_thm44(g)
     assert (listed.d_circ, listed.d_ggpg) == (t42.d_circ, t42.d_ggpg)
     assert list(listed.v_dc) == extremal_vertices(g)
     assert (listed.cond_outer, listed.cond_inner) == (t43.cond_outer, t43.cond_inner)
@@ -77,9 +77,9 @@ def test_level_set_summary_matches_list_route_and_oracles(data):
     for facts in filter(None, (fast, listed)):
         assert facts.near == near
     # the spoke identity's eccentricities, and the sandwich that follows from it
-    assert (listed.ecc_u0, listed.ecc_v0) == (max(bfs(h, h.outer(0)).dist),
-                                              max(bfs(h, h.inner(0)).dist))
-    assert check_thm41(g, h, corr).ok
+    assert (listed.ecc_u0, listed.ecc_v0) == (max(bfs(h, h.outer(0))),
+                                              max(bfs(h, h.inner(0))))
+    assert check_thm41(g).ok
 
 
 def test_level_set_summary_on_the_grid():
@@ -171,8 +171,8 @@ def test_exact_gap1_rule_on_the_grid():
     missed = set()
     for n, chords in plan_sweep(range(5, 61), [2, 3]):
         g = build_circulant(n, (1,) + chords)
-        gap = check_thm42(g, expand(g)[0]).gap
-        dc0, chord = bfs(g, 0).dist, inner_only_distances(g)
+        gap = check_thm42(g).gap
+        dc0, chord = bfs(g, 0), inner_only_distances(g)
         d = max(dc0)
         vdc = [i for i in g.vertices() if dc0[i] == d]
         ring = [min(i, n - i) for i in vdc]
@@ -315,10 +315,10 @@ def test_paranoid_keeps_the_shortcut_mismatch_error(monkeypatch):
     for mod in (metrics, theorem_lab):
         monkeypatch.setattr(mod, "all_source_distances", skewed)
     g = build_circulant(12, (1, 5))
-    h, corr = expand(g)
+    h = expand(g)
     for call, shortcut in ((lambda: diameter_circulant(g, paranoid=True), "ecc"),
                            (lambda: diameter_ggpg(h, paranoid=True), "two-source"),
-                           (lambda: check_thm41(g, h, corr, mode="allpairs"), "ecc"),
+                           (lambda: check_thm41(g, mode="allpairs"), "ecc"),
                            (lambda: verify_instance(12, (5,), paranoid=True), "ecc")):
         with pytest.raises(RuntimeError, match=f"symmetry shortcut mismatch .*{shortcut}"):
             call()

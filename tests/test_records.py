@@ -13,7 +13,6 @@ from loopnet import (
     FamilyParameterError,
     PathRep,
     Walk,
-    bfs,
     build_circulant,
     build_ggpg,
     instance_distances,
@@ -27,7 +26,6 @@ from loopnet.theorem_lab import (
     check_thm43,
     check_thm44,
 )
-from loopnet.transforms import VertexCorrespondence
 
 G = build_circulant(9, (1, 2))
 H = build_ggpg(9, (2,))
@@ -37,22 +35,20 @@ REPORT = verify_instance(20, (9,))
 RECORDS = [
     (G, ("n", "gens")),
     (H, ("n", "chords")),
-    (bfs(G, 0), ("source", "dist")),
     (level_set_summary(build_circulant(11, (1, 2, 4))),
      ("d_circ", "ecc_u0", "ecc_v0", "v_dc", "cond_outer", "cond_inner", "near")),
     (instance_distances(G), ("circ", "chord_only")),
     (SandwichResult(True), ("ok", "witness")),
     (GapResult(True, 2, 3, 5), ("ok", "gap", "d_circ", "d_ggpg")),
-    (check_thm43(G, H), ("predicted_gap_is_1", "actual_gap", "consistent",
-                         "cond_outer", "cond_inner")),
-    (check_thm44(G, H), ("any_condition_fires", "actual_gap", "consistent", "notes")),
+    (check_thm43(G), ("predicted_gap_is_1", "actual_gap", "consistent",
+                      "cond_outer", "cond_inner")),
+    (check_thm44(G), ("any_condition_fires", "actual_gap", "consistent", "notes")),
     (REPORT, ("n", "gens", "chord_count", "d_circ", "d_ggpg", "gap", "extremal_set",
               "cond_outer", "cond_inner", "thm41_ok", "thm42_ok", "thm43_ok",
               "thm44_ok", "conj45_holds", "anomalies", "witnesses")),
     (PathRep(1, [2]), ("alpha", "lambdas")),
     (Walk(0, [(1, 1), (2, -1)]), ("origin", "steps")),
     (realize(PathRep(1, [2]), G), ("vertices", "is_path")),
-    (VertexCorrespondence.for_ring(9), ("n",)),
 ]
 
 

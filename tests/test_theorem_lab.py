@@ -31,12 +31,6 @@ from loopnet.theorem_lab import (
 )
 
 
-def pair(n, gens):
-    g = build_circulant(n, gens)
-    h, corr = expand(g)
-    return g, h, corr
-
-
 def test_clean_instance_all_checks_pass():
     r = verify_instance(9, (2,))
     assert (r.d_circ, r.d_ggpg, r.gap) == (2, 4, 2)
@@ -78,42 +72,54 @@ def test_small_n_breaks_the_gap1_characterization():
 
 
 def test_check_functions_agree_with_report():
-    g, h, corr = pair(7, [1, 2])
-    assert check_thm41(g, h, corr).ok
-    assert check_thm41(g, h, corr, mode="allpairs").ok
-    t42 = check_thm42(g, h)
+    g = build_circulant(7, [1, 2])
+    assert check_thm41(g).ok
+    assert check_thm41(g, mode="allpairs").ok
+    t42 = check_thm42(g)
     assert t42.ok and t42.gap == 1
-    t43 = check_thm43(g, h)
+    t43 = check_thm43(g)
     assert not t43.predicted_gap_is_1 and t43.actual_gap == 1
     assert not t43.consistent
     assert t43.cond_inner and not t43.cond_outer
-    t44 = check_thm44(g, h)
+    t44 = check_thm44(g)
     assert t44.any_condition_fires and not t44.consistent
     assert len(t44.notes) == 2 and all("third-bullet" in s for s in t44.notes)
 
 
 def test_orbit_and_allpairs_sandwich_agree():
     for n, gens in [(9, [1, 2]), (12, [1, 5]), (14, [1, 3, 4]), (17, [1, 2, 5, 8])]:
-        g, h, corr = pair(n, gens)
-        assert check_thm41(g, h, corr, mode="orbit").ok == \
-            check_thm41(g, h, corr, mode="allpairs").ok
+        g = build_circulant(n, gens)
+        assert check_thm41(g, mode="orbit").ok == check_thm41(g, mode="allpairs").ok
 
 
 def test_check_rejects_mismatched_pair():
-    g, _, _ = pair(9, [1, 2])
-    _, h2, corr2 = pair(9, [1, 3])
-    with pytest.raises(ValueError):
-        check_thm41(g, h2, corr2)
-    with pytest.raises(ValueError):
-        check_thm42(g, h2)
-    with pytest.raises(ValueError):
-        check_thm41(build_circulant(9, [2, 3]), h2, corr2)
+    # a circulant with no GGPG partner: no generator 1, or no chord
+    for g in (build_circulant(9, [2, 3]), build_circulant(9, [1])):
+        for check in (check_thm41, check_thm42, check_thm43, check_thm44):
+            with pytest.raises(ValueError, match="expansion needs"):
+                check(g)
+
+
+def test_gap_oracles_search_once(monkeypatch):
+    # 4.3 and 4.4 each take the circulant from 0, then u0 and v0, once
+    calls = []
+    real = theorem_lab.bfs
+
+    def counting(g, src):
+        calls.append((g.family, src))
+        return real(g, src)
+
+    monkeypatch.setattr(theorem_lab, "bfs", counting)
+    g = build_circulant(12, [1, 5])
+    for check in (check_thm43, check_thm44):
+        calls.clear()
+        check(g)
+        assert calls == [("circulant", 0), ("ggpg", 0), ("ggpg", 12)]
 
 
 def test_check_thm41_rejects_unknown_mode():
-    g, h, corr = pair(9, [1, 2])
     with pytest.raises(ValueError):
-        check_thm41(g, h, corr, mode="quick")
+        check_thm41(build_circulant(9, [1, 2]), mode="quick")
 
 
 def test_extremal_vertices():
@@ -228,15 +234,16 @@ def test_plan_sweep_sample_larger_than_cell_takes_it_whole():
 
 def test_sandwich_vector_check_agrees_with_ordered_loop():
     n = 12
-    g, h, corr = pair(n, [1, 5])
+    g = build_circulant(n, [1, 5])
+    h = expand(g)
     from loopnet import bfs
 
-    dc0 = list(bfs(g, 0).dist)
-    du, dv = list(bfs(h, 0).dist), list(bfs(h, n).dist)
-    assert _sandwich_from_vectors(n, dc0, du, dv, corr).ok
+    dc0 = list(bfs(g, 0))
+    du, dv = list(bfs(h, 0)), list(bfs(h, n))
+    assert _sandwich_from_vectors(n, dc0, du, dv).ok
     for vec, y, bad in ((du, 3, 0), (dv, n + 7, 9)):
         saved, vec[y] = vec[y], bad
-        assert not _sandwich_from_vectors(n, dc0, du, dv, corr).ok
+        assert not _sandwich_from_vectors(n, dc0, du, dv).ok
         vec[y] = saved
 
 
@@ -271,9 +278,9 @@ def test_paranoid_selects_the_allpairs_sandwich(monkeypatch):
     modes = []
     real = theorem_lab.check_thm41
 
-    def recording(gc, gp, corr, mode="orbit"):
+    def recording(gc, mode="orbit"):
         modes.append(mode)
-        return real(gc, gp, corr, mode=mode)
+        return real(gc, mode=mode)
 
     monkeypatch.setattr(theorem_lab, "check_thm41", recording)
     plain = verify_instance(12, (5,))

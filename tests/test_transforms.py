@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from loopnet import (
     PathRep,
-    VertexCorrespondence,
     build_circulant,
     build_ggpg,
     contract_spokes,
@@ -23,25 +22,23 @@ SIDES = [("outer", "outer"), ("outer", "inner"),
 
 
 def spoke_count(p, g):
-    corr = VertexCorrespondence.for_ring(g.n)
-    return sum(1 for a, b in zip(p, p[1:])
-               if corr.to_class(a) == corr.to_class(b))
+    return sum(1 for a, b in zip(p, p[1:]) if a % g.n == b % g.n)
 
 
 def test_expand_then_contract_is_identity():
     for n, gens in [(9, [1, 2]), (12, [1, 3, 5]), (17, [1, 2, 5, 8])]:
         g = build_circulant(n, gens)
-        h, _ = expand(g)
-        back, _ = contract_spokes(h)
+        h = expand(g)
+        back = contract_spokes(h)
         assert back == g
 
 
 def test_contract_then_expand_is_identity():
     for n, chords in [(9, [2]), (14, [3, 4, 6]), (40, [7, 19])]:
         h = build_ggpg(n, chords)
-        g, _ = contract_spokes(h)
+        g = contract_spokes(h)
         assert g == build_circulant(n, [1] + list(chords))
-        h2, _ = expand(g)
+        h2 = expand(g)
         assert h2 == h
 
 
@@ -57,39 +54,15 @@ def test_contract_merges_parallel_edges():
     # excluded by construction; what can collide is ring vs nothing, so
     # the offset set from edges must be exactly {1} | chords
     h = build_ggpg(10, [2, 4])
-    g, corr = contract_spokes(h)
+    g = contract_spokes(h)
     assert tuple(g.gens) == (1, 2, 4)
-    assert corr.n == 10
-
-
-def test_correspondence_maps():
-    corr = VertexCorrespondence.for_ring(9)
-    assert corr.outer(4) == 4
-    assert corr.inner(4) == 13
-    assert corr.members(4) == (4, 13)
-    assert corr.to_class(4) == 4
-    assert corr.to_class(13) == 4
-    assert corr.pairs == tuple((i, 9 + i) for i in range(9))
-    for bad in (-1, 9):
-        with pytest.raises(IndexError):
-            corr.outer(bad)
-        with pytest.raises(IndexError):
-            corr.members(bad)
-    with pytest.raises(IndexError):
-        corr.to_class(18)
-
-
-def test_correspondence_is_constant_size():
-    # the map is arithmetic on n: no per-vertex table however large the ring
-    big = VertexCorrespondence.for_ring(10**9)
-    assert big._fields == ("n",)
-    assert big.members(10**9 - 1) == (10**9 - 1, 2 * 10**9 - 1)
+    assert g.n == 10
 
 
 def test_project_collapses_spokes():
     g = build_circulant(9, [1, 2])
-    h, corr = expand(g)
-    p = [corr.outer(0), corr.outer(1), corr.inner(1), corr.inner(3)]
+    h = expand(g)
+    p = [h.outer(0), h.outer(1), h.inner(1), h.inner(3)]
     assert project_path(p, h) == [0, 1, 3]
 
 
@@ -105,19 +78,18 @@ def test_project_rejects_non_walks():
 
 def test_lift_zero_rep_all_sides():
     g = build_circulant(9, [1, 2])
-    h, corr = expand(g)
+    h = expand(g)
     zero = PathRep(0, (0,))
-    assert lift_path(zero, g, endpoints=("outer", "outer")) == [corr.outer(0)]
-    assert lift_path(zero, g, endpoints=("inner", "inner")) == [corr.inner(0)]
+    assert lift_path(zero, g, endpoints=("outer", "outer")) == [h.outer(0)]
+    assert lift_path(zero, g, endpoints=("inner", "inner")) == [h.inner(0)]
     assert lift_path(zero, g, endpoints=("outer", "inner")) == \
-        [corr.outer(0), corr.inner(0)]
+        [h.outer(0), h.inner(0)]
     assert lift_path(zero, g, endpoints=("inner", "outer")) == \
-        [corr.inner(0), corr.outer(0)]
+        [h.inner(0), h.outer(0)]
 
 
 def test_lift_pure_ring_rep():
     g = build_circulant(9, [1, 2])
-    h, corr = expand(g)
     rep = PathRep(3, (0,))
     assert lift_path(rep, g) == [0, 1, 2, 3]
     assert lift_path(rep, g, endpoints=("outer", "inner")) == [0, 1, 2, 3, 12]
@@ -126,7 +98,6 @@ def test_lift_pure_ring_rep():
 
 def test_lift_pure_chord_rep_stays_inner():
     g = build_circulant(9, [1, 2])
-    h, corr = expand(g)
     rep = PathRep(0, (2,))
     assert lift_path(rep, g, endpoints=("inner", "inner")) == [9, 11, 13]
     got = lift_path(rep, g, endpoints=("outer", "outer"))
@@ -136,7 +107,7 @@ def test_lift_pure_chord_rep_stays_inner():
 
 def test_lift_mixed_rep_single_boundary_spoke():
     g = build_circulant(9, [1, 2])
-    h, corr = expand(g)
+    h = expand(g)
     rep = PathRep(2, (1,))  # ring twice, one +2 chord
     got = lift_path(rep, g)  # outer/outer default
     assert got == [0, 1, 2, 11, 13, 4]
@@ -144,7 +115,7 @@ def test_lift_mixed_rep_single_boundary_spoke():
     # inner start flips the traversal to chords-first so one spoke suffices
     got = lift_path(rep, g, endpoints=("inner", "outer"))
     assert spoke_count(got, g) == 1
-    assert got[0] == corr.inner(0) and got[-1] == corr.outer(4)
+    assert got[0] == h.inner(0) and got[-1] == h.outer(4)
 
 
 def test_lift_rejects_non_path_reps():
@@ -159,7 +130,7 @@ def test_lift_rejects_unknown_side():
         lift_path(PathRep(1, (0,)), g, endpoints=("outer", "middle"))
 
 
-def _assert_valid_lift(p, rep, target, g, h, corr, sides):
+def _assert_valid_lift(p, rep, target, g, h, sides):
     # a real path in h, on the requested sides, costing at most 2 spokes
     assert len(set(p)) == len(p)
     for a, b in zip(p, p[1:]):
@@ -167,8 +138,8 @@ def _assert_valid_lift(p, rep, target, g, h, corr, sides):
     start, end = sides
     assert h.is_outer(p[0]) == (start == "outer")
     assert h.is_outer(p[-1]) == (end == "outer")
-    assert corr.to_class(p[0]) == 0
-    assert corr.to_class(p[-1]) == target
+    assert p[0] % g.n == 0
+    assert p[-1] % g.n == target
     assert spoke_count(p, g) <= 2
     assert len(p) - 1 <= rep.length + 2
 
@@ -182,12 +153,12 @@ def test_lift_shortest_reps_property(data):
     chords = sorted(data.draw(st.lists(st.integers(2, hi), min_size=k,
                                        max_size=k, unique=True), label="chords"))
     g = build_circulant(n, [1] + chords)
-    h, corr = expand(g)
+    h = expand(g)
     i = data.draw(st.integers(0, n - 1), label="target")
     rep = shortest_rep(g, i)
     for sides in SIDES:
         p = lift_path(rep, g, endpoints=sides)
-        _assert_valid_lift(p, rep, i, g, h, corr, sides)
+        _assert_valid_lift(p, rep, i, g, h, sides)
         # collapsing spokes recovers a circulant walk ending at the target
         classes = project_path(p, h)
         assert classes[0] == 0 and classes[-1] == i
