@@ -279,7 +279,8 @@ def _verify_plan(args):
         if args.preset != "beenker-vanlint":
             raise ValueError(f"unknown preset {args.preset!r}")
         n_range = _parse_n_range(args.n) if args.n else range(5, 41)
-        instances = _plan(n_range, [2], seed=args.seed)
+        instances = _plan(n_range, [2], sample_cap=args.sample_cap,
+                          sample_size=args.sample_size, seed=args.seed)
         spec = f"--preset beenker-vanlint --n {_n_text(n_range)}"
         return instances, spec
     if args.n is None or args.m is None:

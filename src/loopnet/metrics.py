@@ -114,7 +114,8 @@ Diameters use symmetry shortcuts by default: a circulant looks the same
 from every vertex (rotation i -> i+1 is an automorphism), so one BFS from 0
 suffices; the same rotation on a GGPG graph has exactly two vertex orbits,
 outer and inner, so two BFS runs suffice.  A paranoid mode recomputes the
-diameter from every source and raises if the shortcut ever disagrees.
+diameter from every source, one BFS vector at a time (O(n) memory,
+quadratic time), and raises if the shortcut ever disagrees.
 
 Restricted distances feed the gap characterization: along the outer ring
 only, the distance from 0 to i is min(i, n-i); along chords only it is BFS
@@ -183,20 +184,14 @@ def eccentricity(g, src: int):
     return max(bfs(g, src))
 
 
-def all_source_distances(g) -> list[tuple]:
-    """The distance vector from every vertex, by list BFS (the all-pairs oracle)."""
-    return [bfs(g, v) for v in g.vertices()]
-
-
 def all_source_diameter(g):
-    """Brute force: max eccentricity over every vertex.  The oracle the
-    symmetry shortcuts are checked against."""
-    return max(map(max, all_source_distances(g)))
+    """Brute force: max eccentricity over every vertex, one source at a
+    time.  The oracle the symmetry shortcuts are checked against."""
+    return max(max(bfs(g, v)) for v in g.vertices())
 
 
-def check_shortcut(g, shortcut: str, d, dists) -> None:
-    """Raise unless d equals the largest entry of g's all-source vectors dists."""
-    full = max(map(max, dists))
+def check_shortcut(g, shortcut: str, d, full) -> None:
+    """Raise unless the shortcut's diameter d equals the all-source one."""
     if full != d:
         raise RuntimeError(
             f"symmetry shortcut mismatch on {g.label()}: "
@@ -209,7 +204,7 @@ def diameter_circulant(g: CirculantGraph, paranoid: bool = False) -> int:
         raise TypeError(f"single-source shortcut needs a circulant, got {g.label()}")
     d = eccentricity(g, 0)
     if paranoid:
-        check_shortcut(g, "ecc(0)", d, all_source_distances(g))
+        check_shortcut(g, "ecc(0)", d, all_source_diameter(g))
     return d
 
 
@@ -219,7 +214,7 @@ def diameter_ggpg(g: GgpgGraph, paranoid: bool = False) -> int:
         raise TypeError(f"two-source shortcut needs a GGPG graph, got {g.label()}")
     d = max(eccentricity(g, g.outer(0)), eccentricity(g, g.inner(0)))
     if paranoid:
-        check_shortcut(g, "two-source", d, all_source_distances(g))
+        check_shortcut(g, "two-source", d, all_source_diameter(g))
     return d
 
 

@@ -30,8 +30,9 @@ alone, and --paranoid (paranoid=True), which also runs the list kernel and
 raises unless its summary equals the lattice's or the level sets',
 cross-checks the list kernel and the identity's GGPG vectors against list
 BFS, compares a gap-1 row's walk with a FIFO search over neighbors(), and
-takes the 4.1 verdict and both diameter shortcuts from check_thm41 over
-all pairs, on every instance.
+takes the 4.1 verdict and both diameter shortcuts over all pairs, on
+every instance, all from one list-BFS pass held one source at a time
+(_source_vectors): 3n searches, O(n) memory, quadratic time.
 
 Failures are tiered.  The first two are proved facts, so a violation means
 the implementation is broken: enforce_proven raises with the witness, and
@@ -53,7 +54,6 @@ import random
 
 from .graph_core import CirculantGraph, GgpgGraph, build_circulant, max_generator
 from .metrics import (
-    all_source_distances,
     bfs,
     check_shortcut,
     circulant_distances,
@@ -139,80 +139,71 @@ def extremal_vertices(g: CirculantGraph) -> list[int]:
     return [i for i, d in enumerate(vec) if d == top]
 
 
-def _sandwich_from_vectors(n, dc0, du, dv) -> SandwichResult:
-    # one rotation orbit per side pair: d_p(x_i, y_j) = d_p(x_0, y_{j-i})
-    for delta in range(n):
-        d = dc0[delta]
-        for x_label, vec in (("u0", du), ("v0", dv)):
-            for y, y_label in ((delta, f"u{delta}"), (n + delta, f"v{delta}")):
-                dp = vec[y]
-                if not d <= dp <= d + 2:
-                    return SandwichResult(False, (0, delta, x_label, y_label, d, dp))
-    return SandwichResult(True)
+def _source_vectors(gc: CirculantGraph, gp: GgpgGraph, sources: int):
+    """(i, d_c(i, .), d_p(u_i, .), d_p(v_i, .)) for i in range(sources), by
+    list BFS over neighbors(), holding one source at a time: the only
+    producer of the oracle tier's per-source vectors."""
+    for i in range(sources):
+        yield i, bfs(gc, i), bfs(gp, gp.outer(i)), bfs(gp, gp.inner(i))
+
+
+def _sandwich(gc: CirculantGraph, gp: GgpgGraph, rows) -> SandwichResult:
+    """The sandwich over every pair (x_i, y_j) of the rows of
+    _source_vectors, in order; then both diameter shortcuts against the
+    rows' largest eccentricity (RuntimeError, as under paranoid; trivial
+    on source 0 alone), which outrank the sandwich witness."""
+    n = gc.n
+    witness, ecc_c, ecc_p = None, [], []
+    for i, dc, du, dv in rows:
+        ecc_c.append(max(dc))
+        ecc_p.append(max(max(du), max(dv)))
+        witness = witness or next(
+            ((i, j, gp.vertex_label(x), gp.vertex_label(y), d, vec[y])
+             for j, d in enumerate(dc) for x, vec in ((i, du), (n + i, dv))
+             for y in (j, n + j) if not d <= vec[y] <= d + 2), None)
+    check_shortcut(gc, "ecc(0)", ecc_c[0], max(ecc_c))
+    check_shortcut(gp, "two-source", ecc_p[0], max(ecc_p))
+    return SandwichResult(witness is None, witness)
 
 
 def check_thm41(gc: CirculantGraph, mode: str = "orbit") -> SandwichResult:
     """Pairwise sandwich d_c(i,j) <= d_p(x_i,y_j) <= d_c(i,j) + 2 between
     gc and its expansion (u_i = i, v_i = n + i).
 
-    mode="orbit" checks one representative pair per rotation orbit, which
-    covers all pairs because rotating both endpoints preserves both
-    distances.  mode="allpairs" takes no symmetry for granted and runs
-    every source on both graphs literally; it also checks both diameter
-    shortcuts against those vectors (RuntimeError, as under paranoid).
+    mode="orbit" checks the pairs from source 0, which covers all pairs
+    because rotating both endpoints preserves both distances.
+    mode="allpairs" takes no symmetry for granted: it runs every source on
+    both graphs literally, one at a time (O(n) memory, quadratic time),
+    and checks both diameter shortcuts too (RuntimeError, as paranoid).
     """
     gp = expand(gc)
-    n = gc.n
-    if mode == "orbit":
-        return _sandwich_from_vectors(n, bfs(gc, 0), bfs(gp, 0), bfs(gp, n))
-    if mode != "allpairs":
+    if mode not in ("orbit", "allpairs"):
         raise ValueError(f"unknown mode {mode!r}")
-    dc_all, dp_all = all_source_distances(gc), all_source_distances(gp)
-    check_shortcut(gc, "ecc(0)", max(dc_all[0]), dc_all)
-    check_shortcut(gp, "two-source", max(dp_all[0] + dp_all[n]), dp_all)
-    for i in range(n):
-        for j in range(n):
-            d = dc_all[i][j]
-            for x in (i, n + i):
-                for y in (j, n + j):
-                    dp = dp_all[x][y]
-                    if not d <= dp <= d + 2:
-                        return SandwichResult(
-                            False,
-                            (i, j, gp.vertex_label(x), gp.vertex_label(y), d, dp))
-    return SandwichResult(True)
-
-
-def _list_bfs(gc: CirculantGraph) -> tuple[tuple, int]:
-    """d_c(0, .) and the GGPG diameter max(ecc(u_0), ecc(v_0)) by list BFS
-    over neighbors(): the circulant search, then u_0's and v_0's."""
-    gp = expand(gc)
-    dc0 = bfs(gc, 0)
-    return dc0, max(max(bfs(gp, gp.outer(0))), max(bfs(gp, gp.inner(0))))
+    return _sandwich(gc, gp, _source_vectors(gc, gp, gc.n if mode == "allpairs" else 1))
 
 
 def check_thm42(gc: CirculantGraph) -> GapResult:
     """Diameter gap between gc and its expansion must land in {1, 2}."""
-    dc0, d_ggpg = _list_bfs(gc)
-    gap = d_ggpg - max(dc0)
-    return GapResult(gap in (1, 2), gap, max(dc0), d_ggpg)
+    _, dc0, du, dv = next(_source_vectors(gc, expand(gc), 1))
+    d_circ, d_ggpg = max(dc0), max(max(du), max(dv))
+    return GapResult(d_ggpg - d_circ in (1, 2), d_ggpg - d_circ, d_circ, d_ggpg)
 
 
 def _gap1_facts(gc: CirculantGraph) -> tuple[list, bool, bool, int]:
     """V_Dc, the two exact-length restricted-path conditions over it, and
-    the gap, from one _list_bfs: what 4.3 and 4.4 both test.
+    the gap, from source 0 of _source_vectors: what 4.3 and 4.4 both test.
 
     A ring-only path of length exactly D from 0 to i exists iff
     min(i, n-i) = D: the two arcs are the only vertex-distinct ring walks,
     and both are at least d_c(0,i) = D long.  Likewise a chord-only path of
     length exactly D exists iff the chord-subgraph distance equals D.
     """
-    dc0, d_ggpg = _list_bfs(gc)
+    _, dc0, du, dv = next(_source_vectors(gc, expand(gc), 1))
     d = max(dc0)
     vdc = [i for i, di in enumerate(dc0) if di == d]
     inner = inner_only_distances(gc)
     return (vdc, all(outer_only_distance(gc, i) == d for i in vdc),
-            all(inner[i] == d for i in vdc), d_ggpg - d)
+            all(inner[i] == d for i in vdc), max(max(du), max(dv)) - d)
 
 
 def check_thm43(gc: CirculantGraph) -> Gap1Characterization:
@@ -243,15 +234,15 @@ def check_thm44(gc: CirculantGraph) -> Gap2Conditions:
     return Gap2Conditions(fires, gap, (not fires) or gap == 2, tuple(notes))
 
 
-def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts, path) -> None:
+def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts, path, row0) -> None:
     """Paranoid tier: the kernel's vectors, and the GGPG vectors and
-    eccentricities the spoke identity derives from them, against list BFS
-    over neighbors(); and a gap-1 row's witness walk (path, else None)
-    against a FIFO search over neighbors() from the source that list BFS
-    names as attaining the larger diameter."""
+    eccentricities the spoke identity derives from them, against the list
+    BFS vectors of row0, source 0 of _source_vectors; and a gap-1 row's
+    witness walk (path, else None) against a FIFO search over neighbors()
+    from the source that list BFS names as attaining the larger diameter."""
     du, dv = dist.ggpg_vectors()
-    slow_u, slow_v = bfs(gp, gp.outer(0)), bfs(gp, gp.inner(0))
-    oracle = (("circulant from 0", dist.circ, bfs(gc, 0)),
+    _, slow_c, slow_u, slow_v = row0
+    oracle = (("circulant from 0", dist.circ, slow_c),
               ("chord-only from 0", dist.chord_only, inner_only_distances(gc)),
               ("ggpg from u0", du, slow_u),
               ("ggpg from v0", dv, slow_v))
@@ -289,11 +280,11 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     independent search.  Every row under paranoid also runs the list
     kernel.  A gap-1 row's diametral path is walked on its lattice (one
     chord), else on the kernel's vectors or its circulant search alone.
-    Paranoid requires the list kernel's summary to equal the faster
-    route's, cross-checks the kernel and the identity against list BFS,
-    requires the walked path to equal a FIFO search's over neighbors(),
-    and checks the sandwich and both diameter shortcuts with check_thm41
-    over all pairs."""
+    Paranoid cross-checks the kernel and the identity against source 0 of
+    one list-BFS pass over every source (_source_vectors: 3n searches),
+    requires the walked path to equal a FIFO search's over neighbors() and
+    the list kernel's summary to equal the faster route's, and checks the
+    sandwich and both diameter shortcuts over the whole pass."""
     chords = tuple(chords)
     gc = build_circulant(n, (1,) + chords)
     if not chords:
@@ -321,12 +312,15 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
         path = diametral_path(n, chords, d_circ, circ)
 
     if paranoid:
-        _cross_check(gc, expand(gc), dist, facts, path)
+        gp = expand(gc)
+        rows = _source_vectors(gc, gp, n)
+        row0 = next(rows)
+        _cross_check(gc, gp, dist, facts, path, row0)
         if fast is not None and fast != facts:
             raise RuntimeError(
                 f"route mismatch on {gc.label()}: {route} {fast}, "
                 f"list kernel {facts}")
-        t41 = check_thm41(gc, mode="allpairs")
+        t41 = _sandwich(gc, gp, itertools.chain([row0], rows))
     else:
         t41 = SandwichResult(True)  # by the spoke identity
     t42_ok = gap in (1, 2)

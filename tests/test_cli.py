@@ -259,6 +259,20 @@ def test_verify_preset_single_chord_family():
     assert "--preset beenker-vanlint" in r.stdout.splitlines()[0]
 
 
+def test_verify_preset_honours_the_sample_flags():
+    # a 1 498-set cell over --sample-cap 10 is sampled to --sample-size 3;
+    # the verify header records neither flag, as for a --m grid
+    r = run_cli("verify", "--preset", "beenker-vanlint", "--n", "3000",
+                "--sample-cap", "10", "--sample-size", "3")
+    assert r.returncode == 0, r.stderr
+    head, columns, *rows = r.stdout.splitlines()
+    assert head.split(" | ")[1:] == [
+        "verify --preset beenker-vanlint --n 3000 --theorems 4.1,4.2,4.3,4.4 --format csv",
+        "seed=0"]
+    assert columns.startswith("n,gens,")
+    assert len(rows) == 3 and all(row.startswith("3000,1-") for row in rows)
+
+
 def test_verify_json_format():
     # gap=1 here, but thm43/44 are consistent and conj45 is not in the
     # default theorem set, so the run is clean

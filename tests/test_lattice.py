@@ -5,6 +5,7 @@ envelope forms (with gcd(n, s) = 1 and > 1) at n near 10^5, random rows;
 its pointwise distances against the kernel's vectors; what an m = 2 row
 skips; and what --paranoid still compares it with."""
 
+import math
 import random
 
 import pytest
@@ -55,6 +56,37 @@ def test_lattice_summary_on_random_large_double_loops():
         for x in rng.sample(range(n), 200):
             assert lattice.circ_at(x) == dist.circ[x], (g.label(), x)
             assert lattice.chord_at(x) == dist.chord_only[x], (g.label(), x)
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_lattice_summary_is_invariant_under_the_chord_swap(n):
+    # with gcd(n, s) = 1, x -> x / s mod n maps C_n(1, s) onto C_n(1, s')
+    # with s' = min(1/s, n - 1/s) and swaps its ring and chord steps: D and
+    # the gap stay, V_Dc maps onto V_Dc', near' is the image of the V_Dc
+    # points with ring(i) = D + 1, and the two conditions and the two GGPG
+    # eccentricities trade places.  The reduced lattices are transposes, so
+    # most pairs compare the b-form envelope with the a-form one, at sizes
+    # where no BFS oracle runs.
+    rng = random.Random(f"chord-swap-{n}")
+    rows = [3, n // 2 - 1]  # an a-form row; the gap-1 row, its own swap
+    while len(rows) < 10:
+        s = rng.randrange(2, max_generator(n) + 1)
+        if math.gcd(n, s) == 1:
+            rows.append(s)
+    forms = set()
+    for s in rows:
+        inv = pow(s, -1, n)
+        lat, swapped = (lattice_distances(build_circulant(n, (1, t)))
+                        for t in (s, min(inv, n - inv)))
+        forms.add((lat.b_form, swapped.b_form))
+        a, b = lat.summary(), swapped.summary()
+        assert (b.d_circ, b.d_ggpg - b.d_circ) == (a.d_circ, a.d_ggpg - a.d_circ)
+        assert list(b.v_dc) == sorted(i * inv % n for i in a.v_dc), (n, s)
+        assert list(b.near) == sorted(i * inv % n for i in a.v_dc
+                                      if min(i, n - i) == a.d_circ + 1)
+        assert (b.cond_outer, b.cond_inner) == (a.cond_inner, a.cond_outer)
+        assert (b.ecc_u0, b.ecc_v0) == (a.ecc_v0, a.ecc_u0)
+    assert {(False, True), (True, False)} <= forms
 
 
 @pytest.mark.parametrize("n,s", [

@@ -253,10 +253,9 @@ def test_paranoid_runs_each_all_source_bfs_once(monkeypatch):
     n = 30
     row = verify_instance(n, (4,), paranoid=True)
     assert row == verify_instance(n, (4,))
-    assert len(calls) <= 3 * n + 6
-    # every source of both graphs, each at least once
-    assert {s for f, s in calls if f == "circulant"} == set(range(n))
-    assert {s for f, s in calls if f == "ggpg"} == set(range(2 * n))
+    # one pass, 3n calls: every source of both graphs exactly once
+    assert sorted(calls) == [("circulant", s) for s in range(n)] + \
+        [("ggpg", s) for s in range(2 * n)]
 
 
 def list_route_row(monkeypatch, n, chords):
@@ -305,15 +304,14 @@ def test_paranoid_compares_the_two_summaries(monkeypatch):
 
 
 def test_paranoid_keeps_the_shortcut_mismatch_error(monkeypatch):
-    real = metrics.all_source_distances
+    real = metrics.bfs
 
-    def skewed(g):
-        rows = real(g)
-        rows[-1] = tuple(d + 1 for d in rows[-1])  # one source sees farther
-        return rows
+    def skewed(g, src):
+        vec = real(g, src)  # the last source sees farther
+        return tuple(d + 1 for d in vec) if src == g.num_vertices - 1 else vec
 
     for mod in (metrics, theorem_lab):
-        monkeypatch.setattr(mod, "all_source_distances", skewed)
+        monkeypatch.setattr(mod, "bfs", skewed)
     g = build_circulant(12, (1, 5))
     h = expand(g)
     for call, shortcut in ((lambda: diameter_circulant(g, paranoid=True), "ecc"),

@@ -21,7 +21,7 @@ from loopnet import (
 from loopnet import theorem_lab
 from loopnet.theorem_lab import (
     REPORT_COLUMNS,
-    _sandwich_from_vectors,
+    _sandwich,
     chord_sets,
     enforce_proven,
     plan_sweep,
@@ -240,10 +240,12 @@ def test_sandwich_vector_check_agrees_with_ordered_loop():
 
     dc0 = list(bfs(g, 0))
     du, dv = list(bfs(h, 0)), list(bfs(h, n))
-    assert _sandwich_from_vectors(n, dc0, du, dv).ok
-    for vec, y, bad in ((du, 3, 0), (dv, n + 7, 9)):
+    row = [(0, dc0, du, dv)]  # source 0's row, as the merged loop reads it
+    assert _sandwich(g, h, row).ok
+    for vec, y, bad, pair in ((du, 3, 0, ("u0", "u3")), (dv, n + 7, 9, ("v0", "v7"))):
         saved, vec[y] = vec[y], bad
-        assert not _sandwich_from_vectors(n, dc0, du, dv).ok
+        got = _sandwich(g, h, row)
+        assert not got.ok and got.witness == (0, y % n, *pair, dc0[y % n], bad)
         vec[y] = saved
 
 
@@ -274,19 +276,36 @@ def test_run_instances_parallel_order_matches_serial(monkeypatch):
     assert all(r[9] == r[10] == "true" for r in rows)  # thm41, thm42
 
 
-def test_paranoid_selects_the_allpairs_sandwich(monkeypatch):
-    modes = []
-    real = theorem_lab.check_thm41
+def test_allpairs_and_paranoid_catch_a_sandwich_violation_off_source_0(monkeypatch):
+    # d_p(u_5, u_8) doctored to 0 < d_c(5, 8): no eccentricity grows, so
+    # only the sandwich over source 5's row can see it
+    n, chords = 12, (5,)
+    g = build_circulant(n, (1,) + chords)
+    plain = verify_instance(n, chords)
+    real = theorem_lab.bfs
 
-    def recording(gc, mode="orbit"):
-        modes.append(mode)
-        return real(gc, mode=mode)
+    def doctored(gr, src):
+        vec = real(gr, src)
+        return vec[:8] + (0,) + vec[9:] if (gr.family, src) == ("ggpg", 5) else vec
 
-    monkeypatch.setattr(theorem_lab, "check_thm41", recording)
-    plain = verify_instance(12, (5,))
-    assert modes == []
-    assert verify_instance(12, (5,), paranoid=True) == plain
-    assert modes == ["allpairs"]
+    monkeypatch.setattr(theorem_lab, "bfs", doctored)
+    assert verify_instance(n, chords) == plain  # no list BFS when not paranoid
+    want = (5, 8, "u5", "u8", real(g, 5)[8], 0)
+    assert check_thm41(g, mode="orbit").ok
+    assert check_thm41(g, mode="allpairs") == (False, want)
+    row = verify_instance(n, chords, paranoid=True)
+    assert not row.thm41_ok and row.witnesses["thm41"] == {"pair": list(want)}
+    assert row.anomalies == ("thm41: sandwich violated",) + plain.anomalies
+
+    def farther(gr, src):  # and the last source sees farther: the shortcut
+        vec = doctored(gr, src)  # mismatch outranks the sandwich witness
+        return tuple(d + 1 for d in vec) if src == gr.num_vertices - 1 else vec
+
+    monkeypatch.setattr(theorem_lab, "bfs", farther)
+    for call in (lambda: check_thm41(g, mode="allpairs"),
+                 lambda: verify_instance(n, chords, paranoid=True)):
+        with pytest.raises(RuntimeError, match=r"symmetry shortcut mismatch .*ecc\(0\)"):
+            call()
 
 
 def test_csv_writer_layout():
