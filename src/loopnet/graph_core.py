@@ -15,6 +15,7 @@ build a lot of graphs, that matters.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 
 
@@ -32,14 +33,14 @@ class GeneratorSequence(tuple):
 
     def __new__(cls, gens):
         try:
-            items = tuple(int(s) for s in gens)
+            items = tuple(map(int, gens))
         except (TypeError, ValueError):
             raise FamilyParameterError(f"generators must be integers, got {gens!r}")
         if not items:
             raise FamilyParameterError("generator list must be nonempty")
         if items[0] < 1:
             raise FamilyParameterError(f"generators must be positive, got {items[0]}")
-        if any(a >= b for a, b in zip(items, items[1:])):
+        if not all(map(operator.lt, items, items[1:])):
             raise FamilyParameterError(
                 f"generators must be strictly increasing (no duplicates), got {list(items)}")
         return super().__new__(cls, items)

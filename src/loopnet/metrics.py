@@ -154,9 +154,27 @@ def _bfs_levels(neighbor_fn, num_vertices: int, src: int) -> list:
     return dist
 
 
+class Adjacency:
+    """A graph whose neighbors() lists are built once and read from a table
+    (Adjacency(t) of a table t is t): bfs and fifo_path take it for the graph,
+    so searches from many sources share one O(n) table of neighbors()."""
+
+    __slots__ = ("graph", "neighbors")
+
+    def __new__(cls, g):
+        if isinstance(g, cls):
+            return g
+        self = super().__new__(cls)
+        self.graph, self.neighbors = g, [g.neighbors(v) for v in g.vertices()].__getitem__
+        return self
+
+    def __getattr__(self, name):
+        return getattr(self.graph, name)
+
+
 def bfs(g, src: int) -> tuple:
-    """Exact unweighted distances from src in either family, indexed by
-    vertex id; INF marks unreachable vertices."""
+    """Exact unweighted distances from src in either family (or its
+    Adjacency table), indexed by vertex id; INF marks unreachable vertices."""
     g.check_vertex(src)
     return tuple(_bfs_levels(g.neighbors, g.num_vertices, src))
 
@@ -185,9 +203,10 @@ def eccentricity(g, src: int):
 
 
 def all_source_diameter(g):
-    """Brute force: max eccentricity over every vertex, one source at a
-    time.  The oracle the symmetry shortcuts are checked against."""
-    return max(max(bfs(g, v)) for v in g.vertices())
+    """Brute force: max eccentricity over every vertex, one source at a time
+    on one Adjacency table.  The oracle the symmetry shortcuts are checked against."""
+    table = Adjacency(g)
+    return max(max(bfs(table, v)) for v in g.vertices())
 
 
 def check_shortcut(g, shortcut: str, d, full) -> None:
@@ -227,21 +246,9 @@ def outer_only_distance(g: CirculantGraph, i: int) -> int:
 def inner_only_distances(g: CirculantGraph) -> tuple:
     """Distances from 0 in the chord-only subgraph (generators after the
     first).  INF where no chord walk reaches."""
-    chords = g.gens[1:]
-    n = g.n
-
-    def chord_neighbors(v):
-        out = []
-        for s in chords:
-            out.append((v + s) % n)
-            out.append((v - s) % n)
-        return out
-
-    if not chords:
-        empty = [INF] * n
-        empty[0] = 0
-        return tuple(empty)
-    return tuple(_bfs_levels(chord_neighbors, n, 0))
+    chords, n = g.gens[1:], g.n
+    return tuple(_bfs_levels(
+        lambda v: [(v + sign * s) % n for s in chords for sign in (1, -1)], n, 0))
 
 
 def distance_dump_rows(g, sources=None):
@@ -417,6 +424,8 @@ def _shift_pairs(n: int, steps) -> tuple:
 
 def _bit_positions(x: int) -> tuple:
     """Ascending positions of the set bits of x."""
+    if not x:
+        return ()
     bits = bin(x)[:1:-1]  # bit i at index i
     out = []
     i = bits.find("1")
@@ -439,7 +448,8 @@ def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
         raise ValueError(f"level sets need generator 1 in S, got {g.label()}")
     n = g.n
     mask = (1 << n) - 1
-    gens, chords = _shift_pairs(n, g.gens), _shift_pairs(n, g.gens[1:])
+    gens = _shift_pairs(n, g.gens)
+    chords = gens[1:]
     circ, cu = 1, mask ^ 1            # circulant frontier and unreached set
     chord, chu = 1, mask ^ 1          # chord-only ring
     d = 0
@@ -663,7 +673,9 @@ def diametral_path(n: int, chords, d: int, circ) -> list[int]:
                     lo = mid
                 else:
                     hi = mid - 1
-            path += [(x + step * k) % n for k in range(1, lo + 1)]
+            # ids need no reduction mod n: no geodesic from u_0 passes it again, and
+            # the first step is u_1 (ring(t - 1) = d, or d_c(0, t - 1) <= d - 2)
+            path += range(x + step, x + step * (lo + 1), step)
             r -= lo
         else:
             path.append(w)

@@ -45,15 +45,16 @@ from __future__ import annotations
 
 import bisect
 import collections
-import io
 import itertools
 import json
 import math
 import os
 import random
+import re
 
 from .graph_core import CirculantGraph, GgpgGraph, build_circulant, max_generator
 from .metrics import (
+    Adjacency,
     bfs,
     check_shortcut,
     circulant_distances,
@@ -83,11 +84,13 @@ REPORT_COLUMNS = (
 # the pairwise sandwich check's outcome; witness, on a violation, is
 # (i, j, x_label, y_label, d_c, d_p)
 SandwichResult = collections.namedtuple("SandwichResult", "ok witness", defaults=(None,))
+_BY_IDENTITY = SandwichResult(True)  # a non-paranoid row's 4.1: the spoke identity
 GapResult = collections.namedtuple("GapResult", "ok gap d_circ d_ggpg")
 Gap1Characterization = collections.namedtuple(
     "Gap1Characterization", "predicted_gap_is_1 actual_gap consistent cond_outer cond_inner")
 Gap2Conditions = collections.namedtuple(
     "Gap2Conditions", "any_condition_fires actual_gap consistent notes")
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search  # what csv's QUOTE_MINIMAL quotes
 
 
 class VerificationReport(collections.namedtuple("VerificationReport", (
@@ -97,17 +100,16 @@ class VerificationReport(collections.namedtuple("VerificationReport", (
 
     __slots__ = ()
 
-    def csv_cells(self) -> list[str]:
-        flags = (self.cond_outer, self.cond_inner, self.thm41_ok, self.thm42_ok,
-                 self.thm43_ok, self.thm44_ok, self.conj45_holds)
-        return [
-            str(self.n),
-            "-".join(map(str, self.gens)),
-            *map(str, (self.chord_count, self.d_circ, self.d_ggpg, self.gap)),
-            "-".join(map(str, self.extremal_set)),
-            *["true" if b else "false" for b in flags],
-            "; ".join(self.anomalies),
-        ]
+    def csv_line(self) -> str:
+        """The row as one CSV line, quoted as csv's QUOTE_MINIMAL: only a field
+        with , " \\r or \\n (here, anomalies: thm42's has a comma), quotes doubled."""
+        n, gens, chords, d_circ, d_ggpg, gap, vdc, *flags, anomalies, _ = self
+        text = "; ".join(anomalies)
+        if _NEEDS_QUOTES(text):
+            text = '"' + text.replace('"', '""') + '"'
+        return (f"{n},{'-'.join(map(str, gens))},{chords},{d_circ},{d_ggpg},{gap},"
+                f"{'-'.join(map(str, vdc))},"
+                + ",".join(["true" if b else "false" for b in flags]) + f",{text}\n")
 
     def json_record(self) -> dict:
         rec = {
@@ -141,10 +143,12 @@ def extremal_vertices(g: CirculantGraph) -> list[int]:
 
 def _source_vectors(gc: CirculantGraph, gp: GgpgGraph, sources: int):
     """(i, d_c(i, .), d_p(u_i, .), d_p(v_i, .)) for i in range(sources), by
-    list BFS over neighbors(), holding one source at a time: the only
-    producer of the oracle tier's per-source vectors."""
+    list BFS over one Adjacency table per graph (neighbors() once per
+    vertex), holding one source at a time: the only producer of the oracle
+    tier's per-source vectors."""
+    tc, tp = Adjacency(gc), Adjacency(gp)
     for i in range(sources):
-        yield i, bfs(gc, i), bfs(gp, gp.outer(i)), bfs(gp, gp.inner(i))
+        yield i, bfs(tc, i), bfs(tp, gp.outer(i)), bfs(tp, gp.inner(i))
 
 
 def _sandwich(gc: CirculantGraph, gp: GgpgGraph, rows) -> SandwichResult:
@@ -312,7 +316,7 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
         path = diametral_path(n, chords, d_circ, circ)
 
     if paranoid:
-        gp = expand(gc)
+        gp = Adjacency(expand(gc))  # one table for the pass and the FIFO search
         rows = _source_vectors(gc, gp, n)
         row0 = next(rows)
         _cross_check(gc, gp, dist, facts, path, row0)
@@ -322,13 +326,12 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
                 f"list kernel {facts}")
         t41 = _sandwich(gc, gp, itertools.chain([row0], rows))
     else:
-        t41 = SandwichResult(True)  # by the spoke identity
+        t41 = _BY_IDENTITY
     t42_ok = gap in (1, 2)
 
     predicted = cond_outer and cond_inner
     t43_ok = predicted == (gap == 1)
-    fires = not predicted
-    t44_ok = (not fires) or gap == 2
+    t44_ok = predicted or gap == 2  # 4.4's conditions fire iff not predicted
 
     anomalies = []
     witnesses = {}
@@ -551,10 +554,7 @@ def _render_rows(reports, fmt: str) -> str:
     """Report rows as text: CSV lines, or JSON records two levels deep (a
     JSON string holds no raw newline), each led by ",\n    "."""
     if fmt == "csv":
-        import csv
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(r.csv_cells() for r in reports)
-        return buf.getvalue()
+        return "".join(r.csv_line() for r in reports)
     return "".join(",\n    " + _JSON.encode(r.json_record()).replace("\n", "\n    ")
                    for r in reports)
 

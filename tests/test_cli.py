@@ -2,8 +2,6 @@
 patches the library): formats, exit codes, headers, and byte-level
 determinism."""
 
-import csv
-import io
 import json
 import os
 import re
@@ -314,12 +312,8 @@ def reference_report(fmt, head, reports):
     if fmt == "json":
         payload = {"header": head, "reports": [r.json_record() for r in reports]}
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    buf = io.StringIO()
-    buf.write(f"{head}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(theorem_lab.REPORT_COLUMNS)
-    writer.writerows(r.csv_cells() for r in reports)
-    return buf.getvalue()
+    return "".join([f"{head}\n", ",".join(theorem_lab.REPORT_COLUMNS), "\n",
+                    *(r.csv_line() for r in reports)])
 
 
 STREAMED_RUNS = [

@@ -78,6 +78,49 @@ def test_generator_sequence_is_canonical():
         GeneratorSequence([])
 
 
+def stepwise_generator_sequence(gens):
+    """GeneratorSequence's checks written one item at a time: the errors and
+    values its one-pass checks must keep."""
+    try:
+        items = tuple(int(s) for s in gens)
+    except (TypeError, ValueError):
+        raise FamilyParameterError(f"generators must be integers, got {gens!r}")
+    if not items:
+        raise FamilyParameterError("generator list must be nonempty")
+    if items[0] < 1:
+        raise FamilyParameterError(f"generators must be positive, got {items[0]}")
+    if any(a >= b for a, b in zip(items, items[1:])):
+        raise FamilyParameterError(
+            f"generators must be strictly increasing (no duplicates), got {list(items)}")
+    return items
+
+
+def outcome(make, gens):
+    try:
+        return type(make(gens)), tuple(make(gens))
+    except Exception as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("gens", [
+    5, None, 2.5,                                  # not iterable
+    ["a"], [1, None], [1, object], ["1.5"], [1, [2]],  # not integers
+    [1.9, 3.2], [1.5, 1.9], [0.5, 2],              # floats, truncated
+    [True, 2], [True, True], [False, 1],           # bools
+    ["1", "7"], ["1", " 3 "], "12", b"\x01\x04",   # numeric strings, bytes
+    [], (), "",                                    # empty
+    [0], [0, 1], [-1, 2],                          # zero, negative
+    [1, 2, 2], [3, 3], [1, 4, 4, 9],               # duplicates
+    [5, 3], [1, 4, 2], [2, 1, 3],                  # descending
+    [1], (1, 2, 5), range(1, 4), [1, 10**30],      # valid
+])
+def test_generator_sequence_keeps_every_error_and_value(gens):
+    want = outcome(stepwise_generator_sequence, gens)
+    if want[0] is tuple:
+        want = (GeneratorSequence, want[1])
+    assert outcome(GeneratorSequence, gens) == want
+
+
 def test_circulant_neighbors_symmetric_and_correct():
     g = build_circulant(9, [1, 2])
     assert g.neighbors(0) == [1, 2, 7, 8]

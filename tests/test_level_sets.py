@@ -7,7 +7,6 @@ pool and how lazily it draws its input, in blocks per ring length."""
 import collections
 import concurrent.futures
 import csv
-import io
 import os
 import subprocess
 import sys
@@ -32,7 +31,7 @@ from loopnet import (
     outer_only_distance,
     verify_instance,
 )
-from loopnet import metrics, theorem_lab
+from loopnet import graph_core, metrics, theorem_lab
 from loopnet.graph_core import max_generator
 from loopnet.metrics import (
     LEVEL_CAP,
@@ -156,7 +155,8 @@ def test_the_level_loop_is_its_own_cap_probe(monkeypatch):
         return real(n, steps)
 
     monkeypatch.setattr(metrics, "_shift_pairs", counting)
-    assert [verify_instance(n, c).csv_cells() for n, c in grid] == shipped_rows()
+    assert [next(csv.reader([verify_instance(n, c).csv_line()])) for n, c in grid] == \
+        shipped_rows()
     assert [verify_instance(n, c) for n, c in wide] == want
     assert [r.d_circ for r in want[2:]] == [LEVEL_CAP, LEVEL_CAP + 1]
     assert searches == [n for n, c in grid + wide if len(c) > 1]
@@ -241,7 +241,7 @@ def test_no_chord_keeps_the_expansion_error():
 
 
 def test_paranoid_runs_each_all_source_bfs_once(monkeypatch):
-    calls = []
+    calls, listed = [], []
     real = metrics.bfs
 
     def counting(g, src):
@@ -250,12 +250,23 @@ def test_paranoid_runs_each_all_source_bfs_once(monkeypatch):
 
     for mod in (metrics, theorem_lab):
         monkeypatch.setattr(mod, "bfs", counting)
-    n = 30
-    row = verify_instance(n, (4,), paranoid=True)
-    assert row == verify_instance(n, (4,))
-    # one pass, 3n calls: every source of both graphs exactly once
-    assert sorted(calls) == [("circulant", s) for s in range(n)] + \
-        [("ggpg", s) for s in range(2 * n)]
+    for cls in (graph_core.CirculantGraph, graph_core.GgpgGraph):
+        def listing(g, v, real=cls.neighbors):
+            listed.append((g.family, v))
+            return real(g, v)
+
+        monkeypatch.setattr(cls, "neighbors", listing)
+    # gap 2 and gap 1 (whose FIFO search reads the same table), m = 2 and 3
+    for n, chords in ((30, (4,)), (12, (5,)), (20, (4, 8)), (9, (2, 4))):
+        calls.clear()
+        listed.clear()
+        row = verify_instance(n, chords, paranoid=True)
+        assert row == verify_instance(n, chords)
+        # one pass, 3n calls: every source of both graphs exactly once
+        every = [("circulant", s) for s in range(n)] + [("ggpg", s) for s in range(2 * n)]
+        assert sorted(calls) == every
+        # over one adjacency table per graph: neighbors() n + 2n times in all
+        assert sorted(listed) == every
 
 
 def list_route_row(monkeypatch, n, chords):
@@ -365,9 +376,7 @@ def recording_pool(monkeypatch):
 
 def csv_rows(reports) -> str:
     """The CSV lines of these rows, as a report holds them."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(r.csv_cells() for r in reports)
-    return buf.getvalue()
+    return "".join(r.csv_line() for r in reports)
 
 
 @pytest.mark.parametrize("jobs,items,cpus,workers", [

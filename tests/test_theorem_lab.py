@@ -1,6 +1,7 @@
 """Statement checks, report rows, sweep planning, and serialization."""
 
 import collections
+import csv
 import io
 import random
 import time
@@ -306,6 +307,51 @@ def test_allpairs_and_paranoid_catch_a_sandwich_violation_off_source_0(monkeypat
                  lambda: verify_instance(n, chords, paranoid=True)):
         with pytest.raises(RuntimeError, match=r"symmetry shortcut mismatch .*ecc\(0\)"):
             call()
+
+
+def csv_cells(r):
+    """A row's cells as csv.writer takes them: the reference for the
+    direct line, VerificationReport.csv_line."""
+    flags = (r.cond_outer, r.cond_inner, r.thm41_ok, r.thm42_ok, r.thm43_ok,
+             r.thm44_ok, r.conj45_holds)
+    return [str(r.n), "-".join(map(str, r.gens)),
+            *map(str, (r.chord_count, r.d_circ, r.d_ggpg, r.gap)),
+            "-".join(map(str, r.extremal_set)),
+            *["true" if b else "false" for b in flags], "; ".join(r.anomalies)]
+
+
+def csv_writer_line(cells, end="\n"):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=end).writerow(cells)
+    return buf.getvalue()
+
+
+def test_csv_line_equals_csv_writer_on_the_shipped_grid():
+    rows = [verify_instance(n, c) for n, c in plan_sweep(range(5, 61), [2, 3])]
+    assert len(rows) == 8120 and sum(bool(r.anomalies) for r in rows) == 135
+    assert [r.csv_line() for r in rows] == [csv_writer_line(csv_cells(r)) for r in rows]
+
+
+# every anomaly text verify_instance writes, thm42's with its comma
+ANOMALY_TEXTS = ("thm41: sandwich violated", "thm42: gap=3 outside {1,2}",
+                 "thm43: predicted_gap_is_1=false but gap=1",
+                 "thm44: conditions fire but gap=1", "conj45: gap=1 instance")
+
+
+@pytest.mark.parametrize("anomalies", [
+    *((text,) for text in ANOMALY_TEXTS), ANOMALY_TEXTS, (),
+    ('say "1,2"',), ('"',), ("a\nb", "c"), ("a\rb",), ("\r\n",), ("x", ""),
+])
+def test_csv_line_quotes_as_csv_writer(anomalies):
+    r = verify_instance(12, (5,))._replace(anomalies=anomalies)
+    cells, line = csv_cells(r), r.csv_line()
+    # with a "\n" line end, csv.writer leaves a bare \r unquoted on Python
+    # <= 3.11, and csv.reader then takes it for a line break; with "\r\n"
+    # every version quotes it, as the direct line does
+    assert line == csv_writer_line(cells, "\r\n")[:-2] + "\n"
+    if "\r" not in cells[-1]:
+        assert line == csv_writer_line(cells)
+    assert list(csv.reader(io.StringIO(line, newline=""))) == [cells]
 
 
 def test_csv_writer_layout():
