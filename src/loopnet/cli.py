@@ -4,14 +4,15 @@ conjecture sweeps, and DOT export.
 verify and sweep share one runner, _run_checked, whose memory does not
 grow with the row count: the grid is planned one ring length at a time,
 and theorem_lab.run_instances verifies, checks (enforce_proven) and
-renders it in blocks of rows, in workers under --jobs.  This process only
-writes each block's text into a staged report, keeping gap counts and the
-gap-1 rows or findings.  Both create an empty temporary sibling of every
-file they write before the first row runs, so an unwritable path fails at
-once, and move each into place only at the end; a stdout report is staged
-in an anonymous temporary file and copied out after the last row.  A run
-that exits 2 or 3 leaves none of its files behind and prints no report
-byte.
+renders it in blocks of rows; under --jobs, in forked workers that each
+walk their own copy of the plan and pipe back their blocks' results.
+This process only writes each block's text into a staged report, keeping
+gap counts and the gap-1 rows or findings.  Both create an empty
+temporary sibling of every file they write before the first row runs, so
+an unwritable path fails at once, and move each into place only at the
+end; a stdout report is staged in an anonymous temporary file and copied
+out after the last row.  A run that exits 2 or 3 leaves none of its
+files behind and prints no report byte.
 
 Exit codes: 0 clean, 2 parameter error or unwritable output path, 3
 proved-statement violation (witness on stderr), 4 findings present

@@ -481,8 +481,8 @@ def plan_sweep(n_range, m_set, *, sample_cap: int = 100_000,
 # Most rows a block holds.  A block's rows are verified, checked and
 # rendered in one process, and its text and anomaly rows travel whole, so
 # the cap bounds memory: the 49 998-row `sweep --n 100000 --m 2` peaked at
-# 25.1 MB at --jobs 1 and 29.2 MB at --jobs 2 (ru_maxrss from os.wait4,
-# 2-core x86 machine, Python 3.11.7).  Few blocks mean few round trips: the
+# 24.0 MB at --jobs 1 and 25.6 MB at --jobs 2 (ru_maxrss from os.wait4,
+# 2-core x86 machine, Python 3.11.7).  Few blocks mean few pipe writes: the
 # shipped 8 120-row grid goes out in 16.
 BLOCK_ROWS = 512
 
@@ -518,31 +518,23 @@ def run_instances(instances, *, paranoid: bool = False, jobs: int = 1,
                   fmt: str = "csv"):
     """Yield each block's _verify_block triple in input order, whatever
     jobs is; a violation raises for the first violating row in that order.
-    instances, any iterable of (n, chords), is drawn lazily.  One worker
-    runs the blocks in-process; else a pool of min(jobs, cores, rows)
-    workers, as many as the first window has blocks, has at most
-    2 * workers blocks in flight."""
+    instances, any iterable of (n, chords), is drawn lazily.  One worker,
+    or a system without os.fork, runs the blocks in-process.  Else
+    W = min(jobs, cores, rows) workers are forked (forking.forked) once
+    this process has pulled W rows, and it pulls no more: worker k walks
+    its own copy of the plan, runs blocks k, k + W, k + 2W, ... and pipes
+    each result back; this process reads the pipes in turn.  A worker
+    that dies fails the run with its exit status."""
     instances = iter(instances)
     head = list(itertools.islice(instances, min(jobs, os.cpu_count() or 1)))
     workers = len(head)
     blocks = _blocks(itertools.chain(head, instances), workers)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         yield from (_verify_block(block, paranoid, fmt) for block in blocks)
         return
-    from concurrent.futures import ProcessPoolExecutor  # costs ~20 ms to import
+    from .forking import forked  # compiled only by a run that forks
 
-    pending = collections.deque()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        try:
-            while True:
-                for block in itertools.islice(blocks, 2 * workers - len(pending)):
-                    pending.append(pool.submit(_verify_block, block, paranoid, fmt))
-                if not pending:
-                    return
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+    yield from forked(blocks, workers, paranoid, fmt)
 
 
 # --- report serialization ---

@@ -5,8 +5,10 @@ determinism."""
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -503,28 +505,142 @@ def test_verify_paranoid_small_grid():
     assert "--paranoid" in r.stdout.splitlines()[0]
 
 
-def test_a_large_ring_length_goes_out_in_bounded_blocks(tmp_path, monkeypatch):
+def test_a_large_ring_length_goes_out_in_bounded_blocks(tmp_path, monkeypatch, fork_log):
     # n = 2100 holds 1 048 double loops: at --jobs 1 and 2 they go out in
     # blocks of at most BLOCK_ROWS rows, with the same bytes; at --jobs 2 the
-    # last 24 rows are split between the workers.  The counterexamples file
-    # is written as one block of its rows
-    real, sizes = theorem_lab._blocks, []
+    # last 24 rows are split between the workers, and worker k renders
+    # blocks k, k + 2.  The counterexamples file is written, in this
+    # process, as one block of its rows
+    real = theorem_lab._render_rows
 
-    def recording(instances, workers=1):
-        for block in real(instances, workers):
-            sizes.append(len(block))
-            yield block
+    def recording(reports, fmt):
+        reports = list(reports)
+        fork_log.log("render", len(reports))
+        return real(reports, fmt)
 
-    monkeypatch.setattr(theorem_lab, "_blocks", recording)
+    monkeypatch.setattr(theorem_lab, "_render_rows", recording)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    outs = []
+    outs, sizes = [], []
     for jobs in ("1", "2"):
         out = tmp_path / f"j{jobs}.csv"
         assert cli.main(["sweep", "--n", "2100", "--m", "2", "--jobs", jobs,
                          "--out", str(out)]) == 0
+        assert len(fork_log.pids) == {"1": 0, "2": 2}[jobs]
+        sizes += fork_log.in_turn("render") + fork_log.entries("render")
+        fork_log.clear()
         outs.append((out.read_bytes(),
                      (tmp_path / f"j{jobs}.counterexamples.csv").read_bytes()))
     cx = outs[0][1].count(b"\n") - 2  # below the header and column names
     assert theorem_lab.BLOCK_ROWS == 512 and 0 < cx < 512
     assert sizes == [512, 512, 24, cx, 512, 512, 12, 12, cx]
     assert outs[0] == outs[1]
+
+
+def run_patched(patch: str, *argv, output=subprocess.PIPE):
+    """`loopnet argv` in a fresh interpreter, after running patch (source
+    that may rebind names of theorem_lab) with os, signal, cli and
+    theorem_lab in scope and two cores reported."""
+    script = ("import os, signal, sys\nfrom loopnet import cli, theorem_lab\n"
+              "os.cpu_count = lambda: 2\n" + patch + "\nsys.exit(cli.main(sys.argv[1:]))\n")
+    env = {k: v for k, v in os.environ.items() if k != "LOOPNET_SEED"}
+    return subprocess.run([sys.executable, "-c", script, *argv], stdout=output,
+                          stderr=output, text=True, env=env, timeout=120)
+
+
+# each worker kills itself on its second block
+_DYING = """
+real, calls = theorem_lab._verify_block, []
+def dying(block, paranoid, fmt):
+    calls.append(block)
+    if os.getpid() != PARENT and len(calls) == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(block, paranoid, fmt)
+theorem_lab._verify_block = dying
+"""
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_a_dead_worker_fails_the_run_and_leaves_nothing(to_file, tmp_path, monkeypatch,
+                                                        capsys, deadline):
+    monkeypatch.setattr(theorem_lab, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    scope = {"os": os, "signal": signal, "theorem_lab": theorem_lab,
+             "PARENT": os.getpid()}
+    exec(_DYING, scope)
+    monkeypatch.setattr(theorem_lab, "_verify_block", scope["dying"])
+    out = ["--out", str(tmp_path / "report.csv")] if to_file else []
+    argv = ["sweep", "--n", "5..24", "--m", "2,3", "--jobs", "2", *out]
+    with deadline(60), pytest.raises(
+            RuntimeError, match=r"worker 0 \(pid \d+\) ended with exit status -9 "
+                                r"before it sent block 2"):
+        cli.main(argv)
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+    # the same run as a command exits nonzero, names the status, leaves nothing
+    r = run_patched("theorem_lab.BLOCK_ROWS = 7\nPARENT = os.getpid()\n" + _DYING, *argv)
+    assert r.returncode == 1 and r.stdout == ""
+    assert "ended with exit status -9 before it sent block 2" in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_a_worker_violation_is_reported_once_by_the_command(to_file, tmp_path):
+    # a worker never returns into cli.main: its violation reaches stderr once
+    n, chords = plan_sweep(range(5, 25), [2, 3])[7 * 5 + 3]
+    patch = (f"real = theorem_lab.verify_instance\n"
+             f"def broken(n, chords, **kwargs):\n"
+             f"    r = real(n, chords, **kwargs)\n"
+             f"    return r._replace(thm41_ok=False) if (n, chords) == {(n, chords)!r} else r\n"
+             f"theorem_lab.verify_instance = broken\n"
+             f"theorem_lab.BLOCK_ROWS = 7\n")
+    out = ["--out", str(tmp_path / "report.csv")] if to_file else []
+    r = run_patched(patch, "sweep", "--n", "5..24", "--m", "2,3", "--jobs", "2", *out)
+    assert r.returncode == 3 and r.stdout == ""
+    (line,) = r.stderr.splitlines()
+    assert line.startswith(f"theorem violation: pairwise sandwich violated on n={n} "
+                           f"gens={(1,) + chords}:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_workers_of_a_killed_run_end_at_their_next_write(tmp_path):
+    # the parent dies after its first block; a worker holds no read end of
+    # its own pipe, so its next write fails and it exits instead of
+    # blocking on a full pipe for good
+    log = tmp_path / "workers"
+    patch = (f"from loopnet import forking\n"
+             f"theorem_lab.BLOCK_ROWS, forking.PIPE_BYTES = 16, 4096\n"
+             f"real_block, real_run = theorem_lab._verify_block, cli.run_instances\n"
+             f"def logged(block, paranoid, fmt):\n"
+             f"    with open({str(log)!r}, 'a') as fh:\n"
+             f"        fh.write(f'{{os.getpid()}}\\n')\n"
+             f"    return real_block(block, paranoid, fmt)\n"
+             f"def dying(*args, **kwargs):\n"
+             f"    for i, result in enumerate(real_run(*args, **kwargs)):\n"
+             f"        if i == 1:\n"
+             f"            os.kill(os.getpid(), signal.SIGKILL)\n"
+             f"        yield result\n"
+             f"theorem_lab._verify_block, cli.run_instances = logged, dying\n")
+
+    def workers():
+        return set(map(int, log.read_text().split())) if log.exists() else set()
+
+    def running(pid):  # neither gone nor a zombie
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    try:
+        r = run_patched(patch, "sweep", "--n", "5..60", "--m", "2,3", "--jobs", "2",
+                        "--out", str(tmp_path / "report.csv"), output=subprocess.DEVNULL)
+        assert r.returncode == -signal.SIGKILL and len(workers()) == 2
+        deadline = time.monotonic() + 30
+        while any(map(running, workers())) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers()))
+    finally:
+        for pid in filter(running, workers()):
+            os.kill(pid, signal.SIGKILL)

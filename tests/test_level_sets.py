@@ -1,15 +1,17 @@
 """The level-set route against the list route and the statement oracles,
 on both sides of LEVEL_CAP; what a level-set row skips (a second
 circulant search, the GGPG graph), what a paranoid row runs once and what
-it catches; the exact gap-1 rule; plus the bounded, lazily imported worker
-pool and how lazily it draws its input, in blocks per ring length."""
+it catches; the exact gap-1 rule; plus the forked workers of
+run_instances: how many, which blocks each runs, how far each runs ahead
+of the consumer, and how little input the parent draws."""
 
 import collections
-import concurrent.futures
 import csv
+import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -31,7 +33,7 @@ from loopnet import (
     outer_only_distance,
     verify_instance,
 )
-from loopnet import graph_core, metrics, theorem_lab
+from loopnet import forking, graph_core, metrics, theorem_lab
 from loopnet.graph_core import max_generator
 from loopnet.metrics import (
     LEVEL_CAP,
@@ -333,47 +335,6 @@ def test_paranoid_keeps_the_shortcut_mismatch_error(monkeypatch):
             call()
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and every
-    block of instances submitted, runs each block in-process at submit,
-    and tracks how many blocks are in flight (result not yet taken)."""
-
-    made = []
-    blocks = []
-    in_flight = peak = 0
-
-    class Block(concurrent.futures.Future):
-        def result(self, timeout=None):
-            RecordingPool.in_flight -= 1
-            return super().result(timeout)
-
-    def __init__(self, max_workers):
-        self.made.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        pool = RecordingPool
-        pool.blocks.append(args[0])
-        pool.in_flight += 1
-        pool.peak = max(pool.peak, pool.in_flight)
-        future = pool.Block()
-        future.set_result(fn(*args))
-        return future
-
-
-@pytest.fixture
-def recording_pool(monkeypatch):
-    RecordingPool.made, RecordingPool.blocks = [], []
-    RecordingPool.in_flight = RecordingPool.peak = 0
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return RecordingPool
-
-
 def csv_rows(reports) -> str:
     """The CSV lines of these rows, as a report holds them."""
     return "".join(r.csv_line() for r in reports)
@@ -382,22 +343,36 @@ def csv_rows(reports) -> str:
 @pytest.mark.parametrize("jobs,items,cpus,workers", [
     (100_000, 2, 8, 2),     # never more workers than items
     (3, 9, 2, 2),           # nor than cores
-    (4, 9, None, None),     # unknown core count: one worker, no pool
-    (2, 1, 8, None),        # one item: no pool
+    (4, 9, None, None),     # unknown core count: one worker, no fork
+    (2, 1, 8, None),        # one item: no fork
 ])
-def test_run_instances_bounds_the_pool(recording_pool, monkeypatch, jobs, items,
+def test_run_instances_bounds_the_pool(fork_log, monkeypatch, jobs, items,
                                        cpus, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    fork_log.log_blocks()
     inst = plan_sweep(range(5, 20), [2])[:items]
     got = list(run_instances(iter(inst), jobs=jobs))
-    assert recording_pool.made == ([] if workers is None else [workers])
+    assert len(fork_log.pids) == (workers or 0)
     want = [verify_instance(n, c) for n, c in inst]
-    # one block per worker: rendered rows, gap counts, anomaly rows
+    # one block per worker, run by that worker: rendered rows, gap counts,
+    # anomaly rows
     assert len(got) == (workers or 1)
+    assert [len(fork_log.blocks(pid)) for pid in fork_log.pids] == [1] * (workers or 0)
+    assert [row for rows, _ in fork_log.blocks() for row in rows] == inst
     assert "".join(text for text, _, _ in got) == csv_rows(want)
     assert sum((gaps for _, gaps, _ in got), collections.Counter()) == \
         collections.Counter(r.gap for r in want)
     assert [r for _, _, flagged in got for r in flagged] == [r for r in want if r.anomalies]
+
+
+def test_run_instances_without_fork_runs_in_process(fork_log, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.delattr(os, "fork")
+    fork_log.log_blocks()
+    inst = plan_sweep(range(5, 20), [2])
+    texts = [text for text, _, _ in run_instances(iter(inst), jobs=4)]
+    assert "".join(texts) == csv_rows(verify_instance(n, c) for n, c in inst)
+    assert len(fork_log.blocks()) == 4  # cut for four workers, all run here
 
 
 @pytest.mark.parametrize("jobs,items,sizes", [
@@ -405,22 +380,27 @@ def test_run_instances_bounds_the_pool(recording_pool, monkeypatch, jobs, items,
     (4, 9, [2, 2, 2, 3]),
     (2, 1100, [512, 512, 38, 38]),  # a full window gives BLOCK_ROWS-row blocks
 ])
-def test_every_worker_gets_a_block_of_a_short_run(recording_pool, monkeypatch, jobs,
+def test_every_worker_gets_a_block_of_a_short_run(fork_log, monkeypatch, jobs,
                                                   items, sizes):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    fork_log.log_blocks()
     inst = plan_sweep(range(5, 80), [2])[:items]
     texts = [text for text, _, _ in run_instances(iter(inst), jobs=jobs)]
-    assert recording_pool.made == [jobs]
-    assert [len(b) for b in recording_pool.blocks] == sizes
+    assert len(fork_log.pids) == jobs
+    # worker k ran blocks k, k + jobs, ...: read in turn, they are the input
+    blocks = [rows for rows, _ in fork_log.blocks()]
+    assert [len(b) for b in blocks] == sizes
+    assert [row for b in blocks for row in b] == inst
     assert "".join(texts) == csv_rows(verify_instance(n, c) for n, c in inst)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_run_instances_pulls_its_input_lazily(recording_pool, monkeypatch, workers):
+def test_run_instances_pulls_its_input_lazily(fork_log, monkeypatch, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: workers)
     monkeypatch.setattr(theorem_lab, "BLOCK_ROWS", 16)
+    fork_log.log_blocks()
     inst = plan_sweep(range(5, 40), [2, 3])
-    pulled = done = 0
+    pulled = 0
 
     def counting():
         nonlocal pulled
@@ -428,33 +408,84 @@ def test_run_instances_pulls_its_input_lazily(recording_pool, monkeypatch, worke
             pulled += 1
             yield item
 
-    ahead, texts = [], []
-    for text, gaps, _ in run_instances(counting(), jobs=8):
-        done += sum(gaps.values())
-        ahead.append(pulled - done)
+    # A worker is at most the block it is writing, one pipe (PIPE_BYTES,
+    # here one page) and the parent's read buffer ahead of the consumer.
+    # The consumer dawdles on the first block, so that the workers fill
+    # their pipes.
+    monkeypatch.setattr(forking, "PIPE_BYTES", 4096)
+    room = 4096 + io.DEFAULT_BUFFER_SIZE
+    texts = []
+    for i, (text, _, _) in enumerate(run_instances(counting(), jobs=8, fmt="json")):
+        if i == 0:
+            time.sleep(0.3)
         texts.append(text)
-    assert "".join(texts) == csv_rows(verify_instance(n, c) for n, c in inst)
+        for k, pid in enumerate(fork_log.pids):
+            sizes = [size for _, size in fork_log.blocks(pid)]
+            waiting = sizes[len(range(k, i + 1, workers)):]  # run, not yet consumed
+            assert sum(waiting[:-1]) <= room
+    want = [verify_instance(n, c) for n, c in inst]
+    assert "".join(texts) == theorem_lab._render_rows(want, "json")
+    # this process pulled the first W rows only; each worker walked its own copy
+    assert pulled == workers and len(fork_log.pids) == workers
     # blocks are the input's contiguous runs of BLOCK_ROWS rows, some of
-    # them across ring lengths; the last window of under workers *
-    # BLOCK_ROWS rows is cut into workers near-equal blocks
-    blocks = recording_pool.blocks
+    # them across ring lengths, and worker k ran blocks k, k + W, ...; the
+    # last window of under workers * BLOCK_ROWS rows is cut into workers
+    # near-equal blocks
+    blocks = [rows for rows, _ in fork_log.blocks()]
     sizes = [len(b) for b in blocks]
     assert [item for b in blocks for item in b] == inst
     assert sizes[:-workers] == [16] * (len(blocks) - workers)
     assert max(sizes[-workers:]) - min(sizes[-workers:]) <= 1 and max(sizes) == 16
     assert any(b[0][0] != b[-1][0] for b in blocks)
-    # at most 2 * workers blocks in flight; beyond them the runner holds
-    # only the unsent blocks of the window it is cutting
-    assert recording_pool.made == [workers]
-    assert recording_pool.peak == 2 * workers
-    assert max(ahead) <= (3 * workers - 2) * 16 < len(inst) // 4
-    assert pulled == len(inst)
+    # the bound is well below what each worker sends
+    assert sum(size for _, size in fork_log.blocks()) > workers * 4 * room
 
 
-def test_import_leaves_the_process_pool_unloaded():
+def test_a_block_reaches_the_consumer_before_its_worker_runs_the_next(monkeypatch,
+                                                                      tmp_path, deadline):
+    # A worker's next block waits until the consumer has received its last
+    # one.  A result left in the worker's write buffer would never arrive:
+    # the wait ends in TimeoutError, which the run raises.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(theorem_lab, "BLOCK_ROWS", 8)
+    inst = plan_sweep(range(5, 30), [2])
+    index = {b[0]: i for i, b in enumerate(theorem_lab._blocks(inst, 2))}
+    real = theorem_lab._verify_block
+
+    def gated(block, paranoid, fmt):
+        i = index[block[0]]
+        gate, deadline = tmp_path / str(i - 2), time.monotonic() + 5
+        while i >= 2 and not gate.exists():
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"block {i - 2} did not reach the consumer")
+            time.sleep(0.001)
+        return real(block, paranoid, fmt)
+
+    monkeypatch.setattr(theorem_lab, "_verify_block", gated)
+    texts = []
+    with deadline(60):
+        for i, (text, _, _) in enumerate(run_instances(inst, jobs=2)):
+            (tmp_path / str(i)).touch()
+            texts.append(text)
+    assert len(texts) == len(index) > 4
+    assert "".join(texts) == csv_rows(verify_instance(n, c) for n, c in inst)
+
+
+def test_import_leaves_the_process_pool_unloaded(tmp_path):
+    # neither `import loopnet` nor a grid run at --jobs 2 loads a process
+    # pool's modules; the fork path and pickle are loaded only by a run
+    # that forks
     probe = ("import sys, loopnet; "
-             "print('concurrent.futures.process' in sys.modules, "
+             "print('loopnet.forking' in sys.modules, 'pickle' in sys.modules, "
+             "'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "False", "False", "False"]
+    probe = ("import os, sys; from loopnet import cli; os.cpu_count = lambda: 2; "
+             "code = cli.main(['sweep', '--n', '5..60', '--m', '2,3', '--jobs', '2', "
+             f"'--out', {str(tmp_path / 'grid.csv')!r}]); "
+             "print(code, 'concurrent.futures' in sys.modules, "
              "'multiprocessing' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["False", "False"]
+    assert out.splitlines()[-1].split() == ["0", "False", "False"]

@@ -83,8 +83,8 @@ def test_graph_equality_is_class_aware():
 
 
 def test_import_footprint():
-    """`import loopnet.cli` loads neither dataclasses nor inspect, and the
-    process pool's module only when --jobs asks for a pool."""
+    """`import loopnet.cli` loads neither dataclasses nor inspect, nor
+    concurrent.futures, which no loopnet code imports."""
     probe = ("import sys, loopnet.cli; print(' '.join(m for m in "
              "('dataclasses', 'inspect', 'concurrent.futures') if m in sys.modules))")
     r = subprocess.run([sys.executable, "-S", "-c", probe],
