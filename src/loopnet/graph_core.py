@@ -5,7 +5,10 @@ A multi-loop (circulant) graph C_n(S) lives on Z_n: i and j are adjacent iff
 ring: an outer cycle u_0..u_{n-1}, inner vertices v_i joined by the chord
 steps, and a spoke u_i v_i for every i.  Inner ids are offset by n so both
 families use contiguous integer vertex ids, which keeps BFS arrays and report
-columns trivial.
+columns trivial.  `expand` builds a circulant's GGPG partner (each ring edge
+split into outer cycle plus spokes, chords moved to the inner ring); it
+lives here, not in transforms, so the verify path compiles no more than it
+calls.
 
 Both graph types are immutable, value-comparable namedtuple subclasses,
 equal only within their family; adjacency is computed from (n, generators)
@@ -247,6 +250,18 @@ def build_circulant(n: int, gens) -> CirculantGraph:
 def build_ggpg(n: int, chords) -> GgpgGraph:
     """Build the GGPG graph on ring length n with the given inner chords."""
     return GgpgGraph(n, chords)
+
+
+def expand(g: CirculantGraph) -> GgpgGraph:
+    """Inverse of spoke contraction: ring edges split into outer cycle plus
+    spokes, chords move to the inner ring (so v_i v_{i+1} is never an edge)."""
+    if g.gens[0] != 1:
+        raise ValueError(
+            f"expansion needs generator 1 in S, got {g.label()}")
+    if len(g.gens) < 2:
+        raise ValueError(
+            f"expansion needs at least one chord >= 2, got {g.label()}")
+    return build_ggpg(g.n, g.gens[1:])
 
 
 def to_dot(g) -> str:

@@ -4,6 +4,8 @@ Contracting every spoke u_i v_i of a GGPG graph merges the pair into one
 class w_i; outer edges become ring (step 1) edges and chords stay chords,
 so the quotient is the circulant C_n(1, s_2, ..., s_m).  Expansion goes the
 other way and is only defined when the circulant's first generator is 1.
+`expand` is defined in graph_core, beside build_ggpg, so that verifying a
+row never loads this module or path_algebra; this module re-exports it.
 
 Lifting carries a canonical representation into the GGPG graph: ring steps
 ride the outer cycle, chord steps ride the inner ring, and at most two
@@ -13,7 +15,7 @@ diameters never drift apart by more than 2.
 
 from __future__ import annotations
 
-from .graph_core import CirculantGraph, GgpgGraph, build_circulant, build_ggpg
+from .graph_core import CirculantGraph, GgpgGraph, build_circulant, expand
 from .path_algebra import PathRep, realize
 
 OUTER = "outer"
@@ -34,18 +36,6 @@ def contract_spokes(g: GgpgGraph) -> CirculantGraph:
         if d:  # a spoke (d = 0) vanishes under contraction
             offsets.add(min(d, n - d))
     return build_circulant(n, sorted(offsets))
-
-
-def expand(g: CirculantGraph) -> GgpgGraph:
-    """Inverse construction: ring edges split into outer cycle plus spokes,
-    chords move to the inner ring (so v_i v_{i+1} is never an edge)."""
-    if g.gens[0] != 1:
-        raise ValueError(
-            f"expansion needs generator 1 in S, got {g.label()}")
-    if len(g.gens) < 2:
-        raise ValueError(
-            f"expansion needs at least one chord >= 2, got {g.label()}")
-    return build_ggpg(g.n, g.gens[1:])
 
 
 def _check_ggpg_walk(p, h: GgpgGraph) -> None:

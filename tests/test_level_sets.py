@@ -205,11 +205,9 @@ def test_thm43_witnesses_on_the_grid_match_the_oracles():
 
 
 def test_level_set_rows_build_no_ggpg_graph(monkeypatch):
-    from loopnet import graph_core, transforms
-
     rows = ((20, (4, 8)), (12, (5,)), (9, (2, 4)))  # gap 2; two walked gap-1 rows
     want = [verify_instance(n, chords) for n, chords in rows]
-    for mod, name in ((theorem_lab, "expand"), (transforms, "build_ggpg"),
+    for mod, name in ((theorem_lab, "expand"), (graph_core, "expand"),
                       (graph_core, "build_ggpg")):
         monkeypatch.setattr(mod, name, refuse)
     assert [verify_instance(n, chords) for n, chords in rows] == want
@@ -471,6 +469,16 @@ def test_a_block_reaches_the_consumer_before_its_worker_runs_the_next(monkeypatc
     assert "".join(texts) == csv_rows(verify_instance(n, c) for n, c in inst)
 
 
+def _loaded_after(code: str) -> list:
+    """The loopnet and process-pool modules a fresh interpreter has loaded
+    after it runs code, read from the last line it prints."""
+    probe = (code + "; import sys; print(*sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('loopnet', 'concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    return out.splitlines()[-1].split()
+
+
 def test_import_leaves_the_process_pool_unloaded(tmp_path):
     # neither `import loopnet` nor a grid run at --jobs 2 loads a process
     # pool's modules; the fork path and pickle are loaded only by a run
@@ -481,11 +489,18 @@ def test_import_leaves_the_process_pool_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["False", "False", "False", "False"]
-    probe = ("import os, sys; from loopnet import cli; os.cpu_count = lambda: 2; "
-             "code = cli.main(['sweep', '--n', '5..60', '--m', '2,3', '--jobs', '2', "
-             f"'--out', {str(tmp_path / 'grid.csv')!r}]); "
-             "print(code, 'concurrent.futures' in sys.modules, "
-             "'multiprocessing' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.splitlines()[-1].split() == ["0", "False", "False"]
+    # a run compiles only the modules it calls: no non-paranoid row needs
+    # transforms or path_algebra (expand lives in graph_core)
+    fast = ["loopnet", "loopnet.graph_core", "loopnet.metrics", "loopnet.theorem_lab"]
+    grid = ("import os; from loopnet import cli; os.cpu_count = lambda: 2; "
+            "assert cli.main(['sweep', '--n', '5..60', '--m', '2,3', '--jobs', '2', "
+            f"'--out', {str(tmp_path / 'grid.csv')!r}]) == 0")
+    assert _loaded_after(grid) == sorted(fast + ["loopnet.cli", "loopnet.forking"])
+    sampled = ("from loopnet import cli; "
+               "assert cli.main(['verify', '--n', '500', '--m', '4', '--sample-size', '5', "
+               f"'--format', 'json', '--out', {str(tmp_path / 'v.json')!r}]) == 0")
+    assert _loaded_after(sampled) == sorted(fast + ["loopnet.cli"])
+    assert _loaded_after("from loopnet import theorem_lab; "
+                         "theorem_lab.verify_instance(100000, (49999,))") == fast
+    with pytest.raises(ValueError, match="expansion needs at least one chord"):
+        verify_instance(9, ())

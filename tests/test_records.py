@@ -3,6 +3,7 @@ print as Name(field=value, ...), survive pickling (rows cross process
 boundaries under --jobs), and the two graph families never compare equal
 to each other or to a bare tuple.  Also what importing the CLI loads."""
 
+import json
 import pickle
 import subprocess
 import sys
@@ -82,15 +83,77 @@ def test_graph_equality_is_class_aware():
     assert len({g, h, build_circulant(9, (2, 3))}) == 2
 
 
+# the public surface, as the package listed it when it imported every
+# submodule eagerly
+PUBLIC = [
+    "CirculantGraph", "FamilyParameterError", "GeneratorSequence", "GgpgGraph", "INF",
+    "InstanceSummary", "PathRep", "Realization", "TheoremViolation",
+    "VerificationReport", "Walk", "bfs", "build_circulant", "build_ggpg", "check_thm41",
+    "check_thm42", "check_thm43", "check_thm44", "contract_spokes", "diameter_circulant",
+    "diameter_ggpg", "eccentricity", "endpoint", "expand", "extremal_vertices",
+    "format_distance", "inner_only_distances", "instance_distances",
+    "lattice_distances", "level_set_summary", "lift_path", "outer_only_distance",
+    "project_path", "realize", "reduce_walk", "render_rep", "shortest_rep",
+    "shortest_rep_table", "to_dot", "verify_instance",
+]
+
+# Run in a fresh interpreter; prints one JSON object.  Each step reads the
+# loopnet modules loaded so far, so the order of the steps matters.
+LAZY_PROBE = """
+import json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'loopnet')
+out = {}
+import loopnet
+out['import'] = loaded()
+out['version'] = (loopnet.__version__, loaded())
+try:
+    loopnet.no_such_name
+except AttributeError as e:
+    out['unknown'] = (str(e), loaded())
+out['dir'] = (sorted(set(loopnet.__all__) - set(dir(loopnet))), loaded())
+out['all'] = loopnet.__all__
+namespace = {}
+exec('from loopnet import *', namespace)
+out['star'] = sorted(set(loopnet.__all__) - set(namespace))
+home = {}
+for name in loopnet.__all__:
+    obj = getattr(loopnet, name)
+    owner = getattr(obj, '__module__', None)
+    if owner is None:  # INF, a float
+        owner = 'loopnet.metrics'
+    if obj is not getattr(sys.modules[owner], name) or obj is not namespace[name]:
+        home[name] = 'not the object ' + owner + ' defines'
+out['home'] = home
+from loopnet import transforms
+out['expand'] = transforms.expand is loopnet.expand
+print(json.dumps(out))
+"""
+
+
 def test_import_footprint():
-    """`import loopnet.cli` loads neither dataclasses nor inspect, nor
-    concurrent.futures, which no loopnet code imports."""
+    """`import loopnet` compiles the package file alone: each public name
+    is imported from its home module on first use.  `import loopnet.cli`
+    loads neither dataclasses nor inspect, nor concurrent.futures, which no
+    loopnet code imports."""
     probe = ("import sys, loopnet.cli; print(' '.join(m for m in "
              "('dataclasses', 'inspect', 'concurrent.futures') if m in sys.modules))")
     r = subprocess.run([sys.executable, "-S", "-c", probe],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == []
+
+    r = subprocess.run([sys.executable, "-S", "-c", LAZY_PROBE],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["import"] == ["loopnet"]
+    assert out["version"] == ["0.1.0", ["loopnet"]]
+    assert out["unknown"] == ["module 'loopnet' has no attribute 'no_such_name'", ["loopnet"]]
+    assert out["dir"] == [[], ["loopnet"]]
+    assert out["all"] == PUBLIC
+    assert out["star"] == []
+    assert out["home"] == {}
+    assert out["expand"] is True
 
 
 def test_replace_checks_like_the_constructor():
