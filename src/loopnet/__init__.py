@@ -8,7 +8,9 @@ back, and machine-checks the diameter-gap statements across parameter sweeps.
 `import loopnet` compiles this file alone.  Each public name below is read
 from its home module on first use (PEP 562), so a run compiles only the
 modules it calls: no CLI command, paranoid or not, loads `path_algebra`
-or `transforms`.
+or `transforms`.  A submodule is an attribute of the package only once it
+has been imported: write `from loopnet import metrics` or
+`import loopnet.metrics`, not `import loopnet` then `loopnet.metrics`.
 """
 
 __version__ = "0.1.0"

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import bisect
 import collections
-import heapq
 import itertools
 import json
 import math
@@ -434,9 +433,10 @@ def _unrank_chord_set(rank: int, n: int, m: int) -> tuple[int, ...]:
 
 def _plan(n_range, m_set, *, sample_cap: int = 100_000, sample_size: int = 1000,
           seed: int = 0):
-    """plan_sweep's instances as an iterator that draws one chord set at a
-    time (_plan_ring), so no cell is held whole.  The generator counts and
-    ring lengths are checked here, before the first instance is drawn."""
+    """plan_sweep's instances as an iterator that plans one ring length at
+    a time, so no more than one n's chord sets are held at once.  The
+    generator counts and ring lengths are checked here, before the first
+    instance is drawn."""
     m_set = sorted(set(m_set))
     if not m_set or m_set[0] < 2:
         raise ValueError(f"generator counts must all be >= 2, got {m_set}")
@@ -448,24 +448,18 @@ def _plan(n_range, m_set, *, sample_cap: int = 100_000, sample_size: int = 1000,
 
 
 def _plan_ring(n: int, m_set, sample_cap: int, sample_size: int, seed: int):
-    """One ring length's instances in lexicographic order, merged from its
-    cells one chord set at a time, so no cell is listed whole."""
-    # each cell comes from a call, not from a generator expression in a
-    # loop, which would read m and the ranks of the last cell
-    cells = [_cell(n, m, sample_cap, sample_size, seed) for m in m_set]
-    return zip(itertools.repeat(n), heapq.merge(*cells))
-
-
-def _cell(n: int, m: int, sample_cap: int, sample_size: int, seed: int):
-    """The chord sets of cell (n, m) in lexicographic order: all of them, or
-    sample_size drawn by rank and unranked in ascending rank order (which
-    _unrank_chord_set keeps lexicographic)."""
-    total = math.comb(max_generator(n) - 1, m - 1)
-    if total <= sample_cap:
-        return chord_sets(n, m)
-    rng = random.Random(f"{seed}:{n}:{m}")
-    ranks = sorted(rng.sample(range(total), min(sample_size, total)))
-    return (_unrank_chord_set(r, n, m) for r in ranks)
+    """One ring length's instances, every cell listed or sampled."""
+    per_n = []
+    for m in m_set:
+        total = math.comb(max_generator(n) - 1, m - 1)
+        if total > sample_cap:
+            rng = random.Random(f"{seed}:{n}:{m}")
+            ranks = rng.sample(range(total), min(sample_size, total))
+            per_n.extend(_unrank_chord_set(r, n, m) for r in ranks)
+        else:
+            per_n.extend(chord_sets(n, m))
+    per_n.sort()
+    return [(n, c) for c in per_n]
 
 
 def plan_sweep(n_range, m_set, *, sample_cap: int = 100_000,

@@ -3,10 +3,8 @@
 import collections
 import csv
 import io
-import math
 import random
 import time
-import tracemalloc
 
 import pytest
 
@@ -22,7 +20,6 @@ from loopnet import (
     verify_instance,
 )
 from loopnet import theorem_lab
-from loopnet.graph_core import max_generator
 from loopnet.theorem_lab import (
     REPORT_COLUMNS,
     _sandwich,
@@ -201,49 +198,6 @@ def listed_plan(n_range, m_set, *, sample_cap, sample_size, seed):
 def test_plan_sweep_sampling_matches_listed_cells(n_range, m_set, cap, size, seed):
     kw = dict(sample_cap=cap, sample_size=size, seed=seed)
     assert plan_sweep(n_range, m_set, **kw) == listed_plan(n_range, m_set, **kw)
-
-
-def sorted_plan(n_range, m_set, *, sample_cap, sample_size, seed):
-    """The planner before it merged its cells: each ring length's cells
-    drawn into one list (sampled ranks unranked in draw order), then sorted."""
-    instances = []
-    for n in n_range:
-        per_n = []
-        for m in sorted(set(m_set)):
-            total = math.comb(max_generator(n) - 1, m - 1)
-            if total > sample_cap:
-                ranks = random.Random(f"{seed}:{n}:{m}").sample(range(total), sample_size)
-                per_n.extend(theorem_lab._unrank_chord_set(r, n, m) for r in ranks)
-            else:
-                per_n.extend(chord_sets(n, m))
-        per_n.sort()
-        instances.extend((n, c) for c in per_n)
-    return instances
-
-
-@pytest.mark.parametrize("n_range,m_set,cap,size,seed", [
-    (range(5, 61), [2, 3], 100_000, 1000, 0),   # the shipped grid
-    (range(5, 201), [2, 3, 4], 500, 7, 0),
-    (range(5, 201), [4, 2, 3], 500, 7, 5),
-    (range(300, 303), [2, 3, 4], 1000, 50, 0),  # several sampled cells per ring length
-    (range(300, 303), [2, 3, 4], 1000, 50, 11),
-])
-def test_merged_cells_plan_as_one_sorted_list(n_range, m_set, cap, size, seed):
-    kw = dict(sample_cap=cap, sample_size=size, seed=seed)
-    assert plan_sweep(n_range, m_set, **kw) == sorted_plan(n_range, m_set, **kw)
-
-
-def test_first_row_of_an_uncapped_cell_does_not_list_it():
-    # 499 998 chord sets: listing them took 76 MB traced; what is left is
-    # itertools.combinations' copy of its pool, about 20 MB
-    tracemalloc.start()
-    try:
-        row = next(theorem_lab._plan(range(10**6, 10**6 + 1), [2], sample_cap=10**6))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert row == (10**6, (2,))
-    assert peak < 32 * 2**20
 
 
 def test_plan_sweep_samples_huge_cells_without_listing_them():
