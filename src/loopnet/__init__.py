@@ -26,16 +26,16 @@ _HOMES = {
         "render_rep", "shortest_rep", "shortest_rep_table",
     ),
     "metrics": (
-        "INF", "InstanceSummary", "bfs", "diameter_circulant", "diameter_ggpg",
-        "eccentricity", "format_distance", "inner_only_distances",
+        "INF", "InstanceSummary", "bfs", "format_distance", "inner_only_distances",
         "instance_distances", "lattice_distances", "level_set_summary",
         "outer_only_distance",
     ),
-    "transforms": ("contract_spokes", "lift_path", "project_path"),
-    "theorem_lab": (
-        "TheoremViolation", "VerificationReport", "check_thm41", "check_thm42",
-        "check_thm43", "check_thm44", "extremal_vertices", "verify_instance",
+    "oracle": (
+        "check_thm41", "check_thm42", "check_thm43", "check_thm44",
+        "diameter_circulant", "diameter_ggpg", "eccentricity", "extremal_vertices",
     ),
+    "transforms": ("contract_spokes", "lift_path", "project_path"),
+    "theorem_lab": ("TheoremViolation", "VerificationReport", "verify_instance"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 __all__ = sorted(_HOME)

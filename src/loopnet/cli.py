@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
-import json
 import os
 import shutil
 import sys
@@ -41,14 +40,10 @@ from .graph_core import (
     build_ggpg,
     to_dot,
 )
-from .metrics import (
-    INF,
-    diameter_circulant,
-    diameter_ggpg,
-    distance_dump_rows,
-)
+from .metrics import INF
 from .theorem_lab import (
     TheoremViolation,
+    _json_text,
     _plan,
     _write_document,
     run_instances,
@@ -179,6 +174,9 @@ def _spec_flags(g, args) -> str:
 # --- subcommands ---
 
 def cmd_diameter(args) -> int:
+    # list BFS; compiled only by this command and by paranoid rows
+    from .oracle import diameter_circulant, diameter_ggpg, distance_dump_rows
+
     g = _build_graph(args)
     seed = args.seed
     flags = _spec_flags(g, args)
@@ -207,8 +205,7 @@ def cmd_diameter(args) -> int:
             payload["gens"] = list(g.gens)
         else:
             payload["chords"] = list(g.chords)
-        _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True,
-                                         allow_nan=False) + "\n")
+        _write_text(args.out, _json_text(payload) + "\n")
     elif args.format == "csv":
         lines = [f"# {head}", "family,n,gens,source,vertex,dist"]
         for row in distance_dump_rows(g):
@@ -366,9 +363,7 @@ def cmd_verify(args) -> int:
                     for r in flagged for note in notes(r)]
         if args.out:
             payload = {"header": _header_meta(flags, args.seed), "findings": findings}
-            _write_text(staged[found],
-                        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-                        + "\n")
+            _write_text(staged[found], _json_text(payload) + "\n")
     if findings:
         print(f"findings: {len(findings)} (see "
               f"{'findings file' if args.out else 'report anomalies column'})",

@@ -70,10 +70,12 @@ Four routes compute the same facts; the first three apply the identity.
     the same points off the vectors for _summarize.  It serves the m >= 3
     rows over the cap, and is the oracle both faster routes are checked
     against under --paranoid.
-  * The oracle route, bfs over a graph's neighbors(), with the diameter
-    helpers on top of it.  It never uses the identity: tests and --paranoid
-    check the list kernel and the identity's vectors against it element by
-    element, and the fast route's summary against the list kernel's.
+  * The oracle route: bfs, defined here, over a graph's neighbors(), and
+    the diameter helpers and statement checks built on it in the oracle
+    module, which no non-paranoid row imports.  It never uses the
+    identity: tests and --paranoid check the list kernel and the
+    identity's vectors against it element by element, and the fast
+    route's summary against the list kernel's.
 
 The gap-1 witness, diametral_path, is walked, not searched.  A gap-1 row
 ships the path that a FIFO BFS over the sorted neighbors() lists takes from
@@ -110,13 +112,6 @@ A walk thus reads O(path length + log n per ring run) circulant distances:
 from the lattice for a double loop, else from the list kernel's vector.
 The C_{4k}(1, 2k - 1) witness is a single run, u_0 ... u_{k+1}.
 
-Diameters use symmetry shortcuts by default: a circulant looks the same
-from every vertex (rotation i -> i+1 is an automorphism), so one BFS from 0
-suffices; the same rotation on a GGPG graph has exactly two vertex orbits,
-outer and inner, so two BFS runs suffice.  A paranoid mode recomputes the
-diameter from every source, one BFS vector at a time (O(n) memory,
-quadratic time), and raises if the shortcut ever disagrees.
-
 Restricted distances feed the gap characterization: along the outer ring
 only, the distance from 0 to i is min(i, n-i); along chords only it is BFS
 on the chord subgraph, with an explicit infinity for unreachable vertices
@@ -130,7 +125,7 @@ import itertools
 import math
 from collections import deque, namedtuple
 
-from .graph_core import CirculantGraph, GgpgGraph
+from .graph_core import CirculantGraph
 
 INF = math.inf
 
@@ -154,87 +149,12 @@ def _bfs_levels(neighbor_fn, num_vertices: int, src: int) -> list:
     return dist
 
 
-class Adjacency:
-    """A graph whose neighbors() lists are built once and read from a table
-    (Adjacency(t) of a table t is t): bfs and fifo_path take it for the graph,
-    so searches from many sources share one O(n) table of neighbors()."""
-
-    __slots__ = ("graph", "neighbors")
-
-    def __new__(cls, g):
-        if isinstance(g, cls):
-            return g
-        self = super().__new__(cls)
-        self.graph, self.neighbors = g, [g.neighbors(v) for v in g.vertices()].__getitem__
-        return self
-
-    def __getattr__(self, name):
-        return getattr(self.graph, name)
-
-
 def bfs(g, src: int) -> tuple:
     """Exact unweighted distances from src in either family (or its
-    Adjacency table), indexed by vertex id; INF marks unreachable vertices."""
+    oracle.Adjacency table), indexed by vertex id; INF marks unreachable
+    vertices."""
     g.check_vertex(src)
     return tuple(_bfs_levels(g.neighbors, g.num_vertices, src))
-
-
-def fifo_path(g, src: int, dst: int) -> list[int]:
-    """The path from src to dst in the tree of a FIFO BFS over g.neighbors():
-    the oracle the gap-1 witness walk (diametral_path) is checked against."""
-    g.check_vertex(dst)
-    parent = {src: None}
-    queue = deque([src])
-    while dst not in parent:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    path = [dst]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def eccentricity(g, src: int):
-    return max(bfs(g, src))
-
-
-def all_source_diameter(g):
-    """Brute force: max eccentricity over every vertex, one source at a time
-    on one Adjacency table.  The oracle the symmetry shortcuts are checked against."""
-    table = Adjacency(g)
-    return max(max(bfs(table, v)) for v in g.vertices())
-
-
-def check_shortcut(g, shortcut: str, d, full) -> None:
-    """Raise unless the shortcut's diameter d equals the all-source one."""
-    if full != d:
-        raise RuntimeError(
-            f"symmetry shortcut mismatch on {g.label()}: "
-            f"{shortcut} = {d}, all-source diameter = {full}")
-
-
-def diameter_circulant(g: CirculantGraph, paranoid: bool = False) -> int:
-    """max distance from vertex 0; rotation makes every source equivalent."""
-    if g.family != "circulant":
-        raise TypeError(f"single-source shortcut needs a circulant, got {g.label()}")
-    d = eccentricity(g, 0)
-    if paranoid:
-        check_shortcut(g, "ecc(0)", d, all_source_diameter(g))
-    return d
-
-
-def diameter_ggpg(g: GgpgGraph, paranoid: bool = False) -> int:
-    """max(ecc(u_0), ecc(v_0)); rotation has two orbits, outer and inner."""
-    if g.family != "ggpg":
-        raise TypeError(f"two-source shortcut needs a GGPG graph, got {g.label()}")
-    d = max(eccentricity(g, g.outer(0)), eccentricity(g, g.inner(0)))
-    if paranoid:
-        check_shortcut(g, "two-source", d, all_source_diameter(g))
-    return d
 
 
 def outer_only_distance(g: CirculantGraph, i: int) -> int:
@@ -249,22 +169,6 @@ def inner_only_distances(g: CirculantGraph) -> tuple:
     chords, n = g.gens[1:], g.n
     return tuple(_bfs_levels(
         lambda v: [(v + sign * s) % n for s in chords for sign in (1, -1)], n, 0))
-
-
-def distance_dump_rows(g, sources=None):
-    """Rows for the distance dump CSV: family,n,gens,source,vertex,dist."""
-    if sources is None:
-        if isinstance(g, CirculantGraph):
-            sources = [0]
-        else:
-            sources = [g.outer(0), g.inner(0)]
-    gens = g.gens if isinstance(g, CirculantGraph) else g.chords
-    gens_txt = "-".join(str(s) for s in gens)
-    for src in sources:
-        vec = bfs(g, src)
-        for v in g.vertices():
-            yield (g.family, g.n, gens_txt, g.vertex_label(src),
-                   g.vertex_label(v), format_distance(vec[v]))
 
 
 # --- the one-pass instance kernel ---

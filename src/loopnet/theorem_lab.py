@@ -24,15 +24,16 @@ a row's bytes never depend on the route, and on this path the thm41 and
 thm42 columns follow from that identity, not from an independent search.
 A gap-1 row's diametral path is walked by the identity, with no GGPG
 search (metrics.diametral_path): from the lattice for a double loop, else
-from metrics.circulant_distances.  What checks them independently:
-check_thm41 to check_thm44, which recompute their statement from list BFS
-alone, and --paranoid (paranoid=True), which also runs the list kernel and
+from metrics.circulant_distances.  What checks them independently is the
+oracle module, which tests and paranoid rows alone import.  Its
+check_thm41 to check_thm44 recompute their statement from list BFS
+alone.  --paranoid (paranoid=True) also runs the list kernel and
 raises unless its summary equals the lattice's or the level sets',
 cross-checks the list kernel and the identity's GGPG vectors against list
 BFS, compares a gap-1 row's walk with a FIFO search over neighbors(), and
 takes the 4.1 verdict and both diameter shortcuts over all pairs, on
 every instance, all from one list-BFS pass held one source at a time
-(_source_vectors): 3n searches, O(n) memory, quadratic time.
+(oracle._source_vectors): 3n searches, O(n) memory, quadratic time.
 
 Failures are tiered.  The first two are proved facts, so a violation means
 the implementation is broken: enforce_proven raises with the witness, and
@@ -46,22 +47,17 @@ from __future__ import annotations
 import bisect
 import collections
 import itertools
-import json
 import math
 import os
 import random
 import re
+from json.encoder import encode_basestring_ascii
 
-from .graph_core import CirculantGraph, GgpgGraph, build_circulant, expand, max_generator
+from .graph_core import build_circulant, expand, max_generator
 from .metrics import (
-    Adjacency,
-    bfs,
-    check_shortcut,
     circulant_distances,
     diametral_path,
-    fifo_path,
     format_distance,
-    inner_only_distances,
     instance_distances,
     lattice_distances,
     level_set_summary,
@@ -80,15 +76,6 @@ REPORT_COLUMNS = (
 )
 
 
-# the pairwise sandwich check's outcome; witness, on a violation, is
-# (i, j, x_label, y_label, d_c, d_p)
-SandwichResult = collections.namedtuple("SandwichResult", "ok witness", defaults=(None,))
-_BY_IDENTITY = SandwichResult(True)  # a non-paranoid row's 4.1: the spoke identity
-GapResult = collections.namedtuple("GapResult", "ok gap d_circ d_ggpg")
-Gap1Characterization = collections.namedtuple(
-    "Gap1Characterization", "predicted_gap_is_1 actual_gap consistent cond_outer cond_inner")
-Gap2Conditions = collections.namedtuple(
-    "Gap2Conditions", "any_condition_fires actual_gap consistent notes")
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search  # what csv's QUOTE_MINIMAL quotes
 
 
@@ -133,144 +120,6 @@ class VerificationReport(collections.namedtuple("VerificationReport", (
         return rec
 
 
-def extremal_vertices(g: CirculantGraph) -> list[int]:
-    """All vertices at exactly diameter distance from 0 (the set V_Dc)."""
-    vec = bfs(g, 0)
-    top = max(vec)
-    return [i for i, d in enumerate(vec) if d == top]
-
-
-def _source_vectors(gc: CirculantGraph, gp: GgpgGraph, sources: int):
-    """(i, d_c(i, .), d_p(u_i, .), d_p(v_i, .)) for i in range(sources), by
-    list BFS over one Adjacency table per graph (neighbors() once per
-    vertex), holding one source at a time: the only producer of the oracle
-    tier's per-source vectors."""
-    tc, tp = Adjacency(gc), Adjacency(gp)
-    for i in range(sources):
-        yield i, bfs(tc, i), bfs(tp, gp.outer(i)), bfs(tp, gp.inner(i))
-
-
-def _sandwich(gc: CirculantGraph, gp: GgpgGraph, rows) -> SandwichResult:
-    """The sandwich over every pair (x_i, y_j) of the rows of
-    _source_vectors, in order; then both diameter shortcuts against the
-    rows' largest eccentricity (RuntimeError, as under paranoid; trivial
-    on source 0 alone), which outrank the sandwich witness."""
-    n = gc.n
-    witness, ecc_c, ecc_p = None, [], []
-    for i, dc, du, dv in rows:
-        ecc_c.append(max(dc))
-        ecc_p.append(max(max(du), max(dv)))
-        witness = witness or next(
-            ((i, j, gp.vertex_label(x), gp.vertex_label(y), d, vec[y])
-             for j, d in enumerate(dc) for x, vec in ((i, du), (n + i, dv))
-             for y in (j, n + j) if not d <= vec[y] <= d + 2), None)
-    check_shortcut(gc, "ecc(0)", ecc_c[0], max(ecc_c))
-    check_shortcut(gp, "two-source", ecc_p[0], max(ecc_p))
-    return SandwichResult(witness is None, witness)
-
-
-def check_thm41(gc: CirculantGraph, mode: str = "orbit") -> SandwichResult:
-    """Pairwise sandwich d_c(i,j) <= d_p(x_i,y_j) <= d_c(i,j) + 2 between
-    gc and its expansion (u_i = i, v_i = n + i).
-
-    mode="orbit" checks the pairs from source 0, which covers all pairs
-    because rotating both endpoints preserves both distances.
-    mode="allpairs" takes no symmetry for granted: it runs every source on
-    both graphs literally, one at a time (O(n) memory, quadratic time),
-    and checks both diameter shortcuts too (RuntimeError, as paranoid).
-    """
-    gp = expand(gc)
-    if mode not in ("orbit", "allpairs"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return _sandwich(gc, gp, _source_vectors(gc, gp, gc.n if mode == "allpairs" else 1))
-
-
-def check_thm42(gc: CirculantGraph) -> GapResult:
-    """Diameter gap between gc and its expansion must land in {1, 2}."""
-    _, dc0, du, dv = next(_source_vectors(gc, expand(gc), 1))
-    d_circ, d_ggpg = max(dc0), max(max(du), max(dv))
-    return GapResult(d_ggpg - d_circ in (1, 2), d_ggpg - d_circ, d_circ, d_ggpg)
-
-
-def _gap1_facts(gc: CirculantGraph) -> tuple[list, bool, bool, int]:
-    """V_Dc, the two exact-length restricted-path conditions over it, and
-    the gap, from source 0 of _source_vectors: what 4.3 and 4.4 both test.
-
-    A ring-only path of length exactly D from 0 to i exists iff
-    min(i, n-i) = D: the two arcs are the only vertex-distinct ring walks,
-    and both are at least d_c(0,i) = D long.  Likewise a chord-only path of
-    length exactly D exists iff the chord-subgraph distance equals D.
-    """
-    _, dc0, du, dv = next(_source_vectors(gc, expand(gc), 1))
-    d = max(dc0)
-    vdc = [i for i, di in enumerate(dc0) if di == d]
-    inner = inner_only_distances(gc)
-    return (vdc, all(outer_only_distance(gc, i) == d for i in vdc),
-            all(inner[i] == d for i in vdc), max(max(du), max(dv)) - d)
-
-
-def check_thm43(gc: CirculantGraph) -> Gap1Characterization:
-    """Does the gap-1 characterization agree with the actual gap?"""
-    _, cond_outer, cond_inner, gap = _gap1_facts(gc)
-    predicted = cond_outer and cond_inner
-    return Gap1Characterization(predicted, gap, predicted == (gap == 1),
-                                cond_outer, cond_inner)
-
-
-def check_thm44(gc: CirculantGraph) -> Gap2Conditions:
-    """Gap-2 sufficient conditions, as the argument actually uses them.
-
-    Fires when some extremal vertex misses either restricted-path equality,
-    i.e. as the negation of the gap-1 characterization's conditions.  The
-    literal bullet list also carries a stray clause "exists i in V_Dc with
-    s <= i <= n - s" whose s is never pinned down; it is evaluated here
-    under both plausible readings (largest chord, smallest chord) and
-    reported in the notes, asserted under neither.
-    """
-    vdc, cond_outer, cond_inner, gap = _gap1_facts(gc)
-    fires = not (cond_outer and cond_inner)
-    n = gc.n
-    notes = []
-    for tag, s in (("s=max_chord", gc.gens[-1]), ("s=min_chord", gc.gens[1])):
-        hit = any(s <= i <= n - s for i in vdc)
-        notes.append(f"third-bullet[{tag}={s}]: {'true' if hit else 'false'}")
-    return Gap2Conditions(fires, gap, (not fires) or gap == 2, tuple(notes))
-
-
-def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts, path, row0) -> None:
-    """Paranoid tier: the kernel's vectors, and the GGPG vectors and
-    eccentricities the spoke identity derives from them, against the list
-    BFS vectors of row0, source 0 of _source_vectors; and a gap-1 row's
-    witness walk (path, else None) against a FIFO search over neighbors()
-    from the source that list BFS names as attaining the larger diameter."""
-    du, dv = dist.ggpg_vectors()
-    _, slow_c, slow_u, slow_v = row0
-    oracle = (("circulant from 0", dist.circ, slow_c),
-              ("chord-only from 0", dist.chord_only, inner_only_distances(gc)),
-              ("ggpg from u0", du, slow_u),
-              ("ggpg from v0", dv, slow_v))
-    for what, fast, slow in oracle:
-        if tuple(fast) != slow:
-            v = next(v for v, (a, b) in enumerate(zip(fast, slow)) if a != b)
-            raise RuntimeError(
-                f"kernel mismatch on {gc.label()} {what}: vertex {v} "
-                f"kernel {fast[v]}, list BFS {slow[v]}")
-    ecc = (max(slow_u), max(slow_v))
-    if (facts.ecc_u0, facts.ecc_v0) != ecc:
-        raise RuntimeError(
-            f"kernel mismatch on {gc.label()} ggpg eccentricities of (u0, v0): "
-            f"summary {(facts.ecc_u0, facts.ecc_v0)}, list BFS {ecc}")
-    if path is not None:
-        d = max(ecc)
-        src, vec = (gp.outer(0), slow_u) if ecc[0] == d else (gp.inner(0), slow_v)
-        want = fifo_path(gp, src, vec.index(d))
-        if path != want:
-            raise RuntimeError(
-                f"witness mismatch on {gc.label()}: walk "
-                f"{[gp.vertex_label(v) for v in path]}, FIFO search "
-                f"{[gp.vertex_label(v) for v in want]}")
-
-
 def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationReport:
     """Check C_n(1, chords) against its GGPG partner and return the report
     row.  Never raises on findings; see enforce_proven for the abort tier.
@@ -284,7 +133,7 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     kernel.  A gap-1 row's diametral path is walked on its lattice (one
     chord), else on the kernel's vectors or its circulant search alone.
     Paranoid cross-checks the kernel and the identity against source 0 of
-    one list-BFS pass over every source (_source_vectors: 3n searches),
+    one list-BFS pass over every source (oracle._source_vectors: 3n searches),
     requires the walked path to equal a FIFO search's over neighbors() and
     the list kernel's summary to equal the faster route's, and checks the
     sandwich and both diameter shortcuts over the whole pass."""
@@ -315,17 +164,19 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
         path = diametral_path(n, chords, d_circ, circ)
 
     if paranoid:
-        gp = Adjacency(expand(gc))  # one table for the pass and the FIFO search
-        rows = _source_vectors(gc, gp, n)
+        from . import oracle  # compiled only by a paranoid row
+
+        gp = oracle.Adjacency(expand(gc))  # one table for the pass and the FIFO search
+        rows = oracle._source_vectors(gc, gp, n)
         row0 = next(rows)
-        _cross_check(gc, gp, dist, facts, path, row0)
+        oracle._cross_check(gc, gp, dist, facts, path, row0)
         if fast is not None and fast != facts:
             raise RuntimeError(
                 f"route mismatch on {gc.label()}: {route} {fast}, "
                 f"list kernel {facts}")
-        t41 = _sandwich(gc, gp, itertools.chain([row0], rows))
+        t41_ok, t41_witness = oracle._sandwich(gc, gp, itertools.chain([row0], rows))
     else:
-        t41 = _BY_IDENTITY
+        t41_ok, t41_witness = True, None  # by the spoke identity
     t42_ok = gap in (1, 2)
 
     predicted = cond_outer and cond_inner
@@ -334,9 +185,9 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
 
     anomalies = []
     witnesses = {}
-    if not t41.ok:
+    if not t41_ok:
         anomalies.append("thm41: sandwich violated")
-        witnesses["thm41"] = {"pair": list(t41.witness)}
+        witnesses["thm41"] = {"pair": list(t41_witness)}
     if not t42_ok:
         anomalies.append(f"thm42: gap={gap} outside {{1,2}}")
     if not t43_ok:
@@ -378,7 +229,7 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
         extremal_set=tuple(vdc),
         cond_outer=cond_outer,
         cond_inner=cond_inner,
-        thm41_ok=t41.ok,
+        thm41_ok=t41_ok,
         thm42_ok=t42_ok,
         thm43_ok=t43_ok,
         thm44_ok=t44_ok,
@@ -538,16 +389,51 @@ def run_instances(instances, *, paranoid: bool = False, jobs: int = 1,
 
 # --- report serialization ---
 
-_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+# how _json_text renders each scalar type a report holds, by exact type
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    renders it, with pad ("\n" and the indent of value's own line) in place
+    of each newline: one join per dict or list, whose scalar items are
+    rendered in line (strings by json's own ASCII encoder).  A report holds
+    str-keyed dicts, lists, tuples, str, int, bool and None; a float raises
+    ValueError (as allow_nan=False does for the INF a report never holds),
+    any other type TypeError."""
+    scalar = _JSON_SCALARS.get
+    render = scalar(type(value))
+    if render is not None:
+        return render(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            f"{encode_basestring_ascii(k)}: "
+            f"{r(v) if (r := scalar(type(v))) else _json_text(v, inner)}"
+            for k, v in sorted(value.items())]) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            r(v) if (r := scalar(type(v))) else _json_text(v, inner)
+            for v in value]) + pad + "]"
+    raise (ValueError if isinstance(value, float) else TypeError)(
+        f"a report holds no {type(value).__name__}: {value!r}")
 
 
 def _render_rows(reports, fmt: str) -> str:
-    """Report rows as text: CSV lines, or JSON records two levels deep (a
-    JSON string holds no raw newline), each led by ",\n    "."""
+    """Report rows as text: CSV lines, or JSON records two levels deep,
+    each led by ",\n    "."""
     if fmt == "csv":
         return "".join(r.csv_line() for r in reports)
-    return "".join(",\n    " + _JSON.encode(r.json_record()).replace("\n", "\n    ")
-                   for r in reports)
+    return "".join([",\n    " + _json_text(r.json_record(), "\n    ") for r in reports])
 
 
 def _write_document(texts, fh, fmt: str, header) -> None:
@@ -558,7 +444,7 @@ def _write_document(texts, fh, fmt: str, header) -> None:
         fh.writelines(texts)
         return
     # "reports" sorts last, so the empty document ends in its list: "[]\n}"
-    empty = _JSON.encode({"header": header, "reports": []})
+    empty = _json_text({"header": header, "reports": []})
     texts = iter(texts)
     first = next(texts, "")  # the first record's lead-in takes no comma
     fh.write(empty[:-3] + first[1:] if first else empty)

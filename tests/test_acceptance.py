@@ -39,7 +39,7 @@ from loopnet import (
     shortest_rep_table,
 )
 from loopnet.graph_core import max_generator
-from loopnet.metrics import all_source_diameter
+from loopnet.oracle import all_source_diameter
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
 

@@ -18,7 +18,7 @@ from loopnet import (
     inner_only_distances,
     verify_instance,
 )
-from loopnet import graph_core, metrics, theorem_lab
+from loopnet import graph_core, metrics, oracle, theorem_lab
 from loopnet.graph_core import max_generator
 from loopnet.metrics import _ring_offsets, instance_distances, level_set_summary
 from loopnet.theorem_lab import plan_sweep
@@ -159,8 +159,9 @@ def test_verify_instance_makes_no_neighbors_or_bfs_call(monkeypatch):
 
     monkeypatch.setattr(graph_core.CirculantGraph, "neighbors", forbidden)
     monkeypatch.setattr(graph_core.GgpgGraph, "neighbors", forbidden)
-    monkeypatch.setattr(theorem_lab, "bfs", forbidden)
-    monkeypatch.setattr(theorem_lab, "inner_only_distances", forbidden)
+    for mod in (metrics, oracle):
+        monkeypatch.setattr(mod, "bfs", forbidden)
+        monkeypatch.setattr(mod, "inner_only_distances", forbidden)
     r = verify_instance(12, (5,))
     assert r.gap == 1 and r.witnesses["conj45"]["ggpg_diametral_path"]
     assert verify_instance(20, (4, 8)).thm41_ok
@@ -187,23 +188,23 @@ def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, ga
     g = build_circulant(n, (1,) + chords)
     m3 = len(chords) > 1
     over = m3 and level_set_summary(g) is None
-    sizes, oracle = [], []
-    real_bfs, real_fifo = metrics._level_bfs, metrics.fifo_path
+    sizes, searches = [], []
+    real_bfs, real_fifo = metrics._level_bfs, oracle.fifo_path
 
     def counting(offsets, src):
         sizes.append(len(offsets))
         return real_bfs(offsets, src)
 
     def fifo(*args):
-        oracle.append(args)
+        searches.append(args)
         return real_fifo(*args)
 
     monkeypatch.setattr(metrics, "_level_bfs", counting)
-    monkeypatch.setattr(theorem_lab, "fifo_path", fifo)
+    monkeypatch.setattr(oracle, "fifo_path", fifo)
     r = verify_instance(n, chords, paranoid=paranoid)
     assert (r.gap == 1) == bool(gap1)
     assert sizes == ([n, n] if over or paranoid else [n] * (m3 and gap1))
-    assert len(oracle) == (paranoid and gap1)
+    assert len(searches) == (paranoid and gap1)
 
 
 def test_paranoid_cross_check_catches_a_wrong_kernel_vector(monkeypatch):

@@ -26,7 +26,7 @@ from test_instance_kernel import reference_witness
 
 
 def test_lattice_summary_on_every_small_double_loop():
-    rows = gap1 = 0
+    rows, gap1 = 0, set()
     for n in range(5, 401):
         for s in range(2, max_generator(n) + 1):
             g = build_circulant(n, (1, s))
@@ -39,11 +39,11 @@ def test_lattice_summary_on_every_small_double_loop():
             if facts.d_ggpg == facts.d_circ + 1:
                 path = verify_instance(n, (s,)).witnesses["conj45"]["ggpg_diametral_path"]
                 assert path == reference_witness(n, (s,)), (n, s)
-                gap1 += 1
+                gap1.add((n, s))
             rows += 1
     assert rows == 39402
     # C_{4k}(1, 2k - 1) for 3 <= k <= 100, C5(1,2), C7(1,2) and C7(1,3)
-    assert gap1 == 101
+    assert gap1 == {(4 * k, 2 * k - 1) for k in range(3, 101)} | {(5, 2), (7, 2), (7, 3)}
 
 
 def test_lattice_summary_on_random_large_double_loops():

@@ -33,7 +33,7 @@ from loopnet import (
     outer_only_distance,
     verify_instance,
 )
-from loopnet import forking, graph_core, metrics, theorem_lab
+from loopnet import forking, graph_core, metrics, oracle, theorem_lab
 from loopnet.graph_core import max_generator
 from loopnet.metrics import (
     LEVEL_CAP,
@@ -248,7 +248,7 @@ def test_paranoid_runs_each_all_source_bfs_once(monkeypatch):
         calls.append((g.family, src))
         return real(g, src)
 
-    for mod in (metrics, theorem_lab):
+    for mod in (metrics, oracle):
         monkeypatch.setattr(mod, "bfs", counting)
     for cls in (graph_core.CirculantGraph, graph_core.GgpgGraph):
         def listing(g, v, real=cls.neighbors):
@@ -321,7 +321,7 @@ def test_paranoid_keeps_the_shortcut_mismatch_error(monkeypatch):
         vec = real(g, src)  # the last source sees farther
         return tuple(d + 1 for d in vec) if src == g.num_vertices - 1 else vec
 
-    for mod in (metrics, theorem_lab):
+    for mod in (metrics, oracle):
         monkeypatch.setattr(mod, "bfs", skewed)
     g = build_circulant(12, (1, 5))
     h = expand(g)
@@ -489,8 +489,9 @@ def test_import_leaves_the_process_pool_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["False", "False", "False", "False"]
-    # a run compiles only the modules it calls: no non-paranoid row needs
-    # transforms or path_algebra (expand lives in graph_core)
+    # a run compiles only the modules it calls: no row needs transforms or
+    # path_algebra (expand lives in graph_core), and no non-paranoid row
+    # needs the oracle tier
     fast = ["loopnet", "loopnet.graph_core", "loopnet.metrics", "loopnet.theorem_lab"]
     grid = ("import os; from loopnet import cli; os.cpu_count = lambda: 2; "
             "assert cli.main(['sweep', '--n', '5..60', '--m', '2,3', '--jobs', '2', "
@@ -502,5 +503,16 @@ def test_import_leaves_the_process_pool_unloaded(tmp_path):
     assert _loaded_after(sampled) == sorted(fast + ["loopnet.cli"])
     assert _loaded_after("from loopnet import theorem_lab; "
                          "theorem_lab.verify_instance(100000, (49999,))") == fast
+    # the list-BFS oracle tier is compiled by paranoid rows and the diameter
+    # command alone
+    slow = sorted(fast + ["loopnet.cli", "loopnet.oracle"])
+    paranoid = ("from loopnet import cli; "
+                "assert cli.main(['verify', '--n', '9..12', '--m', '2,3', '--paranoid', "
+                f"'--out', {str(tmp_path / 'p.csv')!r}]) in (0, 4)")
+    assert _loaded_after(paranoid) == slow
+    diameter = ("from loopnet import cli; "
+                "assert cli.main(['diameter', '--family', 'ggpg', '--n', '12', "
+                f"'--chords', '5', '--out', {str(tmp_path / 'd.txt')!r}]) == 0")
+    assert _loaded_after(diameter) == slow
     with pytest.raises(ValueError, match="expansion needs at least one chord"):
         verify_instance(9, ())

@@ -24,7 +24,7 @@ from loopnet import (
     outer_only_distance,
 )
 from loopnet.graph_core import max_generator
-from loopnet.metrics import all_source_diameter, distance_dump_rows
+from loopnet.oracle import all_source_diameter, distance_dump_rows
 
 
 def floyd_warshall(g):

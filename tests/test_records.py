@@ -21,7 +21,7 @@ from loopnet import (
     realize,
     verify_instance,
 )
-from loopnet.theorem_lab import (
+from loopnet.oracle import (
     GapResult,
     SandwichResult,
     check_thm43,

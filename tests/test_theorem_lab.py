@@ -3,10 +3,13 @@
 import collections
 import csv
 import io
+import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopnet import (
     TheoremViolation,
@@ -19,10 +22,10 @@ from loopnet import (
     extremal_vertices,
     verify_instance,
 )
-from loopnet import theorem_lab
+from loopnet import metrics, oracle, theorem_lab
+from loopnet.oracle import _sandwich
 from loopnet.theorem_lab import (
     REPORT_COLUMNS,
-    _sandwich,
     chord_sets,
     enforce_proven,
     plan_sweep,
@@ -104,13 +107,13 @@ def test_check_rejects_mismatched_pair():
 def test_gap_oracles_search_once(monkeypatch):
     # 4.3 and 4.4 each take the circulant from 0, then u0 and v0, once
     calls = []
-    real = theorem_lab.bfs
+    real = oracle.bfs
 
     def counting(g, src):
         calls.append((g.family, src))
         return real(g, src)
 
-    monkeypatch.setattr(theorem_lab, "bfs", counting)
+    monkeypatch.setattr(oracle, "bfs", counting)
     g = build_circulant(12, [1, 5])
     for check in (check_thm43, check_thm44):
         calls.clear()
@@ -283,13 +286,14 @@ def test_allpairs_and_paranoid_catch_a_sandwich_violation_off_source_0(monkeypat
     n, chords = 12, (5,)
     g = build_circulant(n, (1,) + chords)
     plain = verify_instance(n, chords)
-    real = theorem_lab.bfs
+    real = metrics.bfs
 
     def doctored(gr, src):
         vec = real(gr, src)
         return vec[:8] + (0,) + vec[9:] if (gr.family, src) == ("ggpg", 5) else vec
 
-    monkeypatch.setattr(theorem_lab, "bfs", doctored)
+    for mod in (metrics, oracle):
+        monkeypatch.setattr(mod, "bfs", doctored)
     assert verify_instance(n, chords) == plain  # no list BFS when not paranoid
     want = (5, 8, "u5", "u8", real(g, 5)[8], 0)
     assert check_thm41(g, mode="orbit").ok
@@ -302,7 +306,7 @@ def test_allpairs_and_paranoid_catch_a_sandwich_violation_off_source_0(monkeypat
         vec = doctored(gr, src)  # mismatch outranks the sandwich witness
         return tuple(d + 1 for d in vec) if src == gr.num_vertices - 1 else vec
 
-    monkeypatch.setattr(theorem_lab, "bfs", farther)
+    monkeypatch.setattr(oracle, "bfs", farther)
     for call in (lambda: check_thm41(g, mode="allpairs"),
                  lambda: verify_instance(n, chords, paranoid=True)):
         with pytest.raises(RuntimeError, match=r"symmetry shortcut mismatch .*ecc\(0\)"):
@@ -370,8 +374,6 @@ def test_csv_writer_layout():
 
 
 def test_json_writer_carries_witnesses():
-    import json
-
     rows = [verify_instance(12, (5,))]
     buf = io.StringIO()
     write_report_json(rows, buf, {"tool": "loopnet", "seed": 0})
@@ -380,3 +382,35 @@ def test_json_writer_carries_witnesses():
     rec = data["reports"][0]
     assert rec["gap"] == 1 and rec["conj45"] is False
     assert "ggpg_diametral_path" in rec["witnesses"]["conj45"]
+
+
+# what a report may hold: str-keyed dicts, lists and tuples (empty ones
+# too), any str (quotes, backslashes, control characters, lone
+# surrogates), ints of any size and sign, bools and None
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\r\t\u2028\ud800\udfff\U0001f600')
+                    | st.characters(exclude_categories=()))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+    | st.integers(max_value=-2**64) | JSON_TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_equals_json_dumps(value):
+    want = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    assert theorem_lab._json_text(value) == theorem_lab._json_text(value, "\n") == want
+    # a record two levels deep, as _render_rows places it
+    assert theorem_lab._json_text(value, "\n    ") == want.replace("\n", "\n    ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES, st.floats(allow_nan=True, allow_infinity=True))
+def test_json_text_rejects_floats(value, number):
+    for holder in (number, [value, number], {"key": [number]}, (value, {"x": number})):
+        with pytest.raises(ValueError, match="a report holds no float"):
+            theorem_lab._json_text(holder)
+    with pytest.raises(TypeError, match="a report holds no set"):
+        theorem_lab._json_text([value, {1}])
