@@ -270,6 +270,7 @@ def _verify_plan(args):
         if len(gens) < 2:
             raise ValueError("--gens needs at least one chord besides 1")
         n = _single_n(args.n)
+        build_circulant(n, gens)  # the row is checked here, not where it runs
         instances = [(n, tuple(gens[1:]))]
         spec = f"--n {n} --gens {','.join(map(str, gens))}"
         return instances, spec

@@ -247,14 +247,14 @@ def _summarize(n: int, d: int, vdc, near, far) -> InstanceSummary:
     V_Dc is symmetric, ring(i) = d on all of it iff it is {d, n - d}.
     """
     return InstanceSummary(
-        d_circ=d,
-        ecc_u0=d + 2 if bisect.bisect_right(vdc, d + 1)
-        < bisect.bisect_left(vdc, n - d - 1) else d + 1,
-        ecc_v0=d + 2 if far else d + 1,
-        v_dc=tuple(vdc),
-        cond_outer=vdc[0] == d and vdc[-1] == n - d and len(vdc) <= 2,
-        cond_inner=not (near or far),
-        near=tuple(near),
+        d,
+        d + 2 if bisect.bisect_right(vdc, d + 1) < bisect.bisect_left(vdc, n - d - 1)
+        else d + 1,                                             # ecc_u0
+        d + 2 if far else d + 1,                                # ecc_v0
+        tuple(vdc),
+        vdc[0] == d and vdc[-1] == n - d and len(vdc) <= 2,     # cond_outer
+        not (near or far),                                      # cond_inner
+        tuple(near),
     )
 
 
@@ -315,8 +315,9 @@ def instance_distances(g: CirculantGraph) -> InstanceDistances:
 # and 0.85x-0.92x at 500 (the most C_2000(1, s) has) for n = 2 000, and
 # 0.14x at 129, 0.18x-0.23x at 244, 0.55x-0.60x at 549, 0.78x-0.94x at 853
 # and 1.38x-1.41x at 1 269 for n = 100 000.  So 200 levels is on the
-# winning side at every n; a row over the cap costs the loop LEVEL_CAP
-# levels before it gives up.
+# winning side at every n.  A row whose ring bound ceil(floor(n / 2) / s_m)
+# is over the cap skips the loop; any other row over it costs the loop
+# LEVEL_CAP levels before it gives up.
 LEVEL_CAP = 200
 
 
@@ -341,16 +342,23 @@ def _bit_positions(x: int) -> tuple:
 
 def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
     """The InstanceSummary of C_n(1, chords) from level sets, or None as soon
-    as the circulant needs more than LEVEL_CAP levels.
+    as the circulant needs more than LEVEL_CAP levels: at once when the
+    ring bound D >= ceil(floor(n / 2) / s_m) shows it, else when the loop
+    reaches the cap.
 
     One loop advances two n-bit level sets a level per pass: the circulant
     from 0 and the chord-only ring from 0, which runs one level further, to
-    d_circ + 1.  Then V_Dc is the circulant's last level, and _summarize's
-    near and far are its points on the chord ring's last level and beyond.
+    d_circ + 1.  Then V_Dc is the circulant's last level, scanned once for
+    its points, and _summarize's near and far are those points whose bit is
+    set on the chord ring's last level and in its unreached set.
     """
     if g.gens[0] != 1:
         raise ValueError(f"level sets need generator 1 in S, got {g.label()}")
     n = g.n
+    # a step moves at most s_m around the ring, so n // 2 is at least
+    # ceil(n // 2 / s_m) steps from 0: past the cap, the loop need not start
+    if -(-(n // 2) // g.gens[-1]) > LEVEL_CAP:
+        return None
     mask = (1 << n) - 1
     gens = _shift_pairs(n, g.gens)
     chords = gens[1:]
@@ -374,8 +382,9 @@ def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
         circ &= cu
         cu ^= circ
     # circ = V_Dc; chord and chu: the chord ring's level d + 1 and the rest
-    return _summarize(n, d, _bit_positions(circ), _bit_positions(circ & chord),
-                      _bit_positions(circ & chu))
+    vdc = _bit_positions(circ)
+    return _summarize(n, d, vdc, [i for i in vdc if chord >> i & 1],
+                      [i for i in vdc if chu >> i & 1])
 
 
 # --- the lattice route ---

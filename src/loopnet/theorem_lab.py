@@ -35,6 +35,13 @@ takes the 4.1 verdict and both diameter shortcuts over all pairs, on
 every instance, all from one list-BFS pass held one source at a time
 (oracle._source_vectors): 3n searches, O(n) memory, quadratic time.
 
+Rows are validated at the boundaries, once.  verify_instance, the
+public entry, builds its circulant with build_circulant's checks, and the
+CLI checks a --gens row the same way when it plans it; the planner's rows
+(_plan) are admissible by construction.  So the row path, _verify_block,
+builds each graph with graph_core._unchecked_circulant and runs
+_verify_row, the body verify_instance shares, with no check repeated.
+
 Failures are tiered.  The first two are proved facts, so a violation means
 the implementation is broken: enforce_proven raises with the witness, and
 the CLI applies it to every row before it writes one.  The latter two and
@@ -53,7 +60,7 @@ import random
 import re
 from json.encoder import encode_basestring_ascii
 
-from .graph_core import build_circulant, expand, max_generator
+from .graph_core import _unchecked_circulant, build_circulant, expand, max_generator
 from .metrics import (
     circulant_distances,
     diametral_path,
@@ -77,6 +84,7 @@ REPORT_COLUMNS = (
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search  # what csv's QUOTE_MINIMAL quotes
+_FLAG_TEXT = ("false", "true")  # a report's flags are bools, read as 0 and 1
 
 
 class VerificationReport(collections.namedtuple("VerificationReport", (
@@ -89,13 +97,15 @@ class VerificationReport(collections.namedtuple("VerificationReport", (
     def csv_line(self) -> str:
         """The row as one CSV line, quoted as csv's QUOTE_MINIMAL: only a field
         with , " \\r or \\n (here, anomalies: thm42's has a comma), quotes doubled."""
-        n, gens, chords, d_circ, d_ggpg, gap, vdc, *flags, anomalies, _ = self
+        (n, gens, chords, d_circ, d_ggpg, gap, vdc, outer, inner, t41, t42, t43, t44,
+         c45, anomalies, _) = self
         text = "; ".join(anomalies)
         if _NEEDS_QUOTES(text):
             text = '"' + text.replace('"', '""') + '"'
+        b = _FLAG_TEXT
         return (f"{n},{'-'.join(map(str, gens))},{chords},{d_circ},{d_ggpg},{gap},"
-                f"{'-'.join(map(str, vdc))},"
-                + ",".join(["true" if b else "false" for b in flags]) + f",{text}\n")
+                f"{'-'.join(map(str, vdc))},{b[outer]},{b[inner]},{b[t41]},{b[t42]},"
+                f"{b[t43]},{b[t44]},{b[c45]},{text}\n")
 
     def json_record(self) -> dict:
         rec = {
@@ -136,12 +146,22 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     one list-BFS pass over every source (oracle._source_vectors: 3n searches),
     requires the walked path to equal a FIFO search's over neighbors() and
     the list kernel's summary to equal the faster route's, and checks the
-    sandwich and both diameter shortcuts over the whole pass."""
-    chords = tuple(chords)
-    gc = build_circulant(n, (1,) + chords)
-    if not chords:
-        expand(gc)  # raises: a GGPG partner needs a chord
+    sandwich and both diameter shortcuts over the whole pass.
 
+    This public entry checks its input with build_circulant and reports
+    the checked generators; planned rows skip the checks (_verify_block)."""
+    gc = build_circulant(n, (1, *chords))
+    if len(gc.gens) == 1:
+        expand(gc)  # raises: a GGPG partner needs a chord
+    return _verify_row(gc, paranoid)
+
+
+def _verify_row(gc, paranoid: bool = False) -> VerificationReport:
+    """verify_instance's report row for C_n(1, chords) given as a graph
+    that is admissible (checked, or planned): n >= 5 and at least one
+    chord."""
+    n, gens = gc
+    chords = gens[1:]
     if len(chords) == 1:
         route, lattice = "lattice", lattice_distances(gc)
         fast = lattice.summary()
@@ -151,10 +171,9 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     if fast is None or paranoid:
         dist = instance_distances(gc)
         facts = dist.summary()
-    d_circ, d_ggpg = facts.d_circ, facts.d_ggpg
+    d_circ, ecc_u0, ecc_v0, vdc, cond_outer, cond_inner, near = facts
+    d_ggpg = max(ecc_u0, ecc_v0)
     gap = d_ggpg - d_circ
-    vdc = facts.v_dc
-    cond_outer, cond_inner = facts.cond_outer, facts.cond_inner
     path = None
     if gap == 1:
         # the conj45 witness, walked on d_c(0, x): from the lattice for a
@@ -195,14 +214,14 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
             f"thm43: predicted_gap_is_1={str(predicted).lower()} but gap={gap}")
         # only a gap-1 row has a thm43 witness (both conditions give gap 1
         # by the spoke identity), and by the exact gap-1 rule each i in V_Dc
-        # then has chord(i) = d_circ, or d_circ + 1 where i is in facts.near
+        # then has chord(i) = d_circ, or d_circ + 1 where i is in near
         witnesses["thm43"] = {
             "predicted_gap_is_1": predicted,
             "gap": gap,
             "extremal": [
                 {"i": i,
                  "outer_only": outer_only_distance(gc, i),
-                 "inner_only": format_distance(d_circ + (i in facts.near)),
+                 "inner_only": format_distance(d_circ + (i in near)),
                  "diameter": d_circ}
                 for i in vdc
             ],
@@ -220,23 +239,8 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
         }
 
     return VerificationReport(
-        n=n,
-        gens=tuple(gc.gens),
-        chord_count=len(chords),
-        d_circ=d_circ,
-        d_ggpg=d_ggpg,
-        gap=gap,
-        extremal_set=tuple(vdc),
-        cond_outer=cond_outer,
-        cond_inner=cond_inner,
-        thm41_ok=t41_ok,
-        thm42_ok=t42_ok,
-        thm43_ok=t43_ok,
-        thm44_ok=t44_ok,
-        conj45_holds=gap == 2,
-        anomalies=tuple(anomalies),
-        witnesses=witnesses,
-    )
+        n, tuple(gens), len(chords), d_circ, d_ggpg, gap, vdc, cond_outer, cond_inner,
+        t41_ok, t42_ok, t43_ok, t44_ok, gap == 2, tuple(anomalies), witnesses)
 
 
 def enforce_proven(report: VerificationReport) -> VerificationReport:
@@ -287,7 +291,8 @@ def _plan(n_range, m_set, *, sample_cap: int = 100_000, sample_size: int = 1000,
     """plan_sweep's instances as an iterator that plans one ring length at
     a time, so no more than one n's chord sets are held at once.  The
     generator counts and ring lengths are checked here, before the first
-    instance is drawn."""
+    instance is drawn; every chord set then lies in 2..floor((n-1)/2),
+    increasing, so each row is admissible as _verify_block assumes."""
     m_set = sorted(set(m_set))
     if not m_set or m_set[0] < 2:
         raise ValueError(f"generator counts must all be >= 2, got {m_set}")
@@ -350,12 +355,14 @@ def _blocks(instances, workers: int = 1):
 def _verify_block(instances: list, paranoid: bool, fmt: str) -> tuple:
     """One block, in a worker or in-process: verify each row, apply
     enforce_proven (raising on the first violation) and render it in fmt.
-    Returns the text, the gap counts and the rows with an anomaly."""
+    Returns the text, the gap counts and the rows with an anomaly.  Each
+    (n, chords) row must be admissible, as _plan makes them: its graph is
+    built without build_circulant's checks."""
     gaps, flagged = collections.Counter(), []
 
     def checked():
         for n, c in instances:
-            r = enforce_proven(verify_instance(n, c, paranoid=paranoid))
+            r = enforce_proven(_verify_row(_unchecked_circulant(n, (1, *c)), paranoid))
             gaps[r.gap] += 1
             if r.anomalies:
                 flagged.append(r)
@@ -368,7 +375,8 @@ def run_instances(instances, *, paranoid: bool = False, jobs: int = 1,
                   fmt: str = "csv"):
     """Yield each block's _verify_block triple in input order, whatever
     jobs is; a violation raises for the first violating row in that order.
-    instances, any iterable of (n, chords), is drawn lazily.  One worker,
+    instances, any iterable of admissible (n, chords) rows (_verify_block
+    checks none), is drawn lazily.  One worker,
     or a system without os.fork, runs the blocks in-process.  Else
     W = min(jobs, cores, rows) workers are forked (forking.forked) once
     this process has pulled W rows, and it pulls no more: worker k walks

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from loopnet import build_circulant, cli, theorem_lab, verify_instance
+from loopnet import FamilyParameterError, build_circulant, cli, theorem_lab, verify_instance
 from loopnet.theorem_lab import plan_sweep
 
 
@@ -149,7 +149,7 @@ def test_bad_output_path_fails_before_any_row(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "missing" / "x.csv"
     argv = ["sweep", "--n", "5..8", "--m", "2", "--out", str(tmp_path / "ok.csv")]
     with monkeypatch.context() as m:
-        m.setattr(theorem_lab, "verify_instance", refuse)
+        m.setattr(theorem_lab, "_verify_row", refuse)
         assert cli.main([*argv, "--counterexamples-out", str(bad)]) == 2
     assert f"cannot write {bad}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # no ok.csv, no temporary file
@@ -165,7 +165,7 @@ def test_outputs_naming_one_file_are_refused(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
     with monkeypatch.context() as m:
-        m.setattr(theorem_lab, "verify_instance", refuse)
+        m.setattr(theorem_lab, "_verify_row", refuse)
         for other in ("x.csv", "sub/../x.csv", str(tmp_path / "x.csv")):
             assert cli.main(["sweep", "--n", "5..9", "--m", "2", "--out", "x.csv",
                              "--counterexamples-out", other]) == 2
@@ -294,12 +294,12 @@ def test_verify_selecting_conj45_flags_gap1_rows():
                                   ("sweep", "--n", "9", "--m", "2")])
 def test_proved_violation_exits_3_before_writing(argv, tmp_path, monkeypatch,
                                                  capsys):
-    real = theorem_lab.verify_instance
+    real = theorem_lab._verify_row
 
-    def broken(n, chords, **kwargs):
-        return real(n, chords)._replace(thm41_ok=False)
+    def broken(gc, paranoid=False):
+        return real(gc)._replace(thm41_ok=False)
 
-    monkeypatch.setattr(theorem_lab, "verify_instance", broken)
+    monkeypatch.setattr(theorem_lab, "_verify_row", broken)
     assert cli.main([*argv, "--out", str(tmp_path / "report.csv")]) == 3
     captured = capsys.readouterr()
     assert "theorem violation" in captured.err
@@ -385,13 +385,13 @@ def test_a_violation_inside_a_block_exits_3_naming_its_row(jobs, tmp_path,
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     inst = plan_sweep(range(5, 25), [2, 3])
     first, later = inst[7 * 4 + 3], inst[7 * 9 + 5]  # mid-block rows
-    real = theorem_lab.verify_instance
+    real = theorem_lab._verify_row
 
-    def broken(n, chords, **kwargs):
-        r = real(n, chords, **kwargs)
-        return r._replace(thm41_ok=False) if (n, chords) in (first, later) else r
+    def broken(gc, paranoid=False):
+        r = real(gc, paranoid)
+        return r._replace(thm41_ok=False) if (gc.n, gc.gens[1:]) in (first, later) else r
 
-    monkeypatch.setattr(theorem_lab, "verify_instance", broken)
+    monkeypatch.setattr(theorem_lab, "_verify_row", broken)
     n, chords = first
     for out in (["--out", str(tmp_path / "report.csv")], []):
         assert cli.main(["sweep", "--n", "5..24", "--m", "2,3", "--jobs", jobs, *out]) == 3
@@ -407,14 +407,14 @@ def test_a_violation_inside_a_block_exits_3_naming_its_row(jobs, tmp_path,
                                    "--format", "json")])
 def test_late_violation_exits_3_with_no_report_byte(argv, jobs, tmp_path,
                                                     monkeypatch, capsys):
-    real = theorem_lab.verify_instance
+    real = theorem_lab._verify_row
     last = plan_sweep(range(5, 41), [2, 3])[-1]
 
-    def broken(n, chords, **kwargs):
-        r = real(n, chords, **kwargs)
-        return r._replace(thm42_ok=False) if (n, chords) == last else r
+    def broken(gc, paranoid=False):
+        r = real(gc, paranoid)
+        return r._replace(thm42_ok=False) if (gc.n, gc.gens[1:]) == last else r
 
-    monkeypatch.setattr(theorem_lab, "verify_instance", broken)
+    monkeypatch.setattr(theorem_lab, "_verify_row", broken)
     for out in (["--out", str(tmp_path / "report.out")], []):
         assert cli.main([*argv, "--jobs", jobs, *out]) == 3
         captured = capsys.readouterr()
@@ -428,6 +428,34 @@ def test_bad_ring_length_exits_2_before_any_file(tmp_path, capsys):
     assert cli.main(["sweep", "--n", "3..10", "--m", "2", "--out", str(out)]) == 2
     assert "ring length must be >= 5, got 3" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def refuse_rows(*args, **kwargs):
+    raise AssertionError("a row ran before its parameters were checked")
+
+
+BAD_GENS = {("9", "1,5"): "generators must be <= floor((n-1)/2) = 4 for n = 9, got 5",
+            ("4", "1,2"): "ring length must be an integer >= 5, got 4"}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("n,gens", BAD_GENS)
+def test_a_bad_gens_row_exits_2_before_any_file(n, gens, jobs, tmp_path, monkeypatch,
+                                                capsys):
+    # the row is checked where it is planned, so it never reaches the
+    # row path, which trusts what it is given
+    argv = ["verify", "--n", n, "--gens", gens, "--jobs", jobs,
+            "--out", str(tmp_path / "report.csv")]
+    r = run_cli(*argv)
+    assert r.returncode == 2 and r.stderr == f"error: {BAD_GENS[n, gens]}\n"
+    assert list(tmp_path.iterdir()) == []  # no report, no findings file
+    with monkeypatch.context() as m:
+        m.setattr(theorem_lab, "_verify_row", refuse_rows)
+        assert cli.main(argv) == 2
+    assert capsys.readouterr().err == r.stderr
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(FamilyParameterError, match=re.escape(BAD_GENS[n, gens])):
+        verify_instance(int(n), tuple(map(int, gens.split(",")))[1:])
 
 
 def test_sweep_deterministic_and_counterexamples(tmp_path):
@@ -589,11 +617,11 @@ def test_a_dead_worker_fails_the_run_and_leaves_nothing(to_file, tmp_path, monke
 def test_a_worker_violation_is_reported_once_by_the_command(to_file, tmp_path):
     # a worker never returns into cli.main: its violation reaches stderr once
     n, chords = plan_sweep(range(5, 25), [2, 3])[7 * 5 + 3]
-    patch = (f"real = theorem_lab.verify_instance\n"
-             f"def broken(n, chords, **kwargs):\n"
-             f"    r = real(n, chords, **kwargs)\n"
-             f"    return r._replace(thm41_ok=False) if (n, chords) == {(n, chords)!r} else r\n"
-             f"theorem_lab.verify_instance = broken\n"
+    patch = (f"real = theorem_lab._verify_row\n"
+             f"def broken(gc, paranoid=False):\n"
+             f"    r = real(gc, paranoid)\n"
+             f"    return r._replace(thm41_ok=False) if (gc.n, gc.gens[1:]) == {(n, chords)!r} else r\n"
+             f"theorem_lab._verify_row = broken\n"
              f"theorem_lab.BLOCK_ROWS = 7\n")
     out = ["--out", str(tmp_path / "report.csv")] if to_file else []
     r = run_patched(patch, "sweep", "--n", "5..24", "--m", "2,3", "--jobs", "2", *out)

@@ -8,7 +8,9 @@ of the consumer, and how little input the parent draws."""
 import collections
 import csv
 import io
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -140,10 +142,13 @@ def refuse(*args, **kwargs):
 
 
 def test_the_level_loop_is_its_own_cap_probe(monkeypatch):
-    # one circulant search per m >= 3 row: the loop gives up past LEVEL_CAP
-    # levels by itself (C1201(1,2,3) has LEVEL_CAP levels, C1202(1,2,3) one
-    # more); m = 2 rows take the lattice route, on both sides of n // 2 =
-    # LEVEL_CAP (C401(1,3) and C402(1,3)), and never enter the loop
+    # at most one circulant search per m >= 3 row: the loop gives up past
+    # LEVEL_CAP levels by itself, and a row whose ring bound
+    # ceil(floor(n / 2) / s_m) is over the cap never enters it
+    # (C1201(1,2,3) has LEVEL_CAP levels and bound 200, so it is probed;
+    # C1202(1,2,3) has one more level and bound 201, so it is not); m = 2
+    # rows take the lattice route, on both sides of n // 2 = LEVEL_CAP
+    # (C401(1,3) and C402(1,3)), and never enter the loop
     grid = plan_sweep(range(5, 61), [2, 3])
     wide = [(2 * LEVEL_CAP + 1, (3,)), (2 * LEVEL_CAP + 2, (3,)),
             (6 * LEVEL_CAP + 1, (2, 3)), (6 * LEVEL_CAP + 2, (2, 3))]
@@ -161,7 +166,7 @@ def test_the_level_loop_is_its_own_cap_probe(monkeypatch):
         shipped_rows()
     assert [verify_instance(n, c) for n, c in wide] == want
     assert [r.d_circ for r in want[2:]] == [LEVEL_CAP, LEVEL_CAP + 1]
-    assert searches == [n for n, c in grid + wide if len(c) > 1]
+    assert searches == [n for n, c in grid if len(c) > 1] + [6 * LEVEL_CAP + 1]
 
 
 def test_exact_gap1_rule_on_the_grid():
@@ -300,6 +305,52 @@ def test_few_level_rows_equal_the_list_route(monkeypatch, n, chords):
     row = verify_instance(n, chords)
     assert row == list_route_row(monkeypatch, n, chords)
     assert (row.gap == 1) == ("conj45" in row.witnesses)
+
+
+def bfs_summary(g):
+    """The InstanceSummary of C_n(1, chords) read off list BFS from source 0
+    alone: over the circulant, over its chord-only circulant and over the
+    GGPG partner from u_0 and v_0, with no spoke identity."""
+    n = g.n
+    circ = bfs(g, 0)
+    chord = bfs(build_circulant(n, g.gens[1:]), 0)
+    h = oracle.Adjacency(expand(g))  # one neighbors() table for both sources
+    d = max(circ)
+    vdc = tuple(i for i, di in enumerate(circ) if di == d)
+    return metrics.InstanceSummary(
+        d, max(bfs(h, h.outer(0))), max(bfs(h, h.inner(0))), vdc,
+        all(min(i, n - i) == d for i in vdc), all(chord[i] == d for i in vdc),
+        tuple(i for i in vdc if chord[i] == d + 1))
+
+
+N_1E5 = 100_000
+ROWS_1E5 = {
+    # seeded draws, one per generator count
+    "m3": tuple(sorted(random.Random("1e5:3").sample(range(2, N_1E5 // 2), 2))),
+    "m4": tuple(sorted(random.Random("1e5:4").sample(range(2, N_1E5 // 2), 3))),
+    # 201 levels within the ring bound, so the loop runs to the cap and gives
+    # up; both chords share the factor 2 with n, so no chord walk leaves the
+    # even vertices and V_Dc's odd points are far
+    "over-cap, shared factor": (402, 404),
+    # no chord is a unit mod n, but together they reach every vertex
+    "no unit chord": (16, 25, 3125),
+}
+
+
+@pytest.mark.parametrize("chords", ROWS_1E5.values(), ids=ROWS_1E5)
+def test_n_1e5_rows_agree_with_list_bfs(chords):
+    n = N_1E5
+    g = build_circulant(n, (1, *chords))
+    listed = instance_distances(g).summary()
+    assert listed == bfs_summary(g)
+    fast = level_set_summary(g)
+    assert fast == (None if listed.d_circ > LEVEL_CAP else listed)
+    if chords == ROWS_1E5["over-cap, shared factor"]:
+        assert listed.d_circ == LEVEL_CAP + 1 and -(-(n // 2) // chords[-1]) <= LEVEL_CAP
+        assert math.gcd(n, *chords) == 2 and listed.ecc_v0 == listed.d_circ + 2
+    if chords == ROWS_1E5["no unit chord"]:
+        assert all(math.gcd(n, s) > 1 for s in chords) and math.gcd(n, *chords) == 1
+        assert fast is not None and fast.near
 
 
 def test_paranoid_compares_the_two_summaries(monkeypatch):

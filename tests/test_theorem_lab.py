@@ -4,6 +4,7 @@ import collections
 import csv
 import io
 import json
+import math
 import random
 import time
 
@@ -22,7 +23,7 @@ from loopnet import (
     extremal_vertices,
     verify_instance,
 )
-from loopnet import metrics, oracle, theorem_lab
+from loopnet import graph_core, metrics, oracle, theorem_lab
 from loopnet.oracle import _sandwich
 from loopnet.theorem_lab import (
     REPORT_COLUMNS,
@@ -234,6 +235,28 @@ def test_unranking_is_logarithmic_in_n():
 def test_plan_sweep_sample_larger_than_cell_takes_it_whole():
     whole = plan_sweep(range(20, 23), [3])
     assert plan_sweep(range(20, 23), [3], sample_cap=10, sample_size=50) == whole
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_lo=st.integers(5, 300), span=st.integers(0, 2),
+       m_set=st.sets(st.sampled_from([2, 3, 4]), min_size=1),
+       cap=st.integers(0, 300), size=st.integers(1, 40), seed=st.integers(0, 2 ** 16))
+def test_planned_rows_are_admissible(n_lo, span, m_set, cap, size, seed):
+    # the row path builds a planned row's graph without build_circulant's
+    # checks: every row _plan makes, from listed and sampled cells alike,
+    # must pass them and give the same graph unchecked
+    cells = collections.Counter()
+    for n, chords in theorem_lab._plan(range(n_lo, n_lo + span + 1), m_set,
+                                       sample_cap=cap, sample_size=size, seed=seed):
+        checked = build_circulant(n, (1,) + chords)
+        unchecked = graph_core._unchecked_circulant(n, (1, *chords))
+        assert unchecked == checked and type(unchecked.gens) is type(checked.gens)
+        assert tuple(unchecked.gens) == tuple(checked.gens)
+        cells[n, len(chords) + 1] += 1
+    for n in range(n_lo, n_lo + span + 1):
+        for m in m_set:  # a listed cell whole, a sampled one at its sample size
+            total = math.comb(graph_core.max_generator(n) - 1, m - 1)
+            assert cells[n, m] == (total if total <= cap else min(size, total))
 
 
 def test_sandwich_vector_check_agrees_with_ordered_loop():
