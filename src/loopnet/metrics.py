@@ -27,10 +27,12 @@ one place that turns those facts, as sorted points, into an InstanceSummary.
 Four routes compute the same facts; the first three apply the identity.
 
   * The lattice route, lattice_distances, serves double loops C_n(1, s), the
-    m = 2 rows, with no BFS (the plane-tessellation view of Yebra, Fiol,
-    Morillo and Alegre, and of Boesch and Wang).  d_c(0, x) is the least
-    |a| + |b| over the pairs with a + b s = x (mod n), so two pairs for one
-    x differ by a vector of the lattice L = {(a, b) : a + b s = 0 mod n}.
+    m = 2 rows, on rings of DOUBLE_LOOP_LEVELS_BELOW vertices and more
+    (shorter rings take level sets, which cost less there), with no BFS
+    (the plane-tessellation view of Yebra, Fiol, Morillo and Alegre, and
+    of Boesch and Wang).  d_c(0, x) is the least |a| + |b| over the pairs
+    with a + b s = x (mod n), so two pairs for one x differ by a vector of
+    the lattice L = {(a, b) : a + b s = 0 mod n}.
     Gauss-reduce its basis (n, 0), (-s, 1) and take, of w1, w2 and
     w1 +- w2, the vector w = (alpha, beta) with the least
     max(|alpha|, |beta|); that was the max-norm shortest vector of L on
@@ -55,14 +57,26 @@ Four routes compute the same facts; the first three apply the identity.
     operations, with no n-bit set.  The relaxed envelope also
     gives d_c(0, x) at any one x in O(log n): bisect for the centres on
     either side of x, and take the lower of their two tents.
-  * The level-set route, level_set_summary, serves the m >= 3 rows: every
-    BFS level is an n-bit int and a step +-s is a rotation, so one loop
-    advances the circulant from 0 and the chord-only ring a whole level
-    per handful of big-int operations (the only n-bit sets in loopnet).  It
-    returns only an InstanceSummary (the diameters, V_Dc, the two
-    restricted-path conditions and the V_Dc vertices at chord-only distance
-    D + 1), and only for instances whose circulant has at most LEVEL_CAP
-    levels: its cost grows with the level count, the list kernel's with n.
+  * The level-set route, level_set_summary, serves the m >= 3 rows and the
+    double loops on rings shorter than DOUBLE_LOOP_LEVELS_BELOW: every BFS
+    level is an n-bit int and a step +-s is a rotation, so one loop
+    advances the chord-only ring from 0 a whole level per handful of
+    big-int operations (the only n-bit sets in loopnet), and grows the
+    circulant's ball from it by ring dilation:
+
+        B(d + 1) = (B(d) + {-1, 0, 1}) | C(d + 1),
+
+    B(d) and C(d) the balls of radius d about 0 in the circulant and in the
+    chord-only ring.  Proof: Z_n is abelian, so a walk's ring steps commute
+    with its chord steps, and B(d) is the union over a + b <= d of
+    C(b) + [-a, a]; in B(d + 1), a term with a >= 1 is a term of B(d)
+    moved by one ring step, and one with a = 0 lies in C(d + 1).  So only
+    the chords are shifted, once each per level, and the circulant's level
+    costs two one-bit shifts.  It returns only an InstanceSummary (the
+    diameters, V_Dc, the two restricted-path conditions and the V_Dc
+    vertices at chord-only distance D + 1), and only for instances whose
+    circulant has at most LEVEL_CAP levels: its cost grows with the level
+    count, the list kernel's with n.
   * The list route, instance_distances: one level-synchronous BFS kernel
     that walks vertex ids by offset arithmetic, with no neighbors() call,
     and returns the circulant and chord-only vectors from 0, from which the
@@ -109,7 +123,7 @@ ecc(u_0) = D + 1, since d_p(u_0, v_i) = D + 1 on V_Dc).
     finds K.  Chord steps and spokes go one at a time.
 
 A walk thus reads O(path length + log n per ring run) circulant distances:
-from the lattice for a double loop, else from the list kernel's vector.
+from the lattice on its route, else from the list kernel's vector.
 The C_{4k}(1, 2k - 1) witness is a single run, u_0 ... u_{k+1}.
 
 Restricted distances feed the gap characterization: along the outer ring
@@ -305,20 +319,46 @@ def instance_distances(g: CirculantGraph) -> InstanceDistances:
 # --- the level-set route ---
 
 # Largest circulant eccentricity level_set_summary takes on; m >= 3 rows
-# with more levels go to the list kernel (m = 2 rows take the lattice
-# route at every n, so the cap governs only m >= 3 rows).  A level costs a
-# few shifts of whole n-bit ints, the list kernel a fixed cost per vertex,
-# so the crossover grows with n.  Level sets over the list kernel's summary
-# on C_n(1, s) rows and one C_n(1, s, t) row (Python 3.11.7, a shared
-# 2-core x86 machine, min of 25 runs at n = 2 000 and of 7 at n = 100 000,
-# alternated, two runs) took 0.18x at 100 levels, 0.32x-0.48x at 200-334
-# and 0.85x-0.92x at 500 (the most C_2000(1, s) has) for n = 2 000, and
-# 0.14x at 129, 0.18x-0.23x at 244, 0.55x-0.60x at 549, 0.78x-0.94x at 853
-# and 1.38x-1.41x at 1 269 for n = 100 000.  So 200 levels is on the
-# winning side at every n.  A row whose ring bound ceil(floor(n / 2) / s_m)
-# is over the cap skips the loop; any other row over it costs the loop
-# LEVEL_CAP levels before it gives up.
+# with more levels go to the list kernel (double loops on short rings never
+# reach it, and longer ones take the lattice route, so the cap governs only
+# m >= 3 rows).  A level costs a few shifts of whole n-bit ints, the list
+# kernel a fixed cost per vertex, so the crossover grows with n.  Level sets
+# over the list kernel's summary, the loop uncapped, ring dilation
+# (Python 3.11.7, a shared 2-core x86 machine, min of 25 runs at n = 2 000
+# and of 7 at n = 100 000, alternated): at n = 2 000, 0.17x at 104 levels
+# (C(1, 10)), 0.21x-0.29x at 201-202 (C(1, 3, 5), C(1, 5)), 0.29x-0.33x
+# at 334 (C(1, 3), C(1, 2, 3)) and 0.58x at 500 (C(1, 2), the most
+# C_2000(1, s) has); at n = 100 000, 0.07x at 146 (C(1, 3001, 27004)),
+# 0.10x at 250, 0.20x at 550, 0.46x at 850, 0.85x at 1 269, 1.35x at
+# 2 012 and 1.47x at 2 509 (C(1, s) rows).  So 200 levels is well on the
+# winning side at every n, and a cap set from n could reach about 1 500 at
+# n = 100 000.  A row whose ring bound ceil(floor(n / 2) / s_m) is over the
+# cap skips the loop; any other row over it costs the loop LEVEL_CAP levels
+# before it gives up.
 LEVEL_CAP = 200
+
+# Double loops C_n(1, s) with n below this take level sets, the rest the
+# lattice route.  A level costs a dozen whole-int operations, the lattice
+# O(sqrt(n) log n) list work with a large constant, so level sets win on
+# short rings and lose where D ~ n / 4 levels add up (s near n / 2, or 2).
+# Level sets over the lattice per row, every s (150 sampled at n >= 512),
+# min of 5 (Python 3.11.7, shared 2-core x86):
+#
+#        n   mean  median  worst  rows slower
+#       30   0.37    0.38   0.51      0 %
+#       60   0.42    0.41   0.83      0 %
+#       96   0.51    0.47   1.37      4 %
+#      120   0.48    0.44   1.45      5 %
+#      128   0.55    0.49   1.68      6 %
+#      160   0.56    0.48   2.13      6 %
+#      256   0.65    0.53   2.98     12 %
+#      512   0.74    0.54   4.44     17 %
+#     2000   1.39    0.95   9.75     42 %  (146 rows within LEVEL_CAP)
+#
+# So below 128 every row stays within 2x of the lattice and most run at
+# half its cost; the shipped grid (n <= 60) lies wholly below.  As D <= n / 2
+# < LEVEL_CAP there, no such row meets the cap.
+DOUBLE_LOOP_LEVELS_BELOW = 128
 
 
 def _shift_pairs(n: int, steps) -> tuple:
@@ -327,16 +367,48 @@ def _shift_pairs(n: int, steps) -> tuple:
     return tuple((s, n - s) for s in steps)
 
 
+# Ints of at most SHORT_BITS bits _bit_positions scans one set bit per
+# whole-int step; a longer one it renders once as bytes, marks the non-zero
+# bytes with one translate() and jumps between them with find(), so a step
+# costs O(n) on the first, and the second O(n / 8) plus a few small-int
+# steps per point.  The V_Dc of every benchmark row (the shipped grid; the
+# m = 4 rows at n 500..504 of 10 seeds; the m = 3 and 4 rows at n = 10^5 of
+# 40 seeds), min of 5 timeit repeats each, total us (Python 3.11.7, shared
+# 2-core x86):
+#
+#   rows (scans)                  bin()   steps   steps to 16 points   here
+#   grid, n 5..60       (8 120)  15 559  10 912  11 815               11 222
+#   m = 4, n 500..504   (1 000)   6 264   5 184   5 784                5 159
+#   m = 3, 4, n = 10^5     (79)  12 819  46 501  11 558                4 803
+#
+# On random points (mean of 5 ints) up to 2 048 bits the steps beat the
+# bytes at every count to 64, and bin() to 16; at n = 10^5 one point took
+# 11 us by steps, 29 as bytes and 237 by bin(), 64 points 367, 52 and 194.
+SHORT_BITS = 2048
+_NONZERO = bytes([0]) + bytes([1]) * 255  # translate(): a non-zero byte -> 1
+
+
 def _bit_positions(x: int) -> tuple:
-    """Ascending positions of the set bits of x."""
-    if not x:
-        return ()
-    bits = bin(x)[:1:-1]  # bit i at index i
+    """Ascending positions of the set bits of x >= 0: for at most SHORT_BITS
+    bits by clearing the lowest set bit one at a time, else by the same
+    steps on each non-zero byte of x."""
     out = []
-    i = bits.find("1")
+    if x.bit_length() <= SHORT_BITS:
+        while x:
+            low = x & -x
+            out.append(low.bit_length() - 1)
+            x ^= low
+        return tuple(out)
+    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    marks = data.translate(_NONZERO)
+    i = marks.find(1)
     while i >= 0:
-        out.append(i)
-        i = bits.find("1", i + 1)
+        base, byte = 8 * i, data[i]
+        while byte:
+            low = byte & -byte
+            out.append(base + low.bit_length() - 1)
+            byte ^= low
+        i = marks.find(1, i + 1)
     return tuple(out)
 
 
@@ -346,11 +418,14 @@ def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
     ring bound D >= ceil(floor(n / 2) / s_m) shows it, else when the loop
     reaches the cap.
 
-    One loop advances two n-bit level sets a level per pass: the circulant
-    from 0 and the chord-only ring from 0, which runs one level further, to
-    d_circ + 1.  Then V_Dc is the circulant's last level, scanned once for
-    its points, and _summarize's near and far are those points whose bit is
-    set on the chord ring's last level and in its unreached set.
+    One loop advances two n-bit level sets a level per pass: the chord-only
+    ring from 0 by its chords, one level ahead, to d_circ + 1, and the
+    circulant from 0 by ring dilation (module docstring): its level d is
+    its level d - 1 shifted one step either way, joined with the chord
+    ring's level d, less the vertices already reached.  Then V_Dc is the
+    circulant's last level, scanned once for its points, and _summarize's
+    near and far are those points whose bit is set on the chord ring's
+    last level and in its unreached set.
     """
     if g.gens[0] != 1:
         raise ValueError(f"level sets need generator 1 in S, got {g.label()}")
@@ -360,9 +435,10 @@ def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
     if -(-(n // 2) // g.gens[-1]) > LEVEL_CAP:
         return None
     mask = (1 << n) - 1
-    gens = _shift_pairs(n, g.gens)
-    chords = gens[1:]
-    circ, cu = 1, mask ^ 1            # circulant frontier and unreached set
+    chords = _shift_pairs(n, g.gens[1:])
+    # circulant frontier and unreached set; 0 is written at both ends of the
+    # ring (bits 0 and n), so that the first ring step reaches 1 and n - 1
+    circ, cu = 1 | 1 << n, mask ^ 1
     chord, chu = 1, mask ^ 1          # chord-only ring
     d = 0
     while True:
@@ -376,10 +452,11 @@ def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
         if d == LEVEL_CAP:
             return None
         d += 1
-        y, circ = circ | circ << n, 0
-        for s, t in gens:
-            circ |= y >> s | y >> t
-        circ &= cu
+        # ring dilation: as C(d - 1) lies in B(d - 1), the new level is the
+        # ring steps of the last one and the chord ring's level d, less the
+        # reached.  Past level 0 the frontier lacks 0, so >> 1 wraps nothing,
+        # and << 1 wraps only n - 1, onto 0, which is reached
+        circ = (circ << 1 | circ >> 1 | chord) & cu
         cu ^= circ
     # circ = V_Dc; chord and chu: the chord ring's level d + 1 and the rest
     vdc = _bit_positions(circ)

@@ -12,19 +12,21 @@ Four statements get machine-checked on concrete (n, chords) instances:
 
 verify_instance takes its verdicts from one metrics.InstanceSummary: the
 diameters, V_Dc and the two restricted-path conditions.  Three routes
-produce it, chosen by the generator count m alone.  Every m = 2 row (a
-double loop C_n(1, s)) takes metrics.lattice_distances, integer arithmetic
-on a reduced lattice basis with no BFS, at every n.  An m >= 3 row takes
-metrics.level_set_summary (n-bit level sets) when its circulant has at
-most metrics.LEVEL_CAP levels, else metrics.instance_distances (the
-offset-arithmetic list kernel).  The thm43 witnesses of gap-1 rows come
-from the summary on every route.  All three read the GGPG side off the
-circulant by the spoke identity through one rule (metrics._summarize), so
-a row's bytes never depend on the route, and on this path the thm41 and
-thm42 columns follow from that identity, not from an independent search.
+produce it, chosen by the generator count m and the ring length n.  An
+m = 2 row (a double loop C_n(1, s)) with n >= metrics.DOUBLE_LOOP_LEVELS_BELOW
+takes metrics.lattice_distances, integer arithmetic on a reduced lattice
+basis with no BFS.  Every other row takes metrics.level_set_summary (n-bit
+level sets) when its circulant has at most metrics.LEVEL_CAP levels, else
+metrics.instance_distances (the offset-arithmetic list kernel), which a
+short double loop never needs: its D <= n / 2 is under the cap.  The thm43
+witnesses of gap-1 rows come from the summary on every route.  All three
+read the GGPG side off the circulant by the spoke identity through one
+rule (metrics._summarize), so a row's bytes never depend on the route,
+and on this path the thm41 and thm42 columns follow from that identity,
+not from an independent search.
 A gap-1 row's diametral path is walked by the identity, with no GGPG
-search (metrics.diametral_path): from the lattice for a double loop, else
-from metrics.circulant_distances.  What checks them independently is the
+search (metrics.diametral_path): from the lattice on its route, else from
+metrics.circulant_distances.  What checks them independently is the
 oracle module, which tests and paranoid rows alone import.  Its
 check_thm41 to check_thm44 recompute their statement from list BFS
 alone.  --paranoid (paranoid=True) also runs the list kernel and
@@ -62,6 +64,7 @@ from json.encoder import encode_basestring_ascii
 
 from .graph_core import _unchecked_circulant, build_circulant, expand, max_generator
 from .metrics import (
+    DOUBLE_LOOP_LEVELS_BELOW,
     circulant_distances,
     diametral_path,
     format_distance,
@@ -135,13 +138,15 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     row.  Never raises on findings; see enforce_proven for the abort tier.
 
     The verdicts come from one metrics.InstanceSummary: the lattice
-    route's for a double loop (one chord), else the level-set route's when
-    the circulant has at most LEVEL_CAP levels, else the list kernel's.
+    route's for a double loop (one chord) with n >= DOUBLE_LOOP_LEVELS_BELOW,
+    else the level-set route's when the circulant has at most LEVEL_CAP
+    levels, else the list kernel's.
     Each reads the GGPG diameter off the circulant by the spoke identity,
     so 4.1 and 4.2 hold on this path by that identity, not by an
     independent search.  Every row under paranoid also runs the list
-    kernel.  A gap-1 row's diametral path is walked on its lattice (one
-    chord), else on the kernel's vectors or its circulant search alone.
+    kernel.  A gap-1 row's diametral path is walked on its lattice (on
+    the lattice route), else on the kernel's vectors or its circulant
+    search alone.
     Paranoid cross-checks the kernel and the identity against source 0 of
     one list-BFS pass over every source (oracle._source_vectors: 3n searches),
     requires the walked path to equal a FIFO search's over neighbors() and
@@ -162,7 +167,8 @@ def _verify_row(gc, paranoid: bool = False) -> VerificationReport:
     chord."""
     n, gens = gc
     chords = gens[1:]
-    if len(chords) == 1:
+    lattice = None
+    if len(chords) == 1 and n >= DOUBLE_LOOP_LEVELS_BELOW:
         route, lattice = "lattice", lattice_distances(gc)
         fast = lattice.summary()
     else:
@@ -176,9 +182,9 @@ def _verify_row(gc, paranoid: bool = False) -> VerificationReport:
     gap = d_ggpg - d_circ
     path = None
     if gap == 1:
-        # the conj45 witness, walked on d_c(0, x): from the lattice for a
-        # double loop, else from the circulant search (the list kernel's)
-        circ = (lattice.circ_at if len(chords) == 1 else
+        # the conj45 witness, walked on d_c(0, x): from the lattice on its
+        # route, else from the circulant search (the list kernel's)
+        circ = (lattice.circ_at if lattice else
                 (dist.circ if dist else circulant_distances(gc)).__getitem__)
         path = diametral_path(n, chords, d_circ, circ)
 

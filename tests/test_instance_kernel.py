@@ -168,26 +168,28 @@ def test_verify_instance_makes_no_neighbors_or_bfs_call(monkeypatch):
 
 
 @pytest.mark.parametrize("n,chords,paranoid,gap1", [
-    (12, (5,), False, 1),      # gap 1, lattice
+    (12, (5,), False, 1),      # gap 1, a short double loop on level sets
     (12, (5,), True, 1),       # paranoid: the oracles use list BFS instead
-    (804, (401,), False, 1),   # gap 1, lattice at any n
+    (804, (401,), False, 1),   # gap 1, lattice on a long ring
     (20, (4, 8), False, 0),    # gap 2, level sets
     (20, (4, 8), True, 0),
-    (1000, (2,), False, 0),    # gap 2, lattice at any n
-    (7, (3,), False, 1),       # gap 1, thm43-inconsistent: the lattice gives its witness
+    (1000, (2,), False, 0),    # gap 2, lattice on a long ring
+    (7, (3,), False, 1),       # gap 1, thm43-inconsistent: level sets give its witness
     (1202, (2, 3), False, 0),  # gap 2, over the cap
     (9, (2, 4), False, 1),     # gap 1, level sets: the walk reads the circulant search
     (9, (2, 4), True, 1),
+    (132, (65,), True, 1),     # paranoid lattice row
 ])
 def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, gap1):
     # no row runs a 2n-vertex GGPG search: the witness is walked.  The list
     # kernel (two n-vertex searches) runs on an m >= 3 row over the cap and
     # under paranoid, which also checks a gap-1 row's walk against a FIFO
-    # search over neighbors(); any other m >= 3 gap-1 row walks on the
-    # circulant search alone (one n-vertex search)
+    # search over neighbors(); any other gap-1 row on level sets walks on
+    # the circulant search alone (one n-vertex search), and a lattice row
+    # on its lattice
     g = build_circulant(n, (1,) + chords)
-    m3 = len(chords) > 1
-    over = m3 and level_set_summary(g) is None
+    lattice = len(chords) == 1 and n >= metrics.DOUBLE_LOOP_LEVELS_BELOW
+    over = not lattice and level_set_summary(g) is None
     sizes, searches = [], []
     real_bfs, real_fifo = metrics._level_bfs, oracle.fifo_path
 
@@ -203,7 +205,7 @@ def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, ga
     monkeypatch.setattr(oracle, "fifo_path", fifo)
     r = verify_instance(n, chords, paranoid=paranoid)
     assert (r.gap == 1) == bool(gap1)
-    assert sizes == ([n, n] if over or paranoid else [n] * (m3 and gap1))
+    assert sizes == ([n, n] if over or paranoid else [n] * (not lattice and gap1))
     assert len(searches) == (paranoid and gap1)
 
 

@@ -1,9 +1,10 @@
 """The lattice route for double loops C_n(1, s) against the list kernel and
-the BFS oracles: every row with n <= 400 (and its walked conj45 witness
-against a FIFO search), random rows with n < 2 * 10^5, named rows of both
-envelope forms (with gcd(n, s) = 1 and > 1) at n near 10^5, random rows;
-its pointwise distances against the kernel's vectors; what an m = 2 row
-skips; and what --paranoid still compares it with."""
+the BFS oracles: every row with n <= 400 (and there the level-set summary
+and the walked conj45 witness against a FIFO search), random rows with
+n < 2 * 10^5, named rows of both envelope forms (with gcd(n, s) = 1 and
+> 1) at n near 10^5, random rows; its pointwise distances against the
+kernel's vectors; which route a double loop takes and what it skips; and
+what --paranoid still compares it with."""
 
 import math
 import random
@@ -16,11 +17,13 @@ from loopnet import bfs, build_circulant, expand, inner_only_distances, verify_i
 from loopnet import metrics, theorem_lab
 from loopnet.graph_core import max_generator
 from loopnet.metrics import (
+    DOUBLE_LOOP_LEVELS_BELOW,
     _peaks,
     _relax,
     _value_at,
     instance_distances,
     lattice_distances,
+    level_set_summary,
 )
 from test_instance_kernel import reference_witness
 
@@ -33,6 +36,8 @@ def test_lattice_summary_on_every_small_double_loop():
             lattice, dist = lattice_distances(g), instance_distances(g)
             facts = lattice.summary()
             assert facts == dist.summary(), (n, s)
+            # D <= n / 2 <= LEVEL_CAP, so level sets give a summary on every row
+            assert level_set_summary(g) == facts, (n, s)
             if n <= 120:
                 assert [lattice.circ_at(x) for x in range(n)] == dist.circ, (n, s)
                 assert [lattice.chord_at(x) for x in range(n)] == dist.chord_only
@@ -150,9 +155,12 @@ def test_lattice_summary_takes_only_double_loops(gens):
 
 
 def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
-    rows = [(12, (5,)), (9, (2,)), (7, (3,)), (804, (401,)), (1000, (2,)),
-            (100000, (49999,)), (20, (4, 8))]
-    want = [verify_instance(n, c) for n, c in rows]
+    # from DOUBLE_LOOP_LEVELS_BELOW up; shorter rings take level sets alone
+    long = [(DOUBLE_LOOP_LEVELS_BELOW, (3,)), (132, (65,)), (804, (401,)), (1000, (2,)),
+            (100000, (49999,)), (99999, (3,))]
+    short = [(12, (5,)), (9, (2,)), (7, (3,)), (DOUBLE_LOOP_LEVELS_BELOW - 1, (63,)),
+             (20, (4, 8))]
+    want = [verify_instance(n, c) for n, c in long + short]
     calls = {"lattice_distances": 0, "level_set_summary": 0, "instance_distances": 0}
 
     def counted(name):
@@ -165,13 +173,15 @@ def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(theorem_lab, name, counted(name))
-    assert [verify_instance(n, c) for n, c in rows[:-1]] == want[:-1]
-    assert calls == {"lattice_distances": 6, "level_set_summary": 0,
+    assert [verify_instance(n, c) for n, c in long] == want[:len(long)]
+    assert calls == {"lattice_distances": len(long), "level_set_summary": 0,
                      "instance_distances": 0}
-    assert verify_instance(*rows[-1]) == want[-1]  # m = 3: level sets
-    assert calls["level_set_summary"] == 1
-    assert verify_instance(12, (5,), paranoid=True) == want[0]
-    assert calls["instance_distances"] == 1  # the paranoid oracle
+    assert [verify_instance(n, c) for n, c in short] == want[len(long):]
+    assert calls == {"lattice_distances": len(long), "level_set_summary": len(short),
+                     "instance_distances": 0}
+    assert verify_instance(12, (5,), paranoid=True) == want[len(long)]
+    assert verify_instance(132, (65,), paranoid=True) == want[1]
+    assert calls["instance_distances"] == 2  # the paranoid oracle, on both routes
 
 
 def test_paranoid_compares_the_lattice_with_the_list_kernel(monkeypatch):
@@ -181,6 +191,6 @@ def test_paranoid_compares_the_lattice_with_the_list_kernel(monkeypatch):
         return real(self)._replace(v_dc=(1,))
 
     monkeypatch.setattr(metrics.LatticeDistances, "summary", doctored)
-    assert verify_instance(12, (5,)).extremal_set == (1,)  # trusted when not paranoid
-    with pytest.raises(RuntimeError, match="route mismatch on C12.*: lattice "):
-        verify_instance(12, (5,), paranoid=True)
+    assert verify_instance(132, (65,)).extremal_set == (1,)  # trusted when not paranoid
+    with pytest.raises(RuntimeError, match=r"route mismatch on C132.*: lattice "):
+        verify_instance(132, (65,), paranoid=True)

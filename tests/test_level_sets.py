@@ -38,7 +38,9 @@ from loopnet import (
 from loopnet import forking, graph_core, metrics, oracle, theorem_lab
 from loopnet.graph_core import max_generator
 from loopnet.metrics import (
+    DOUBLE_LOOP_LEVELS_BELOW,
     LEVEL_CAP,
+    SHORT_BITS,
     format_distance,
     instance_distances,
     level_set_summary,
@@ -126,8 +128,8 @@ def test_paranoid_catches_a_circulant_that_loses_its_chords(monkeypatch):
     want = verify_instance(20, (4, 8))
     real = metrics._shift_pairs
 
-    def ring_only(n, steps):
-        return real(n, (1,)) if tuple(steps) == (1, 4, 8) else real(n, steps)
+    def ring_only(n, steps):  # the chord ring, and so the circulant, loses (4, 8)
+        return real(n, ()) if tuple(steps) == (4, 8) else real(n, steps)
 
     monkeypatch.setattr(metrics, "_shift_pairs", ring_only)
     broken = level_set_summary(g)
@@ -142,14 +144,16 @@ def refuse(*args, **kwargs):
 
 
 def test_the_level_loop_is_its_own_cap_probe(monkeypatch):
-    # at most one circulant search per m >= 3 row: the loop gives up past
-    # LEVEL_CAP levels by itself, and a row whose ring bound
-    # ceil(floor(n / 2) / s_m) is over the cap never enters it
+    # at most one level loop per row (each sets up its chord shifts once):
+    # the loop gives up past LEVEL_CAP levels by itself, and a row whose ring
+    # bound ceil(floor(n / 2) / s_m) is over the cap never enters it
     # (C1201(1,2,3) has LEVEL_CAP levels and bound 200, so it is probed;
-    # C1202(1,2,3) has one more level and bound 201, so it is not); m = 2
-    # rows take the lattice route, on both sides of n // 2 = LEVEL_CAP
-    # (C401(1,3) and C402(1,3)), and never enter the loop
+    # C1202(1,2,3) has one more level and bound 201, so it is not); every
+    # grid row enters it, double loops too (n < DOUBLE_LOOP_LEVELS_BELOW),
+    # and longer double loops take the lattice route and never enter it, on
+    # both sides of n // 2 = LEVEL_CAP (C401(1,3) and C402(1,3))
     grid = plan_sweep(range(5, 61), [2, 3])
+    assert max(n for n, c in grid) < DOUBLE_LOOP_LEVELS_BELOW
     wide = [(2 * LEVEL_CAP + 1, (3,)), (2 * LEVEL_CAP + 2, (3,)),
             (6 * LEVEL_CAP + 1, (2, 3)), (6 * LEVEL_CAP + 2, (2, 3))]
     want = [list_route_row(monkeypatch, n, c) for n, c in wide]
@@ -157,8 +161,7 @@ def test_the_level_loop_is_its_own_cap_probe(monkeypatch):
     real = metrics._shift_pairs
 
     def counting(n, steps):
-        if steps and steps[0] == 1:
-            searches.append(n)
+        searches.append(n)
         return real(n, steps)
 
     monkeypatch.setattr(metrics, "_shift_pairs", counting)
@@ -166,7 +169,7 @@ def test_the_level_loop_is_its_own_cap_probe(monkeypatch):
         shipped_rows()
     assert [verify_instance(n, c) for n, c in wide] == want
     assert [r.d_circ for r in want[2:]] == [LEVEL_CAP, LEVEL_CAP + 1]
-    assert searches == [n for n, c in grid if len(c) > 1] + [6 * LEVEL_CAP + 1]
+    assert searches == [n for n, c in grid] + [6 * LEVEL_CAP + 1]
 
 
 def test_exact_gap1_rule_on_the_grid():
@@ -229,14 +232,32 @@ def test_only_the_level_loop_reads_n_bit_sets(monkeypatch):
         return real(x)
 
     monkeypatch.setattr(metrics, "_bit_positions", counting)
-    # double loops on the lattice (two gap-1 rows, a gap-2 row, an a-form
-    # row with gcd 3) and an over-cap row on the list route
-    for n, chords in ((12, (5,)), (100000, (49999,)), (20, (4,)), (99999, (3,)),
-                      (1202, (2, 3))):
+    # double loops from DOUBLE_LOOP_LEVELS_BELOW up, on the lattice (that
+    # ring length, two gap-1 rows, a gap-2 row, an a-form row with gcd 3)
+    # and an over-cap row on the list route
+    for n, chords in ((DOUBLE_LOOP_LEVELS_BELOW, (3,)), (132, (65,)), (100000, (49999,)),
+                      (200, (4,)), (99999, (3,)), (1202, (2, 3))):
         verify_instance(n, chords)
     assert calls == []
-    verify_instance(20, (4, 8))
-    assert calls
+    # level sets: a double loop on a shorter ring, an m = 3 row
+    for n, chords in ((DOUBLE_LOOP_LEVELS_BELOW - 1, (3,)), (20, (4, 8))):
+        verify_instance(n, chords)
+        assert calls
+        calls.clear()
+
+
+@pytest.mark.parametrize("n", [60, SHORT_BITS, SHORT_BITS + 1, 100_000])
+@pytest.mark.parametrize("k", [0, 1, 9, 48])
+def test_bit_positions_on_both_sides_of_the_cut(monkeypatch, n, k):
+    # an int of at most SHORT_BITS bits is scanned one set bit at a time, a
+    # longer one byte by byte; either scan must also hold on the other side
+    rest = random.Random(f"bits:{n}:{k}").sample(range(n - 1), max(k - 1, 0))
+    points = sorted(rest + [n - 1]) if k else []
+    x = sum(1 << i for i in points)
+    assert metrics._bit_positions(x) == tuple(points)
+    for cut in (0, n):
+        monkeypatch.setattr(metrics, "SHORT_BITS", cut)
+        assert metrics._bit_positions(x) == tuple(points)
 
 
 def test_no_chord_keeps_the_expansion_error():
