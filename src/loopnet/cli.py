@@ -14,12 +14,12 @@ end; a stdout report is staged in an anonymous temporary file and copied
 out after the last row.  A run that exits 2 or 3 leaves none of its
 files behind and prints no report byte.
 
-Exit codes: 0 clean, 2 parameter error or unwritable output path, 3
-proved-statement violation (witness on stderr), 4 findings present
-(inconsistencies or gap=1 rows under verify).  Output files start with a
-header line recording the tool version, the semantic flag set, and the
-seed -- never a timestamp, so a rerun with the same flags is
-byte-identical.  --out and --jobs are I/O plumbing and stay out of the
+Exit codes: 0 clean, 2 parameter error, unwritable output path or a ring
+too large for memory, 3 proved-statement violation (witness on stderr), 4
+findings present (inconsistencies or gap=1 rows under verify).  Output
+files start with a header line recording the tool version, the semantic
+flag set, and the seed -- never a timestamp, so a rerun with the same
+flags is byte-identical.  --out and --jobs are I/O plumbing and stay out of the
 header; determinism is independent of both.
 """
 
@@ -485,6 +485,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (FamilyParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
+    except MemoryError:
+        print("error: out of memory: a ring is too large for this machine",
+              file=sys.stderr)
         return EXIT_PARAMS
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)

@@ -24,7 +24,8 @@ So every verdict fact of a row depends only on D, V_Dc and the class of
 chord(i) on V_Dc: = D, = D + 1 or > D + 1.  _summarize is that rule, the
 one place that turns those facts, as sorted points, into an InstanceSummary.
 
-Four routes compute the same facts; the first three apply the identity.
+Four routes compute the same facts; the first three apply the identity,
+and row_facts picks a row's route among them.
 
   * The lattice route, lattice_distances, serves double loops C_n(1, s), the
     m = 2 rows, on rings of DOUBLE_LOOP_LEVELS_BELOW vertices and more
@@ -187,13 +188,13 @@ def inner_only_distances(g: CirculantGraph) -> tuple:
 
 # --- the one-pass instance kernel ---
 
-def _ring_offsets(n: int, steps, head: tuple = ()) -> list[tuple]:
+def _ring_offsets(n: int, steps) -> list[tuple]:
     """Per-vertex neighbour offsets of the ring Z_n with steps +-s.
 
-    Row i lists w - i for the neighbours w of i in ascending order of w,
-    after the offsets in head: the ascending list offs of every s and n - s,
-    rotated at k = bisect_left(offs, n - i) into offs[k:] + offs[:k], where
-    offs[k:] wrap past n - 1 and so are shifted by -n.  k changes only at
+    Row i lists w - i for the neighbours w of i in ascending order of w:
+    the ascending list offs of every s and n - s, rotated at
+    k = bisect_left(offs, n - i) into offs[k:] + offs[:k], where offs[k:]
+    wrap past n - 1 and so are shifted by -n.  k changes only at
     the points n - o, so the rows are a few shared tuples repeated over runs
     of vertices.
     """
@@ -202,7 +203,7 @@ def _ring_offsets(n: int, steps, head: tuple = ()) -> list[tuple]:
     cuts = [0, *(n - o for o in reversed(offs)), n]
     rows = []
     for k, lo, hi in zip(range(len(offs), -1, -1), cuts, cuts[1:]):
-        rows += [(*head, *wrapped[k:], *offs[:k])] * (hi - lo)
+        rows += [(*wrapped[k:], *offs[:k])] * (hi - lo)
     return rows
 
 
@@ -672,3 +673,32 @@ def diametral_path(n: int, chords, d: int, circ) -> list[int]:
             r -= 1
         x = path[-1]
     return path
+
+
+# --- a row's route ---
+
+def row_facts(g: CirculantGraph, dist: InstanceDistances | None = None) -> tuple:
+    """(route, summary, path) for C_n(1, chords): the one place a row's
+    route is chosen.  A double loop with n >= DOUBLE_LOOP_LEVELS_BELOW takes
+    the lattice, any other row level sets, and a row whose route returns
+    None the list kernel.  path is the gap-1 witness (diametral_path), else
+    None, walked on the lattice's d_c where there is one, else on the list
+    kernel's vector, else on a circulant search.  dist, the list kernel's
+    distances where the caller has them (a paranoid row), stands in for the
+    kernel and for that vector, so no search runs twice."""
+    n, gens = g
+    if len(gens) == 2 and n >= DOUBLE_LOOP_LEVELS_BELOW:
+        route, lattice = "lattice", lattice_distances(g)
+        facts, circ = lattice.summary(), lattice.circ_at
+    else:
+        route, facts, circ = "level sets", level_set_summary(g), None
+    if facts is None:
+        if dist is None:
+            dist = instance_distances(g)
+        route, facts = "list kernel", dist.summary()
+    path = None
+    if facts.ecc_u0 == facts.ecc_v0 == facts.d_circ + 1:  # gap 1, as both are >= D + 1
+        if circ is None:
+            circ = (dist.circ if dist is not None else circulant_distances(g)).__getitem__
+        path = diametral_path(n, gens[1:], facts.d_circ, circ)
+    return route, facts, path

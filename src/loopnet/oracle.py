@@ -18,15 +18,17 @@ memory, quadratic time), and raises if the shortcut ever disagrees.
 
 The statement checks check_thm41 to check_thm44 take the circulant alone,
 build its GGPG partner with expand, and recompute their statement from
-list BFS.  A paranoid row runs the same searches through _source_vectors
-(3n searches, one source held at a time), cross-checks the row's fast
-vectors against source 0 (_cross_check) and the sandwich and both diameter
-shortcuts against the whole pass (_sandwich).
+list BFS.  A paranoid row's checks, check_row, run the same searches
+through _source_vectors (3n searches, one source held at a time): the
+row's fast vectors against source 0 (_cross_check), the route's summary
+against the list kernel's, then the sandwich and both diameter shortcuts
+against the whole pass (_sandwich).
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 
 from .graph_core import CirculantGraph, GgpgGraph, expand
 from .metrics import bfs, format_distance, inner_only_distances, outer_only_distance
@@ -272,3 +274,20 @@ def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts, path, row0) -> 
                 f"witness mismatch on {gc.label()}: walk "
                 f"{[gp.vertex_label(v) for v in path]}, FIFO search "
                 f"{[gp.vertex_label(v) for v in want]}")
+
+
+def check_row(gc: CirculantGraph, route: str, facts, path, dist) -> SandwichResult:
+    """A paranoid row's checks, from one _source_vectors pass over every
+    source: the list kernel's vectors (dist), its summary and the row's
+    gap-1 walk (path) against source 0 (_cross_check), then the route's
+    summary (facts, from metrics.row_facts) against the list kernel's, then
+    the sandwich and both diameter shortcuts over the whole pass (_sandwich)."""
+    gp = Adjacency(expand(gc))  # one table for the pass and the FIFO search
+    rows = _source_vectors(gc, gp, gc.n)
+    row0 = next(rows)
+    listed = dist.summary()
+    _cross_check(gc, gp, dist, listed, path, row0)
+    if facts != listed:
+        raise RuntimeError(
+            f"route mismatch on {gc.label()}: {route} {facts}, list kernel {listed}")
+    return _sandwich(gc, gp, itertools.chain([row0], rows))

@@ -10,32 +10,17 @@ Four statements get machine-checked on concrete (n, chords) instances:
   * the gap-2 sufficient conditions (checked as the negation of the
     characterization's conditions, which is the form the argument uses).
 
-verify_instance takes its verdicts from one metrics.InstanceSummary: the
-diameters, V_Dc and the two restricted-path conditions.  Three routes
-produce it, chosen by the generator count m and the ring length n.  An
-m = 2 row (a double loop C_n(1, s)) with n >= metrics.DOUBLE_LOOP_LEVELS_BELOW
-takes metrics.lattice_distances, integer arithmetic on a reduced lattice
-basis with no BFS.  Every other row takes metrics.level_set_summary (n-bit
-level sets) when its circulant has at most metrics.LEVEL_CAP levels, else
-metrics.instance_distances (the offset-arithmetic list kernel), which a
-short double loop never needs: its D <= n / 2 is under the cap.  The thm43
-witnesses of gap-1 rows come from the summary on every route.  All three
-read the GGPG side off the circulant by the spoke identity through one
-rule (metrics._summarize), so a row's bytes never depend on the route,
-and on this path the thm41 and thm42 columns follow from that identity,
-not from an independent search.
-A gap-1 row's diametral path is walked by the identity, with no GGPG
-search (metrics.diametral_path): from the lattice on its route, else from
-metrics.circulant_distances.  What checks them independently is the
-oracle module, which tests and paranoid rows alone import.  Its
-check_thm41 to check_thm44 recompute their statement from list BFS
-alone.  --paranoid (paranoid=True) also runs the list kernel and
-raises unless its summary equals the lattice's or the level sets',
-cross-checks the list kernel and the identity's GGPG vectors against list
-BFS, compares a gap-1 row's walk with a FIFO search over neighbors(), and
-takes the 4.1 verdict and both diameter shortcuts over all pairs, on
-every instance, all from one list-BFS pass held one source at a time
-(oracle._source_vectors): 3n searches, O(n) memory, quadratic time.
+verify_instance takes its verdicts, and a gap-1 row's walked diametral
+path, from metrics.row_facts, which chooses the row's route (lattice,
+level sets or list kernel; see there).  Every route reads the GGPG side
+off the circulant by the spoke identity, so a row's bytes never depend on
+the route, and on this path the thm41 and thm42 columns follow from that
+identity, not from an independent search.  What checks them independently
+is the oracle module, which tests and paranoid rows alone import: its
+check_thm41 to check_thm44 recompute their statement from list BFS alone,
+and under --paranoid (paranoid=True) every row also runs the list kernel
+and oracle.check_row, one list-BFS pass held one source at a time (3n
+searches, O(n) memory, quadratic time).
 
 Rows are validated at the boundaries, once.  verify_instance, the
 public entry, builds its circulant with build_circulant's checks, and the
@@ -60,19 +45,11 @@ import math
 import os
 import random
 import re
+import sys
 from json.encoder import encode_basestring_ascii
 
 from .graph_core import _unchecked_circulant, build_circulant, expand, max_generator
-from .metrics import (
-    DOUBLE_LOOP_LEVELS_BELOW,
-    circulant_distances,
-    diametral_path,
-    format_distance,
-    instance_distances,
-    lattice_distances,
-    level_set_summary,
-    outer_only_distance,
-)
+from .metrics import instance_distances, row_facts
 
 
 class TheoremViolation(RuntimeError):
@@ -137,21 +114,14 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     """Check C_n(1, chords) against its GGPG partner and return the report
     row.  Never raises on findings; see enforce_proven for the abort tier.
 
-    The verdicts come from one metrics.InstanceSummary: the lattice
-    route's for a double loop (one chord) with n >= DOUBLE_LOOP_LEVELS_BELOW,
-    else the level-set route's when the circulant has at most LEVEL_CAP
-    levels, else the list kernel's.
-    Each reads the GGPG diameter off the circulant by the spoke identity,
-    so 4.1 and 4.2 hold on this path by that identity, not by an
-    independent search.  Every row under paranoid also runs the list
-    kernel.  A gap-1 row's diametral path is walked on its lattice (on
-    the lattice route), else on the kernel's vectors or its circulant
-    search alone.
-    Paranoid cross-checks the kernel and the identity against source 0 of
-    one list-BFS pass over every source (oracle._source_vectors: 3n searches),
-    requires the walked path to equal a FIFO search's over neighbors() and
-    the list kernel's summary to equal the faster route's, and checks the
-    sandwich and both diameter shortcuts over the whole pass.
+    The verdicts come from the summary of the row's route
+    (metrics.row_facts), which reads the GGPG diameter off the circulant
+    by the spoke identity, so 4.1 and 4.2 hold on this path by that
+    identity, not by an independent search.  Paranoid also runs the list
+    kernel and oracle.check_row: the kernel, the identity and the walked
+    path against list BFS and a FIFO search, the route's summary against
+    the kernel's, and the sandwich and both diameter shortcuts over every
+    source.
 
     This public entry checks its input with build_circulant and reports
     the checked generators; planned rows skip the checks (_verify_block)."""
@@ -166,40 +136,15 @@ def _verify_row(gc, paranoid: bool = False) -> VerificationReport:
     that is admissible (checked, or planned): n >= 5 and at least one
     chord."""
     n, gens = gc
-    chords = gens[1:]
-    lattice = None
-    if len(chords) == 1 and n >= DOUBLE_LOOP_LEVELS_BELOW:
-        route, lattice = "lattice", lattice_distances(gc)
-        fast = lattice.summary()
-    else:
-        route, fast = "level sets", level_set_summary(gc)
-    facts, dist = fast, None
-    if fast is None or paranoid:
-        dist = instance_distances(gc)
-        facts = dist.summary()
+    dist = instance_distances(gc) if paranoid else None
+    route, facts, path = row_facts(gc, dist)
     d_circ, ecc_u0, ecc_v0, vdc, cond_outer, cond_inner, near = facts
     d_ggpg = max(ecc_u0, ecc_v0)
     gap = d_ggpg - d_circ
-    path = None
-    if gap == 1:
-        # the conj45 witness, walked on d_c(0, x): from the lattice on its
-        # route, else from the circulant search (the list kernel's)
-        circ = (lattice.circ_at if lattice else
-                (dist.circ if dist else circulant_distances(gc)).__getitem__)
-        path = diametral_path(n, chords, d_circ, circ)
-
     if paranoid:
-        from . import oracle  # compiled only by a paranoid row
+        from .oracle import check_row  # compiled only by a paranoid row
 
-        gp = oracle.Adjacency(expand(gc))  # one table for the pass and the FIFO search
-        rows = oracle._source_vectors(gc, gp, n)
-        row0 = next(rows)
-        oracle._cross_check(gc, gp, dist, facts, path, row0)
-        if fast is not None and fast != facts:
-            raise RuntimeError(
-                f"route mismatch on {gc.label()}: {route} {fast}, "
-                f"list kernel {facts}")
-        t41_ok, t41_witness = oracle._sandwich(gc, gp, itertools.chain([row0], rows))
+        t41_ok, t41_witness = check_row(gc, route, facts, path, dist)
     else:
         t41_ok, t41_witness = True, None  # by the spoke identity
     t42_ok = gap in (1, 2)
@@ -226,8 +171,8 @@ def _verify_row(gc, paranoid: bool = False) -> VerificationReport:
             "gap": gap,
             "extremal": [
                 {"i": i,
-                 "outer_only": outer_only_distance(gc, i),
-                 "inner_only": format_distance(d_circ + (i in near)),
+                 "outer_only": min(i, n - i),  # i is in V_Dc, so not 0
+                 "inner_only": str(d_circ + (i in near)),
                  "diameter": d_circ}
                 for i in vdc
             ],
@@ -245,7 +190,7 @@ def _verify_row(gc, paranoid: bool = False) -> VerificationReport:
         }
 
     return VerificationReport(
-        n, tuple(gens), len(chords), d_circ, d_ggpg, gap, vdc, cond_outer, cond_inner,
+        n, tuple(gens), len(gens) - 1, d_circ, d_ggpg, gap, vdc, cond_outer, cond_inner,
         t41_ok, t42_ok, t43_ok, t44_ok, gap == 2, tuple(anomalies), witnesses)
 
 
@@ -316,7 +261,13 @@ def _plan_ring(n: int, m_set, sample_cap: int, sample_size: int, seed: int):
         total = math.comb(max_generator(n) - 1, m - 1)
         if total > sample_cap:
             rng = random.Random(f"{seed}:{n}:{m}")
-            ranks = rng.sample(range(total), min(sample_size, total))
+            k = min(sample_size, total)
+            if total <= sys.maxsize:
+                ranks = rng.sample(range(total), k)
+            else:  # rng.sample takes len() of the range, which overflows here
+                ranks = set()
+                while len(ranks) < k:
+                    ranks.add(rng.randrange(total))
             per_n.extend(_unrank_chord_set(r, n, m) for r in ranks)
         else:
             per_n.extend(chord_sets(n, m))
@@ -334,6 +285,8 @@ def plan_sweep(n_range, m_set, *, sample_cap: int = 100_000,
     (recorded in output headers).  Sampling draws positions in the cell and
     unranks only those, so a cell is never listed whole; random.sample picks
     the same positions from range(total) as it would from the listed cell.
+    A cell of more than sys.maxsize sets, whose range has no len(), draws
+    distinct random.randrange(total) positions instead.
     """
     return list(_plan(n_range, m_set, sample_cap=sample_cap,
                       sample_size=sample_size, seed=seed))

@@ -75,16 +75,16 @@ def lift_path(rep: PathRep, g: CirculantGraph,
               endpoints: tuple[str, str] = (OUTER, OUTER)) -> list[int]:
     """Carry a canonical rep into the expanded GGPG graph.
 
-    Ring steps run on the outer cycle, chord steps on the inner ring, with
-    one boundary spoke where the traversal switches rings and at most one
-    more spoke to land on a requested endpoint side: never more than two
-    spokes total, so the lift is at most rep.length + 2 edges long.
+    Ring steps run on the outer cycle and chord steps on the inner ring, as
+    two legs; a spoke goes in wherever the side changes, and at the end to
+    land on the requested side: never more than two spokes total, so the
+    lift is at most rep.length + 2 edges long.
 
-    For mixed reps the ring-first order suits every side combination except
-    (inner, outer), which would need three spokes; that case runs chords
-    first (descending generator, the mirror image of the canonical order,
-    so it is a path exactly when the canonical realization is) and the ring
-    steps last.
+    The ring leg goes first for every side combination except (inner,
+    outer) with both kinds of move, which would need three spokes; there
+    the chord leg goes first, in descending generator order (the mirror
+    image of the canonical order, so it is a path exactly when the
+    canonical realization is).
     """
     start_side = _side_of(endpoints[0])
     end_side = _side_of(endpoints[1])
@@ -95,63 +95,25 @@ def lift_path(rep: PathRep, g: CirculantGraph,
             f"rep {rep} does not realize a path in {g.label()}; cannot lift")
 
     a = rep.alpha
-    chord_moves = []  # ascending-generator chord offsets
-    for lam, s in zip(rep.lambdas, g.gens[1:]):
-        if lam:
-            chord_moves.extend([s if lam > 0 else -s] * abs(lam))
+    ring = [1 if a > 0 else -1] * abs(a)
+    chords = [s if lam > 0 else -s  # ascending generator order
+              for lam, s in zip(rep.lambdas, g.gens[1:]) for _ in range(abs(lam))]
+    legs = [(OUTER, ring), (INNER, chords)]
+    if ring and chords and (start_side, end_side) == (INNER, OUTER):
+        legs = [(INNER, chords[::-1]), (OUTER, ring)]
 
-    seq: list[int] = []
+    def at(side, v):
+        return h.outer(v) if side == OUTER else h.inner(v)
 
-    def ride_outer(start: int, count: int) -> int:
-        v, step = start, 1 if count > 0 else -1
-        for _ in range(abs(count)):
-            v = (v + step) % n
-            seq.append(h.outer(v))
-        return v
-
-    def ride_inner(start: int, moves) -> int:
-        v = start
+    side, v = start_side, 0
+    seq = [at(side, v)]
+    for leg_side, moves in legs:
+        if moves and leg_side != side:
+            side = leg_side
+            seq.append(at(side, v))
         for off in moves:
             v = (v + off) % n
-            seq.append(h.inner(v))
-        return v
-
-    if not a and not chord_moves:
-        # zero rep: at most the spoke joining the two requested sides
-        first = h.outer(0) if start_side == OUTER else h.inner(0)
-        last = h.outer(0) if end_side == OUTER else h.inner(0)
-        return [first] if first == last else [first, last]
-
-    if a and chord_moves and (start_side, end_side) == (INNER, OUTER):
-        # chords first in mirrored (descending-generator) order, then the
-        # ring: one boundary spoke instead of the three that ring-first
-        # traversal would need here
-        seq.append(h.inner(0))
-        mid = ride_inner(0, list(reversed(chord_moves)))
-        seq.append(h.outer(mid))
-        ride_outer(mid, a)
-        return seq
-
-    if chord_moves and not a:
-        # pure chord rep: the whole traversal lives on the inner ring
-        if start_side == OUTER:
-            seq.append(h.outer(0))
-        seq.append(h.inner(0))
-        last = ride_inner(0, chord_moves)
-        if end_side == OUTER:
-            seq.append(h.outer(last))
-        return seq
-
-    # ring steps first, then any chords, with the boundary spoke between
-    if start_side == INNER:
-        seq.append(h.inner(0))
-    seq.append(h.outer(0))
-    turn = ride_outer(0, a)
-    if chord_moves:
-        seq.append(h.inner(turn))
-        last = ride_inner(turn, chord_moves)
-        if end_side == OUTER:
-            seq.append(h.outer(last))
-    elif end_side == INNER:
-        seq.append(h.inner(turn))
+            seq.append(at(side, v))
+    if side != end_side:
+        seq.append(at(end_side, v))
     return seq

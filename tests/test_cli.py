@@ -12,7 +12,8 @@ import time
 
 import pytest
 
-from loopnet import FamilyParameterError, build_circulant, cli, theorem_lab, verify_instance
+from loopnet import (FamilyParameterError, build_circulant, cli, metrics, theorem_lab,
+                     verify_instance)
 from loopnet.theorem_lab import plan_sweep
 
 
@@ -419,6 +420,28 @@ def test_late_violation_exits_3_with_no_report_byte(argv, jobs, tmp_path,
         assert cli.main([*argv, "--jobs", jobs, *out]) == 3
         captured = capsys.readouterr()
         assert "theorem violation" in captured.err and "n=40" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_ring_too_large_for_memory_exits_2_with_no_file(jobs, tmp_path, monkeypatch,
+                                                          capsys):
+    # a route that runs out of memory on the last ring length, in this
+    # process or in a worker, which pickles the error back
+    real = metrics.level_set_summary
+
+    def starved(g):
+        if g.n == 40:
+            raise MemoryError
+        return real(g)
+
+    monkeypatch.setattr(metrics, "level_set_summary", starved)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for out in (["--out", str(tmp_path / "report.csv")], []):
+        assert cli.main(["verify", "--n", "5..40", "--m", "2,3", "--jobs", jobs, *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory: a ring is too large for this machine\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 

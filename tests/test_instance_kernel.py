@@ -229,7 +229,7 @@ def test_paranoid_checks_the_witness_walk_against_a_fifo_search(monkeypatch):
     def doctored(*args):
         return real(*args)[:-1]
 
-    monkeypatch.setattr(theorem_lab, "diametral_path", doctored)
+    monkeypatch.setattr(metrics, "diametral_path", doctored)
     r = verify_instance(12, (5,))  # the fast path trusts the walk
     assert len(r.witnesses["conj45"]["ggpg_diametral_path"]) == r.d_ggpg
     with pytest.raises(RuntimeError, match=r"witness mismatch on C12\(1,5\): walk "):

@@ -164,7 +164,7 @@ def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
     calls = {"lattice_distances": 0, "level_set_summary": 0, "instance_distances": 0}
 
     def counted(name):
-        real = getattr(theorem_lab, name)
+        real = getattr(metrics, name)
 
         def wrapper(g):
             calls[name] += 1
@@ -172,7 +172,8 @@ def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(theorem_lab, name, counted(name))
+        monkeypatch.setattr(metrics, name, counted(name))
+    monkeypatch.setattr(theorem_lab, "instance_distances", metrics.instance_distances)
     assert [verify_instance(n, c) for n, c in long] == want[:len(long)]
     assert calls == {"lattice_distances": len(long), "level_set_summary": 0,
                      "instance_distances": 0}

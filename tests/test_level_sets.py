@@ -298,7 +298,7 @@ def test_paranoid_runs_each_all_source_bfs_once(monkeypatch):
 def list_route_row(monkeypatch, n, chords):
     """The row as the list kernel alone gives it."""
     with monkeypatch.context() as m:
-        m.setattr(theorem_lab, "level_set_summary", lambda g: None)
+        m.setattr(metrics, "level_set_summary", lambda g: None)
         m.setattr(metrics.LatticeDistances, "summary", lambda self: None)
         return verify_instance(n, chords)
 
@@ -374,13 +374,40 @@ def test_n_1e5_rows_agree_with_list_bfs(chords):
         assert fast is not None and fast.near
 
 
+@pytest.mark.parametrize("n,chords,given,route,probed", [
+    (DOUBLE_LOOP_LEVELS_BELOW - 1, (63,), False, "level sets", True),
+    (DOUBLE_LOOP_LEVELS_BELOW, (63,), False, "lattice", False),
+    (20, (4, 8), False, "level sets", True),
+    (6 * LEVEL_CAP + 1, (2, 3), False, "level sets", True),  # LEVEL_CAP levels
+    (6 * LEVEL_CAP + 2, (2, 3), False, "list kernel", False),  # ring bound over the cap
+    (9, (2, 4), True, "level sets", True),  # gap 1: the walk reads the given vector
+    (6 * LEVEL_CAP + 2, (2, 3), True, "list kernel", False),
+])
+def test_row_facts_picks_the_route(monkeypatch, n, chords, given, route, probed):
+    # the level loop sets up its chord shifts once.  With the list kernel's
+    # distances given (a paranoid row) no search runs; else the list kernel
+    # runs its two, and a gap-1 row on level sets one for its walk
+    g = build_circulant(n, (1,) + chords)
+    dist = instance_distances(g)
+    probes, searches = [], []
+    real_pairs, real_bfs = metrics._shift_pairs, metrics._level_bfs
+    monkeypatch.setattr(metrics, "_shift_pairs", lambda *a: probes.append(a) or real_pairs(*a))
+    monkeypatch.setattr(metrics, "_level_bfs", lambda *a: searches.append(a) or real_bfs(*a))
+    got, facts, path = metrics.row_facts(g, dist if given else None)
+    assert got == route and bool(probes) == probed
+    assert (path is not None) == (facts.d_ggpg - facts.d_circ == 1)
+    assert len(searches) == (0 if given else 2 if route == "list kernel"
+                             else route == "level sets" and path is not None)
+    assert facts == dist.summary()
+
+
 def test_paranoid_compares_the_two_summaries(monkeypatch):
     real = metrics.level_set_summary
 
     def doctored(g):
         return real(g)._replace(v_dc=(1,))
 
-    monkeypatch.setattr(theorem_lab, "level_set_summary", doctored)
+    monkeypatch.setattr(metrics, "level_set_summary", doctored)
     assert verify_instance(20, (4, 8)).extremal_set == (1,)  # trusted when not paranoid
     with pytest.raises(RuntimeError, match="route mismatch on C20"):
         verify_instance(20, (4, 8), paranoid=True)

@@ -214,6 +214,16 @@ def test_plan_sweep_samples_huge_cells_without_listing_them():
                for _, c in plan)
 
 
+def test_plan_sweep_samples_a_cell_past_sys_maxsize():
+    # C(149 998, 4), about 2.1e19 chord sets: its range has no len()
+    n = 300_000
+    plan = plan_sweep(range(n, n + 1), [5], sample_size=5)
+    assert len(set(plan)) == 5 and plan == sorted(plan)
+    assert plan == plan_sweep(range(n, n + 1), [5], sample_size=5)
+    for _, c in plan:  # admissible: build_circulant's checks pass
+        assert tuple(build_circulant(n, (1, *c)).gens) == (1, *c)
+
+
 def test_unranking_matches_chord_sets_rank_by_rank():
     for n in range(5, 41):
         for m in range(2, 6):
