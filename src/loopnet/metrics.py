@@ -124,8 +124,11 @@ ecc(u_0) = D + 1, since d_p(u_0, v_i) = D + 1 on V_Dc).
     finds K.  Chord steps and spokes go one at a time.
 
 A walk thus reads O(path length + log n per ring run) circulant distances:
-from the lattice on its route, else from the list kernel's vector.
-The C_{4k}(1, 2k - 1) witness is a single run, u_0 ... u_{k+1}.
+from the lattice on its route, else from an O(n) vector, the list
+kernel's or circulant_distances' (so every m >= 3 row still holds one).  It
+returns the path as one range per run, so on the lattice route it holds
+O(moves) memory: the C_{4k}(1, 2k - 1) witness, u_0 ... u_{k+1}, is
+(range(0, 1), range(1, k + 2)).
 
 Restricted distances feed the gap characterization: along the outer ring
 only, the distance from 0 to i is min(i, n-i); along chords only it is BFS
@@ -632,12 +635,17 @@ def lattice_distances(g: CirculantGraph) -> LatticeDistances:
 
 # --- the gap-1 witness ---
 
-def diametral_path(n: int, chords, d: int, circ) -> list[int]:
-    """The conj45 witness of a gap-1 row of C_n(1, chords), as GGPG ids
-    (u_i = i, v_i = n + i): the path that a FIFO BFS from u_0 over the
-    sorted neighbors() lists takes to u_t, the least id at distance d + 1,
-    walked with no search (see the module docstring).  d is the
-    circulant's diameter and circ(x) gives d_c(0, x) for x in Z_n.
+def diametral_path(n: int, chords, d: int, circ) -> tuple[range, ...]:
+    """The conj45 witness of a gap-1 row of C_n(1, chords): the path that a
+    FIFO BFS from u_0 over the sorted neighbors() lists takes to u_t, the
+    least id at distance d + 1, walked with no search (see the module
+    docstring).  d is the circulant's diameter and circ(x) gives d_c(0, x)
+    for x in Z_n.
+
+    The path comes back as its runs, in O(moves) memory: a tuple of ranges
+    of GGPG ids (u_i = i, v_i = n + i) whose concatenation is the path,
+    u_0 alone first, then one range per ring run and a one-element range
+    per spoke or chord move.
     """
     t = next(i for i in itertools.count(d + 1) if circ(i) >= d - 1)
 
@@ -645,7 +653,7 @@ def diametral_path(n: int, chords, d: int, circ) -> list[int]:
         x = (t - w) % n
         return min(x, n - x, circ(x) + 2) if w < n else circ(x) + 1
 
-    path, x, r = [0], 0, d + 1
+    runs, x, r = [range(0, 1)], 0, d + 1
     while r:
         if x < n:
             nbrs = [*sorted(((x + 1) % n, (x - 1) % n)), n + x]
@@ -666,13 +674,13 @@ def diametral_path(n: int, chords, d: int, circ) -> list[int]:
                     hi = mid - 1
             # ids need no reduction mod n: no geodesic from u_0 passes it again, and
             # the first step is u_1 (ring(t - 1) = d, or d_c(0, t - 1) <= d - 2)
-            path += range(x + step, x + step * (lo + 1), step)
+            runs.append(range(x + step, x + step * (lo + 1), step))
             r -= lo
         else:
-            path.append(w)
+            runs.append(range(w, w + 1))
             r -= 1
-        x = path[-1]
-    return path
+        x = runs[-1][-1]
+    return tuple(runs)
 
 
 # --- a row's route ---

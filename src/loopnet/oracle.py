@@ -246,8 +246,9 @@ def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts, path, row0) -> 
     """Paranoid tier: the kernel's vectors, and the GGPG vectors and
     eccentricities the spoke identity derives from them, against the list
     BFS vectors of row0, source 0 of _source_vectors; and a gap-1 row's
-    witness walk (path, else None) against a FIFO search over neighbors()
-    from the source that list BFS names as attaining the larger diameter."""
+    witness walk (path: its runs, expanded here; else None) against a FIFO
+    search over neighbors() from the source that list BFS names as
+    attaining the larger diameter."""
     du, dv = dist.ggpg_vectors()
     _, slow_c, slow_u, slow_v = row0
     checks = (("circulant from 0", dist.circ, slow_c),
@@ -269,10 +270,11 @@ def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts, path, row0) -> 
         d = max(ecc)
         src, vec = (gp.outer(0), slow_u) if ecc[0] == d else (gp.inner(0), slow_v)
         want = fifo_path(gp, src, vec.index(d))
-        if path != want:
+        walk = list(itertools.chain.from_iterable(path))
+        if walk != want:
             raise RuntimeError(
                 f"witness mismatch on {gc.label()}: walk "
-                f"{[gp.vertex_label(v) for v in path]}, FIFO search "
+                f"{[gp.vertex_label(v) for v in walk]}, FIFO search "
                 f"{[gp.vertex_label(v) for v in want]}")
 
 

@@ -12,14 +12,16 @@ Four statements get machine-checked on concrete (n, chords) instances:
 
 verify_instance takes its verdicts, and a gap-1 row's walked diametral
 path, from metrics.row_facts, which chooses the row's route (lattice,
-level sets or list kernel; see there).  Every route reads the GGPG side
-off the circulant by the spoke identity, so a row's bytes never depend on
-the route, and on this path the thm41 and thm42 columns follow from that
-identity, not from an independent search.  What checks them independently
-is the oracle module, which tests and paranoid rows alone import: its
-check_thm41 to check_thm44 recompute their statement from list BFS alone,
-and under --paranoid (paranoid=True) every row also runs the list kernel
-and oracle.check_row, one list-BFS pass held one source at a time (3n
+level sets or list kernel; see there), and keeps that path as the walk's
+runs (PathLabels), so neither the row nor its pickle grows with the path's
+length.  Every route reads the GGPG side off the circulant by the spoke
+identity, so a row's bytes never depend on the route, and on this path the
+thm41 and thm42 columns follow from that identity, not from an
+independent search.  What checks them independently is the oracle
+module, which tests and paranoid rows alone import: its check_thm41 to
+check_thm44 recompute their statement from list BFS alone, and under
+--paranoid (paranoid=True) every row also runs the list kernel and
+oracle.check_row, one list-BFS pass held one source at a time (3n
 searches, O(n) memory, quadratic time).
 
 Rows are validated at the boundaries, once.  verify_instance, the
@@ -110,6 +112,56 @@ class VerificationReport(collections.namedtuple("VerificationReport", (
         return rec
 
 
+def _ggpg_label(n: int, v: int) -> str:
+    return f"u{v}" if v < n else f"v{v - n}"
+
+
+class PathLabels:
+    """A gap-1 row's conj45 witness as the GGPG labels of its path (u<i>,
+    v<i>), held as the walk's runs (metrics.diametral_path): O(runs)
+    memory, and it pickles as (n, runs), however long the path.  It reads
+    as the list of its labels: len, iteration, indexing and == against
+    such a list.  _json_text renders it as that list, one join per run;
+    json.dumps needs default=list."""
+
+    __slots__ = ("n", "runs")
+
+    def __init__(self, n: int, runs: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "runs", runs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __reduce__(self):
+        return PathLabels, (self.n, self.runs)
+
+    def __repr__(self) -> str:
+        return f"PathLabels(n={self.n!r}, runs={self.runs!r})"
+
+    def __len__(self) -> int:
+        return sum(map(len, self.runs))
+
+    def __iter__(self):
+        n = self.n
+        return (_ggpg_label(n, v) for v in itertools.chain.from_iterable(self.runs))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        k = i + len(self) if i < 0 else i
+        for run in self.runs:
+            if 0 <= k < len(run):
+                return _ggpg_label(self.n, run[k])
+            k -= len(run)
+        raise IndexError("path label index out of range")
+
+    def __eq__(self, other):  # unhashable, as the lists it equals are
+        if isinstance(other, (list, PathLabels)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+
 def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationReport:
     """Check C_n(1, chords) against its GGPG partner and return the report
     row.  Never raises on findings; see enforce_proven for the abort tier.
@@ -186,7 +238,7 @@ def _verify_row(gc, paranoid: bool = False) -> VerificationReport:
         witnesses["conj45"] = {
             "d_circ": d_circ,
             "d_ggpg": d_ggpg,
-            "ggpg_diametral_path": [f"u{v}" if v < n else f"v{v - n}" for v in path],
+            "ggpg_diametral_path": PathLabels(n, path),
         }
 
     return VerificationReport(
@@ -369,8 +421,9 @@ def _json_text(value, pad: str = "\n") -> str:
     """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
     renders it, with pad ("\n" and the indent of value's own line) in place
     of each newline: one join per dict or list, whose scalar items are
-    rendered in line (strings by json's own ASCII encoder).  A report holds
-    str-keyed dicts, lists, tuples, str, int, bool and None; a float raises
+    rendered in line (strings by json's own ASCII encoder), and one join per
+    run of a PathLabels, rendered as its list.  A report holds str-keyed
+    dicts, lists, tuples, PathLabels, str, int, bool and None; a float raises
     ValueError (as allow_nan=False does for the INF a report never holds),
     any other type TypeError."""
     scalar = _JSON_SCALARS.get
@@ -391,6 +444,16 @@ def _json_text(value, pad: str = "\n") -> str:
         return "[" + inner + ("," + inner).join([
             r(v) if (r := scalar(type(v))) else _json_text(v, inner)
             for v in value]) + pad + "]"
+    if isinstance(value, PathLabels):
+        # as the list of its labels: u<i> and v<i> are ASCII with nothing to
+        # escape, so each run is one join of its indices between the quotes
+        # (f"{i}" formats an int in about two thirds of str(i)'s time)
+        n, items = value.n, []
+        for run in value.runs:
+            side, ids = ("u", run) if run[0] < n else \
+                ("v", range(run.start - n, run.stop - n, run.step))
+            items.append(f'"{side}' + f'",{inner}"{side}'.join([f"{i}" for i in ids]) + '"')
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     raise (ValueError if isinstance(value, float) else TypeError)(
         f"a report holds no {type(value).__name__}: {value!r}")
 

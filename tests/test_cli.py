@@ -314,7 +314,8 @@ def reference_report(fmt, head, reports):
     single json.dumps of the whole payload, from verify_instance rows."""
     if fmt == "json":
         payload = {"header": head, "reports": [r.json_record() for r in reports]}
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=list) + "\n"
     return "".join([f"{head}\n", ",".join(theorem_lab.REPORT_COLUMNS), "\n",
                     *(r.csv_line() for r in reports)])
 

@@ -3,6 +3,9 @@ derives from it, against their oracles: list BFS over neighbors(), the
 chord-only BFS, networkx; and the walked conj45 witness against a
 sorted-neighbour FIFO path search."""
 
+import json
+import pickle
+import tracemalloc
 from collections import deque
 
 import networkx as nx
@@ -137,7 +140,8 @@ def test_walk_equals_fifo_path_on_every_row():
             circ = metrics.lattice_distances(g).circ_at
         else:
             circ = instance_distances(g).circ.__getitem__
-        assert metrics.diametral_path(n, chords, d, circ) == want, (n, chords)
+        runs = metrics.diametral_path(n, chords, d, circ)
+        assert [v for run in runs for v in run] == want, (n, chords)
         shapes.add("".join(dict.fromkeys("u" if v < n else "v" for v in want)))
     assert shapes == {"u", "uv"}  # ring runs alone; runs, spokes and chord steps
 
@@ -151,6 +155,76 @@ def test_conj45_witness_matches_fifo_reference_large(k):
     path = r.witnesses["conj45"]["ggpg_diametral_path"]
     assert len(path) - 1 == r.d_ggpg
     assert path == reference_witness(n, chords)
+
+
+def old_labels(n, chords):
+    """The conj45 witness as rows listed it before they kept the walk's
+    runs: one label per vertex of the walked path."""
+    _, _, runs = metrics.row_facts(build_circulant(n, (1,) + tuple(chords)))
+    path = [v for run in runs for v in run]
+    return [f"u{v}" if v < n else f"v{v - n}" for v in path]
+
+
+def assert_reads_as(labels, want):
+    """A report's label sequence reads, renders and pickles as the list want."""
+    assert labels == want and want == labels and not labels != want
+    assert len(labels) == len(want) and list(labels) == want
+    assert [labels[i] for i in range(-len(want), len(want))] == want + want
+    assert labels[1:-1] == want[1:-1]
+    with pytest.raises(IndexError):
+        labels[len(want)]
+    assert want[:-1] != labels != want + ["u0"]
+    assert theorem_lab._json_text(labels) == json.dumps(want, indent=2)
+    copy = pickle.loads(pickle.dumps(labels))
+    assert type(copy) is type(labels) and copy.runs == labels.runs and copy == want
+
+
+def gap1_witnesses(instances):
+    """(n, chords, the report's label sequence) for each gap-1 row."""
+    for n, chords in instances:
+        r = verify_instance(n, chords)
+        if r.gap == 1:
+            yield n, chords, r.witnesses["conj45"]["ggpg_diametral_path"]
+
+
+def test_labels_equal_the_label_list_on_every_double_loop_to_400():
+    rows = list(gap1_witnesses(plan_sweep(range(5, 401), [2])))
+    for n, chords, labels in rows:
+        assert_reads_as(labels, old_labels(n, chords))
+        assert labels == reference_witness(n, chords), (n, chords)
+    # C_{4k}(1, 2k - 1) for 3 <= k <= 100, C5(1,2), C7(1,2) and C7(1,3)
+    assert len(rows) == 101
+
+
+def test_labels_equal_the_label_list_on_the_grid():
+    rows = list(gap1_witnesses(plan_sweep(range(5, 61), [2, 3])))
+    for n, chords, labels in rows:
+        assert_reads_as(labels, old_labels(n, chords))
+    assert len(rows) == 135
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_labels_equal_the_label_list_on_sampled_triple_loops(seed):
+    rows = list(gap1_witnesses(plan_sweep(range(100, 130), [3], sample_cap=100,
+                                          sample_size=300, seed=seed)))
+    for n, chords, labels in rows:
+        assert_reads_as(labels, old_labels(n, chords))
+        assert labels == reference_witness(n, chords), (n, chords)
+    assert len(rows) >= 30
+
+
+def test_a_long_witness_is_held_in_constant_memory():
+    # C_400000(1, 199999): a 100 002-vertex witness, one ring run
+    verify_instance(4000, (1999,))  # every module the row needs is loaded
+    tracemalloc.start()
+    try:
+        r = verify_instance(400000, (199999,))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(r.witnesses["conj45"]["ggpg_diametral_path"]) == r.d_ggpg + 1 == 100002
+    assert len(pickle.dumps(r)) < 4096
+    assert held < 64 * 1024 and peak < 1024 * 1024, (held, peak)
 
 
 def test_verify_instance_makes_no_neighbors_or_bfs_call(monkeypatch):
@@ -226,11 +300,29 @@ def test_paranoid_cross_check_catches_a_wrong_kernel_vector(monkeypatch):
 def test_paranoid_checks_the_witness_walk_against_a_fifo_search(monkeypatch):
     real = metrics.diametral_path
 
-    def doctored(*args):
-        return real(*args)[:-1]
+    def doctored(*args):  # the walk without its last vertex
+        runs = real(*args)
+        return (*runs[:-1], runs[-1][:-1])
 
     monkeypatch.setattr(metrics, "diametral_path", doctored)
     r = verify_instance(12, (5,))  # the fast path trusts the walk
     assert len(r.witnesses["conj45"]["ggpg_diametral_path"]) == r.d_ggpg
     with pytest.raises(RuntimeError, match=r"witness mismatch on C12\(1,5\): walk "):
         verify_instance(12, (5,), paranoid=True)
+
+
+@pytest.mark.parametrize("n,chords", [(12, (5,)), (40, (19,)), (63, (15, 17))])
+def test_paranoid_fails_a_walk_with_a_ring_run_one_vertex_short(monkeypatch, n, chords):
+    g = build_circulant(n, (1,) + chords)
+    runs = metrics.row_facts(g)[2]
+    rings = [k for k, run in enumerate(runs) if len(run) > 1]
+    assert rings
+    for k in rings:
+        short = (*runs[:k], runs[k][:-1], *runs[k + 1:])
+        monkeypatch.setattr(metrics, "diametral_path", lambda *args: short)
+        verify_instance(n, chords)  # the fast path trusts the walk
+        walk = [f"u{v}" if v < n else f"v{v - n}" for run in short for v in run]
+        with pytest.raises(RuntimeError) as info:
+            verify_instance(n, chords, paranoid=True)
+        assert str(info.value) == (f"witness mismatch on {g.label()}: walk {walk}, "
+                                   f"FIFO search {reference_witness(n, chords)}")

@@ -47,6 +47,7 @@ RECORDS = [
     (REPORT, ("n", "gens", "chord_count", "d_circ", "d_ggpg", "gap", "extremal_set",
               "cond_outer", "cond_inner", "thm41_ok", "thm42_ok", "thm43_ok",
               "thm44_ok", "conj45_holds", "anomalies", "witnesses")),
+    (REPORT.witnesses["conj45"]["ggpg_diametral_path"], ("n", "runs")),
     (PathRep(1, [2]), ("alpha", "lambdas")),
     (Walk(0, [(1, 1), (2, -1)]), ("origin", "steps")),
     (realize(PathRep(1, [2]), G), ("vertices", "is_path")),

@@ -417,14 +417,32 @@ def test_json_writer_carries_witnesses():
     assert "ggpg_diametral_path" in rec["witnesses"]["conj45"]
 
 
+@st.composite
+def path_labels(draw):
+    """A conj45 label sequence over random runs, as diametral_path returns
+    them: u_0 alone, then ring runs either way and one-element ranges on
+    either side."""
+    n, runs = draw(st.integers(5, 10**6)), [range(0, 1)]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            a, k = draw(st.integers(0, n - 1)), draw(st.integers(1, 6))
+            runs.append(draw(st.sampled_from([range(a, min(a + k, n)),
+                                              range(a, max(a - k, -1), -1)])))
+        else:
+            v = draw(st.integers(0, 2 * n - 1))
+            runs.append(range(v, v + 1))
+    return theorem_lab.PathLabels(n, tuple(runs))
+
+
 # what a report may hold: str-keyed dicts, lists and tuples (empty ones
 # too), any str (quotes, backslashes, control characters, lone
-# surrogates), ints of any size and sign, bools and None
+# surrogates), ints of any size and sign, bools, None and conj45 label
+# sequences (which json.dumps renders as lists by default=list)
 JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\r\t\u2028\ud800\udfff\U0001f600')
                     | st.characters(exclude_categories=()))
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
-    | st.integers(max_value=-2**64) | JSON_TEXT,
+    | st.integers(max_value=-2**64) | JSON_TEXT | path_labels(),
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(JSON_TEXT, inner, max_size=4)),
     max_leaves=20)
@@ -433,7 +451,7 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(JSON_VALUES)
 def test_json_text_equals_json_dumps(value):
-    want = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    want = json.dumps(value, indent=2, sort_keys=True, allow_nan=False, default=list)
     assert theorem_lab._json_text(value) == theorem_lab._json_text(value, "\n") == want
     # a record two levels deep, as _render_rows places it
     assert theorem_lab._json_text(value, "\n    ") == want.replace("\n", "\n    ")
