@@ -22,10 +22,11 @@ diameter).
 
 So every verdict fact of a row depends only on D, V_Dc and the class of
 chord(i) on V_Dc: = D, = D + 1 or > D + 1.  _summarize is that rule, the
-one place that turns those facts, as sorted points, into an InstanceSummary.
+one place that turns those facts, as sorted points (the last class only as
+a truth value), into an InstanceSummary.
 
 Four routes compute the same facts; the first three apply the identity,
-and row_facts picks a row's route among them.
+and run_facts picks each row's route among them (row_facts for one row).
 
   * The lattice route, lattice_distances, serves double loops C_n(1, s), the
     m = 2 rows, on rings of DOUBLE_LOOP_LEVELS_BELOW vertices and more
@@ -58,9 +59,9 @@ and row_facts picks a row's route among them.
     operations, with no n-bit set.  The relaxed envelope also
     gives d_c(0, x) at any one x in O(log n): bisect for the centres on
     either side of x, and take the lower of their two tents.
-  * The level-set route, level_set_summary, serves the m >= 3 rows and the
-    double loops on rings shorter than DOUBLE_LOOP_LEVELS_BELOW: every BFS
-    level is an n-bit int and a step +-s is a rotation, so one loop
+  * The level-set route, level_set_summaries, serves the m >= 3 rows and
+    the double loops on rings shorter than DOUBLE_LOOP_LEVELS_BELOW: every
+    BFS level is an n-bit int and a step +-s is a rotation, so one loop
     advances the chord-only ring from 0 a whole level per handful of
     big-int operations (the only n-bit sets in loopnet), and grows the
     circulant's ball from it by ring dilation:
@@ -73,11 +74,13 @@ and row_facts picks a row's route among them.
     C(b) + [-a, a]; in B(d + 1), a term with a >= 1 is a term of B(d)
     moved by one ring step, and one with a = 0 lies in C(d + 1).  So only
     the chords are shifted, once each per level, and the circulant's level
-    costs two one-bit shifts.  It returns only an InstanceSummary (the
+    costs two one-bit shifts.  The loop walks a run of chord sets on one
+    ring (a block's rows of one n, which run_facts hands it whole), sets the
+    ring's constants once, and yields one InstanceSummary per row (the
     diameters, V_Dc, the two restricted-path conditions and the V_Dc
-    vertices at chord-only distance D + 1), and only for instances whose
-    circulant has at most LEVEL_CAP levels: its cost grows with the level
-    count, the list kernel's with n.
+    vertices at chord-only distance D + 1), or None for a row whose
+    circulant has more than LEVEL_CAP levels: its cost grows with the level
+    count, the list kernel's with n.  level_set_summary is its one-row case.
   * The list route, instance_distances: one level-synchronous BFS kernel
     that walks vertex ids by offset arithmetic, with no neighbors() call,
     and returns the circulant and chord-only vectors from 0, from which the
@@ -143,7 +146,7 @@ import itertools
 import math
 from collections import deque, namedtuple
 
-from .graph_core import CirculantGraph
+from .graph_core import CirculantGraph, _unchecked_circulant
 
 INF = math.inf
 
@@ -251,10 +254,12 @@ class InstanceSummary(namedtuple(
         return max(self.ecc_u0, self.ecc_v0)
 
 
-def _summarize(n: int, d: int, vdc, near, far) -> InstanceSummary:
+def _summarize(n: int, d: int, vdc: tuple, near, far) -> InstanceSummary:
     """The one verdict rule: the InstanceSummary of a row whose circulant has
-    diameter d, from the ascending points of V_Dc and of those V_Dc points
-    whose chord-only distance is d + 1 (near) or above it (far).
+    diameter d, from the ascending points of V_Dc (a tuple, kept as it is),
+    those of its points whose chord-only distance is d + 1 (near), and far,
+    which is true when some point's is above d + 1 (its points, or as the
+    level loop gives it, their bit set: no verdict reads more than that).
 
     By the spoke identity, d_p(u_0, v_i) = d_c(0, i) + 1 and d_p(u_0, u_i) =
     min(ring(i), d_c(0, i) + 2), which for i outside V_Dc are at most d + 1
@@ -264,16 +269,16 @@ def _summarize(n: int, d: int, vdc, near, far) -> InstanceSummary:
     ask for ring(i) = chord(i) = d on V_Dc, where both are at least d; as
     V_Dc is symmetric, ring(i) = d on all of it iff it is {d, n - d}.
     """
-    return InstanceSummary(
+    return tuple.__new__(InstanceSummary, (
         d,
         d + 2 if bisect.bisect_right(vdc, d + 1) < bisect.bisect_left(vdc, n - d - 1)
         else d + 1,                                             # ecc_u0
         d + 2 if far else d + 1,                                # ecc_v0
-        tuple(vdc),
+        vdc,
         vdc[0] == d and vdc[-1] == n - d and len(vdc) <= 2,     # cond_outer
         not (near or far),                                      # cond_inner
         tuple(near),
-    )
+    ))
 
 
 class InstanceDistances(namedtuple("InstanceDistances", "circ chord_only")):
@@ -300,7 +305,7 @@ class InstanceDistances(namedtuple("InstanceDistances", "circ chord_only")):
         """The list route's InstanceSummary: V_Dc and its vertices with
         chord-only distance d + 1 and above, read off the vectors."""
         d, chord = max(self.circ), self.chord_only
-        vdc = [i for i, di in enumerate(self.circ) if di == d]
+        vdc = tuple([i for i, di in enumerate(self.circ) if di == d])
         return _summarize(len(self.circ), d, vdc,
                           [i for i in vdc if chord[i] == d + 1],
                           [i for i in vdc if chord[i] > d + 1])
@@ -322,23 +327,24 @@ def instance_distances(g: CirculantGraph) -> InstanceDistances:
 
 # --- the level-set route ---
 
-# Largest circulant eccentricity level_set_summary takes on; m >= 3 rows
-# with more levels go to the list kernel (double loops on short rings never
-# reach it, and longer ones take the lattice route, so the cap governs only
-# m >= 3 rows).  A level costs a few shifts of whole n-bit ints, the list
-# kernel a fixed cost per vertex, so the crossover grows with n.  Level sets
-# over the list kernel's summary, the loop uncapped, ring dilation
+# Largest circulant eccentricity the level loop (level_set_summaries) takes
+# on; m >= 3 rows with more levels go to the list kernel (double loops on
+# short rings never reach it, and longer ones take the lattice route, so the
+# cap governs only m >= 3 rows).  A level costs a few shifts of whole n-bit
+# ints, the list kernel a fixed cost per vertex, so the crossover grows with
+# n.  Level sets over the list kernel's summary, the block loop uncapped
 # (Python 3.11.7, a shared 2-core x86 machine, min of 25 runs at n = 2 000
-# and of 7 at n = 100 000, alternated): at n = 2 000, 0.17x at 104 levels
-# (C(1, 10)), 0.21x-0.29x at 201-202 (C(1, 3, 5), C(1, 5)), 0.29x-0.33x
-# at 334 (C(1, 3), C(1, 2, 3)) and 0.58x at 500 (C(1, 2), the most
-# C_2000(1, s) has); at n = 100 000, 0.07x at 146 (C(1, 3001, 27004)),
-# 0.10x at 250, 0.20x at 550, 0.46x at 850, 0.85x at 1 269, 1.35x at
-# 2 012 and 1.47x at 2 509 (C(1, s) rows).  So 200 levels is well on the
-# winning side at every n, and a cap set from n could reach about 1 500 at
-# n = 100 000.  A row whose ring bound ceil(floor(n / 2) / s_m) is over the
-# cap skips the loop; any other row over it costs the loop LEVEL_CAP levels
-# before it gives up.
+# and of 7 at n = 100 000, alternated): at n = 2 000, 0.16x at 104 levels
+# (C(1, 10)), 0.21x-0.26x at 201-202 (C(1, 3, 5), C(1, 5)), 0.26x-0.31x
+# at 334 (C(1, 3), C(1, 2, 3)) and 0.53x at 500 (C(1, 2), the most
+# C_2000(1, s) has); at n = 100 000, 0.08x at 146 (C(1, 3001, 27004)),
+# 0.09x at 250 (C(1, 299)), 0.19x at 550 (C(1, 99)), 0.46x at 850
+# (C(1, 1694)), 0.87x at 1 269 (C(1, 40)), 1.40x at 2 012 (C(1, 25)) and
+# 1.45x at 2 509 (C(1, 20)).  So 200 levels is well on the winning side at
+# every n, and a cap set from n could reach about 1 500 at n = 100 000.  A
+# row whose ring bound ceil(floor(n / 2) / s_m) is over the cap skips the
+# loop; any other row over it costs the loop LEVEL_CAP levels before it
+# gives up.
 LEVEL_CAP = 200
 
 # Double loops C_n(1, s) with n below this take level sets, the rest the
@@ -363,12 +369,6 @@ LEVEL_CAP = 200
 # half its cost; the shipped grid (n <= 60) lies wholly below.  As D <= n / 2
 # < LEVEL_CAP there, no such row meets the cap.
 DOUBLE_LOOP_LEVELS_BELOW = 128
-
-
-def _shift_pairs(n: int, steps) -> tuple:
-    """(s, n - s) for every step s: the right shifts of x | x << n that
-    rotate the n-bit set x by -s and +s (bits n and up masked off later)."""
-    return tuple((s, n - s) for s in steps)
 
 
 # Ints of at most SHORT_BITS bits _bit_positions scans one set bit per
@@ -416,56 +416,69 @@ def _bit_positions(x: int) -> tuple:
     return tuple(out)
 
 
-def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
-    """The InstanceSummary of C_n(1, chords) from level sets, or None as soon
-    as the circulant needs more than LEVEL_CAP levels: at once when the
-    ring bound D >= ceil(floor(n / 2) / s_m) shows it, else when the loop
-    reaches the cap.
+def level_set_summaries(n: int, chord_sets):
+    """The InstanceSummary of C_n(1, *chords) from level sets for each chords
+    of chord_sets in turn, or None as soon as the circulant needs more than
+    LEVEL_CAP levels: at once when the ring bound D >= ceil(floor(n / 2) /
+    s_m) shows it, else when the loop reaches the cap.  One loop walks the
+    whole run of chord sets on the ring and sets the ring's constants once
+    (level_set_summary is its one-row case).
 
-    One loop advances two n-bit level sets a level per pass: the chord-only
-    ring from 0 by its chords, one level ahead, to d_circ + 1, and the
-    circulant from 0 by ring dilation (module docstring): its level d is
-    its level d - 1 shifted one step either way, joined with the chord
+    Per row, the loop advances two n-bit level sets a level per pass: the
+    chord-only ring from 0 by its chords, one level ahead, to d_circ + 1,
+    and the circulant from 0 by ring dilation (module docstring): its level
+    d is its level d - 1 shifted one step either way, joined with the chord
     ring's level d, less the vertices already reached.  Then V_Dc is the
-    circulant's last level, scanned once for its points, and _summarize's
-    near and far are those points whose bit is set on the chord ring's
-    last level and in its unreached set.
+    circulant's last level, scanned once for its points; _summarize's near
+    are those points whose bit is set on the chord ring's last level, and
+    far the points' bits in its unreached set.
     """
-    if g.gens[0] != 1:
-        raise ValueError(f"level sets need generator 1 in S, got {g.label()}")
-    n = g.n
-    # a step moves at most s_m around the ring, so n // 2 is at least
-    # ceil(n // 2 / s_m) steps from 0: past the cap, the loop need not start
-    if -(-(n // 2) // g.gens[-1]) > LEVEL_CAP:
-        return None
     mask = (1 << n) - 1
-    chords = _shift_pairs(n, g.gens[1:])
-    # circulant frontier and unreached set; 0 is written at both ends of the
-    # ring (bits 0 and n), so that the first ring step reaches 1 and n - 1
-    circ, cu = 1 | 1 << n, mask ^ 1
-    chord, chu = 1, mask ^ 1          # chord-only ring
-    d = 0
-    while True:
-        y, chord = chord | chord << n, 0
-        for s, t in chords:
-            chord |= y >> s | y >> t
-        chord &= chu
-        chu ^= chord
-        if not cu:
-            break
-        if d == LEVEL_CAP:
-            return None
-        d += 1
-        # ring dilation: as C(d - 1) lies in B(d - 1), the new level is the
-        # ring steps of the last one and the chord ring's level d, less the
-        # reached.  Past level 0 the frontier lacks 0, so >> 1 wraps nothing,
-        # and << 1 wraps only n - 1, onto 0, which is reached
-        circ = (circ << 1 | circ >> 1 | chord) & cu
-        cu ^= circ
-    # circ = V_Dc; chord and chu: the chord ring's level d + 1 and the rest
-    vdc = _bit_positions(circ)
-    return _summarize(n, d, vdc, [i for i in vdc if chord >> i & 1],
-                      [i for i in vdc if chu >> i & 1])
+    # 0 is written at both ends of the ring (bits 0 and n), so that the
+    # first ring step reaches 1 and n - 1
+    start, unreached = 1 | 1 << n, mask ^ 1
+    # a step moves at most s_m around the ring, so n // 2 is at least
+    # ceil(n // 2 / s_m) steps from 0: that is over the cap, and the loop
+    # need not start, exactly when s_m < least
+    least, levels = -(-(n // 2) // LEVEL_CAP), range(LEVEL_CAP + 1)
+    for chords in chord_sets:
+        if chords[-1] < least:
+            yield None
+            continue
+        circ, cu = start, unreached     # circulant frontier and unreached set
+        chord, chu = 1, unreached       # chord-only ring
+        for d in levels:  # d: the circulant's levels so far
+            # y >> s and y >> (n - s) rotate the n-bit set by -s and +s
+            # (bits n and up are masked off by chu)
+            y, chord = chord | chord << n, 0
+            for s in chords:
+                chord |= y >> s | y >> (n - s)
+            chord &= chu
+            chu ^= chord
+            if not cu:
+                break
+            # ring dilation: as C(d) lies in B(d), level d + 1 is the ring
+            # steps of level d and the chord ring's level d + 1, less the
+            # reached.  Past level 0 the frontier lacks 0, so >> 1 wraps nothing,
+            # and << 1 wraps only n - 1, onto 0, which is reached
+            circ = (circ << 1 | circ >> 1 | chord) & cu
+            cu ^= circ
+        else:  # past the cap
+            yield None
+            continue
+        # circ = V_Dc; chord and chu: the chord ring's level d + 1 and the
+        # rest, whose V_Dc points are near and far
+        vdc = _bit_positions(circ)
+        yield _summarize(n, d, vdc,
+                         [i for i in vdc if chord >> i & 1] if chord & circ else (),
+                         chu & circ)
+
+
+def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
+    """The level_set_summaries answer for the one row C_n(1, chords)."""
+    if g.gens[0] != 1 or len(g.gens) < 2:
+        raise ValueError(f"level sets need generator 1 and a chord in S, got {g.label()}")
+    return next(level_set_summaries(g.n, (g.gens[1:],)))
 
 
 # --- the lattice route ---
@@ -578,7 +591,7 @@ class LatticeDistances(namedtuple("LatticeDistances", "n s div inv b_form envelo
                     if top > d:
                         d, points = top, []
                     points += [r + div * (z * step % cyc) for z in peaks]
-        vdc = sorted(set(points))  # both segments ending at a centre may list it
+        vdc = tuple(sorted(set(points)))  # both segments ending at a centre may list it
         chord = [self.chord_at(x) for x in vdc]
         return _summarize(n, d, vdc, [x for x, c in zip(vdc, chord) if c == d + 1],
                           [x for x, c in zip(vdc, chord) if c > d + 1])
@@ -685,28 +698,42 @@ def diametral_path(n: int, chords, d: int, circ) -> tuple[range, ...]:
 
 # --- a row's route ---
 
+def run_facts(n: int, chord_sets, dist: InstanceDistances | None = None):
+    """(route, summary, path) of C_n(1, *chords) for each chords of
+    chord_sets, a run of rows on one ring: the one place a row's route is
+    chosen (row_facts is its one-row case).  A double loop with
+    n >= DOUBLE_LOOP_LEVELS_BELOW takes the lattice, any other row level
+    sets, the run's through one level_set_summaries loop, and a row whose
+    route returns None the list kernel.  path is the gap-1 witness
+    (diametral_path), else None, walked on the lattice's d_c where there is
+    one, else on the list kernel's vector, else on a circulant search.
+    dist, the list kernel's distances of a one-row run where the caller has
+    them (a paranoid row), stands in for the kernel and for that vector, so
+    no search runs twice."""
+    # the chord count of the run's rows that take the lattice (0: none)
+    lattice = 1 if n >= DOUBLE_LOOP_LEVELS_BELOW else 0
+    levels = level_set_summaries(
+        n, [c for c in chord_sets if len(c) != lattice] if lattice else chord_sets)
+    for chords in chord_sets:
+        if len(chords) == lattice:
+            lat = lattice_distances(_unchecked_circulant(n, (1, *chords)))
+            route, facts, circ = "lattice", lat.summary(), lat.circ_at
+        else:
+            route, facts, circ = "level sets", next(levels), None
+        kernel = dist
+        if facts is None:
+            if kernel is None:
+                kernel = instance_distances(_unchecked_circulant(n, (1, *chords)))
+            route, facts = "list kernel", kernel.summary()
+        path = None
+        if facts.ecc_u0 == facts.ecc_v0 == facts.d_circ + 1:  # gap 1, as both are >= D + 1
+            if circ is None:
+                circ = (kernel.circ if kernel is not None else circulant_distances(
+                    _unchecked_circulant(n, (1, *chords)))).__getitem__
+            path = diametral_path(n, chords, facts.d_circ, circ)
+        yield route, facts, path
+
+
 def row_facts(g: CirculantGraph, dist: InstanceDistances | None = None) -> tuple:
-    """(route, summary, path) for C_n(1, chords): the one place a row's
-    route is chosen.  A double loop with n >= DOUBLE_LOOP_LEVELS_BELOW takes
-    the lattice, any other row level sets, and a row whose route returns
-    None the list kernel.  path is the gap-1 witness (diametral_path), else
-    None, walked on the lattice's d_c where there is one, else on the list
-    kernel's vector, else on a circulant search.  dist, the list kernel's
-    distances where the caller has them (a paranoid row), stands in for the
-    kernel and for that vector, so no search runs twice."""
-    n, gens = g
-    if len(gens) == 2 and n >= DOUBLE_LOOP_LEVELS_BELOW:
-        route, lattice = "lattice", lattice_distances(g)
-        facts, circ = lattice.summary(), lattice.circ_at
-    else:
-        route, facts, circ = "level sets", level_set_summary(g), None
-    if facts is None:
-        if dist is None:
-            dist = instance_distances(g)
-        route, facts = "list kernel", dist.summary()
-    path = None
-    if facts.ecc_u0 == facts.ecc_v0 == facts.d_circ + 1:  # gap 1, as both are >= D + 1
-        if circ is None:
-            circ = (dist.circ if dist is not None else circulant_distances(g)).__getitem__
-        path = diametral_path(n, gens[1:], facts.d_circ, circ)
-    return route, facts, path
+    """run_facts' (route, summary, path) for the one row C_n(1, chords)."""
+    return next(run_facts(g.n, (g.gens[1:],), dist))

@@ -28,8 +28,10 @@ Rows are validated at the boundaries, once.  verify_instance, the
 public entry, builds its circulant with build_circulant's checks, and the
 CLI checks a --gens row the same way when it plans it; the planner's rows
 (_plan) are admissible by construction.  So the row path, _verify_block,
-builds each graph with graph_core._unchecked_circulant and runs
-_verify_row, the body verify_instance shares, with no check repeated.
+repeats no check: it takes each same-n run's facts from one
+metrics.run_facts pass, which builds no graph for a level-set row, and
+_verify_row, the one record builder, which verify_instance shares, makes
+each row from them (a paranoid row goes through verify_instance whole).
 
 Failures are tiered.  The first two are proved facts, so a violation means
 the implementation is broken: enforce_proven raises with the witness, and
@@ -44,14 +46,15 @@ import bisect
 import collections
 import itertools
 import math
+import operator
 import os
 import random
 import re
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .graph_core import _unchecked_circulant, build_circulant, expand, max_generator
-from .metrics import instance_distances, row_facts
+from .graph_core import build_circulant, expand, max_generator
+from .metrics import instance_distances, row_facts, run_facts
 
 
 class TheoremViolation(RuntimeError):
@@ -176,32 +179,39 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     source.
 
     This public entry checks its input with build_circulant and reports
-    the checked generators; planned rows skip the checks (_verify_block)."""
+    the checked generators; planned rows skip the checks unless paranoid
+    (_verify_block)."""
     gc = build_circulant(n, (1, *chords))
     if len(gc.gens) == 1:
         expand(gc)  # raises: a GGPG partner needs a chord
-    return _verify_row(gc, paranoid)
+    if not paranoid:
+        return _verify_row(gc.n, tuple(gc.gens), *row_facts(gc)[1:])
+    from .oracle import check_row  # compiled only by a paranoid row
 
-
-def _verify_row(gc, paranoid: bool = False) -> VerificationReport:
-    """verify_instance's report row for C_n(1, chords) given as a graph
-    that is admissible (checked, or planned): n >= 5 and at least one
-    chord."""
-    n, gens = gc
-    dist = instance_distances(gc) if paranoid else None
+    dist = instance_distances(gc)
     route, facts, path = row_facts(gc, dist)
+    return _verify_row(gc.n, tuple(gc.gens), facts, path,
+                       check_row(gc, route, facts, path, dist))
+
+
+def _verify_row(n: int, gens: tuple, facts, path,
+                sandwich: tuple | None = None) -> VerificationReport:
+    """The one record builder: the report row of C_n(gens), gens = (1,
+    *chords), from its route's summary (facts) and gap-1 walk (path, else
+    None), as metrics.run_facts gives them, and sandwich, the (ok, witness)
+    of oracle.check_row on a paranoid row; on any other row 4.1 holds by
+    the spoke identity.  A row with no anomaly (4.1 holds, gap 2, not
+    predicted by 4.3's conditions) is built at once."""
     d_circ, ecc_u0, ecc_v0, vdc, cond_outer, cond_inner, near = facts
-    d_ggpg = max(ecc_u0, ecc_v0)
+    d_ggpg = ecc_u0 if ecc_u0 > ecc_v0 else ecc_v0
     gap = d_ggpg - d_circ
-    if paranoid:
-        from .oracle import check_row  # compiled only by a paranoid row
-
-        t41_ok, t41_witness = check_row(gc, route, facts, path, dist)
-    else:
-        t41_ok, t41_witness = True, None  # by the spoke identity
-    t42_ok = gap in (1, 2)
-
+    t41_ok, t41_witness = sandwich or (True, None)
     predicted = cond_outer and cond_inner
+    if gap == 2 and t41_ok and not predicted:
+        return tuple.__new__(VerificationReport, (
+            n, gens, len(gens) - 1, d_circ, d_ggpg, 2, vdc, cond_outer, cond_inner,
+            True, True, True, True, True, (), {}))
+    t42_ok = gap in (1, 2)
     t43_ok = predicted == (gap == 1)
     t44_ok = predicted or gap == 2  # 4.4's conditions fire iff not predicted
 
@@ -242,7 +252,7 @@ def _verify_row(gc, paranoid: bool = False) -> VerificationReport:
         }
 
     return VerificationReport(
-        n, tuple(gens), len(gens) - 1, d_circ, d_ggpg, gap, vdc, cond_outer, cond_inner,
+        n, gens, len(gens) - 1, d_circ, d_ggpg, gap, vdc, cond_outer, cond_inner,
         t41_ok, t42_ok, t43_ok, t44_ok, gap == 2, tuple(anomalies), witnesses)
 
 
@@ -367,19 +377,24 @@ def _verify_block(instances: list, paranoid: bool, fmt: str) -> tuple:
     """One block, in a worker or in-process: verify each row, apply
     enforce_proven (raising on the first violation) and render it in fmt.
     Returns the text, the gap counts and the rows with an anomaly.  Each
-    (n, chords) row must be admissible, as _plan makes them: its graph is
-    built without build_circulant's checks."""
-    gaps, flagged = collections.Counter(), []
+    (n, chords) row must be admissible, as _plan makes them, since nothing
+    here checks it: each run of rows on one ring takes its facts from one
+    metrics.run_facts pass.  A paranoid row goes through verify_instance,
+    whose checks cost nothing beside its quadratic pass."""
+    rows = []
+    for n, run in itertools.groupby(instances, _ring_length):
+        chord_sets = [c for _, c in run]
+        if paranoid:
+            rows += [enforce_proven(verify_instance(n, c, paranoid=True)) for c in chord_sets]
+        else:
+            rows += [enforce_proven(_verify_row(n, (1, *c), facts, path))
+                     for c, (_, facts, path) in zip(chord_sets, run_facts(n, chord_sets))]
+    return (_render_rows(rows, fmt), collections.Counter(map(_gap, rows)),
+            [r for r in rows if r.anomalies])
 
-    def checked():
-        for n, c in instances:
-            r = enforce_proven(_verify_row(_unchecked_circulant(n, (1, *c)), paranoid))
-            gaps[r.gap] += 1
-            if r.anomalies:
-                flagged.append(r)
-            yield r
 
-    return _render_rows(checked(), fmt), gaps, flagged
+_ring_length = operator.itemgetter(0)  # of an (n, chords) row
+_gap = operator.attrgetter("gap")
 
 
 def run_instances(instances, *, paranoid: bool = False, jobs: int = 1,
@@ -462,7 +477,7 @@ def _render_rows(reports, fmt: str) -> str:
     """Report rows as text: CSV lines, or JSON records two levels deep,
     each led by ",\n    "."""
     if fmt == "csv":
-        return "".join(r.csv_line() for r in reports)
+        return "".join([r.csv_line() for r in reports])
     return "".join([",\n    " + _json_text(r.json_record(), "\n    ") for r in reports])
 
 

@@ -297,8 +297,8 @@ def test_proved_violation_exits_3_before_writing(argv, tmp_path, monkeypatch,
                                                  capsys):
     real = theorem_lab._verify_row
 
-    def broken(gc, paranoid=False):
-        return real(gc)._replace(thm41_ok=False)
+    def broken(*args):
+        return real(*args)._replace(thm41_ok=False)
 
     monkeypatch.setattr(theorem_lab, "_verify_row", broken)
     assert cli.main([*argv, "--out", str(tmp_path / "report.csv")]) == 3
@@ -389,9 +389,9 @@ def test_a_violation_inside_a_block_exits_3_naming_its_row(jobs, tmp_path,
     first, later = inst[7 * 4 + 3], inst[7 * 9 + 5]  # mid-block rows
     real = theorem_lab._verify_row
 
-    def broken(gc, paranoid=False):
-        r = real(gc, paranoid)
-        return r._replace(thm41_ok=False) if (gc.n, gc.gens[1:]) in (first, later) else r
+    def broken(*args):
+        r = real(*args)
+        return r._replace(thm41_ok=False) if (r.n, r.gens[1:]) in (first, later) else r
 
     monkeypatch.setattr(theorem_lab, "_verify_row", broken)
     n, chords = first
@@ -412,9 +412,9 @@ def test_late_violation_exits_3_with_no_report_byte(argv, jobs, tmp_path,
     real = theorem_lab._verify_row
     last = plan_sweep(range(5, 41), [2, 3])[-1]
 
-    def broken(gc, paranoid=False):
-        r = real(gc, paranoid)
-        return r._replace(thm42_ok=False) if (gc.n, gc.gens[1:]) == last else r
+    def broken(*args):
+        r = real(*args)
+        return r._replace(thm42_ok=False) if (r.n, r.gens[1:]) == last else r
 
     monkeypatch.setattr(theorem_lab, "_verify_row", broken)
     for out in (["--out", str(tmp_path / "report.out")], []):
@@ -430,14 +430,14 @@ def test_a_ring_too_large_for_memory_exits_2_with_no_file(jobs, tmp_path, monkey
                                                           capsys):
     # a route that runs out of memory on the last ring length, in this
     # process or in a worker, which pickles the error back
-    real = metrics.level_set_summary
+    real = metrics.level_set_summaries
 
-    def starved(g):
-        if g.n == 40:
+    def starved(n, chord_sets):
+        if n == 40:
             raise MemoryError
-        return real(g)
+        return real(n, chord_sets)
 
-    monkeypatch.setattr(metrics, "level_set_summary", starved)
+    monkeypatch.setattr(metrics, "level_set_summaries", starved)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for out in (["--out", str(tmp_path / "report.csv")], []):
         assert cli.main(["verify", "--n", "5..40", "--m", "2,3", "--jobs", jobs, *out]) == 2
@@ -642,9 +642,9 @@ def test_a_worker_violation_is_reported_once_by_the_command(to_file, tmp_path):
     # a worker never returns into cli.main: its violation reaches stderr once
     n, chords = plan_sweep(range(5, 25), [2, 3])[7 * 5 + 3]
     patch = (f"real = theorem_lab._verify_row\n"
-             f"def broken(gc, paranoid=False):\n"
-             f"    r = real(gc, paranoid)\n"
-             f"    return r._replace(thm41_ok=False) if (gc.n, gc.gens[1:]) == {(n, chords)!r} else r\n"
+             f"def broken(*args):\n"
+             f"    r = real(*args)\n"
+             f"    return r._replace(thm41_ok=False) if (r.n, r.gens[1:]) == {(n, chords)!r} else r\n"
              f"theorem_lab._verify_row = broken\n"
              f"theorem_lab.BLOCK_ROWS = 7\n")
     out = ["--out", str(tmp_path / "report.csv")] if to_file else []

@@ -161,24 +161,24 @@ def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
     short = [(12, (5,)), (9, (2,)), (7, (3,)), (DOUBLE_LOOP_LEVELS_BELOW - 1, (63,)),
              (20, (4, 8))]
     want = [verify_instance(n, c) for n, c in long + short]
-    calls = {"lattice_distances": 0, "level_set_summary": 0, "instance_distances": 0}
+    calls = {"lattice_distances": 0, "level_set_summaries": 0, "instance_distances": 0}
 
-    def counted(name):
+    def counted(name):  # the rows each function is handed
         real = getattr(metrics, name)
 
-        def wrapper(g):
-            calls[name] += 1
-            return real(g)
+        def wrapper(*args):
+            calls[name] += len(args[1]) if name == "level_set_summaries" else 1
+            return real(*args)
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(metrics, name, counted(name))
     monkeypatch.setattr(theorem_lab, "instance_distances", metrics.instance_distances)
     assert [verify_instance(n, c) for n, c in long] == want[:len(long)]
-    assert calls == {"lattice_distances": len(long), "level_set_summary": 0,
+    assert calls == {"lattice_distances": len(long), "level_set_summaries": 0,
                      "instance_distances": 0}
     assert [verify_instance(n, c) for n, c in short] == want[len(long):]
-    assert calls == {"lattice_distances": len(long), "level_set_summary": len(short),
+    assert calls == {"lattice_distances": len(long), "level_set_summaries": len(short),
                      "instance_distances": 0}
     assert verify_instance(12, (5,), paranoid=True) == want[len(long)]
     assert verify_instance(132, (65,), paranoid=True) == want[1]

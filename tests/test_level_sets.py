@@ -123,15 +123,48 @@ def test_paranoid_catches_a_wrong_eccentricity_rule(monkeypatch):
         verify_instance(20, (4, 8), paranoid=True)
 
 
+class LostChords(tuple):
+    """A chord tuple that reads as itself but walks as no chord: the level
+    loop takes a row's ring bound from chords[-1] and its shifts from walks
+    over its chords."""
+
+    def __iter__(self):
+        return iter(())
+
+
+def loop_entries(monkeypatch, log):
+    """From now on the level loop logs n for each row it enters: it walks a
+    row's chords on each level it runs, and never a row whose ring bound
+    keeps it out; the first walk logs the row."""
+    real = metrics.level_set_summaries
+
+    class Logged(tuple):
+        entered = False
+
+        def __iter__(self):
+            if not self.entered:
+                self.entered = True
+                log.append(self.n)
+            return super().__iter__()
+
+    def logged(n, chord_sets):
+        chord_sets = [Logged(c) for c in chord_sets]
+        for c in chord_sets:
+            c.n = n
+        return real(n, chord_sets)
+
+    monkeypatch.setattr(metrics, "level_set_summaries", logged)
+
+
 def test_paranoid_catches_a_circulant_that_loses_its_chords(monkeypatch):
     g = build_circulant(20, (1, 4, 8))
     want = verify_instance(20, (4, 8))
-    real = metrics._shift_pairs
+    real = metrics.level_set_summaries
 
-    def ring_only(n, steps):  # the chord ring, and so the circulant, loses (4, 8)
-        return real(n, ()) if tuple(steps) == (4, 8) else real(n, steps)
+    def ring_only(n, chord_sets):  # the chord ring, and so the circulant, loses (4, 8)
+        return real(n, [LostChords(c) if c == (4, 8) else c for c in chord_sets])
 
-    monkeypatch.setattr(metrics, "_shift_pairs", ring_only)
+    monkeypatch.setattr(metrics, "level_set_summaries", ring_only)
     broken = level_set_summary(g)
     assert broken.d_circ == 10 != want.d_circ
     assert verify_instance(20, (4, 8)) != want  # trusted when not paranoid
@@ -158,13 +191,7 @@ def test_the_level_loop_is_its_own_cap_probe(monkeypatch):
             (6 * LEVEL_CAP + 1, (2, 3)), (6 * LEVEL_CAP + 2, (2, 3))]
     want = [list_route_row(monkeypatch, n, c) for n, c in wide]
     searches = []
-    real = metrics._shift_pairs
-
-    def counting(n, steps):
-        searches.append(n)
-        return real(n, steps)
-
-    monkeypatch.setattr(metrics, "_shift_pairs", counting)
+    loop_entries(monkeypatch, searches)
     assert [next(csv.reader([verify_instance(n, c).csv_line()])) for n, c in grid] == \
         shipped_rows()
     assert [verify_instance(n, c) for n, c in wide] == want
@@ -298,7 +325,7 @@ def test_paranoid_runs_each_all_source_bfs_once(monkeypatch):
 def list_route_row(monkeypatch, n, chords):
     """The row as the list kernel alone gives it."""
     with monkeypatch.context() as m:
-        m.setattr(metrics, "level_set_summary", lambda g: None)
+        m.setattr(metrics, "level_set_summaries", lambda n, sets: (None for _ in sets))
         m.setattr(metrics.LatticeDistances, "summary", lambda self: None)
         return verify_instance(n, chords)
 
@@ -374,6 +401,22 @@ def test_n_1e5_rows_agree_with_list_bfs(chords):
         assert fast is not None and fast.near
 
 
+def test_the_loop_runs_past_the_cap_at_n_1e5(monkeypatch):
+    # two double loops (which row_facts sends to the lattice) as probes of
+    # the loop itself at n = 10^5: past LEVEL_CAP levels it gives up, within
+    # the ring bound (C(1, 299), D = 250) or at once (C(1, 99), D = 550),
+    # and with the cap raised it runs both, in one run, to the list
+    # kernel's summaries
+    n, rows = N_1E5, [(299,), (99,)]
+    listed = [instance_distances(build_circulant(n, (1, *c))).summary() for c in rows]
+    assert [facts.d_circ for facts in listed] == [250, 550]
+    assert [-(-(n // 2) // c[-1]) <= LEVEL_CAP for c in rows] == [True, False]
+    assert list(metrics.level_set_summaries(n, rows)) == [None, None]
+    monkeypatch.setattr(metrics, "LEVEL_CAP", 10 ** 6)
+    assert list(metrics.level_set_summaries(n, rows)) == listed
+    assert [level_set_summary(build_circulant(n, (1, *c))) for c in rows] == listed
+
+
 @pytest.mark.parametrize("n,chords,given,route,probed", [
     (DOUBLE_LOOP_LEVELS_BELOW - 1, (63,), False, "level sets", True),
     (DOUBLE_LOOP_LEVELS_BELOW, (63,), False, "lattice", False),
@@ -390,8 +433,8 @@ def test_row_facts_picks_the_route(monkeypatch, n, chords, given, route, probed)
     g = build_circulant(n, (1,) + chords)
     dist = instance_distances(g)
     probes, searches = [], []
-    real_pairs, real_bfs = metrics._shift_pairs, metrics._level_bfs
-    monkeypatch.setattr(metrics, "_shift_pairs", lambda *a: probes.append(a) or real_pairs(*a))
+    real_bfs = metrics._level_bfs
+    loop_entries(monkeypatch, probes)
     monkeypatch.setattr(metrics, "_level_bfs", lambda *a: searches.append(a) or real_bfs(*a))
     got, facts, path = metrics.row_facts(g, dist if given else None)
     assert got == route and bool(probes) == probed
@@ -402,12 +445,12 @@ def test_row_facts_picks_the_route(monkeypatch, n, chords, given, route, probed)
 
 
 def test_paranoid_compares_the_two_summaries(monkeypatch):
-    real = metrics.level_set_summary
+    real = metrics.level_set_summaries
 
-    def doctored(g):
-        return real(g)._replace(v_dc=(1,))
+    def doctored(n, chord_sets):
+        return (facts._replace(v_dc=(1,)) for facts in real(n, chord_sets))
 
-    monkeypatch.setattr(metrics, "level_set_summary", doctored)
+    monkeypatch.setattr(metrics, "level_set_summaries", doctored)
     assert verify_instance(20, (4, 8)).extremal_set == (1,)  # trusted when not paranoid
     with pytest.raises(RuntimeError, match="route mismatch on C20"):
         verify_instance(20, (4, 8), paranoid=True)

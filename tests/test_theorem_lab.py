@@ -313,6 +313,35 @@ def test_run_instances_parallel_order_matches_serial(monkeypatch):
     assert all(r[9] == r[10] == "true" for r in rows)  # thm41, thm42
 
 
+# rows whose blocks run metrics.run_facts over same-n runs that mix routes
+BLOCK_RUNS = {
+    "shipped grid": plan_sweep(range(5, 61), [2, 3]),
+    # the three-chord loop, as the sampled-m4 benchmark draws it
+    "sampled m4": plan_sweep(range(500, 505), [4], sample_size=20, seed=7),
+    # DOUBLE_LOOP_LEVELS_BELOW = 128: from there the runs' double loops
+    # take the lattice between level-set rows
+    "double-loop boundary": plan_sweep(range(126, 130), [2, 3]),
+    # C1201(1, 2, 3) has LEVEL_CAP levels, C1202(1, 2, 3) one more: a row
+    # that leaves the loop for the list kernel amid level-set and lattice rows
+    "cap sides": [(1201, (2, 3)), (1201, (7, 600)), (1201, (600,)), (1202, (2, 3)),
+                  (1202, (5,)), (1202, (9, 500))],
+    # one row the loop gives up on after LEVEL_CAP levels, within its ring
+    # bound (D = 201), then one it keeps (D = 146)
+    "past the cap at n = 1e5": [(100000, (402, 404)), (100000, (3001, 27004))],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", BLOCK_RUNS.values(), ids=BLOCK_RUNS)
+def test_a_block_equals_its_rows_one_at_a_time(rows, fmt):
+    want = [verify_instance(n, c) for n, c in rows]
+    got = [theorem_lab._verify_block(b, False, fmt) for b in theorem_lab._blocks(rows)]
+    assert "".join(t for t, _, _ in got) == theorem_lab._render_rows(want, fmt)
+    assert sum((g for _, g, _ in got), collections.Counter()) == \
+        collections.Counter(r.gap for r in want)
+    assert [r for _, _, f in got for r in f] == [r for r in want if r.anomalies]
+
+
 def test_allpairs_and_paranoid_catch_a_sandwich_violation_off_source_0(monkeypatch):
     # d_p(u_5, u_8) doctored to 0 < d_c(5, 8): no eccentricity grows, so
     # only the sandwich over source 5's row can see it
