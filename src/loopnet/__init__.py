@@ -26,13 +26,13 @@ _HOMES = {
         "render_rep", "shortest_rep", "shortest_rep_table",
     ),
     "metrics": (
-        "INF", "InstanceSummary", "bfs", "format_distance", "inner_only_distances",
-        "instance_distances", "lattice_distances", "level_set_summary",
-        "outer_only_distance",
+        "INF", "InstanceSummary", "instance_distances", "lattice_distances",
+        "level_set_summary",
     ),
     "oracle": (
-        "check_thm41", "check_thm42", "check_thm43", "check_thm44",
+        "bfs", "check_thm41", "check_thm42", "check_thm43", "check_thm44",
         "diameter_circulant", "diameter_ggpg", "eccentricity", "extremal_vertices",
+        "format_distance", "inner_only_distances", "outer_only_distance",
     ),
     "transforms": ("contract_spokes", "lift_path", "project_path"),
     "theorem_lab": ("TheoremViolation", "VerificationReport", "verify_instance"),

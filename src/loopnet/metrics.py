@@ -1,4 +1,4 @@
-"""Exact distances, eccentricities, diameters, and restricted distances.
+"""The row routes: distances by the spoke identity, and the gap-1 witness walk.
 
 The spoke identity ties every GGPG distance from u_0 and v_0 to the
 circulant.  With ring(i) = min(i, n - i) and chord(i) the chord-only
@@ -84,12 +84,12 @@ and run_facts picks each row's route among them (row_facts for one row).
   * The list route, instance_distances: one level-synchronous BFS kernel
     that walks vertex ids by offset arithmetic, with no neighbors() call,
     and returns the circulant and chord-only vectors from 0, from which the
-    identity gives both GGPG vectors (ggpg_vectors).  Its summary() reads
-    the same points off the vectors for _summarize.  It serves the m >= 3
-    rows over the cap, and is the oracle both faster routes are checked
-    against under --paranoid.
-  * The oracle route: bfs, defined here, over a graph's neighbors(), and
-    the diameter helpers and statement checks built on it in the oracle
+    identity gives both GGPG vectors (oracle.ggpg_vectors).  Its summary()
+    reads the same points off the vectors for _summarize.  It serves the
+    m >= 3 rows over the cap, and is the oracle both faster routes are
+    checked against under --paranoid.
+  * The oracle route: list BFS over a graph's neighbors() (oracle.bfs),
+    the restricted distances and the statement checks, all in the oracle
     module, which no non-paranoid row imports.  It never uses the
     identity: tests and --paranoid check the list kernel and the
     identity's vectors against it element by element, and the fast
@@ -132,11 +132,6 @@ kernel's or circulant_distances' (so every m >= 3 row still holds one).  It
 returns the path as one range per run, so on the lattice route it holds
 O(moves) memory: the C_{4k}(1, 2k - 1) witness, u_0 ... u_{k+1}, is
 (range(0, 1), range(1, k + 2)).
-
-Restricted distances feed the gap characterization: along the outer ring
-only, the distance from 0 to i is min(i, n-i); along chords only it is BFS
-on the chord subgraph, with an explicit infinity for unreachable vertices
-(chords sharing a divisor with n cannot leave a residue class).
 """
 
 from __future__ import annotations
@@ -144,52 +139,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .graph_core import CirculantGraph, _unchecked_circulant
 
 INF = math.inf
-
-
-def format_distance(d) -> str:
-    """Serialize a hop count; infinity becomes the literal string inf."""
-    return "inf" if d == INF else str(int(d))
-
-
-def _bfs_levels(neighbor_fn, num_vertices: int, src: int) -> list:
-    dist = [INF] * num_vertices
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in neighbor_fn(u):
-            if dist[w] is INF:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
-
-
-def bfs(g, src: int) -> tuple:
-    """Exact unweighted distances from src in either family (or its
-    oracle.Adjacency table), indexed by vertex id; INF marks unreachable
-    vertices."""
-    g.check_vertex(src)
-    return tuple(_bfs_levels(g.neighbors, g.num_vertices, src))
-
-
-def outer_only_distance(g: CirculantGraph, i: int) -> int:
-    """Distance from 0 to i using generator-1 edges only: the shorter arc."""
-    g.check_vertex(i)
-    return min(i, g.n - i) if i else 0
-
-
-def inner_only_distances(g: CirculantGraph) -> tuple:
-    """Distances from 0 in the chord-only subgraph (generators after the
-    first).  INF where no chord walk reaches."""
-    chords, n = g.gens[1:], g.n
-    return tuple(_bfs_levels(
-        lambda v: [(v + sign * s) % n for s in chords for sign in (1, -1)], n, 0))
 
 
 # --- the one-pass instance kernel ---
@@ -286,20 +240,10 @@ class InstanceDistances(namedtuple("InstanceDistances", "circ chord_only")):
 
     circ[i] = d_c(0, i); chord_only[i] is the chord-subgraph distance from
     0 (INF when unreachable).  Every GGPG distance from u_0 and v_0 follows
-    from these two by the spoke identity (ggpg_vectors).
+    from these two by the spoke identity (oracle.ggpg_vectors).
     """
 
     __slots__ = ()
-
-    def ggpg_vectors(self) -> tuple[list, list]:
-        """d_p(u_0, x) and d_p(v_0, x) over GGPG ids x, by the spoke identity:
-        d_p(u_0, v_i) = d_p(v_0, u_i) = d_c(0, i) + 1, d_p(u_0, u_i) =
-        min(ring(i), d_c(0, i) + 2), d_p(v_0, v_i) = min(chord(i), d_c(0, i) + 2)."""
-        n = len(self.circ)
-        spoke = [d + 1 for d in self.circ]
-        ring = [min(i, n - i, d + 2) for i, d in enumerate(self.circ)]
-        chord = [min(c, d + 2) for c, d in zip(self.chord_only, self.circ)]
-        return ring + spoke, spoke + chord
 
     def summary(self) -> InstanceSummary:
         """The list route's InstanceSummary: V_Dc and its vertices with
@@ -737,3 +681,13 @@ def run_facts(n: int, chord_sets, dist: InstanceDistances | None = None):
 def row_facts(g: CirculantGraph, dist: InstanceDistances | None = None) -> tuple:
     """run_facts' (route, summary, path) for the one row C_n(1, chords)."""
     return next(run_facts(g.n, (g.gens[1:],), dist))
+
+
+def __getattr__(name):
+    # benchmarks/tracer.py still wraps these two as loopnet.metrics names;
+    # they read through to the oracle tier, imported on first lookup.  This
+    # goes when the tracer is pointed at the layers that run (ROADMAP item 1).
+    if name in ("bfs", "inner_only_distances"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

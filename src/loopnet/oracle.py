@@ -1,13 +1,18 @@
 """The oracle tier: list BFS over neighbors(), and every check built on it.
 
-Nothing here computes a distance by the spoke identity, the lattice, the
-level sets or the list kernel.  Each function recomputes its answer by
-list BFS (metrics.bfs, over a graph's own neighbors() lists), so it is
-the independent reference the fast routes of metrics and
-theorem_lab.verify_instance are checked against; _cross_check only reads
-a row's fast vectors to compare them with it.  Only --paranoid rows
-(verify_instance(..., paranoid=True)), the diameter command and tests
-import this module; no other row compiles it.
+Nothing here computes a distance by the lattice, the level sets or the
+list kernel.  Each function recomputes its answer by list BFS (bfs, over
+a graph's own neighbors() lists), so it is the independent reference the
+fast routes of metrics and theorem_lab.verify_instance are checked
+against; _cross_check only reads a row's fast vectors and their GGPG
+vectors (ggpg_vectors) to compare them with it.  Only --paranoid rows,
+the diameter command and tests import this module; no other row compiles it.
+
+Restricted distances feed the gap characterization: along the outer ring
+only, the distance from 0 to i is min(i, n-i) (outer_only_distance); along
+chords only it is BFS on the chord subgraph (inner_only_distances), with
+an explicit infinity for unreachable vertices (chords sharing a divisor
+with n cannot leave a residue class).
 
 Diameters use symmetry shortcuts by default: a circulant looks the same
 from every vertex (rotation i -> i+1 is an automorphism), so one BFS from
@@ -31,7 +36,58 @@ import collections
 import itertools
 
 from .graph_core import CirculantGraph, GgpgGraph, expand
-from .metrics import bfs, format_distance, inner_only_distances, outer_only_distance
+from .metrics import INF
+
+
+def format_distance(d) -> str:
+    """Serialize a hop count; infinity becomes the literal string inf."""
+    return "inf" if d == INF else str(int(d))
+
+
+def _bfs_levels(neighbor_fn, num_vertices: int, src: int) -> list:
+    dist = [INF] * num_vertices
+    dist[src] = 0
+    queue = collections.deque([src])
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        for w in neighbor_fn(u):
+            if dist[w] is INF:
+                dist[w] = du + 1
+                queue.append(w)
+    return dist
+
+
+def bfs(g, src: int) -> tuple:
+    """Exact unweighted distances from src in either family (or its Adjacency
+    table), indexed by vertex id; INF marks unreachable vertices."""
+    g.check_vertex(src)
+    return tuple(_bfs_levels(g.neighbors, g.num_vertices, src))
+
+
+def outer_only_distance(g: CirculantGraph, i: int) -> int:
+    """Distance from 0 to i using generator-1 edges only: the shorter arc."""
+    g.check_vertex(i)
+    return min(i, g.n - i) if i else 0
+
+
+def inner_only_distances(g: CirculantGraph) -> tuple:
+    """Distances from 0 in the chord-only subgraph (generators after the
+    first).  INF where no chord walk reaches."""
+    chords, n = g.gens[1:], g.n
+    return tuple(_bfs_levels(
+        lambda v: [(v + sign * s) % n for s in chords for sign in (1, -1)], n, 0))
+
+
+def ggpg_vectors(dist) -> tuple[list, list]:
+    """d_p(u_0, x) and d_p(v_0, x) over GGPG ids x from the list kernel's dist,
+    by the spoke identity, d_c = d_c(0, i): d_p(u_0, v_i) = d_p(v_0, u_i) = d_c + 1,
+    d_p(u_0, u_i) = min(ring(i), d_c + 2) and d_p(v_0, v_i) = min(chord(i), d_c + 2)."""
+    n = len(dist.circ)
+    spoke = [d + 1 for d in dist.circ]
+    ring = [min(i, n - i, d + 2) for i, d in enumerate(dist.circ)]
+    chord = [min(c, d + 2) for c, d in zip(dist.chord_only, dist.circ)]
+    return ring + spoke, spoke + chord
 
 
 class Adjacency:
@@ -249,7 +305,7 @@ def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts, path, row0) -> 
     witness walk (path: its runs, expanded here; else None) against a FIFO
     search over neighbors() from the source that list BFS names as
     attaining the larger diameter."""
-    du, dv = dist.ggpg_vectors()
+    du, dv = ggpg_vectors(dist)
     _, slow_c, slow_u, slow_v = row0
     checks = (("circulant from 0", dist.circ, slow_c),
               ("chord-only from 0", dist.chord_only, inner_only_distances(gc)),

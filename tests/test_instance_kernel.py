@@ -81,7 +81,7 @@ def test_kernel_vectors_match_list_bfs_and_networkx(data):
     g = build_circulant(n, [1] + chords)
     h = expand(g)
     dist = instance_distances(g)
-    from_u0, from_v0 = dist.ggpg_vectors()  # by the spoke identity
+    from_u0, from_v0 = oracle.ggpg_vectors(dist)  # by the spoke identity
     chord_ring = build_circulant(n, chords)
     expected = (
         (dist.circ, bfs(g, 0), nx_distances(g, 0)),
@@ -89,8 +89,8 @@ def test_kernel_vectors_match_list_bfs_and_networkx(data):
         (from_v0, bfs(h, h.inner(0)), nx_distances(h, h.inner(0))),
         (dist.chord_only, inner_only_distances(g), nx_distances(chord_ring, 0)),
     )
-    for fast, listed, oracle in expected:
-        assert tuple(fast) == listed == oracle
+    for fast, listed, by_networkx in expected:
+        assert tuple(fast) == listed == by_networkx
 
 
 @pytest.mark.parametrize("n,chords", [(9, (2,)), (12, (5,)), (17, (2, 5, 8)),
@@ -155,6 +155,25 @@ def test_conj45_witness_matches_fifo_reference_large(k):
     path = r.witnesses["conj45"]["ggpg_diametral_path"]
     assert len(path) - 1 == r.d_ggpg
     assert path == reference_witness(n, chords)
+
+
+@pytest.mark.parametrize("js", [range(2, 41), [158]], ids=["j=2..40", "j=158"])
+def test_the_m3_gap1_family_on_level_sets(js):
+    # C_{4j^2}(1, 2j + 1, 2j^2 - 1) has gap 1 and D = j + 1; at j = 158,
+    # n = 99 856 and D = 159 is still within LEVEL_CAP.  Level sets decide
+    # each row, and its walk equals a FIFO search over the GGPG's neighbors()
+    for j in js:
+        n, chords = 4 * j * j, (2 * j + 1, 2 * j * j - 1)
+        g = build_circulant(n, (1,) + chords)
+        r = verify_instance(n, chords)
+        assert (r.gap, r.d_circ) == (1, j + 1), j
+        route, facts, runs = metrics.row_facts(g)
+        assert route == "level sets" and facts == instance_distances(g).summary(), j
+        h = expand(g)
+        want = oracle.fifo_path(h, h.outer(0), oracle.bfs(h, h.outer(0)).index(j + 2))
+        assert [v for run in runs for v in run] == want, j
+        assert r.witnesses["conj45"]["ggpg_diametral_path"] == \
+            [h.vertex_label(v) for v in want], j
 
 
 def old_labels(n, chords):
@@ -233,9 +252,8 @@ def test_verify_instance_makes_no_neighbors_or_bfs_call(monkeypatch):
 
     monkeypatch.setattr(graph_core.CirculantGraph, "neighbors", forbidden)
     monkeypatch.setattr(graph_core.GgpgGraph, "neighbors", forbidden)
-    for mod in (metrics, oracle):
-        monkeypatch.setattr(mod, "bfs", forbidden)
-        monkeypatch.setattr(mod, "inner_only_distances", forbidden)
+    monkeypatch.setattr(oracle, "bfs", forbidden)
+    monkeypatch.setattr(oracle, "inner_only_distances", forbidden)
     r = verify_instance(12, (5,))
     assert r.gap == 1 and r.witnesses["conj45"]["ggpg_diametral_path"]
     assert verify_instance(20, (4, 8)).thm41_ok

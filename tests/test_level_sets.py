@@ -31,6 +31,7 @@ from loopnet import (
     diameter_ggpg,
     expand,
     extremal_vertices,
+    format_distance,
     inner_only_distances,
     outer_only_distance,
     verify_instance,
@@ -41,7 +42,6 @@ from loopnet.metrics import (
     DOUBLE_LOOP_LEVELS_BELOW,
     LEVEL_CAP,
     SHORT_BITS,
-    format_distance,
     instance_distances,
     level_set_summary,
 )
@@ -95,14 +95,14 @@ def test_level_set_summary_on_the_grid():
 
 def test_paranoid_catches_a_doctored_spoke_identity(monkeypatch):
     want = verify_instance(20, (4, 8))
-    real = metrics.InstanceDistances.ggpg_vectors
+    real = oracle.ggpg_vectors
 
-    def off_by_one(self):
-        du, dv = real(self)
+    def off_by_one(dist):
+        du, dv = real(dist)
         du[7] += 1
         return du, dv
 
-    monkeypatch.setattr(metrics.InstanceDistances, "ggpg_vectors", off_by_one)
+    monkeypatch.setattr(oracle, "ggpg_vectors", off_by_one)
     assert verify_instance(20, (4, 8)) == want  # the vectors feed only the oracle
     with pytest.raises(RuntimeError, match="kernel mismatch on C20.* ggpg from u0: vertex 7"):
         verify_instance(20, (4, 8), paranoid=True)
@@ -295,14 +295,13 @@ def test_no_chord_keeps_the_expansion_error():
 
 def test_paranoid_runs_each_all_source_bfs_once(monkeypatch):
     calls, listed = [], []
-    real = metrics.bfs
+    real = oracle.bfs
 
     def counting(g, src):
         calls.append((g.family, src))
         return real(g, src)
 
-    for mod in (metrics, oracle):
-        monkeypatch.setattr(mod, "bfs", counting)
+    monkeypatch.setattr(oracle, "bfs", counting)
     for cls in (graph_core.CirculantGraph, graph_core.GgpgGraph):
         def listing(g, v, real=cls.neighbors):
             listed.append((g.family, v))
@@ -417,6 +416,29 @@ def test_the_loop_runs_past_the_cap_at_n_1e5(monkeypatch):
     assert [level_set_summary(build_circulant(n, (1, *c))) for c in rows] == listed
 
 
+def test_relabelling_by_a_unit_keeps_the_circulant_half_at_n_1e6():
+    # x -> a^-1 x maps C(1, a, b) onto C(1, a^-1, a^-1 b): d_circ is kept
+    # and V_Dc maps point by point.  The gap is not compared, since the
+    # GGPG partner's ring generator changes with the relabelling
+    n, checked = 10 ** 6, []
+    for _, (a, b) in plan_sweep(range(n, n + 1), (3,), sample_cap=1000,
+                                sample_size=20, seed=1):
+        if math.gcd(a, n) != 1:
+            continue
+        inv = pow(a, -1, n)
+        relabelled = tuple(sorted(min(x, n - x) for x in (inv, inv * b % n)))
+        fast = level_set_summary(build_circulant(n, (1, a, b)))
+        if fast is None:  # over the cap
+            continue
+        moved = level_set_summary(build_circulant(n, (1, *relabelled)))
+        if moved is None:
+            continue
+        assert moved.d_circ == fast.d_circ, (a, b)
+        assert moved.v_dc == tuple(sorted(inv * i % n for i in fast.v_dc)), (a, b)
+        checked.append(fast.d_circ)
+    assert len(checked) >= 4 and min(checked) > 100
+
+
 @pytest.mark.parametrize("n,chords,given,route,probed", [
     (DOUBLE_LOOP_LEVELS_BELOW - 1, (63,), False, "level sets", True),
     (DOUBLE_LOOP_LEVELS_BELOW, (63,), False, "lattice", False),
@@ -457,14 +479,13 @@ def test_paranoid_compares_the_two_summaries(monkeypatch):
 
 
 def test_paranoid_keeps_the_shortcut_mismatch_error(monkeypatch):
-    real = metrics.bfs
+    real = oracle.bfs
 
     def skewed(g, src):
         vec = real(g, src)  # the last source sees farther
         return tuple(d + 1 for d in vec) if src == g.num_vertices - 1 else vec
 
-    for mod in (metrics, oracle):
-        monkeypatch.setattr(mod, "bfs", skewed)
+    monkeypatch.setattr(oracle, "bfs", skewed)
     g = build_circulant(12, (1, 5))
     h = expand(g)
     for call, shortcut in ((lambda: diameter_circulant(g, paranoid=True), "ecc"),

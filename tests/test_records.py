@@ -1,12 +1,17 @@
 """The record contract: loopnet's result and graph records are immutable,
 print as Name(field=value, ...), survive pickling (rows cross process
 boundaries under --jobs), and the two graph families never compare equal
-to each other or to a bare tuple.  Also what importing the CLI loads."""
+to each other or to a bare tuple.  Also what importing the CLI and
+running rows load, and that every name the benchmark's tracer wraps
+resolves."""
 
+import importlib
+import importlib.util
 import json
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,7 @@ from loopnet import (
     realize,
     verify_instance,
 )
+from loopnet import metrics, oracle
 from loopnet.oracle import (
     GapResult,
     SandwichResult,
@@ -155,6 +161,58 @@ def test_import_footprint():
     assert out["star"] == []
     assert out["home"] == {}
     assert out["expand"] is True
+
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def test_rows_without_paranoid_load_no_oracle_tier(tmp_path):
+    """A fresh verify, sweep or benchmark ring process that runs no
+    --paranoid row never loads loopnet.oracle: the reference searches are
+    compiled by paranoid rows, the diameter command and tests alone.  On
+    metrics, a lookup of any other oracle name than the two the benchmark
+    tracer wraps (format_distance here) fails and loads nothing."""
+    runs = {
+        "verify": "from loopnet import cli; assert cli.main(['verify', '--n', '500', "
+                  "'--m', '4', '--sample-size', '5', '--format', 'json', '--out', {out!r}]) == 0",
+        "sweep": "from loopnet import cli; assert cli.main(['sweep', '--n', '5..30', "
+                 "'--m', '2,3', '--jobs', '2', '--out', {out!r}]) == 0",
+        # m = 2 gap 1 (a walked witness), m = 3 on level sets and over the cap
+        "child.py ring": "import sys; sys.path.insert(0, {bench!r}); import child; "
+                         "assert child.main(['ring', '--instances', "
+                         "'[[804, [401]], [500, [3, 7, 11]], [1202, [2, 3]]]', "
+                         "'--out', {out!r}]) == 0",
+        "metrics": "from loopnet import metrics; "
+                   "assert not hasattr(metrics, 'format_distance')",
+    }
+    for name, code in runs.items():
+        code = code.format(out=str(tmp_path / name), bench=str(BENCHMARKS))
+        probe = code + "; import sys; print('loopnet.oracle' in sys.modules)"
+        r = subprocess.run([sys.executable, "-S", "-c", probe],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, (name, r.stderr)
+        assert r.stdout.split()[-1:] == ["False"], name
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    """benchmarks/tracer.py wraps loopnet names given as (module, dotted
+    attribute); Tracer.install lists a name it cannot resolve as absent, and
+    the benchmark then reports that name's per-layer metrics as null.  The
+    two it reads from metrics are the oracle tier's functions themselves."""
+    spec = importlib.util.spec_from_file_location("benchmark_tracer",
+                                                  BENCHMARKS / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    absent = []
+    for module_name, attr, _ in tracer.WRAPPED:
+        holder = importlib.import_module(module_name)
+        for part in attr.split("."):
+            holder = getattr(holder, part, None)
+        if holder is None:
+            absent.append(f"{module_name}.{attr}")
+    assert absent == []
+    assert metrics.bfs is oracle.bfs
+    assert metrics.inner_only_distances is oracle.inner_only_distances
 
 
 def test_replace_checks_like_the_constructor():
