@@ -15,9 +15,10 @@ out after the last row.  A run that exits 2 or 3 leaves none of its
 files behind and prints no report byte.
 
 Exit codes: 0 clean, 2 parameter error, unwritable output path or a ring
-too large for memory, 3 proved-statement violation (witness on stderr), 4
-findings present (inconsistencies or gap=1 rows under verify).  Output
-files start with a header line recording the tool version, the semantic
+too large for memory, 3 proved-statement violation, or under --paranoid a
+route, kernel, witness walk or symmetry shortcut that disagrees with list
+BFS (one stderr line), 4 findings present (inconsistencies or gap=1 rows
+under verify).  Output files start with a header line recording the tool version, the semantic
 flag set, and the seed -- never a timestamp, so a rerun with the same
 flags is byte-identical.  --out and --jobs are I/O plumbing and stay out of the
 header; determinism is independent of both.

@@ -26,7 +26,7 @@ one place that turns those facts, as sorted points (the last class only as
 a truth value), into an InstanceSummary.
 
 Four routes compute the same facts; the first three apply the identity,
-and run_facts picks each row's route among them (row_facts for one row).
+and run_facts picks each row's route among them.
 
   * The lattice route, lattice_distances, serves double loops C_n(1, s), the
     m = 2 rows, on rings of DOUBLE_LOOP_LEVELS_BELOW vertices and more
@@ -86,8 +86,8 @@ and run_facts picks each row's route among them (row_facts for one row).
     and returns the circulant and chord-only vectors from 0, from which the
     identity gives both GGPG vectors (oracle.ggpg_vectors).  Its summary()
     reads the same points off the vectors for _summarize.  It serves the
-    m >= 3 rows over the cap, and is the oracle both faster routes are
-    checked against under --paranoid.
+    m >= 3 rows over the cap, and is the reference both faster routes are
+    checked against under --paranoid, where oracle.check_row runs its own.
   * The oracle route: list BFS over a graph's neighbors() (oracle.bfs),
     the restricted distances and the statement checks, all in the oracle
     module, which no non-paranoid row imports.  It never uses the
@@ -642,18 +642,15 @@ def diametral_path(n: int, chords, d: int, circ) -> tuple[range, ...]:
 
 # --- a row's route ---
 
-def run_facts(n: int, chord_sets, dist: InstanceDistances | None = None):
+def run_facts(n: int, chord_sets):
     """(route, summary, path) of C_n(1, *chords) for each chords of
     chord_sets, a run of rows on one ring: the one place a row's route is
-    chosen (row_facts is its one-row case).  A double loop with
-    n >= DOUBLE_LOOP_LEVELS_BELOW takes the lattice, any other row level
-    sets, the run's through one level_set_summaries loop, and a row whose
-    route returns None the list kernel.  path is the gap-1 witness
-    (diametral_path), else None, walked on the lattice's d_c where there is
-    one, else on the list kernel's vector, else on a circulant search.
-    dist, the list kernel's distances of a one-row run where the caller has
-    them (a paranoid row), stands in for the kernel and for that vector, so
-    no search runs twice."""
+    chosen.  A double loop with n >= DOUBLE_LOOP_LEVELS_BELOW takes the
+    lattice, any other row level sets, the run's through one
+    level_set_summaries loop, and a row whose route returns None the list
+    kernel.  path is the gap-1 witness (diametral_path), else None, walked
+    on the lattice's d_c where there is one, else on the list kernel's
+    vector, else on a circulant search."""
     # the chord count of the run's rows that take the lattice (0: none)
     lattice = 1 if n >= DOUBLE_LOOP_LEVELS_BELOW else 0
     levels = level_set_summaries(
@@ -664,23 +661,15 @@ def run_facts(n: int, chord_sets, dist: InstanceDistances | None = None):
             route, facts, circ = "lattice", lat.summary(), lat.circ_at
         else:
             route, facts, circ = "level sets", next(levels), None
-        kernel = dist
         if facts is None:
-            if kernel is None:
-                kernel = instance_distances(_unchecked_circulant(n, (1, *chords)))
-            route, facts = "list kernel", kernel.summary()
+            kernel = instance_distances(_unchecked_circulant(n, (1, *chords)))
+            route, facts, circ = "list kernel", kernel.summary(), kernel.circ.__getitem__
         path = None
         if facts.ecc_u0 == facts.ecc_v0 == facts.d_circ + 1:  # gap 1, as both are >= D + 1
             if circ is None:
-                circ = (kernel.circ if kernel is not None else circulant_distances(
-                    _unchecked_circulant(n, (1, *chords)))).__getitem__
+                circ = circulant_distances(_unchecked_circulant(n, (1, *chords))).__getitem__
             path = diametral_path(n, chords, facts.d_circ, circ)
         yield route, facts, path
-
-
-def row_facts(g: CirculantGraph, dist: InstanceDistances | None = None) -> tuple:
-    """run_facts' (route, summary, path) for the one row C_n(1, chords)."""
-    return next(run_facts(g.n, (g.gens[1:],), dist))
 
 
 def __getattr__(name):

@@ -1,12 +1,12 @@
 """The oracle tier: list BFS over neighbors(), and every check built on it.
 
-Nothing here computes a distance by the lattice, the level sets or the
-list kernel.  Each function recomputes its answer by list BFS (bfs, over
-a graph's own neighbors() lists), so it is the independent reference the
-fast routes of metrics and theorem_lab.verify_instance are checked
-against; _cross_check only reads a row's fast vectors and their GGPG
-vectors (ggpg_vectors) to compare them with it.  Only --paranoid rows,
-the diameter command and tests import this module; no other row compiles it.
+Each function recomputes its answer by list BFS (bfs, over a graph's own
+neighbors() lists), so it is the independent reference the fast routes of
+metrics are checked against; check_row runs the list kernel only to check
+it and the identity's GGPG vectors (ggpg_vectors) against list BFS
+(_cross_check).  A mismatch, or a symmetry shortcut that disagrees,
+raises theorem_lab.TheoremViolation (exit 3 from the CLI).  Only
+--paranoid rows, the diameter command and tests import this module.
 
 Restricted distances feed the gap characterization: along the outer ring
 only, the distance from 0 to i is min(i, n-i) (outer_only_distance); along
@@ -24,8 +24,8 @@ memory, quadratic time), and raises if the shortcut ever disagrees.
 The statement checks check_thm41 to check_thm44 take the circulant alone,
 build its GGPG partner with expand, and recompute their statement from
 list BFS.  A paranoid row's checks, check_row, run the same searches
-through _source_vectors (3n searches, one source held at a time): the
-row's fast vectors against source 0 (_cross_check), the route's summary
+through _source_vectors (3n searches, one source held at a time): its own
+list kernel's vectors against source 0 (_cross_check), the route's summary
 against the list kernel's, then the sandwich and both diameter shortcuts
 against the whole pass (_sandwich).
 """
@@ -36,7 +36,8 @@ import collections
 import itertools
 
 from .graph_core import CirculantGraph, GgpgGraph, expand
-from .metrics import INF
+from .metrics import INF, instance_distances
+from .theorem_lab import TheoremViolation
 
 
 def format_distance(d) -> str:
@@ -141,7 +142,7 @@ def all_source_diameter(g):
 def check_shortcut(g, shortcut: str, d, full) -> None:
     """Raise unless the shortcut's diameter d equals the all-source one."""
     if full != d:
-        raise RuntimeError(
+        raise TheoremViolation(
             f"symmetry shortcut mismatch on {g.label()}: "
             f"{shortcut} = {d}, all-source diameter = {full}")
 
@@ -214,7 +215,7 @@ def _source_vectors(gc: CirculantGraph, gp: GgpgGraph, sources: int):
 def _sandwich(gc: CirculantGraph, gp: GgpgGraph, rows) -> SandwichResult:
     """The sandwich over every pair (x_i, y_j) of the rows of
     _source_vectors, in order; then both diameter shortcuts against the
-    rows' largest eccentricity (RuntimeError, as under paranoid; trivial
+    rows' largest eccentricity (TheoremViolation, as under paranoid; trivial
     on source 0 alone), which outrank the sandwich witness."""
     n = gc.n
     witness, ecc_c, ecc_p = None, [], []
@@ -238,7 +239,7 @@ def check_thm41(gc: CirculantGraph, mode: str = "orbit") -> SandwichResult:
     because rotating both endpoints preserves both distances.
     mode="allpairs" takes no symmetry for granted: it runs every source on
     both graphs literally, one at a time (O(n) memory, quadratic time),
-    and checks both diameter shortcuts too (RuntimeError, as paranoid).
+    and checks both diameter shortcuts too (TheoremViolation, as paranoid).
     """
     gp = expand(gc)
     if mode not in ("orbit", "allpairs"):
@@ -314,12 +315,12 @@ def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts, path, row0) -> 
     for what, fast, slow in checks:
         if tuple(fast) != slow:
             v = next(v for v, (a, b) in enumerate(zip(fast, slow)) if a != b)
-            raise RuntimeError(
+            raise TheoremViolation(
                 f"kernel mismatch on {gc.label()} {what}: vertex {v} "
                 f"kernel {fast[v]}, list BFS {slow[v]}")
     ecc = (max(slow_u), max(slow_v))
     if (facts.ecc_u0, facts.ecc_v0) != ecc:
-        raise RuntimeError(
+        raise TheoremViolation(
             f"kernel mismatch on {gc.label()} ggpg eccentricities of (u0, v0): "
             f"summary {(facts.ecc_u0, facts.ecc_v0)}, list BFS {ecc}")
     if path is not None:
@@ -328,24 +329,26 @@ def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts, path, row0) -> 
         want = fifo_path(gp, src, vec.index(d))
         walk = list(itertools.chain.from_iterable(path))
         if walk != want:
-            raise RuntimeError(
+            raise TheoremViolation(
                 f"witness mismatch on {gc.label()}: walk "
                 f"{[gp.vertex_label(v) for v in walk]}, FIFO search "
                 f"{[gp.vertex_label(v) for v in want]}")
 
 
-def check_row(gc: CirculantGraph, route: str, facts, path, dist) -> SandwichResult:
+def check_row(gc: CirculantGraph, route: str, facts, path) -> SandwichResult:
     """A paranoid row's checks, from one _source_vectors pass over every
-    source: the list kernel's vectors (dist), its summary and the row's
-    gap-1 walk (path) against source 0 (_cross_check), then the route's
-    summary (facts, from metrics.row_facts) against the list kernel's, then
-    the sandwich and both diameter shortcuts over the whole pass (_sandwich)."""
+    source: the vectors of the list kernel, run here, its summary and the
+    row's gap-1 walk (path) against source 0 (_cross_check), then the
+    route's summary (facts, from metrics.run_facts) against the list
+    kernel's, then the sandwich and both diameter shortcuts over the whole
+    pass (_sandwich).  A mismatch raises TheoremViolation."""
     gp = Adjacency(expand(gc))  # one table for the pass and the FIFO search
     rows = _source_vectors(gc, gp, gc.n)
     row0 = next(rows)
+    dist = instance_distances(gc)
     listed = dist.summary()
     _cross_check(gc, gp, dist, listed, path, row0)
     if facts != listed:
-        raise RuntimeError(
+        raise TheoremViolation(
             f"route mismatch on {gc.label()}: {route} {facts}, list kernel {listed}")
     return _sandwich(gc, gp, itertools.chain([row0], rows))

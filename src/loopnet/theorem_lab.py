@@ -10,33 +10,32 @@ Four statements get machine-checked on concrete (n, chords) instances:
   * the gap-2 sufficient conditions (checked as the negation of the
     characterization's conditions, which is the form the argument uses).
 
-verify_instance takes its verdicts, and a gap-1 row's walked diametral
-path, from metrics.row_facts, which chooses the row's route (lattice,
-level sets or list kernel; see there), and keeps that path as the walk's
-runs (PathLabels), so neither the row nor its pickle grows with the path's
-length.  Every route reads the GGPG side off the circulant by the spoke
-identity, so a row's bytes never depend on the route, and on this path the
-thm41 and thm42 columns follow from that identity, not from an
-independent search.  What checks them independently is the oracle
-module, which tests and paranoid rows alone import: its check_thm41 to
-check_thm44 recompute their statement from list BFS alone, and under
---paranoid (paranoid=True) every row also runs the list kernel and
-oracle.check_row, one list-BFS pass held one source at a time (3n
-searches, O(n) memory, quadratic time).
+Every report row comes from one loop, _verify_rows, over a run of rows on
+one ring.  One metrics.run_facts pass gives each row's verdicts and a
+gap-1 row's walked diametral path, choosing its route (lattice, level sets
+or list kernel; see there), and _verify_row, the one record builder,
+keeps that path as the walk's runs (PathLabels), so neither the row nor
+its pickle grows with the path's length.  Every route reads the GGPG side
+off the circulant by the spoke identity, so a row's bytes never depend on
+the route, and the thm41 and thm42 columns follow from that identity, not
+from an independent search.  What checks them independently is the
+oracle module, which tests and paranoid rows alone import: check_thm41 to
+check_thm44 recompute their statement from list BFS, and under --paranoid
+the loop hands each row's facts and walk to oracle.check_row (its own
+list kernel and 3n list-BFS searches, one source held at a time: O(n)
+memory, quadratic time).
 
-Rows are validated at the boundaries, once.  verify_instance, the
-public entry, builds its circulant with build_circulant's checks, and the
-CLI checks a --gens row the same way when it plans it; the planner's rows
-(_plan) are admissible by construction.  So the row path, _verify_block,
-repeats no check: it takes each same-n run's facts from one
-metrics.run_facts pass, which builds no graph for a level-set row, and
-_verify_row, the one record builder, which verify_instance shares, makes
-each row from them (a paranoid row goes through verify_instance whole).
+Rows are validated at the boundaries, once.  verify_instance, the public
+entry and the loop's one-row case, checks its input with build_circulant,
+and the CLI checks a --gens row the same way when it plans it; the
+planner's rows (_plan) are admissible by construction.  So the row path,
+_verify_block, repeats no check, and builds no graph for a plain
+level-set row.
 
 Failures are tiered.  The first two are proved facts, so a violation means
-the implementation is broken: enforce_proven raises with the witness, and
-the CLI applies it to every row before it writes one.  The latter two and
-the gap==2 conjecture are findings: recorded in the report row, never
+the implementation is broken: enforce_proven raises with the witness (as
+oracle.check_row does on a paranoid row), and the CLI applies it to every
+row before it writes one.  The latter two and the gap==2 conjecture are findings: recorded in the report row, never
 silently dropped, never asserted.
 """
 
@@ -53,12 +52,13 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .graph_core import build_circulant, expand, max_generator
-from .metrics import instance_distances, row_facts, run_facts
+from .graph_core import _unchecked_circulant, build_circulant, expand, max_generator
+from .metrics import run_facts
 
 
 class TheoremViolation(RuntimeError):
-    """A proved statement failed on an instance; the code, not the math."""
+    """A proved statement failed on an instance, or under --paranoid a fast
+    route disagreed with the oracle; the code, not the math."""
 
 
 REPORT_COLUMNS = (
@@ -169,29 +169,31 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     """Check C_n(1, chords) against its GGPG partner and return the report
     row.  Never raises on findings; see enforce_proven for the abort tier.
 
-    The verdicts come from the summary of the row's route
-    (metrics.row_facts), which reads the GGPG diameter off the circulant
-    by the spoke identity, so 4.1 and 4.2 hold on this path by that
-    identity, not by an independent search.  Paranoid also runs the list
-    kernel and oracle.check_row: the kernel, the identity and the walked
-    path against list BFS and a FIFO search, the route's summary against
-    the kernel's, and the sandwich and both diameter shortcuts over every
-    source.
-
-    This public entry checks its input with build_circulant and reports
-    the checked generators; planned rows skip the checks unless paranoid
-    (_verify_block)."""
+    The one-row case of _verify_rows, after build_circulant's checks: the
+    verdicts come from the summary of the row's route (metrics.run_facts),
+    which reads the GGPG diameter off the circulant by the spoke identity,
+    so 4.1 and 4.2 hold on this path by that identity, not by an
+    independent search.  Paranoid also runs oracle.check_row: its own list
+    kernel, the identity and the walked path against list BFS and a FIFO
+    search, the route's summary against the kernel's, and the sandwich and
+    both diameter shortcuts over every source."""
     gc = build_circulant(n, (1, *chords))
     if len(gc.gens) == 1:
         expand(gc)  # raises: a GGPG partner needs a chord
-    if not paranoid:
-        return _verify_row(gc.n, tuple(gc.gens), *row_facts(gc)[1:])
-    from .oracle import check_row  # compiled only by a paranoid row
+    return _verify_rows(gc.n, [gc.gens[1:]], paranoid)[0]
 
-    dist = instance_distances(gc)
-    route, facts, path = row_facts(gc, dist)
-    return _verify_row(gc.n, tuple(gc.gens), facts, path,
-                       check_row(gc, route, facts, path, dist))
+
+def _verify_rows(n: int, chord_sets: list, paranoid: bool) -> list:
+    """The one row loop: the report rows of C_n(1, *chords) for each chords
+    of chord_sets, a run of admissible rows on one ring, built by
+    _verify_row from one metrics.run_facts pass.  Under paranoid,
+    oracle.check_row first checks each row's facts and walk (raising
+    TheoremViolation on a mismatch) and gives its sandwich verdict."""
+    if paranoid:
+        from .oracle import check_row  # compiled only by a paranoid row
+    return [_verify_row(n, (1, *c), facts, path, check_row(
+                _unchecked_circulant(n, (1, *c)), route, facts, path) if paranoid else None)
+            for c, (route, facts, path) in zip(chord_sets, run_facts(n, chord_sets))]
 
 
 def _verify_row(n: int, gens: tuple, facts, path,
@@ -378,17 +380,11 @@ def _verify_block(instances: list, paranoid: bool, fmt: str) -> tuple:
     enforce_proven (raising on the first violation) and render it in fmt.
     Returns the text, the gap counts and the rows with an anomaly.  Each
     (n, chords) row must be admissible, as _plan makes them, since nothing
-    here checks it: each run of rows on one ring takes its facts from one
-    metrics.run_facts pass.  A paranoid row goes through verify_instance,
-    whose checks cost nothing beside its quadratic pass."""
+    here checks it: each run of rows on one ring goes through one
+    _verify_rows loop, paranoid or not."""
     rows = []
     for n, run in itertools.groupby(instances, _ring_length):
-        chord_sets = [c for _, c in run]
-        if paranoid:
-            rows += [enforce_proven(verify_instance(n, c, paranoid=True)) for c in chord_sets]
-        else:
-            rows += [enforce_proven(_verify_row(n, (1, *c), facts, path))
-                     for c, (_, facts, path) in zip(chord_sets, run_facts(n, chord_sets))]
+        rows += map(enforce_proven, _verify_rows(n, [c for _, c in run], paranoid))
     return (_render_rows(rows, fmt), collections.Counter(map(_gap, rows)),
             [r for r in rows if r.anomalies])
 

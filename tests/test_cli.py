@@ -12,8 +12,8 @@ import time
 
 import pytest
 
-from loopnet import (FamilyParameterError, build_circulant, cli, metrics, theorem_lab,
-                     verify_instance)
+from loopnet import (FamilyParameterError, build_circulant, cli, metrics, oracle,
+                     theorem_lab, verify_instance)
 from loopnet.theorem_lab import plan_sweep
 
 
@@ -307,6 +307,60 @@ def test_proved_violation_exits_3_before_writing(argv, tmp_path, monkeypatch,
     assert captured.out == ""
     # no report, findings or counterexamples file
     assert list(tmp_path.iterdir()) == []
+
+
+def wrong_route(monkeypatch):
+    real = metrics.level_set_summaries
+    monkeypatch.setattr(metrics, "level_set_summaries", lambda n, chord_sets: (
+        facts._replace(v_dc=(1,)) for facts in real(n, chord_sets)))
+
+
+def wrong_kernel(monkeypatch):
+    real = oracle.instance_distances
+
+    def doctored(g):
+        dist = real(g)
+        dist.chord_only[3] = 99
+        return dist
+
+    monkeypatch.setattr(oracle, "instance_distances", doctored)
+
+
+def wrong_walk(monkeypatch):
+    real = metrics.diametral_path
+    monkeypatch.setattr(metrics, "diametral_path", lambda *args: real(*args)[:-1])
+
+
+def wrong_shortcut(monkeypatch):  # the last source sees one step farther
+    real = oracle.bfs
+    monkeypatch.setattr(oracle, "bfs", lambda g, src: tuple(
+        d + (src == g.num_vertices - 1) for d in real(g, src)))
+
+
+VERIFY_12 = ("verify", "--n", "12", "--gens", "1,5", "--theorems", "4.5", "--paranoid")
+
+
+@pytest.mark.parametrize("argv,fault,message", [
+    (VERIFY_12, wrong_route, r"route mismatch on C12\(1,5\): level sets "),
+    (VERIFY_12, wrong_kernel, r"kernel mismatch on C12\(1,5\) chord-only from 0: vertex 3 "),
+    (VERIFY_12, wrong_walk, r"witness mismatch on C12\(1,5\): walk "),
+    (("sweep", "--n", "11..12", "--m", "2", "--paranoid", "--jobs", "2"), wrong_walk,
+     r"witness mismatch on C12\(1,5\): walk "),  # the second worker's block
+    (("diameter", "--n", "12", "--gens", "1,5", "--paranoid"), wrong_shortcut,
+     r"symmetry shortcut mismatch on C12\(1,5\): ecc\(0\) = 3, all-source diameter = 4"),
+], ids=["route", "kernel", "walk", "walk at --jobs 2", "shortcut"])
+def test_a_paranoid_mismatch_exits_3_with_one_line_and_no_file(argv, fault, message,
+                                                               tmp_path, monkeypatch,
+                                                               capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fault(monkeypatch)
+    for out in (["--out", str(tmp_path / "report.out")], []):
+        assert cli.main([*argv, *out]) == 3
+        captured = capsys.readouterr()
+        assert re.fullmatch(f"theorem violation: {message}[^\n]*\n", captured.err), \
+            captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 def reference_report(fmt, head, reports):

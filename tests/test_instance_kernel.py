@@ -167,7 +167,7 @@ def test_the_m3_gap1_family_on_level_sets(js):
         g = build_circulant(n, (1,) + chords)
         r = verify_instance(n, chords)
         assert (r.gap, r.d_circ) == (1, j + 1), j
-        route, facts, runs = metrics.row_facts(g)
+        route, facts, runs = next(metrics.run_facts(n, [chords]))
         assert route == "level sets" and facts == instance_distances(g).summary(), j
         h = expand(g)
         want = oracle.fifo_path(h, h.outer(0), oracle.bfs(h, h.outer(0)).index(j + 2))
@@ -179,7 +179,7 @@ def test_the_m3_gap1_family_on_level_sets(js):
 def old_labels(n, chords):
     """The conj45 witness as rows listed it before they kept the walk's
     runs: one label per vertex of the walked path."""
-    _, _, runs = metrics.row_facts(build_circulant(n, (1,) + tuple(chords)))
+    _, _, runs = next(metrics.run_facts(n, [tuple(chords)]))
     path = [v for run in runs for v in run]
     return [f"u{v}" if v < n else f"v{v - n}" for v in path]
 
@@ -274,11 +274,11 @@ def test_verify_instance_makes_no_neighbors_or_bfs_call(monkeypatch):
 ])
 def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, gap1):
     # no row runs a 2n-vertex GGPG search: the witness is walked.  The list
-    # kernel (two n-vertex searches) runs on an m >= 3 row over the cap and
-    # under paranoid, which also checks a gap-1 row's walk against a FIFO
-    # search over neighbors(); any other gap-1 row on level sets walks on
-    # the circulant search alone (one n-vertex search), and a lattice row
-    # on its lattice
+    # kernel (two n-vertex searches) runs on an m >= 3 row over the cap; any
+    # other gap-1 row on level sets walks on the circulant search alone (one
+    # n-vertex search), and a lattice row on its lattice.  A paranoid row
+    # then runs its own list kernel, and checks a gap-1 row's walk against a
+    # FIFO search over neighbors()
     g = build_circulant(n, (1,) + chords)
     lattice = len(chords) == 1 and n >= metrics.DOUBLE_LOOP_LEVELS_BELOW
     over = not lattice and level_set_summary(g) is None
@@ -297,7 +297,8 @@ def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, ga
     monkeypatch.setattr(oracle, "fifo_path", fifo)
     r = verify_instance(n, chords, paranoid=paranoid)
     assert (r.gap == 1) == bool(gap1)
-    assert sizes == ([n, n] if over or paranoid else [n] * (not lattice and gap1))
+    route = [n, n] if over else [n] * (not lattice and gap1)
+    assert sizes == route + [n, n] * paranoid
     assert len(searches) == (paranoid and gap1)
 
 
@@ -309,7 +310,7 @@ def test_paranoid_cross_check_catches_a_wrong_kernel_vector(monkeypatch):
         dist.chord_only[3] = 99
         return dist
 
-    monkeypatch.setattr(theorem_lab, "instance_distances", doctored)
+    monkeypatch.setattr(oracle, "instance_distances", doctored)
     verify_instance(12, (5,))  # the fast path trusts the kernel
     with pytest.raises(RuntimeError, match="chord-only from 0: vertex 3"):
         verify_instance(12, (5,), paranoid=True)
@@ -332,7 +333,7 @@ def test_paranoid_checks_the_witness_walk_against_a_fifo_search(monkeypatch):
 @pytest.mark.parametrize("n,chords", [(12, (5,)), (40, (19,)), (63, (15, 17))])
 def test_paranoid_fails_a_walk_with_a_ring_run_one_vertex_short(monkeypatch, n, chords):
     g = build_circulant(n, (1,) + chords)
-    runs = metrics.row_facts(g)[2]
+    runs = next(metrics.run_facts(n, [chords]))[2]
     rings = [k for k, run in enumerate(runs) if len(run) > 1]
     assert rings
     for k in rings:

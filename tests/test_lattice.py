@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopnet import bfs, build_circulant, expand, inner_only_distances, verify_instance
-from loopnet import metrics, theorem_lab
+from loopnet import metrics, oracle
 from loopnet.graph_core import max_generator
 from loopnet.metrics import (
     DOUBLE_LOOP_LEVELS_BELOW,
@@ -173,7 +173,7 @@ def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(metrics, name, counted(name))
-    monkeypatch.setattr(theorem_lab, "instance_distances", metrics.instance_distances)
+    monkeypatch.setattr(oracle, "instance_distances", metrics.instance_distances)
     assert [verify_instance(n, c) for n, c in long] == want[:len(long)]
     assert calls == {"lattice_distances": len(long), "level_set_summaries": 0,
                      "instance_distances": 0}

@@ -401,7 +401,7 @@ def test_n_1e5_rows_agree_with_list_bfs(chords):
 
 
 def test_the_loop_runs_past_the_cap_at_n_1e5(monkeypatch):
-    # two double loops (which row_facts sends to the lattice) as probes of
+    # two double loops (which run_facts sends to the lattice) as probes of
     # the loop itself at n = 10^5: past LEVEL_CAP levels it gives up, within
     # the ring bound (C(1, 299), D = 250) or at once (C(1, 99), D = 550),
     # and with the cap raised it runs both, in one run, to the list
@@ -439,31 +439,41 @@ def test_relabelling_by_a_unit_keeps_the_circulant_half_at_n_1e6():
     assert len(checked) >= 4 and min(checked) > 100
 
 
-@pytest.mark.parametrize("n,chords,given,route,probed", [
+@pytest.mark.parametrize("n,chords,paranoid,route,probed", [
     (DOUBLE_LOOP_LEVELS_BELOW - 1, (63,), False, "level sets", True),
     (DOUBLE_LOOP_LEVELS_BELOW, (63,), False, "lattice", False),
     (20, (4, 8), False, "level sets", True),
     (6 * LEVEL_CAP + 1, (2, 3), False, "level sets", True),  # LEVEL_CAP levels
     (6 * LEVEL_CAP + 2, (2, 3), False, "list kernel", False),  # ring bound over the cap
-    (9, (2, 4), True, "level sets", True),  # gap 1: the walk reads the given vector
+    (9, (2, 4), True, "level sets", True),  # gap 1: the walk reads a circulant search
     (6 * LEVEL_CAP + 2, (2, 3), True, "list kernel", False),
 ])
-def test_row_facts_picks_the_route(monkeypatch, n, chords, given, route, probed):
-    # the level loop sets up its chord shifts once.  With the list kernel's
-    # distances given (a paranoid row) no search runs; else the list kernel
-    # runs its two, and a gap-1 row on level sets one for its walk
-    g = build_circulant(n, (1,) + chords)
-    dist = instance_distances(g)
-    probes, searches = [], []
-    real_bfs = metrics._level_bfs
+def test_row_facts_picks_the_route(monkeypatch, n, chords, paranoid, route, probed):
+    # a row's facts come from metrics.run_facts, whose level loop sets up
+    # its chord shifts once: the list kernel runs its two searches, and a
+    # gap-1 row on level sets one for its walk.  A paranoid row runs those
+    # and exactly one list kernel of its own, oracle.check_row's (its list
+    # BFS runs no _level_bfs; cut to source 0 here, as it is quadratic)
+    listed = instance_distances(build_circulant(n, (1,) + chords)).summary()
+    probes, searches, kernels = [], [], []
+    real_bfs, real_kernel, real_sources = \
+        metrics._level_bfs, oracle.instance_distances, oracle._source_vectors
     loop_entries(monkeypatch, probes)
     monkeypatch.setattr(metrics, "_level_bfs", lambda *a: searches.append(a) or real_bfs(*a))
-    got, facts, path = metrics.row_facts(g, dist if given else None)
+    monkeypatch.setattr(oracle, "instance_distances",
+                        lambda g: kernels.append(g) or real_kernel(g))
+    got, facts, path = next(metrics.run_facts(n, [chords]))
     assert got == route and bool(probes) == probed
     assert (path is not None) == (facts.d_ggpg - facts.d_circ == 1)
-    assert len(searches) == (0 if given else 2 if route == "list kernel"
-                             else route == "level sets" and path is not None)
-    assert facts == dist.summary()
+    own = 2 if route == "list kernel" else int(route == "level sets" and path is not None)
+    assert len(searches) == own and not kernels
+    assert facts == listed
+    if paranoid:
+        searches.clear()
+        monkeypatch.setattr(oracle, "_source_vectors",
+                            lambda gc, gp, sources: real_sources(gc, gp, 1))
+        assert verify_instance(n, chords, paranoid=True).d_circ == facts.d_circ
+        assert len(kernels) == 1 and len(searches) == own + 2
 
 
 def test_paranoid_compares_the_two_summaries(monkeypatch):

@@ -5,7 +5,9 @@ import csv
 import io
 import json
 import math
+import os
 import random
+import re
 import time
 
 import pytest
@@ -23,7 +25,7 @@ from loopnet import (
     extremal_vertices,
     verify_instance,
 )
-from loopnet import graph_core, oracle, theorem_lab
+from loopnet import cli, graph_core, metrics, oracle, theorem_lab
 from loopnet.oracle import _sandwich
 from loopnet.theorem_lab import (
     REPORT_COLUMNS,
@@ -331,15 +333,65 @@ BLOCK_RUNS = {
 }
 
 
+# A paranoid block runs oracle.check_row's quadratic pass on every row, so
+# its rows are short.  With LEVEL_CAP lowered to 12, two runs on rings of
+# 128 and 129 take every route: the lattice (a gap-1 row among them), level
+# sets (a gap-1 row too), and the list kernel both at once by the ring
+# bound (C(1, 2, 3), C(1, 2, 5)) and after LEVEL_CAP levels (C(1, 2, 62))
+PARANOID_CAP = 12
+PARANOID_RUN = [(128, (3,)), (128, (63,)), (128, (2, 3)), (128, (2, 6)),
+                (128, (2, 62)), (128, (12, 33)), (129, (2, 5)), (129, (11, 25))]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("rows", BLOCK_RUNS.values(), ids=BLOCK_RUNS)
-def test_a_block_equals_its_rows_one_at_a_time(rows, fmt):
-    want = [verify_instance(n, c) for n, c in rows]
-    got = [theorem_lab._verify_block(b, False, fmt) for b in theorem_lab._blocks(rows)]
+@pytest.mark.parametrize("rows,paranoid", [
+    *(pytest.param(rows, False, id=name) for name, rows in BLOCK_RUNS.items()),
+    pytest.param(PARANOID_RUN, True, id="paranoid, every route under a cap of 12"),
+])
+def test_a_block_equals_its_rows_one_at_a_time(monkeypatch, rows, paranoid, fmt):
+    if paranoid:
+        monkeypatch.setattr(metrics, "LEVEL_CAP", PARANOID_CAP)
+        assert {next(metrics.run_facts(n, [c]))[0] for n, c in rows} == \
+            {"lattice", "level sets", "list kernel"}
+    want = [verify_instance(n, c, paranoid=paranoid) for n, c in rows]
+    got = [theorem_lab._verify_block(b, paranoid, fmt) for b in theorem_lab._blocks(rows)]
     assert "".join(t for t, _, _ in got) == theorem_lab._render_rows(want, fmt)
     assert sum((g for _, g, _ in got), collections.Counter()) == \
         collections.Counter(r.gap for r in want)
     assert [r for _, _, f in got for r in f] == [r for r in want if r.anomalies]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_paranoid_fails_a_fault_in_the_second_row_of_a_run(jobs, tmp_path, monkeypatch,
+                                                          capsys):
+    # the level loop doctored on the second row of each run it walks: a row
+    # checked as a one-row run never shows the fault, so --paranoid has to
+    # check the facts of the block loop that every plain row runs
+    real = metrics.level_set_summaries
+
+    def doctored(n, chord_sets):
+        for k, facts in enumerate(real(n, chord_sets)):
+            yield facts._replace(v_dc=(1,)) if k == 1 else facts
+
+    run = [(20, (2, 3)), (20, (2, 5)), (20, (3, 4))]
+    want = [verify_instance(n, c) for n, c in run]
+    monkeypatch.setattr(metrics, "level_set_summaries", doctored)
+    assert [verify_instance(n, c, paranoid=True) for n, c in run] == want
+    text, _, _ = theorem_lab._verify_block(run, False, "csv")  # plain rows take the fault
+    assert text != theorem_lab._render_rows(want, "csv")
+    with pytest.raises(TheoremViolation, match=r"^route mismatch on C20\(1,2,5\): level sets "):
+        theorem_lab._verify_block(run, True, "csv")
+    # the CLI plans the 28 rows of n = 20, m = 3 as one run, or at --jobs 2
+    # as two of 14, and names the second row of the first, C20(1, 2, 4)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for out in (["--out", str(tmp_path / "report.csv")], []):
+        argv = ["verify", "--n", "20", "--m", "3", "--paranoid", "--jobs", jobs, *out]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"theorem violation: route mismatch on C20\(1,2,4\): "
+                            r"level sets [^\n]*\n", captured.err), captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_allpairs_and_paranoid_catch_a_sandwich_violation_off_source_0(monkeypatch):
