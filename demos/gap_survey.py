@@ -28,7 +28,7 @@ for n, chords in instances:
     gaps[r.gap] += 1
     if r.gap == 1:
         exceptions.append(r)
-    if not r.thm43_ok:
+    if not r.thm43_consistent:
         inconsistent.append(r)
 
 print(f"gap distribution: {dict(sorted(gaps.items()))}")
@@ -47,7 +47,7 @@ for r in inconsistent:
     verdict = "predicted gap 1" if r.cond_outer and r.cond_inner \
         else "predicted gap 2"
     print(f"  {label:<12} {verdict}, actual gap {r.gap}  "
-          f"(extremal set {list(r.extremal_set)})")
+          f"(extremal set {list(r.v_dc)})")
 
 print("\nreading: when both conditions hold the expansion only ever pays "
       "one extra edge;\nthe small-n mispredictions are exactly the rows "

@@ -11,7 +11,8 @@ gap counts and the gap-1 rows or findings.  Both create an empty
 temporary sibling of every file they write before the first row runs, so
 an unwritable path fails at once, and move each into place only at the
 end; a stdout report is staged in an anonymous temporary file and copied
-out after the last row.  A run that exits 2 or 3 leaves none of its
+out after the last row, and stdout holds nothing else (without --out,
+sweep's summary goes to stderr).  A run that exits 2 or 3 leaves none of its
 files behind and prints no report byte.
 
 Exit codes: 0 clean, 2 parameter error, unwritable output path or a ring
@@ -400,10 +401,11 @@ def cmd_sweep(args) -> int:
         print(f"gap distribution {dist_text}")
         print(f"counterexamples {len(counterexamples)} -> {cx_path}")
     else:
-        print(f"# gap distribution {dist_text}")
-        print(f"# counterexamples {len(counterexamples)}")
+        print(f"# gap distribution {dist_text}", file=sys.stderr)
+        print(f"# counterexamples {len(counterexamples)}", file=sys.stderr)
         for r in counterexamples:
-            print(f"# counterexample n={r.n} gens={'-'.join(map(str, r.gens))}")
+            print(f"# counterexample n={r.n} gens={'-'.join(map(str, r.gens))}",
+                  file=sys.stderr)
     return EXIT_OK
 
 

@@ -72,44 +72,32 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]').search  # what csv's QUOTE_MINIMAL quotes
 _FLAG_TEXT = ("false", "true")  # a report's flags are bools, read as 0 and 1
 
 
-class VerificationReport(collections.namedtuple("VerificationReport", (
-        "n gens chord_count d_circ d_ggpg gap extremal_set cond_outer cond_inner"
-        " thm41_ok thm42_ok thm43_ok thm44_ok conj45_holds anomalies witnesses"))):
-    """One sweep row: both diameters, the conditions, and every verdict."""
+class VerificationReport(collections.namedtuple("VerificationReport",
+                                                (*REPORT_COLUMNS, "witnesses"))):
+    """One report row.  Its fields are the report's columns, REPORT_COLUMNS
+    (so r.chords is the chord count, as in the column), then witnesses:
+    each anomaly's witness by tag, which only a JSON record carries."""
 
     __slots__ = ()
 
     def csv_line(self) -> str:
         """The row as one CSV line, quoted as csv's QUOTE_MINIMAL: only a field
         with , " \\r or \\n (here, anomalies: thm42's has a comma), quotes doubled."""
-        (n, gens, chords, d_circ, d_ggpg, gap, vdc, outer, inner, t41, t42, t43, t44,
-         c45, anomalies, _) = self
+        (n, gens, chords, d_circ, d_ggpg, gap, v_dc, cond_outer, cond_inner, thm41, thm42,
+         thm43_consistent, thm44_consistent, conj45, anomalies, _) = self
         text = "; ".join(anomalies)
         if _NEEDS_QUOTES(text):
             text = '"' + text.replace('"', '""') + '"'
         b = _FLAG_TEXT
         return (f"{n},{'-'.join(map(str, gens))},{chords},{d_circ},{d_ggpg},{gap},"
-                f"{'-'.join(map(str, vdc))},{b[outer]},{b[inner]},{b[t41]},{b[t42]},"
-                f"{b[t43]},{b[t44]},{b[c45]},{text}\n")
+                f"{'-'.join(map(str, v_dc))},{b[cond_outer]},{b[cond_inner]},{b[thm41]},"
+                f"{b[thm42]},{b[thm43_consistent]},{b[thm44_consistent]},{b[conj45]},{text}\n")
 
     def json_record(self) -> dict:
-        rec = {
-            "n": self.n,
-            "gens": list(self.gens),
-            "chords": self.chord_count,
-            "d_circ": self.d_circ,
-            "d_ggpg": self.d_ggpg,
-            "gap": self.gap,
-            "v_dc": list(self.extremal_set),
-            "cond_outer": self.cond_outer,
-            "cond_inner": self.cond_inner,
-            "thm41": self.thm41_ok,
-            "thm42": self.thm42_ok,
-            "thm43_consistent": self.thm43_ok,
-            "thm44_consistent": self.thm44_ok,
-            "conj45": self.conj45_holds,
-            "anomalies": list(self.anomalies),
-        }
+        """The row's columns by name, its tuples as lists, and witnesses when
+        it has any."""
+        rec = dict(zip(REPORT_COLUMNS, self), gens=list(self.gens),
+                   v_dc=list(self.v_dc), anomalies=list(self.anomalies))
         if self.witnesses:
             rec["witnesses"] = self.witnesses
         return rec
@@ -260,11 +248,11 @@ def _verify_row(n: int, gens: tuple, facts, path,
 
 def enforce_proven(report: VerificationReport) -> VerificationReport:
     """Abort tier: raise on a proved-statement violation, with the witness."""
-    if not report.thm41_ok:
+    if not report.thm41:
         raise TheoremViolation(
             f"pairwise sandwich violated on n={report.n} "
             f"gens={report.gens}: witness {report.witnesses.get('thm41')}")
-    if not report.thm42_ok:
+    if not report.thm42:
         raise TheoremViolation(
             f"diameter gap {report.gap} outside {{1,2}} on n={report.n} "
             f"gens={report.gens} (d_circ={report.d_circ}, d_ggpg={report.d_ggpg})")

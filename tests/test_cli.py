@@ -298,7 +298,7 @@ def test_proved_violation_exits_3_before_writing(argv, tmp_path, monkeypatch,
     real = theorem_lab._verify_row
 
     def broken(*args):
-        return real(*args)._replace(thm41_ok=False)
+        return real(*args)._replace(thm41=False)
 
     monkeypatch.setattr(theorem_lab, "_verify_row", broken)
     assert cli.main([*argv, "--out", str(tmp_path / "report.csv")]) == 3
@@ -398,10 +398,7 @@ def test_streamed_reports_equal_the_whole_document(fmt, argv, instances, tmp_pat
         capsys.readouterr()
         texts.append(out.read_text())
         assert cli.main([*argv, "--format", fmt, "--jobs", jobs]) == code
-        stdout = capsys.readouterr().out
-        if argv[0] == "sweep":  # the summary follows the report
-            stdout = stdout[:stdout.index("# gap distribution")]
-        texts.append(stdout)
+        texts.append(capsys.readouterr().out)
     assert texts[1:] == texts[:-1]
     head = (json.loads(texts[0])["header"] if fmt == "json"
             else texts[0].splitlines()[0])
@@ -445,7 +442,7 @@ def test_a_violation_inside_a_block_exits_3_naming_its_row(jobs, tmp_path,
 
     def broken(*args):
         r = real(*args)
-        return r._replace(thm41_ok=False) if (r.n, r.gens[1:]) in (first, later) else r
+        return r._replace(thm41=False) if (r.n, r.gens[1:]) in (first, later) else r
 
     monkeypatch.setattr(theorem_lab, "_verify_row", broken)
     n, chords = first
@@ -468,7 +465,7 @@ def test_late_violation_exits_3_with_no_report_byte(argv, jobs, tmp_path,
 
     def broken(*args):
         r = real(*args)
-        return r._replace(thm42_ok=False) if (r.n, r.gens[1:]) == last else r
+        return r._replace(thm42=False) if (r.n, r.gens[1:]) == last else r
 
     monkeypatch.setattr(theorem_lab, "_verify_row", broken)
     for out in (["--out", str(tmp_path / "report.out")], []):
@@ -590,9 +587,31 @@ def test_sweep_stdout_mode():
     assert r.returncode == 0
     lines = r.stdout.splitlines()
     assert lines[0].startswith("# loopnet ")
-    assert any(l.startswith("# gap distribution") for l in lines)
-    assert any(l.startswith("# counterexamples ") for l in lines)
-    assert any(l.startswith("# counterexample n=5") for l in lines)
+    assert not any(l.startswith("#") for l in lines[1:])  # the report alone
+    summary = r.stderr.splitlines()
+    assert summary[0].startswith("# gap distribution")
+    assert summary[1].startswith("# counterexamples ")
+    assert any(l.startswith("# counterexample n=5") for l in summary)
+
+
+def test_sweep_stdout_holds_only_the_report(tmp_path):
+    # without --out, stdout is the bytes --out writes, in both formats (so a
+    # JSON one loads), and the summary, a line per gap-1 row, is on stderr
+    argv, stderr = ("sweep", "--n", "5..7", "--m", "2"), []
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"sweep.{fmt}"
+        assert run_cli(*argv, "--format", fmt, "--out", str(out)).returncode == 0
+        r = run_cli(*argv, "--format", fmt)
+        assert r.returncode == 0 and r.stdout == out.read_text(), fmt
+        stderr.append(r.stderr)
+    reports = json.loads(r.stdout)["reports"]
+    gaps = [rec["gap"] for rec in reports]
+    gap1 = [rec for rec in reports if rec["gap"] == 1]
+    assert gap1 and stderr == 2 * ["".join([
+        f"# gap distribution 1:{gaps.count(1)} 2:{gaps.count(2)}\n",
+        f"# counterexamples {len(gap1)}\n",
+        *(f"# counterexample n={rec['n']} gens={'-'.join(map(str, rec['gens']))}\n"
+          for rec in gap1)])]
 
 
 def test_seed_env_fallback_and_flag_override():
@@ -698,7 +717,7 @@ def test_a_worker_violation_is_reported_once_by_the_command(to_file, tmp_path):
     patch = (f"real = theorem_lab._verify_row\n"
              f"def broken(*args):\n"
              f"    r = real(*args)\n"
-             f"    return r._replace(thm41_ok=False) if (r.n, r.gens[1:]) == {(n, chords)!r} else r\n"
+             f"    return r._replace(thm41=False) if (r.n, r.gens[1:]) == {(n, chords)!r} else r\n"
              f"theorem_lab._verify_row = broken\n"
              f"theorem_lab.BLOCK_ROWS = 7\n")
     out = ["--out", str(tmp_path / "report.csv")] if to_file else []

@@ -157,23 +157,48 @@ def test_conj45_witness_matches_fifo_reference_large(k):
     assert path == reference_witness(n, chords)
 
 
-@pytest.mark.parametrize("js", [range(2, 41), [158]], ids=["j=2..40", "j=158"])
-def test_the_m3_gap1_family_on_level_sets(js):
-    # C_{4j^2}(1, 2j + 1, 2j^2 - 1) has gap 1 and D = j + 1; at j = 158,
-    # n = 99 856 and D = 159 is still within LEVEL_CAP.  Level sets decide
-    # each row, and its walk equals a FIFO search over the GGPG's neighbors()
+def m3_series_row(series, j):
+    """(n, chords, D, gap) of row j of an m = 3 series on level sets:
+    (a) C_{4j^2}(1, 2j + 1, 2j^2 - 1), gap 1 and D = j + 1;
+    (b) C_n(1, 2j, n/2 - 1), n = 2j(2j - 3) for even j and 2(j - 1)(2j - 1)
+        for odd j, gap 1 and D = j;
+    (c) n = (2j)^2, chords n/2 - 1 and the fold of (n/2 - 1)(2j + 1) mod n,
+        D = j + 1, gap 1 for odd j and 2 for even j."""
+    if series == "a":
+        return 4 * j * j, (2 * j + 1, 2 * j * j - 1), j + 1, 1
+    if series == "b":
+        n = 2 * j * (2 * j - 3) if j % 2 == 0 else 2 * (j - 1) * (2 * j - 1)
+        return n, (2 * j, n // 2 - 1), j, 1
+    n = 4 * j * j
+    s = (n // 2 - 1) * (2 * j + 1) % n
+    return n, tuple(sorted({n // 2 - 1, min(s, n - s)})), j + 1, 2 - j % 2
+
+
+@pytest.mark.parametrize("series,js", [
+    ("a", range(2, 41)), ("a", [158]),
+    ("b", range(3, 23)), ("b", [158]),
+    ("c", range(2, 23)), ("c", [157]),
+], ids=["j=2..40", "j=158", "b-j=3..22", "b-j=158", "c-j=2..22", "c-j=157"])
+def test_the_m3_gap1_family_on_level_sets(series, js):
+    # each series keeps D within LEVEL_CAP up to its row near n = 10^5
+    # ((a) j = 158: n = 99 856, D = 159; (b) j = 158: n = 98 908; (c) j = 157:
+    # n = 98 596).  Level sets decide each row, and a gap-1 row's walk
+    # equals a FIFO search over the GGPG's neighbors() to distance D + 1
     for j in js:
-        n, chords = 4 * j * j, (2 * j + 1, 2 * j * j - 1)
+        n, chords, d, gap = m3_series_row(series, j)
         g = build_circulant(n, (1,) + chords)
         r = verify_instance(n, chords)
-        assert (r.gap, r.d_circ) == (1, j + 1), j
+        assert (r.gap, r.d_circ) == (gap, d), (series, j)
         route, facts, runs = next(metrics.run_facts(n, [chords]))
-        assert route == "level sets" and facts == instance_distances(g).summary(), j
+        assert route == "level sets" and facts == instance_distances(g).summary(), (series, j)
+        if gap == 2:
+            assert runs is None, (series, j)
+            continue
         h = expand(g)
-        want = oracle.fifo_path(h, h.outer(0), oracle.bfs(h, h.outer(0)).index(j + 2))
-        assert [v for run in runs for v in run] == want, j
+        want = oracle.fifo_path(h, h.outer(0), oracle.bfs(h, h.outer(0)).index(d + 1))
+        assert [v for run in runs for v in run] == want, (series, j)
         assert r.witnesses["conj45"]["ggpg_diametral_path"] == \
-            [h.vertex_label(v) for v in want], j
+            [h.vertex_label(v) for v in want], (series, j)
 
 
 def old_labels(n, chords):
@@ -256,7 +281,7 @@ def test_verify_instance_makes_no_neighbors_or_bfs_call(monkeypatch):
     monkeypatch.setattr(oracle, "inner_only_distances", forbidden)
     r = verify_instance(12, (5,))
     assert r.gap == 1 and r.witnesses["conj45"]["ggpg_diametral_path"]
-    assert verify_instance(20, (4, 8)).thm41_ok
+    assert verify_instance(20, (4, 8)).thm41
 
 
 @pytest.mark.parametrize("n,chords,paranoid,gap1", [

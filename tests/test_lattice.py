@@ -192,6 +192,6 @@ def test_paranoid_compares_the_lattice_with_the_list_kernel(monkeypatch):
         return real(self)._replace(v_dc=(1,))
 
     monkeypatch.setattr(metrics.LatticeDistances, "summary", doctored)
-    assert verify_instance(132, (65,)).extremal_set == (1,)  # trusted when not paranoid
+    assert verify_instance(132, (65,)).v_dc == (1,)  # trusted when not paranoid
     with pytest.raises(RuntimeError, match=r"route mismatch on C132.*: lattice "):
         verify_instance(132, (65,), paranoid=True)

@@ -234,7 +234,7 @@ def test_thm43_witnesses_on_the_grid_match_the_oracles():
             assert row.witnesses["thm43"]["extremal"] == [
                 {"i": i, "outer_only": outer_only_distance(g, i),
                  "inner_only": format_distance(chord[i]), "diameter": row.d_circ}
-                for i in row.extremal_set], (n, chords)
+                for i in row.v_dc], (n, chords)
             seen += 1
     assert seen == 70
 
@@ -483,7 +483,7 @@ def test_paranoid_compares_the_two_summaries(monkeypatch):
         return (facts._replace(v_dc=(1,)) for facts in real(n, chord_sets))
 
     monkeypatch.setattr(metrics, "level_set_summaries", doctored)
-    assert verify_instance(20, (4, 8)).extremal_set == (1,)  # trusted when not paranoid
+    assert verify_instance(20, (4, 8)).v_dc == (1,)  # trusted when not paranoid
     with pytest.raises(RuntimeError, match="route mismatch on C20"):
         verify_instance(20, (4, 8), paranoid=True)
 

@@ -50,9 +50,9 @@ RECORDS = [
     (check_thm43(G), ("predicted_gap_is_1", "actual_gap", "consistent",
                       "cond_outer", "cond_inner")),
     (check_thm44(G), ("any_condition_fires", "actual_gap", "consistent", "notes")),
-    (REPORT, ("n", "gens", "chord_count", "d_circ", "d_ggpg", "gap", "extremal_set",
-              "cond_outer", "cond_inner", "thm41_ok", "thm42_ok", "thm43_ok",
-              "thm44_ok", "conj45_holds", "anomalies", "witnesses")),
+    (REPORT, ("n", "gens", "chords", "d_circ", "d_ggpg", "gap", "v_dc",
+              "cond_outer", "cond_inner", "thm41", "thm42", "thm43_consistent",
+              "thm44_consistent", "conj45", "anomalies", "witnesses")),
     (REPORT.witnesses["conj45"]["ggpg_diametral_path"], ("n", "runs")),
     (PathRep(1, [2]), ("alpha", "lambdas")),
     (Walk(0, [(1, 1), (2, -1)]), ("origin", "steps")),

@@ -29,6 +29,7 @@ from loopnet import cli, graph_core, metrics, oracle, theorem_lab
 from loopnet.oracle import _sandwich
 from loopnet.theorem_lab import (
     REPORT_COLUMNS,
+    VerificationReport,
     chord_sets,
     enforce_proven,
     plan_sweep,
@@ -41,10 +42,10 @@ from loopnet.theorem_lab import (
 def test_clean_instance_all_checks_pass():
     r = verify_instance(9, (2,))
     assert (r.d_circ, r.d_ggpg, r.gap) == (2, 4, 2)
-    assert r.extremal_set == (3, 4, 5, 6)
+    assert r.v_dc == (3, 4, 5, 6)
     assert not r.cond_outer and not r.cond_inner
-    assert r.thm41_ok and r.thm42_ok and r.thm43_ok and r.thm44_ok
-    assert r.conj45_holds
+    assert r.thm41 and r.thm42 and r.thm43_consistent and r.thm44_consistent
+    assert r.conj45
     assert r.anomalies == ()
     assert r.witnesses == {}
 
@@ -55,10 +56,10 @@ def test_gap_one_instance_is_a_conjecture_counterexample():
     # predicts gap 1 -- and the actual gap is 1
     r = verify_instance(12, (5,))
     assert (r.d_circ, r.d_ggpg, r.gap) == (3, 4, 1)
-    assert r.extremal_set == (3, 9)
+    assert r.v_dc == (3, 9)
     assert r.cond_outer and r.cond_inner
-    assert r.thm43_ok and r.thm44_ok
-    assert not r.conj45_holds
+    assert r.thm43_consistent and r.thm44_consistent
+    assert not r.conj45
     assert any(a.startswith("conj45:") for a in r.anomalies)
     path = r.witnesses["conj45"]["ggpg_diametral_path"]
     assert len(path) - 1 == 4
@@ -70,12 +71,12 @@ def test_small_n_breaks_the_gap1_characterization():
     r = verify_instance(5, (2,))
     assert (r.d_circ, r.d_ggpg, r.gap) == (1, 2, 1)
     assert not r.cond_outer
-    assert not r.thm43_ok and not r.thm44_ok
+    assert not r.thm43_consistent and not r.thm44_consistent
     assert any(a.startswith("thm43:") for a in r.anomalies)
     assert any(a.startswith("thm44:") for a in r.anomalies)
     w = r.witnesses["thm43"]
     assert w["predicted_gap_is_1"] is False and w["gap"] == 1
-    assert {e["i"] for e in w["extremal"]} == set(r.extremal_set)
+    assert {e["i"] for e in w["extremal"]} == set(r.v_dc)
 
 
 def test_check_functions_agree_with_report():
@@ -138,9 +139,9 @@ def test_enforce_proven_raises_on_doctored_reports():
     r = verify_instance(9, (2,))
     assert enforce_proven(r) is r
     with pytest.raises(TheoremViolation):
-        enforce_proven(r._replace(thm41_ok=False))
+        enforce_proven(r._replace(thm41=False))
     with pytest.raises(TheoremViolation):
-        enforce_proven(r._replace(thm42_ok=False, gap=0))
+        enforce_proven(r._replace(thm42=False, gap=0))
     # findings never abort
     enforce_proven(verify_instance(5, (2,)))
 
@@ -412,7 +413,7 @@ def test_allpairs_and_paranoid_catch_a_sandwich_violation_off_source_0(monkeypat
     assert check_thm41(g, mode="orbit").ok
     assert check_thm41(g, mode="allpairs") == (False, want)
     row = verify_instance(n, chords, paranoid=True)
-    assert not row.thm41_ok and row.witnesses["thm41"] == {"pair": list(want)}
+    assert not row.thm41 and row.witnesses["thm41"] == {"pair": list(want)}
     assert row.anomalies == ("thm41: sandwich violated",) + plain.anomalies
 
     def farther(gr, src):  # and the last source sees farther: the shortcut
@@ -429,11 +430,11 @@ def test_allpairs_and_paranoid_catch_a_sandwich_violation_off_source_0(monkeypat
 def csv_cells(r):
     """A row's cells as csv.writer takes them: the reference for the
     direct line, VerificationReport.csv_line."""
-    flags = (r.cond_outer, r.cond_inner, r.thm41_ok, r.thm42_ok, r.thm43_ok,
-             r.thm44_ok, r.conj45_holds)
+    flags = (r.cond_outer, r.cond_inner, r.thm41, r.thm42, r.thm43_consistent,
+             r.thm44_consistent, r.conj45)
     return [str(r.n), "-".join(map(str, r.gens)),
-            *map(str, (r.chord_count, r.d_circ, r.d_ggpg, r.gap)),
-            "-".join(map(str, r.extremal_set)),
+            *map(str, (r.chords, r.d_circ, r.d_ggpg, r.gap)),
+            "-".join(map(str, r.v_dc)),
             *["true" if b else "false" for b in flags], "; ".join(r.anomalies)]
 
 
@@ -478,6 +479,7 @@ def test_csv_writer_layout():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "# loopnet test | flags | seed=0"
     assert lines[1] == ",".join(REPORT_COLUMNS)
+    assert VerificationReport._fields == (*REPORT_COLUMNS, "witnesses")
     assert lines[2].startswith("9,1-2,1,2,4,2,3-4-5-6,false,false,true,true,")
     assert lines[3].split(",")[:7] == ["12", "1-5", "1", "3", "4", "1", "3-9"]
     # rerun is byte-identical
