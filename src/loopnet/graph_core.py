@@ -247,14 +247,6 @@ def build_circulant(n: int, gens) -> CirculantGraph:
     return CirculantGraph(n, gens)
 
 
-def _unchecked_circulant(n: int, gens: tuple) -> CirculantGraph:
-    """C_n(gens) built without build_circulant's checks, for a generator
-    tuple admissible by construction: an int n >= 5 and ints
-    1 = s_1 < ... < s_m <= floor((n-1)/2), as theorem_lab's planner makes
-    them.  It equals build_circulant(n, gens) on such input."""
-    return tuple.__new__(CirculantGraph, (n, tuple.__new__(GeneratorSequence, gens)))
-
-
 def build_ggpg(n: int, chords) -> GgpgGraph:
     """Build the GGPG graph on ring length n with the given inner chords."""
     return GgpgGraph(n, chords)

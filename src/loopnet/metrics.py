@@ -128,10 +128,10 @@ ecc(u_0) = D + 1, since d_p(u_0, v_i) = D + 1 on V_Dc).
 
 A walk thus reads O(path length + log n per ring run) circulant distances:
 from the lattice on its route, else from an O(n) vector, the list
-kernel's or circulant_distances' (so every m >= 3 row still holds one).  It
-returns the path as one range per run, so on the lattice route it holds
-O(moves) memory: the C_{4k}(1, 2k - 1) witness, u_0 ... u_{k+1}, is
-(range(0, 1), range(1, k + 2)).
+kernel's or the level kernel's over the circulant alone (so every m >= 3
+row still holds one).  It returns the path as one range per run, so on the
+lattice route it holds O(moves) memory: the C_{4k}(1, 2k - 1) witness,
+u_0 ... u_{k+1}, is (range(0, 1), range(1, k + 2)).
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .graph_core import CirculantGraph, _unchecked_circulant
+from .graph_core import CirculantGraph, build_circulant
 
 INF = math.inf
 
@@ -223,7 +223,7 @@ def _summarize(n: int, d: int, vdc: tuple, near, far) -> InstanceSummary:
     ask for ring(i) = chord(i) = d on V_Dc, where both are at least d; as
     V_Dc is symmetric, ring(i) = d on all of it iff it is {d, n - d}.
     """
-    return tuple.__new__(InstanceSummary, (
+    return InstanceSummary(
         d,
         d + 2 if bisect.bisect_right(vdc, d + 1) < bisect.bisect_left(vdc, n - d - 1)
         else d + 1,                                             # ecc_u0
@@ -232,7 +232,7 @@ def _summarize(n: int, d: int, vdc: tuple, near, far) -> InstanceSummary:
         vdc[0] == d and vdc[-1] == n - d and len(vdc) <= 2,     # cond_outer
         not (near or far),                                      # cond_inner
         tuple(near),
-    ))
+    )
 
 
 class InstanceDistances(namedtuple("InstanceDistances", "circ chord_only")):
@@ -255,17 +255,12 @@ class InstanceDistances(namedtuple("InstanceDistances", "circ chord_only")):
                           [i for i in vdc if chord[i] > d + 1])
 
 
-def circulant_distances(g: CirculantGraph) -> list:
-    """d_c(0, i) for every i: the level kernel over the circulant alone."""
-    return _level_bfs(_ring_offsets(g.n, g.gens), 0)
-
-
 def instance_distances(g: CirculantGraph) -> InstanceDistances:
     """One pass of the level kernel over C_n(1, chords) and its chord-only
     ring, both from 0."""
     if g.gens[0] != 1:
         raise ValueError(f"instance distances need generator 1 in S, got {g.label()}")
-    return InstanceDistances(circ=circulant_distances(g),
+    return InstanceDistances(circ=_level_bfs(_ring_offsets(g.n, g.gens), 0),
                              chord_only=_level_bfs(_ring_offsets(g.n, g.gens[1:]), 0))
 
 
@@ -650,24 +645,27 @@ def run_facts(n: int, chord_sets):
     level_set_summaries loop, and a row whose route returns None the list
     kernel.  path is the gap-1 witness (diametral_path), else None, walked
     on the lattice's d_c where there is one, else on the list kernel's
-    vector, else on a circulant search."""
+    vector, else on a circulant search.  The lattice and list-kernel rows
+    build their graph with build_circulant, which raises
+    FamilyParameterError on an inadmissible row; a level-set row builds
+    none and trusts its caller's chords."""
     # the chord count of the run's rows that take the lattice (0: none)
     lattice = 1 if n >= DOUBLE_LOOP_LEVELS_BELOW else 0
     levels = level_set_summaries(
         n, [c for c in chord_sets if len(c) != lattice] if lattice else chord_sets)
     for chords in chord_sets:
         if len(chords) == lattice:
-            lat = lattice_distances(_unchecked_circulant(n, (1, *chords)))
+            lat = lattice_distances(build_circulant(n, (1, *chords)))
             route, facts, circ = "lattice", lat.summary(), lat.circ_at
         else:
             route, facts, circ = "level sets", next(levels), None
         if facts is None:
-            kernel = instance_distances(_unchecked_circulant(n, (1, *chords)))
+            kernel = instance_distances(build_circulant(n, (1, *chords)))
             route, facts, circ = "list kernel", kernel.summary(), kernel.circ.__getitem__
         path = None
         if facts.ecc_u0 == facts.ecc_v0 == facts.d_circ + 1:  # gap 1, as both are >= D + 1
             if circ is None:
-                circ = circulant_distances(_unchecked_circulant(n, (1, *chords))).__getitem__
+                circ = _level_bfs(_ring_offsets(n, (1, *chords)), 0).__getitem__
             path = diametral_path(n, chords, facts.d_circ, circ)
         yield route, facts, path
 

@@ -167,14 +167,13 @@ def diameter_ggpg(g: GgpgGraph, paranoid: bool = False) -> int:
     return d
 
 
-def distance_dump_rows(g, sources=None):
-    """Rows for the distance dump CSV: family,n,gens,source,vertex,dist."""
-    if sources is None:
-        if isinstance(g, CirculantGraph):
-            sources = [0]
-        else:
-            sources = [g.outer(0), g.inner(0)]
-    gens = g.gens if isinstance(g, CirculantGraph) else g.chords
+def distance_dump_rows(g):
+    """Rows for the distance dump CSV: family,n,gens,source,vertex,dist,
+    from 0 on a circulant and from u_0 and v_0 on a GGPG graph."""
+    if isinstance(g, CirculantGraph):
+        sources, gens = [0], g.gens
+    else:
+        sources, gens = [g.outer(0), g.inner(0)], g.chords
     gens_txt = "-".join(str(s) for s in gens)
     for src in sources:
         vec = bfs(g, src)

@@ -25,12 +25,12 @@ the loop hands each row's facts and walk to oracle.check_row (its own
 list kernel and 3n list-BFS searches, one source held at a time: O(n)
 memory, quadratic time).
 
-Rows are validated at the boundaries, once.  verify_instance, the public
-entry and the loop's one-row case, checks its input with build_circulant,
-and the CLI checks a --gens row the same way when it plans it; the
-planner's rows (_plan) are admissible by construction.  So the row path,
-_verify_block, repeats no check, and builds no graph for a plain
-level-set row.
+Level-set rows build no graph and trust the planner; every graph the row
+path builds is checked (a lattice, list-kernel or paranoid row's, by
+build_circulant, which raises FamilyParameterError).  verify_instance, the
+public entry and the loop's one-row case, checks its input with
+build_circulant, and the CLI checks a --gens row the same way when it
+plans it; the planner's rows (_plan) are admissible by construction.
 
 Failures are tiered.  The first two are proved facts, so a violation means
 the implementation is broken: enforce_proven raises with the witness (as
@@ -52,7 +52,7 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .graph_core import _unchecked_circulant, build_circulant, expand, max_generator
+from .graph_core import build_circulant, expand, max_generator
 from .metrics import run_facts
 
 
@@ -180,7 +180,7 @@ def _verify_rows(n: int, chord_sets: list, paranoid: bool) -> list:
     if paranoid:
         from .oracle import check_row  # compiled only by a paranoid row
     return [_verify_row(n, (1, *c), facts, path, check_row(
-                _unchecked_circulant(n, (1, *c)), route, facts, path) if paranoid else None)
+                build_circulant(n, (1, *c)), route, facts, path) if paranoid else None)
             for c, (route, facts, path) in zip(chord_sets, run_facts(n, chord_sets))]
 
 
@@ -190,17 +190,12 @@ def _verify_row(n: int, gens: tuple, facts, path,
     *chords), from its route's summary (facts) and gap-1 walk (path, else
     None), as metrics.run_facts gives them, and sandwich, the (ok, witness)
     of oracle.check_row on a paranoid row; on any other row 4.1 holds by
-    the spoke identity.  A row with no anomaly (4.1 holds, gap 2, not
-    predicted by 4.3's conditions) is built at once."""
+    the spoke identity."""
     d_circ, ecc_u0, ecc_v0, vdc, cond_outer, cond_inner, near = facts
     d_ggpg = ecc_u0 if ecc_u0 > ecc_v0 else ecc_v0
     gap = d_ggpg - d_circ
     t41_ok, t41_witness = sandwich or (True, None)
     predicted = cond_outer and cond_inner
-    if gap == 2 and t41_ok and not predicted:
-        return tuple.__new__(VerificationReport, (
-            n, gens, len(gens) - 1, d_circ, d_ggpg, 2, vdc, cond_outer, cond_inner,
-            True, True, True, True, True, (), {}))
     t42_ok = gap in (1, 2)
     t43_ok = predicted == (gap == 1)
     t44_ok = predicted or gap == 2  # 4.4's conditions fire iff not predicted
@@ -367,9 +362,9 @@ def _verify_block(instances: list, paranoid: bool, fmt: str) -> tuple:
     """One block, in a worker or in-process: verify each row, apply
     enforce_proven (raising on the first violation) and render it in fmt.
     Returns the text, the gap counts and the rows with an anomaly.  Each
-    (n, chords) row must be admissible, as _plan makes them, since nothing
-    here checks it: each run of rows on one ring goes through one
-    _verify_rows loop, paranoid or not."""
+    (n, chords) row must be admissible, as _plan makes them, since a
+    level-set row is checked nowhere: each run of rows on one ring goes
+    through one _verify_rows loop, paranoid or not."""
     rows = []
     for n, run in itertools.groupby(instances, _ring_length):
         rows += map(enforce_proven, _verify_rows(n, [c for _, c in run], paranoid))
@@ -385,8 +380,8 @@ def run_instances(instances, *, paranoid: bool = False, jobs: int = 1,
                   fmt: str = "csv"):
     """Yield each block's _verify_block triple in input order, whatever
     jobs is; a violation raises for the first violating row in that order.
-    instances, any iterable of admissible (n, chords) rows (_verify_block
-    checks none), is drawn lazily.  One worker,
+    instances, any iterable of admissible (n, chords) rows (a level-set
+    row is checked nowhere), is drawn lazily.  One worker,
     or a system without os.fork, runs the blocks in-process.  Else
     W = min(jobs, cores, rows) workers are forked (forking.forked) once
     this process has pulled W rows, and it pulls no more: worker k walks

@@ -86,7 +86,8 @@ MISSING_N = [
     ("export", "--family", "ggpg", "--chords", "2"),
 ]
 
-# options that would each be dropped without a word: the flags named
+# options that would each be dropped without a word: the flags named (and,
+# for --counterexamples-out, where the gap-1 rows go without --out)
 CONFLICTS = {
     ("verify", "--n", "7", "--m", "2", "--gens", "1,2"): ("--gens", "--m"),
     ("verify", "--n", "5", "--gens", "1,2", "--preset", "beenker-vanlint"):
@@ -94,7 +95,23 @@ CONFLICTS = {
     ("verify", "--preset", "beenker-vanlint", "--m", "3", "--n", "5..6"):
         ("--preset", "--m"),
     ("sweep", "--n", "5..8", "--m", "2", "--counterexamples-out", "X.csv"):
-        ("--counterexamples-out", "--out"),
+        ("--counterexamples-out", "--out", "the gap-1 rows stay in the stdout report, "
+         "and stderr names each on a '# counterexample' line"),
+}
+
+# a value or an absence each flag refuses, and the flag (or variable) named;
+# a leading NAME=value item sets that environment variable
+BAD_VALUES = {
+    ("diameter", "--n", "9", "--gens", "a,b"): ("--gens",),
+    ("diameter", "--n", "9", "--gens", ","): ("--gens",),
+    ("diameter", "--n", "9", "--gens", "0,1"): ("--gens",),
+    ("sweep", "--n", "5..x", "--m", "2"): ("--n",),
+    ("sweep", "--n", "x", "--m", "2"): ("--n",),
+    ("LOOPNET_SEED=x", "sweep", "--n", "5..8", "--m", "2"): ("LOOPNET_SEED",),
+    ("diameter", "--family", "circulant", "--n", "9"): ("--gens",),
+    ("diameter", "--family", "ggpg", "--n", "9"): ("--chords",),
+    ("verify", "--n", "9", "--gens", "1"): ("--gens",),
+    ("sweep", "--n", "5..8", "--m", "2", "--jobs", "0"): ("--jobs",),
 }
 
 
@@ -116,15 +133,17 @@ CONFLICTS = {
      "--format", "csv"),
     *MISSING_N,
     *CONFLICTS,
+    *BAD_VALUES,
 ])
 def test_parameter_errors_exit_2(args):
-    r = run_cli(*args)
+    env = dict([args[0].split("=", 1)]) if "=" in args[0] else {}
+    r = run_cli(*args[len(env):], env_extra=env)
     assert r.returncode == 2, r.stderr
     assert r.stderr != "" and "Traceback" not in r.stderr
-    if args in MISSING_N:
-        assert "--n" in r.stderr
-    for flag in CONFLICTS.get(args, ()):
-        assert flag in r.stderr
+    named = ("--n",) if args in MISSING_N else CONFLICTS.get(args) or BAD_VALUES.get(args, ())
+    if named:
+        (line,) = [x for x in r.stderr.splitlines() if x.startswith("error: ")]
+        assert all(name in line for name in named), line
 
 
 @pytest.mark.parametrize("args", [
@@ -134,12 +153,17 @@ def test_parameter_errors_exit_2(args):
      "--counterexamples-out", "{bad}"),
     ("diameter", "--n", "7", "--gens", "1,2", "--out", "{bad}"),
     ("export", "--n", "7", "--gens", "1,2", "--out", "{bad}"),
+    ("sweep", "--n", "5..8", "--m", "2", "--out", "{dir}"),
+    ("diameter", "--n", "7", "--gens", "1,2", "--out", "{dir}"),
 ])
 def test_unwritable_output_path_exits_2(tmp_path, args):
-    bad = str(tmp_path / "missing" / "x.csv")
-    r = run_cli(*(a.format(bad=bad, ok=tmp_path / "ok.csv") for a in args))
+    # {bad} is in a missing directory, {dir} an existing directory
+    paths = {"bad": str(tmp_path / "missing" / "x.csv"), "dir": str(tmp_path),
+             "ok": str(tmp_path / "ok.csv")}
+    r = run_cli(*(a.format(**paths) for a in args))
+    named = paths["dir" if "{dir}" in args else "bad"]
     assert r.returncode == 2, r.stderr
-    assert r.stderr.startswith("error: ") and bad in r.stderr
+    assert r.stderr.startswith("error: ") and named in r.stderr
     assert "Traceback" not in r.stderr
 
 

@@ -154,6 +154,16 @@ def test_lattice_summary_takes_only_double_loops(gens):
         lattice_distances(build_circulant(20, gens))
 
 
+@pytest.mark.parametrize("route, gens, message", [
+    (instance_distances, (2, 5), "instance distances need generator 1"),
+    (level_set_summary, (1,), "level sets need generator 1 and a chord"),
+    (level_set_summary, (2, 5), "level sets need generator 1 and a chord"),
+])
+def test_list_and_level_routes_refuse_rows_outside_the_family(route, gens, message):
+    with pytest.raises(ValueError, match=message):
+        route(build_circulant(20, gens))
+
+
 def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
     # from DOUBLE_LOOP_LEVELS_BELOW up; shorter rings take level sets alone
     long = [(DOUBLE_LOOP_LEVELS_BELOW, (3,)), (132, (65,)), (804, (401,)), (1000, (2,)),

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopnet import (
+    FamilyParameterError,
     TheoremViolation,
     build_circulant,
     check_thm41,
@@ -255,21 +256,27 @@ def test_plan_sweep_sample_larger_than_cell_takes_it_whole():
        m_set=st.sets(st.sampled_from([2, 3, 4]), min_size=1),
        cap=st.integers(0, 300), size=st.integers(1, 40), seed=st.integers(0, 2 ** 16))
 def test_planned_rows_are_admissible(n_lo, span, m_set, cap, size, seed):
-    # the row path builds a planned row's graph without build_circulant's
-    # checks: every row _plan makes, from listed and sampled cells alike,
-    # must pass them and give the same graph unchecked
+    # a level-set row builds no graph, so nothing on the row path checks it:
+    # every row _plan makes, from listed and sampled cells alike, must pass
+    # build_circulant's checks
     cells = collections.Counter()
     for n, chords in theorem_lab._plan(range(n_lo, n_lo + span + 1), m_set,
                                        sample_cap=cap, sample_size=size, seed=seed):
-        checked = build_circulant(n, (1,) + chords)
-        unchecked = graph_core._unchecked_circulant(n, (1, *chords))
-        assert unchecked == checked and type(unchecked.gens) is type(checked.gens)
-        assert tuple(unchecked.gens) == tuple(checked.gens)
+        build_circulant(n, (1,) + chords)
         cells[n, len(chords) + 1] += 1
     for n in range(n_lo, n_lo + span + 1):
         for m in m_set:  # a listed cell whole, a sampled one at its sample size
             total = math.comb(graph_core.max_generator(n) - 1, m - 1)
             assert cells[n, m] == (total if total <= cap else min(size, total))
+
+
+@pytest.mark.parametrize("n, chords", [
+    (200, (150,)),      # a double loop on the lattice route: 150 > floor(199 / 2)
+    (1202, (2, 1200)),  # the list kernel, as C_1202(1, 2) has D = 301 > LEVEL_CAP
+])
+def test_an_inadmissible_row_on_a_route_that_builds_a_graph_raises(n, chords):
+    with pytest.raises(FamilyParameterError, match="floor"):
+        next(metrics.run_facts(n, [chords]))
 
 
 def test_sandwich_vector_check_agrees_with_ordered_loop():
