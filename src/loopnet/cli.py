@@ -7,13 +7,14 @@ and theorem_lab.run_instances verifies, checks (enforce_proven) and
 renders it in blocks of rows; under --jobs, in forked workers that each
 walk their own copy of the plan and pipe back their blocks' results.
 This process only writes each block's text into a staged report, keeping
-gap counts and the gap-1 rows or findings.  Both create an empty
-temporary sibling of every file they write before the first row runs, so
-an unwritable path fails at once, and move each into place only at the
-end; a stdout report is staged in an anonymous temporary file and copied
-out after the last row, and stdout holds nothing else (without --out,
-sweep's summary goes to stderr).  A run that exits 2 or 3 leaves none of its
-files behind and prints no report byte.
+gap counts and the gap-1 rows or findings.  Every command creates an
+empty temporary sibling of every file it writes before its work starts
+(_staged), so an unwritable path fails at once with a line naming its
+flag, and moves each into place only at the end; a stdout report of
+verify or sweep is staged in an anonymous temporary file and copied out
+after the last row, and stdout holds nothing else (without --out, sweep's
+summary goes to stderr).  A run that exits 2 or 3 leaves none of its files
+behind and prints no report byte.
 
 Exit codes: 0 clean, 2 parameter error, unwritable output path or a ring
 too large for memory, 3 proved-statement violation, or under --paranoid a
@@ -164,13 +165,9 @@ def _build_graph(args):
 
 
 def _spec_flags(g, args) -> str:
-    if g.family == "circulant":
-        vals = ",".join(str(s) for s in g.gens)
-        spec = f"--family circulant --n {g.n} --gens {vals}"
-    else:
-        vals = ",".join(str(s) for s in g.chords)
-        spec = f"--family ggpg --n {g.n} --chords {vals}"
-    return _flags(args, spec)
+    # the step field's name (gens or chords) is also its flag's
+    steps = ",".join(map(str, g[1]))
+    return _flags(args, f"--family {g.family} --n {g.n} --{g._fields[1]} {steps}")
 
 
 # --- subcommands ---
@@ -183,44 +180,40 @@ def cmd_diameter(args) -> int:
     seed = args.seed
     flags = _spec_flags(g, args)
     head = _header(flags, seed)
-    if g.family == "circulant":
-        diam = diameter_circulant(g, paranoid=args.paranoid)
-    else:
-        diam = diameter_ggpg(g, paranoid=args.paranoid)
-
-    if args.format == "text":
-        lines = [f"# {head}",
-                 f"label {g.label()}",
-                 f"vertices {g.num_vertices}",
-                 f"edges {g.num_edges}",
-                 f"diameter {diam}"]
-        _write_text(args.out, "\n".join(lines) + "\n")
-    elif args.format == "json":
-        payload = {"header": _header_meta(flags, seed),
-                   "family": g.family,
-                   "label": g.label(),
-                   "n": g.n,
-                   "num_vertices": g.num_vertices,
-                   "num_edges": g.num_edges,
-                   "diameter": "inf" if diam == INF else diam}
-        if g.family == "circulant":
-            payload["gens"] = list(g.gens)
-        else:
-            payload["chords"] = list(g.chords)
-        _write_text(args.out, _json_text(payload) + "\n")
-    else:  # csv
-        lines = [f"# {head}", "family,n,gens,source,vertex,dist"]
-        for row in distance_dump_rows(g):
-            lines.append(",".join(str(c) for c in row))
-        _write_text(args.out, "\n".join(lines) + "\n")
+    diameter = diameter_circulant if g.family == "circulant" else diameter_ggpg
+    with _staged(("--out", args.out)) as staged:  # an unwritable --out fails first
+        diam = diameter(g, paranoid=args.paranoid)
+        if args.format == "text":
+            lines = [f"# {head}",
+                     f"label {g.label()}",
+                     f"vertices {g.num_vertices}",
+                     f"edges {g.num_edges}",
+                     f"diameter {diam}"]
+            text = "\n".join(lines) + "\n"
+        elif args.format == "json":
+            payload = {"header": _header_meta(flags, seed),
+                       "family": g.family,
+                       "label": g.label(),
+                       "n": g.n,
+                       "num_vertices": g.num_vertices,
+                       "num_edges": g.num_edges,
+                       "diameter": "inf" if diam == INF else diam,
+                       g._fields[1]: list(g[1])}
+            text = _json_text(payload) + "\n"
+        else:  # csv
+            lines = [f"# {head}", "family,n,gens,source,vertex,dist"]
+            for row in distance_dump_rows(g):
+                lines.append(",".join(str(c) for c in row))
+            text = "\n".join(lines) + "\n"
+        _write_text(staged.get(args.out), text)
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
     g = _build_graph(args)
     flags = _spec_flags(g, args)
-    text = f"// {_header(flags, args.seed)}\n" + to_dot(g)
-    _write_text(args.out, text)
+    with _staged(("--out", args.out)) as staged:
+        _write_text(staged.get(args.out), f"// {_header(flags, args.seed)}\n" + to_dot(g))
     return EXIT_OK
 
 
@@ -293,24 +286,30 @@ def _write_reports(reports, fh, fmt: str, flags: str, seed: int) -> None:
 
 
 @contextlib.contextmanager
-def _staged(paths):
+def _staged(*outputs):
     """Map each output path to an empty temporary sibling, all created on
-    entry (two paths naming one file are refused); on a normal exit move
-    each into place, on an exception delete them all.  The runner streams
-    rows into a sibling as they pass, so a file appears at its path only
-    once it is whole."""
+    entry; outputs are (flag, path) pairs, and a pair whose path is None
+    (stdout) is skipped.  A path that cannot be written, or that names the
+    same file as an earlier one, is refused as "<flag>: cannot write
+    '<path>': <reason>".  On a normal exit each sibling moves into place, on
+    an exception they are all deleted: the runner streams rows into a
+    sibling as they pass, so a file appears at its path only once it is
+    whole."""
     staged = {}
     try:
-        for path in paths:
+        for flag, path in outputs:
+            if path is None:
+                continue
+            cannot = f"{flag}: cannot write '{path}'"
             if not os.path.basename(path) or os.path.isdir(path):
-                raise IsADirectoryError(f"cannot write {path!r}: not a file path")
+                raise ValueError(f"{cannot}: not a file path")
             if os.path.realpath(path) in map(os.path.realpath, staged):
-                raise ValueError(f"cannot write {path}: another output names the same file")
+                raise ValueError(f"{cannot}: another output names the same file")
             tmp = f"{path}.{os.getpid()}.tmp"
             try:
                 open(tmp, "x").close()
             except OSError as exc:
-                raise OSError(f"cannot write {path}: {exc.strerror}") from exc
+                raise OSError(f"{cannot}: {exc.strerror}") from exc
             staged[path] = tmp
         yield staged
     except BaseException:
@@ -355,7 +354,7 @@ def cmd_verify(args) -> int:
         return [note for note in r.anomalies if note.split(":", 1)[0] in wanted]
 
     found = args.out and _sibling(args.out, "findings", ".json")
-    with _staged([] if args.out is None else [args.out, found]) as staged:
+    with _staged(("--out", args.out), ("--out", found)) as staged:
         _, flagged = _run_checked(instances, args, flags, staged.get(args.out), notes)
         findings = [{"n": r.n, "gens": list(r.gens), "anomaly": note,
                      "witness": r.witnesses.get(note.split(":", 1)[0])}
@@ -383,7 +382,9 @@ def cmd_sweep(args) -> int:
                          f"--sample-size {args.sample_size}")
     cx_path = args.out and (args.counterexamples_out
                             or _sibling(args.out, "counterexamples"))
-    with _staged([] if args.out is None else [args.out, cx_path]) as staged:
+    with _staged(("--out", args.out),
+                 ("--counterexamples-out" if args.counterexamples_out else "--out",
+                  cx_path)) as staged:
         dist, counterexamples = _run_checked(instances, args, flags,
                                              staged.get(args.out),
                                              lambda r: r.gap == 1)

@@ -13,7 +13,10 @@ calls.
 Both graph types are immutable, value-comparable namedtuple subclasses,
 equal only within their family; adjacency is computed from (n, generators)
 on demand, so a graph costs O(1) memory no matter how large n gets.  Sweeps
-build a lot of graphs, that matters.
+build a lot of graphs, that matters.  The families share their derived
+methods (vertices, edges, label, dot_id) on _Graph, which reads them off
+the counts, neighbors() and the step field; each family defines only its
+neighbour rule, its labels and its counts.
 """
 
 from __future__ import annotations
@@ -81,9 +84,11 @@ class CheckedRecord:
 
 
 class _Graph(CheckedRecord):
-    """Class-aware equality and hash for the two graph records: a graph
-    equals only a graph of its own family with equal fields, never a bare
-    tuple.  __ne__ is spelled out because tuple's own compares fields alone."""
+    """What the two graph records share.  Class-aware equality and hash: a
+    graph equals only a graph of its own family with equal fields, never a
+    bare tuple (__ne__ is spelled out because tuple's own compares fields
+    alone).  And the methods derived from a family's num_vertices,
+    neighbors(), _prefix and step field (self[1]: gens or chords)."""
 
     __slots__ = ()
 
@@ -96,12 +101,26 @@ class _Graph(CheckedRecord):
     def __hash__(self):
         return hash((self.family, *self))
 
+    def vertices(self) -> range:
+        return range(self.num_vertices)
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Each undirected edge once, as (min, max), sorted: read off the
+        sorted neighbors() lists, so already in order."""
+        return [(v, w) for v in self.vertices() for w in self.neighbors(v) if v < w]
+
+    def label(self) -> str:
+        return f"{self._prefix}{self.n}({','.join(map(str, self[1]))})"
+
+    def dot_id(self) -> str:
+        return f"{self._prefix}{self.n}_" + "_".join(map(str, self[1]))
+
 
 class CirculantGraph(_Graph, namedtuple("CirculantGraph", "n gens")):
     """C_n(S): vertices Z_n, edges i ~ i +- s (mod n) for each s in S."""
 
     __slots__ = ()
-    family = "circulant"
+    family, _prefix = "circulant", "C"
 
     def __new__(cls, n: int, gens):
         gens = GeneratorSequence(gens)
@@ -126,9 +145,6 @@ class CirculantGraph(_Graph, namedtuple("CirculantGraph", "n gens")):
     def degree(self) -> int:
         return 2 * self.m
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range for n = {self.n}")
@@ -142,25 +158,9 @@ class CirculantGraph(_Graph, namedtuple("CirculantGraph", "n gens")):
             out.add((v - s) % n)
         return sorted(out)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Each undirected edge once, as (min, max), sorted."""
-        n = self.n
-        seen = set()
-        for i in range(n):
-            for s in self.gens:
-                j = (i + s) % n
-                seen.add((i, j) if i < j else (j, i))
-        return sorted(seen)
-
     def vertex_label(self, v: int) -> str:
         self.check_vertex(v)
         return str(v)
-
-    def label(self) -> str:
-        return f"C{self.n}({','.join(str(s) for s in self.gens)})"
-
-    def dot_id(self) -> str:
-        return f"C{self.n}_" + "_".join(str(s) for s in self.gens)
 
 
 class GgpgGraph(_Graph, namedtuple("GgpgGraph", "n chords")):
@@ -171,7 +171,7 @@ class GgpgGraph(_Graph, namedtuple("GgpgGraph", "n chords")):
     """
 
     __slots__ = ()
-    family = "ggpg"
+    family, _prefix = "ggpg", "GGPG"
 
     def __new__(cls, n: int, chords):
         chords = GeneratorSequence(chords)
@@ -187,9 +187,6 @@ class GgpgGraph(_Graph, namedtuple("GgpgGraph", "n chords")):
     def num_edges(self) -> int:
         # n outer + n spokes + n per chord
         return 2 * self.n + self.n * len(self.chords)
-
-    def vertices(self) -> range:
-        return range(2 * self.n)
 
     def outer(self, i: int) -> int:
         """Vertex id of u_i."""
@@ -219,27 +216,9 @@ class GgpgGraph(_Graph, namedtuple("GgpgGraph", "n chords")):
             out.add(n + (i - s) % n)
         return sorted(out)
 
-    def edges(self) -> list[tuple[int, int]]:
-        n = self.n
-        seen = set()
-        for i in range(n):
-            j = (i + 1) % n
-            seen.add((i, j) if i < j else (j, i))
-            seen.add((i, n + i))
-            for s in self.chords:
-                a, b = n + i, n + (i + s) % n
-                seen.add((a, b) if a < b else (b, a))
-        return sorted(seen)
-
     def vertex_label(self, v: int) -> str:
         self.check_vertex(v)
         return f"u{v}" if v < self.n else f"v{v - self.n}"
-
-    def label(self) -> str:
-        return f"GGPG{self.n}({','.join(str(s) for s in self.chords)})"
-
-    def dot_id(self) -> str:
-        return f"GGPG{self.n}_" + "_".join(str(s) for s in self.chords)
 
 
 def build_circulant(n: int, gens) -> CirculantGraph:

@@ -139,9 +139,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from collections import namedtuple
 
-from .graph_core import CirculantGraph, build_circulant
+from .graph_core import CirculantGraph, build_circulant, max_generator
 
 INF = math.inf
 
@@ -361,7 +362,10 @@ def level_set_summaries(n: int, chord_sets):
     LEVEL_CAP levels: at once when the ring bound D >= ceil(floor(n / 2) /
     s_m) shows it, else when the loop reaches the cap.  One loop walks the
     whole run of chord sets on the ring and sets the ring's constants once
-    (level_set_summary is its one-row case).
+    (level_set_summary is its one-row case).  A row that enters the loop
+    with chords that are not admissible (1 < s_2 < ... < s_m <= floor((n -
+    1) / 2)) raises build_circulant's FamilyParameterError, though no graph
+    is built.
 
     Per row, the loop advances two n-bit level sets a level per pass: the
     chord-only ring from 0 by its chords, one level ahead, to d_circ + 1,
@@ -380,10 +384,14 @@ def level_set_summaries(n: int, chord_sets):
     # ceil(n // 2 / s_m) steps from 0: that is over the cap, and the loop
     # need not start, exactly when s_m < least
     least, levels = -(-(n // 2) // LEVEL_CAP), range(LEVEL_CAP + 1)
+    top = max_generator(n)
     for chords in chord_sets:
-        if chords[-1] < least:
+        if chords[-1] < least:  # the caller's list kernel checks the row
             yield None
             continue
+        if not (1 < chords[0] and chords[-1] <= top
+                and all(map(operator.lt, chords, chords[1:]))):
+            build_circulant(n, (1, *chords))  # raises, with its own message
         circ, cu = start, unreached     # circulant frontier and unreached set
         chord, chu = 1, unreached       # chord-only ring
         for d in levels:  # d: the circulant's levels so far
@@ -645,10 +653,11 @@ def run_facts(n: int, chord_sets):
     level_set_summaries loop, and a row whose route returns None the list
     kernel.  path is the gap-1 witness (diametral_path), else None, walked
     on the lattice's d_c where there is one, else on the list kernel's
-    vector, else on a circulant search.  The lattice and list-kernel rows
-    build their graph with build_circulant, which raises
-    FamilyParameterError on an inadmissible row; a level-set row builds
-    none and trusts its caller's chords."""
+    vector, else on a circulant search.  Every route raises
+    build_circulant's FamilyParameterError on an inadmissible row: the
+    lattice and list-kernel rows build their graph with it, and
+    level_set_summaries, which builds none, checks each row's chords and
+    hands a bad row to it."""
     # the chord count of the run's rows that take the lattice (0: none)
     lattice = 1 if n >= DOUBLE_LOOP_LEVELS_BELOW else 0
     levels = level_set_summaries(

@@ -170,12 +170,8 @@ def diameter_ggpg(g: GgpgGraph, paranoid: bool = False) -> int:
 def distance_dump_rows(g):
     """Rows for the distance dump CSV: family,n,gens,source,vertex,dist,
     from 0 on a circulant and from u_0 and v_0 on a GGPG graph."""
-    if isinstance(g, CirculantGraph):
-        sources, gens = [0], g.gens
-    else:
-        sources, gens = [g.outer(0), g.inner(0)], g.chords
-    gens_txt = "-".join(str(s) for s in gens)
-    for src in sources:
+    gens_txt = "-".join(map(str, g[1]))
+    for src in range(0, g.num_vertices, g.n):  # 0, and n = v_0 on a GGPG graph
         vec = bfs(g, src)
         for v in g.vertices():
             yield (g.family, g.n, gens_txt, g.vertex_label(src),

@@ -117,19 +117,19 @@ def realize(rep: PathRep, g: CirculantGraph, origin: int = 0) -> Realization:
     _require_gen1(g)
     _check_alignment(rep, g)
     g.check_vertex(origin)
-    n = g.n
-    seq = [origin]
-    v = origin
-    moves = []
-    if rep.alpha:
-        moves.extend([1 if rep.alpha > 0 else -1] * abs(rep.alpha))
-    for lam, s in zip(rep.lambdas, g.gens[1:]):
-        if lam:
-            moves.extend([s if lam > 0 else -s] * abs(lam))
-    for off in moves:
-        v = (v + off) % n
-        seq.append(v)
-    return Realization(tuple(seq), len(set(seq)) == len(seq))
+    ring, chords = _moves(rep, g)
+    seq = tuple(itertools.accumulate(ring + chords, lambda v, off: (v + off) % g.n,
+                                     initial=origin))
+    return Realization(seq, len(set(seq)) == len(seq))
+
+
+def _moves(rep: PathRep, g: CirculantGraph) -> tuple[list, list]:
+    """The rep's ring steps (+-1) and chord steps (+-s_k, by ascending
+    generator) as signed offsets: the canonical order of realize."""
+    ring = [1 if rep.alpha > 0 else -1] * abs(rep.alpha)
+    chords = [s if lam > 0 else -s
+              for lam, s in zip(rep.lambdas, g.gens[1:]) for _ in range(abs(lam))]
+    return ring, chords
 
 
 def render_rep(rep: PathRep, g: CirculantGraph) -> str:
@@ -168,36 +168,35 @@ def _level_vectors(ell: int, k: int):
         yield from itertools.product(*options)
 
 
+def _first_reps(g: CirculantGraph):
+    """(i, the canonical shortest rep from 0 to i) for every vertex i of g,
+    in the order the level enumeration first hits them: the first hit is
+    the canonical rep (see above).  g must have generator 1."""
+    gens = tuple(g.gens)
+    k, n = len(gens), g.n
+    seen = set()
+    for ell in range(n):
+        for vec in _level_vectors(ell, k):
+            t = sum(c * s for c, s in zip(vec, gens)) % n
+            if t not in seen:
+                seen.add(t)
+                yield t, PathRep(vec[0], vec[1:])
+                if len(seen) == n:
+                    return
+
+
 def shortest_rep(g: CirculantGraph, i: int) -> PathRep:
     """Canonical minimum-length rep from 0 to i (deterministic tie-break)."""
     _require_gen1(g)
     g.check_vertex(i)
-    gens = tuple(g.gens)
-    k, n = len(gens), g.n
-    for ell in range(n):
-        for vec in _level_vectors(ell, k):
-            t = sum(c * s for c, s in zip(vec, gens)) % n
-            if t == i:
-                return PathRep(vec[0], vec[1:])
-    raise RuntimeError("unreachable: a circulant with generator 1 is connected")
+    return next(rep for t, rep in _first_reps(g) if t == i)
 
 
 def shortest_rep_table(g: CirculantGraph) -> list[PathRep]:
-    """Canonical shortest rep for every target vertex, in one scan.
-
-    Agrees with shortest_rep(g, i) for each i: both walk the same level
-    enumeration and keep the first hit per vertex.  Building the whole
-    table at once is what makes exhaustive sweeps affordable.
-    """
+    """Canonical shortest rep for every target vertex, in one scan of the
+    enumeration shortest_rep reads, so the two agree on every vertex.
+    Building the whole table at once is what makes exhaustive sweeps
+    affordable."""
     _require_gen1(g)
-    gens = tuple(g.gens)
-    k, n = len(gens), g.n
-    found: dict[int, PathRep] = {}
-    for ell in range(n):
-        for vec in _level_vectors(ell, k):
-            t = sum(c * s for c, s in zip(vec, gens)) % n
-            if t not in found:
-                found[t] = PathRep(vec[0], vec[1:])
-                if len(found) == n:
-                    return [found[i] for i in range(n)]
-    return [found[i] for i in range(n)]
+    found = dict(_first_reps(g))
+    return [found[i] for i in range(g.n)]

@@ -25,12 +25,14 @@ the loop hands each row's facts and walk to oracle.check_row (its own
 list kernel and 3n list-BFS searches, one source held at a time: O(n)
 memory, quadratic time).
 
-Level-set rows build no graph and trust the planner; every graph the row
-path builds is checked (a lattice, list-kernel or paranoid row's, by
-build_circulant, which raises FamilyParameterError).  verify_instance, the
-public entry and the loop's one-row case, checks its input with
-build_circulant, and the CLI checks a --gens row the same way when it
-plans it; the planner's rows (_plan) are admissible by construction.
+Every row is checked, on every route: a lattice, list-kernel or paranoid
+row builds its graph with build_circulant, and a level-set row, which
+builds none, has its chords checked by metrics.level_set_summaries, which
+hands a bad one to build_circulant; either way an inadmissible row raises
+FamilyParameterError.  verify_instance, the public entry and the loop's
+one-row case, checks its input with build_circulant, and the CLI checks a
+--gens row the same way when it plans it; the planner's rows (_plan) are
+admissible by construction.
 
 Failures are tiered.  The first two are proved facts, so a violation means
 the implementation is broken: enforce_proven raises with the witness (as
@@ -362,9 +364,9 @@ def _verify_block(instances: list, paranoid: bool, fmt: str) -> tuple:
     """One block, in a worker or in-process: verify each row, apply
     enforce_proven (raising on the first violation) and render it in fmt.
     Returns the text, the gap counts and the rows with an anomaly.  Each
-    (n, chords) row must be admissible, as _plan makes them, since a
-    level-set row is checked nowhere: each run of rows on one ring goes
-    through one _verify_rows loop, paranoid or not."""
+    run of rows on one ring goes through one _verify_rows loop, paranoid or
+    not, and an inadmissible (n, chords) row raises FamilyParameterError
+    on any route."""
     rows = []
     for n, run in itertools.groupby(instances, _ring_length):
         rows += map(enforce_proven, _verify_rows(n, [c for _, c in run], paranoid))
@@ -380,8 +382,8 @@ def run_instances(instances, *, paranoid: bool = False, jobs: int = 1,
                   fmt: str = "csv"):
     """Yield each block's _verify_block triple in input order, whatever
     jobs is; a violation raises for the first violating row in that order.
-    instances, any iterable of admissible (n, chords) rows (a level-set
-    row is checked nowhere), is drawn lazily.  One worker,
+    instances, any iterable of (n, chords) rows (an inadmissible one
+    raises FamilyParameterError), is drawn lazily.  One worker,
     or a system without os.fork, runs the blocks in-process.  Else
     W = min(jobs, cores, rows) workers are forked (forking.forked) once
     this process has pulled W rows, and it pulls no more: worker k walks

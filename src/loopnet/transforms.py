@@ -16,7 +16,7 @@ diameters never drift apart by more than 2.
 from __future__ import annotations
 
 from .graph_core import CirculantGraph, GgpgGraph, build_circulant, expand
-from .path_algebra import PathRep, realize
+from .path_algebra import PathRep, _moves, realize
 
 OUTER = "outer"
 INNER = "inner"
@@ -94,10 +94,7 @@ def lift_path(rep: PathRep, g: CirculantGraph,
         raise ValueError(
             f"rep {rep} does not realize a path in {g.label()}; cannot lift")
 
-    a = rep.alpha
-    ring = [1 if a > 0 else -1] * abs(a)
-    chords = [s if lam > 0 else -s  # ascending generator order
-              for lam, s in zip(rep.lambdas, g.gens[1:]) for _ in range(abs(lam))]
+    ring, chords = _moves(rep, g)
     legs = [(OUTER, ring), (INNER, chords)]
     if ring and chords and (start_side, end_side) == (INNER, OUTER):
         legs = [(INNER, chords[::-1]), (OUTER, ring)]

@@ -2,6 +2,7 @@
 patches the library): formats, exit codes, headers, and byte-level
 determinism."""
 
+import errno
 import json
 import os
 import re
@@ -155,16 +156,20 @@ def test_parameter_errors_exit_2(args):
     ("export", "--n", "7", "--gens", "1,2", "--out", "{bad}"),
     ("sweep", "--n", "5..8", "--m", "2", "--out", "{dir}"),
     ("diameter", "--n", "7", "--gens", "1,2", "--out", "{dir}"),
+    ("export", "--n", "7", "--gens", "1,2", "--out", "{dir}"),
+    ("verify", "--n", "7", "--gens", "1,2", "--out", "{dir}"),
 ])
 def test_unwritable_output_path_exits_2(tmp_path, args):
     # {bad} is in a missing directory, {dir} an existing directory
     paths = {"bad": str(tmp_path / "missing" / "x.csv"), "dir": str(tmp_path),
              "ok": str(tmp_path / "ok.csv")}
     r = run_cli(*(a.format(**paths) for a in args))
-    named = paths["dir" if "{dir}" in args else "bad"]
+    flag = args[-2]  # the flag of the unwritable path, which comes last
+    named, reason = (paths["dir"], "not a file path") if "{dir}" in args else (
+        paths["bad"], os.strerror(errno.ENOENT))
     assert r.returncode == 2, r.stderr
-    assert r.stderr.startswith("error: ") and named in r.stderr
-    assert "Traceback" not in r.stderr
+    assert r.stderr == f"error: {flag}: cannot write '{named}': {reason}\n"
+    assert list(tmp_path.iterdir()) == []  # no partial file
 
 
 def test_bad_output_path_fails_before_any_row(tmp_path, monkeypatch, capsys):
@@ -176,7 +181,8 @@ def test_bad_output_path_fails_before_any_row(tmp_path, monkeypatch, capsys):
     with monkeypatch.context() as m:
         m.setattr(theorem_lab, "_verify_row", refuse)
         assert cli.main([*argv, "--counterexamples-out", str(bad)]) == 2
-    assert f"cannot write {bad}" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: --counterexamples-out: cannot write '{bad}': {os.strerror(errno.ENOENT)}\n")
     assert list(tmp_path.iterdir()) == []  # no ok.csv, no temporary file
     assert cli.main(argv) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -194,8 +200,9 @@ def test_outputs_naming_one_file_are_refused(tmp_path, monkeypatch, capsys):
         for other in ("x.csv", "sub/../x.csv", str(tmp_path / "x.csv")):
             assert cli.main(["sweep", "--n", "5..9", "--m", "2", "--out", "x.csv",
                              "--counterexamples-out", other]) == 2
-            assert f"cannot write {other}: another output names the same file" \
-                in capsys.readouterr().err
+            assert capsys.readouterr().err == (
+                f"error: --counterexamples-out: cannot write '{other}': "
+                "another output names the same file\n")
     assert [p.name for p in tmp_path.iterdir()] == ["sub"]  # no report, no temporary file
 
 

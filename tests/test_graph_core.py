@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopnet import (
@@ -151,15 +151,6 @@ def test_ggpg_single_chord_is_generalized_petersen():
     assert g.num_edges == 3 * n
 
 
-def test_edge_count_matches_edge_list():
-    for n, gens in [(9, [1, 2]), (12, [1, 3, 5]), (17, [1, 2, 5, 8])]:
-        g = build_circulant(n, gens)
-        assert len(g.edges()) == g.num_edges
-    for n, chords in [(9, [2]), (14, [3, 4, 6])]:
-        h = build_ggpg(n, chords)
-        assert len(h.edges()) == h.num_edges
-
-
 def test_vertex_labels():
     g = build_ggpg(9, [2])
     assert g.vertex_label(0) == "u0"
@@ -199,6 +190,37 @@ def circulant_params(draw):
     gens = draw(st.lists(st.integers(1, max_generator(n)),
                          min_size=k, max_size=k, unique=True))
     return n, sorted(gens)
+
+
+def _ring_edges(n, steps, offset=0):
+    """The edges i ~ i + s (mod n), s in steps, of a ring whose ids start at
+    offset, each as a (min, max) pair."""
+    return {tuple(sorted((offset + i, offset + (i + s) % n)))
+            for i in range(n) for s in steps}
+
+
+@settings(max_examples=60, deadline=None)
+@given(circulant_params())
+@example((9, [1, 2]))
+@example((12, [1, 3, 5]))
+@example((17, [1, 2, 5, 8]))
+@example((9, [2]))
+@example((14, [3, 4, 6]))
+def test_edge_count_matches_edge_list(params):
+    # edges() is read off neighbors(); here it is checked, order included,
+    # against the edges built straight from the steps: C_n(gens), and the
+    # GGPG graph with the chords >= 2 of gens (outer ring, spokes, inner
+    # chords)
+    n, gens = params
+    g = build_circulant(n, gens)
+    assert g.edges() == sorted(_ring_edges(n, gens))
+    assert len(g.edges()) == g.num_edges
+    chords = [s for s in gens if s > 1]
+    if chords:
+        h = build_ggpg(n, chords)
+        spokes = {(i, n + i) for i in range(n)}
+        assert h.edges() == sorted(_ring_edges(n, [1]) | spokes | _ring_edges(n, chords, n))
+        assert len(h.edges()) == h.num_edges
 
 
 @settings(max_examples=60, deadline=None)

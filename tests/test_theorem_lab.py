@@ -270,12 +270,17 @@ def test_planned_rows_are_admissible(n_lo, span, m_set, cap, size, seed):
             assert cells[n, m] == (total if total <= cap else min(size, total))
 
 
-@pytest.mark.parametrize("n, chords", [
-    (200, (150,)),      # a double loop on the lattice route: 150 > floor(199 / 2)
-    (1202, (2, 1200)),  # the list kernel, as C_1202(1, 2) has D = 301 > LEVEL_CAP
+@pytest.mark.parametrize("n, chords, match", [
+    (200, (150,), "floor"),      # a double loop on the lattice route: 150 > floor(199 / 2)
+    (1202, (2, 1200), "floor"),  # the list kernel, as C_1202(1, 2) has D = 301 > LEVEL_CAP
+    # level sets, which build no graph
+    (20, (15,), "floor"),
+    (500, (3, 260, 270), "floor"),
+    (60, (5, 3), "strictly increasing"),
+    (60, (3, 3), "strictly increasing"),
 ])
-def test_an_inadmissible_row_on_a_route_that_builds_a_graph_raises(n, chords):
-    with pytest.raises(FamilyParameterError, match="floor"):
+def test_an_inadmissible_row_raises_on_every_route(n, chords, match):
+    with pytest.raises(FamilyParameterError, match=match):
         next(metrics.run_facts(n, [chords]))
 
 
