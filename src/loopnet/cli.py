@@ -290,11 +290,13 @@ def _staged(*outputs):
     """Map each output path to an empty temporary sibling, all created on
     entry; outputs are (flag, path) pairs, and a pair whose path is None
     (stdout) is skipped.  A path that cannot be written, or that names the
-    same file as an earlier one, is refused as "<flag>: cannot write
-    '<path>': <reason>".  On a normal exit each sibling moves into place, on
-    an exception they are all deleted: the runner streams rows into a
-    sibling as they pass, so a file appears at its path only once it is
-    whole."""
+    same file as an earlier one, or that exists but is not a regular file
+    (a FIFO or a device), is refused as "<flag>: cannot write '<path>':
+    <reason>".  A symlink is followed: the sibling is made beside the file
+    it names, and replaces that file.  On a normal exit each sibling moves
+    into place, on an exception they are all deleted: the runner streams
+    rows into a sibling as they pass, so a file appears at its path only
+    once it is whole."""
     staged = {}
     try:
         for flag, path in outputs:
@@ -303,9 +305,12 @@ def _staged(*outputs):
             cannot = f"{flag}: cannot write '{path}'"
             if not os.path.basename(path) or os.path.isdir(path):
                 raise ValueError(f"{cannot}: not a file path")
-            if os.path.realpath(path) in map(os.path.realpath, staged):
+            real = os.path.realpath(path)
+            if os.path.exists(real) and not os.path.isfile(real):
+                raise ValueError(f"{cannot}: not a regular file")
+            if real in map(os.path.realpath, staged):
                 raise ValueError(f"{cannot}: another output names the same file")
-            tmp = f"{path}.{os.getpid()}.tmp"
+            tmp = f"{real}.{os.getpid()}.tmp"
             try:
                 open(tmp, "x").close()
             except OSError as exc:
@@ -318,7 +323,7 @@ def _staged(*outputs):
                 os.unlink(tmp)
         raise
     for path, tmp in staged.items():
-        os.replace(tmp, path)
+        os.replace(tmp, os.path.realpath(path))
 
 
 def _run_checked(instances, args, flags: str, out, keep) -> tuple[dict, list]:

@@ -26,7 +26,7 @@ one place that turns those facts, as sorted points (the last class only as
 a truth value), into an InstanceSummary.
 
 Four routes compute the same facts; the first three apply the identity,
-and run_facts picks each row's route among them.
+and run_facts, which admits every row, picks each row's route among them.
 
   * The lattice route, lattice_distances, serves double loops C_n(1, s), the
     m = 2 rows, on rings of DOUBLE_LOOP_LEVELS_BELOW vertices and more
@@ -142,7 +142,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .graph_core import CirculantGraph, build_circulant, max_generator
+from .graph_core import CirculantGraph, build_circulant, expand, max_generator
 
 INF = math.inf
 
@@ -362,10 +362,9 @@ def level_set_summaries(n: int, chord_sets):
     LEVEL_CAP levels: at once when the ring bound D >= ceil(floor(n / 2) /
     s_m) shows it, else when the loop reaches the cap.  One loop walks the
     whole run of chord sets on the ring and sets the ring's constants once
-    (level_set_summary is its one-row case).  A row that enters the loop
-    with chords that are not admissible (1 < s_2 < ... < s_m <= floor((n -
-    1) / 2)) raises build_circulant's FamilyParameterError, though no graph
-    is built.
+    (level_set_summary is its one-row case).  Each row must be admissible
+    (1 < s_2 < ... < s_m <= floor((n - 1) / 2)), as run_facts admits it:
+    the loop builds no graph and checks nothing.
 
     Per row, the loop advances two n-bit level sets a level per pass: the
     chord-only ring from 0 by its chords, one level ahead, to d_circ + 1,
@@ -384,14 +383,10 @@ def level_set_summaries(n: int, chord_sets):
     # ceil(n // 2 / s_m) steps from 0: that is over the cap, and the loop
     # need not start, exactly when s_m < least
     least, levels = -(-(n // 2) // LEVEL_CAP), range(LEVEL_CAP + 1)
-    top = max_generator(n)
     for chords in chord_sets:
-        if chords[-1] < least:  # the caller's list kernel checks the row
+        if chords[-1] < least:
             yield None
             continue
-        if not (1 < chords[0] and chords[-1] <= top
-                and all(map(operator.lt, chords, chords[1:]))):
-            build_circulant(n, (1, *chords))  # raises, with its own message
         circ, cu = start, unreached     # circulant frontier and unreached set
         chord, chu = 1, unreached       # chord-only ring
         for d in levels:  # d: the circulant's levels so far
@@ -653,16 +648,22 @@ def run_facts(n: int, chord_sets):
     level_set_summaries loop, and a row whose route returns None the list
     kernel.  path is the gap-1 witness (diametral_path), else None, walked
     on the lattice's d_c where there is one, else on the list kernel's
-    vector, else on a circulant search.  Every route raises
-    build_circulant's FamilyParameterError on an inadmissible row: the
-    lattice and list-kernel rows build their graph with it, and
-    level_set_summaries, which builds none, checks each row's chords and
-    hands a bad row to it."""
+    vector, else on a circulant search.
+
+    It is also the one place a row is admitted: before its route is chosen,
+    each row's chords are tested once (1 < s_2 < ... < s_m <= floor((n - 1)
+    / 2)), and a row that fails is handed to build_circulant and then
+    expand, so that it raises on every route alike: build_circulant's
+    FamilyParameterError, or for a row with no chord expand's ValueError."""
     # the chord count of the run's rows that take the lattice (0: none)
     lattice = 1 if n >= DOUBLE_LOOP_LEVELS_BELOW else 0
     levels = level_set_summaries(
         n, [c for c in chord_sets if len(c) != lattice] if lattice else chord_sets)
+    top = max_generator(n)
     for chords in chord_sets:
+        if not (chords and 1 < chords[0] and chords[-1] <= top
+                and all(map(operator.lt, chords, chords[1:]))):
+            expand(build_circulant(n, (1, *chords)))  # raises, with its own message
         if len(chords) == lattice:
             lat = lattice_distances(build_circulant(n, (1, *chords)))
             route, facts, circ = "lattice", lat.summary(), lat.circ_at

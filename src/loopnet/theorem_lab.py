@@ -25,20 +25,21 @@ the loop hands each row's facts and walk to oracle.check_row (its own
 list kernel and 3n list-BFS searches, one source held at a time: O(n)
 memory, quadratic time).
 
-Every row is checked, on every route: a lattice, list-kernel or paranoid
-row builds its graph with build_circulant, and a level-set row, which
-builds none, has its chords checked by metrics.level_set_summaries, which
-hands a bad one to build_circulant; either way an inadmissible row raises
-FamilyParameterError.  verify_instance, the public entry and the loop's
-one-row case, checks its input with build_circulant, and the CLI checks a
---gens row the same way when it plans it; the planner's rows (_plan) are
-admissible by construction.
+Every row is checked, on every route, in one place: metrics.run_facts
+tests each row's chords before it picks the route and hands an
+inadmissible row to build_circulant and then expand, so it raises
+FamilyParameterError (or, with no chord at all, expand's ValueError)
+whatever its route.  verify_instance, the public entry and the loop's
+one-row case, also checks its input with build_circulant, and the CLI
+checks a --gens row the same way when it plans it; the planner's rows
+(_plan) are admissible by construction.
 
 Failures are tiered.  The first two are proved facts, so a violation means
 the implementation is broken: enforce_proven raises with the witness (as
 oracle.check_row does on a paranoid row), and the CLI applies it to every
-row before it writes one.  The latter two and the gap==2 conjecture are findings: recorded in the report row, never
-silently dropped, never asserted.
+row before it writes one.  The latter two and the gap==2 conjecture are
+findings: recorded in the report row, never silently dropped, never
+asserted.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .graph_core import build_circulant, expand, max_generator
+from .graph_core import build_circulant, max_generator
 from .metrics import run_facts
 
 
@@ -105,17 +106,14 @@ class VerificationReport(collections.namedtuple("VerificationReport",
         return rec
 
 
-def _ggpg_label(n: int, v: int) -> str:
-    return f"u{v}" if v < n else f"v{v - n}"
-
-
 class PathLabels:
     """A gap-1 row's conj45 witness as the GGPG labels of its path (u<i>,
     v<i>), held as the walk's runs (metrics.diametral_path): O(runs)
     memory, and it pickles as (n, runs), however long the path.  It reads
-    as the list of its labels: len, iteration, indexing and == against
-    such a list.  _json_text renders it as that list, one join per run;
-    json.dumps needs default=list."""
+    as the list of its labels by iteration and by == against such a list
+    (list(p) gives the list itself).  sides() is the one label rule, read
+    by both iteration and _json_text, which renders it as that list, one
+    join per run; json.dumps needs default=list."""
 
     __slots__ = ("n", "runs")
 
@@ -132,26 +130,20 @@ class PathLabels:
     def __repr__(self) -> str:
         return f"PathLabels(n={self.n!r}, runs={self.runs!r})"
 
-    def __len__(self) -> int:
-        return sum(map(len, self.runs))
+    def sides(self):
+        """Each run as its side, "u" (ids below n) or "v", and its ring indices."""
+        n = self.n
+        for run in self.runs:
+            yield ("u", run) if run[0] < n else \
+                ("v", range(run.start - n, run.stop - n, run.step))
 
     def __iter__(self):
-        n = self.n
-        return (_ggpg_label(n, v) for v in itertools.chain.from_iterable(self.runs))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        k = i + len(self) if i < 0 else i
-        for run in self.runs:
-            if 0 <= k < len(run):
-                return _ggpg_label(self.n, run[k])
-            k -= len(run)
-        raise IndexError("path label index out of range")
+        return (f"{side}{i}" for side, ids in self.sides() for i in ids)
 
     def __eq__(self, other):  # unhashable, as the lists it equals are
         if isinstance(other, (list, PathLabels)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+            end = object()  # pads the shorter side, and equals no label
+            return all(a == b for a, b in itertools.zip_longest(self, other, fillvalue=end))
         return NotImplemented
 
 
@@ -159,7 +151,8 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     """Check C_n(1, chords) against its GGPG partner and return the report
     row.  Never raises on findings; see enforce_proven for the abort tier.
 
-    The one-row case of _verify_rows, after build_circulant's checks: the
+    The one-row case of _verify_rows, after build_circulant's checks of its
+    input (metrics.run_facts then refuses a row with no chord): the
     verdicts come from the summary of the row's route (metrics.run_facts),
     which reads the GGPG diameter off the circulant by the spoke identity,
     so 4.1 and 4.2 hold on this path by that identity, not by an
@@ -168,8 +161,6 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     search, the route's summary against the kernel's, and the sandwich and
     both diameter shortcuts over every source."""
     gc = build_circulant(n, (1, *chords))
-    if len(gc.gens) == 1:
-        expand(gc)  # raises: a GGPG partner needs a chord
     return _verify_rows(gc.n, [gc.gens[1:]], paranoid)[0]
 
 
@@ -389,9 +380,13 @@ def run_instances(instances, *, paranoid: bool = False, jobs: int = 1,
     this process has pulled W rows, and it pulls no more: worker k walks
     its own copy of the plan, runs blocks k, k + W, k + 2W, ... and pipes
     each result back; this process reads the pipes in turn.  A worker
-    that dies fails the run with its exit status."""
+    that dies fails the run with its exit status.  cores counts the CPUs
+    this process may run on: os.sched_getaffinity where the platform has
+    it (so a taskset or cpuset bound counts), else os.cpu_count()."""
     instances = iter(instances)
-    head = list(itertools.islice(instances, min(jobs, os.cpu_count() or 1)))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else \
+        os.cpu_count() or 1
+    head = list(itertools.islice(instances, min(jobs, cores)))
     workers = len(head)
     blocks = _blocks(itertools.chain(head, instances), workers)
     if workers <= 1 or not hasattr(os, "fork"):
@@ -444,11 +439,8 @@ def _json_text(value, pad: str = "\n") -> str:
         # as the list of its labels: u<i> and v<i> are ASCII with nothing to
         # escape, so each run is one join of its indices between the quotes
         # (f"{i}" formats an int in about two thirds of str(i)'s time)
-        n, items = value.n, []
-        for run in value.runs:
-            side, ids = ("u", run) if run[0] < n else \
-                ("v", range(run.start - n, run.stop - n, run.step))
-            items.append(f'"{side}' + f'",{inner}"{side}'.join([f"{i}" for i in ids]) + '"')
+        items = [f'"{side}' + f'",{inner}"{side}'.join([f"{i}" for i in ids]) + '"'
+                 for side, ids in value.sides()]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     raise (ValueError if isinstance(value, float) else TypeError)(
         f"a report holds no {type(value).__name__}: {value!r}")

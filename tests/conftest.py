@@ -92,6 +92,22 @@ def fork_log(monkeypatch, tmp_path_factory):
 
 
 @pytest.fixture
+def cores(monkeypatch):
+    """cores(k): from now on this process may run on k CPUs, both as
+    os.sched_getaffinity and as os.cpu_count report them; cores(None) is a
+    platform without CPU affinity and an unknown core count."""
+    def report(k):
+        monkeypatch.setattr(os, "cpu_count", lambda: k)
+        if k is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
+                                raising=False)
+
+    return report
+
+
+@pytest.fixture
 def deadline():
     """deadline(seconds): a context manager that raises TimeoutError in
     this process when its block runs longer, so a hung wait fails."""

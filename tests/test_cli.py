@@ -7,6 +7,7 @@ import json
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -158,18 +159,36 @@ def test_parameter_errors_exit_2(args):
     ("diameter", "--n", "7", "--gens", "1,2", "--out", "{dir}"),
     ("export", "--n", "7", "--gens", "1,2", "--out", "{dir}"),
     ("verify", "--n", "7", "--gens", "1,2", "--out", "{dir}"),
+    ("sweep", "--n", "5..8", "--m", "2", "--out", "{fifo}"),
+    ("export", "--n", "7", "--gens", "1,2", "--out", "{fifo}"),
 ])
 def test_unwritable_output_path_exits_2(tmp_path, args):
-    # {bad} is in a missing directory, {dir} an existing directory
+    # {bad} is in a missing directory, {dir} an existing directory, {fifo} a
+    # FIFO, which a report would replace rather than write
     paths = {"bad": str(tmp_path / "missing" / "x.csv"), "dir": str(tmp_path),
-             "ok": str(tmp_path / "ok.csv")}
+             "ok": str(tmp_path / "ok.csv"), "fifo": str(tmp_path / "pipe.csv")}
+    os.mkfifo(paths["fifo"])
     r = run_cli(*(a.format(**paths) for a in args))
-    flag = args[-2]  # the flag of the unwritable path, which comes last
-    named, reason = (paths["dir"], "not a file path") if "{dir}" in args else (
-        paths["bad"], os.strerror(errno.ENOENT))
+    flag, key = args[-2], args[-1][1:-1]  # the unwritable path comes last
+    reason = {"bad": os.strerror(errno.ENOENT), "dir": "not a file path",
+              "fifo": "not a regular file"}[key]
     assert r.returncode == 2, r.stderr
-    assert r.stderr == f"error: {flag}: cannot write '{named}': {reason}\n"
-    assert list(tmp_path.iterdir()) == []  # no partial file
+    assert r.stderr == f"error: {flag}: cannot write '{paths[key]}': {reason}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "pipe.csv"]  # no partial file
+    assert stat.S_ISFIFO(os.stat(paths["fifo"]).st_mode)  # still the FIFO
+
+
+def test_an_output_symlink_is_written_through(tmp_path):
+    # the link stays, and the file it names takes the report
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target.name)
+    r = run_cli("sweep", "--n", "5..7", "--m", "2", "--out", str(link))
+    assert r.returncode == 0, r.stderr
+    assert os.readlink(link) == "target.csv"
+    assert target.read_text() == run_cli("sweep", "--n", "5..7", "--m", "2").stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.counterexamples.csv", "link.csv", "target.csv"]
 
 
 def test_bad_output_path_fails_before_any_row(tmp_path, monkeypatch, capsys):
@@ -382,8 +401,8 @@ VERIFY_12 = ("verify", "--n", "12", "--gens", "1,5", "--theorems", "4.5", "--par
 ], ids=["route", "kernel", "walk", "walk at --jobs 2", "shortcut"])
 def test_a_paranoid_mismatch_exits_3_with_one_line_and_no_file(argv, fault, message,
                                                                tmp_path, monkeypatch,
-                                                               capsys):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+                                                               capsys, cores):
+    cores(2)
     fault(monkeypatch)
     for out in (["--out", str(tmp_path / "report.out")], []):
         assert cli.main([*argv, *out]) == 3
@@ -440,11 +459,11 @@ def test_streamed_reports_equal_the_whole_document(fmt, argv, instances, tmp_pat
 @pytest.mark.parametrize("argv,instances", STREAMED_RUNS)
 def test_blocks_across_ring_lengths_give_the_same_bytes(fmt, argv, instances,
                                                          tmp_path, monkeypatch,
-                                                         capsys):
+                                                         capsys, cores):
     # with 7-row blocks, some blocks span ring lengths and some ring
     # lengths span several blocks; every file stays the default run's
     want = [verify_instance(n, c) for n, c in instances]
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cores(2)
     runs = []
     for rows, jobs in ((theorem_lab.BLOCK_ROWS, "1"), (7, "1"), (7, "2")):
         monkeypatch.setattr(theorem_lab, "BLOCK_ROWS", rows)
@@ -464,9 +483,9 @@ def test_blocks_across_ring_lengths_give_the_same_bytes(fmt, argv, instances,
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_a_violation_inside_a_block_exits_3_naming_its_row(jobs, tmp_path,
-                                                            monkeypatch, capsys):
+                                                            monkeypatch, capsys, cores):
     monkeypatch.setattr(theorem_lab, "BLOCK_ROWS", 7)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cores(2)
     inst = plan_sweep(range(5, 25), [2, 3])
     first, later = inst[7 * 4 + 3], inst[7 * 9 + 5]  # mid-block rows
     real = theorem_lab._verify_row
@@ -509,7 +528,7 @@ def test_late_violation_exits_3_with_no_report_byte(argv, jobs, tmp_path,
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_a_ring_too_large_for_memory_exits_2_with_no_file(jobs, tmp_path, monkeypatch,
-                                                          capsys):
+                                                          capsys, cores):
     # a route that runs out of memory on the last ring length, in this
     # process or in a worker, which pickles the error back
     real = metrics.level_set_summaries
@@ -520,7 +539,7 @@ def test_a_ring_too_large_for_memory_exits_2_with_no_file(jobs, tmp_path, monkey
         return real(n, chord_sets)
 
     monkeypatch.setattr(metrics, "level_set_summaries", starved)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cores(2)
     for out in (["--out", str(tmp_path / "report.csv")], []):
         assert cli.main(["verify", "--n", "5..40", "--m", "2,3", "--jobs", jobs, *out]) == 2
         captured = capsys.readouterr()
@@ -661,7 +680,7 @@ def test_verify_paranoid_small_grid():
     assert "--paranoid" in r.stdout.splitlines()[0]
 
 
-def test_a_large_ring_length_goes_out_in_bounded_blocks(tmp_path, monkeypatch, fork_log):
+def test_a_large_ring_length_goes_out_in_bounded_blocks(tmp_path, monkeypatch, fork_log, cores):
     # n = 2100 holds 1 048 double loops: at --jobs 1 and 2 they go out in
     # blocks of at most BLOCK_ROWS rows, with the same bytes; at --jobs 2 the
     # last 24 rows are split between the workers, and worker k renders
@@ -675,7 +694,7 @@ def test_a_large_ring_length_goes_out_in_bounded_blocks(tmp_path, monkeypatch, f
         return real(reports, fmt)
 
     monkeypatch.setattr(theorem_lab, "_render_rows", recording)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cores(2)
     outs, sizes = [], []
     for jobs in ("1", "2"):
         out = tmp_path / f"j{jobs}.csv"
@@ -697,7 +716,8 @@ def run_patched(patch: str, *argv, output=subprocess.PIPE):
     that may rebind names of theorem_lab) with os, signal, cli and
     theorem_lab in scope and two cores reported."""
     script = ("import os, signal, sys\nfrom loopnet import cli, theorem_lab\n"
-              "os.cpu_count = lambda: 2\n" + patch + "\nsys.exit(cli.main(sys.argv[1:]))\n")
+              "os.cpu_count = lambda: 2\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+              + patch + "\nsys.exit(cli.main(sys.argv[1:]))\n")
     env = {k: v for k, v in os.environ.items() if k != "LOOPNET_SEED"}
     return subprocess.run([sys.executable, "-c", script, *argv], stdout=output,
                           stderr=output, text=True, env=env, timeout=120)
@@ -717,9 +737,9 @@ theorem_lab._verify_block = dying
 
 @pytest.mark.parametrize("to_file", [True, False])
 def test_a_dead_worker_fails_the_run_and_leaves_nothing(to_file, tmp_path, monkeypatch,
-                                                        capsys, deadline):
+                                                        capsys, deadline, cores):
     monkeypatch.setattr(theorem_lab, "BLOCK_ROWS", 7)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cores(2)
     scope = {"os": os, "signal": signal, "theorem_lab": theorem_lab,
              "PARENT": os.getpid()}
     exec(_DYING, scope)

@@ -133,27 +133,26 @@ class LostChords(tuple):
 
 
 def loop_entries(monkeypatch, log):
-    """From now on the level loop logs n for each row it enters: it walks a
-    row's chords on each level it runs, and never a row whose ring bound
-    keeps it out; the first walk logs the row."""
-    real = metrics.level_set_summaries
+    """From now on the level loop logs n for each row whose first level it
+    walks.  The probe is the loop's own level range: a stand-in for range,
+    installed in metrics' globals, hands the level loop (and no other
+    caller) levels that log the loop's n when the first one is drawn, so
+    a read of a row's chords elsewhere is no entry."""
+    loop = metrics.level_set_summaries.__code__
 
-    class Logged(tuple):
-        entered = False
+    class Levels:
+        def __init__(self, n, *args):
+            self.n, self.levels = n, range(*args)
 
-        def __iter__(self):
-            if not self.entered:
-                self.entered = True
-                log.append(self.n)
-            return super().__iter__()
+        def __iter__(self):  # a generator: its body runs at the first draw
+            log.append(self.n)
+            yield from self.levels
 
-    def logged(n, chord_sets):
-        chord_sets = [Logged(c) for c in chord_sets]
-        for c in chord_sets:
-            c.n = n
-        return real(n, chord_sets)
+    def levels(*args):
+        caller = sys._getframe(1)
+        return Levels(caller.f_locals["n"], *args) if caller.f_code is loop else range(*args)
 
-    monkeypatch.setattr(metrics, "level_set_summaries", logged)
+    monkeypatch.setattr(metrics, "range", levels, raising=False)
 
 
 def test_paranoid_catches_a_circulant_that_loses_its_chords(monkeypatch):
@@ -177,7 +176,7 @@ def refuse(*args, **kwargs):
 
 
 def test_the_level_loop_is_its_own_cap_probe(monkeypatch):
-    # at most one level loop per row (each sets up its chord shifts once):
+    # at most one level loop per row (each walks its first level once):
     # the loop gives up past LEVEL_CAP levels by itself, and a row whose ring
     # bound ceil(floor(n / 2) / s_m) is over the cap never enters it
     # (C1201(1,2,3) has LEVEL_CAP levels and bound 200, so it is probed;
@@ -242,7 +241,7 @@ def test_thm43_witnesses_on_the_grid_match_the_oracles():
 def test_level_set_rows_build_no_ggpg_graph(monkeypatch):
     rows = ((20, (4, 8)), (12, (5,)), (9, (2, 4)))  # gap 2; two walked gap-1 rows
     want = [verify_instance(n, chords) for n, chords in rows]
-    for mod, name in ((theorem_lab, "expand"), (graph_core, "expand"),
+    for mod, name in ((metrics, "expand"), (graph_core, "expand"),
                       (graph_core, "build_ggpg")):
         monkeypatch.setattr(mod, name, refuse)
     assert [verify_instance(n, chords) for n, chords in rows] == want
@@ -449,8 +448,8 @@ def test_relabelling_by_a_unit_keeps_the_circulant_half_at_n_1e6():
     (6 * LEVEL_CAP + 2, (2, 3), True, "list kernel", False),
 ])
 def test_row_facts_picks_the_route(monkeypatch, n, chords, paranoid, route, probed):
-    # a row's facts come from metrics.run_facts, whose level loop sets up
-    # its chord shifts once: the list kernel runs its two searches, and a
+    # a row's facts come from metrics.run_facts, whose level loop walks a
+    # row's first level once: the list kernel runs its two searches, and a
     # gap-1 row on level sets one for its walk.  A paranoid row runs those
     # and exactly one list kernel of its own, oracle.check_row's (its list
     # BFS runs no _level_bfs; cut to source 0 here, as it is quadratic)
@@ -518,8 +517,8 @@ def csv_rows(reports) -> str:
     (2, 1, 8, None),        # one item: no fork
 ])
 def test_run_instances_bounds_the_pool(fork_log, monkeypatch, jobs, items,
-                                       cpus, workers):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+                                       cpus, workers, cores):
+    cores(cpus)
     fork_log.log_blocks()
     inst = plan_sweep(range(5, 20), [2])[:items]
     got = list(run_instances(iter(inst), jobs=jobs))
@@ -536,8 +535,18 @@ def test_run_instances_bounds_the_pool(fork_log, monkeypatch, jobs, items,
     assert [r for _, _, flagged in got for r in flagged] == [r for r in want if r.anomalies]
 
 
-def test_run_instances_without_fork_runs_in_process(fork_log, monkeypatch):
+def test_run_instances_counts_only_the_cpus_it_may_use(fork_log, monkeypatch):
+    # pinned to one of eight CPUs (taskset, a cpuset), --jobs 2 forks nothing
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    inst = plan_sweep(range(5, 20), [2])
+    texts = [text for text, _, _ in run_instances(iter(inst), jobs=2)]
+    assert fork_log.pids == []
+    assert "".join(texts) == csv_rows(verify_instance(n, c) for n, c in inst)
+
+
+def test_run_instances_without_fork_runs_in_process(fork_log, monkeypatch, cores):
+    cores(8)
     monkeypatch.delattr(os, "fork")
     fork_log.log_blocks()
     inst = plan_sweep(range(5, 20), [2])
@@ -552,8 +561,8 @@ def test_run_instances_without_fork_runs_in_process(fork_log, monkeypatch):
     (2, 1100, [512, 512, 38, 38]),  # a full window gives BLOCK_ROWS-row blocks
 ])
 def test_every_worker_gets_a_block_of_a_short_run(fork_log, monkeypatch, jobs,
-                                                  items, sizes):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+                                                  items, sizes, cores):
+    cores(8)
     fork_log.log_blocks()
     inst = plan_sweep(range(5, 80), [2])[:items]
     texts = [text for text, _, _ in run_instances(iter(inst), jobs=jobs)]
@@ -566,8 +575,8 @@ def test_every_worker_gets_a_block_of_a_short_run(fork_log, monkeypatch, jobs,
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_run_instances_pulls_its_input_lazily(fork_log, monkeypatch, workers):
-    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+def test_run_instances_pulls_its_input_lazily(fork_log, monkeypatch, workers, cores):
+    cores(workers)
     monkeypatch.setattr(theorem_lab, "BLOCK_ROWS", 16)
     fork_log.log_blocks()
     inst = plan_sweep(range(5, 40), [2, 3])
@@ -613,11 +622,11 @@ def test_run_instances_pulls_its_input_lazily(fork_log, monkeypatch, workers):
 
 
 def test_a_block_reaches_the_consumer_before_its_worker_runs_the_next(monkeypatch,
-                                                                      tmp_path, deadline):
+                                                                      tmp_path, deadline, cores):
     # A worker's next block waits until the consumer has received its last
     # one.  A result left in the worker's write buffer would never arrive:
     # the wait ends in TimeoutError, which the run raises.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cores(2)
     monkeypatch.setattr(theorem_lab, "BLOCK_ROWS", 8)
     inst = plan_sweep(range(5, 30), [2])
     index = {b[0]: i for i, b in enumerate(theorem_lab._blocks(inst, 2))}
@@ -667,6 +676,7 @@ def test_import_leaves_the_process_pool_unloaded(tmp_path):
     # needs the oracle tier
     fast = ["loopnet", "loopnet.graph_core", "loopnet.metrics", "loopnet.theorem_lab"]
     grid = ("import os; from loopnet import cli; os.cpu_count = lambda: 2; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; "
             "assert cli.main(['sweep', '--n', '5..60', '--m', '2,3', '--jobs', '2', "
             f"'--out', {str(tmp_path / 'grid.csv')!r}]) == 0")
     assert _loaded_after(grid) == sorted(fast + ["loopnet.cli", "loopnet.forking"])

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopnet import (
-    FamilyParameterError,
     TheoremViolation,
     build_circulant,
     check_thm41,
@@ -63,7 +62,7 @@ def test_gap_one_instance_is_a_conjecture_counterexample():
     assert not r.conj45
     assert any(a.startswith("conj45:") for a in r.anomalies)
     path = r.witnesses["conj45"]["ggpg_diametral_path"]
-    assert len(path) - 1 == 4
+    assert len(list(path)) - 1 == 4
 
 
 def test_small_n_breaks_the_gap1_characterization():
@@ -278,9 +277,13 @@ def test_planned_rows_are_admissible(n_lo, span, m_set, cap, size, seed):
     (500, (3, 260, 270), "floor"),
     (60, (5, 3), "strictly increasing"),
     (60, (3, 3), "strictly increasing"),
+    # no chord: expand's refusal, on the lattice's ring length and below it
+    (200, (), "expansion needs at least one chord >= 2, got C200(1)"),
+    (60, (), "expansion needs at least one chord >= 2, got C60(1)"),
 ])
 def test_an_inadmissible_row_raises_on_every_route(n, chords, match):
-    with pytest.raises(FamilyParameterError, match=match):
+    # FamilyParameterError is a ValueError: run_facts admits every row
+    with pytest.raises(ValueError, match=re.escape(match)):
         next(metrics.run_facts(n, [chords]))
 
 
@@ -376,7 +379,7 @@ def test_a_block_equals_its_rows_one_at_a_time(monkeypatch, rows, paranoid, fmt)
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_paranoid_fails_a_fault_in_the_second_row_of_a_run(jobs, tmp_path, monkeypatch,
-                                                          capsys):
+                                                          capsys, cores):
     # the level loop doctored on the second row of each run it walks: a row
     # checked as a one-row run never shows the fault, so --paranoid has to
     # check the facts of the block loop that every plain row runs
@@ -396,7 +399,7 @@ def test_paranoid_fails_a_fault_in_the_second_row_of_a_run(jobs, tmp_path, monke
         theorem_lab._verify_block(run, True, "csv")
     # the CLI plans the 28 rows of n = 20, m = 3 as one run, or at --jobs 2
     # as two of 14, and names the second row of the first, C20(1, 2, 4)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cores(2)
     for out in (["--out", str(tmp_path / "report.csv")], []):
         argv = ["verify", "--n", "20", "--m", "3", "--paranoid", "--jobs", jobs, *out]
         assert cli.main(argv) == 3
