@@ -42,23 +42,29 @@ and run_facts, which admits every row, picks each row's route among them.
     Dominance: if |alpha| <= |beta|, every x has a shortest pair with
     |b| < |beta|, since subtracting +-w from a pair with |b| >= |beta|
     lowers |b| by |beta| and raises |a| by at most |alpha|; otherwise,
-    likewise, one with |a| < |alpha|.  In the first case (the b-form)
-    d_c(0, x) = min over |b| < |beta| of |b| + ring(x - b s): the lower
-    envelope on Z_n of slope-1 tents centred at b s with height |b|.  In
-    the second (the a-form) let g = gcd(n, s), N = n / g and
-    t = (s / g)^-1 mod N: a pair for x has a = x (mod g), and for each
-    class r mod g the k with |r + g k| < |alpha| put a tent on Z_N at k t
-    with height |r + g k|; the point z of Z_N is x = r + g (z s / g mod N).
+    likewise, one with |a| < |alpha|.  Either way the coefficient c of one
+    generator h has |c| < B, and steps of the other, f, make up the rest:
+    (B, h, f) is (|beta|, s, 1) in the first case and (|alpha|, 1, s) in
+    the second, so h = 1 or f = 1.  Let q = gcd(n, f), N = n / q and
+    u = (f / q)^-1 mod N: f's steps reach x - c h when q divides it, and
+    x = r + q y (0 <= r < q) sits at z = y u on Z_N, where the f-step count
+    is the ring distance.  So on class r's Z_N, d_c(0, x) is the lower
+    envelope of slope-1 tents, one per c = r + q k with |c| < B, centred at
+    k h u with height |c|, and the point z, z f-steps from r, is
+    x = r + z f (mod n).  The first case has one class (q = u = 1) and
+    tents at k s; the second has q = gcd(n, s) classes, u = (s / q)^-1,
+    and tents at k u.
     The envelope: sort the tents and relax each height to
     min(h_j, h_i + gap) around the cycle, one lap each way from the lowest
     tent, so each centre holds the envelope's value; between neighbouring
     centres with gap G it then peaks at (h_j + h_{j+1} + G) // 2, at one
     point, or two when h_{j+1} + G - h_j is odd.  D is the largest peak and
-    V_Dc every point that reaches it, and chord(i) is INF unless g | i, else
-    min(k, N - k) for k = (i / g) t mod N.  O(sqrt(n) log n + |V_Dc|)
-    operations, with no n-bit set.  The relaxed envelope also
-    gives d_c(0, x) at any one x in O(log n): bisect for the centres on
-    either side of x, and take the lower of their two tents.
+    V_Dc every point that reaches it, and chord(i) is INF unless g | i for
+    g = gcd(n, s), else min(k, n / g - k) for k = (i / g)(s / g)^-1 mod
+    n / g.  O(sqrt(n) log n + |V_Dc|) operations, with no n-bit set.  The
+    relaxed envelope also gives d_c(0, x) at any one x in O(log n): bisect
+    for the centres on either side of x, and take the lower of their two
+    tents.
   * The level-set route, level_set_summaries, serves the m >= 3 rows and
     the double loops on rings shorter than DOUBLE_LOOP_LEVELS_BELOW: every
     BFS level is an n-bit int and a step +-s is a rotation, so one loop
@@ -489,29 +495,29 @@ def _value_at(m: int, cs: list, hs: list, x: int) -> int:
     return min(hs[j] + (x - cs[j]) % m, hs[k] + (cs[k] - x) % m)
 
 
-class LatticeDistances(namedtuple("LatticeDistances", "n s div inv b_form envelopes")):
+class LatticeDistances(namedtuple("LatticeDistances",
+                                   "n div inv classes scale free envelopes")):
     """The double loop C_n(1, s) on its reduced lattice (lattice_distances):
     d_c(0, x) and chord(x) at any x in O(log n), and the InstanceSummary.
 
-    envelopes holds the relaxed tent envelopes (centres, values, gaps): in
-    the b-form one on Z_n, read at x itself; in the a-form one per residue
-    r mod div = gcd(n, s), on Z_cyc with cyc = n / div, read at
-    z = (x / div) * inv mod cyc for x = r mod div.
+    envelopes holds the relaxed tent envelopes (centres, values, gaps), one
+    per residue r mod classes, on Z_cyc with cyc = n / classes: x = r +
+    classes y sits at z = y * scale mod cyc, and z is x = r + z * free mod
+    n, free the generator whose steps z counts (1, or s).  div = gcd(n, s)
+    and inv = (s / div)^-1 mod n / div give chord(x).
     """
 
     __slots__ = ()
 
     def circ_at(self, x: int) -> int:
         """d_c(0, x)."""
-        if self.b_form:
-            return _value_at(self.n, *self.envelopes[0][:2], x)
-        cyc = self.n // self.div
-        return _value_at(cyc, *self.envelopes[x % self.div][:2],
-                         x // self.div * self.inv % cyc)
+        cyc = self.n // self.classes
+        return _value_at(cyc, *self.envelopes[x % self.classes][:2],
+                         x // self.classes * self.scale % cyc)
 
     def chord_at(self, x: int):
         """chord(x): INF unless div | x, else min(k, cyc - k) for
-        k = (x / div) * inv mod cyc."""
+        k = (x / div) * inv mod cyc, cyc = n / div."""
         if x % self.div:
             return INF
         cyc = self.n // self.div
@@ -521,18 +527,11 @@ class LatticeDistances(namedtuple("LatticeDistances", "n s div inv b_form envelo
     def summary(self) -> InstanceSummary:
         """D as the largest envelope peak and V_Dc as every point reaching
         it, with their chord classes, for _summarize."""
-        n, div = self.n, self.div
-        if self.b_form:
-            d, points = _peaks(n, *self.envelopes[0])
-        else:
-            cyc, step = n // div, self.s // div
-            d, points = -1, []
-            for r, env in enumerate(self.envelopes):
-                top, peaks = _peaks(cyc, *env)
-                if top >= d:
-                    if top > d:
-                        d, points = top, []
-                    points += [r + div * (z * step % cyc) for z in peaks]
+        n, free = self.n, self.free
+        tops = [_peaks(n // self.classes, *env) for env in self.envelopes]
+        d = max([top for top, _ in tops])
+        points = [(r + z * free) % n
+                  for r, (top, peaks) in enumerate(tops) if top == d for z in peaks]
         vdc = tuple(sorted(set(points)))  # both segments ending at a centre may list it
         chord = [self.chord_at(x) for x in vdc]
         return _summarize(n, d, vdc, [x for x, c in zip(vdc, chord) if c == d + 1],
@@ -545,8 +544,9 @@ def lattice_distances(g: CirculantGraph) -> LatticeDistances:
     envelopes.
 
     A short vector (alpha, beta) of L = {(a, b) : a + b s = 0 mod n} bounds
-    one coordinate of some shortest representation of every x, so d_c(0, x)
-    is the lower envelope of O(sqrt(n)) tents (see the module docstring).
+    one coefficient of some shortest representation of every x, b or a, so
+    d_c(0, x) is the lower envelope of O(sqrt(n)) tents (see the module
+    docstring).  Which one it bounds sets the envelopes' parameters alone.
     """
     if len(g.gens) != 2 or g.gens[0] != 1:
         raise ValueError(f"the lattice route needs C_n(1, s), got {g.label()}")
@@ -569,23 +569,20 @@ def lattice_distances(g: CirculantGraph) -> LatticeDistances:
         if max(a, b) < max(alpha, beta):
             alpha, beta = a, b
     div = math.gcd(n, s)
-    cyc = n // div
-    inv = pow(s // div, -1, cyc)
-    if alpha <= beta:
-        # b-form: some shortest (a, b) has |b| < beta; a tent at b s, height |b|
-        keys = [b * s % n * beta + b for b in range(beta)]
-        keys += [-b * s % n * beta + b for b in range(1, beta)]
-        envelopes = [_relax(n, keys, beta)]
-    else:
-        # a-form: some shortest (a, b) has |a| < alpha.  For x = r mod div,
-        # a = r + div k; on Z_cyc, x sits at z = (x - r) / div * inv and
-        # min |b| is the distance from z to k inv
-        envelopes = [
-            _relax(cyc, [k * inv % cyc * alpha + abs(r + div * k)
-                         for k in range(-((alpha + r - 1) // div),
-                                        (alpha - 1 - r) // div + 1)], alpha)
-            for r in range(div)]
-    return LatticeDistances(n, s, div, inv, alpha <= beta, envelopes)
+    inv = pow(s // div, -1, n // div)
+    # the one choice: some shortest (a, b) has |b| < beta, with ring steps
+    # free, or |a| < alpha, with chord steps free.  It sets the bound, the
+    # free generator's class count, scale and value, and the multiplier
+    # that places the tent of the bounded coefficient c = r + classes k
+    bound, classes, scale, free, place = \
+        (beta, 1, 1, 1, s) if alpha <= beta else (alpha, div, inv, s, inv)
+    cyc = n // classes
+    envelopes = [
+        _relax(cyc, [c // classes * place % cyc * bound + abs(c)
+                     for c in range(r - (bound - 1 + r) // classes * classes, bound,
+                                    classes)], bound)
+        for r in range(classes)]
+    return LatticeDistances(n, div, inv, classes, scale, free, envelopes)
 
 
 # --- the gap-1 witness ---
@@ -654,7 +651,12 @@ def run_facts(n: int, chord_sets):
     each row's chords are tested once (1 < s_2 < ... < s_m <= floor((n - 1)
     / 2)), and a row that fails is handed to build_circulant and then
     expand, so that it raises on every route alike: build_circulant's
-    FamilyParameterError, or for a row with no chord expand's ValueError."""
+    FamilyParameterError, or for a row with no chord expand's ValueError.
+
+    chord_sets is read twice, so an iterator (iter(chord_sets) is
+    chord_sets) is listed first; any other iterable is read as it is."""
+    if iter(chord_sets) is chord_sets:
+        chord_sets = list(chord_sets)
     # the chord count of the run's rows that take the lattice (0: none)
     lattice = 1 if n >= DOUBLE_LOOP_LEVELS_BELOW else 0
     levels = level_set_summaries(

@@ -164,12 +164,15 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     return _verify_rows(gc.n, [gc.gens[1:]], paranoid)[0]
 
 
-def _verify_rows(n: int, chord_sets: list, paranoid: bool) -> list:
+def _verify_rows(n: int, chord_sets, paranoid: bool) -> list:
     """The one row loop: the report rows of C_n(1, *chords) for each chords
     of chord_sets, a run of admissible rows on one ring, built by
     _verify_row from one metrics.run_facts pass.  Under paranoid,
     oracle.check_row first checks each row's facts and walk (raising
-    TheoremViolation on a mismatch) and gives its sandwich verdict."""
+    TheoremViolation on a mismatch) and gives its sandwich verdict.
+    chord_sets is read beside that pass, so an iterator is listed first."""
+    if iter(chord_sets) is chord_sets:
+        chord_sets = list(chord_sets)
     if paranoid:
         from .oracle import check_row  # compiled only by a paranoid row
     return [_verify_row(n, (1, *c), facts, path, check_row(
@@ -283,10 +286,14 @@ def _plan(n_range, m_set, *, sample_cap: int = 100_000, sample_size: int = 1000,
     a time, so no more than one n's chord sets are held at once.  The
     generator counts and ring lengths are checked here, before the first
     instance is drawn; every chord set then lies in 2..floor((n-1)/2),
-    increasing, so each row is admissible as _verify_block assumes."""
+    increasing, so each row is admissible as _verify_block assumes.
+    n_range is read twice: a range (or list) stays as it is, and an
+    iterator (iter(n_range) is n_range) is listed first."""
     m_set = sorted(set(m_set))
     if not m_set or m_set[0] < 2:
         raise ValueError(f"generator counts must all be >= 2, got {m_set}")
+    if iter(n_range) is n_range:
+        n_range = list(n_range)
     bad = next((n for n in n_range if n < 5), None)
     if bad is not None:
         raise ValueError(f"ring length must be >= 5, got {bad}")
@@ -326,7 +333,8 @@ def plan_sweep(n_range, m_set, *, sample_cap: int = 100_000,
     unranks only those, so a cell is never listed whole; random.sample picks
     the same positions from range(total) as it would from the listed cell.
     A cell of more than sys.maxsize sets, whose range has no len(), draws
-    distinct random.randrange(total) positions instead.
+    distinct random.randrange(total) positions instead.  n_range is any
+    iterable of ring lengths; an iterator is listed first (_plan).
     """
     return list(_plan(n_range, m_set, sample_cap=sample_cap,
                       sample_size=sample_size, seed=seed))

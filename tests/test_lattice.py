@@ -1,10 +1,10 @@
 """The lattice route for double loops C_n(1, s) against the list kernel and
 the BFS oracles: every row with n <= 400 (and there the level-set summary
 and the walked conj45 witness against a FIFO search), random rows with
-n < 2 * 10^5, named rows of both envelope forms (with gcd(n, s) = 1 and
-> 1) at n near 10^5, random rows; its pointwise distances against the
-kernel's vectors; which route a double loop takes and what it skips; and
-what --paranoid still compares it with."""
+n < 2 * 10^5, named rows of both bound choices (|a| or |b| of a shortest
+pair bounded, with gcd(n, s) = 1 and > 1) at n near 10^5, random rows; its
+pointwise distances against the kernel's vectors; which route a double loop
+takes and what it skips; and what --paranoid still compares it with."""
 
 import math
 import random
@@ -63,17 +63,18 @@ def test_lattice_summary_on_random_large_double_loops():
             assert lattice.chord_at(x) == dist.chord_only[x], (g.label(), x)
 
 
-@pytest.mark.parametrize("n", [10**5, 10**6])
+@pytest.mark.parametrize("n", [10**5, 10**6, 10**7])
 def test_lattice_summary_is_invariant_under_the_chord_swap(n):
     # with gcd(n, s) = 1, x -> x / s mod n maps C_n(1, s) onto C_n(1, s')
     # with s' = min(1/s, n - 1/s) and swaps its ring and chord steps: D and
     # the gap stay, V_Dc maps onto V_Dc', near' is the image of the V_Dc
     # points with ring(i) = D + 1, and the two conditions and the two GGPG
     # eccentricities trade places.  The reduced lattices are transposes, so
-    # most pairs compare the b-form envelope with the a-form one, at sizes
-    # where no BFS oracle runs.
+    # most pairs compare envelopes of the two bound choices (|b| bounded, with
+    # ring steps free, free = 1; |a| bounded, with chord steps free, free = s),
+    # at sizes where no BFS oracle runs.
     rng = random.Random(f"chord-swap-{n}")
-    rows = [3, n // 2 - 1]  # an a-form row; the gap-1 row, its own swap
+    rows = [3, n // 2 - 1]  # a row with |a| bounded; the gap-1 row, its own swap
     while len(rows) < 10:
         s = rng.randrange(2, max_generator(n) + 1)
         if math.gcd(n, s) == 1:
@@ -83,7 +84,7 @@ def test_lattice_summary_is_invariant_under_the_chord_swap(n):
         inv = pow(s, -1, n)
         lat, swapped = (lattice_distances(build_circulant(n, (1, t)))
                         for t in (s, min(inv, n - inv)))
-        forms.add((lat.b_form, swapped.b_form))
+        forms.add((lat.free == 1, swapped.free == 1))
         a, b = lat.summary(), swapped.summary()
         assert (b.d_circ, b.d_ggpg - b.d_circ) == (a.d_circ, a.d_ggpg - a.d_circ)
         assert list(b.v_dc) == sorted(i * inv % n for i in a.v_dc), (n, s)
@@ -95,22 +96,26 @@ def test_lattice_summary_is_invariant_under_the_chord_swap(n):
 
 
 @pytest.mark.parametrize("n,s", [
-    (9, 2),            # a-form, gcd 1; V_Dc = {3, 4, 5, 6}
-    (100000, 2),       # a-form, gcd 2
-    (100000, 3),       # a-form, gcd 1
-    (100000, 4),       # a-form, gcd 4
-    (100000, 24999),   # b-form, gcd 1
-    (100000, 12500),   # b-form, gcd 12500
-    (100000, 49999),   # b-form, gcd 1; the ring-1e5 gap-1 row
-    (99990, 33330),    # b-form, gcd 33330: three chord classes
-    (99999, 3),        # a-form, gcd 3
+    (9, 2),            # |a| bounded, gcd 1; V_Dc = {3, 4, 5, 6}
+    (100000, 2),       # |a| bounded, gcd 2
+    (100000, 3),       # |a| bounded, gcd 1
+    (100000, 4),       # |a| bounded, gcd 4
+    (100000, 24999),   # |b| bounded, gcd 1
+    (100000, 12500),   # |b| bounded, gcd 12500
+    (100000, 49999),   # |b| bounded, gcd 1; the ring-1e5 gap-1 row
+    (99990, 33330),    # |b| bounded, gcd 33330: three chord classes
+    (99999, 3),        # |a| bounded, gcd 3
 ])
 def test_lattice_summary_on_named_rows(n, s):
     g = build_circulant(n, (1, s))
-    fast = lattice_distances(g).summary()
-    assert fast == instance_distances(g).summary()
+    lattice, dist = lattice_distances(g), instance_distances(g)
+    fast = lattice.summary()
+    assert fast == dist.summary()
     if n == 9:
         assert fast.v_dc == (3, 4, 5, 6)
+    for x in random.Random(f"named-{n}-{s}").sample(range(n), min(n, 200)):
+        assert lattice.circ_at(x) == dist.circ[x], x
+        assert lattice.chord_at(x) == dist.chord_only[x], x
 
 
 @settings(max_examples=40, deadline=None)

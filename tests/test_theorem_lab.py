@@ -313,6 +313,30 @@ def test_plan_sweep_rejects_bad_parameters():
         plan_sweep(range(5, 6), [])
 
 
+def test_plan_sweep_reads_an_iterator_of_ring_lengths_once():
+    # the ring-length check reads n_range before the plan does
+    want = plan_sweep(range(5, 9), [2])
+    assert len(want) == 6
+    assert plan_sweep(iter(range(5, 9)), [2]) == want
+    assert plan_sweep((n for n in range(5, 9)), [2, 3]) == plan_sweep(range(5, 9), [2, 3])
+
+
+@pytest.mark.parametrize("n, d_circ", [
+    (20, [5, 4, 4, 4]),  # below DOUBLE_LOOP_LEVELS_BELOW: one level loop for the run
+    (200, [34, 22]),     # above it: the lattice, after a filter pass over the run
+])
+def test_a_run_passed_as_an_iterator_keeps_every_row(n, d_circ):
+    # run_facts reads its run twice, and _verify_rows beside run_facts
+    assert 20 < metrics.DOUBLE_LOOP_LEVELS_BELOW <= 200
+    rows = [(2,), (3,), (4,), (5,)] if n == 20 else [(3,), (5,)]
+    want = list(metrics.run_facts(n, rows))
+    assert [facts.d_circ for _, facts, _ in want] == d_circ
+    assert list(metrics.run_facts(n, iter(rows))) == want
+    reports = theorem_lab._verify_rows(n, rows, False)
+    assert [r.d_circ for r in reports] == d_circ
+    assert theorem_lab._verify_rows(n, iter(rows), False) == reports
+
+
 def test_run_instances_parallel_order_matches_serial(monkeypatch):
     monkeypatch.setattr(theorem_lab, "BLOCK_ROWS", 5)  # several blocks
     inst = plan_sweep(range(5, 14), [2])
