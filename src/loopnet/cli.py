@@ -7,14 +7,14 @@ and theorem_lab.run_instances verifies, checks (enforce_proven) and
 renders it in blocks of rows; under --jobs, in forked workers that each
 walk their own copy of the plan and pipe back their blocks' results.
 This process only writes each block's text into a staged report, keeping
-gap counts and the gap-1 rows or findings.  Every command creates an
-empty temporary sibling of every file it writes before its work starts
-(_staged), so an unwritable path fails at once with a line naming its
-flag, and moves each into place only at the end; a stdout report of
-verify or sweep is staged in an anonymous temporary file and copied out
-after the last row, and stdout holds nothing else (without --out, sweep's
-summary goes to stderr).  A run that exits 2 or 3 leaves none of its files
-behind and prints no report byte.
+gap counts and the gap-1 rows or findings.  Every command writes through
+one output path, _staged: it creates an empty temporary sibling of every
+file the command writes before its work starts, so an unwritable path
+fails at once with a line naming its flag, and moves each into place only
+at the end; every command's stdout output is staged in an anonymous
+temporary file and copied out at the end, and stdout holds nothing else
+(without --out, sweep's summary goes to stderr).  A run that exits 2 or 3
+leaves none of its files behind and prints no output byte.
 
 Exit codes: 0 clean, 2 parameter error, unwritable output path or a ring
 too large for memory, 3 proved-statement violation, or under --paranoid a
@@ -38,7 +38,6 @@ import tempfile
 
 from . import __version__
 from .graph_core import (
-    FamilyParameterError,
     build_circulant,
     build_ggpg,
     to_dot,
@@ -122,26 +121,18 @@ def _default_seed() -> int:
         raise ValueError(f"LOOPNET_SEED must be an integer, got {env!r}")
 
 
-def _header(flags: str, seed: int) -> str:
+def _header(flags: str, seed: int, fmt: str):
+    """The header recording the version, the flags and the seed: the dict a
+    JSON document holds, or one line for any other format."""
+    if fmt == "json":
+        return {"tool": "loopnet", "version": __version__, "flags": flags, "seed": seed}
     return f"loopnet {__version__} | {flags} | seed={seed}"
-
-
-def _header_meta(flags: str, seed: int) -> dict:
-    return {"tool": "loopnet", "version": __version__, "flags": flags, "seed": seed}
 
 
 def _flags(args, spec: str) -> str:
     """The header's semantic flag string for this subcommand."""
     return (f"{args.command} {spec} --format {args.format}"
             + (" --paranoid" if args.paranoid else ""))
-
-
-def _write_text(path, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 def _sibling(path: str, tag: str, ext: str | None = None) -> str:
@@ -177,21 +168,18 @@ def cmd_diameter(args) -> int:
     from .oracle import diameter_circulant, diameter_ggpg, distance_dump_rows
 
     g = _build_graph(args)
-    seed = args.seed
-    flags = _spec_flags(g, args)
-    head = _header(flags, seed)
+    head = _header(_spec_flags(g, args), args.seed, args.format)
     diameter = diameter_circulant if g.family == "circulant" else diameter_ggpg
-    with _staged(("--out", args.out)) as staged:  # an unwritable --out fails first
+    with _staged(("--out", args.out)) as (fh,):  # an unwritable --out fails first
         diam = diameter(g, paranoid=args.paranoid)
         if args.format == "text":
-            lines = [f"# {head}",
-                     f"label {g.label()}",
-                     f"vertices {g.num_vertices}",
-                     f"edges {g.num_edges}",
-                     f"diameter {diam}"]
-            text = "\n".join(lines) + "\n"
+            fh.write(f"# {head}\n"
+                     f"label {g.label()}\n"
+                     f"vertices {g.num_vertices}\n"
+                     f"edges {g.num_edges}\n"
+                     f"diameter {diam}\n")
         elif args.format == "json":
-            payload = {"header": _header_meta(flags, seed),
+            payload = {"header": head,
                        "family": g.family,
                        "label": g.label(),
                        "n": g.n,
@@ -199,21 +187,18 @@ def cmd_diameter(args) -> int:
                        "num_edges": g.num_edges,
                        "diameter": "inf" if diam == INF else diam,
                        g._fields[1]: list(g[1])}
-            text = _json_text(payload) + "\n"
-        else:  # csv
-            lines = [f"# {head}", "family,n,gens,source,vertex,dist"]
-            for row in distance_dump_rows(g):
-                lines.append(",".join(str(c) for c in row))
-            text = "\n".join(lines) + "\n"
-        _write_text(staged.get(args.out), text)
+            fh.write(_json_text(payload) + "\n")
+        else:  # csv, each row written as it is drawn
+            fh.write(f"# {head}\nfamily,n,gens,source,vertex,dist\n")
+            fh.writelines(",".join(map(str, row)) + "\n" for row in distance_dump_rows(g))
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
     g = _build_graph(args)
     flags = _spec_flags(g, args)
-    with _staged(("--out", args.out)) as staged:
-        _write_text(staged.get(args.out), f"// {_header(flags, args.seed)}\n" + to_dot(g))
+    with _staged(("--out", args.out)) as (fh,):
+        fh.write(f"// {_header(flags, args.seed, args.format)}\n" + to_dot(g))
     return EXIT_OK
 
 
@@ -278,59 +263,62 @@ def _verify_plan(args):
     return _grid_plan(args)
 
 
-def _write_reports(reports, fh, fmt: str, flags: str, seed: int) -> None:
-    if fmt == "csv":
-        write_report_csv(reports, fh, _header(flags, seed))
-    else:
-        write_report_json(reports, fh, _header_meta(flags, seed))
-
-
 @contextlib.contextmanager
 def _staged(*outputs):
-    """Map each output path to an empty temporary sibling, all created on
-    entry; outputs are (flag, path) pairs, and a pair whose path is None
-    (stdout) is skipped.  A path that cannot be written, or that names the
+    """Yield one open text handle per output, in order; outputs are (flag,
+    path) pairs.  A path's handle writes an empty temporary sibling of it,
+    all created on entry.  A path that cannot be written, or that names the
     same file as an earlier one, or that exists but is not a regular file
     (a FIFO or a device), is refused as "<flag>: cannot write '<path>':
     <reason>".  A symlink is followed: the sibling is made beside the file
-    it names, and replaces that file.  On a normal exit each sibling moves
-    into place, on an exception they are all deleted: the runner streams
-    rows into a sibling as they pass, so a file appears at its path only
-    once it is whole."""
-    staged = {}
+    it names, and replaces that file.  The first output whose path is None
+    is stdout, staged in an anonymous temporary file; any later one yields
+    None.  On a normal exit stdout's file is copied out and each sibling
+    moves into place.  Every handle is closed either way, and on any
+    failure, the copy and the moves included, every sibling is deleted:
+    callers stream rows into their handles as they pass, so an output
+    appears only once it is whole."""
+    siblings = {}  # temporary sibling -> the file it replaces
     try:
-        for flag, path in outputs:
-            if path is None:
-                continue
-            cannot = f"{flag}: cannot write '{path}'"
-            if not os.path.basename(path) or os.path.isdir(path):
-                raise ValueError(f"{cannot}: not a file path")
-            real = os.path.realpath(path)
-            if os.path.exists(real) and not os.path.isfile(real):
-                raise ValueError(f"{cannot}: not a regular file")
-            if real in map(os.path.realpath, staged):
-                raise ValueError(f"{cannot}: another output names the same file")
-            tmp = f"{real}.{os.getpid()}.tmp"
-            try:
-                open(tmp, "x").close()
-            except OSError as exc:
-                raise OSError(f"{cannot}: {exc.strerror}") from exc
-            staged[path] = tmp
-        yield staged
+        with contextlib.ExitStack() as stack:
+            handles, stdout = [], None
+            for flag, path in outputs:
+                if path is None:  # the first is stdout, any later one gets no handle
+                    handles.append(None if stdout else
+                                   stack.enter_context(tempfile.TemporaryFile("w+")))
+                    stdout = stdout or handles[-1]
+                    continue
+                cannot = f"{flag}: cannot write '{path}'"
+                if not os.path.basename(path) or os.path.isdir(path):
+                    raise ValueError(f"{cannot}: not a file path")
+                real = os.path.realpath(path)
+                if os.path.exists(real) and not os.path.isfile(real):
+                    raise ValueError(f"{cannot}: not a regular file")
+                if real in siblings.values():
+                    raise ValueError(f"{cannot}: another output names the same file")
+                tmp = f"{real}.{os.getpid()}.tmp"
+                try:
+                    handles.append(stack.enter_context(open(tmp, "x")))
+                except OSError as exc:
+                    raise OSError(f"{cannot}: {exc.strerror}") from exc
+                siblings[tmp] = real
+            yield handles
+            if stdout is not None:
+                stdout.seek(0)
+                shutil.copyfileobj(stdout, sys.stdout)
+        for tmp, real in siblings.items():
+            os.replace(tmp, real)
     except BaseException:
-        for tmp in staged.values():
+        for tmp in siblings:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
         raise
-    for path, tmp in staged.items():
-        os.replace(tmp, os.path.realpath(path))
 
 
-def _run_checked(instances, args, flags: str, out, keep) -> tuple[dict, list]:
-    """Write every instance's report, block by block, into out: a staged
-    path, or None for stdout (staged in an anonymous temporary file, copied
-    out after the last row).  Returns the gap distribution and the rows
-    keep(row) selects among the rows with an anomaly, the only ones sent."""
+def _run_checked(instances, args, flags: str, fh, keep) -> tuple[dict, list]:
+    """Write every instance's report, block by block, into the staged
+    handle fh.  Returns the gap distribution and the rows keep(row) selects
+    among the rows with an anomaly, the only ones sent."""
     gaps, kept = collections.Counter(), []
 
     def texts():
@@ -340,12 +328,7 @@ def _run_checked(instances, args, flags: str, out, keep) -> tuple[dict, list]:
             kept.extend(filter(keep, flagged))
             yield text
 
-    header = (_header if args.format == "csv" else _header_meta)(flags, args.seed)
-    with tempfile.TemporaryFile("w+") if out is None else open(out, "w") as fh:
-        _write_document(texts(), fh, args.format, header)
-        if out is None:
-            fh.seek(0)
-            shutil.copyfileobj(fh, sys.stdout)
+    _write_document(texts(), fh, args.format, _header(flags, args.seed, args.format))
     return dict(sorted(gaps.items())), kept
 
 
@@ -359,14 +342,14 @@ def cmd_verify(args) -> int:
         return [note for note in r.anomalies if note.split(":", 1)[0] in wanted]
 
     found = args.out and _sibling(args.out, "findings", ".json")
-    with _staged(("--out", args.out), ("--out", found)) as staged:
-        _, flagged = _run_checked(instances, args, flags, staged.get(args.out), notes)
+    with _staged(("--out", args.out), ("--out", found)) as (out, found_fh):
+        _, flagged = _run_checked(instances, args, flags, out, notes)
         findings = [{"n": r.n, "gens": list(r.gens), "anomaly": note,
                      "witness": r.witnesses.get(note.split(":", 1)[0])}
                     for r in flagged for note in notes(r)]
         if args.out:
-            payload = {"header": _header_meta(flags, args.seed), "findings": findings}
-            _write_text(staged[found], _json_text(payload) + "\n")
+            payload = {"header": _header(flags, args.seed, "json"), "findings": findings}
+            found_fh.write(_json_text(payload) + "\n")
     if findings:
         print(f"findings: {len(findings)} (see "
               f"{'findings file' if args.out else 'report anomalies column'})",
@@ -389,14 +372,13 @@ def cmd_sweep(args) -> int:
                             or _sibling(args.out, "counterexamples"))
     with _staged(("--out", args.out),
                  ("--counterexamples-out" if args.counterexamples_out else "--out",
-                  cx_path)) as staged:
-        dist, counterexamples = _run_checked(instances, args, flags,
-                                             staged.get(args.out),
+                  cx_path)) as (out, cx_fh):
+        dist, counterexamples = _run_checked(instances, args, flags, out,
                                              lambda r: r.gap == 1)
         if args.out:
-            with open(staged[cx_path], "w") as fh:
-                _write_reports(counterexamples, fh, args.format,
-                               flags + " [counterexamples]", args.seed)
+            write = write_report_csv if args.format == "csv" else write_report_json
+            write(counterexamples, cx_fh,
+                  _header(flags + " [counterexamples]", args.seed, args.format))
 
     dist_text = " ".join(f"{g}:{c}" for g, c in dist.items()) or "none"
     if args.out:
@@ -489,7 +471,7 @@ def main(argv=None) -> int:
         if getattr(args, "sample_cap", 0) < 0:
             raise ValueError("--sample-cap must be >= 0")
         return args.func(args)
-    except (FamilyParameterError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FamilyParameterError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except MemoryError:

@@ -324,7 +324,8 @@ def _plan_ring(n: int, m_set, sample_cap: int, sample_size: int, seed: int):
 
 def plan_sweep(n_range, m_set, *, sample_cap: int = 100_000,
                sample_size: int = 1000, seed: int = 0) -> list[tuple[int, tuple]]:
-    """Deterministic instance list: n ascending, chord sets lexicographic.
+    """Deterministic instance list: ring lengths in n_range's order (one
+    given twice is planned twice), chord sets lexicographic within each.
 
     A (n, m) cell is exhaustive while its chord-set count stays within
     sample_cap; beyond that it degrades to a uniform sample of sample_size

@@ -664,6 +664,26 @@ def test_sweep_stdout_holds_only_the_report(tmp_path):
           for rec in gap1)])]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ("diameter", "--n", "40", "--family", "ggpg", "--chords", "3,7", "--format", "csv"),
+    ("export", "--n", "9", "--family", "ggpg", "--chords", "2"),
+    ("verify", "--n", "5..12", "--m", "2"),
+    ("sweep", "--n", "5..12", "--m", "2", "--format", "json"),
+], ids=lambda argv: argv[0])
+def test_an_unwritable_stdout_exits_2_with_one_line(argv, tmp_path):
+    # the staged stdout file is made in TMPDIR and closed when the copy out
+    # fails: an unclosed one would add an "Exception ignored" ResourceWarning
+    env = {k: v for k, v in os.environ.items() if k != "LOOPNET_SEED"}
+    with open("/dev/full", "w") as full:
+        r = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                            "-m", "loopnet", *argv], stdout=full, stderr=subprocess.PIPE,
+                           text=True, env=dict(env, TMPDIR=str(tmp_path)))
+    assert r.returncode == 2
+    assert r.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_seed_env_fallback_and_flag_override():
     r = run_cli("sweep", "--n", "5..6", "--m", "2",
                 env_extra={"LOOPNET_SEED": "7"})

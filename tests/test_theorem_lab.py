@@ -168,6 +168,12 @@ def test_plan_sweep_order_and_determinism():
     assert (7, (2, 3)) in plan
 
 
+def test_plan_sweep_keeps_the_order_of_n_range():
+    # n_range is not sorted: sorting would list a range that must stay lazy
+    assert plan_sweep([9, 5], [2]) == [(9, (2,)), (9, (3,)), (9, (4,)), (5, (2,))]
+    assert plan_sweep([7, 7], [2]) == plan_sweep([7], [2]) * 2
+
+
 def test_plan_sweep_sampling_reproducible():
     kw = dict(sample_cap=3, sample_size=4)
     a = plan_sweep(range(30, 31), [3], seed=1, **kw)
