@@ -273,11 +273,11 @@ def _staged(*outputs):
     <reason>".  A symlink is followed: the sibling is made beside the file
     it names, and replaces that file.  The first output whose path is None
     is stdout, staged in an anonymous temporary file; any later one yields
-    None.  On a normal exit stdout's file is copied out and each sibling
-    moves into place.  Every handle is closed either way, and on any
-    failure, the copy and the moves included, every sibling is deleted:
-    callers stream rows into their handles as they pass, so an output
-    appears only once it is whole."""
+    None.  On a normal exit stdout's file is copied out and flushed, then
+    each sibling moves into place.  Every handle is closed either way, and
+    on any failure, the copy and the moves included, every sibling is
+    deleted: callers stream rows into their handles as they pass, so an
+    output appears only once it is whole."""
     siblings = {}  # temporary sibling -> the file it replaces
     try:
         with contextlib.ExitStack() as stack:
@@ -305,7 +305,15 @@ def _staged(*outputs):
             yield handles
             if stdout is not None:
                 stdout.seek(0)
-                shutil.copyfileobj(stdout, sys.stdout)
+                try:
+                    shutil.copyfileobj(stdout, sys.stdout)
+                    sys.stdout.flush()  # a write error surfaces here, not at exit
+                except OSError:
+                    # what stays buffered would fail again at exit: drop it
+                    devnull = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, sys.stdout.fileno())
+                    os.close(devnull)
+                    raise
         for tmp, real in siblings.items():
             os.replace(tmp, real)
     except BaseException:
@@ -370,22 +378,21 @@ def cmd_sweep(args) -> int:
                          f"--sample-size {args.sample_size}")
     cx_path = args.out and (args.counterexamples_out
                             or _sibling(args.out, "counterexamples"))
+    # with --out, the third output is stdout, which takes the summary
     with _staged(("--out", args.out),
                  ("--counterexamples-out" if args.counterexamples_out else "--out",
-                  cx_path)) as (out, cx_fh):
+                  cx_path), ("--out", None)) as (out, cx_fh, summary):
         dist, counterexamples = _run_checked(instances, args, flags, out,
                                              lambda r: r.gap == 1)
+        dist_text = " ".join(f"{g}:{c}" for g, c in dist.items()) or "none"
         if args.out:
             write = write_report_csv if args.format == "csv" else write_report_json
             write(counterexamples, cx_fh,
                   _header(flags + " [counterexamples]", args.seed, args.format))
-
-    dist_text = " ".join(f"{g}:{c}" for g, c in dist.items()) or "none"
-    if args.out:
-        print(f"rows {sum(dist.values())}")
-        print(f"gap distribution {dist_text}")
-        print(f"counterexamples {len(counterexamples)} -> {cx_path}")
-    else:
+            summary.write(f"rows {sum(dist.values())}\n"
+                          f"gap distribution {dist_text}\n"
+                          f"counterexamples {len(counterexamples)} -> {cx_path}\n")
+    if not args.out:
         print(f"# gap distribution {dist_text}", file=sys.stderr)
         print(f"# counterexamples {len(counterexamples)}", file=sys.stderr)
         for r in counterexamples:

@@ -670,11 +670,17 @@ def test_sweep_stdout_holds_only_the_report(tmp_path):
     ("export", "--n", "9", "--family", "ggpg", "--chords", "2"),
     ("verify", "--n", "5..12", "--m", "2"),
     ("sweep", "--n", "5..12", "--m", "2", "--format", "json"),
-], ids=lambda argv: argv[0])
+    ("sweep", "--n", "5..12", "--m", "2", "--out", "{tmp}/r.csv"),
+], ids=["diameter", "export", "verify", "sweep", "sweep-out"])
 def test_an_unwritable_stdout_exits_2_with_one_line(argv, tmp_path):
     # the staged stdout file is made in TMPDIR and closed when the copy out
-    # fails: an unclosed one would add an "Exception ignored" ResourceWarning
-    env = {k: v for k, v in os.environ.items() if k != "LOOPNET_SEED"}
+    # fails: an unclosed one would add an "Exception ignored" ResourceWarning.
+    # stdout is block-buffered, as on a pipe or a file, so an output shorter
+    # than the buffer fails only when flushed: that must happen before exit.
+    # sweep --out leaves neither of its files behind
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("LOOPNET_SEED", "PYTHONUNBUFFERED")}
+    argv = [a.format(tmp=tmp_path) for a in argv]
     with open("/dev/full", "w") as full:
         r = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
                             "-m", "loopnet", *argv], stdout=full, stderr=subprocess.PIPE,

@@ -166,9 +166,6 @@ def test_plan_sweep_order_and_determinism():
         assert cell == sorted(cell)
     assert plan[0] == (5, (2,))
     assert (7, (2, 3)) in plan
-
-
-def test_plan_sweep_keeps_the_order_of_n_range():
     # n_range is not sorted: sorting would list a range that must stay lazy
     assert plan_sweep([9, 5], [2]) == [(9, (2,)), (9, (3,)), (9, (4,)), (5, (2,))]
     assert plan_sweep([7, 7], [2]) == plan_sweep([7], [2]) * 2
