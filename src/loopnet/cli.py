@@ -135,9 +135,9 @@ def _flags(args, spec: str) -> str:
             + (" --paranoid" if args.paranoid else ""))
 
 
-def _sibling(path: str, tag: str, ext: str | None = None) -> str:
-    root, old_ext = os.path.splitext(path)
-    return f"{root}.{tag}{ext if ext is not None else (old_ext or '.csv')}"
+def _sibling(path: str, tag: str, ext: str) -> str:
+    """path with .tag and ext in place of its own extension."""
+    return f"{os.path.splitext(path)[0]}.{tag}{ext}"
 
 
 def _build_graph(args):
@@ -171,7 +171,8 @@ def cmd_diameter(args) -> int:
     head = _header(_spec_flags(g, args), args.seed, args.format)
     diameter = diameter_circulant if g.family == "circulant" else diameter_ggpg
     with _staged(("--out", args.out)) as (fh,):  # an unwritable --out fails first
-        diam = diameter(g, paranoid=args.paranoid)
+        if args.format != "csv" or args.paranoid:  # the dump writes no diameter
+            diam = diameter(g, paranoid=args.paranoid)
         if args.format == "text":
             fh.write(f"# {head}\n"
                      f"label {g.label()}\n"
@@ -376,8 +377,9 @@ def cmd_sweep(args) -> int:
     instances, spec = _grid_plan(args)
     flags = _flags(args, f"{spec} --sample-cap {args.sample_cap} "
                          f"--sample-size {args.sample_size}")
-    cx_path = args.out and (args.counterexamples_out
-                            or _sibling(args.out, "counterexamples"))
+    # the counterexamples keep --out's extension, or take the format's
+    cx_path = args.out and (args.counterexamples_out or _sibling(
+        args.out, "counterexamples", os.path.splitext(args.out)[1] or "." + args.format))
     # with --out, the third output is stdout, which takes the summary
     with _staged(("--out", args.out),
                  ("--counterexamples-out" if args.counterexamples_out else "--out",

@@ -25,8 +25,10 @@ chord(i) on V_Dc: = D, = D + 1 or > D + 1.  _summarize is that rule, the
 one place that turns those facts, as sorted points (the last class only as
 a truth value), into an InstanceSummary.
 
-Four routes compute the same facts; the first three apply the identity,
-and run_facts, which admits every row, picks each row's route among them.
+Four routes compute the same facts; the first three apply the identity.
+run_facts is the row stream: it takes (n, chords) rows, admits each one,
+picks its route among them and yields its facts in input order, grouping
+consecutive rows on one ring into a run that shares one level loop.
 
   * The lattice route, lattice_distances, serves double loops C_n(1, s), the
     m = 2 rows, on rings of DOUBLE_LOOP_LEVELS_BELOW vertices and more
@@ -81,12 +83,13 @@ and run_facts, which admits every row, picks each row's route among them.
     moved by one ring step, and one with a = 0 lies in C(d + 1).  So only
     the chords are shifted, once each per level, and the circulant's level
     costs two one-bit shifts.  The loop walks a run of chord sets on one
-    ring (a block's rows of one n, which run_facts hands it whole), sets the
-    ring's constants once, and yields one InstanceSummary per row (the
-    diameters, V_Dc, the two restricted-path conditions and the V_Dc
-    vertices at chord-only distance D + 1), or None for a row whose
-    circulant has more than LEVEL_CAP levels: its cost grows with the level
-    count, the list kernel's with n.  level_set_summary is its one-row case.
+    ring (consecutive rows of one n, which run_facts cuts from its row
+    stream and hands it whole), sets the ring's constants once, and yields
+    one InstanceSummary per row (the diameters, V_Dc, the two
+    restricted-path conditions and the V_Dc vertices at chord-only distance
+    D + 1), or None for a row whose circulant has more than LEVEL_CAP
+    levels: its cost grows with the level count, the list kernel's with n.
+    level_set_summary is its one-row case.
   * The list route, instance_distances: one level-synchronous BFS kernel
     that walks vertex ids by offset arithmetic, with no neighbors() call,
     and returns the circulant and chord-only vectors from 0, from which the
@@ -637,49 +640,49 @@ def diametral_path(n: int, chords, d: int, circ) -> tuple[range, ...]:
 
 # --- a row's route ---
 
-def run_facts(n: int, chord_sets):
-    """(route, summary, path) of C_n(1, *chords) for each chords of
-    chord_sets, a run of rows on one ring: the one place a row's route is
-    chosen.  A double loop with n >= DOUBLE_LOOP_LEVELS_BELOW takes the
-    lattice, any other row level sets, the run's through one
-    level_set_summaries loop, and a row whose route returns None the list
-    kernel.  path is the gap-1 witness (diametral_path), else None, walked
-    on the lattice's d_c where there is one, else on the list kernel's
-    vector, else on a circulant search.
+def run_facts(rows):
+    """(n, chords, route, summary, path) of C_n(1, *chords) for each (n,
+    chords) of rows, in input order: the one row stream every report row
+    comes from, and the one place a row's route is chosen.  Consecutive rows
+    on one ring form a run, listed once for the run's level_set_summaries
+    loop and for this loop.  A double loop with n >= DOUBLE_LOOP_LEVELS_BELOW
+    takes the lattice, any other row level sets, through its run's one
+    level loop, and a row whose route returns None the list kernel.  path is
+    the gap-1 witness (diametral_path), else None, walked on the lattice's
+    d_c where there is one, else on the list kernel's vector, else on a
+    circulant search.
 
     It is also the one place a row is admitted: before its route is chosen,
     each row's chords are tested once (1 < s_2 < ... < s_m <= floor((n - 1)
     / 2)), and a row that fails is handed to build_circulant and then
     expand, so that it raises on every route alike: build_circulant's
     FamilyParameterError, or for a row with no chord expand's ValueError.
-
-    chord_sets is read twice, so an iterator (iter(chord_sets) is
-    chord_sets) is listed first; any other iterable is read as it is."""
-    if iter(chord_sets) is chord_sets:
-        chord_sets = list(chord_sets)
-    # the chord count of the run's rows that take the lattice (0: none)
-    lattice = 1 if n >= DOUBLE_LOOP_LEVELS_BELOW else 0
-    levels = level_set_summaries(
-        n, [c for c in chord_sets if len(c) != lattice] if lattice else chord_sets)
-    top = max_generator(n)
-    for chords in chord_sets:
-        if not (chords and 1 < chords[0] and chords[-1] <= top
-                and all(map(operator.lt, chords, chords[1:]))):
-            expand(build_circulant(n, (1, *chords)))  # raises, with its own message
-        if len(chords) == lattice:
-            lat = lattice_distances(build_circulant(n, (1, *chords)))
-            route, facts, circ = "lattice", lat.summary(), lat.circ_at
-        else:
-            route, facts, circ = "level sets", next(levels), None
-        if facts is None:
-            kernel = instance_distances(build_circulant(n, (1, *chords)))
-            route, facts, circ = "list kernel", kernel.summary(), kernel.circ.__getitem__
-        path = None
-        if facts.ecc_u0 == facts.ecc_v0 == facts.d_circ + 1:  # gap 1, as both are >= D + 1
-            if circ is None:
-                circ = _level_bfs(_ring_offsets(n, (1, *chords)), 0).__getitem__
-            path = diametral_path(n, chords, facts.d_circ, circ)
-        yield route, facts, path
+    rows is any iterable, drawn once and lazily, one run at a time."""
+    for n, run in itertools.groupby(rows, operator.itemgetter(0)):
+        run = [chords for _, chords in run]
+        # the chord count of the run's rows that take the lattice (0: none)
+        lattice = 1 if n >= DOUBLE_LOOP_LEVELS_BELOW else 0
+        levels = level_set_summaries(
+            n, [c for c in run if len(c) != lattice] if lattice else run)
+        top = max_generator(n)
+        for chords in run:
+            if not (chords and 1 < chords[0] and chords[-1] <= top
+                    and all(map(operator.lt, chords, chords[1:]))):
+                expand(build_circulant(n, (1, *chords)))  # raises, with its own message
+            if len(chords) == lattice:
+                lat = lattice_distances(build_circulant(n, (1, *chords)))
+                route, facts, circ = "lattice", lat.summary(), lat.circ_at
+            else:
+                route, facts, circ = "level sets", next(levels), None
+            if facts is None:
+                kernel = instance_distances(build_circulant(n, (1, *chords)))
+                route, facts, circ = "list kernel", kernel.summary(), kernel.circ.__getitem__
+            path = None
+            if facts.ecc_u0 == facts.ecc_v0 == facts.d_circ + 1:  # gap 1, as both are >= D + 1
+                if circ is None:
+                    circ = _level_bfs(_ring_offsets(n, (1, *chords)), 0).__getitem__
+                path = diametral_path(n, chords, facts.d_circ, circ)
+            yield n, chords, route, facts, path
 
 
 def __getattr__(name):

@@ -200,8 +200,8 @@ def extremal_vertices(g: CirculantGraph) -> list[int]:
 def _source_vectors(gc: CirculantGraph, gp: GgpgGraph, sources: int):
     """(i, d_c(i, .), d_p(u_i, .), d_p(v_i, .)) for i in range(sources), by
     list BFS over one Adjacency table per graph (neighbors() once per
-    vertex), holding one source at a time: the only producer of the oracle
-    tier's per-source vectors."""
+    vertex), holding one source at a time: the only producer of the paired
+    circulant and GGPG vectors that the statement checks read."""
     tc, tp = Adjacency(gc), Adjacency(gp)
     for i in range(sources):
         yield i, bfs(tc, i), bfs(tp, gp.outer(i)), bfs(tp, gp.inner(i))

@@ -10,8 +10,9 @@ Four statements get machine-checked on concrete (n, chords) instances:
   * the gap-2 sufficient conditions (checked as the negation of the
     characterization's conditions, which is the form the argument uses).
 
-Every report row comes from one loop, _verify_rows, over a run of rows on
-one ring.  One metrics.run_facts pass gives each row's verdicts and a
+Every report row comes from one loop, _verify_rows, over (n, chords)
+rows.  It is one pass over the metrics.run_facts row stream, which groups
+consecutive rows on one ring into runs and gives each row's verdicts and a
 gap-1 row's walked diametral path, choosing its route (lattice, level sets
 or list kernel; see there), and _verify_row, the one record builder,
 keeps that path as the walk's runs (PathLabels), so neither the row nor
@@ -161,23 +162,21 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     search, the route's summary against the kernel's, and the sandwich and
     both diameter shortcuts over every source."""
     gc = build_circulant(n, (1, *chords))
-    return _verify_rows(gc.n, [gc.gens[1:]], paranoid)[0]
+    return _verify_rows([(gc.n, gc.gens[1:])], paranoid)[0]
 
 
-def _verify_rows(n: int, chord_sets, paranoid: bool) -> list:
-    """The one row loop: the report rows of C_n(1, *chords) for each chords
-    of chord_sets, a run of admissible rows on one ring, built by
-    _verify_row from one metrics.run_facts pass.  Under paranoid,
-    oracle.check_row first checks each row's facts and walk (raising
-    TheoremViolation on a mismatch) and gives its sandwich verdict.
-    chord_sets is read beside that pass, so an iterator is listed first."""
-    if iter(chord_sets) is chord_sets:
-        chord_sets = list(chord_sets)
+def _verify_rows(rows, paranoid: bool) -> list:
+    """The one row loop: the report rows of C_n(1, *chords) for each (n,
+    chords) of rows, admissible or not, built by _verify_row from one pass
+    over the metrics.run_facts row stream, which draws rows once and groups
+    them by ring.  Under paranoid, oracle.check_row first checks each row's
+    facts and walk (raising TheoremViolation on a mismatch) and gives its
+    sandwich verdict."""
     if paranoid:
         from .oracle import check_row  # compiled only by a paranoid row
     return [_verify_row(n, (1, *c), facts, path, check_row(
                 build_circulant(n, (1, *c)), route, facts, path) if paranoid else None)
-            for c, (route, facts, path) in zip(chord_sets, run_facts(n, chord_sets))]
+            for n, c, route, facts, path in run_facts(rows)]
 
 
 def _verify_row(n: int, gens: tuple, facts, path,
@@ -361,20 +360,17 @@ def _blocks(instances, workers: int = 1):
 
 
 def _verify_block(instances: list, paranoid: bool, fmt: str) -> tuple:
-    """One block, in a worker or in-process: verify each row, apply
-    enforce_proven (raising on the first violation) and render it in fmt.
-    Returns the text, the gap counts and the rows with an anomaly.  Each
-    run of rows on one ring goes through one _verify_rows loop, paranoid or
-    not, and an inadmissible (n, chords) row raises FamilyParameterError
-    on any route."""
-    rows = []
-    for n, run in itertools.groupby(instances, _ring_length):
-        rows += map(enforce_proven, _verify_rows(n, [c for _, c in run], paranoid))
+    """One block, in a worker or in-process: verify its rows in one
+    _verify_rows pass, paranoid or not (its row stream gives each run of
+    consecutive rows on one ring one level loop), then apply enforce_proven
+    (raising on the first violation) and render them in fmt.  Returns the text, the gap
+    counts and the rows with an anomaly.  An inadmissible (n, chords) row
+    raises FamilyParameterError on any route."""
+    rows = list(map(enforce_proven, _verify_rows(instances, paranoid)))
     return (_render_rows(rows, fmt), collections.Counter(map(_gap, rows)),
             [r for r in rows if r.anomalies])
 
 
-_ring_length = operator.itemgetter(0)  # of an (n, chords) row
 _gap = operator.attrgetter("gap")
 
 

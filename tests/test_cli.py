@@ -71,6 +71,26 @@ def test_diameter_paranoid():
     assert "--paranoid" in r.stdout.splitlines()[0]
 
 
+@pytest.mark.parametrize("argv,sources", [
+    (("--family", "circulant", "--n", "9", "--gens", "1,2"), 1),  # from 0
+    (("--family", "ggpg", "--n", "9", "--chords", "2"), 2),       # from u_0 and v_0
+], ids=["circulant", "ggpg"])
+def test_a_distance_dump_searches_each_orbit_source_once(tmp_path, monkeypatch, argv, sources):
+    # the dump writes no diameter, so only --paranoid's all-source check
+    # (and its shortcut) adds searches to the dump's own
+    real, calls = oracle.bfs, []
+    monkeypatch.setattr(oracle, "bfs", lambda g, src: calls.append(src) or real(g, src))
+    vertices, dumps = 9 * sources, []
+    for extra in ((), ("--paranoid",)):
+        calls.clear()
+        out = tmp_path / f"dump{len(dumps)}.csv"
+        assert cli.main(["diameter", *argv, "--format", "csv", "--out", str(out), *extra]) == 0
+        dumps.append(out.read_text().split("\n", 1))
+        assert len(calls) == (sources if not extra else 2 * sources + vertices)
+    assert dumps[0][1] == dumps[1][1]  # the rows; the headers differ by --paranoid
+    assert dumps[0][1].count("\n") == 1 + sources * vertices
+
+
 def test_gens_canonicalization_warns():
     r = run_cli("diameter", "--family", "circulant", "--n", "9",
                 "--gens", "2,1,2")
@@ -581,6 +601,16 @@ def test_a_bad_gens_row_exits_2_before_any_file(n, gens, jobs, tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(FamilyParameterError, match=re.escape(BAD_GENS[n, gens])):
         verify_instance(int(n), tuple(map(int, gens.split(",")))[1:])
+
+
+def test_a_json_sweep_without_an_extension_writes_json_counterexamples(tmp_path, capsys):
+    report = tmp_path / "report"
+    assert cli.main(["sweep", "--n", "5..12", "--m", "2", "--format", "json",
+                     "--out", str(report)]) == 0
+    cx = tmp_path / "report.counterexamples.json"
+    assert capsys.readouterr().out.endswith(f"counterexamples 4 -> {cx}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report", cx.name]
+    assert len(json.loads(cx.read_text())["reports"]) == 4
 
 
 def test_sweep_deterministic_and_counterexamples(tmp_path):

@@ -189,7 +189,7 @@ def test_the_m3_gap1_family_on_level_sets(series, js):
         g = build_circulant(n, (1,) + chords)
         r = verify_instance(n, chords)
         assert (r.gap, r.d_circ) == (gap, d), (series, j)
-        route, facts, runs = next(metrics.run_facts(n, [chords]))
+        _, _, route, facts, runs = next(metrics.run_facts([(n, chords)]))
         assert route == "level sets" and facts == instance_distances(g).summary(), (series, j)
         if gap == 2:
             assert runs is None, (series, j)
@@ -204,7 +204,7 @@ def test_the_m3_gap1_family_on_level_sets(series, js):
 def old_labels(n, chords):
     """The conj45 witness as rows listed it before they kept the walk's
     runs: one label per vertex of the walked path."""
-    _, _, runs = next(metrics.run_facts(n, [tuple(chords)]))
+    *_, runs = next(metrics.run_facts([(n, tuple(chords))]))
     path = [v for run in runs for v in run]
     return [f"u{v}" if v < n else f"v{v - n}" for v in path]
 
@@ -355,7 +355,7 @@ def test_paranoid_checks_the_witness_walk_against_a_fifo_search(monkeypatch):
 @pytest.mark.parametrize("n,chords", [(12, (5,)), (40, (19,)), (63, (15, 17))])
 def test_paranoid_fails_a_walk_with_a_ring_run_one_vertex_short(monkeypatch, n, chords):
     g = build_circulant(n, (1,) + chords)
-    runs = next(metrics.run_facts(n, [chords]))[2]
+    runs = next(metrics.run_facts([(n, chords)]))[4]
     rings = [k for k, run in enumerate(runs) if len(run) > 1]
     assert rings
     for k in rings:

@@ -461,7 +461,7 @@ def test_row_facts_picks_the_route(monkeypatch, n, chords, paranoid, route, prob
     monkeypatch.setattr(metrics, "_level_bfs", lambda *a: searches.append(a) or real_bfs(*a))
     monkeypatch.setattr(oracle, "instance_distances",
                         lambda g: kernels.append(g) or real_kernel(g))
-    got, facts, path = next(metrics.run_facts(n, [chords]))
+    _, _, got, facts, path = next(metrics.run_facts([(n, chords)]))
     assert got == route and bool(probes) == probed
     assert (path is not None) == (facts.d_ggpg - facts.d_circ == 1)
     own = 2 if route == "list kernel" else int(route == "level sets" and path is not None)

@@ -287,7 +287,7 @@ def test_planned_rows_are_admissible(n_lo, span, m_set, cap, size, seed):
 def test_an_inadmissible_row_raises_on_every_route(n, chords, match):
     # FamilyParameterError is a ValueError: run_facts admits every row
     with pytest.raises(ValueError, match=re.escape(match)):
-        next(metrics.run_facts(n, [chords]))
+        next(metrics.run_facts([(n, chords)]))
 
 
 def test_sandwich_vector_check_agrees_with_ordered_loop():
@@ -329,15 +329,31 @@ def test_plan_sweep_reads_an_iterator_of_ring_lengths_once():
     (200, [34, 22]),     # above it: the lattice, after a filter pass over the run
 ])
 def test_a_run_passed_as_an_iterator_keeps_every_row(n, d_circ):
-    # run_facts reads its run twice, and _verify_rows beside run_facts
+    # run_facts lists the run it cuts from its row stream, then reads it twice
     assert 20 < metrics.DOUBLE_LOOP_LEVELS_BELOW <= 200
-    rows = [(2,), (3,), (4,), (5,)] if n == 20 else [(3,), (5,)]
-    want = list(metrics.run_facts(n, rows))
-    assert [facts.d_circ for _, facts, _ in want] == d_circ
-    assert list(metrics.run_facts(n, iter(rows))) == want
-    reports = theorem_lab._verify_rows(n, rows, False)
+    rows = [(n, c) for c in ([(2,), (3,), (4,), (5,)] if n == 20 else [(3,), (5,)])]
+    want = list(metrics.run_facts(rows))
+    assert [facts.d_circ for *_, facts, _ in want] == d_circ
+    assert list(metrics.run_facts(iter(rows))) == want
+    reports = theorem_lab._verify_rows(rows, False)
     assert [r.d_circ for r in reports] == d_circ
-    assert theorem_lab._verify_rows(n, iter(rows), False) == reports
+    assert theorem_lab._verify_rows(iter(rows), False) == reports
+
+
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_rows_that_cross_rings_equal_their_rows_one_at_a_time(paranoid):
+    # a generator over three rings, ring 20 coming back after ring 200 (the
+    # lattice and level sets) and ring 7: each run gets its own level loop
+    assert 20 < metrics.DOUBLE_LOOP_LEVELS_BELOW <= 200
+    rows = [(20, (3,)), (20, (2, 5)), (200, (5,)), (200, (2, 3)), (20, (4,)),
+            (7, (2,)), (20, (5,))]
+    facts = list(metrics.run_facts(row for row in rows))
+    assert [(n, c) for n, c, *_ in facts] == rows
+    assert [route for _, _, route, _, _ in facts] == \
+        ["level sets"] * 2 + ["lattice"] + ["level sets"] * 4
+    assert facts == [next(metrics.run_facts([row])) for row in rows]
+    assert theorem_lab._verify_rows((row for row in rows), paranoid) == \
+        [verify_instance(n, c, paranoid=paranoid) for n, c in rows]
 
 
 def test_run_instances_parallel_order_matches_serial(monkeypatch):
@@ -394,7 +410,7 @@ PARANOID_RUN = [(128, (3,)), (128, (63,)), (128, (2, 3)), (128, (2, 6)),
 def test_a_block_equals_its_rows_one_at_a_time(monkeypatch, rows, paranoid, fmt):
     if paranoid:
         monkeypatch.setattr(metrics, "LEVEL_CAP", PARANOID_CAP)
-        assert {next(metrics.run_facts(n, [c]))[0] for n, c in rows} == \
+        assert {next(metrics.run_facts([(n, c)]))[2] for n, c in rows} == \
             {"lattice", "level sets", "list kernel"}
     want = [verify_instance(n, c, paranoid=paranoid) for n, c in rows]
     got = [theorem_lab._verify_block(b, paranoid, fmt) for b in theorem_lab._blocks(rows)]
