@@ -17,12 +17,13 @@ temporary file and copied out at the end, and stdout holds nothing else
 leaves none of its files behind and prints no output byte.
 
 Exit codes: 0 clean, 2 parameter error, unwritable output path or a ring
-too large for memory, 3 proved-statement violation, or under --paranoid a
-route, kernel, witness walk or symmetry shortcut that disagrees with list
-BFS (one stderr line), 4 findings present (inconsistencies or gap=1 rows
-under verify).  Output files start with a header line recording the tool version, the semantic
-flag set, and the seed -- never a timestamp, so a rerun with the same
-flags is byte-identical.  --out and --jobs are I/O plumbing and stay out of the
+too large for memory or past the index size, 3 proved-statement
+violation, or under --paranoid a route, kernel, witness walk or symmetry
+shortcut that disagrees with list BFS (one stderr line), 4 findings
+present (inconsistencies or gap=1 rows under verify).  Output files
+start with a header line recording the tool version, the semantic flag
+set, and the seed -- never a timestamp, so a rerun with the same flags is
+byte-identical.  --out and --jobs are I/O plumbing and stay out of the
 header; determinism is independent of both.
 """
 
@@ -102,13 +103,13 @@ def _single_n(text: str | None) -> int:
     if text is None:
         raise ValueError("this subcommand needs a single --n")
     r = _parse_n_range(text)
-    if len(r) != 1:
+    if r[0] != r[-1]:
         raise ValueError(f"this subcommand takes a single --n, got {text!r}")
     return r[0]
 
 
 def _n_text(r: range) -> str:
-    return str(r[0]) if len(r) == 1 else f"{r[0]}..{r[-1]}"
+    return str(r[0]) if r[0] == r[-1] else f"{r[0]}..{r[-1]}"
 
 
 def _default_seed() -> int:
@@ -233,7 +234,8 @@ def _grid_plan(args):
 
 def _verify_plan(args):
     """Instances (planned lazily for a grid) plus the canonical flag
-    string for the header."""
+    string for the header.  A --gens row is checked where it runs, as every
+    row is (metrics.run_facts)."""
     given = [flag for flag, value in (("--gens", args.gens), ("--preset", args.preset),
                                       ("--m", args.m)) if value is not None]
     if len(given) > 1:
@@ -247,7 +249,6 @@ def _verify_plan(args):
         if len(gens) < 2:
             raise ValueError("--gens needs at least one chord besides 1")
         n = _single_n(args.n)
-        build_circulant(n, gens)  # the row is checked here, not where it runs
         instances = [(n, tuple(gens[1:]))]
         spec = f"--n {n} --gens {','.join(map(str, gens))}"
         return instances, spec
@@ -483,7 +484,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # FamilyParameterError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except MemoryError:
+    except (MemoryError, OverflowError):  # a ring past the index size overflows
         print("error: out of memory: a ring is too large for this machine",
               file=sys.stderr)
         return EXIT_PARAMS

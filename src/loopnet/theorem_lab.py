@@ -31,9 +31,9 @@ tests each row's chords before it picks the route and hands an
 inadmissible row to build_circulant and then expand, so it raises
 FamilyParameterError (or, with no chord at all, expand's ValueError)
 whatever its route.  verify_instance, the public entry and the loop's
-one-row case, also checks its input with build_circulant, and the CLI
-checks a --gens row the same way when it plans it; the planner's rows
-(_plan) are admissible by construction.
+one-row case, also checks its input with build_circulant; the CLI hands
+a --gens row to the row loop unchecked, so run_facts refuses it there,
+and the planner's rows (_plan) are admissible by construction.
 
 Failures are tiered.  The first two are proved facts, so a violation means
 the implementation is broken: enforce_proven raises with the witness (as
@@ -283,25 +283,22 @@ def _plan(n_range, m_set, *, sample_cap: int = 100_000, sample_size: int = 1000,
           seed: int = 0):
     """plan_sweep's instances as an iterator that plans one ring length at
     a time, so no more than one n's chord sets are held at once.  The
-    generator counts and ring lengths are checked here, before the first
-    instance is drawn; every chord set then lies in 2..floor((n-1)/2),
-    increasing, so each row is admissible as _verify_block assumes.
-    n_range is read twice: a range (or list) stays as it is, and an
-    iterator (iter(n_range) is n_range) is listed first."""
+    generator counts are checked here, before the first instance is drawn;
+    n_range is read once, lazily, and each ring length is checked as it is
+    planned (_plan_ring).  Every chord set lies in 2..floor((n-1)/2),
+    increasing, so each row is admissible."""
     m_set = sorted(set(m_set))
     if not m_set or m_set[0] < 2:
         raise ValueError(f"generator counts must all be >= 2, got {m_set}")
-    if iter(n_range) is n_range:
-        n_range = list(n_range)
-    bad = next((n for n in n_range if n < 5), None)
-    if bad is not None:
-        raise ValueError(f"ring length must be >= 5, got {bad}")
     return itertools.chain.from_iterable(
         _plan_ring(n, m_set, sample_cap, sample_size, seed) for n in n_range)
 
 
 def _plan_ring(n: int, m_set, sample_cap: int, sample_size: int, seed: int):
-    """One ring length's instances, every cell listed or sampled."""
+    """One ring length's instances, every cell listed or sampled; a ring
+    length below 5 is refused here, as it is planned."""
+    if n < 5:
+        raise ValueError(f"ring length must be >= 5, got {n}")
     per_n = []
     for m in m_set:
         total = math.comb(max_generator(n) - 1, m - 1)
@@ -334,7 +331,8 @@ def plan_sweep(n_range, m_set, *, sample_cap: int = 100_000,
     the same positions from range(total) as it would from the listed cell.
     A cell of more than sys.maxsize sets, whose range has no len(), draws
     distinct random.randrange(total) positions instead.  n_range is any
-    iterable of ring lengths; an iterator is listed first (_plan).
+    iterable of ring lengths, read once; each is checked as it is planned
+    (_plan).
     """
     return list(_plan(n_range, m_set, sample_cap=sample_cap,
                       sample_size=sample_size, seed=seed))

@@ -575,6 +575,65 @@ def test_bad_ring_length_exits_2_before_any_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("argv", [("sweep", "--n", "3..10", "--m", "2"),
+                                  ("verify", "--preset", "beenker-vanlint", "--n", "3..8")],
+                         ids=["sweep", "preset"])
+def test_a_bad_ring_length_exits_2_with_no_file_at_any_jobs(argv, jobs, tmp_path, capsys,
+                                                            cores):
+    # the refusal rises as the first ring is planned: at --jobs 2, while
+    # run_instances pulls its first rows, before any worker is forked
+    cores(2)
+    for out in (["--out", str(tmp_path / "x.csv")], []):
+        assert cli.main([*argv, "--jobs", jobs, *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: ring length must be >= 5, got 3\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+# a ring length or range end past sys.maxsize (n >= 10**20 only: there the
+# shift and the list refuse before they allocate, a ring near 10**12 may not)
+HUGE = str(10 ** 20)
+TOO_LARGE = "error: out of memory: a ring is too large for this machine\n"
+
+
+@pytest.mark.parametrize("command", ["diameter", "export", "verify"])
+def test_a_range_past_the_index_size_is_refused_as_one_n(command, capsys):
+    assert cli.main([command, "--n", f"5..{HUGE}", "--gens", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: this subcommand takes a single --n, got '5..{HUGE}'\n"
+    assert captured.out == ""
+
+
+def test_a_range_past_the_index_size_keeps_its_text():
+    # a sweep's header names its range by its ends, never its length
+    assert cli._n_text(range(5, 10 ** 20 + 1)) == f"5..{HUGE}"
+    assert cli._n_text(range(10 ** 20, 10 ** 20 + 1)) == HUGE
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", HUGE, "--gens", "1,2,3"),             # the level loop's 1 << n
+    ("diameter", "--n", HUGE, "--gens", "1,2"),             # list BFS's [INF] * n
+    ("verify", "--n", HUGE, "--m", "2", "--sample-size", "2"),  # unranking bisects a range
+], ids=["level-loop", "list-bfs", "sampled-cell"])
+def test_a_ring_past_the_index_size_exits_2_with_one_line(argv, tmp_path, capsys):
+    for out in (["--out", str(tmp_path / "x.out")], []):
+        assert cli.main([*argv, *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == TOO_LARGE and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_a_lattice_row_past_the_index_size_still_answers(capsys):
+    # the double loop's lattice route holds no n-sized object
+    argv = ["verify", "--n", HUGE, "--gens", f"1,{10 ** 20 // 2 - 1}", "--theorems", "4.5"]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "findings: 1 (see report anomalies column)\n"
+    assert captured.out.splitlines()[2].startswith(f"{HUGE},1-{10 ** 20 // 2 - 1},1,")
+
+
 def refuse_rows(*args, **kwargs):
     raise AssertionError("a row ran before its parameters were checked")
 
@@ -587,8 +646,8 @@ BAD_GENS = {("9", "1,5"): "generators must be <= floor((n-1)/2) = 4 for n = 9, g
 @pytest.mark.parametrize("n,gens", BAD_GENS)
 def test_a_bad_gens_row_exits_2_before_any_file(n, gens, jobs, tmp_path, monkeypatch,
                                                 capsys):
-    # the row is checked where it is planned, so it never reaches the
-    # row path, which trusts what it is given
+    # the row is checked where it runs (metrics.run_facts), so it never
+    # reaches the record builder, whatever the jobs
     argv = ["verify", "--n", n, "--gens", gens, "--jobs", jobs,
             "--out", str(tmp_path / "report.csv")]
     r = run_cli(*argv)

@@ -317,11 +317,34 @@ def test_plan_sweep_rejects_bad_parameters():
 
 
 def test_plan_sweep_reads_an_iterator_of_ring_lengths_once():
-    # the ring-length check reads n_range before the plan does
+    # each ring length is checked as it is planned, so n_range is read once
     want = plan_sweep(range(5, 9), [2])
     assert len(want) == 6
     assert plan_sweep(iter(range(5, 9)), [2]) == want
     assert plan_sweep((n for n in range(5, 9)), [2, 3]) == plan_sweep(range(5, 9), [2, 3])
+
+
+def test_the_planner_reads_ring_lengths_once_lazily():
+    read = []
+
+    def ring_lengths(ns):
+        for n in ns:
+            read.append(n)
+            yield n
+
+    plan = theorem_lab._plan(ring_lengths(range(5, 10)), [2])
+    assert read == []  # the generator counts alone are checked at once
+    assert next(plan) == (5, (2,))
+    assert read == [5]
+    assert [(5, (2,)), *plan] == plan_sweep(range(5, 10), [2])
+    assert read == [5, 6, 7, 8, 9]
+    # a ring length below 5 is refused as it is planned, after the rings before it
+    read.clear()
+    plan = theorem_lab._plan(ring_lengths([5, 3, 6]), [2])
+    assert next(plan) == (5, (2,))
+    with pytest.raises(ValueError, match=r"^ring length must be >= 5, got 3$"):
+        next(plan)
+    assert read == [5, 3]
 
 
 @pytest.mark.parametrize("n, d_circ", [
