@@ -16,8 +16,9 @@ temporary file and copied out at the end, and stdout holds nothing else
 (without --out, sweep's summary goes to stderr).  A run that exits 2 or 3
 leaves none of its files behind and prints no output byte.
 
-Exit codes: 0 clean, 2 parameter error, unwritable output path or a ring
-too large for memory or past the index size, 3 proved-statement
+Exit codes: 0 clean, 2 parameter error, unwritable output path, a ring
+too large for memory or one past the index size (sys.maxsize), each
+named by its own error line, 3 proved-statement
 violation, or under --paranoid a route, kernel, witness walk or symmetry
 shortcut that disagrees with list BFS (one stderr line), 4 findings
 present (inconsistencies or gap=1 rows under verify).  Output files
@@ -484,8 +485,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # FamilyParameterError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except (MemoryError, OverflowError):  # a ring past the index size overflows
+    except MemoryError:
         print("error: out of memory: a ring is too large for this machine",
+              file=sys.stderr)
+        return EXIT_PARAMS
+    except OverflowError:  # 1 << n, [INF] * n or the unranking's len(range)
+        print(f"error: a ring is past this machine's index size (sys.maxsize = {sys.maxsize})",
               file=sys.stderr)
         return EXIT_PARAMS
     except TheoremViolation as exc:

@@ -116,7 +116,8 @@ ecc(u_0) = D + 1, since d_p(u_0, v_i) = D + 1 on V_Dc).
     d_c by at most 1), nor is n - D (V_Dc is symmetric), so V_Dc lies in
     [D + 1, n - D - 1], and d_c climbs from at most D - 2 to D on the way
     to its first point: it passes D - 1 at t, where ring(t) >= D + 1.  Every
-    u_i before t is nearer than D + 1, and every v_i is after u_t.
+    u_i before t is nearer than D + 1, and every v_i is after u_t.  Either
+    way t <= n / 2: D + 1 <= n / 2, and V_Dc's first point is at most n / 2.
   * The least geodesic.  A FIFO BFS orders each level by its parents'
     order, then by neighbour rank.  So, by induction on the level, the tree
     path to a vertex is its lexicographically least geodesic, compared by
@@ -127,19 +128,36 @@ ecc(u_0) = D + 1, since d_p(u_0, v_i) = D + 1 on V_Dc).
     By the identity and rotation, with delta = t - a mod n,
     d_p(u_a, u_t) = min(ring(delta), d_c(0, delta) + 2) and
     d_p(v_a, u_t) = d_c(0, delta) + 1.
-  * Ring runs.  A ring step changes the distance to u_t by at most 1, so on
-    a run of ring steps from u_a, d_p(u_{a+-k}, u_t) = r - k holds for every
-    k up to some K and fails beyond it.  At each vertex of the run, the
-    vertex the walk came from is the only ring neighbour ordered before the
-    next one, and it is not on a geodesic; the spoke is ordered after both.
-    So the walk follows the ring for exactly K steps, and one bisection
-    finds K.  Chord steps and spokes go one at a time.
+  * Its shape.  Three facts fix it.
+      - Spokes.  A geodesic from u_0 to u_t with k spokes projects to a
+        circulant walk of length D + 1 - k from 0 to t, so D + 1 - k >=
+        d_c(0, t) >= D - 1; k is even, as both ends are outer, so k is 0
+        or 2.
+      - Direction.  With two spokes the projection is a shortest circulant
+        walk, so it holds no +1 step and -1 step together.  The first step
+        is u_1 (ring(t - 1) = D, or d_c(0, t - 1) <= D - 2, so
+        d_p(u_1, u_t) = D).  So every ring step of the least geodesic goes
+        right, and as they number at most D + 1 <= t, no ring id wraps.
+      - Order.  Steps commute on Z_n, so moving a geodesic's ring steps to
+        the front, before its first spoke, gives another geodesic.
+    A ring step changes the distance to u_t by at most 1, so
+    d_p(u_a, u_t) = D + 1 - a holds for a up to some largest value and
+    fails beyond it, and one bisection finds that a.  The walk takes u_{x+1}
+    from each u_x while it is on a geodesic (u_{x-1} is one step farther,
+    and v_x is ordered last), so its first run is u_0 ... u_a, and a = t
+    ends the path.  Otherwise it takes the spoke to v_a.  A ring step after
+    that spoke would, moved to the front, put some u_{a'} with a' > a on a
+    geodesic from u_0, at d_p(u_{a'}, u_t) = D + 1 - a', against the
+    choice of a.  So no spoke back, each v_i's first neighbour, is geodesic
+    before v_t: the walk steps along chords to v_t, each time to the
+    least-id chord neighbour v_j with d_c(0, t - j) one lower, and then
+    takes the spoke to u_t.
 
-A walk thus reads O(path length + log n per ring run) circulant distances:
-from the lattice on its route, else from an O(n) vector, the list
-kernel's or the level kernel's over the circulant alone (so every m >= 3
-row still holds one).  It returns the path as one range per run, so on the
-lattice route it holds O(moves) memory: the C_{4k}(1, 2k - 1) witness,
+A walk thus reads O(t - D + log D + m (D - a)) circulant distances: from
+the lattice on its route, else from an O(n) vector, the list kernel's or
+the level kernel's over the circulant alone (so every m >= 3 row still
+holds one).  It returns the path as one range per run, so on the lattice
+route it holds O(moves) memory: the C_{4k}(1, 2k - 1) witness,
 u_0 ... u_{k+1}, is (range(0, 1), range(1, k + 2)).
 """
 
@@ -597,44 +615,32 @@ def diametral_path(n: int, chords, d: int, circ) -> tuple[range, ...]:
     docstring).  d is the circulant's diameter and circ(x) gives d_c(0, x)
     for x in Z_n.
 
-    The path comes back as its runs, in O(moves) memory: a tuple of ranges
-    of GGPG ids (u_i = i, v_i = n + i) whose concatenation is the path,
-    u_0 alone first, then one range per ring run and a one-element range
-    per spoke or chord move.
+    The path has one shape: the ring run u_0 ... u_a, a the largest with
+    d_p(u_a, u_t) = d + 1 - a, which ends the path when a = t; else the
+    spoke to v_a, one chord step at a time to v_t, each to the least-id
+    chord neighbour one step nearer, and the spoke to u_t.  It comes back
+    as its runs, in O(moves) memory: a tuple of ranges of GGPG ids (u_i =
+    i, v_i = n + i) whose concatenation is the path, u_0 alone first, then
+    the run u_1 ... u_a and a one-element range per spoke or chord move.
     """
     t = next(i for i in itertools.count(d + 1) if circ(i) >= d - 1)
-
-    def to_t(w):  # d_p(w, u_t) by the spoke identity, rotated to w's index 0
-        x = (t - w) % n
-        return min(x, n - x, circ(x) + 2) if w < n else circ(x) + 1
-
-    runs, x, r = [range(0, 1)], 0, d + 1
-    while r:
-        if x < n:
-            nbrs = [*sorted(((x + 1) % n, (x - 1) % n)), n + x]
+    # bisect for a; as 0 <= t - a <= t <= n / 2, ring(t - a) = t - a
+    a, hi = 1, d + 1
+    while a < hi:
+        mid = (a + hi + 1) // 2
+        if min(t - mid, circ(t - mid) + 2) == d + 1 - mid:
+            a = mid
         else:
-            i = x - n
-            nbrs = [i, *sorted({n + (i + sign * s) % n
-                                for s in chords for sign in (1, -1)})]
-        w = next(w for w in nbrs if to_t(w) == r - 1)
-        if x < n and w < n:
-            # a ring run: d_p(u_{x + k step}, u_t) = r - k holds for k up to
-            # its length and fails past it, so bisect for the length
-            lo, hi, step = 1, r, 1 if w == (x + 1) % n else -1
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if to_t((x + step * mid) % n) == r - mid:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            # ids need no reduction mod n: no geodesic from u_0 passes it again, and
-            # the first step is u_1 (ring(t - 1) = d, or d_c(0, t - 1) <= d - 2)
-            runs.append(range(x + step, x + step * (lo + 1), step))
-            r -= lo
-        else:
-            runs.append(range(w, w + 1))
-            r -= 1
-        x = runs[-1][-1]
+            hi = mid - 1
+    runs = [range(0, 1), range(1, a + 1)]
+    if a < t:
+        runs.append(range(n + a, n + a + 1))
+        i = a
+        for c in range(d - a - 2, -1, -1):  # d_c(0, t - i) after each chord step
+            i = min(j for s in chords for j in ((i + s) % n, (i - s) % n)
+                    if circ((t - j) % n) == c)
+            runs.append(range(n + i, n + i + 1))
+        runs.append(range(t, t + 1))
     return tuple(runs)
 
 

@@ -132,11 +132,11 @@ class PathLabels:
         return f"PathLabels(n={self.n!r}, runs={self.runs!r})"
 
     def sides(self):
-        """Each run as its side, "u" (ids below n) or "v", and its ring indices."""
+        """Each run as its side, "u" (ids below n) or "v", and its ring
+        indices (the walk's runs all ascend)."""
         n = self.n
         for run in self.runs:
-            yield ("u", run) if run[0] < n else \
-                ("v", range(run.start - n, run.stop - n, run.step))
+            yield ("u", run) if run[0] < n else ("v", range(run.start - n, run.stop - n))
 
     def __iter__(self):
         return (f"{side}{i}" for side, ids in self.sides() for i in ids)

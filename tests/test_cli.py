@@ -595,7 +595,7 @@ def test_a_bad_ring_length_exits_2_with_no_file_at_any_jobs(argv, jobs, tmp_path
 # a ring length or range end past sys.maxsize (n >= 10**20 only: there the
 # shift and the list refuse before they allocate, a ring near 10**12 may not)
 HUGE = str(10 ** 20)
-TOO_LARGE = "error: out of memory: a ring is too large for this machine\n"
+TOO_LARGE = f"error: a ring is past this machine's index size (sys.maxsize = {sys.maxsize})\n"
 
 
 @pytest.mark.parametrize("command", ["diameter", "export", "verify"])

@@ -3,8 +3,10 @@ derives from it, against their oracles: list BFS over neighbors(), the
 chord-only BFS, networkx; and the walked conj45 witness against a
 sorted-neighbour FIFO path search."""
 
+import itertools
 import json
 import pickle
+import re
 import tracemalloc
 from collections import deque
 
@@ -129,20 +131,31 @@ def test_conj45_witness_matches_fifo_reference_on_every_triple_loop():
 
 def test_walk_equals_fifo_path_on_every_row():
     # the walk's target, the least GGPG id at distance d_circ + 1 from u0,
-    # is defined on gap-2 rows too, whose paths also take spokes and chords
+    # is defined on gap-2 rows too, whose paths also take spokes and chords.
+    # Each FIFO path has the shape the metrics docstring proves: the run
+    # u_0, u_1, ..., u_a, then, unless a = t, the spoke, chord steps and the
+    # spoke to u_t, t the least i >= d + 1 with d_c(0, i) >= d - 1
     shapes = set()
-    for n, chords in plan_sweep(range(5, 61), [2, 3]):
+    rows = itertools.chain(plan_sweep(range(5, 61), [2, 3]), plan_sweep(range(5, 41), [4]),
+                           plan_sweep(range(5, 31), [5]))
+    for n, chords in rows:
         g = build_circulant(n, (1,) + chords)
         h = expand(g)
-        d = max(bfs(g, 0))
+        dist = bfs(g, 0)
+        d = max(dist)
         want = fifo_path(h, h.outer(0), bfs(h, h.outer(0)).index(d + 1))
+        sides = "".join("u" if v < n else "v" for v in want)
+        assert re.fullmatch("u+(v+u)?", sides), (n, chords, sides)
+        a = len(sides) - len(sides.lstrip("u")) - 1  # the run u_0 ... u_a
+        assert want[:a + 1] == list(range(a + 1)), (n, chords)
+        assert want[-1] == next(i for i in itertools.count(d + 1) if dist[i] >= d - 1)
         if len(chords) == 1:
             circ = metrics.lattice_distances(g).circ_at
         else:
             circ = instance_distances(g).circ.__getitem__
         runs = metrics.diametral_path(n, chords, d, circ)
         assert [v for run in runs for v in run] == want, (n, chords)
-        shapes.add("".join(dict.fromkeys("u" if v < n else "v" for v in want)))
+        shapes.add("".join(dict.fromkeys(sides)))
     assert shapes == {"u", "uv"}  # ring runs alone; runs, spokes and chord steps
 
 

@@ -582,9 +582,9 @@ def test_json_writer_carries_witnesses():
 
 @st.composite
 def path_labels(draw):
-    """A conj45 label sequence over random runs, as diametral_path returns
-    them: u_0 alone, then ring runs either way and one-element ranges on
-    either side."""
+    """A conj45 label sequence over random runs, of the kinds diametral_path
+    returns and more: u_0 alone, then ring runs either way (the walk's only
+    ascend) and one-element ranges on either side."""
     n, runs = draw(st.integers(5, 10**6)), [range(0, 1)]
     for _ in range(draw(st.integers(0, 4))):
         if draw(st.booleans()):
