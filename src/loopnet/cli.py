@@ -19,8 +19,8 @@ leaves none of its files behind and prints no output byte.
 Exit codes: 0 clean, 2 parameter error, unwritable output path, a ring
 too large for memory or one past the index size (sys.maxsize), each
 named by its own error line, 3 proved-statement
-violation, or under --paranoid a route, kernel, witness walk or symmetry
-shortcut that disagrees with list BFS (one stderr line), 4 findings
+violation, or under --paranoid a route, kernel, verdict condition,
+witness or symmetry shortcut that disagrees with list BFS (one stderr line), 4 findings
 present (inconsistencies or gap=1 rows under verify).  Output files
 start with a header line recording the tool version, the semantic flag
 set, and the seed -- never a timestamp, so a rerun with the same flags is

@@ -1,4 +1,4 @@
-"""The row routes: distances by the spoke identity, and the gap-1 witness walk.
+"""The row routes: distances by the spoke identity, and the gap-1 witness.
 
 The spoke identity ties every GGPG distance from u_0 and v_0 to the
 circulant.  With ring(i) = min(i, n - i) and chord(i) the chord-only
@@ -104,20 +104,12 @@ consecutive rows on one ring into a run that shares one level loop.
     identity's vectors against it element by element, and the fast
     route's summary against the list kernel's.
 
-The gap-1 witness, diametral_path, is walked, not searched.  A gap-1 row
+The gap-1 witness, diametral_path, is a rule, not a search.  A gap-1 row
 ships the path that a FIFO BFS over the sorted neighbors() lists takes from
 u_0 to the least GGPG id at distance D + 1 = D(GGPG) (on such a row
-ecc(u_0) = D + 1, since d_p(u_0, v_i) = D + 1 on V_Dc).
+ecc(u_0) = D + 1, since d_p(u_0, v_i) = D + 1 on V_Dc).  That path is
+always the ring run u_0, u_1, ..., u_{D+1}.
 
-  * The target is u_t, t the least i >= D + 1 with d_c(0, i) >= D - 1.
-    With a chord s >= 2, D <= n / 2 - 1, so ring(D + 1) = D + 1, and
-    d_p(u_0, u_i) = min(ring(i), d_c(0, i) + 2) is D + 1 at i = D + 1 if
-    d_c(0, D + 1) >= D - 1.  Otherwise D is not in V_Dc (a ring step moves
-    d_c by at most 1), nor is n - D (V_Dc is symmetric), so V_Dc lies in
-    [D + 1, n - D - 1], and d_c climbs from at most D - 2 to D on the way
-    to its first point: it passes D - 1 at t, where ring(t) >= D + 1.  Every
-    u_i before t is nearer than D + 1, and every v_i is after u_t.  Either
-    way t <= n / 2: D + 1 <= n / 2, and V_Dc's first point is at most n / 2.
   * The least geodesic.  A FIFO BFS orders each level by its parents'
     order, then by neighbour rank.  So, by induction on the level, the tree
     path to a vertex is its lexicographically least geodesic, compared by
@@ -125,40 +117,30 @@ ecc(u_0) = D + 1, since d_p(u_0, v_i) = D + 1 on V_Dc).
     level up, whose own tree path is the least of theirs.  The greedy walk
     from u_0 finds that path: at each vertex, take the first neighbour w in
     ascending id with d_p(w, u_t) = r - 1, where r is the distance left.
-    By the identity and rotation, with delta = t - a mod n,
-    d_p(u_a, u_t) = min(ring(delta), d_c(0, delta) + 2) and
-    d_p(v_a, u_t) = d_c(0, delta) + 1.
-  * Its shape.  Three facts fix it.
-      - Spokes.  A geodesic from u_0 to u_t with k spokes projects to a
-        circulant walk of length D + 1 - k from 0 to t, so D + 1 - k >=
-        d_c(0, t) >= D - 1; k is even, as both ends are outer, so k is 0
-        or 2.
-      - Direction.  With two spokes the projection is a shortest circulant
-        walk, so it holds no +1 step and -1 step together.  The first step
-        is u_1 (ring(t - 1) = D, or d_c(0, t - 1) <= D - 2, so
-        d_p(u_1, u_t) = D).  So every ring step of the least geodesic goes
-        right, and as they number at most D + 1 <= t, no ring id wraps.
-      - Order.  Steps commute on Z_n, so moving a geodesic's ring steps to
-        the front, before its first spoke, gives another geodesic.
-    A ring step changes the distance to u_t by at most 1, so
-    d_p(u_a, u_t) = D + 1 - a holds for a up to some largest value and
-    fails beyond it, and one bisection finds that a.  The walk takes u_{x+1}
-    from each u_x while it is on a geodesic (u_{x-1} is one step farther,
-    and v_x is ordered last), so its first run is u_0 ... u_a, and a = t
-    ends the path.  Otherwise it takes the spoke to v_a.  A ring step after
-    that spoke would, moved to the front, put some u_{a'} with a' > a on a
-    geodesic from u_0, at d_p(u_{a'}, u_t) = D + 1 - a', against the
-    choice of a.  So no spoke back, each v_i's first neighbour, is geodesic
-    before v_t: the walk steps along chords to v_t, each time to the
-    least-id chord neighbour v_j with d_c(0, t - j) one lower, and then
-    takes the spoke to u_t.
+    By the identity and rotation, d_p(u_a, u_t) = min(ring(t - a),
+    d_c(0, t - a) + 2).
+  * The ring bound.  With a chord s >= 2, D <= n / 2 - 1: a vertex i with
+    ring(i) > n / 2 - 1 is one chord step from a vertex at ring distance at
+    most n / 2 - 2 (i - s if i <= n / 2, else i + s).
+  * V_Dc.  By the exact gap-1 rule every i in V_Dc has ring(i) <= D + 1,
+    and ring(i) >= d_c(0, i) = D, so V_Dc lies in {D, D + 1, n - D - 1,
+    n - D}.  V_Dc is symmetric under i -> n - i, so it holds D or D + 1,
+    and as a ring step moves d_c by at most 1, d_c(0, D + 1) >= D - 1 and,
+    a step at a time, d_c(0, D + 1 - k) >= D - 1 - k for 0 <= k <= D + 1.
+  * The target is u_{D+1}.  D + 1 <= n / 2, so ring(i) = i for i <= D + 1,
+    and d_p(u_0, u_{D+1}) = min(D + 1, d_c(0, D + 1) + 2) = D + 1.  Every
+    u_i with i <= D is within ring(i) = i of u_0, and every v_i has the id
+    n + i > D + 1, so u_{D+1} is the least id at distance D + 1.
+  * The walk.  From u_x, 0 <= x <= D, the step to u_{x+1} is geodesic:
+    d_c(0, D - x) >= D - x - 2, so d_p(u_{x+1}, u_{D+1}) = D - x.  Of u_x's
+    neighbours only u_{x-1}, for x >= 1, comes before u_{x+1} in id order,
+    and it is farther: d_c(0, D + 2 - x) >= D - x, so d_p(u_{x-1}, u_{D+1})
+    = D + 2 - x.  So the walk is the ring run, with no spoke and no chord
+    step.
 
-A walk thus reads O(t - D + log D + m (D - a)) circulant distances: from
-the lattice on its route, else from an O(n) vector, the list kernel's or
-the level kernel's over the circulant alone (so every m >= 3 row still
-holds one).  It returns the path as one range per run, so on the lattice
-route it holds O(moves) memory: the C_{4k}(1, 2k - 1) witness,
-u_0 ... u_{k+1}, is (range(0, 1), range(1, k + 2)).
+diametral_path returns that run as range(D + 2), the GGPG ids of u_0 ...
+u_{D+1}: it reads no distance, so no row runs a search for its witness,
+and the row holds O(1) memory however long the path is.
 """
 
 from __future__ import annotations
@@ -608,40 +590,13 @@ def lattice_distances(g: CirculantGraph) -> LatticeDistances:
 
 # --- the gap-1 witness ---
 
-def diametral_path(n: int, chords, d: int, circ) -> tuple[range, ...]:
-    """The conj45 witness of a gap-1 row of C_n(1, chords): the path that a
-    FIFO BFS from u_0 over the sorted neighbors() lists takes to u_t, the
-    least id at distance d + 1, walked with no search (see the module
-    docstring).  d is the circulant's diameter and circ(x) gives d_c(0, x)
-    for x in Z_n.
-
-    The path has one shape: the ring run u_0 ... u_a, a the largest with
-    d_p(u_a, u_t) = d + 1 - a, which ends the path when a = t; else the
-    spoke to v_a, one chord step at a time to v_t, each to the least-id
-    chord neighbour one step nearer, and the spoke to u_t.  It comes back
-    as its runs, in O(moves) memory: a tuple of ranges of GGPG ids (u_i =
-    i, v_i = n + i) whose concatenation is the path, u_0 alone first, then
-    the run u_1 ... u_a and a one-element range per spoke or chord move.
-    """
-    t = next(i for i in itertools.count(d + 1) if circ(i) >= d - 1)
-    # bisect for a; as 0 <= t - a <= t <= n / 2, ring(t - a) = t - a
-    a, hi = 1, d + 1
-    while a < hi:
-        mid = (a + hi + 1) // 2
-        if min(t - mid, circ(t - mid) + 2) == d + 1 - mid:
-            a = mid
-        else:
-            hi = mid - 1
-    runs = [range(0, 1), range(1, a + 1)]
-    if a < t:
-        runs.append(range(n + a, n + a + 1))
-        i = a
-        for c in range(d - a - 2, -1, -1):  # d_c(0, t - i) after each chord step
-            i = min(j for s in chords for j in ((i + s) % n, (i - s) % n)
-                    if circ((t - j) % n) == c)
-            runs.append(range(n + i, n + i + 1))
-        runs.append(range(t, t + 1))
-    return tuple(runs)
+def diametral_path(d: int) -> range:
+    """The conj45 witness of a gap-1 row whose circulant has diameter d:
+    the path that a FIFO BFS from u_0 over the sorted neighbors() lists
+    takes to the least GGPG id at distance d + 1.  It is always the ring
+    run u_0 ... u_{d+1} (see the module docstring), returned as its GGPG
+    ids (u_i = i)."""
+    return range(d + 2)
 
 
 # --- a row's route ---
@@ -654,9 +609,7 @@ def run_facts(rows):
     loop and for this loop.  A double loop with n >= DOUBLE_LOOP_LEVELS_BELOW
     takes the lattice, any other row level sets, through its run's one
     level loop, and a row whose route returns None the list kernel.  path is
-    the gap-1 witness (diametral_path), else None, walked on the lattice's
-    d_c where there is one, else on the list kernel's vector, else on a
-    circulant search.
+    the gap-1 witness (diametral_path), else None.
 
     It is also the one place a row is admitted: before its route is chosen,
     each row's chords are tested once (1 < s_2 < ... < s_m <= floor((n - 1)
@@ -677,17 +630,14 @@ def run_facts(rows):
                 expand(build_circulant(n, (1, *chords)))  # raises, with its own message
             if len(chords) == lattice:
                 lat = lattice_distances(build_circulant(n, (1, *chords)))
-                route, facts, circ = "lattice", lat.summary(), lat.circ_at
+                route, facts = "lattice", lat.summary()
             else:
-                route, facts, circ = "level sets", next(levels), None
+                route, facts = "level sets", next(levels)
             if facts is None:
                 kernel = instance_distances(build_circulant(n, (1, *chords)))
-                route, facts, circ = "list kernel", kernel.summary(), kernel.circ.__getitem__
-            path = None
-            if facts.ecc_u0 == facts.ecc_v0 == facts.d_circ + 1:  # gap 1, as both are >= D + 1
-                if circ is None:
-                    circ = _level_bfs(_ring_offsets(n, (1, *chords)), 0).__getitem__
-                path = diametral_path(n, chords, facts.d_circ, circ)
+                route, facts = "list kernel", kernel.summary()
+            gap1 = facts.ecc_u0 == facts.ecc_v0 == facts.d_circ + 1  # as both are >= D + 1
+            path = diametral_path(facts.d_circ) if gap1 else None
             yield n, chords, route, facts, path
 
 

@@ -25,9 +25,9 @@ The statement checks check_thm41 to check_thm44 take the circulant alone,
 build its GGPG partner with expand, and recompute their statement from
 list BFS.  A paranoid row's checks, check_row, run the same searches
 through _source_vectors (3n searches, one source held at a time): its own
-list kernel's vectors against source 0 (_cross_check), the route's summary
-against the list kernel's, then the sandwich and both diameter shortcuts
-against the whole pass (_sandwich).
+list kernel's vectors and summary against source 0 (_cross_check), the
+route's summary against the list kernel's, then the sandwich and both
+diameter shortcuts against the whole pass (_sandwich).
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class Adjacency:
 
 def fifo_path(g, src: int, dst: int) -> list[int]:
     """The path from src to dst in the tree of a FIFO BFS over g.neighbors():
-    the oracle the gap-1 witness walk (metrics.diametral_path) is checked against."""
+    the oracle the gap-1 witness (metrics.diametral_path) is checked against."""
     g.check_vertex(dst)
     parent = {src: None}
     queue = collections.deque([src])
@@ -297,14 +297,16 @@ def check_thm44(gc: CirculantGraph) -> Gap2Conditions:
 def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts, path, row0) -> None:
     """Paranoid tier: the kernel's vectors, and the GGPG vectors and
     eccentricities the spoke identity derives from them, against the list
-    BFS vectors of row0, source 0 of _source_vectors; and a gap-1 row's
-    witness walk (path: its runs, expanded here; else None) against a FIFO
-    search over neighbors() from the source that list BFS names as
-    attaining the larger diameter."""
+    BFS vectors of row0, source 0 of _source_vectors; the summary's verdict
+    conditions (cond_outer, cond_inner, near) against their definitions on
+    V_Dc, read off the same vectors; and a gap-1 row's witness (path, a
+    range of ids; else None) against a FIFO search over neighbors() from
+    the source that list BFS names as attaining the larger diameter."""
     du, dv = ggpg_vectors(dist)
     _, slow_c, slow_u, slow_v = row0
+    chord = inner_only_distances(gc)
     checks = (("circulant from 0", dist.circ, slow_c),
-              ("chord-only from 0", dist.chord_only, inner_only_distances(gc)),
+              ("chord-only from 0", dist.chord_only, chord),
               ("ggpg from u0", du, slow_u),
               ("ggpg from v0", dv, slow_v))
     for what, fast, slow in checks:
@@ -318,22 +320,29 @@ def _cross_check(gc: CirculantGraph, gp: GgpgGraph, dist, facts, path, row0) -> 
         raise TheoremViolation(
             f"kernel mismatch on {gc.label()} ggpg eccentricities of (u0, v0): "
             f"summary {(facts.ecc_u0, facts.ecc_v0)}, list BFS {ecc}")
+    d = max(slow_c)
+    vdc = [i for i, x in enumerate(slow_c) if x == d]
+    conds = (all(outer_only_distance(gc, i) == d for i in vdc),
+             all(chord[i] == d for i in vdc), tuple([i for i in vdc if chord[i] == d + 1]))
+    if (facts.cond_outer, facts.cond_inner, facts.near) != conds:
+        raise TheoremViolation(
+            f"verdict mismatch on {gc.label()} (cond_outer, cond_inner, near): "
+            f"summary {(facts.cond_outer, facts.cond_inner, facts.near)}, list BFS {conds}")
     if path is not None:
         d = max(ecc)
         src, vec = (gp.outer(0), slow_u) if ecc[0] == d else (gp.inner(0), slow_v)
         want = fifo_path(gp, src, vec.index(d))
-        walk = list(itertools.chain.from_iterable(path))
-        if walk != want:
+        if list(path) != want:
             raise TheoremViolation(
                 f"witness mismatch on {gc.label()}: walk "
-                f"{[gp.vertex_label(v) for v in walk]}, FIFO search "
+                f"{[gp.vertex_label(v) for v in path]}, FIFO search "
                 f"{[gp.vertex_label(v) for v in want]}")
 
 
 def check_row(gc: CirculantGraph, route: str, facts, path) -> SandwichResult:
     """A paranoid row's checks, from one _source_vectors pass over every
     source: the vectors of the list kernel, run here, its summary and the
-    row's gap-1 walk (path) against source 0 (_cross_check), then the
+    row's gap-1 witness (path) against source 0 (_cross_check), then the
     route's summary (facts, from metrics.run_facts) against the list
     kernel's, then the sandwich and both diameter shortcuts over the whole
     pass (_sandwich).  A mismatch raises TheoremViolation."""

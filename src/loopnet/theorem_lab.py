@@ -13,16 +13,17 @@ Four statements get machine-checked on concrete (n, chords) instances:
 Every report row comes from one loop, _verify_rows, over (n, chords)
 rows.  It is one pass over the metrics.run_facts row stream, which groups
 consecutive rows on one ring into runs and gives each row's verdicts and a
-gap-1 row's walked diametral path, choosing its route (lattice, level sets
-or list kernel; see there), and _verify_row, the one record builder,
-keeps that path as the walk's runs (PathLabels), so neither the row nor
-its pickle grows with the path's length.  Every route reads the GGPG side
-off the circulant by the spoke identity, so a row's bytes never depend on
-the route, and the thm41 and thm42 columns follow from that identity, not
+gap-1 row's diametral path, choosing its route (lattice, level sets or
+list kernel; see there).  That path is always the ring run u_0 ...
+u_{D+1}, proved so in metrics, and it comes as one range of ids, which
+_verify_row, the one record builder, keeps whole (PathLabels), so neither
+the row nor its pickle grows with the path's length.  Every route reads
+the GGPG side off the circulant by the spoke identity, so a row's bytes
+never depend on the route, and the thm41 and thm42 columns follow from that identity, not
 from an independent search.  What checks them independently is the
 oracle module, which tests and paranoid rows alone import: check_thm41 to
 check_thm44 recompute their statement from list BFS, and under --paranoid
-the loop hands each row's facts and walk to oracle.check_row (its own
+the loop hands each row's facts and path to oracle.check_row (its own
 list kernel and 3n list-BFS searches, one source held at a time: O(n)
 memory, quadratic time).
 
@@ -108,38 +109,29 @@ class VerificationReport(collections.namedtuple("VerificationReport",
 
 
 class PathLabels:
-    """A gap-1 row's conj45 witness as the GGPG labels of its path (u<i>,
-    v<i>), held as the walk's runs (metrics.diametral_path): O(runs)
-    memory, and it pickles as (n, runs), however long the path.  It reads
-    as the list of its labels by iteration and by == against such a list
-    (list(p) gives the list itself).  sides() is the one label rule, read
-    by both iteration and _json_text, which renders it as that list, one
-    join per run; json.dumps needs default=list."""
+    """A gap-1 row's conj45 witness, the ring run u_0 ... u_{D+1}
+    (metrics.diametral_path), as the GGPG labels u<i> of its ids, held as
+    that one range: O(1) memory, and it pickles as (ids,), however long the
+    path.  It reads as the list of its labels by iteration and by ==
+    against such a list (list(p) gives the list itself).  _json_text
+    renders it as that list with one join; json.dumps needs default=list."""
 
-    __slots__ = ("n", "runs")
+    __slots__ = ("ids",)
 
-    def __init__(self, n: int, runs: tuple):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "runs", runs)
+    def __init__(self, ids: range):
+        object.__setattr__(self, "ids", ids)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
 
     def __reduce__(self):
-        return PathLabels, (self.n, self.runs)
+        return PathLabels, (self.ids,)
 
     def __repr__(self) -> str:
-        return f"PathLabels(n={self.n!r}, runs={self.runs!r})"
-
-    def sides(self):
-        """Each run as its side, "u" (ids below n) or "v", and its ring
-        indices (the walk's runs all ascend)."""
-        n = self.n
-        for run in self.runs:
-            yield ("u", run) if run[0] < n else ("v", range(run.start - n, run.stop - n))
+        return f"PathLabels(ids={self.ids!r})"
 
     def __iter__(self):
-        return (f"{side}{i}" for side, ids in self.sides() for i in ids)
+        return (f"u{i}" for i in self.ids)
 
     def __eq__(self, other):  # unhashable, as the lists it equals are
         if isinstance(other, (list, PathLabels)):
@@ -158,8 +150,8 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     which reads the GGPG diameter off the circulant by the spoke identity,
     so 4.1 and 4.2 hold on this path by that identity, not by an
     independent search.  Paranoid also runs oracle.check_row: its own list
-    kernel, the identity and the walked path against list BFS and a FIFO
-    search, the route's summary against the kernel's, and the sandwich and
+    kernel, the identity, the verdict conditions and the gap-1 path against
+    list BFS and a FIFO search, the route's summary against the kernel's, and the sandwich and
     both diameter shortcuts over every source."""
     gc = build_circulant(n, (1, *chords))
     return _verify_rows([(gc.n, gc.gens[1:])], paranoid)[0]
@@ -170,7 +162,7 @@ def _verify_rows(rows, paranoid: bool) -> list:
     chords) of rows, admissible or not, built by _verify_row from one pass
     over the metrics.run_facts row stream, which draws rows once and groups
     them by ring.  Under paranoid, oracle.check_row first checks each row's
-    facts and walk (raising TheoremViolation on a mismatch) and gives its
+    facts and path (raising TheoremViolation on a mismatch) and gives its
     sandwich verdict."""
     if paranoid:
         from .oracle import check_row  # compiled only by a paranoid row
@@ -182,8 +174,8 @@ def _verify_rows(rows, paranoid: bool) -> list:
 def _verify_row(n: int, gens: tuple, facts, path,
                 sandwich: tuple | None = None) -> VerificationReport:
     """The one record builder: the report row of C_n(gens), gens = (1,
-    *chords), from its route's summary (facts) and gap-1 walk (path, else
-    None), as metrics.run_facts gives them, and sandwich, the (ok, witness)
+    *chords), from its route's summary (facts) and gap-1 witness (path,
+    else None), as metrics.run_facts gives them, and sandwich, the (ok, witness)
     of oracle.check_row on a paranoid row; on any other row 4.1 holds by
     the spoke identity."""
     d_circ, ecc_u0, ecc_v0, vdc, cond_outer, cond_inner, near = facts
@@ -228,7 +220,7 @@ def _verify_row(n: int, gens: tuple, facts, path,
         witnesses["conj45"] = {
             "d_circ": d_circ,
             "d_ggpg": d_ggpg,
-            "ggpg_diametral_path": PathLabels(n, path),
+            "ggpg_diametral_path": PathLabels(path),
         }
 
     return VerificationReport(
@@ -415,8 +407,8 @@ def _json_text(value, pad: str = "\n") -> str:
     """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
     renders it, with pad ("\n" and the indent of value's own line) in place
     of each newline: one join per dict or list, whose scalar items are
-    rendered in line (strings by json's own ASCII encoder), and one join per
-    run of a PathLabels, rendered as its list.  A report holds str-keyed
+    rendered in line (strings by json's own ASCII encoder), and one join for
+    a PathLabels, rendered as its list.  A report holds str-keyed
     dicts, lists, tuples, PathLabels, str, int, bool and None; a float raises
     ValueError (as allow_nan=False does for the INF a report never holds),
     any other type TypeError."""
@@ -439,12 +431,11 @@ def _json_text(value, pad: str = "\n") -> str:
             r(v) if (r := scalar(type(v))) else _json_text(v, inner)
             for v in value]) + pad + "]"
     if isinstance(value, PathLabels):
-        # as the list of its labels: u<i> and v<i> are ASCII with nothing to
-        # escape, so each run is one join of its indices between the quotes
-        # (f"{i}" formats an int in about two thirds of str(i)'s time)
-        items = [f'"{side}' + f'",{inner}"{side}'.join([f"{i}" for i in ids]) + '"'
-                 for side, ids in value.sides()]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
+        # as the list of its labels, never empty: u<i> is ASCII with nothing
+        # to escape, so the list is one join of its indices between the
+        # quotes (f"{i}" formats an int in about two thirds of str(i)'s time)
+        return (f'[{inner}"u' + f'",{inner}"u'.join([f"{i}" for i in value.ids])
+                + f'"{pad}]')
     raise (ValueError if isinstance(value, float) else TypeError)(
         f"a report holds no {type(value).__name__}: {value!r}")
 

@@ -396,6 +396,16 @@ def wrong_kernel(monkeypatch):
     monkeypatch.setattr(oracle, "instance_distances", doctored)
 
 
+def wrong_conditions(monkeypatch):
+    real = metrics._summarize
+
+    def flipped(*args):  # the one verdict rule flips cond_outer
+        facts = real(*args)
+        return facts._replace(cond_outer=not facts.cond_outer)
+
+    monkeypatch.setattr(metrics, "_summarize", flipped)
+
+
 def wrong_walk(monkeypatch):
     real = metrics.diametral_path
     monkeypatch.setattr(metrics, "diametral_path", lambda *args: real(*args)[:-1])
@@ -413,12 +423,15 @@ VERIFY_12 = ("verify", "--n", "12", "--gens", "1,5", "--theorems", "4.5", "--par
 @pytest.mark.parametrize("argv,fault,message", [
     (VERIFY_12, wrong_route, r"route mismatch on C12\(1,5\): level sets "),
     (VERIFY_12, wrong_kernel, r"kernel mismatch on C12\(1,5\) chord-only from 0: vertex 3 "),
+    (VERIFY_12, wrong_conditions,
+     r"verdict mismatch on C12\(1,5\) \(cond_outer, cond_inner, near\): "
+     r"summary \(False, True, \(\)\), list BFS \(True, True, \(\)\)"),
     (VERIFY_12, wrong_walk, r"witness mismatch on C12\(1,5\): walk "),
     (("sweep", "--n", "11..12", "--m", "2", "--paranoid", "--jobs", "2"), wrong_walk,
      r"witness mismatch on C12\(1,5\): walk "),  # the second worker's block
     (("diameter", "--n", "12", "--gens", "1,5", "--paranoid"), wrong_shortcut,
      r"symmetry shortcut mismatch on C12\(1,5\): ecc\(0\) = 3, all-source diameter = 4"),
-], ids=["route", "kernel", "walk", "walk at --jobs 2", "shortcut"])
+], ids=["route", "kernel", "conditions", "walk", "walk at --jobs 2", "shortcut"])
 def test_a_paranoid_mismatch_exits_3_with_one_line_and_no_file(argv, fault, message,
                                                                tmp_path, monkeypatch,
                                                                capsys, cores):

@@ -1,12 +1,11 @@
 """The one-pass instance kernel, and the GGPG vectors the spoke identity
 derives from it, against their oracles: list BFS over neighbors(), the
-chord-only BFS, networkx; and the walked conj45 witness against a
-sorted-neighbour FIFO path search."""
+chord-only BFS, networkx; and the conj45 witness, the ring run
+u_0 ... u_{D+1}, against a sorted-neighbour FIFO path search."""
 
 import itertools
 import json
 import pickle
-import re
 import tracemalloc
 from collections import deque
 
@@ -117,8 +116,7 @@ def test_conj45_witness_matches_fifo_reference_on_grid():
 
 
 def test_conj45_witness_matches_fifo_reference_on_every_triple_loop():
-    # m = 3 rows walk the list kernel's vectors, whether level sets or the
-    # kernel decided the row
+    # every gap-1 m = 3 row, whether level sets or the kernel decided it
     checked = 0
     for n, chords in plan_sweep(range(5, 101), [3]):
         r = verify_instance(n, chords)
@@ -129,34 +127,29 @@ def test_conj45_witness_matches_fifo_reference_on_every_triple_loop():
     assert checked == 298
 
 
-def test_walk_equals_fifo_path_on_every_row():
-    # the walk's target, the least GGPG id at distance d_circ + 1 from u0,
-    # is defined on gap-2 rows too, whose paths also take spokes and chords.
-    # Each FIFO path has the shape the metrics docstring proves: the run
-    # u_0, u_1, ..., u_a, then, unless a = t, the spoke, chord steps and the
-    # spoke to u_t, t the least i >= d + 1 with d_c(0, i) >= d - 1
-    shapes = set()
+def test_every_gap1_fifo_path_is_the_ring_run():
+    # on a gap-1 row the FIFO path from u0 to the least GGPG id at distance
+    # d_circ + 1 is u_0, u_1, ..., u_{D+1}, and so is the row's witness.
+    # The lemma the metrics docstring proves it from holds on every row:
+    # V_Dc lies in {D, D + 1, n - D - 1, n - D} and d_c(0, D + 1) >= D - 1
+    checked = 0
     rows = itertools.chain(plan_sweep(range(5, 61), [2, 3]), plan_sweep(range(5, 41), [4]),
                            plan_sweep(range(5, 31), [5]))
     for n, chords in rows:
         g = build_circulant(n, (1,) + chords)
+        dist = instance_distances(g)
+        facts = dist.summary()
+        d = facts.d_circ
+        if facts.d_ggpg - d != 1:
+            continue
+        assert set(facts.v_dc) <= {d, d + 1, n - d - 1, n - d}, (n, chords)
+        assert dist.circ[d + 1] >= d - 1, (n, chords)
         h = expand(g)
-        dist = bfs(g, 0)
-        d = max(dist)
         want = fifo_path(h, h.outer(0), bfs(h, h.outer(0)).index(d + 1))
-        sides = "".join("u" if v < n else "v" for v in want)
-        assert re.fullmatch("u+(v+u)?", sides), (n, chords, sides)
-        a = len(sides) - len(sides.lstrip("u")) - 1  # the run u_0 ... u_a
-        assert want[:a + 1] == list(range(a + 1)), (n, chords)
-        assert want[-1] == next(i for i in itertools.count(d + 1) if dist[i] >= d - 1)
-        if len(chords) == 1:
-            circ = metrics.lattice_distances(g).circ_at
-        else:
-            circ = instance_distances(g).circ.__getitem__
-        runs = metrics.diametral_path(n, chords, d, circ)
-        assert [v for run in runs for v in run] == want, (n, chords)
-        shapes.add("".join(dict.fromkeys(sides)))
-    assert shapes == {"u", "uv"}  # ring runs alone; runs, spokes and chord steps
+        assert want == list(range(d + 2)), (n, chords)
+        assert list(next(metrics.run_facts([(n, chords)]))[4]) == want, (n, chords)
+        checked += 1
+    assert checked == 394
 
 
 @pytest.mark.parametrize("k", [50, 251, 500])
@@ -195,30 +188,29 @@ def m3_series_row(series, j):
 def test_the_m3_gap1_family_on_level_sets(series, js):
     # each series keeps D within LEVEL_CAP up to its row near n = 10^5
     # ((a) j = 158: n = 99 856, D = 159; (b) j = 158: n = 98 908; (c) j = 157:
-    # n = 98 596).  Level sets decide each row, and a gap-1 row's walk
+    # n = 98 596).  Level sets decide each row, and a gap-1 row's witness
     # equals a FIFO search over the GGPG's neighbors() to distance D + 1
     for j in js:
         n, chords, d, gap = m3_series_row(series, j)
         g = build_circulant(n, (1,) + chords)
         r = verify_instance(n, chords)
         assert (r.gap, r.d_circ) == (gap, d), (series, j)
-        _, _, route, facts, runs = next(metrics.run_facts([(n, chords)]))
+        _, _, route, facts, path = next(metrics.run_facts([(n, chords)]))
         assert route == "level sets" and facts == instance_distances(g).summary(), (series, j)
         if gap == 2:
-            assert runs is None, (series, j)
+            assert path is None, (series, j)
             continue
         h = expand(g)
         want = oracle.fifo_path(h, h.outer(0), oracle.bfs(h, h.outer(0)).index(d + 1))
-        assert [v for run in runs for v in run] == want, (series, j)
+        assert list(path) == want, (series, j)
         assert r.witnesses["conj45"]["ggpg_diametral_path"] == \
             [h.vertex_label(v) for v in want], (series, j)
 
 
 def old_labels(n, chords):
-    """The conj45 witness as rows listed it before they kept the walk's
-    runs: one label per vertex of the walked path."""
-    *_, runs = next(metrics.run_facts([(n, tuple(chords))]))
-    path = [v for run in runs for v in run]
+    """The conj45 witness as rows listed it before they kept its range of
+    ids: one label per vertex of the path."""
+    *_, path = next(metrics.run_facts([(n, tuple(chords))]))
     return [f"u{v}" if v < n else f"v{v - n}" for v in path]
 
 
@@ -229,7 +221,7 @@ def assert_reads_as(labels, want):
     assert want[:-1] != labels != want + ["u0"]
     assert theorem_lab._json_text(labels) == json.dumps(want, indent=2)
     copy = pickle.loads(pickle.dumps(labels))
-    assert type(copy) is type(labels) and copy.runs == labels.runs and copy == want
+    assert type(copy) is type(labels) and copy.ids == labels.ids and copy == want
 
 
 def gap1_witnesses(instances):
@@ -267,7 +259,7 @@ def test_labels_equal_the_label_list_on_sampled_triple_loops(seed):
 
 
 def test_a_long_witness_is_held_in_constant_memory():
-    # C_400000(1, 199999): a 100 002-vertex witness, one ring run
+    # C_400000(1, 199999): a 100 002-vertex witness, the ring run
     verify_instance(4000, (1999,))  # every module the row needs is loaded
     tracemalloc.start()
     try:
@@ -275,8 +267,8 @@ def test_a_long_witness_is_held_in_constant_memory():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    runs = r.witnesses["conj45"]["ggpg_diametral_path"].runs
-    assert sum(map(len, runs)) == r.d_ggpg + 1 == 100002
+    ids = r.witnesses["conj45"]["ggpg_diametral_path"].ids
+    assert len(ids) == r.d_ggpg + 1 == 100002
     assert len(pickle.dumps(r)) < 4096
     assert held < 64 * 1024 and peak < 1024 * 1024, (held, peak)
 
@@ -303,17 +295,16 @@ def test_verify_instance_makes_no_neighbors_or_bfs_call(monkeypatch):
     (1000, (2,), False, 0),    # gap 2, lattice on a long ring
     (7, (3,), False, 1),       # gap 1, thm43-inconsistent: level sets give its witness
     (1202, (2, 3), False, 0),  # gap 2, over the cap
-    (9, (2, 4), False, 1),     # gap 1, level sets: the walk reads the circulant search
+    (9, (2, 4), False, 1),     # gap 1, level sets: the witness needs no search
     (9, (2, 4), True, 1),
     (132, (65,), True, 1),     # paranoid lattice row
 ])
 def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, gap1):
-    # no row runs a 2n-vertex GGPG search: the witness is walked.  The list
-    # kernel (two n-vertex searches) runs on an m >= 3 row over the cap; any
-    # other gap-1 row on level sets walks on the circulant search alone (one
-    # n-vertex search), and a lattice row on its lattice.  A paranoid row
-    # then runs its own list kernel, and checks a gap-1 row's walk against a
-    # FIFO search over neighbors()
+    # no row runs a 2n-vertex GGPG search: the witness is the ring run
+    # u_0 ... u_{D+1}, which needs no distance.  The list kernel (two
+    # n-vertex searches) runs on an m >= 3 row over the cap, and no other
+    # row runs a search.  A paranoid row then runs its own list kernel, and
+    # checks a gap-1 row's witness against a FIFO search over neighbors()
     g = build_circulant(n, (1,) + chords)
     lattice = len(chords) == 1 and n >= metrics.DOUBLE_LOOP_LEVELS_BELOW
     over = not lattice and level_set_summary(g) is None
@@ -332,8 +323,7 @@ def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, ga
     monkeypatch.setattr(oracle, "fifo_path", fifo)
     r = verify_instance(n, chords, paranoid=paranoid)
     assert (r.gap == 1) == bool(gap1)
-    route = [n, n] if over else [n] * (not lattice and gap1)
-    assert sizes == route + [n, n] * paranoid
+    assert sizes == [n, n] * over + [n, n] * paranoid
     assert len(searches) == (paranoid and gap1)
 
 
@@ -353,13 +343,9 @@ def test_paranoid_cross_check_catches_a_wrong_kernel_vector(monkeypatch):
 
 def test_paranoid_checks_the_witness_walk_against_a_fifo_search(monkeypatch):
     real = metrics.diametral_path
-
-    def doctored(*args):  # the walk without its last vertex
-        runs = real(*args)
-        return (*runs[:-1], runs[-1][:-1])
-
-    monkeypatch.setattr(metrics, "diametral_path", doctored)
-    r = verify_instance(12, (5,))  # the fast path trusts the walk
+    # the witness without its last vertex
+    monkeypatch.setattr(metrics, "diametral_path", lambda *args: real(*args)[:-1])
+    r = verify_instance(12, (5,))  # the fast path trusts the witness
     assert len(list(r.witnesses["conj45"]["ggpg_diametral_path"])) == r.d_ggpg
     with pytest.raises(RuntimeError, match=r"witness mismatch on C12\(1,5\): walk "):
         verify_instance(12, (5,), paranoid=True)
@@ -368,15 +354,13 @@ def test_paranoid_checks_the_witness_walk_against_a_fifo_search(monkeypatch):
 @pytest.mark.parametrize("n,chords", [(12, (5,)), (40, (19,)), (63, (15, 17))])
 def test_paranoid_fails_a_walk_with_a_ring_run_one_vertex_short(monkeypatch, n, chords):
     g = build_circulant(n, (1,) + chords)
-    runs = next(metrics.run_facts([(n, chords)]))[4]
-    rings = [k for k, run in enumerate(runs) if len(run) > 1]
-    assert rings
-    for k in rings:
-        short = (*runs[:k], runs[k][:-1], *runs[k + 1:])
-        monkeypatch.setattr(metrics, "diametral_path", lambda *args: short)
-        verify_instance(n, chords)  # the fast path trusts the walk
-        walk = [f"u{v}" if v < n else f"v{v - n}" for run in short for v in run]
-        with pytest.raises(RuntimeError) as info:
-            verify_instance(n, chords, paranoid=True)
-        assert str(info.value) == (f"witness mismatch on {g.label()}: walk {walk}, "
-                                   f"FIFO search {reference_witness(n, chords)}")
+    path = next(metrics.run_facts([(n, chords)]))[4]
+    assert path == range(len(path))
+    short = path[:-1]
+    monkeypatch.setattr(metrics, "diametral_path", lambda *args: short)
+    verify_instance(n, chords)  # the fast path trusts the witness
+    walk = [f"u{v}" for v in short]
+    with pytest.raises(RuntimeError) as info:
+        verify_instance(n, chords, paranoid=True)
+    assert str(info.value) == (f"witness mismatch on {g.label()}: walk {walk}, "
+                               f"FIFO search {reference_witness(n, chords)}")

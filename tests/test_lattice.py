@@ -1,6 +1,6 @@
 """The lattice route for double loops C_n(1, s) against the list kernel and
 the BFS oracles: every row with n <= 400 (and there the level-set summary
-and the walked conj45 witness against a FIFO search), random rows with
+and the conj45 witness against a FIFO search), random rows with
 n < 2 * 10^5, named rows of both bound choices (|a| or |b| of a shortest
 pair bounded, with gcd(n, s) = 1 and > 1) at n near 10^5, random rows; its
 pointwise distances against the kernel's vectors; which route a double loop

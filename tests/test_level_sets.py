@@ -123,6 +123,29 @@ def test_paranoid_catches_a_wrong_eccentricity_rule(monkeypatch):
         verify_instance(20, (4, 8), paranoid=True)
 
 
+@pytest.mark.parametrize("n,chords", [(20, (4, 8)), (12, (5,)), (9, (2,))])
+def test_paranoid_catches_a_wrong_condition_rule(monkeypatch, n, chords):
+    # both routes share the rule, so only the conditions' definitions on
+    # V_Dc, read off list BFS, disagree: flipping cond_outer would turn
+    # C12(1,5)'s consistent thm43 and thm44 verdicts into findings
+    real = metrics._summarize
+
+    def flipped(*args):
+        facts = real(*args)
+        return facts._replace(cond_outer=not facts.cond_outer, near=())
+
+    g = build_circulant(n, (1,) + chords)
+    want = instance_distances(g).summary()
+    monkeypatch.setattr(metrics, "_summarize", flipped)
+    assert verify_instance(n, chords).cond_outer != want.cond_outer  # trusted when not paranoid
+    with pytest.raises(RuntimeError) as info:
+        verify_instance(n, chords, paranoid=True)
+    assert str(info.value) == (
+        f"verdict mismatch on {g.label()} (cond_outer, cond_inner, near): "
+        f"summary {(not want.cond_outer, want.cond_inner, ())}, "
+        f"list BFS {(want.cond_outer, want.cond_inner, want.near)}")
+
+
 class LostChords(tuple):
     """A chord tuple that reads as itself but walks as no chord: the level
     loop takes a row's ring bound from chords[-1] and its shifts from walks
@@ -239,7 +262,7 @@ def test_thm43_witnesses_on_the_grid_match_the_oracles():
 
 
 def test_level_set_rows_build_no_ggpg_graph(monkeypatch):
-    rows = ((20, (4, 8)), (12, (5,)), (9, (2, 4)))  # gap 2; two walked gap-1 rows
+    rows = ((20, (4, 8)), (12, (5,)), (9, (2, 4)))  # gap 2; two gap-1 rows
     want = [verify_instance(n, chords) for n, chords in rows]
     for mod, name in ((metrics, "expand"), (graph_core, "expand"),
                       (graph_core, "build_ggpg")):
@@ -444,15 +467,16 @@ def test_relabelling_by_a_unit_keeps_the_circulant_half_at_n_1e6():
     (20, (4, 8), False, "level sets", True),
     (6 * LEVEL_CAP + 1, (2, 3), False, "level sets", True),  # LEVEL_CAP levels
     (6 * LEVEL_CAP + 2, (2, 3), False, "list kernel", False),  # ring bound over the cap
-    (9, (2, 4), True, "level sets", True),  # gap 1: the walk reads a circulant search
+    (9, (2, 4), True, "level sets", True),  # gap 1: the witness needs no search
     (6 * LEVEL_CAP + 2, (2, 3), True, "list kernel", False),
 ])
 def test_row_facts_picks_the_route(monkeypatch, n, chords, paranoid, route, probed):
     # a row's facts come from metrics.run_facts, whose level loop walks a
-    # row's first level once: the list kernel runs its two searches, and a
-    # gap-1 row on level sets one for its walk.  A paranoid row runs those
-    # and exactly one list kernel of its own, oracle.check_row's (its list
-    # BFS runs no _level_bfs; cut to source 0 here, as it is quadratic)
+    # row's first level once: the list kernel runs its two searches, and no
+    # other route any (a gap-1 row's witness reads no distance).  A
+    # paranoid row runs those and exactly one list kernel of its own,
+    # oracle.check_row's (its list BFS runs no _level_bfs; cut to source 0
+    # here, as it is quadratic)
     listed = instance_distances(build_circulant(n, (1,) + chords)).summary()
     probes, searches, kernels = [], [], []
     real_bfs, real_kernel, real_sources = \
@@ -464,7 +488,7 @@ def test_row_facts_picks_the_route(monkeypatch, n, chords, paranoid, route, prob
     _, _, got, facts, path = next(metrics.run_facts([(n, chords)]))
     assert got == route and bool(probes) == probed
     assert (path is not None) == (facts.d_ggpg - facts.d_circ == 1)
-    own = 2 if route == "list kernel" else int(route == "level sets" and path is not None)
+    own = 2 if route == "list kernel" else 0
     assert len(searches) == own and not kernels
     assert facts == listed
     if paranoid:

@@ -53,7 +53,7 @@ RECORDS = [
     (REPORT, ("n", "gens", "chords", "d_circ", "d_ggpg", "gap", "v_dc",
               "cond_outer", "cond_inner", "thm41", "thm42", "thm43_consistent",
               "thm44_consistent", "conj45", "anomalies", "witnesses")),
-    (REPORT.witnesses["conj45"]["ggpg_diametral_path"], ("n", "runs")),
+    (REPORT.witnesses["conj45"]["ggpg_diametral_path"], ("ids",)),
     (PathRep(1, [2]), ("alpha", "lambdas")),
     (Walk(0, [(1, 1), (2, -1)]), ("origin", "steps")),
     (realize(PathRep(1, [2]), G), ("vertices", "is_path")),
@@ -177,7 +177,7 @@ def test_rows_without_paranoid_load_no_oracle_tier(tmp_path):
                   "'--m', '4', '--sample-size', '5', '--format', 'json', '--out', {out!r}]) == 0",
         "sweep": "from loopnet import cli; assert cli.main(['sweep', '--n', '5..30', "
                  "'--m', '2,3', '--jobs', '2', '--out', {out!r}]) == 0",
-        # m = 2 gap 1 (a walked witness), m = 3 on level sets and over the cap
+        # m = 2 gap 1 (a witness), m = 3 on level sets and over the cap
         "child.py ring": "import sys; sys.path.insert(0, {bench!r}); import child; "
                          "assert child.main(['ring', '--instances', "
                          "'[[804, [401]], [500, [3, 7, 11]], [1202, [2, 3]]]', "
