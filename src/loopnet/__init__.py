@@ -26,7 +26,7 @@ _HOMES = {
         "render_rep", "shortest_rep", "shortest_rep_table",
     ),
     "metrics": (
-        "INF", "InstanceSummary", "instance_distances", "lattice_distances",
+        "INF", "InstanceSummary", "instance_distances", "lattice_summary",
         "level_set_summary",
     ),
     "oracle": (

@@ -30,7 +30,7 @@ run_facts is the row stream: it takes (n, chords) rows, admits each one,
 picks its route among them and yields its facts in input order, grouping
 consecutive rows on one ring into a run that shares one level loop.
 
-  * The lattice route, lattice_distances, serves double loops C_n(1, s), the
+  * The lattice route, lattice_summary, serves double loops C_n(1, s), the
     m = 2 rows, on rings of DOUBLE_LOOP_LEVELS_BELOW vertices and more
     (shorter rings take level sets, which cost less there), with no BFS
     (the plane-tessellation view of Yebra, Fiol, Morillo and Alegre, and
@@ -63,10 +63,9 @@ consecutive rows on one ring into a run that shares one level loop.
     point, or two when h_{j+1} + G - h_j is odd.  D is the largest peak and
     V_Dc every point that reaches it, and chord(i) is INF unless g | i for
     g = gcd(n, s), else min(k, n / g - k) for k = (i / g)(s / g)^-1 mod
-    n / g.  O(sqrt(n) log n + |V_Dc|) operations, with no n-bit set.  The
-    relaxed envelope also gives d_c(0, x) at any one x in O(log n): bisect
-    for the centres on either side of x, and take the lower of their two
-    tents.
+    n / g.  O(sqrt(n) log n + |V_Dc|) operations, with no n-bit set; the
+    route returns the InstanceSummary alone, as no row reads d_c(0, x) at
+    a point off V_Dc.
   * The level-set route, level_set_summaries, serves the m >= 3 rows and
     the double loops on rings shorter than DOUBLE_LOOP_LEVELS_BELOW: every
     BFS level is an n-bit int and a step +-s is a rotation, so one loop
@@ -91,8 +90,10 @@ consecutive rows on one ring into a run that shares one level loop.
     levels: its cost grows with the level count, the list kernel's with n.
     level_set_summary is its one-row case.
   * The list route, instance_distances: one level-synchronous BFS kernel
-    that walks vertex ids by offset arithmetic, with no neighbors() call,
-    and returns the circulant and chord-only vectors from 0, from which the
+    that walks vertex ids by offset arithmetic, with no neighbors() call
+    and no per-vertex table: every vertex reads one sorted list of the
+    offsets s and n - s, and a step wraps past n - 1 with one compare.  It
+    returns the circulant and chord-only vectors from 0, from which the
     identity gives both GGPG vectors (oracle.ggpg_vectors).  Its summary()
     reads the same points off the vectors for _summarize.  It serves the
     m >= 3 rows over the cap, and is the reference both faster routes are
@@ -158,29 +159,14 @@ INF = math.inf
 
 # --- the one-pass instance kernel ---
 
-def _ring_offsets(n: int, steps) -> list[tuple]:
-    """Per-vertex neighbour offsets of the ring Z_n with steps +-s.
-
-    Row i lists w - i for the neighbours w of i in ascending order of w:
-    the ascending list offs of every s and n - s, rotated at
-    k = bisect_left(offs, n - i) into offs[k:] + offs[:k], where offs[k:]
-    wrap past n - 1 and so are shifted by -n.  k changes only at
-    the points n - o, so the rows are a few shared tuples repeated over runs
-    of vertices.
-    """
+def _level_bfs(n: int, steps, src: int) -> list:
+    """Distances from src on the ring Z_n with steps +-s for each s of
+    steps; unreachable vertices keep INF.  Every vertex walks one sorted
+    list of offsets, s and n - s, and w = v + o wraps past n - 1 with one
+    compare: the order a vertex's neighbours are visited in changes no
+    distance."""
     offs = sorted({*steps, *(n - s for s in steps)})
-    wrapped = [o - n for o in offs]
-    cuts = [0, *(n - o for o in reversed(offs)), n]
-    rows = []
-    for k, lo, hi in zip(range(len(offs), -1, -1), cuts, cuts[1:]):
-        rows += [(*wrapped[k:], *offs[:k])] * (hi - lo)
-    return rows
-
-
-def _level_bfs(offsets: list, src: int) -> list:
-    """Distances from src; w is a neighbour of v iff w - v is in offsets[v].
-    Unreachable vertices keep INF."""
-    dist = [INF] * len(offsets)
+    dist = [INF] * n
     dist[src] = 0
     frontier = [src]
     level = 0
@@ -189,8 +175,10 @@ def _level_bfs(offsets: list, src: int) -> list:
         nxt = []
         push = nxt.append
         for v in frontier:
-            for w in offsets[v]:
+            for w in offs:
                 w += v
+                if w >= n:
+                    w -= n
                 if dist[w] is INF:
                     dist[w] = level
                     push(w)
@@ -270,8 +258,8 @@ def instance_distances(g: CirculantGraph) -> InstanceDistances:
     ring, both from 0."""
     if g.gens[0] != 1:
         raise ValueError(f"instance distances need generator 1 in S, got {g.label()}")
-    return InstanceDistances(circ=_level_bfs(_ring_offsets(g.n, g.gens), 0),
-                             chord_only=_level_bfs(_ring_offsets(g.n, g.gens[1:]), 0))
+    return InstanceDistances(circ=_level_bfs(g.n, g.gens, 0),
+                             chord_only=_level_bfs(g.n, g.gens[1:], 0))
 
 
 # --- the level-set route ---
@@ -282,18 +270,29 @@ def instance_distances(g: CirculantGraph) -> InstanceDistances:
 # cap governs only m >= 3 rows).  A level costs a few shifts of whole n-bit
 # ints, the list kernel a fixed cost per vertex, so the crossover grows with
 # n.  Level sets over the list kernel's summary, the block loop uncapped
-# (Python 3.11.7, a shared 2-core x86 machine, min of 25 runs at n = 2 000
-# and of 7 at n = 100 000, alternated): at n = 2 000, 0.16x at 104 levels
-# (C(1, 10)), 0.21x-0.26x at 201-202 (C(1, 3, 5), C(1, 5)), 0.26x-0.31x
-# at 334 (C(1, 3), C(1, 2, 3)) and 0.53x at 500 (C(1, 2), the most
-# C_2000(1, s) has); at n = 100 000, 0.08x at 146 (C(1, 3001, 27004)),
-# 0.09x at 250 (C(1, 299)), 0.19x at 550 (C(1, 99)), 0.46x at 850
-# (C(1, 1694)), 0.87x at 1 269 (C(1, 40)), 1.40x at 2 012 (C(1, 25)) and
-# 1.45x at 2 509 (C(1, 20)).  So 200 levels is well on the winning side at
-# every n, and a cap set from n could reach about 1 500 at n = 100 000.  A
-# row whose ring bound ceil(floor(n / 2) / s_m) is over the cap skips the
-# loop; any other row over it costs the loop LEVEL_CAP levels before it
-# gives up.
+# (Python 3.11.7, a shared 2-core x86 machine, min of 25 runs at n = 2 000,
+# of 7 at n = 100 000 and of 5 at n = 10^6, alternated):
+#
+#         n  row                    levels  ratio
+#     2 000  C(1, 10)                  104   0.19
+#     2 000  C(1, 3, 5), C(1, 5)   201-202   0.21-0.28
+#     2 000  C(1, 3), C(1, 2, 3)       334   0.28-0.30
+#     2 000  C(1, 2), the most
+#            C_2000(1, s) has          500   0.52
+#   100 000  C(1, 3001, 27004)         146   0.07
+#   100 000  C(1, 299)                 250   0.09
+#   100 000  C(1, 99)                  550   0.19
+#   100 000  C(1, 1694)                850   0.43
+#   100 000  C(1, 40)                1 269   0.78
+#   100 000  C(1, 25)                2 012   1.23
+#   100 000  C(1, 20)                2 509   1.51
+#      10^6  C(1, 204540, 260099)      261   0.11
+#      10^6  C(1, 1001, 499999)        501   0.22
+#
+# So 200 levels is well on the winning side at every n, and a cap set from n
+# could reach about 1 500 at n = 100 000 and more at 10^6.  A row whose ring
+# bound ceil(floor(n / 2) / s_m) is over the cap skips the loop; any other
+# row over it costs the loop LEVEL_CAP levels before it gives up.
 LEVEL_CAP = 200
 
 # Double loops C_n(1, s) with n below this take level sets, the rest the
@@ -489,72 +488,10 @@ def _peaks(m: int, cs: list, hs: list, gaps: list) -> tuple[int, list]:
     return top, points
 
 
-def _value_at(m: int, cs: list, hs: list, x: int) -> int:
-    """A relaxed envelope's value at x in Z_m: the lower of the tents of
-    the two neighbouring centres around x, since a farther tent reaches x
-    only past one of them, whose value already counts it."""
-    j = bisect.bisect_right(cs, x) - 1  # -1: x is before the first centre
-    k = j + 1 if j + 1 < len(cs) else 0
-    return min(hs[j] + (x - cs[j]) % m, hs[k] + (cs[k] - x) % m)
-
-
-class LatticeDistances(namedtuple("LatticeDistances",
-                                   "n div inv classes scale free envelopes")):
-    """The double loop C_n(1, s) on its reduced lattice (lattice_distances):
-    d_c(0, x) and chord(x) at any x in O(log n), and the InstanceSummary.
-
-    envelopes holds the relaxed tent envelopes (centres, values, gaps), one
-    per residue r mod classes, on Z_cyc with cyc = n / classes: x = r +
-    classes y sits at z = y * scale mod cyc, and z is x = r + z * free mod
-    n, free the generator whose steps z counts (1, or s).  div = gcd(n, s)
-    and inv = (s / div)^-1 mod n / div give chord(x).
-    """
-
-    __slots__ = ()
-
-    def circ_at(self, x: int) -> int:
-        """d_c(0, x)."""
-        cyc = self.n // self.classes
-        return _value_at(cyc, *self.envelopes[x % self.classes][:2],
-                         x // self.classes * self.scale % cyc)
-
-    def chord_at(self, x: int):
-        """chord(x): INF unless div | x, else min(k, cyc - k) for
-        k = (x / div) * inv mod cyc, cyc = n / div."""
-        if x % self.div:
-            return INF
-        cyc = self.n // self.div
-        k = x // self.div * self.inv % cyc
-        return min(k, cyc - k)
-
-    def summary(self) -> InstanceSummary:
-        """D as the largest envelope peak and V_Dc as every point reaching
-        it, with their chord classes, for _summarize."""
-        n, free = self.n, self.free
-        tops = [_peaks(n // self.classes, *env) for env in self.envelopes]
-        d = max([top for top, _ in tops])
-        points = [(r + z * free) % n
-                  for r, (top, peaks) in enumerate(tops) if top == d for z in peaks]
-        vdc = tuple(sorted(set(points)))  # both segments ending at a centre may list it
-        chord = [self.chord_at(x) for x in vdc]
-        return _summarize(n, d, vdc, [x for x, c in zip(vdc, chord) if c == d + 1],
-                          [x for x, c in zip(vdc, chord) if c > d + 1])
-
-
-def lattice_distances(g: CirculantGraph) -> LatticeDistances:
-    """The double loop C_n(1, s) by integer arithmetic on its lattice, with
-    no BFS: O(sqrt(n) log n) operations to reduce the basis and relax the
-    envelopes.
-
-    A short vector (alpha, beta) of L = {(a, b) : a + b s = 0 mod n} bounds
-    one coefficient of some shortest representation of every x, b or a, so
-    d_c(0, x) is the lower envelope of O(sqrt(n)) tents (see the module
-    docstring).  Which one it bounds sets the envelopes' parameters alone.
-    """
-    if len(g.gens) != 2 or g.gens[0] != 1:
-        raise ValueError(f"the lattice route needs C_n(1, s), got {g.label()}")
-    n, s = g.n, g.gens[1]
-    # Gauss-reduce the basis (-s, 1), (n, 0) of L
+def _short_vector(n: int, s: int) -> tuple[int, int]:
+    """(|alpha|, |beta|) of a short vector of L = {(a, b) : a + b s = 0 mod
+    n}: Gauss-reduce the basis (-s, 1), (n, 0), then take, of w1, w2 and
+    w1 +- w2, the one with the least max(|alpha|, |beta|), at most sqrt(n)."""
     a1, b1, a2, b2 = -s, 1, n, 0
     n1 = s * s + 1
     while True:
@@ -565,27 +502,49 @@ def lattice_distances(g: CirculantGraph) -> LatticeDistances:
         if n2 >= n1:
             break
         a1, b1, a2, b2, n1 = a2, b2, a1, b1, n2
-    # of w1, w2 and w1 +- w2, the least max(|alpha|, |beta|): at most sqrt(n)
-    alpha, beta = abs(a1), abs(b1)
-    for a, b in ((a2, b2), (a1 + a2, b1 + b2), (a1 - a2, b1 - b2)):
-        a, b = abs(a), abs(b)
-        if max(a, b) < max(alpha, beta):
-            alpha, beta = a, b
+    pairs = ((a1, b1), (a2, b2), (a1 + a2, b1 + b2), (a1 - a2, b1 - b2))
+    return min(((abs(a), abs(b)) for a, b in pairs), key=max)  # a tie keeps the first
+
+
+def lattice_summary(g: CirculantGraph) -> InstanceSummary:
+    """The InstanceSummary of the double loop C_n(1, s) by integer
+    arithmetic on its lattice, with no BFS: O(sqrt(n) log n) operations to
+    reduce the basis and relax the envelopes, then D as the largest
+    envelope peak, V_Dc as every point reaching it, and their chord classes.
+
+    A short vector (alpha, beta) of L bounds one coefficient of some
+    shortest representation of every x, b or a, so d_c(0, x) is the lower
+    envelope of O(sqrt(n)) tents (see the module docstring).  Which one it
+    bounds sets the envelopes' parameters alone.
+    """
+    if len(g.gens) != 2 or g.gens[0] != 1:
+        raise ValueError(f"the lattice route needs C_n(1, s), got {g.label()}")
+    n, s = g.n, g.gens[1]
+    alpha, beta = _short_vector(n, s)
     div = math.gcd(n, s)
     inv = pow(s // div, -1, n // div)
     # the one choice: some shortest (a, b) has |b| < beta, with ring steps
     # free, or |a| < alpha, with chord steps free.  It sets the bound, the
-    # free generator's class count, scale and value, and the multiplier
-    # that places the tent of the bounded coefficient c = r + classes k
-    bound, classes, scale, free, place = \
-        (beta, 1, 1, 1, s) if alpha <= beta else (alpha, div, inv, s, inv)
+    # free generator's class count and value, and the multiplier that
+    # places the tent of the bounded coefficient c = r + classes k
+    bound, classes, free, place = (beta, 1, 1, s) if alpha <= beta else (alpha, div, s, inv)
     cyc = n // classes
-    envelopes = [
-        _relax(cyc, [c // classes * place % cyc * bound + abs(c)
-                     for c in range(r - (bound - 1 + r) // classes * classes, bound,
-                                    classes)], bound)
+    tops = [
+        _peaks(cyc, *_relax(cyc, [c // classes * place % cyc * bound + abs(c)
+                                  for c in range(r - (bound - 1 + r) // classes * classes,
+                                                 bound, classes)], bound))
         for r in range(classes)]
-    return LatticeDistances(n, div, inv, classes, scale, free, envelopes)
+    d = max([top for top, _ in tops])
+    # both segments ending at a centre may list it
+    vdc = tuple(sorted({(r + z * free) % n
+                        for r, (top, peaks) in enumerate(tops) if top == d for z in peaks}))
+    # chord(x) is INF unless div | x, else min(k, order - k) for k = (x / div)
+    # * inv mod order, order = n / div the chord-only ring's length
+    order = n // div
+    ks = [x // div * inv % order for x in vdc]
+    chord = [INF if x % div else min(k, order - k) for x, k in zip(vdc, ks)]
+    return _summarize(n, d, vdc, [x for x, c in zip(vdc, chord) if c == d + 1],
+                      [x for x, c in zip(vdc, chord) if c > d + 1])
 
 
 # --- the gap-1 witness ---
@@ -629,8 +588,7 @@ def run_facts(rows):
                     and all(map(operator.lt, chords, chords[1:]))):
                 expand(build_circulant(n, (1, *chords)))  # raises, with its own message
             if len(chords) == lattice:
-                lat = lattice_distances(build_circulant(n, (1, *chords)))
-                route, facts = "lattice", lat.summary()
+                route, facts = "lattice", lattice_summary(build_circulant(n, (1, *chords)))
             else:
                 route, facts = "level sets", next(levels)
             if facts is None:

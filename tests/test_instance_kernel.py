@@ -11,7 +11,7 @@ from collections import deque
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopnet import (
@@ -24,7 +24,7 @@ from loopnet import (
 )
 from loopnet import graph_core, metrics, oracle, theorem_lab
 from loopnet.graph_core import max_generator
-from loopnet.metrics import _ring_offsets, instance_distances, level_set_summary
+from loopnet.metrics import instance_distances, level_set_summary
 from loopnet.theorem_lab import plan_sweep
 
 
@@ -71,15 +71,26 @@ def nx_distances(g, src):
     return tuple(found.get(v, INF) for v in g.vertices())
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_kernel_vectors_match_list_bfs_and_networkx(data):
-    n = data.draw(st.integers(5, 2000), label="n")
+@st.composite
+def kernel_rows(draw):
+    """(n, chords) with 5 <= n <= 2000 and one to three chords."""
+    n = draw(st.integers(5, 2000))
     hi = max_generator(n)
-    k = data.draw(st.integers(1, min(3, hi - 1)), label="chords")
-    chords = sorted(data.draw(st.lists(st.integers(2, hi), min_size=k,
-                                       max_size=k, unique=True), label="set"))
-    g = build_circulant(n, [1] + chords)
+    k = draw(st.integers(1, min(3, hi - 1)))
+    chords = draw(st.lists(st.integers(2, hi), min_size=k, max_size=k, unique=True))
+    return n, tuple(sorted(chords))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kernel_rows())
+@example((9, (2,)))
+@example((12, (5,)))
+@example((17, (2, 5, 8)))
+@example((30, (4, 10, 11)))
+@example((31, (15,)))
+def test_kernel_vectors_match_list_bfs_and_networkx(row):
+    n, chords = row
+    g = build_circulant(n, (1,) + chords)
     h = expand(g)
     dist = instance_distances(g)
     from_u0, from_v0 = oracle.ggpg_vectors(dist)  # by the spoke identity
@@ -92,16 +103,6 @@ def test_kernel_vectors_match_list_bfs_and_networkx(data):
     )
     for fast, listed, by_networkx in expected:
         assert tuple(fast) == listed == by_networkx
-
-
-@pytest.mark.parametrize("n,chords", [(9, (2,)), (12, (5,)), (17, (2, 5, 8)),
-                                      (30, (4, 10, 11)), (31, (15,))])
-def test_offset_rows_give_sorted_neighbors_and_fifo_parents(n, chords):
-    # the kernel's rows list every neighbour once, in ascending order
-    g = build_circulant(n, (1,) + chords)
-    rows = _ring_offsets(n, g.gens)
-    assert [sorted(v + d for d in rows[v]) for v in g.vertices()] == \
-        [g.neighbors(v) for v in g.vertices()]
 
 
 def test_conj45_witness_matches_fifo_reference_on_grid():
@@ -311,9 +312,9 @@ def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, ga
     sizes, searches = [], []
     real_bfs, real_fifo = metrics._level_bfs, oracle.fifo_path
 
-    def counting(offsets, src):
-        sizes.append(len(offsets))
-        return real_bfs(offsets, src)
+    def counting(n, steps, src):
+        sizes.append(n)
+        return real_bfs(n, steps, src)
 
     def fifo(*args):
         searches.append(args)

@@ -3,8 +3,8 @@ the BFS oracles: every row with n <= 400 (and there the level-set summary
 and the conj45 witness against a FIFO search), random rows with
 n < 2 * 10^5, named rows of both bound choices (|a| or |b| of a shortest
 pair bounded, with gcd(n, s) = 1 and > 1) at n near 10^5, random rows; its
-pointwise distances against the kernel's vectors; which route a double loop
-takes and what it skips; and what --paranoid still compares it with."""
+envelope peaks against brute force; which route a double loop takes and
+what it skips; and what --paranoid still compares it with."""
 
 import math
 import random
@@ -20,9 +20,9 @@ from loopnet.metrics import (
     DOUBLE_LOOP_LEVELS_BELOW,
     _peaks,
     _relax,
-    _value_at,
+    _short_vector,
     instance_distances,
-    lattice_distances,
+    lattice_summary,
     level_set_summary,
 )
 from test_instance_kernel import reference_witness
@@ -33,14 +33,10 @@ def test_lattice_summary_on_every_small_double_loop():
     for n in range(5, 401):
         for s in range(2, max_generator(n) + 1):
             g = build_circulant(n, (1, s))
-            lattice, dist = lattice_distances(g), instance_distances(g)
-            facts = lattice.summary()
-            assert facts == dist.summary(), (n, s)
+            facts = lattice_summary(g)
+            assert facts == instance_distances(g).summary(), (n, s)
             # D <= n / 2 <= LEVEL_CAP, so level sets give a summary on every row
             assert level_set_summary(g) == facts, (n, s)
-            if n <= 120:
-                assert [lattice.circ_at(x) for x in range(n)] == dist.circ, (n, s)
-                assert [lattice.chord_at(x) for x in range(n)] == dist.chord_only
             if facts.d_ggpg == facts.d_circ + 1:
                 path = verify_instance(n, (s,)).witnesses["conj45"]["ggpg_diametral_path"]
                 assert path == reference_witness(n, (s,)), (n, s)
@@ -56,11 +52,7 @@ def test_lattice_summary_on_random_large_double_loops():
     for _ in range(12):
         n = rng.randrange(5, 200_000)
         g = build_circulant(n, (1, rng.randrange(2, max_generator(n) + 1)))
-        lattice, dist = lattice_distances(g), instance_distances(g)
-        assert lattice.summary() == dist.summary(), g.label()
-        for x in rng.sample(range(n), 200):
-            assert lattice.circ_at(x) == dist.circ[x], (g.label(), x)
-            assert lattice.chord_at(x) == dist.chord_only[x], (g.label(), x)
+        assert lattice_summary(g) == instance_distances(g).summary(), g.label()
 
 
 @pytest.mark.parametrize("n", [10**5, 10**6, 10**7])
@@ -71,7 +63,7 @@ def test_lattice_summary_is_invariant_under_the_chord_swap(n):
     # points with ring(i) = D + 1, and the two conditions and the two GGPG
     # eccentricities trade places.  The reduced lattices are transposes, so
     # most pairs compare envelopes of the two bound choices (|b| bounded, with
-    # ring steps free, free = 1; |a| bounded, with chord steps free, free = s),
+    # ring steps free, when alpha <= beta; |a| bounded, with chord steps free),
     # at sizes where no BFS oracle runs.
     rng = random.Random(f"chord-swap-{n}")
     rows = [3, n // 2 - 1]  # a row with |a| bounded; the gap-1 row, its own swap
@@ -82,10 +74,10 @@ def test_lattice_summary_is_invariant_under_the_chord_swap(n):
     forms = set()
     for s in rows:
         inv = pow(s, -1, n)
-        lat, swapped = (lattice_distances(build_circulant(n, (1, t)))
-                        for t in (s, min(inv, n - inv)))
-        forms.add((lat.free == 1, swapped.free == 1))
-        a, b = lat.summary(), swapped.summary()
+        pair = (s, min(inv, n - inv))
+        forms.add(tuple(alpha <= beta for alpha, beta in
+                        (_short_vector(n, t) for t in pair)))
+        a, b = (lattice_summary(build_circulant(n, (1, t))) for t in pair)
         assert (b.d_circ, b.d_ggpg - b.d_circ) == (a.d_circ, a.d_ggpg - a.d_circ)
         assert list(b.v_dc) == sorted(i * inv % n for i in a.v_dc), (n, s)
         assert list(b.near) == sorted(i * inv % n for i in a.v_dc
@@ -108,14 +100,10 @@ def test_lattice_summary_is_invariant_under_the_chord_swap(n):
 ])
 def test_lattice_summary_on_named_rows(n, s):
     g = build_circulant(n, (1, s))
-    lattice, dist = lattice_distances(g), instance_distances(g)
-    fast = lattice.summary()
-    assert fast == dist.summary()
+    fast = lattice_summary(g)
+    assert fast == instance_distances(g).summary()
     if n == 9:
         assert fast.v_dc == (3, 4, 5, 6)
-    for x in random.Random(f"named-{n}-{s}").sample(range(n), min(n, 200)):
-        assert lattice.circ_at(x) == dist.circ[x], x
-        assert lattice.chord_at(x) == dist.chord_only[x], x
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,7 +112,7 @@ def test_lattice_summary_matches_list_route_and_oracles(data):
     n = data.draw(st.integers(5, 3000), label="n")
     s = data.draw(st.integers(2, max_generator(n)), label="s")
     g = build_circulant(n, (1, s))
-    fast = lattice_distances(g).summary()
+    fast = lattice_summary(g)
     assert fast == instance_distances(g).summary()
     dc0, chord = bfs(g, 0), inner_only_distances(g)
     d = max(dc0)
@@ -150,13 +138,12 @@ def test_envelope_of_any_tents_matches_brute_force(m, tents):
     top, points = _peaks(m, cs, hs, gaps)
     assert top == max(value)
     assert sorted(set(points)) == [x for x in range(m) if value[x] == top]
-    assert [_value_at(m, cs, hs, x) for x in range(m)] == value
 
 
 @pytest.mark.parametrize("gens", [(1, 4, 8), (1,), (2, 5)])
 def test_lattice_summary_takes_only_double_loops(gens):
     with pytest.raises(ValueError, match="lattice route needs C_n"):
-        lattice_distances(build_circulant(20, gens))
+        lattice_summary(build_circulant(20, gens))
 
 
 @pytest.mark.parametrize("route, gens, message", [
@@ -176,7 +163,7 @@ def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
     short = [(12, (5,)), (9, (2,)), (7, (3,)), (DOUBLE_LOOP_LEVELS_BELOW - 1, (63,)),
              (20, (4, 8))]
     want = [verify_instance(n, c) for n, c in long + short]
-    calls = {"lattice_distances": 0, "level_set_summaries": 0, "instance_distances": 0}
+    calls = {"lattice_summary": 0, "level_set_summaries": 0, "instance_distances": 0}
 
     def counted(name):  # the rows each function is handed
         real = getattr(metrics, name)
@@ -190,10 +177,10 @@ def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
         monkeypatch.setattr(metrics, name, counted(name))
     monkeypatch.setattr(oracle, "instance_distances", metrics.instance_distances)
     assert [verify_instance(n, c) for n, c in long] == want[:len(long)]
-    assert calls == {"lattice_distances": len(long), "level_set_summaries": 0,
+    assert calls == {"lattice_summary": len(long), "level_set_summaries": 0,
                      "instance_distances": 0}
     assert [verify_instance(n, c) for n, c in short] == want[len(long):]
-    assert calls == {"lattice_distances": len(long), "level_set_summaries": len(short),
+    assert calls == {"lattice_summary": len(long), "level_set_summaries": len(short),
                      "instance_distances": 0}
     assert verify_instance(12, (5,), paranoid=True) == want[len(long)]
     assert verify_instance(132, (65,), paranoid=True) == want[1]
@@ -201,12 +188,12 @@ def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
 
 
 def test_paranoid_compares_the_lattice_with_the_list_kernel(monkeypatch):
-    real = metrics.LatticeDistances.summary
+    real = metrics.lattice_summary
 
-    def doctored(self):
-        return real(self)._replace(v_dc=(1,))
+    def doctored(g):
+        return real(g)._replace(v_dc=(1,))
 
-    monkeypatch.setattr(metrics.LatticeDistances, "summary", doctored)
+    monkeypatch.setattr(metrics, "lattice_summary", doctored)
     assert verify_instance(132, (65,)).v_dc == (1,)  # trusted when not paranoid
     with pytest.raises(RuntimeError, match=r"route mismatch on C132.*: lattice "):
         verify_instance(132, (65,), paranoid=True)

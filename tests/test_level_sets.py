@@ -347,7 +347,7 @@ def list_route_row(monkeypatch, n, chords):
     """The row as the list kernel alone gives it."""
     with monkeypatch.context() as m:
         m.setattr(metrics, "level_set_summaries", lambda n, sets: (None for _ in sets))
-        m.setattr(metrics.LatticeDistances, "summary", lambda self: None)
+        m.setattr(metrics, "lattice_summary", lambda g: None)
         return verify_instance(n, chords)
 
 

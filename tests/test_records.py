@@ -99,7 +99,7 @@ PUBLIC = [
     "check_thm42", "check_thm43", "check_thm44", "contract_spokes", "diameter_circulant",
     "diameter_ggpg", "eccentricity", "endpoint", "expand", "extremal_vertices",
     "format_distance", "inner_only_distances", "instance_distances",
-    "lattice_distances", "level_set_summary", "lift_path", "outer_only_distance",
+    "lattice_summary", "level_set_summary", "lift_path", "outer_only_distance",
     "project_path", "realize", "reduce_walk", "render_rep", "shortest_rep",
     "shortest_rep_table", "to_dot", "verify_instance",
 ]
