@@ -236,7 +236,7 @@ def _grid_plan(args):
 def _verify_plan(args):
     """Instances (planned lazily for a grid) plus the canonical flag
     string for the header.  A --gens row is checked where it runs, as every
-    row is (metrics.run_facts)."""
+    row is (metrics.row_facts)."""
     given = [flag for flag, value in (("--gens", args.gens), ("--preset", args.preset),
                                       ("--m", args.m)) if value is not None]
     if len(given) > 1:

@@ -26,9 +26,9 @@ one place that turns those facts, as sorted points (the last class only as
 a truth value), into an InstanceSummary.
 
 Four routes compute the same facts; the first three apply the identity.
-run_facts is the row stream: it takes (n, chords) rows, admits each one,
-picks its route among them and yields its facts in input order, grouping
-consecutive rows on one ring into a run that shares one level loop.
+row_facts takes one (n, chords) row, admits it, picks its route among them
+and returns its facts.  No row's facts depend on another row, so each row
+is routed on its own, and nothing is carried from one row to the next.
 
   * The lattice route, lattice_summary, serves double loops C_n(1, s), the
     m = 2 rows, on rings of DOUBLE_LOOP_LEVELS_BELOW vertices and more
@@ -66,9 +66,9 @@ consecutive rows on one ring into a run that shares one level loop.
     n / g.  O(sqrt(n) log n + |V_Dc|) operations, with no n-bit set; the
     route returns the InstanceSummary alone, as no row reads d_c(0, x) at
     a point off V_Dc.
-  * The level-set route, level_set_summaries, serves the m >= 3 rows and
-    the double loops on rings shorter than DOUBLE_LOOP_LEVELS_BELOW: every
-    BFS level is an n-bit int and a step +-s is a rotation, so one loop
+  * The level-set route, _level_sets, serves the m >= 3 rows and the
+    double loops on rings shorter than DOUBLE_LOOP_LEVELS_BELOW: every BFS
+    level is an n-bit int and a step +-s is a rotation, so one loop
     advances the chord-only ring from 0 a whole level per handful of
     big-int operations (the only n-bit sets in loopnet), and grows the
     circulant's ball from it by ring dilation:
@@ -81,14 +81,12 @@ consecutive rows on one ring into a run that shares one level loop.
     C(b) + [-a, a]; in B(d + 1), a term with a >= 1 is a term of B(d)
     moved by one ring step, and one with a = 0 lies in C(d + 1).  So only
     the chords are shifted, once each per level, and the circulant's level
-    costs two one-bit shifts.  The loop walks a run of chord sets on one
-    ring (consecutive rows of one n, which run_facts cuts from its row
-    stream and hands it whole), sets the ring's constants once, and yields
-    one InstanceSummary per row (the diameters, V_Dc, the two
-    restricted-path conditions and the V_Dc vertices at chord-only distance
-    D + 1), or None for a row whose circulant has more than LEVEL_CAP
-    levels: its cost grows with the level count, the list kernel's with n.
-    level_set_summary is its one-row case.
+    costs two one-bit shifts.  The loop takes one row and returns its
+    InstanceSummary (the diameters, V_Dc, the two restricted-path
+    conditions and the V_Dc vertices at chord-only distance D + 1), or None
+    for a row whose circulant has more than LEVEL_CAP levels: its cost
+    grows with the level count, the list kernel's with n.
+    level_set_summary is its entry for a built graph.
   * The list route, instance_distances: one level-synchronous BFS kernel
     that walks vertex ids by offset arithmetic, with no neighbors() call
     and no per-vertex table: every vertex reads one sorted list of the
@@ -147,7 +145,6 @@ and the row holds O(1) memory however long the path is.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import operator
 from collections import namedtuple
@@ -264,12 +261,12 @@ def instance_distances(g: CirculantGraph) -> InstanceDistances:
 
 # --- the level-set route ---
 
-# Largest circulant eccentricity the level loop (level_set_summaries) takes
-# on; m >= 3 rows with more levels go to the list kernel (double loops on
-# short rings never reach it, and longer ones take the lattice route, so the
-# cap governs only m >= 3 rows).  A level costs a few shifts of whole n-bit
+# Largest circulant eccentricity the level loop (_level_sets) takes on;
+# m >= 3 rows with more levels go to the list kernel (double loops on short
+# rings never reach it, and longer ones take the lattice route, so the cap
+# governs only m >= 3 rows).  A level costs a few shifts of whole n-bit
 # ints, the list kernel a fixed cost per vertex, so the crossover grows with
-# n.  Level sets over the list kernel's summary, the block loop uncapped
+# n.  Level sets over the list kernel's summary, the level loop uncapped
 # (Python 3.11.7, a shared 2-core x86 machine, min of 25 runs at n = 2 000,
 # of 7 at n = 100 000 and of 5 at n = 10^6, alternated):
 #
@@ -364,71 +361,63 @@ def _bit_positions(x: int) -> tuple:
     return tuple(out)
 
 
-def level_set_summaries(n: int, chord_sets):
-    """The InstanceSummary of C_n(1, *chords) from level sets for each chords
-    of chord_sets in turn, or None as soon as the circulant needs more than
-    LEVEL_CAP levels: at once when the ring bound D >= ceil(floor(n / 2) /
-    s_m) shows it, else when the loop reaches the cap.  One loop walks the
-    whole run of chord sets on the ring and sets the ring's constants once
-    (level_set_summary is its one-row case).  Each row must be admissible
-    (1 < s_2 < ... < s_m <= floor((n - 1) / 2)), as run_facts admits it:
-    the loop builds no graph and checks nothing.
+def _level_sets(n: int, chords: tuple) -> InstanceSummary | None:
+    """The InstanceSummary of C_n(1, *chords) from level sets, or None when
+    the circulant needs more than LEVEL_CAP levels: at once when the ring
+    bound D >= ceil(floor(n / 2) / s_m) shows it, else when the loop reaches
+    the cap.  The row must be admissible (1 < s_2 < ... < s_m <= floor((n -
+    1) / 2)), as row_facts admits it: the loop builds no graph and checks
+    nothing.
 
-    Per row, the loop advances two n-bit level sets a level per pass: the
-    chord-only ring from 0 by its chords, one level ahead, to d_circ + 1,
-    and the circulant from 0 by ring dilation (module docstring): its level
-    d is its level d - 1 shifted one step either way, joined with the chord
-    ring's level d, less the vertices already reached.  Then V_Dc is the
+    The loop advances two n-bit level sets a level per pass: the chord-only
+    ring from 0 by its chords, one level ahead, to d_circ + 1, and the
+    circulant from 0 by ring dilation (module docstring): its level d is its
+    level d - 1 shifted one step either way, joined with the chord ring's
+    level d, less the vertices already reached.  Then V_Dc is the
     circulant's last level, scanned once for its points; _summarize's near
     are those points whose bit is set on the chord ring's last level, and
     far the points' bits in its unreached set.
     """
-    mask = (1 << n) - 1
-    # 0 is written at both ends of the ring (bits 0 and n), so that the
-    # first ring step reaches 1 and n - 1
-    start, unreached = 1 | 1 << n, mask ^ 1
     # a step moves at most s_m around the ring, so n // 2 is at least
     # ceil(n // 2 / s_m) steps from 0: that is over the cap, and the loop
-    # need not start, exactly when s_m < least
-    least, levels = -(-(n // 2) // LEVEL_CAP), range(LEVEL_CAP + 1)
-    for chords in chord_sets:
-        if chords[-1] < least:
-            yield None
-            continue
-        circ, cu = start, unreached     # circulant frontier and unreached set
-        chord, chu = 1, unreached       # chord-only ring
-        for d in levels:  # d: the circulant's levels so far
-            # y >> s and y >> (n - s) rotate the n-bit set by -s and +s
-            # (bits n and up are masked off by chu)
-            y, chord = chord | chord << n, 0
-            for s in chords:
-                chord |= y >> s | y >> (n - s)
-            chord &= chu
-            chu ^= chord
-            if not cu:
-                break
-            # ring dilation: as C(d) lies in B(d), level d + 1 is the ring
-            # steps of level d and the chord ring's level d + 1, less the
-            # reached.  Past level 0 the frontier lacks 0, so >> 1 wraps nothing,
-            # and << 1 wraps only n - 1, onto 0, which is reached
-            circ = (circ << 1 | circ >> 1 | chord) & cu
-            cu ^= circ
-        else:  # past the cap
-            yield None
-            continue
-        # circ = V_Dc; chord and chu: the chord ring's level d + 1 and the
-        # rest, whose V_Dc points are near and far
-        vdc = _bit_positions(circ)
-        yield _summarize(n, d, vdc,
-                         [i for i in vdc if chord >> i & 1] if chord & circ else (),
-                         chu & circ)
+    # need not start, exactly when s_m < ceil(n // 2 / LEVEL_CAP)
+    if chords[-1] < -(-(n // 2) // LEVEL_CAP):
+        return None
+    # 0 is written at both ends of the ring (bits 0 and n), so that the
+    # first ring step reaches 1 and n - 1
+    circ, cu = 1 | 1 << n, (1 << n) - 2     # circulant frontier and unreached set
+    chord, chu = 1, cu                      # chord-only ring
+    for d in range(LEVEL_CAP + 1):  # d: the circulant's levels so far
+        # y >> s and y >> (n - s) rotate the n-bit set by -s and +s
+        # (bits n and up are masked off by chu)
+        y, chord = chord | chord << n, 0
+        for s in chords:
+            chord |= y >> s | y >> (n - s)
+        chord &= chu
+        chu ^= chord
+        if not cu:
+            break
+        # ring dilation: as C(d) lies in B(d), level d + 1 is the ring
+        # steps of level d and the chord ring's level d + 1, less the
+        # reached.  Past level 0 the frontier lacks 0, so >> 1 wraps nothing,
+        # and << 1 wraps only n - 1, onto 0, which is reached
+        circ = (circ << 1 | circ >> 1 | chord) & cu
+        cu ^= circ
+    else:  # past the cap
+        return None
+    # circ = V_Dc; chord and chu: the chord ring's level d + 1 and the
+    # rest, whose V_Dc points are near and far
+    vdc = _bit_positions(circ)
+    return _summarize(n, d, vdc,
+                      [i for i in vdc if chord >> i & 1] if chord & circ else (),
+                      chu & circ)
 
 
 def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
-    """The level_set_summaries answer for the one row C_n(1, chords)."""
+    """The level-set answer (_level_sets) for the row C_n(1, chords)."""
     if g.gens[0] != 1 or len(g.gens) < 2:
         raise ValueError(f"level sets need generator 1 and a chord in S, got {g.label()}")
-    return next(level_set_summaries(g.n, (g.gens[1:],)))
+    return _level_sets(g.n, g.gens[1:])
 
 
 # --- the lattice route ---
@@ -560,43 +549,30 @@ def diametral_path(d: int) -> range:
 
 # --- a row's route ---
 
-def run_facts(rows):
-    """(n, chords, route, summary, path) of C_n(1, *chords) for each (n,
-    chords) of rows, in input order: the one row stream every report row
-    comes from, and the one place a row's route is chosen.  Consecutive rows
-    on one ring form a run, listed once for the run's level_set_summaries
-    loop and for this loop.  A double loop with n >= DOUBLE_LOOP_LEVELS_BELOW
-    takes the lattice, any other row level sets, through its run's one
-    level loop, and a row whose route returns None the list kernel.  path is
-    the gap-1 witness (diametral_path), else None.
+def row_facts(n: int, chords: tuple) -> tuple:
+    """(route, summary, path) of the row C_n(1, *chords): the one place a
+    row's route is chosen, and every report row's facts.  A double loop with
+    n >= DOUBLE_LOOP_LEVELS_BELOW takes the lattice, any other row level
+    sets, and a row whose route returns None the list kernel.  path is the
+    gap-1 witness (diametral_path), else None.
 
     It is also the one place a row is admitted: before its route is chosen,
-    each row's chords are tested once (1 < s_2 < ... < s_m <= floor((n - 1)
-    / 2)), and a row that fails is handed to build_circulant and then
-    expand, so that it raises on every route alike: build_circulant's
-    FamilyParameterError, or for a row with no chord expand's ValueError.
-    rows is any iterable, drawn once and lazily, one run at a time."""
-    for n, run in itertools.groupby(rows, operator.itemgetter(0)):
-        run = [chords for _, chords in run]
-        # the chord count of the run's rows that take the lattice (0: none)
-        lattice = 1 if n >= DOUBLE_LOOP_LEVELS_BELOW else 0
-        levels = level_set_summaries(
-            n, [c for c in run if len(c) != lattice] if lattice else run)
-        top = max_generator(n)
-        for chords in run:
-            if not (chords and 1 < chords[0] and chords[-1] <= top
-                    and all(map(operator.lt, chords, chords[1:]))):
-                expand(build_circulant(n, (1, *chords)))  # raises, with its own message
-            if len(chords) == lattice:
-                route, facts = "lattice", lattice_summary(build_circulant(n, (1, *chords)))
-            else:
-                route, facts = "level sets", next(levels)
-            if facts is None:
-                kernel = instance_distances(build_circulant(n, (1, *chords)))
-                route, facts = "list kernel", kernel.summary()
-            gap1 = facts.ecc_u0 == facts.ecc_v0 == facts.d_circ + 1  # as both are >= D + 1
-            path = diametral_path(facts.d_circ) if gap1 else None
-            yield n, chords, route, facts, path
+    the row's chords are tested (1 < s_2 < ... < s_m <= floor((n - 1) / 2)),
+    and a row that fails is handed to build_circulant and then expand, so
+    that it raises on every route alike: build_circulant's
+    FamilyParameterError, or for a row with no chord expand's ValueError."""
+    if not (chords and 1 < chords[0] and chords[-1] <= max_generator(n)
+            and all(map(operator.lt, chords, chords[1:]))):
+        expand(build_circulant(n, (1, *chords)))  # raises, with its own message
+    if len(chords) == 1 and n >= DOUBLE_LOOP_LEVELS_BELOW:
+        route, facts = "lattice", lattice_summary(build_circulant(n, (1, *chords)))
+    else:
+        route, facts = "level sets", _level_sets(n, chords)
+    if facts is None:
+        kernel = instance_distances(build_circulant(n, (1, *chords)))
+        route, facts = "list kernel", kernel.summary()
+    gap1 = facts.ecc_u0 == facts.ecc_v0 == facts.d_circ + 1  # as both are >= D + 1
+    return route, facts, diametral_path(facts.d_circ) if gap1 else None
 
 
 def __getattr__(name):

@@ -343,7 +343,7 @@ def check_row(gc: CirculantGraph, route: str, facts, path) -> SandwichResult:
     """A paranoid row's checks, from one _source_vectors pass over every
     source: the vectors of the list kernel, run here, its summary and the
     row's gap-1 witness (path) against source 0 (_cross_check), then the
-    route's summary (facts, from metrics.run_facts) against the list
+    route's summary (facts, from metrics.row_facts) against the list
     kernel's, then the sandwich and both diameter shortcuts over the whole
     pass (_sandwich).  A mismatch raises TheoremViolation."""
     gp = Adjacency(expand(gc))  # one table for the pass and the FIFO search

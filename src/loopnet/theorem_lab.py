@@ -11,29 +11,29 @@ Four statements get machine-checked on concrete (n, chords) instances:
     characterization's conditions, which is the form the argument uses).
 
 Every report row comes from one loop, _verify_rows, over (n, chords)
-rows.  It is one pass over the metrics.run_facts row stream, which groups
-consecutive rows on one ring into runs and gives each row's verdicts and a
-gap-1 row's diametral path, choosing its route (lattice, level sets or
-list kernel; see there).  That path is always the ring run u_0 ...
-u_{D+1}, proved so in metrics, and it comes as one range of ids, which
-_verify_row, the one record builder, keeps whole (PathLabels), so neither
-the row nor its pickle grows with the path's length.  Every route reads
-the GGPG side off the circulant by the spoke identity, so a row's bytes
-never depend on the route, and the thm41 and thm42 columns follow from that identity, not
-from an independent search.  What checks them independently is the
+rows.  It hands each row, on its own, to metrics.row_facts, which gives the
+row's verdicts and a gap-1 row's diametral path, choosing its route
+(lattice, level sets or list kernel; see there): no row's facts depend on
+another row.  That path is always the ring run u_0 ... u_{D+1}, proved so
+in metrics, and it comes as one range of ids, which _verify_row, the one
+record builder, keeps whole (PathLabels), so neither the row nor its
+pickle grows with the path's length.  Every route reads the GGPG side off
+the circulant by the spoke identity, so a row's bytes never depend on the
+route, and the thm41 and thm42 columns follow from that identity, not from
+an independent search.  What checks them independently is the
 oracle module, which tests and paranoid rows alone import: check_thm41 to
 check_thm44 recompute their statement from list BFS, and under --paranoid
 the loop hands each row's facts and path to oracle.check_row (its own
 list kernel and 3n list-BFS searches, one source held at a time: O(n)
 memory, quadratic time).
 
-Every row is checked, on every route, in one place: metrics.run_facts
+Every row is checked, on every route, in one place: metrics.row_facts
 tests each row's chords before it picks the route and hands an
 inadmissible row to build_circulant and then expand, so it raises
 FamilyParameterError (or, with no chord at all, expand's ValueError)
 whatever its route.  verify_instance, the public entry and the loop's
 one-row case, also checks its input with build_circulant; the CLI hands
-a --gens row to the row loop unchecked, so run_facts refuses it there,
+a --gens row to the row loop unchecked, so row_facts refuses it there,
 and the planner's rows (_plan) are admissible by construction.
 
 Failures are tiered.  The first two are proved facts, so a violation means
@@ -58,7 +58,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .graph_core import build_circulant, max_generator
-from .metrics import run_facts
+from .metrics import row_facts
 
 
 class TheoremViolation(RuntimeError):
@@ -145,8 +145,8 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
     row.  Never raises on findings; see enforce_proven for the abort tier.
 
     The one-row case of _verify_rows, after build_circulant's checks of its
-    input (metrics.run_facts then refuses a row with no chord): the
-    verdicts come from the summary of the row's route (metrics.run_facts),
+    input (metrics.row_facts then refuses a row with no chord): the
+    verdicts come from the summary of the row's route (metrics.row_facts),
     which reads the GGPG diameter off the circulant by the spoke identity,
     so 4.1 and 4.2 hold on this path by that identity, not by an
     independent search.  Paranoid also runs oracle.check_row: its own list
@@ -159,23 +159,23 @@ def verify_instance(n: int, chords, *, paranoid: bool = False) -> VerificationRe
 
 def _verify_rows(rows, paranoid: bool) -> list:
     """The one row loop: the report rows of C_n(1, *chords) for each (n,
-    chords) of rows, admissible or not, built by _verify_row from one pass
-    over the metrics.run_facts row stream, which draws rows once and groups
-    them by ring.  Under paranoid, oracle.check_row first checks each row's
-    facts and path (raising TheoremViolation on a mismatch) and gives its
-    sandwich verdict."""
+    chords) of rows, admissible or not, in input order, each built by
+    _verify_row from that row's metrics.row_facts alone.  rows is any
+    iterable, drawn once and lazily.  Under paranoid, oracle.check_row first
+    checks each row's facts and path (raising TheoremViolation on a
+    mismatch) and gives its sandwich verdict."""
     if paranoid:
         from .oracle import check_row  # compiled only by a paranoid row
     return [_verify_row(n, (1, *c), facts, path, check_row(
                 build_circulant(n, (1, *c)), route, facts, path) if paranoid else None)
-            for n, c, route, facts, path in run_facts(rows)]
+            for n, c in rows for route, facts, path in [row_facts(n, c)]]
 
 
 def _verify_row(n: int, gens: tuple, facts, path,
                 sandwich: tuple | None = None) -> VerificationReport:
     """The one record builder: the report row of C_n(gens), gens = (1,
     *chords), from its route's summary (facts) and gap-1 witness (path,
-    else None), as metrics.run_facts gives them, and sandwich, the (ok, witness)
+    else None), as metrics.row_facts gives them, and sandwich, the (ok, witness)
     of oracle.check_row on a paranoid row; on any other row 4.1 holds by
     the spoke identity."""
     d_circ, ecc_u0, ecc_v0, vdc, cond_outer, cond_inner, near = facts
@@ -351,10 +351,9 @@ def _blocks(instances, workers: int = 1):
 
 def _verify_block(instances: list, paranoid: bool, fmt: str) -> tuple:
     """One block, in a worker or in-process: verify its rows in one
-    _verify_rows pass, paranoid or not (its row stream gives each run of
-    consecutive rows on one ring one level loop), then apply enforce_proven
-    (raising on the first violation) and render them in fmt.  Returns the text, the gap
-    counts and the rows with an anomaly.  An inadmissible (n, chords) row
+    _verify_rows pass, paranoid or not, then apply enforce_proven (raising
+    on the first violation) and render them in fmt.  Returns the text, the
+    gap counts and the rows with an anomaly.  An inadmissible (n, chords) row
     raises FamilyParameterError on any route."""
     rows = list(map(enforce_proven, _verify_rows(instances, paranoid)))
     return (_render_rows(rows, fmt), collections.Counter(map(_gap, rows)),

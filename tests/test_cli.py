@@ -380,9 +380,9 @@ def test_proved_violation_exits_3_before_writing(argv, tmp_path, monkeypatch,
 
 
 def wrong_route(monkeypatch):
-    real = metrics.level_set_summaries
-    monkeypatch.setattr(metrics, "level_set_summaries", lambda n, chord_sets: (
-        facts._replace(v_dc=(1,)) for facts in real(n, chord_sets)))
+    real = metrics._level_sets
+    monkeypatch.setattr(metrics, "_level_sets",
+                        lambda n, chords: real(n, chords)._replace(v_dc=(1,)))
 
 
 def wrong_kernel(monkeypatch):
@@ -564,14 +564,14 @@ def test_a_ring_too_large_for_memory_exits_2_with_no_file(jobs, tmp_path, monkey
                                                           capsys, cores):
     # a route that runs out of memory on the last ring length, in this
     # process or in a worker, which pickles the error back
-    real = metrics.level_set_summaries
+    real = metrics._level_sets
 
-    def starved(n, chord_sets):
+    def starved(n, chords):
         if n == 40:
             raise MemoryError
-        return real(n, chord_sets)
+        return real(n, chords)
 
-    monkeypatch.setattr(metrics, "level_set_summaries", starved)
+    monkeypatch.setattr(metrics, "_level_sets", starved)
     cores(2)
     for out in (["--out", str(tmp_path / "report.csv")], []):
         assert cli.main(["verify", "--n", "5..40", "--m", "2,3", "--jobs", jobs, *out]) == 2
@@ -659,7 +659,7 @@ BAD_GENS = {("9", "1,5"): "generators must be <= floor((n-1)/2) = 4 for n = 9, g
 @pytest.mark.parametrize("n,gens", BAD_GENS)
 def test_a_bad_gens_row_exits_2_before_any_file(n, gens, jobs, tmp_path, monkeypatch,
                                                 capsys):
-    # the row is checked where it runs (metrics.run_facts), so it never
+    # the row is checked where it runs (metrics.row_facts), so it never
     # reaches the record builder, whatever the jobs
     argv = ["verify", "--n", n, "--gens", gens, "--jobs", jobs,
             "--out", str(tmp_path / "report.csv")]

@@ -148,7 +148,7 @@ def test_every_gap1_fifo_path_is_the_ring_run():
         h = expand(g)
         want = fifo_path(h, h.outer(0), bfs(h, h.outer(0)).index(d + 1))
         assert want == list(range(d + 2)), (n, chords)
-        assert list(next(metrics.run_facts([(n, chords)]))[4]) == want, (n, chords)
+        assert list(metrics.row_facts(n, chords)[2]) == want, (n, chords)
         checked += 1
     assert checked == 394
 
@@ -196,7 +196,7 @@ def test_the_m3_gap1_family_on_level_sets(series, js):
         g = build_circulant(n, (1,) + chords)
         r = verify_instance(n, chords)
         assert (r.gap, r.d_circ) == (gap, d), (series, j)
-        _, _, route, facts, path = next(metrics.run_facts([(n, chords)]))
+        route, facts, path = metrics.row_facts(n, chords)
         assert route == "level sets" and facts == instance_distances(g).summary(), (series, j)
         if gap == 2:
             assert path is None, (series, j)
@@ -211,7 +211,7 @@ def test_the_m3_gap1_family_on_level_sets(series, js):
 def old_labels(n, chords):
     """The conj45 witness as rows listed it before they kept its range of
     ids: one label per vertex of the path."""
-    *_, path = next(metrics.run_facts([(n, tuple(chords))]))
+    *_, path = metrics.row_facts(n, tuple(chords))
     return [f"u{v}" if v < n else f"v{v - n}" for v in path]
 
 
@@ -355,7 +355,7 @@ def test_paranoid_checks_the_witness_walk_against_a_fifo_search(monkeypatch):
 @pytest.mark.parametrize("n,chords", [(12, (5,)), (40, (19,)), (63, (15, 17))])
 def test_paranoid_fails_a_walk_with_a_ring_run_one_vertex_short(monkeypatch, n, chords):
     g = build_circulant(n, (1,) + chords)
-    path = next(metrics.run_facts([(n, chords)]))[4]
+    path = metrics.row_facts(n, chords)[2]
     assert path == range(len(path))
     short = path[:-1]
     monkeypatch.setattr(metrics, "diametral_path", lambda *args: short)

@@ -161,7 +161,7 @@ def loop_entries(monkeypatch, log):
     installed in metrics' globals, hands the level loop (and no other
     caller) levels that log the loop's n when the first one is drawn, so
     a read of a row's chords elsewhere is no entry."""
-    loop = metrics.level_set_summaries.__code__
+    loop = metrics._level_sets.__code__
 
     class Levels:
         def __init__(self, n, *args):
@@ -181,12 +181,12 @@ def loop_entries(monkeypatch, log):
 def test_paranoid_catches_a_circulant_that_loses_its_chords(monkeypatch):
     g = build_circulant(20, (1, 4, 8))
     want = verify_instance(20, (4, 8))
-    real = metrics.level_set_summaries
+    real = metrics._level_sets
 
-    def ring_only(n, chord_sets):  # the chord ring, and so the circulant, loses (4, 8)
-        return real(n, [LostChords(c) if c == (4, 8) else c for c in chord_sets])
+    def ring_only(n, chords):  # the chord ring, and so the circulant, loses (4, 8)
+        return real(n, LostChords(chords) if chords == (4, 8) else chords)
 
-    monkeypatch.setattr(metrics, "level_set_summaries", ring_only)
+    monkeypatch.setattr(metrics, "_level_sets", ring_only)
     broken = level_set_summary(g)
     assert broken.d_circ == 10 != want.d_circ
     assert verify_instance(20, (4, 8)) != want  # trusted when not paranoid
@@ -346,7 +346,7 @@ def test_paranoid_runs_each_all_source_bfs_once(monkeypatch):
 def list_route_row(monkeypatch, n, chords):
     """The row as the list kernel alone gives it."""
     with monkeypatch.context() as m:
-        m.setattr(metrics, "level_set_summaries", lambda n, sets: (None for _ in sets))
+        m.setattr(metrics, "_level_sets", lambda n, chords: None)
         m.setattr(metrics, "lattice_summary", lambda g: None)
         return verify_instance(n, chords)
 
@@ -423,18 +423,17 @@ def test_n_1e5_rows_agree_with_list_bfs(chords):
 
 
 def test_the_loop_runs_past_the_cap_at_n_1e5(monkeypatch):
-    # two double loops (which run_facts sends to the lattice) as probes of
+    # two double loops (which row_facts sends to the lattice) as probes of
     # the loop itself at n = 10^5: past LEVEL_CAP levels it gives up, within
     # the ring bound (C(1, 299), D = 250) or at once (C(1, 99), D = 550),
-    # and with the cap raised it runs both, in one run, to the list
-    # kernel's summaries
+    # and with the cap raised it runs both to the list kernel's summaries
     n, rows = N_1E5, [(299,), (99,)]
     listed = [instance_distances(build_circulant(n, (1, *c))).summary() for c in rows]
     assert [facts.d_circ for facts in listed] == [250, 550]
     assert [-(-(n // 2) // c[-1]) <= LEVEL_CAP for c in rows] == [True, False]
-    assert list(metrics.level_set_summaries(n, rows)) == [None, None]
+    assert [metrics._level_sets(n, c) for c in rows] == [None, None]
     monkeypatch.setattr(metrics, "LEVEL_CAP", 10 ** 6)
-    assert list(metrics.level_set_summaries(n, rows)) == listed
+    assert [metrics._level_sets(n, c) for c in rows] == listed
     assert [level_set_summary(build_circulant(n, (1, *c))) for c in rows] == listed
 
 
@@ -471,7 +470,7 @@ def test_relabelling_by_a_unit_keeps_the_circulant_half_at_n_1e6():
     (6 * LEVEL_CAP + 2, (2, 3), True, "list kernel", False),
 ])
 def test_row_facts_picks_the_route(monkeypatch, n, chords, paranoid, route, probed):
-    # a row's facts come from metrics.run_facts, whose level loop walks a
+    # a row's facts come from metrics.row_facts, whose level loop walks a
     # row's first level once: the list kernel runs its two searches, and no
     # other route any (a gap-1 row's witness reads no distance).  A
     # paranoid row runs those and exactly one list kernel of its own,
@@ -485,7 +484,7 @@ def test_row_facts_picks_the_route(monkeypatch, n, chords, paranoid, route, prob
     monkeypatch.setattr(metrics, "_level_bfs", lambda *a: searches.append(a) or real_bfs(*a))
     monkeypatch.setattr(oracle, "instance_distances",
                         lambda g: kernels.append(g) or real_kernel(g))
-    _, _, got, facts, path = next(metrics.run_facts([(n, chords)]))
+    got, facts, path = metrics.row_facts(n, chords)
     assert got == route and bool(probes) == probed
     assert (path is not None) == (facts.d_ggpg - facts.d_circ == 1)
     own = 2 if route == "list kernel" else 0
@@ -500,12 +499,12 @@ def test_row_facts_picks_the_route(monkeypatch, n, chords, paranoid, route, prob
 
 
 def test_paranoid_compares_the_two_summaries(monkeypatch):
-    real = metrics.level_set_summaries
+    real = metrics._level_sets
 
-    def doctored(n, chord_sets):
-        return (facts._replace(v_dc=(1,)) for facts in real(n, chord_sets))
+    def doctored(n, chords):
+        return real(n, chords)._replace(v_dc=(1,))
 
-    monkeypatch.setattr(metrics, "level_set_summaries", doctored)
+    monkeypatch.setattr(metrics, "_level_sets", doctored)
     assert verify_instance(20, (4, 8)).v_dc == (1,)  # trusted when not paranoid
     with pytest.raises(RuntimeError, match="route mismatch on C20"):
         verify_instance(20, (4, 8), paranoid=True)

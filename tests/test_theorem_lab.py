@@ -283,11 +283,14 @@ def test_planned_rows_are_admissible(n_lo, span, m_set, cap, size, seed):
     # no chord: expand's refusal, on the lattice's ring length and below it
     (200, (), "expansion needs at least one chord >= 2, got C200(1)"),
     (60, (), "expansion needs at least one chord >= 2, got C60(1)"),
+    # a chord of 1 repeats the ring step (on level sets, which build no graph)
+    (20, (1,), "strictly increasing"),
+    (60, (1, 5), "strictly increasing"),
 ])
 def test_an_inadmissible_row_raises_on_every_route(n, chords, match):
-    # FamilyParameterError is a ValueError: run_facts admits every row
+    # FamilyParameterError is a ValueError: row_facts admits every row
     with pytest.raises(ValueError, match=re.escape(match)):
-        next(metrics.run_facts([(n, chords)]))
+        metrics.row_facts(n, chords)
 
 
 def test_sandwich_vector_check_agrees_with_ordered_loop():
@@ -348,35 +351,33 @@ def test_the_planner_reads_ring_lengths_once_lazily():
 
 
 @pytest.mark.parametrize("n, d_circ", [
-    (20, [5, 4, 4, 4]),  # below DOUBLE_LOOP_LEVELS_BELOW: one level loop for the run
-    (200, [34, 22]),     # above it: the lattice, after a filter pass over the run
+    (20, [5, 4, 4, 4]),  # below DOUBLE_LOOP_LEVELS_BELOW: level sets
+    (200, [34, 22]),     # above it: the lattice
 ])
 def test_a_run_passed_as_an_iterator_keeps_every_row(n, d_circ):
-    # run_facts lists the run it cuts from its row stream, then reads it twice
+    # the row loop and the block runner each draw a one-shot iterator once
     assert 20 < metrics.DOUBLE_LOOP_LEVELS_BELOW <= 200
     rows = [(n, c) for c in ([(2,), (3,), (4,), (5,)] if n == 20 else [(3,), (5,)])]
-    want = list(metrics.run_facts(rows))
-    assert [facts.d_circ for *_, facts, _ in want] == d_circ
-    assert list(metrics.run_facts(iter(rows))) == want
+    assert [metrics.row_facts(n, c)[1].d_circ for n, c in rows] == d_circ
     reports = theorem_lab._verify_rows(rows, False)
     assert [r.d_circ for r in reports] == d_circ
     assert theorem_lab._verify_rows(iter(rows), False) == reports
+    assert [text for text, _, _ in run_instances(iter(rows))] == \
+        [theorem_lab._render_rows(reports, "csv")]
 
 
 @pytest.mark.parametrize("paranoid", [False, True])
 def test_rows_that_cross_rings_equal_their_rows_one_at_a_time(paranoid):
     # a generator over three rings, ring 20 coming back after ring 200 (the
-    # lattice and level sets) and ring 7: each run gets its own level loop
+    # lattice and level sets) and ring 7, through the one row loop
     assert 20 < metrics.DOUBLE_LOOP_LEVELS_BELOW <= 200
     rows = [(20, (3,)), (20, (2, 5)), (200, (5,)), (200, (2, 3)), (20, (4,)),
             (7, (2,)), (20, (5,))]
-    facts = list(metrics.run_facts(row for row in rows))
-    assert [(n, c) for n, c, *_ in facts] == rows
-    assert [route for _, _, route, _, _ in facts] == \
+    assert [metrics.row_facts(n, c)[0] for n, c in rows] == \
         ["level sets"] * 2 + ["lattice"] + ["level sets"] * 4
-    assert facts == [next(metrics.run_facts([row])) for row in rows]
-    assert theorem_lab._verify_rows((row for row in rows), paranoid) == \
-        [verify_instance(n, c, paranoid=paranoid) for n, c in rows]
+    reports = theorem_lab._verify_rows((row for row in rows), paranoid)
+    assert [(r.n, r.gens[1:]) for r in reports] == rows
+    assert reports == [verify_instance(n, c, paranoid=paranoid) for n, c in rows]
 
 
 def test_run_instances_parallel_order_matches_serial(monkeypatch):
@@ -397,7 +398,7 @@ def test_run_instances_parallel_order_matches_serial(monkeypatch):
     assert all(r[9] == r[10] == "true" for r in rows)  # thm41, thm42
 
 
-# rows whose blocks run metrics.run_facts over same-n runs that mix routes
+# blocks whose rows on one ring mix routes
 BLOCK_RUNS = {
     "shipped grid": plan_sweep(range(5, 61), [2, 3]),
     # the three-chord loop, as the sampled-m4 benchmark draws it
@@ -433,7 +434,7 @@ PARANOID_RUN = [(128, (3,)), (128, (63,)), (128, (2, 3)), (128, (2, 6)),
 def test_a_block_equals_its_rows_one_at_a_time(monkeypatch, rows, paranoid, fmt):
     if paranoid:
         monkeypatch.setattr(metrics, "LEVEL_CAP", PARANOID_CAP)
-        assert {next(metrics.run_facts([(n, c)]))[2] for n, c in rows} == \
+        assert {metrics.row_facts(n, c)[0] for n, c in rows} == \
             {"lattice", "level sets", "list kernel"}
     want = [verify_instance(n, c, paranoid=paranoid) for n, c in rows]
     got = [theorem_lab._verify_block(b, paranoid, fmt) for b in theorem_lab._blocks(rows)]
@@ -446,24 +447,30 @@ def test_a_block_equals_its_rows_one_at_a_time(monkeypatch, rows, paranoid, fmt)
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_paranoid_fails_a_fault_in_the_second_row_of_a_run(jobs, tmp_path, monkeypatch,
                                                           capsys, cores):
-    # the level loop doctored on the second row of each run it walks: a row
-    # checked as a one-row run never shows the fault, so --paranoid has to
-    # check the facts of the block loop that every plain row runs
-    real = metrics.level_set_summaries
+    # level sets doctored on the second row of each row loop pass: a row
+    # checked on its own never shows the fault, so --paranoid has to check
+    # the facts of each row of the block that every plain row runs
+    real_sets, real_rows, seen = metrics._level_sets, theorem_lab._verify_rows, []
 
-    def doctored(n, chord_sets):
-        for k, facts in enumerate(real(n, chord_sets)):
-            yield facts._replace(v_dc=(1,)) if k == 1 else facts
+    def doctored(n, chords):
+        seen.append(chords)
+        facts = real_sets(n, chords)
+        return facts._replace(v_dc=(1,)) if len(seen) == 2 else facts
+
+    def counted(rows, paranoid):
+        seen.clear()
+        return real_rows(rows, paranoid)
 
     run = [(20, (2, 3)), (20, (2, 5)), (20, (3, 4))]
     want = [verify_instance(n, c) for n, c in run]
-    monkeypatch.setattr(metrics, "level_set_summaries", doctored)
+    monkeypatch.setattr(metrics, "_level_sets", doctored)
+    monkeypatch.setattr(theorem_lab, "_verify_rows", counted)
     assert [verify_instance(n, c, paranoid=True) for n, c in run] == want
     text, _, _ = theorem_lab._verify_block(run, False, "csv")  # plain rows take the fault
     assert text != theorem_lab._render_rows(want, "csv")
     with pytest.raises(TheoremViolation, match=r"^route mismatch on C20\(1,2,5\): level sets "):
         theorem_lab._verify_block(run, True, "csv")
-    # the CLI plans the 28 rows of n = 20, m = 3 as one run, or at --jobs 2
+    # the CLI plans the 28 rows of n = 20, m = 3 as one block, or at --jobs 2
     # as two of 14, and names the second row of the first, C20(1, 2, 4)
     cores(2)
     for out in (["--out", str(tmp_path / "report.csv")], []):
