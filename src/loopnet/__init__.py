@@ -25,10 +25,7 @@ _HOMES = {
         "PathRep", "Realization", "Walk", "endpoint", "realize", "reduce_walk",
         "render_rep", "shortest_rep", "shortest_rep_table",
     ),
-    "metrics": (
-        "INF", "InstanceSummary", "instance_distances", "lattice_summary",
-        "level_set_summary",
-    ),
+    "metrics": ("INF", "InstanceSummary", "instance_distances", "row_facts"),
     "oracle": (
         "bfs", "check_thm41", "check_thm42", "check_thm43", "check_thm44",
         "diameter_circulant", "diameter_ggpg", "eccentricity", "extremal_vertices",

@@ -27,10 +27,13 @@ a truth value), into an InstanceSummary.
 
 Four routes compute the same facts; the first three apply the identity.
 row_facts takes one (n, chords) row, admits it, picks its route among them
-and returns its facts.  No row's facts depend on another row, so each row
-is routed on its own, and nothing is carried from one row to the next.
+and returns its facts: it is the one public row entry of this module, and
+each of the three routes is a private function of the admitted row, given
+as (n, chords) and checking nothing, so no route builds a graph.  No row's
+facts depend on another row, so each row is routed on its own, and nothing
+is carried from one row to the next.
 
-  * The lattice route, lattice_summary, serves double loops C_n(1, s), the
+  * The lattice route, _lattice(n, s), serves double loops C_n(1, s), the
     m = 2 rows, on rings of DOUBLE_LOOP_LEVELS_BELOW vertices and more
     (shorter rings take level sets, which cost less there), with no BFS
     (the plane-tessellation view of Yebra, Fiol, Morillo and Alegre, and
@@ -86,8 +89,7 @@ is routed on its own, and nothing is carried from one row to the next.
     conditions and the V_Dc vertices at chord-only distance D + 1), or None
     for a row whose circulant has more than LEVEL_CAP levels: its cost
     grows with the level count, the list kernel's with n.
-    level_set_summary is its entry for a built graph.
-  * The list route, instance_distances: one level-synchronous BFS kernel
+  * The list route, _list_kernel: one level-synchronous BFS kernel
     that walks vertex ids by offset arithmetic, with no neighbors() call
     and no per-vertex table: every vertex reads one sorted list of the
     offsets s and n - s, and a step wraps past n - 1 with one compare.  It
@@ -95,7 +97,9 @@ is routed on its own, and nothing is carried from one row to the next.
     identity gives both GGPG vectors (oracle.ggpg_vectors).  Its summary()
     reads the same points off the vectors for _summarize.  It serves the
     m >= 3 rows over the cap, and is the reference both faster routes are
-    checked against under --paranoid, where oracle.check_row runs its own.
+    checked against under --paranoid, where oracle.check_row runs its own
+    through instance_distances, the kernel's entry for a built graph, which
+    checks the graph's first generator.
   * The oracle route: list BFS over a graph's neighbors() (oracle.bfs),
     the restricted distances and the statement checks, all in the oracle
     module, which no non-paranoid row imports.  It never uses the
@@ -250,13 +254,18 @@ class InstanceDistances(namedtuple("InstanceDistances", "circ chord_only")):
                           [i for i in vdc if chord[i] > d + 1])
 
 
-def instance_distances(g: CirculantGraph) -> InstanceDistances:
-    """One pass of the level kernel over C_n(1, chords) and its chord-only
+def _list_kernel(n: int, chords: tuple) -> InstanceDistances:
+    """One pass of the level kernel over C_n(1, *chords) and its chord-only
     ring, both from 0."""
+    return InstanceDistances(circ=_level_bfs(n, (1, *chords), 0),
+                             chord_only=_level_bfs(n, chords, 0))
+
+
+def instance_distances(g: CirculantGraph) -> InstanceDistances:
+    """The list kernel's vectors (_list_kernel) for a built C_n(1, chords)."""
     if g.gens[0] != 1:
         raise ValueError(f"instance distances need generator 1 in S, got {g.label()}")
-    return InstanceDistances(circ=_level_bfs(g.n, g.gens, 0),
-                             chord_only=_level_bfs(g.n, g.gens[1:], 0))
+    return _list_kernel(g.n, g.gens[1:])
 
 
 # --- the level-set route ---
@@ -413,13 +422,6 @@ def _level_sets(n: int, chords: tuple) -> InstanceSummary | None:
                       chu & circ)
 
 
-def level_set_summary(g: CirculantGraph) -> InstanceSummary | None:
-    """The level-set answer (_level_sets) for the row C_n(1, chords)."""
-    if g.gens[0] != 1 or len(g.gens) < 2:
-        raise ValueError(f"level sets need generator 1 and a chord in S, got {g.label()}")
-    return _level_sets(g.n, g.gens[1:])
-
-
 # --- the lattice route ---
 
 def _relax(m: int, keys: list, k: int) -> tuple[list, list, list]:
@@ -495,20 +497,19 @@ def _short_vector(n: int, s: int) -> tuple[int, int]:
     return min(((abs(a), abs(b)) for a, b in pairs), key=max)  # a tie keeps the first
 
 
-def lattice_summary(g: CirculantGraph) -> InstanceSummary:
+def _lattice(n: int, s: int) -> InstanceSummary:
     """The InstanceSummary of the double loop C_n(1, s) by integer
     arithmetic on its lattice, with no BFS: O(sqrt(n) log n) operations to
     reduce the basis and relax the envelopes, then D as the largest
     envelope peak, V_Dc as every point reaching it, and their chord classes.
+    The row must be admissible (1 < s <= floor((n - 1) / 2)), as row_facts
+    admits it.
 
     A short vector (alpha, beta) of L bounds one coefficient of some
     shortest representation of every x, b or a, so d_c(0, x) is the lower
     envelope of O(sqrt(n)) tents (see the module docstring).  Which one it
     bounds sets the envelopes' parameters alone.
     """
-    if len(g.gens) != 2 or g.gens[0] != 1:
-        raise ValueError(f"the lattice route needs C_n(1, s), got {g.label()}")
-    n, s = g.n, g.gens[1]
     alpha, beta = _short_vector(n, s)
     div = math.gcd(n, s)
     inv = pow(s // div, -1, n // div)
@@ -560,17 +561,17 @@ def row_facts(n: int, chords: tuple) -> tuple:
     the row's chords are tested (1 < s_2 < ... < s_m <= floor((n - 1) / 2)),
     and a row that fails is handed to build_circulant and then expand, so
     that it raises on every route alike: build_circulant's
-    FamilyParameterError, or for a row with no chord expand's ValueError."""
+    FamilyParameterError, or for a row with no chord expand's ValueError.
+    That is the only graph it builds: the routes take the admitted row."""
     if not (chords and 1 < chords[0] and chords[-1] <= max_generator(n)
             and all(map(operator.lt, chords, chords[1:]))):
         expand(build_circulant(n, (1, *chords)))  # raises, with its own message
     if len(chords) == 1 and n >= DOUBLE_LOOP_LEVELS_BELOW:
-        route, facts = "lattice", lattice_summary(build_circulant(n, (1, *chords)))
+        route, facts = "lattice", _lattice(n, chords[0])
     else:
         route, facts = "level sets", _level_sets(n, chords)
     if facts is None:
-        kernel = instance_distances(build_circulant(n, (1, *chords)))
-        route, facts = "list kernel", kernel.summary()
+        route, facts = "list kernel", _list_kernel(n, chords).summary()
     gap1 = facts.ecc_u0 == facts.ecc_v0 == facts.d_circ + 1  # as both are >= D + 1
     return route, facts, diametral_path(facts.d_circ) if gap1 else None
 

@@ -94,7 +94,12 @@ def ggpg_vectors(dist) -> tuple[list, list]:
 class Adjacency:
     """A graph whose neighbors() lists are built once and read from a table
     (Adjacency(t) of a table t is t): bfs and fifo_path take it for the graph,
-    so searches from many sources share one O(n) table of neighbors()."""
+    so searches from many sources share one O(n) table of neighbors().
+
+    The table is one list of num_vertices slots, allocated before the first
+    neighbors() call, so a graph past this machine's reach fails at once:
+    past the index size with OverflowError, past what the allocator grants
+    with MemoryError, and never by growing the table a vertex at a time."""
 
     __slots__ = ("graph", "neighbors")
 
@@ -102,7 +107,10 @@ class Adjacency:
         if isinstance(g, cls):
             return g
         self = super().__new__(cls)
-        self.graph, self.neighbors = g, [g.neighbors(v) for v in g.vertices()].__getitem__
+        table = [None] * g.num_vertices
+        for v in g.vertices():
+            table[v] = g.neighbors(v)
+        self.graph, self.neighbors = g, table.__getitem__
         return self
 
     def __getattr__(self, name):

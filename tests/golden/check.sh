@@ -18,6 +18,11 @@
 #   sampled-1e6-m23   the same for m = 2, 3 at n = 1 000 000
 #   series-a-99856    the m = 3 gap-1 series (a) at j = 158, D = 159, on
 #                     level sets
+#   series-b-98908    series (b) at j = 158: C(1, 316, 49453), D = 158, a
+#                     gap-1 row on level sets
+#   series-c-98596    series (c) at j = 157: C(1, 48983, 49297), the image
+#                     of series (a)'s row under x -> 49297 x, D = 158, a
+#                     gap-1 row on level sets
 #   list-1e6-d261     C(1, 204540, 260099) at n = 10^6, D = 261: the list
 #                     kernel, over LEVEL_CAP
 #   list-1e6-d501     C(1, 1001, 499999) at n = 10^6, D = 501: the list
@@ -65,6 +70,8 @@ done <<'RUNS'
 sampled-1e5-m234 csv 0 --n 100000 --m 2,3,4 --sample-cap 1000 --sample-size 10 --seed 1 --theorems 4.1,4.2,4.3,4.4,4.5
 sampled-1e6-m23 csv 0 --n 1000000 --m 2,3 --sample-cap 1000 --sample-size 10 --seed 1 --theorems 4.1,4.2,4.3,4.4,4.5
 series-a-99856 json 4 --n 99856 --gens 1,317,49927 --theorems 4.5 --format json
+series-b-98908 csv 4 --n 98908 --gens 1,316,49453 --theorems 4.5
+series-c-98596 csv 4 --n 98596 --gens 1,48983,49297 --theorems 4.5
 list-1e6-d261 csv 0 --n 1000000 --gens 1,204540,260099
 list-1e6-d501 csv 4 --n 1000000 --gens 1,1001,499999 --theorems 4.5
 witness-4e6 json 4 --n 4000000 --gens 1,1999999 --theorems 4.5 --format json

@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import re
+import resource
 import signal
 import stat
 import subprocess
@@ -626,10 +627,13 @@ def test_a_range_past_the_index_size_keeps_its_text():
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "--n", HUGE, "--gens", "1,2,3"),             # the level loop's 1 << n
+    # the ring bound skips the level loop: the list kernel's [INF] * n
+    ("verify", "--n", HUGE, "--gens", "1,2,3"),
+    # long chords enter the level loop: its 1 << n
+    ("verify", "--n", HUGE, "--gens", "1,30000000000000000000,40000000000000000000"),
     ("diameter", "--n", HUGE, "--gens", "1,2"),             # list BFS's [INF] * n
     ("verify", "--n", HUGE, "--m", "2", "--sample-size", "2"),  # unranking bisects a range
-], ids=["level-loop", "list-bfs", "sampled-cell"])
+], ids=["list-kernel", "level-loop", "list-bfs", "sampled-cell"])
 def test_a_ring_past_the_index_size_exits_2_with_one_line(argv, tmp_path, capsys):
     for out in (["--out", str(tmp_path / "x.out")], []):
         assert cli.main([*argv, *out]) == 2
@@ -645,6 +649,36 @@ def test_a_lattice_row_past_the_index_size_still_answers(capsys):
     captured = capsys.readouterr()
     assert captured.err == "findings: 1 (see report anomalies column)\n"
     assert captured.out.splitlines()[2].startswith(f"{HUGE},1-{10 ** 20 // 2 - 1},1,")
+
+
+OUT_OF_MEMORY = "error: out of memory: a ring is too large for this machine\n"
+
+
+@pytest.mark.parametrize("n, gens, err", [
+    (HUGE, f"1,{10 ** 20 // 2 - 1}", TOO_LARGE),   # the lattice row above
+    (str(10 ** 9), f"1,{10 ** 9 // 2 - 1}", OUT_OF_MEMORY),  # a 16 GB table
+], ids=["index-size", "out-of-memory"])
+def test_paranoid_past_the_oracle_reach_exits_2_at_once(n, gens, err):
+    # the default run answers both rows on the lattice, but --paranoid's
+    # oracle.Adjacency needs a table of 2n slots: it allocates them as one
+    # list before the first neighbors() call, so the row fails at that
+    # allocation with one line.  Before, the table grew a vertex at a time
+    # until memory ran out, so the child runs under an address-space limit
+    # of its own and a timeout
+    limit = 1 << 30
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = [sys.executable, "-m", "loopnet", "verify", "--n", n, "--gens", gens, "--paranoid"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          preexec_fn=cap) as child:
+        try:
+            out, got = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            raise
+    assert (child.returncode, got, out) == (2, err, "")
 
 
 def refuse_rows(*args, **kwargs):

@@ -24,7 +24,7 @@ from loopnet import (
 )
 from loopnet import graph_core, metrics, oracle, theorem_lab
 from loopnet.graph_core import max_generator
-from loopnet.metrics import instance_distances, level_set_summary
+from loopnet.metrics import _level_sets, _list_kernel, instance_distances
 from loopnet.theorem_lab import plan_sweep
 
 
@@ -193,15 +193,14 @@ def test_the_m3_gap1_family_on_level_sets(series, js):
     # equals a FIFO search over the GGPG's neighbors() to distance D + 1
     for j in js:
         n, chords, d, gap = m3_series_row(series, j)
-        g = build_circulant(n, (1,) + chords)
         r = verify_instance(n, chords)
         assert (r.gap, r.d_circ) == (gap, d), (series, j)
         route, facts, path = metrics.row_facts(n, chords)
-        assert route == "level sets" and facts == instance_distances(g).summary(), (series, j)
+        assert route == "level sets" and facts == _list_kernel(n, chords).summary(), (series, j)
         if gap == 2:
             assert path is None, (series, j)
             continue
-        h = expand(g)
+        h = expand(build_circulant(n, (1,) + chords))
         want = oracle.fifo_path(h, h.outer(0), oracle.bfs(h, h.outer(0)).index(d + 1))
         assert list(path) == want, (series, j)
         assert r.witnesses["conj45"]["ggpg_diametral_path"] == \
@@ -306,9 +305,8 @@ def test_only_a_gap1_row_runs_a_ggpg_search(monkeypatch, n, chords, paranoid, ga
     # n-vertex searches) runs on an m >= 3 row over the cap, and no other
     # row runs a search.  A paranoid row then runs its own list kernel, and
     # checks a gap-1 row's witness against a FIFO search over neighbors()
-    g = build_circulant(n, (1,) + chords)
     lattice = len(chords) == 1 and n >= metrics.DOUBLE_LOOP_LEVELS_BELOW
-    over = not lattice and level_set_summary(g) is None
+    over = not lattice and _level_sets(n, chords) is None
     sizes, searches = [], []
     real_bfs, real_fifo = metrics._level_bfs, oracle.fifo_path
 

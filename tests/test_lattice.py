@@ -14,16 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopnet import bfs, build_circulant, expand, inner_only_distances, verify_instance
-from loopnet import metrics, oracle
+from loopnet import metrics
 from loopnet.graph_core import max_generator
 from loopnet.metrics import (
     DOUBLE_LOOP_LEVELS_BELOW,
+    _lattice,
+    _level_sets,
+    _list_kernel,
     _peaks,
     _relax,
     _short_vector,
     instance_distances,
-    lattice_summary,
-    level_set_summary,
 )
 from test_instance_kernel import reference_witness
 
@@ -32,11 +33,10 @@ def test_lattice_summary_on_every_small_double_loop():
     rows, gap1 = 0, set()
     for n in range(5, 401):
         for s in range(2, max_generator(n) + 1):
-            g = build_circulant(n, (1, s))
-            facts = lattice_summary(g)
-            assert facts == instance_distances(g).summary(), (n, s)
+            facts = _lattice(n, s)
+            assert facts == _list_kernel(n, (s,)).summary(), (n, s)
             # D <= n / 2 <= LEVEL_CAP, so level sets give a summary on every row
-            assert level_set_summary(g) == facts, (n, s)
+            assert _level_sets(n, (s,)) == facts, (n, s)
             if facts.d_ggpg == facts.d_circ + 1:
                 path = verify_instance(n, (s,)).witnesses["conj45"]["ggpg_diametral_path"]
                 assert path == reference_witness(n, (s,)), (n, s)
@@ -51,8 +51,8 @@ def test_lattice_summary_on_random_large_double_loops():
     rng = random.Random("lattice-large")
     for _ in range(12):
         n = rng.randrange(5, 200_000)
-        g = build_circulant(n, (1, rng.randrange(2, max_generator(n) + 1)))
-        assert lattice_summary(g) == instance_distances(g).summary(), g.label()
+        s = rng.randrange(2, max_generator(n) + 1)
+        assert _lattice(n, s) == _list_kernel(n, (s,)).summary(), (n, s)
 
 
 @pytest.mark.parametrize("n", [10**5, 10**6, 10**7])
@@ -77,7 +77,7 @@ def test_lattice_summary_is_invariant_under_the_chord_swap(n):
         pair = (s, min(inv, n - inv))
         forms.add(tuple(alpha <= beta for alpha, beta in
                         (_short_vector(n, t) for t in pair)))
-        a, b = (lattice_summary(build_circulant(n, (1, t))) for t in pair)
+        a, b = (_lattice(n, t) for t in pair)
         assert (b.d_circ, b.d_ggpg - b.d_circ) == (a.d_circ, a.d_ggpg - a.d_circ)
         assert list(b.v_dc) == sorted(i * inv % n for i in a.v_dc), (n, s)
         assert list(b.near) == sorted(i * inv % n for i in a.v_dc
@@ -99,9 +99,8 @@ def test_lattice_summary_is_invariant_under_the_chord_swap(n):
     (99999, 3),        # |a| bounded, gcd 3
 ])
 def test_lattice_summary_on_named_rows(n, s):
-    g = build_circulant(n, (1, s))
-    fast = lattice_summary(g)
-    assert fast == instance_distances(g).summary()
+    fast = _lattice(n, s)
+    assert fast == _list_kernel(n, (s,)).summary()
     if n == 9:
         assert fast.v_dc == (3, 4, 5, 6)
 
@@ -112,8 +111,8 @@ def test_lattice_summary_matches_list_route_and_oracles(data):
     n = data.draw(st.integers(5, 3000), label="n")
     s = data.draw(st.integers(2, max_generator(n)), label="s")
     g = build_circulant(n, (1, s))
-    fast = lattice_summary(g)
-    assert fast == instance_distances(g).summary()
+    fast = _lattice(n, s)
+    assert fast == _list_kernel(n, (s,)).summary()
     dc0, chord = bfs(g, 0), inner_only_distances(g)
     d = max(dc0)
     assert fast.d_circ == d
@@ -140,16 +139,8 @@ def test_envelope_of_any_tents_matches_brute_force(m, tents):
     assert sorted(set(points)) == [x for x in range(m) if value[x] == top]
 
 
-@pytest.mark.parametrize("gens", [(1, 4, 8), (1,), (2, 5)])
-def test_lattice_summary_takes_only_double_loops(gens):
-    with pytest.raises(ValueError, match="lattice route needs C_n"):
-        lattice_summary(build_circulant(20, gens))
-
-
 @pytest.mark.parametrize("route, gens, message", [
     (instance_distances, (2, 5), "instance distances need generator 1"),
-    (level_set_summary, (1,), "level sets need generator 1 and a chord"),
-    (level_set_summary, (2, 5), "level sets need generator 1 and a chord"),
 ])
 def test_list_and_level_routes_refuse_rows_outside_the_family(route, gens, message):
     with pytest.raises(ValueError, match=message):
@@ -163,7 +154,7 @@ def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
     short = [(12, (5,)), (9, (2,)), (7, (3,)), (DOUBLE_LOOP_LEVELS_BELOW - 1, (63,)),
              (20, (4, 8))]
     want = [verify_instance(n, c) for n, c in long + short]
-    calls = {"lattice_summary": 0, "_level_sets": 0, "instance_distances": 0}
+    calls = {"_lattice": 0, "_level_sets": 0, "_list_kernel": 0}
 
     def counted(name):  # the rows each function is handed
         real = getattr(metrics, name)
@@ -175,25 +166,23 @@ def test_double_loop_rows_take_the_lattice_route_alone(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(metrics, name, counted(name))
-    monkeypatch.setattr(oracle, "instance_distances", metrics.instance_distances)
     assert [verify_instance(n, c) for n, c in long] == want[:len(long)]
-    assert calls == {"lattice_summary": len(long), "_level_sets": 0,
-                     "instance_distances": 0}
+    assert calls == {"_lattice": len(long), "_level_sets": 0, "_list_kernel": 0}
     assert [verify_instance(n, c) for n, c in short] == want[len(long):]
-    assert calls == {"lattice_summary": len(long), "_level_sets": len(short),
-                     "instance_distances": 0}
+    assert calls == {"_lattice": len(long), "_level_sets": len(short), "_list_kernel": 0}
     assert verify_instance(12, (5,), paranoid=True) == want[len(long)]
     assert verify_instance(132, (65,), paranoid=True) == want[1]
-    assert calls["instance_distances"] == 2  # the paranoid oracle, on both routes
+    # the paranoid oracle's kernel (oracle.instance_distances), on both routes
+    assert calls["_list_kernel"] == 2
 
 
 def test_paranoid_compares_the_lattice_with_the_list_kernel(monkeypatch):
-    real = metrics.lattice_summary
+    real = metrics._lattice
 
-    def doctored(g):
-        return real(g)._replace(v_dc=(1,))
+    def doctored(n, s):
+        return real(n, s)._replace(v_dc=(1,))
 
-    monkeypatch.setattr(metrics, "lattice_summary", doctored)
+    monkeypatch.setattr(metrics, "_lattice", doctored)
     assert verify_instance(132, (65,)).v_dc == (1,)  # trusted when not paranoid
     with pytest.raises(RuntimeError, match=r"route mismatch on C132.*: lattice "):
         verify_instance(132, (65,), paranoid=True)

@@ -42,8 +42,8 @@ from loopnet.metrics import (
     DOUBLE_LOOP_LEVELS_BELOW,
     LEVEL_CAP,
     SHORT_BITS,
-    instance_distances,
-    level_set_summary,
+    _level_sets,
+    _list_kernel,
 )
 from loopnet.theorem_lab import plan_sweep, run_instances
 
@@ -66,8 +66,8 @@ def test_level_set_summary_matches_list_route_and_oracles(data):
                                        max_size=k, unique=True), label="set"))
     g = build_circulant(n, [1] + chords)
     h = expand(g)
-    listed = instance_distances(g).summary()
-    fast = level_set_summary(g)
+    listed = _list_kernel(n, tuple(chords)).summary()
+    fast = _level_sets(n, tuple(chords))
     if listed.d_circ > LEVEL_CAP:
         assert fast is None
     else:
@@ -89,8 +89,7 @@ def test_level_set_summary_matches_list_route_and_oracles(data):
 
 def test_level_set_summary_on_the_grid():
     for n, chords in plan_sweep(range(5, 41), [2, 3, 4]):
-        g = build_circulant(n, (1,) + chords)
-        assert level_set_summary(g) == instance_distances(g).summary(), (n, chords)
+        assert _level_sets(n, chords) == _list_kernel(n, chords).summary(), (n, chords)
 
 
 def test_paranoid_catches_a_doctored_spoke_identity(monkeypatch):
@@ -135,7 +134,7 @@ def test_paranoid_catches_a_wrong_condition_rule(monkeypatch, n, chords):
         return facts._replace(cond_outer=not facts.cond_outer, near=())
 
     g = build_circulant(n, (1,) + chords)
-    want = instance_distances(g).summary()
+    want = _list_kernel(n, chords).summary()
     monkeypatch.setattr(metrics, "_summarize", flipped)
     assert verify_instance(n, chords).cond_outer != want.cond_outer  # trusted when not paranoid
     with pytest.raises(RuntimeError) as info:
@@ -179,7 +178,6 @@ def loop_entries(monkeypatch, log):
 
 
 def test_paranoid_catches_a_circulant_that_loses_its_chords(monkeypatch):
-    g = build_circulant(20, (1, 4, 8))
     want = verify_instance(20, (4, 8))
     real = metrics._level_sets
 
@@ -187,7 +185,7 @@ def test_paranoid_catches_a_circulant_that_loses_its_chords(monkeypatch):
         return real(n, LostChords(chords) if chords == (4, 8) else chords)
 
     monkeypatch.setattr(metrics, "_level_sets", ring_only)
-    broken = level_set_summary(g)
+    broken = metrics._level_sets(20, (4, 8))
     assert broken.d_circ == 10 != want.d_circ
     assert verify_instance(20, (4, 8)) != want  # trusted when not paranoid
     with pytest.raises(RuntimeError, match="route mismatch on C20"):
@@ -347,7 +345,7 @@ def list_route_row(monkeypatch, n, chords):
     """The row as the list kernel alone gives it."""
     with monkeypatch.context() as m:
         m.setattr(metrics, "_level_sets", lambda n, chords: None)
-        m.setattr(metrics, "lattice_summary", lambda g: None)
+        m.setattr(metrics, "_lattice", lambda n, s: None)
         return verify_instance(n, chords)
 
 
@@ -355,8 +353,7 @@ def list_route_row(monkeypatch, n, chords):
 def test_cap_sides_on_the_gap1_family(monkeypatch, k, over):
     # C_{4k}(1, 2k-1) has d_circ = k: one row on each side of the cap
     n, chords = 4 * k, (2 * k - 1,)
-    g = build_circulant(n, (1,) + chords)
-    assert (level_set_summary(g) is None) == over
+    assert (_level_sets(n, chords) is None) == over
     row = verify_instance(n, chords)
     assert row.d_circ == k and row.gap == 1
     assert row.witnesses["conj45"]["ggpg_diametral_path"]
@@ -369,8 +366,7 @@ def test_few_level_rows_equal_the_list_route(monkeypatch, n, chords):
     # gap-1 rows (level-set verdicts and thm43 witness), thm43 inconsistencies
     # (C5(1,2), C7(1,2), C7(1,3)), a plain gap-2 row and a V_Dc tie
     # (C9(1,2): V_Dc = {3, 4, 5, 6})
-    g = build_circulant(n, (1,) + chords)
-    assert level_set_summary(g) is not None
+    assert _level_sets(n, chords) is not None
     row = verify_instance(n, chords)
     assert row == list_route_row(monkeypatch, n, chords)
     assert (row.gap == 1) == ("conj45" in row.witnesses)
@@ -410,9 +406,9 @@ ROWS_1E5 = {
 def test_n_1e5_rows_agree_with_list_bfs(chords):
     n = N_1E5
     g = build_circulant(n, (1, *chords))
-    listed = instance_distances(g).summary()
+    listed = _list_kernel(n, chords).summary()
     assert listed == bfs_summary(g)
-    fast = level_set_summary(g)
+    fast = _level_sets(n, chords)
     assert fast == (None if listed.d_circ > LEVEL_CAP else listed)
     if chords == ROWS_1E5["over-cap, shared factor"]:
         assert listed.d_circ == LEVEL_CAP + 1 and -(-(n // 2) // chords[-1]) <= LEVEL_CAP
@@ -428,13 +424,12 @@ def test_the_loop_runs_past_the_cap_at_n_1e5(monkeypatch):
     # the ring bound (C(1, 299), D = 250) or at once (C(1, 99), D = 550),
     # and with the cap raised it runs both to the list kernel's summaries
     n, rows = N_1E5, [(299,), (99,)]
-    listed = [instance_distances(build_circulant(n, (1, *c))).summary() for c in rows]
+    listed = [_list_kernel(n, c).summary() for c in rows]
     assert [facts.d_circ for facts in listed] == [250, 550]
     assert [-(-(n // 2) // c[-1]) <= LEVEL_CAP for c in rows] == [True, False]
     assert [metrics._level_sets(n, c) for c in rows] == [None, None]
     monkeypatch.setattr(metrics, "LEVEL_CAP", 10 ** 6)
     assert [metrics._level_sets(n, c) for c in rows] == listed
-    assert [level_set_summary(build_circulant(n, (1, *c))) for c in rows] == listed
 
 
 def test_relabelling_by_a_unit_keeps_the_circulant_half_at_n_1e6():
@@ -448,10 +443,10 @@ def test_relabelling_by_a_unit_keeps_the_circulant_half_at_n_1e6():
             continue
         inv = pow(a, -1, n)
         relabelled = tuple(sorted(min(x, n - x) for x in (inv, inv * b % n)))
-        fast = level_set_summary(build_circulant(n, (1, a, b)))
+        fast = _level_sets(n, (a, b))
         if fast is None:  # over the cap
             continue
-        moved = level_set_summary(build_circulant(n, (1, *relabelled)))
+        moved = _level_sets(n, relabelled)
         if moved is None:
             continue
         assert moved.d_circ == fast.d_circ, (a, b)
@@ -476,7 +471,7 @@ def test_row_facts_picks_the_route(monkeypatch, n, chords, paranoid, route, prob
     # paranoid row runs those and exactly one list kernel of its own,
     # oracle.check_row's (its list BFS runs no _level_bfs; cut to source 0
     # here, as it is quadratic)
-    listed = instance_distances(build_circulant(n, (1,) + chords)).summary()
+    listed = _list_kernel(n, chords).summary()
     probes, searches, kernels = [], [], []
     real_bfs, real_kernel, real_sources = \
         metrics._level_bfs, oracle.instance_distances, oracle._source_vectors
@@ -496,6 +491,24 @@ def test_row_facts_picks_the_route(monkeypatch, n, chords, paranoid, route, prob
                             lambda gc, gp, sources: real_sources(gc, gp, 1))
         assert verify_instance(n, chords, paranoid=True).d_circ == facts.d_circ
         assert len(kernels) == 1 and len(searches) == own + 2
+
+
+def test_row_facts_builds_no_graph_for_an_admitted_row(monkeypatch):
+    # each route takes the admitted row as (n, chords): row_facts builds a
+    # graph only to refuse a row, so it answers one row per route with
+    # build_circulant refusing every call
+    rows = {(200, (3,)): "lattice", (20, (4, 8)): "level sets",
+            (2000, (2, 3)): "list kernel"}
+    want = [metrics.row_facts(n, chords) for n, chords in rows]
+    assert [route for route, _, _ in want] == list(rows.values())
+
+    def built(n, gens):
+        raise AssertionError(f"row_facts built C_{n}{gens}")
+
+    monkeypatch.setattr(metrics, "build_circulant", built)
+    assert [metrics.row_facts(n, chords) for n, chords in rows] == want
+    with pytest.raises(AssertionError, match=r"built C_20\(1, 10\)"):
+        metrics.row_facts(20, (10,))  # past floor((n - 1) / 2): refused by the graph
 
 
 def test_paranoid_compares_the_two_summaries(monkeypatch):

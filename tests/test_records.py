@@ -22,7 +22,6 @@ from loopnet import (
     build_circulant,
     build_ggpg,
     instance_distances,
-    level_set_summary,
     realize,
     verify_instance,
 )
@@ -42,7 +41,7 @@ REPORT = verify_instance(20, (9,))
 RECORDS = [
     (G, ("n", "gens")),
     (H, ("n", "chords")),
-    (level_set_summary(build_circulant(11, (1, 2, 4))),
+    (metrics._level_sets(11, (2, 4)),
      ("d_circ", "ecc_u0", "ecc_v0", "v_dc", "cond_outer", "cond_inner", "near")),
     (instance_distances(G), ("circ", "chord_only")),
     (SandwichResult(True), ("ok", "witness")),
@@ -90,18 +89,18 @@ def test_graph_equality_is_class_aware():
     assert len({g, h, build_circulant(9, (2, 3))}) == 2
 
 
-# the public surface, as the package listed it when it imported every
-# submodule eagerly
+# the public surface: the names the package listed when it imported every
+# submodule eagerly, with metrics' two route entries (lattice_summary and
+# level_set_summary) replaced by its one row entry, row_facts
 PUBLIC = [
     "CirculantGraph", "FamilyParameterError", "GeneratorSequence", "GgpgGraph", "INF",
     "InstanceSummary", "PathRep", "Realization", "TheoremViolation",
     "VerificationReport", "Walk", "bfs", "build_circulant", "build_ggpg", "check_thm41",
     "check_thm42", "check_thm43", "check_thm44", "contract_spokes", "diameter_circulant",
     "diameter_ggpg", "eccentricity", "endpoint", "expand", "extremal_vertices",
-    "format_distance", "inner_only_distances", "instance_distances",
-    "lattice_summary", "level_set_summary", "lift_path", "outer_only_distance",
-    "project_path", "realize", "reduce_walk", "render_rep", "shortest_rep",
-    "shortest_rep_table", "to_dot", "verify_instance",
+    "format_distance", "inner_only_distances", "instance_distances", "lift_path",
+    "outer_only_distance", "project_path", "realize", "reduce_walk", "render_rep",
+    "row_facts", "shortest_rep", "shortest_rep_table", "to_dot", "verify_instance",
 ]
 
 # Run in a fresh interpreter; prints one JSON object.  Each step reads the
